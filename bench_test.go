@@ -527,8 +527,8 @@ func BenchmarkParallelSpanner(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := spanner.BuildTwoPassParallel(st,
-					spanner.Config{K: 2, Seed: benchSeed + 35}, workers); err != nil {
+				if _, err := spanner.BuildTwoPassOpts(st, spanner.Config{K: 2, Seed: benchSeed + 35},
+					parallel.Default().WithWorkers(workers)); err != nil {
 					b.Fatal(err)
 				}
 			}

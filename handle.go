@@ -187,17 +187,34 @@ func (h *Handle[R]) Query(ctx context.Context) (R, error) {
 // batch boundary (Apply is all-or-nothing), so a caller can prove the
 // result against an offline Build over exactly the first `applied`
 // updates of its log.
-func (h *Handle[R]) QueryAt(ctx context.Context) (R, int64, error) {
+func (h *Handle[R]) QueryAt(ctx context.Context) (r R, applied int64, err error) {
+	err = h.QueryView(ctx, func(res R, at int64) error {
+		r, applied = res, at
+		return nil
+	})
+	return r, applied, err
+}
+
+// QueryView is QueryAt with the result consumed under the same hold of
+// the handle's mutex: view runs with the result and the applied-update
+// count it observed, and no Apply, Merge or Checkpoint can land until
+// view returns. Sketch-family targets answer a query with the live
+// sketch itself, so a caller that decodes it concurrently with Apply
+// must decode inside view — after QueryAt returns, the next Apply
+// mutates the sketch mid-decode and tears the answer. view must not
+// call back into the handle.
+func (h *Handle[R]) QueryView(ctx context.Context, view func(r R, applied int64) error) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	sp := h.o.tracer.Span("query")
 	p := parallel.NewPolicy(ctx, h.o.resolveWorkers(h.src), h.o.batch, nil).
 		WithDecode(h.o.resolveDecodeWorkers(h.src)).WithTracer(h.o.tracer)
 	r, err := h.live.query(p)
-	if err == nil {
-		sp.End(obs.A("applied", h.applied))
+	if err != nil {
+		return err
 	}
-	return r, h.applied, err
+	sp.End(obs.A("applied", h.applied))
+	return view(r, h.applied)
 }
 
 // DecodeCacheStats reports the cumulative decode-cache hit/miss

@@ -60,12 +60,15 @@ func (b *backend[R]) Apply(updates []dynstream.Update) error { return b.h.Apply(
 func (b *backend[R]) Applied() int64                         { return b.h.AppliedUpdates() }
 func (b *backend[R]) CacheStats() dynstream.CacheStats       { return b.h.DecodeCacheStats() }
 
-func (b *backend[R]) Query(ctx context.Context) (*QueryResponse, error) {
-	res, applied, err := b.h.QueryAt(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return b.render(res, applied)
+// Query renders under the handle's mutex (Handle.QueryView): the
+// sketch-family targets decode the live sketch in render, and an Apply
+// landing mid-decode would tear the answer.
+func (b *backend[R]) Query(ctx context.Context) (resp *QueryResponse, err error) {
+	err = b.h.QueryView(ctx, func(res R, applied int64) error {
+		resp, err = b.render(res, applied)
+		return err
+	})
+	return resp, err
 }
 
 func (b *backend[R]) CheckpointTo(path string) error {

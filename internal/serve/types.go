@@ -38,10 +38,10 @@ type EdgeJSON struct {
 
 // QueryResponse is the body of GET /v1/query: the target's freshly
 // extracted result as of exactly Applied updates. Result and count are
-// read under one hold of the handle's mutex (Handle.QueryAt), so the
-// pair is a consistent batch-boundary snapshot — an offline Build over
-// the first Applied updates of the same stream reproduces Edges bit for
-// bit.
+// read — and the result rendered — under one hold of the handle's mutex
+// (Handle.QueryView), so the pair is a consistent batch-boundary
+// snapshot — an offline Build over the first Applied updates of the
+// same stream reproduces Edges bit for bit.
 type QueryResponse struct {
 	Target     string     `json:"target"`
 	Applied    int64      `json:"applied"`

@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"fmt"
+	"sort"
 
 	"dynstream/internal/field"
 	"dynstream/internal/hashing"
@@ -33,27 +34,41 @@ import (
 // to a concrete edge, mirroring SKETCH_{O(log n)}(N(v) ∩ T_u ∩ Y_j).
 //
 // Bucket state is stored structure-of-arrays — five flat lanes
-// (counts / keySums / keyFings / edgeSums / edgeFings) — so that Merge
-// and zero scans run through the field batch kernels, like every other
-// sketch in this package.
+// (counts / keySums / keyFings / edgeSums / edgeFings) sliced out of
+// one backing array — so that Merge and zero scans run through the
+// field batch kernels, like every other sketch in this package. The
+// count lane is held as two's complement in a uint64 lane: addition and
+// subtraction are bit-identical under the reinterpretation and the zero
+// test is unchanged.
+//
+// A table materializes on first touch. Claim 11 provisions every
+// terminal's table for its worst-case neighborhood, but most tables of
+// a cluster structure never see an update (wrong subsampling level,
+// empty neighborhood), so the constructor keeps only seed, geometry and
+// fingerprint bases; the lanes, the row-hash bank and both power tables
+// appear on the first non-zero Add/AddBatch, on Merge from a
+// materialized table, or on deserialization. An unmaterialized table is
+// the zero table in every observable respect: it IsZero, decodes
+// nothing, marshals as zero buckets, and reports the same provisioned
+// SpaceWords.
 type KeyedEdgeSketch struct {
-	seed  uint64
-	n     int
-	rows  int
-	cells int
-
-	counts    []int64  // edgeCount lane
-	keySums   []uint64 // Σ δ·v
-	keyFings  []uint64 // Σ δ·r1^v
-	edgeSums  []uint64 // Σ δ·e
-	edgeFings []uint64 // Σ δ·r2^e
-
-	rowHash  []*hashing.Poly
-	bank     *hashing.PolyBank // all row hashes, one interleaved Horner sweep
+	seed     uint64
+	n        int
+	rows     int
+	cells    int
 	keyBase  uint64
 	edgeBase uint64
-	keyTab   *field.PowTable
-	edgeTab  *field.PowTable
+
+	// Materialized state: nil until first touch (see materialize).
+	lanes     []uint64          // backing array of the five lanes below
+	counts    []uint64          // edgeCount lane, two's complement
+	keySums   []uint64          // Σ δ·v
+	keyFings  []uint64          // Σ δ·r1^v
+	edgeSums  []uint64          // Σ δ·e
+	edgeFings []uint64          // Σ δ·r2^e
+	bank      *hashing.PolyBank // all row hashes, one interleaved Horner sweep
+	keyTab    *field.PowTable
+	edgeTab   *field.PowTable
 
 	recovered map[uint64]keyedAgg
 	dirty     bool
@@ -92,15 +107,17 @@ func (b *keyedAgg) merge(o keyedAgg) {
 	b.edgeFing = field.Add(b.edgeFing, o.edgeFing)
 }
 
+// Touched reports whether the table has materialized its bucket state:
+// false means no non-zero update, no merge from a touched table and no
+// deserialization has ever reached it.
+func (t *KeyedEdgeSketch) Touched() bool { return t.lanes != nil }
+
 // IsZero reports whether the table holds the zero vector's state —
 // indistinguishable from a fresh table, which is what lets compressed
-// encodings suppress it. Each lane is an early-exit kernel word scan,
-// count lane first.
-func (t *KeyedEdgeSketch) IsZero() bool {
-	return field.AllZeroI64(t.counts) && field.AllZero(t.keySums) &&
-		field.AllZero(t.keyFings) && field.AllZero(t.edgeSums) &&
-		field.AllZero(t.edgeFings)
-}
+// encodings suppress it. An unmaterialized table is zero by
+// construction; otherwise one early-exit kernel word scan covers all
+// five lanes.
+func (t *KeyedEdgeSketch) IsZero() bool { return field.AllZero(t.lanes) }
 
 // pureKey reports whether all mass in a bucket belongs to a single
 // key, and returns that key. It is a polynomial-identity fingerprint
@@ -128,24 +145,19 @@ func NewKeyedEdgeSketch(seed uint64, n, capacity int) *KeyedEdgeSketch {
 	return newKeyedEdgeSketchGeom(seed, n, rows, cells)
 }
 
-// newKeyedEdgeSketchGeom builds the table from its raw geometry — the
-// deserialization entry point (rows and cells are carried on the wire,
-// so a decoded table matches its encoder cell for cell).
+// newKeyedEdgeSketchGeom builds the unmaterialized table from its raw
+// geometry — the deserialization entry point (rows and cells are
+// carried on the wire, so a decoded table matches its encoder cell for
+// cell).
 func newKeyedEdgeSketchGeom(seed uint64, n, rows, cells int) *KeyedEdgeSketch {
 	t := &KeyedEdgeSketch{
-		seed:      seed,
-		n:         n,
-		rows:      rows,
-		cells:     cells,
-		counts:    make([]int64, rows*cells),
-		keySums:   make([]uint64, rows*cells),
-		keyFings:  make([]uint64, rows*cells),
-		edgeSums:  make([]uint64, rows*cells),
-		edgeFings: make([]uint64, rows*cells),
-		rowHash:   make([]*hashing.Poly, rows),
-		keyBase:   field.Reduce(hashing.Mix(seed, 0xaa)),
-		edgeBase:  field.Reduce(hashing.Mix(seed, 0xbb)),
-		dirty:     true,
+		seed:     seed,
+		n:        n,
+		rows:     rows,
+		cells:    cells,
+		keyBase:  field.Reduce(hashing.Mix(seed, 0xaa)),
+		edgeBase: field.Reduce(hashing.Mix(seed, 0xbb)),
+		dirty:    true,
 	}
 	if t.keyBase < 2 {
 		t.keyBase = 2
@@ -153,48 +165,48 @@ func newKeyedEdgeSketchGeom(seed uint64, n, rows, cells int) *KeyedEdgeSketch {
 	if t.edgeBase < 2 {
 		t.edgeBase = 2
 	}
+	return t
+}
+
+// setLanes slices the five bucket lanes out of one backing array of
+// 5·rows·cells words.
+func (t *KeyedEdgeSketch) setLanes(lanes []uint64) {
+	nb := t.rows * t.cells
+	t.lanes = lanes
+	t.counts = lanes[:nb:nb]
+	t.keySums = lanes[nb : 2*nb : 2*nb]
+	t.keyFings = lanes[2*nb : 3*nb : 3*nb]
+	t.edgeSums = lanes[3*nb : 4*nb : 4*nb]
+	t.edgeFings = lanes[4*nb : 5*nb : 5*nb]
+}
+
+// materialize allocates the zeroed lanes and derives the row hashes
+// and power tables from the seed. Like cell mutation it is confined to
+// the table's owning goroutine.
+func (t *KeyedEdgeSketch) materialize() {
+	t.setLanes(make([]uint64, 5*t.rows*t.cells))
+	rowHash := make([]*hashing.Poly, t.rows)
+	for r := range rowHash {
+		rowHash[r] = hashing.NewPoly(hashing.Mix(t.seed, 0xcc, uint64(r)), 6)
+	}
+	t.bank = hashing.NewPolyBank(rowHash...)
 	t.keyTab = field.NewPowTable(t.keyBase)
 	t.edgeTab = field.NewPowTable(t.edgeBase)
-	for r := 0; r < rows; r++ {
-		t.rowHash[r] = hashing.NewPoly(hashing.Mix(seed, 0xcc, uint64(r)), 6)
-	}
-	// The row-hash bank is built lazily in rowBuckets: the spanner's
-	// second pass allocates tens of thousands of tables per cluster
-	// structure, most of which never see an update, and eager bank
-	// construction was a measurable share of EndPass1.
-	return t
 }
 
 func (t *KeyedEdgeSketch) encode(w, v int) uint64 {
 	return uint64(w)*uint64(t.n) + uint64(v)
 }
 
-// rowBuckets fills hs[:rows] with the row hashes of key through the
-// bank (bit-identical to per-row Poly.Hash, so laziness cannot change
-// results). The bank is materialized on first use; like cell
-// mutation, hashing is confined to the table's owning goroutine.
-func (t *KeyedEdgeSketch) rowBuckets(key uint64, hs []uint64) {
-	if t.rows <= maxBankRows {
-		if t.bank == nil {
-			t.bank = hashing.NewPolyBank(t.rowHash...)
-		}
-		t.bank.HashPrefix(key, hs)
-		return
-	}
-	for r := 0; r < t.rows; r++ {
-		hs[r] = t.rowHash[r].Hash(key)
-	}
-}
-
 // addAgg folds upd into the buckets of key, one per row.
 func (t *KeyedEdgeSketch) addAgg(key uint64, upd keyedAgg) {
 	var hbuf [maxBankRows]uint64
 	hs := hbuf[:t.rows]
-	t.rowBuckets(key, hs)
+	t.bank.HashPrefix(key, hs)
 	cells := uint64(t.cells)
 	for r := 0; r < t.rows; r++ {
 		i := r*t.cells + int(hs[r]%cells)
-		t.counts[i] += upd.edgeCount
+		t.counts[i] += uint64(upd.edgeCount)
 		t.keySums[i] = field.Add(t.keySums[i], upd.keySum)
 		t.keyFings[i] = field.Add(t.keyFings[i], upd.keyFing)
 		t.edgeSums[i] = field.Add(t.edgeSums[i], upd.edgeSum)
@@ -209,6 +221,9 @@ func (t *KeyedEdgeSketch) addAgg(key uint64, upd keyedAgg) {
 func (t *KeyedEdgeSketch) Add(w, v int, delta int64) {
 	if delta == 0 {
 		return
+	}
+	if t.lanes == nil {
+		t.materialize()
 	}
 	t.dirty = true
 	t.gen++
@@ -236,8 +251,15 @@ type KeyedEdgeUpdate struct {
 // with shared window traversals (field.FingerprintVec) before the
 // per-update scatter.
 func (t *KeyedEdgeSketch) AddBatch(batch []KeyedEdgeUpdate) {
-	if len(batch) == 0 {
+	live := false
+	for _, u := range batch {
+		live = live || u.Delta != 0
+	}
+	if !live {
 		return
+	}
+	if t.lanes == nil {
+		t.materialize()
 	}
 	keyExps := make([]uint64, len(batch))
 	edgeExps := make([]uint64, len(batch))
@@ -269,80 +291,110 @@ func (t *KeyedEdgeSketch) AddBatch(batch []KeyedEdgeUpdate) {
 // Merge adds another table built with the same seed and geometry; the
 // result is the table of the summed update streams, exactly as if every
 // update of o had been Added to t. The linearity is what lets Algorithm
-// 2's second pass be ingested in parallel shards. The five SoA lanes
-// fold through the batch kernels.
+// 2's second pass be ingested in parallel shards. An unmaterialized
+// source adds nothing; an unmaterialized receiver takes one copy of the
+// source's lanes and shares its (immutable) hash bank and power tables;
+// otherwise the lanes fold through the batch kernels. The generation
+// bump is the same in all three cases.
 func (t *KeyedEdgeSketch) Merge(o *KeyedEdgeSketch) error {
 	if t.seed != o.seed || t.n != o.n || t.rows != o.rows || t.cells != o.cells {
 		return fmt.Errorf("sketch: merging incompatible keyed tables (seed %d/%d, %dx%d vs %dx%d)",
 			t.seed, o.seed, t.rows, t.cells, o.rows, o.cells)
 	}
-	field.MergeCells(t.counts, t.keySums, t.keyFings, o.counts, o.keySums, o.keyFings)
-	field.AddVec(t.edgeSums, t.edgeSums, o.edgeSums)
-	field.AddVec(t.edgeFings, t.edgeFings, o.edgeFings)
+	switch {
+	case o.lanes == nil: // adds zero
+	case t.lanes == nil:
+		t.setLanes(append([]uint64(nil), o.lanes...))
+		t.bank, t.keyTab, t.edgeTab = o.bank, o.keyTab, o.edgeTab
+	default:
+		for i, c := range o.counts {
+			t.counts[i] += c
+		}
+		nb := len(t.counts)
+		field.AddVec(t.lanes[nb:], t.lanes[nb:], o.lanes[nb:])
+	}
 	t.dirty = true
 	t.gen++
 	return nil
+}
+
+// peelBucket is one bucket of the peeling work set.
+type peelBucket struct {
+	idx int
+	agg keyedAgg
+}
+
+// peelWork is the peeling work set: the table's non-zero buckets in
+// ascending bucket order.
+type peelWork []peelBucket
+
+// at returns the accumulator of bucket idx. A bucket outside the set
+// held zero when the set was gathered — reaching it takes a fingerprint
+// false positive or an exact cancellation — and is inserted in order,
+// so that the sweep visits it when a scan of the full lanes would;
+// *cursor, the sweep's position, keeps pointing at the same bucket.
+func (w *peelWork) at(idx int, cursor *int) *keyedAgg {
+	q := sort.Search(len(*w), func(i int) bool { return (*w)[i].idx >= idx })
+	if q == len(*w) || (*w)[q].idx != idx {
+		*w = append(*w, peelBucket{})
+		copy((*w)[q+1:], (*w)[q:])
+		(*w)[q] = peelBucket{idx: idx}
+		if q <= *cursor {
+			*cursor++
+		}
+	}
+	return &(*w)[q].agg
 }
 
 // peel decodes the whole table: it repeatedly finds a key-pure bucket,
 // records that key's aggregate, and subtracts it from the key's buckets
 // in every row, until no further progress. Results are cached until the
 // next Add.
+//
+// The work set is the table's non-zero buckets, gathered once — a
+// touched table holds a few keys in thousands of provisioned buckets,
+// so peeling never copies or rescans the zeros. Buckets are swept in
+// ascending index order pass after pass, exactly the order a scan of
+// the full lanes would visit them in.
 func (t *KeyedEdgeSketch) peel() {
 	if !t.dirty {
 		return
 	}
-	// Most tables of a cluster structure are never touched by pass-2
-	// routing (wrong subsampling level, empty neighborhood). The
-	// kernel zero scan costs one read pass and no allocation, versus
-	// copying five work lanes just to discover there is nothing to
-	// peel.
-	if t.IsZero() {
-		t.recovered = nil
-		t.dirty = false
+	t.dirty = false
+	t.recovered = nil
+	var work peelWork
+	for i := range t.counts {
+		if t.counts[i]|t.keySums[i]|t.keyFings[i]|t.edgeSums[i]|t.edgeFings[i] != 0 {
+			work = append(work, peelBucket{i, keyedAgg{
+				int64(t.counts[i]), t.keySums[i], t.keyFings[i], t.edgeSums[i], t.edgeFings[i]}})
+		}
+	}
+	if len(work) == 0 {
 		return
 	}
-	// One backing allocation for all five work lanes. The count lane
-	// rides in the uint64 buffer as two's complement: addition and
-	// subtraction are bit-identical under the reinterpretation, and
-	// the zero test is unchanged.
-	nb := len(t.counts)
-	wbuf := make([]uint64, 5*nb)
-	wc := wbuf[:nb:nb]
-	wks := wbuf[nb : 2*nb : 2*nb]
-	wkf := wbuf[2*nb : 3*nb : 3*nb]
-	wes := wbuf[3*nb : 4*nb : 4*nb]
-	wef := wbuf[4*nb : 5*nb : 5*nb]
-	for i, c := range t.counts {
-		wc[i] = uint64(c)
-	}
-	copy(wks, t.keySums)
-	copy(wkf, t.keyFings)
-	copy(wes, t.edgeSums)
-	copy(wef, t.edgeFings)
 	t.recovered = make(map[uint64]keyedAgg)
 	var hbuf [maxBankRows]uint64
 	hs := hbuf[:t.rows]
 	cells := uint64(t.cells)
-	for {
-		progress := false
-		for i := range wc {
-			if wc[i] == 0 && wks[i] == 0 && wkf[i] == 0 && wes[i] == 0 && wef[i] == 0 {
+	for progress := true; progress; {
+		progress = false
+		for p := 0; p < len(work); p++ {
+			agg := work[p].agg
+			if agg.isZero() {
 				continue
 			}
-			key, ok := t.pureKey(int64(wc[i]), wks[i], wkf[i])
+			key, ok := t.pureKey(agg.edgeCount, agg.keySum, agg.keyFing)
 			if !ok {
 				continue
 			}
-			agg := keyedAgg{int64(wc[i]), wks[i], wkf[i], wes[i], wef[i]}
-			t.rowBuckets(key, hs)
+			t.bank.HashPrefix(key, hs)
 			for r := 0; r < t.rows; r++ {
-				j := r*t.cells + int(hs[r]%cells)
-				wc[j] -= uint64(agg.edgeCount)
-				wks[j] = field.Sub(wks[j], agg.keySum)
-				wkf[j] = field.Sub(wkf[j], agg.keyFing)
-				wes[j] = field.Sub(wes[j], agg.edgeSum)
-				wef[j] = field.Sub(wef[j], agg.edgeFing)
+				b := work.at(r*t.cells+int(hs[r]%cells), &p)
+				b.edgeCount -= agg.edgeCount
+				b.keySum = field.Sub(b.keySum, agg.keySum)
+				b.keyFing = field.Sub(b.keyFing, agg.keyFing)
+				b.edgeSum = field.Sub(b.edgeSum, agg.edgeSum)
+				b.edgeFing = field.Sub(b.edgeFing, agg.edgeFing)
 			}
 			prev := t.recovered[key]
 			prev.merge(agg)
@@ -353,11 +405,7 @@ func (t *KeyedEdgeSketch) peel() {
 			}
 			progress = true
 		}
-		if !progress {
-			break
-		}
 	}
-	t.dirty = false
 }
 
 // DecodeKey attempts to recover one edge (w, v) for the outside key v.
@@ -393,7 +441,9 @@ func (t *KeyedEdgeSketch) Keys() []int {
 	return out
 }
 
-// SpaceWords returns the memory footprint in 64-bit words.
+// SpaceWords returns the provisioned footprint in 64-bit words — the
+// paper's space measure, independent of whether the table has
+// materialized.
 func (t *KeyedEdgeSketch) SpaceWords() int {
-	return 5*len(t.counts) + 6
+	return 5*t.rows*t.cells + 6
 }

@@ -263,20 +263,28 @@ func (s *L0Sampler) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
+// keyedBucketBytes is the wire size of one bucket: five 64-bit words.
+const keyedBucketBytes = 40
+
 // MarshalBinary encodes the keyed edge table: parameters plus the raw
 // bucket accumulators. Hash functions and power tables are re-derived
 // from the seed on decode. The wire format is bucket-interleaved
 // (count, keySum, keyFing, edgeSum, edgeFing per bucket), independent
-// of the in-memory structure-of-arrays layout.
+// of the in-memory structure-of-arrays layout; an unmaterialized table
+// encodes as the zero buckets it stands for.
 func (t *KeyedEdgeSketch) MarshalBinary() ([]byte, error) {
-	w := &wbuf{}
+	size := 5*8 + t.rows*t.cells*keyedBucketBytes
+	w := &wbuf{b: make([]byte, 0, size)}
 	w.u64(tagKeyed)
 	w.u64(t.seed)
 	w.u64(uint64(t.n))
 	w.u64(uint64(t.rows))
 	w.u64(uint64(t.cells))
+	if t.lanes == nil {
+		return w.b[:size], nil // the buckets are the zeros make left there
+	}
 	for i := range t.counts {
-		w.i64(t.counts[i])
+		w.u64(t.counts[i])
 		w.u64(t.keySums[i])
 		w.u64(t.keyFings[i])
 		w.u64(t.edgeSums[i])
@@ -285,7 +293,10 @@ func (t *KeyedEdgeSketch) MarshalBinary() ([]byte, error) {
 	return w.b, nil
 }
 
-// UnmarshalBinary decodes a table encoded with MarshalBinary.
+// UnmarshalBinary decodes a table encoded with MarshalBinary. The
+// encoding is fixed-width, so the header's geometry is checked against
+// the remaining length before anything is allocated: a short blob
+// cannot request more memory than it carries.
 func (t *KeyedEdgeSketch) UnmarshalBinary(data []byte) error {
 	r := &rbuf{b: data}
 	tag, err := r.u64()
@@ -298,25 +309,19 @@ func (t *KeyedEdgeSketch) UnmarshalBinary(data []byte) error {
 			return err
 		}
 	}
-	if n == 0 || n > 1<<32 || rows == 0 || rows > 16 || cells == 0 || cells > 1<<30 {
+	if n == 0 || n > 1<<32 || rows == 0 || rows > 16 || cells == 0 || cells > 1<<30 ||
+		uint64(len(r.b)) != rows*cells*keyedBucketBytes {
 		return errCorrupt
 	}
 	rebuilt := newKeyedEdgeSketchGeom(seed, int(n), int(rows), int(cells))
+	rebuilt.materialize()
 	for i := range rebuilt.counts {
-		if rebuilt.counts[i], err = r.i64(); err != nil {
-			return err
-		}
-		for _, dst := range []*uint64{
-			&rebuilt.keySums[i], &rebuilt.keyFings[i],
-			&rebuilt.edgeSums[i], &rebuilt.edgeFings[i],
-		} {
-			if *dst, err = r.u64(); err != nil {
-				return err
-			}
-		}
-	}
-	if len(r.b) != 0 {
-		return errCorrupt
+		b := r.b[i*keyedBucketBytes : (i+1)*keyedBucketBytes]
+		rebuilt.counts[i] = binary.LittleEndian.Uint64(b)
+		rebuilt.keySums[i] = binary.LittleEndian.Uint64(b[8:])
+		rebuilt.keyFings[i] = binary.LittleEndian.Uint64(b[16:])
+		rebuilt.edgeSums[i] = binary.LittleEndian.Uint64(b[24:])
+		rebuilt.edgeFings[i] = binary.LittleEndian.Uint64(b[32:])
 	}
 	rebuilt.gen = t.gen + 1 // whole-state replacement keeps gen monotonic
 	*t = *rebuilt

@@ -73,6 +73,10 @@ const maxBankRows = 16
 
 func (sh *sketchBShape) cells() int { return sh.rows * sh.cols }
 
+// spaceWords is the footprint of one sketch over the shape: 3 words per
+// cell + seed/geometry.
+func (sh *sketchBShape) spaceWords() int { return 3*sh.cells() + 4 }
+
 // SketchB is the paper's SKETCH_B primitive (Theorem 8): a randomized
 // linear projection of a signed integer vector x from which x can be
 // recovered exactly whenever ||x||_0 <= B, with failure probability
@@ -157,6 +161,17 @@ func NewSketchBFamily(seed uint64, capacity int, cfg SketchConfig) *SketchBFamil
 
 // New returns a zeroed sketch of the family.
 func (f *SketchBFamily) New() *SketchB { return f.sh.instance() }
+
+// Warm materializes the family's lazy fingerprint power table. Table
+// materialization follows the same one-goroutine confinement rule as
+// cell mutation, so parallel decoders over sketches of one family call
+// Warm once before fanning out.
+func (f *SketchBFamily) Warm() { f.sh.tab() }
+
+// SpaceWords is the footprint of one family instance — what
+// SketchB.SpaceWords reports for it — so callers that create instances
+// on first touch can account for the ones not yet created.
+func (f *SketchBFamily) SpaceWords() int { return f.sh.spaceWords() }
 
 // instance returns a zeroed sketch over the shared shape.
 func (sh *sketchBShape) instance() *SketchB {
@@ -328,12 +343,6 @@ func (s *SketchB) SetTo(o *SketchB) {
 	copy(s.fings, o.fings)
 }
 
-// Warm materializes the shape's lazy fingerprint power table. Table
-// materialization follows the same one-goroutine confinement rule as
-// cell mutation, so parallel decoders over sketches sharing a shape
-// call Warm once before fanning out.
-func (s *SketchB) Warm() { s.shape.tab() }
-
 // IsZero reports whether the sketch is (whp) of the zero vector. Each
 // SoA lane is scanned with an early-exit word loop — count lane first,
 // since any touched cell has a nonzero count far more often than a
@@ -387,6 +396,4 @@ func (s *SketchB) Decode() (map[uint64]int64, bool) {
 
 // SpaceWords returns the memory footprint in 64-bit words, used by the
 // space-accounting experiments (E3).
-func (s *SketchB) SpaceWords() int {
-	return 3*len(s.counts) + 4 // 3 words per cell + seed/geometry
-}
+func (s *SketchB) SpaceWords() int { return s.shape.spaceWords() }

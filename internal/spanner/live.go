@@ -96,7 +96,9 @@ func (tp *TwoPass) attachDigest(level int, members []int) string {
 	for _, v := range members {
 		d.Int(v)
 		for _, s := range tp.vertexSk[v][level] {
-			gens += s.Gen()
+			if s != nil { // an untouched sketch has generation 0
+				gens += s.Gen()
+			}
 		}
 	}
 	d.U64(gens)
@@ -198,11 +200,7 @@ func (tp *TwoPass) QueryLive(p *parallel.Policy) (*Result, error) {
 	if cr.structKey != tp.clusterKey || tp.tables == nil {
 		tp.clusterKey = cr.structKey
 		tp.recCache = nil // rows are reallocated; old recoveries are moot
-		tables, err := tp.allocTablesOpts(p)
-		if err != nil {
-			return nil, err
-		}
-		tp.tables = tables
+		tp.tables = tp.allocTables()
 		err = stream.ReplayBatches(tp.liveSrc, 0, func(b []stream.Update) error {
 			tp.foldPass2(b)
 			return nil

@@ -121,28 +121,34 @@ func (r *rbuf) uvarint() (uint64, error) {
 	return v, nil
 }
 
-// sketchBlock reads one sketch block in the given version and decodes
-// it into dst; a suppressed (0-length, v2) block leaves dst as the
-// fresh zero state it already is.
-func (r *rbuf) sketchBlock(v2 bool, dst interface{ UnmarshalBinary([]byte) error }) error {
+// rawSketchBlock reads one sketch block in the given version; ok is
+// false for a suppressed (0-length, v2) block, which stands for the
+// zero state.
+func (r *rbuf) rawSketchBlock(v2 bool) (enc []byte, ok bool, err error) {
 	var ln uint64
-	var err error
 	if v2 {
 		ln, err = r.uvarint()
 	} else {
 		ln, err = r.u64()
 	}
-	if err != nil {
-		return err
-	}
-	if ln == 0 && v2 {
-		return nil
+	if err != nil || (ln == 0 && v2) {
+		return nil, false, err
 	}
 	if uint64(len(r.b)) < ln {
-		return errCorrupt
+		return nil, false, errCorrupt
 	}
-	enc := r.b[:ln]
+	enc = r.b[:ln]
 	r.b = r.b[ln:]
+	return enc, true, nil
+}
+
+// sketchBlock reads one sketch block and decodes it into dst; a
+// suppressed block leaves dst as the fresh zero state it already is.
+func (r *rbuf) sketchBlock(v2 bool, dst interface{ UnmarshalBinary([]byte) error }) error {
+	enc, ok, err := r.rawSketchBlock(v2)
+	if err != nil || !ok {
+		return err
+	}
 	return dst.UnmarshalBinary(enc)
 }
 
@@ -226,8 +232,10 @@ func (tp *TwoPass) MarshalBinary() ([]byte, error) {
 	w.boolean(tp.vertexSk != nil)
 	for u := range tp.vertexSk {
 		for r := range tp.vertexSk[u] {
-			for j := range tp.vertexSk[u][r] {
-				if err := w.sketchBlock(tp.vertexSk[u][r][j]); err != nil {
+			for _, s := range tp.vertexSk[u][r] {
+				if s == nil {
+					w.uvarint(0) // never touched: the zero block
+				} else if err := w.sketchBlock(s); err != nil {
 					return nil, err
 				}
 			}
@@ -314,12 +322,19 @@ func (tp *TwoPass) UnmarshalBinary(data []byte) error {
 		return err
 	}
 	if !hasVertexSk {
-		rebuilt.vertexSk = nil // pass-2 worker shape (ForkPass2)
+		rebuilt.vertexSk, rebuilt.fams = nil, nil // pass-2 worker shape (ForkPass2)
 	}
 	for u := range rebuilt.vertexSk {
 		for ri := range rebuilt.vertexSk[u] {
 			for j := range rebuilt.vertexSk[u][ri] {
-				if err := r.sketchBlock(v2, rebuilt.vertexSk[u][ri][j]); err != nil {
+				enc, ok, err := r.rawSketchBlock(v2)
+				if err != nil {
+					return err
+				}
+				if !ok {
+					continue // zero block: the slot stays untouched
+				}
+				if err := rebuilt.sk(u, ri+1, j).UnmarshalBinary(enc); err != nil {
 					return err
 				}
 			}

@@ -34,8 +34,11 @@ func (tp *TwoPass) MergePass1(o *TwoPass) error {
 	}
 	for u := range tp.vertexSk {
 		for r := range tp.vertexSk[u] {
-			for j := range tp.vertexSk[u][r] {
-				if err := tp.vertexSk[u][r][j].Merge(o.vertexSk[u][r][j]); err != nil {
+			for j, os := range o.vertexSk[u][r] {
+				if os == nil {
+					continue // untouched on the other side: adds zero
+				}
+				if err := tp.sk(u, r+1, j).Merge(os); err != nil {
 					return fmt.Errorf("spanner: pass-1 merge (u=%d, r=%d, j=%d): %w", u, r+1, j, err)
 				}
 			}
@@ -45,7 +48,7 @@ func (tp *TwoPass) MergePass1(o *TwoPass) error {
 }
 
 // ForkPass2 returns a pass-2 worker state: it shares tp's immutable
-// cluster structure (computed by EndPass1) and owns freshly zeroed
+// cluster structure (computed by EndPass1) and owns fresh, untouched
 // second-pass tables with the same seeds, so the worker can ingest a
 // stream shard independently and be folded back with MergePass2. The
 // receiver must have finished pass 1.
@@ -184,18 +187,6 @@ func BuildTwoPassWeightedWith(src stream.Source, cfg Config, classBase float64, 
 	return out, nil
 }
 
-// BuildTwoPassParallel is BuildTwoPass with both stream passes ingested
-// by `workers` goroutines over round-robin shards of st. The output is
-// identical to BuildTwoPass with the same configuration: the merged
-// sketch states equal the single-threaded states exactly, and every
-// downstream decode is deterministic.
-func BuildTwoPassParallel(st stream.Stream, cfg Config, workers int) (*Result, error) {
-	if workers == 1 {
-		return BuildTwoPass(st, cfg)
-	}
-	return BuildTwoPassOpts(st, cfg, parallel.Default().WithWorkers(workers))
-}
-
 // Merge adds the sketch state of another Additive built with the same
 // configuration; the receiver afterwards sketches the union of the two
 // ingested streams. Neither state may be finished.
@@ -239,14 +230,4 @@ func BuildAdditiveOpts(src stream.Source, cfg AdditiveConfig, p *parallel.Policy
 		return nil, fmt.Errorf("spanner: additive pass: %w", err)
 	}
 	return main.FinishOpts(p)
-}
-
-// BuildAdditiveParallel is BuildAdditive with the single pass ingested
-// by `workers` goroutines over round-robin shards of st; the merged
-// state — and therefore the output — is identical to BuildAdditive.
-func BuildAdditiveParallel(st stream.Stream, cfg AdditiveConfig, workers int) (*AdditiveResult, error) {
-	if workers == 1 {
-		return BuildAdditive(st, cfg)
-	}
-	return BuildAdditiveOpts(st, cfg, parallel.Default().WithWorkers(workers))
 }

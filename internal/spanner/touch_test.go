@@ -1,0 +1,204 @@
+package spanner
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"runtime"
+	"testing"
+
+	"dynstream/internal/graph"
+	"dynstream/internal/parallel"
+	"dynstream/internal/stream"
+)
+
+// The two-pass pipeline pays for the sketch state a stream touches, not
+// for the state Claim 11 provisions. These tests pin what that must not
+// change (recovery order, marshal bytes) and what it must keep true
+// (allocation below the provisioned size).
+
+// probeRecover is the recovery loop recoverTerminal replaces, kept as
+// its oracle: probe every outside vertex at every level, sparsest
+// first, and take the first edge that decodes into the cluster.
+func probeRecover(tp *TwoPass, ci int) [][2]int {
+	var rec [][2]int
+	row := tp.tables[ci]
+	for v := 0; v < tp.n; v++ {
+		if containsInt(tp.terminalsOf[v], ci) {
+			continue // v inside the cluster
+		}
+		for j := tp.yMax; j >= 0; j-- {
+			w, ok := row[j].DecodeKey(v)
+			if !ok || !containsInt(tp.terminalsOf[w], ci) {
+				continue
+			}
+			rec = append(rec, [2]int{w, v})
+			break
+		}
+	}
+	return rec
+}
+
+// emptiedStream is a churn stream over a connected random graph that
+// ends by deleting every edge at a few vertices: the pass-2 tables that
+// only those edges reached are touched, then cancel back to zero.
+func emptiedStream(t *testing.T, n int, seed uint64) *stream.MemoryStream {
+	t.Helper()
+	g := graph.ConnectedGNP(n, 0.08, seed)
+	st := stream.WithChurn(g, 3*n, seed+1)
+	for _, e := range g.Edges() {
+		if e.U < 6 || e.V < 6 {
+			if err := st.Append(stream.Update{U: e.U, V: e.V, Delta: -1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return st
+}
+
+// afterPass2 drives both passes by hand and stops before Finish.
+func afterPass2(t *testing.T, st *stream.MemoryStream, cfg Config) *TwoPass {
+	t.Helper()
+	tp := NewTwoPass(st.N(), cfg)
+	if err := stream.ReplayBatches(st, 0, tp.Pass1AddBatch); err != nil {
+		t.Fatal(err)
+	}
+	if err := tp.EndPass1(); err != nil {
+		t.Fatal(err)
+	}
+	if err := stream.ReplayBatches(st, 0, tp.Pass2AddBatch); err != nil {
+		t.Fatal(err)
+	}
+	return tp
+}
+
+func TestRecoverTerminalMatchesProbeLoop(t *testing.T) {
+	for _, k := range []int{2, 3} {
+		for _, aug := range []bool{false, true} {
+			t.Run(fmt.Sprintf("k%d-aug%v", k, aug), func(t *testing.T) {
+				st := emptiedStream(t, 90, uint64(40+k))
+				tp := afterPass2(t, st, Config{K: k, Seed: 77, CollectAugmented: aug})
+
+				// Per terminal: the same edges in the same order.
+				want := graph.New(tp.n)
+				for ci := range tp.copies {
+					if c := &tp.copies[ci]; !c.terminal {
+						want.AddUnitEdge(c.witness[0], c.witness[1])
+					}
+				}
+				resolved := make([]int32, tp.n)
+				mark, recovered, emptied := int32(0), 0, 0
+				for ci := range tp.copies {
+					if !tp.copies[ci].terminal {
+						continue
+					}
+					mark++
+					got, _ := tp.recoverTerminal(ci, resolved, mark)
+					ref := probeRecover(tp, ci)
+					if len(got) != len(ref) {
+						t.Fatalf("terminal %d: %d edges, probe loop %d", ci, len(got), len(ref))
+					}
+					for i := range ref {
+						if got[i] != ref[i] {
+							t.Fatalf("terminal %d edge %d: %v, probe loop %v", ci, i, got[i], ref[i])
+						}
+						want.AddUnitEdge(ref[i][0], ref[i][1])
+					}
+					recovered += len(ref)
+					for _, tab := range tp.tables[ci] {
+						if tab.Touched() && tab.IsZero() {
+							emptied++
+						}
+					}
+				}
+				if emptied == 0 {
+					t.Fatal("the stream's deletions emptied no touched table; the case is not covered")
+				}
+
+				// Whole extraction, at every decode width.
+				for _, workers := range []int{1, 2, 4} {
+					res, err := tp.extractOpts(parallel.Default().WithDecode(workers).DecodePolicy())
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameGraph(t, fmt.Sprintf("decode workers %d", workers), res.Spanner, want)
+					if res.Stats.RecoveredEdges != recovered {
+						t.Errorf("decode workers %d: %d recovered edges, probe loop %d",
+							workers, res.Stats.RecoveredEdges, recovered)
+					}
+					if (res.Augmented != nil) != aug {
+						t.Errorf("decode workers %d: augmented graph present = %v, want %v",
+							workers, res.Augmented != nil, aug)
+					}
+					if aug && !res.Spanner.IsSubgraphOf(res.Augmented) {
+						t.Errorf("decode workers %d: augmented graph lost spanner edges", workers)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestTwoPassAllocBudget: a build must allocate less than the space it
+// reports. SpaceWords is the provisioned Claim 11 size; an eager
+// allocation of it anywhere — tables at EndPass1, again per pass-2
+// worker, a full-lane clone per peel, n·(k−1)·levels pass-1 sketches —
+// costs a multiple of that and fails this test.
+func TestTwoPassAllocBudget(t *testing.T) {
+	const n = 1000
+	g := graph.ConnectedGNP(n, 0.008, 5) // ≈ 4 000 edges
+	st := stream.WithChurn(g, g.M(), 6)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := BuildTwoPassOpts(st, Config{K: 2, Seed: 7}, parallel.Default())
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	provisioned := uint64(res.SpaceWords) * 8
+	t.Logf("edges %d, updates %d: allocated %d B, provisioned %d B (%.2f×)",
+		g.M(), st.Len(), alloc, provisioned, float64(alloc)/float64(provisioned))
+	if alloc >= provisioned {
+		t.Errorf("build allocated %d B, not less than its provisioned %d B", alloc, provisioned)
+	}
+}
+
+// TestTwoPassMarshalGolden pins the encoded state at each stage of a
+// build to the bytes the eagerly allocating implementation produced for
+// the same stream (digests recorded at the commit before tables and
+// pass-1 sketches became lazy).
+func TestTwoPassMarshalGolden(t *testing.T) {
+	golden := map[string][3]string{
+		"k2": {"d3e354c6e8e8005b", "0d0c707c75253bde", "d09b094617a8fdd9"},
+		"k3": {"e4f7457c84610894", "31f48ac59af0fad9", "b94b0255929cb993"},
+	}
+	for _, k := range []int{2, 3} {
+		name := fmt.Sprintf("k%d", k)
+		st := emptiedStream(t, 90, uint64(40+k))
+		tp := NewTwoPass(st.N(), Config{K: k, Seed: 77, CollectAugmented: true})
+		digest := func(stage int) {
+			t.Helper()
+			enc, err := tp.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(enc)
+			if got := hex.EncodeToString(sum[:8]); got != golden[name][stage] {
+				t.Errorf("%s stage %d: %d bytes, digest %s, golden %s", name, stage, len(enc), got, golden[name][stage])
+			}
+		}
+		if err := stream.ReplayBatches(st, 0, tp.Pass1AddBatch); err != nil {
+			t.Fatal(err)
+		}
+		digest(0) // pass 1 ingested
+		if err := tp.EndPass1(); err != nil {
+			t.Fatal(err)
+		}
+		digest(1) // cluster structure + untouched tables
+		if err := stream.ReplayBatches(st, 0, tp.Pass2AddBatch); err != nil {
+			t.Fatal(err)
+		}
+		digest(2) // pass 2 ingested
+	}
+}

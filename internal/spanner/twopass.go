@@ -129,8 +129,11 @@ type TwoPass struct {
 	yLevel    *hashing.Poly
 
 	// vertexSk[u][r-1][j] = SKETCH^{r,j}(({u} × C_r) ∩ E ∩ E_j),
-	// r ∈ [1, k-1]. Keys are directed pairs u*n + c.
+	// r ∈ [1, k-1]. Keys are directed pairs u*n + c. An instance is
+	// created from fams[r-1][j] by the first update routed to it; nil is
+	// the zero sketch everywhere it is read.
 	vertexSk [][][]*sketch.SketchB
+	fams     [][]*sketch.SketchBFamily
 
 	copies      []copyNode
 	terminalsOf [][]int // per vertex: sorted terminal copy indices containing it
@@ -205,30 +208,40 @@ func NewTwoPass(n int, cfg Config) *TwoPass {
 	// summing over cluster members is a sketch of the union. The seed
 	// depends only on (r, j), so one SketchBFamily per pair supplies
 	// all n per-vertex instances — hashes and power tables are derived
-	// k·jMax times, not n·k·jMax times.
+	// k·jMax times, not n·k·jMax times — and only the slots are laid
+	// out here: an edge at geometric level ℓ touches rows j ≤ ℓ of its
+	// two endpoints, so most of the n·(k−1)·(jMax+1) instances are
+	// never needed.
 	if k > 1 {
-		fams := make([][]*sketch.SketchBFamily, k-1)
+		tp.fams = make([][]*sketch.SketchBFamily, k-1)
 		for r := 1; r < k; r++ {
-			fams[r-1] = make([]*sketch.SketchBFamily, tp.jMax+1)
+			tp.fams[r-1] = make([]*sketch.SketchBFamily, tp.jMax+1)
 			for j := 0; j <= tp.jMax; j++ {
-				fams[r-1][j] = sketch.NewSketchBFamily(
+				tp.fams[r-1][j] = sketch.NewSketchBFamily(
 					hashing.Mix(cfg.Seed, 0x5e, uint64(r), uint64(j)), cfg.Budget,
 					sketch.SketchConfig{})
 			}
 		}
+		slots := make([]*sketch.SketchB, n*(k-1)*(tp.jMax+1))
 		tp.vertexSk = make([][][]*sketch.SketchB, n)
 		for u := 0; u < n; u++ {
 			tp.vertexSk[u] = make([][]*sketch.SketchB, k-1)
 			for r := 1; r < k; r++ {
-				row := make([]*sketch.SketchB, tp.jMax+1)
-				for j := 0; j <= tp.jMax; j++ {
-					row[j] = fams[r-1][j].New()
-				}
-				tp.vertexSk[u][r-1] = row
+				tp.vertexSk[u][r-1], slots = slots[:tp.jMax+1:tp.jMax+1], slots[tp.jMax+1:]
 			}
 		}
 	}
 	return tp
+}
+
+// sk returns vertexSk[u][r-1][j], creating it on first touch.
+func (tp *TwoPass) sk(u, r, j int) *sketch.SketchB {
+	s := tp.vertexSk[u][r-1][j]
+	if s == nil {
+		s = tp.fams[r-1][j].New()
+		tp.vertexSk[u][r-1][j] = s
+	}
+	return s
 }
 
 // N returns the vertex count.
@@ -250,8 +263,8 @@ func (tp *TwoPass) Pass1Update(u stream.Update) error {
 	if tp.phase != 0 {
 		return fmt.Errorf("spanner: Pass1Update called in phase %d", tp.phase)
 	}
-	if tp.k == 1 {
-		return nil // no clustering pass needed for k=1
+	if tp.k == 1 || u.Delta == 0 {
+		return nil // no clustering pass needed for k=1; a zero update touches nothing
 	}
 	lvl := tp.pairLevel(u.U, u.V)
 	maxJ := lvl
@@ -271,18 +284,18 @@ func (tp *TwoPass) Pass1Update(u stream.Update) error {
 		switch {
 		case uLive && vLive:
 			for j := 0; j <= maxJ; j++ {
-				su, sv := tp.vertexSk[u.U][r-1][j], tp.vertexSk[u.V][r-1][j]
+				su, sv := tp.sk(u.U, r, j), tp.sk(u.V, r, j)
 				fu, fv := su.Fkey2(keyUV, keyVU)
 				su.AddFkey(keyUV, d, fu)
 				sv.AddFkey(keyVU, d, fv)
 			}
 		case uLive:
 			for j := 0; j <= maxJ; j++ {
-				tp.vertexSk[u.U][r-1][j].Add(keyUV, d)
+				tp.sk(u.U, r, j).Add(keyUV, d)
 			}
 		case vLive:
 			for j := 0; j <= maxJ; j++ {
-				tp.vertexSk[u.V][r-1][j].Add(keyVU, d)
+				tp.sk(u.V, r, j).Add(keyVU, d)
 			}
 		}
 	}
@@ -334,11 +347,7 @@ func (tp *TwoPass) EndPass1Opts(p *parallel.Policy) error {
 	for _, e := range cr.augmented {
 		tp.augmented[e] = true
 	}
-	tables, err := tp.allocTablesOpts(p)
-	if err != nil {
-		return err
-	}
-	tp.tables = tables
+	tp.tables = tp.allocTables()
 	tp.phase = 1
 	return nil
 }
@@ -394,11 +403,9 @@ func (tp *TwoPass) clusterize(p *parallel.Policy) (*clusterResult, error) {
 	// Materialize the lazy fingerprint tables of the shared per-(r, j)
 	// sketch shapes before fanning out: every decode of a level touches
 	// them, and materialization is confined to one goroutine.
-	if k > 1 && n > 0 {
-		for r := 1; r < k; r++ {
-			for j := 0; j <= tp.jMax; j++ {
-				tp.vertexSk[0][r-1][j].Warm()
-			}
+	for _, row := range tp.fams {
+		for _, fam := range row {
+			fam.Warm()
 		}
 	}
 
@@ -515,21 +522,32 @@ func (tp *TwoPass) clusterize(p *parallel.Policy) (*clusterResult, error) {
 // decodeAttachment decodes one center's attachment at level i:
 // Q^{i+1}_j = Σ_{v ∈ members} S^{i+1}_j(v), decoded from the sparsest
 // subsampling level down; the smallest valid key wins (deterministic).
+// Members whose sketch was never touched contribute zero and are
+// skipped; a level no member touched sums to the zero vector, which
+// decodes to nothing.
 func (tp *TwoPass) decodeAttachment(scratch []*sketch.SketchB, w, i int, members []int, copyIdx []map[int]int, res *attachResult) error {
 	n := tp.n
 	r := i + 1
 	for j := tp.jMax; j >= 0 && !res.attached; j-- {
-		q := scratch[w]
-		if q == nil {
-			q = tp.vertexSk[members[0]][r-1][j].Clone()
-			scratch[w] = q
-		} else {
-			q.SetTo(tp.vertexSk[members[0]][r-1][j])
-		}
-		for _, v := range members[1:] {
-			if err := q.Merge(tp.vertexSk[v][r-1][j]); err != nil {
-				return fmt.Errorf("spanner: pass1 merge: %w", err)
+		var q *sketch.SketchB
+		for _, v := range members {
+			s := tp.vertexSk[v][r-1][j]
+			switch {
+			case s == nil:
+			case q != nil:
+				if err := q.Merge(s); err != nil {
+					return fmt.Errorf("spanner: pass1 merge: %w", err)
+				}
+			case scratch[w] == nil:
+				q = s.Clone()
+				scratch[w] = q
+			default:
+				q = scratch[w]
+				q.SetTo(s)
 			}
+		}
+		if q == nil {
+			continue
 		}
 		items, decoded := q.Decode()
 		if !decoded || len(items) == 0 {
@@ -570,31 +588,22 @@ func canonPair(a, b int) [2]int {
 	return [2]int{a, b}
 }
 
-// allocTables builds the second-pass hash tables for terminal copies,
-// sized per Claim 11: |N(T_u)| = O(n^{(i+1)/k} log n) for terminal
-// u ∈ C_i. The table seeds are a deterministic function of the
-// configuration and the copy index, so tables allocated by different
-// pass-2 workers over the same cluster structure are mergeable.
+// allocTables lays out the second-pass hash tables for terminal
+// copies, sized per Claim 11: |N(T_u)| = O(n^{(i+1)/k} log n) for
+// terminal u ∈ C_i. Tables are header-only until an update reaches
+// them, so this is one small object per (terminal, level) and pass-2
+// workers each lay out their own. The table seeds are a deterministic
+// function of the configuration and the copy index, so tables of
+// different pass-2 workers over the same cluster structure are
+// mergeable.
 func (tp *TwoPass) allocTables() map[int][]*sketch.KeyedEdgeSketch {
-	tables, _ := tp.allocTablesOpts(parallel.Default()) // serial: cannot fail
-	return tables
-}
-
-// allocTablesOpts is allocTables with the per-terminal row
-// construction (yMax+1 keyed tables each, power tables included)
-// fanned across the policy's workers; rows land indexed by terminal,
-// so the result is identical to the serial construction.
-func (tp *TwoPass) allocTablesOpts(p *parallel.Policy) (map[int][]*sketch.KeyedEdgeSketch, error) {
 	n, k := tp.n, tp.k
-	terms := make([]int, 0, len(tp.copies))
+	tables := map[int][]*sketch.KeyedEdgeSketch{}
 	for ci := range tp.copies {
-		if tp.copies[ci].terminal {
-			terms = append(terms, ci)
-		}
-	}
-	rows, err := parallel.MapOpts(p, len(terms), func(i int) ([]*sketch.KeyedEdgeSketch, error) {
-		ci := terms[i]
 		c := &tp.copies[ci]
+		if !c.terminal {
+			continue
+		}
 		capf := tp.cfg.TableFactor * float64(tp.log2n) *
 			math.Pow(float64(n), float64(c.level+1)/float64(k))
 		capacity := int(capf)
@@ -609,16 +618,9 @@ func (tp *TwoPass) allocTablesOpts(p *parallel.Policy) (map[int][]*sketch.KeyedE
 			row[j] = sketch.NewKeyedEdgeSketch(
 				hashing.Mix(tp.cfg.Seed, 0x7a, uint64(ci), uint64(j)), n, capacity)
 		}
-		return row, nil
-	})
-	if err != nil {
-		return nil, err
+		tables[ci] = row
 	}
-	tables := make(map[int][]*sketch.KeyedEdgeSketch, len(terms))
-	for i, ci := range terms {
-		tables[ci] = rows[i]
-	}
-	return tables, nil
+	return tables
 }
 
 // mergeSortedUnique merges two ascending duplicate-free lists into one
@@ -735,7 +737,7 @@ func (tp *TwoPass) FinishOpts(p *parallel.Policy) (*Result, error) {
 // state, so a live handle can call it after every churn round; with the
 // decode cache enabled, a terminal whose table row generations are
 // unchanged since its cached recovery is served from the cache instead
-// of re-peeling all n outside vertices.
+// of re-peeling its row.
 func (tp *TwoPass) extractOpts(p *parallel.Policy) (*Result, error) {
 	sp := p.Tracer().Span("spanner/recover")
 	hits0, misses0 := tp.cacheHits, tp.cacheMisses
@@ -763,9 +765,15 @@ func (tp *TwoPass) extractOpts(p *parallel.Policy) (*Result, error) {
 	recs := make([][][2]int, len(terms))
 	dirty := make([]int, 0, len(terms))
 	gens := make([]uint64, len(terms))
+	keys := make([]int, len(terms)) // keys peeled per dirty terminal
+	tables, touched := 0, 0
 	for i, ci := range terms {
 		for _, t := range tp.tables[ci] {
 			gens[i] += t.Gen()
+			tables++
+			if t.Touched() {
+				touched++
+			}
 		}
 		if tp.caching {
 			if ent, ok := tp.recCache[ci]; ok && ent.gens == gens[i] {
@@ -777,31 +785,20 @@ func (tp *TwoPass) extractOpts(p *parallel.Policy) (*Result, error) {
 		}
 		dirty = append(dirty, i)
 	}
-	err := parallel.ForEachWorkerSubset(p, dirty, func(_, i int) error {
-		ci := terms[i]
-		row := tp.tables[ci]
-		for v := 0; v < tp.n; v++ {
-			if containsInt(tp.terminalsOf[v], ci) {
-				continue // v inside the cluster
-			}
-			for j := tp.yMax; j >= 0; j-- {
-				w, ok := row[j].DecodeKey(v)
-				if !ok {
-					continue
-				}
-				// The inside endpoint must actually belong to the
-				// cluster; a fingerprint-level miss is discarded.
-				if !containsInt(tp.terminalsOf[w], ci) {
-					continue
-				}
-				recs[i] = append(recs[i], [2]int{w, v})
-				break
-			}
+	resolved := make([][]int32, p.Workers()) // per-worker recoverTerminal scratch
+	err := parallel.ForEachWorkerSubset(p, dirty, func(w, i int) error {
+		if resolved[w] == nil {
+			resolved[w] = make([]int32, tp.n)
 		}
+		recs[i], keys[i] = tp.recoverTerminal(terms[i], resolved[w], int32(i+1))
 		return nil
 	})
 	if err != nil {
 		return nil, err
+	}
+	peeled := 0
+	for _, c := range keys {
+		peeled += c
 	}
 	if tp.caching {
 		if tp.recCache == nil {
@@ -821,6 +818,9 @@ func (tp *TwoPass) extractOpts(p *parallel.Policy) (*Result, error) {
 		obs.A("terminals", int64(len(terms))),
 		obs.A("dirty", int64(len(dirty))),
 		obs.A("recovered", int64(recovered)),
+		obs.A("tables", int64(tables)),
+		obs.A("tables_touched", int64(touched)),
+		obs.A("keys", int64(peeled)),
 		obs.A("cache_hit", int64(tp.cacheHits-hits0)),
 		obs.A("cache_miss", int64(tp.cacheMisses-misses0)))
 
@@ -853,13 +853,50 @@ func (tp *TwoPass) extractOpts(p *parallel.Policy) (*Result, error) {
 	return res, nil
 }
 
+// recoverTerminal is Algorithm 2's neighborhood recovery for terminal
+// copy ci: one edge (w, v) into the cluster for every outside vertex v
+// some level's table decodes, in ascending v, plus the number of keys
+// the row's peels recovered. Each v takes the edge of the sparsest
+// level whose table yields one for it. Only keys a level's peel
+// recovered can decode there, so walking those — sparsest level first,
+// skipping vertices already resolved — and ordering the edges by
+// outside vertex makes exactly the (v ascending, j descending) probes
+// that can succeed, at a cost proportional to the keys rather than to
+// n × levels. resolved is caller scratch of n entries: resolved[v] ==
+// mark records that v already has its edge, so one array serves every
+// terminal a worker handles, each under its own non-zero mark.
+func (tp *TwoPass) recoverTerminal(ci int, resolved []int32, mark int32) (rec [][2]int, keys int) {
+	row := tp.tables[ci]
+	for j := tp.yMax; j >= 0; j-- {
+		ks := row[j].Keys()
+		keys += len(ks)
+		for _, v := range ks {
+			if v >= tp.n || resolved[v] == mark || containsInt(tp.terminalsOf[v], ci) {
+				continue // not a vertex, resolved at a sparser level, or inside the cluster
+			}
+			// The inside endpoint must actually belong to the cluster; a
+			// fingerprint-level miss is discarded.
+			if w, ok := row[j].DecodeKey(v); ok && containsInt(tp.terminalsOf[w], ci) {
+				rec = append(rec, [2]int{w, v})
+				resolved[v] = mark
+			}
+		}
+	}
+	sort.Slice(rec, func(a, b int) bool { return rec[a][1] < rec[b][1] })
+	return rec, keys
+}
+
 // SpaceWords returns the sketch footprint in 64-bit words.
 func (tp *TwoPass) SpaceWords() int {
 	w := 0
 	for _, perR := range tp.vertexSk {
-		for _, row := range perR {
-			for _, s := range row {
-				w += s.SpaceWords()
+		for r, row := range perR {
+			for j, s := range row {
+				if s == nil {
+					w += tp.fams[r][j].SpaceWords() // provisioned, not yet touched
+				} else {
+					w += s.SpaceWords()
+				}
 			}
 		}
 	}

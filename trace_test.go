@@ -164,7 +164,7 @@ func TestTimelineGolden(t *testing.T) {
 PHASE                     COUNT        WALL  ATTRS
 ingest                        2 <dur>  updates=%d workers=2
 spanner/cluster/level00       1 <dur>  centers=30 dirty=30 attached=20 cache_hit=0 cache_miss=0
-spanner/recover               1 <dur>  terminals=16 dirty=16 recovered=103 cache_hit=0 cache_miss=0
+spanner/recover               1 <dur>  terminals=16 dirty=16 recovered=103 tables=96 tables_touched=41 keys=252 cache_hit=0 cache_miss=0
 ingested updates: %d
 `, updates, updates)
 	if got != want {
