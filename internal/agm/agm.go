@@ -29,18 +29,19 @@ import (
 // Sketch is the per-graph AGM connectivity sketch: `rounds` independent
 // L0-samplers per vertex, one consumed per Borůvka round. All samplers
 // of a round share one L0Family (hash functions, fingerprint power
-// tables, geometry) and their cell state is flattened into contiguous
-// per-round arrays, so New allocates O(rounds) objects instead of
-// n×rounds×levels.
+// tables, geometry), and the samplers are one flat vertex-major array
+// over one level-0 arena (sketch.NewL0Grid), so New allocates O(rounds)
+// objects instead of n×rounds×levels and ingest finds a vertex's
+// samplers by index.
 type Sketch struct {
 	seed   uint64
 	n      int
 	rounds int
-	fam    []*sketch.L0Family    // fam[r]: shared randomness of round r
-	samp   [][]*sketch.L0Sampler // samp[r][v]
+	fam    []*sketch.L0Family // fam[r]: shared randomness of round r
+	samp   []sketch.L0Sampler // vertex v, round r at v·rounds+r: see at
 	perLvl int
 
-	hint sketch.L0Hint // scratch routing buffer reused across updates
+	hints []sketch.L0Hint // per-round routing buffers reused across updates
 
 	// Decode cache (EnableDecodeCache): per-(round, component) Borůvka
 	// picks from the previous extraction, reused when the component's
@@ -193,7 +194,7 @@ func (s *Sketch) GenSum(vertices ...int) uint64 {
 func (s *Sketch) genSumOf(r int, members []int) uint64 {
 	var sum uint64
 	for _, v := range members {
-		sum += s.samp[r][v].Gen()
+		sum += s.at(r, v).Gen()
 	}
 	return sum
 }
@@ -243,13 +244,13 @@ func New(seed uint64, n int, cfg Config) *Sketch {
 		roundSeed := hashing.Mix(seed, uint64(r))
 		s.fam[r] = sketch.NewL0Family(roundSeed, universe, perLvl)
 	}
-	// One grid-wide arena, vertex-major: every edge update touches all
-	// rounds of its two endpoints, so the level-0 cells of one vertex
-	// are laid out consecutively across rounds (a strided sweep) rather
-	// than scattered over per-round allocations.
-	s.samp = sketch.NewSamplerGrid(s.fam, n)
+	s.samp = sketch.NewL0Grid(s.fam, n)
+	s.hints = make([]sketch.L0Hint, rounds)
 	return s
 }
+
+// at returns vertex v's sampler of round r.
+func (s *Sketch) at(r, v int) *sketch.L0Sampler { return &s.samp[v*s.rounds+r] }
 
 // N returns the vertex count.
 func (s *Sketch) N() int { return s.n }
@@ -258,7 +259,8 @@ func (s *Sketch) N() int { return s.n }
 // both endpoint sketches with opposite signs. The two endpoint samplers
 // of a round share their family, so the update's routing (geometric
 // level, fingerprint powers, cell indices) is computed once per round
-// and replayed into both.
+// and replayed into both: first every round's routing, then one
+// endpoint's samplers in address order, then the other's.
 func (s *Sketch) AddEdge(u, v int, delta int64) {
 	if u == v || delta == 0 {
 		return
@@ -271,10 +273,14 @@ func (s *Sketch) AddEdge(u, v int, delta int64) {
 	if s.caching {
 		s.logUpdate(key, a, b, delta)
 	}
-	for r := 0; r < s.rounds; r++ {
-		s.fam[r].Hint(key, &s.hint)
-		s.samp[r][a].AddHint(key, delta, &s.hint)
-		s.samp[r][b].AddHint(key, -delta, &s.hint)
+	for r := range s.hints {
+		s.fam[r].Hint(key, &s.hints[r])
+	}
+	for r := range s.hints {
+		s.samp[a*s.rounds+r].AddHint(key, delta, &s.hints[r])
+	}
+	for r := range s.hints {
+		s.samp[b*s.rounds+r].AddHint(key, -delta, &s.hints[r])
 	}
 }
 
@@ -478,7 +484,7 @@ func (s *Sketch) SpanningForestOpts(groups [][]int, p *parallel.Policy) ([]graph
 			if len(m) == 1 {
 				// A singleton's merged sampler IS its vertex sampler:
 				// decode it in place (Sample is read-only).
-				if key, _, ok := s.samp[r][m[0]].Sample(); ok {
+				if key, _, ok := s.at(r, m[0]).Sample(); ok {
 					a, b := stream.DecodePairKey(key, s.n)
 					picks[i] = found{a: a, b: b, ok: true}
 				}
@@ -508,15 +514,10 @@ func (s *Sketch) SpanningForestOpts(groups [][]int, p *parallel.Policy) ([]graph
 				scratch[w] = sc
 			}
 			if !(s.caching && s.composeCover(r, m, &hints[w], sc)) {
-				sc.SetTo(s.samp[r][m[0]])
+				sc.SetTo(s.at(r, m[0]))
 				for _, v := range m[1:] {
-					// A member that never absorbed an update folds to a
-					// no-op; the early-exit zero scan is far cheaper than
-					// a three-lane merge sweep over its level-0 arena.
-					if o := s.samp[r][v]; !o.IsZero() {
-						if err := sc.Merge(o); err != nil {
-							return fmt.Errorf("agm: merge: %w", err)
-						}
+					if err := sc.Merge(s.at(r, v)); err != nil {
+						return fmt.Errorf("agm: merge: %w", err)
 					}
 				}
 			}
@@ -632,12 +633,12 @@ func (s *Sketch) refreshCached(r int, m []int, genSum uint64, h *sketch.L0Hint) 
 	}
 	bad := false
 	for _, v := range gained {
-		if me.samp.Merge(s.samp[r][v]) != nil {
+		if me.samp.Merge(s.at(r, v)) != nil {
 			bad = true
 		}
 	}
 	for _, v := range lost {
-		if me.samp.Sub(s.samp[r][v]) != nil {
+		if me.samp.Sub(s.at(r, v)) != nil {
 			bad = true
 		}
 	}
@@ -727,14 +728,8 @@ func (s *Sketch) composeCover(r int, m []int, h *sketch.L0Hint, sc *sketch.L0Sam
 		}
 	}
 	for idx, v := range m {
-		if !claimed[idx] {
-			o := s.samp[r][v]
-			if o.IsZero() {
-				continue // no-op fold, same skip as the direct merge loop
-			}
-			if sc.Merge(o) != nil {
-				return false
-			}
+		if !claimed[idx] && sc.Merge(s.at(r, v)) != nil {
+			return false
 		}
 	}
 	return true
@@ -845,10 +840,8 @@ func mergeSortedInts(a, b []int) []int {
 // SpaceWords returns the memory footprint in 64-bit words.
 func (s *Sketch) SpaceWords() int {
 	w := 2
-	for _, row := range s.samp {
-		for _, sp := range row {
-			w += sp.SpaceWords()
-		}
+	for i := range s.samp {
+		w += s.samp[i].SpaceWords()
 	}
 	return w
 }

@@ -1,0 +1,69 @@
+package agm
+
+import (
+	"runtime"
+	"testing"
+
+	"dynstream/internal/graph"
+	"dynstream/internal/sketch"
+	"dynstream/internal/stream"
+)
+
+// TestAGMIngestAllocs pins ingest's allocation behaviour: an update
+// allocates only when it carries a sampler to a geometric level that
+// sampler had not reached (its tail is reallocated once), so a whole
+// build mallocs at most once per such growth, and a warmed sketch —
+// every (sampler, level) of the batch already reached — ingests with
+// zero allocations.
+func TestAGMIngestAllocs(t *testing.T) {
+	n, churn := 10000, 30000 // the forest-stream benchmark's shape: 80k updates
+	if testing.Short() {
+		n, churn = 1000, 3000
+	}
+	g := graph.ConnectedGNP(n, 4/float64(n), 3)
+	var ups []stream.Update
+	if err := stream.WithChurn(g, churn, 4).Replay(func(u stream.Update) error {
+		ups = append(ups, u)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	s := New(7, n, Config{})
+	// Count growths from the routing alone: the first time a sampler
+	// sees a level above every earlier one (level 0 is in the arena).
+	growths := 0
+	tops := make([]int, len(s.samp))
+	var h sketch.L0Hint
+	for _, u := range ups {
+		a, b := u.U, u.V
+		if a > b {
+			a, b = b, a
+		}
+		for r, fam := range s.fam {
+			fam.Hint(stream.PairKey(a, b, n), &h)
+			for _, v := range [2]int{a, b} {
+				if i := v*s.rounds + r; h.Level() > tops[i] {
+					tops[i] = h.Level()
+					growths++
+				}
+			}
+		}
+	}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s.AddBatch(ups)
+	runtime.ReadMemStats(&after)
+	// The slack covers the three routing buffers of each round's hint,
+	// sized on first use, and the runtime's own bookkeeping.
+	if mallocs := int(after.Mallocs - before.Mallocs); mallocs > growths+3*s.rounds+64 {
+		t.Errorf("build of %d updates: %d mallocs for %d tail growths", len(ups), mallocs, growths)
+	}
+
+	warm := ups[:1024]
+	if allocs := testing.AllocsPerRun(5, func() { s.AddBatch(warm) }); allocs != 0 {
+		t.Errorf("AddBatch on a warmed sketch: %v allocs per run, want 0", allocs)
+	}
+}

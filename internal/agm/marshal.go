@@ -42,11 +42,11 @@ func (s *Sketch) MarshalBinary() ([]byte, error) {
 	out = binary.AppendUvarint(out, uint64(s.perLvl))
 	for r := 0; r < s.rounds; r++ {
 		for v := 0; v < s.n; v++ {
-			if s.samp[r][v].IsZero() {
+			if s.at(r, v).IsZero() {
 				out = binary.AppendUvarint(out, 0)
 				continue
 			}
-			enc, err := s.samp[r][v].MarshalBinary()
+			enc, err := s.at(r, v).MarshalBinary()
 			if err != nil {
 				return nil, err
 			}
@@ -102,7 +102,9 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	if err != nil {
 		return err
 	}
-	if n == 0 || n > 1<<24 || rounds == 0 || rounds > 256 {
+	// Every sampler takes at least its length byte, so a blob shorter
+	// than n·rounds is rejected before the grid is allocated for it.
+	if n == 0 || n > 1<<24 || rounds == 0 || rounds > 256 || uint64(len(data)-pos) < n*rounds {
 		return errCorrupt
 	}
 	rebuilt := New(seed, int(n), Config{Rounds: int(rounds), PerLevel: int(perLvl)})
@@ -118,7 +120,7 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 			if uint64(len(data)-pos) < ln {
 				return errCorrupt
 			}
-			if err := rebuilt.samp[r][v].UnmarshalBinary(data[pos : pos+int(ln)]); err != nil {
+			if err := rebuilt.at(r, v).UnmarshalBinary(data[pos : pos+int(ln)]); err != nil {
 				return err
 			}
 			pos += int(ln)
@@ -149,11 +151,12 @@ func (s *Sketch) Merge(o *Sketch) error {
 	// components the merge didn't touch — their generations are
 	// unchanged).
 	s.epoch++
-	for r := 0; r < s.rounds; r++ {
-		for v := 0; v < s.n; v++ {
-			if err := s.samp[r][v].Merge(o.samp[r][v]); err != nil {
-				return fmt.Errorf("agm: merge round %d vertex %d: %w", r, v, err)
-			}
+	// Both grids in address order: samplers, level-0 slots and tails are
+	// all reached by index, and a sampler o never touched is skipped
+	// after one scan of its slot.
+	for i := range s.samp {
+		if err := s.samp[i].Merge(&o.samp[i]); err != nil {
+			return fmt.Errorf("agm: merge vertex %d round %d: %w", i/s.rounds, i%s.rounds, err)
 		}
 	}
 	return nil

@@ -1,6 +1,8 @@
 package agm
 
 import (
+	"encoding/binary"
+	"errors"
 	"testing"
 
 	"dynstream/internal/graph"
@@ -104,5 +106,15 @@ func TestAGMUnmarshalCorrupt(t *testing.T) {
 	enc, _ := good.MarshalBinary()
 	if err := s.UnmarshalBinary(enc[:len(enc)/2]); err == nil {
 		t.Error("truncated accepted")
+	}
+	// A 22-byte header that used to allocate a 2^24 × 256 sampler grid
+	// before reading a single sampler.
+	huge := binary.LittleEndian.AppendUint64(nil, tagAGMv2)
+	huge = binary.LittleEndian.AppendUint64(huge, 1)
+	for _, v := range []uint64{1 << 24, 256, 4} {
+		huge = binary.AppendUvarint(huge, v)
+	}
+	if err := s.UnmarshalBinary(huge); !errors.Is(err, errCorrupt) {
+		t.Errorf("oversized geometry: %v, want errCorrupt", err)
 	}
 }

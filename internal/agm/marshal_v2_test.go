@@ -27,7 +27,7 @@ func encodeAGMV1(t *testing.T, s *Sketch) []byte {
 	u64(uint64(s.perLvl))
 	for r := 0; r < s.rounds; r++ {
 		for v := 0; v < s.n; v++ {
-			enc, err := s.samp[r][v].MarshalBinary()
+			enc, err := s.at(r, v).MarshalBinary()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -51,29 +51,36 @@ func AxpyVec(dst []uint64, c uint64, a []uint64) { axpyVec(dst, c, a) }
 // polynomial hashes of one key in a single sweep.
 func HornerStepVec(acc []uint64, x uint64, c []uint64) { hornerStepVec(acc, x, c) }
 
+// Count is the element type of a count lane: plain wrapping integers,
+// held as int64 by sketches with typed lanes (SketchB) and as their
+// two's complement by sketches that keep all three lanes in one uint64
+// block (the L0 sampler). Wrapping add and subtract are the same bits
+// either way.
+type Count interface{ int64 | uint64 }
+
 // MergeCells folds one SoA cell block into another in a single pass:
 // dcounts[i] += scounts[i] (plain integer counts), dkeys[i] =
 // Add(dkeys[i], skeys[i]), dfings[i] = Add(dfings[i], sfings[i]).
 // dcounts fixes the cell count.
-func MergeCells(dcounts []int64, dkeys, dfings []uint64, scounts []int64, skeys, sfings []uint64) {
+func MergeCells[C Count](dcounts []C, dkeys, dfings []uint64, scounts []C, skeys, sfings []uint64) {
 	mergeCells(dcounts, dkeys, dfings, scounts, skeys, sfings)
 }
 
 // SubCells subtracts one SoA cell block from another in a single pass:
 // dcounts[i] -= scounts[i], dkeys[i] = Sub(dkeys[i], skeys[i]),
 // dfings[i] = Sub(dfings[i], sfings[i]). dcounts fixes the cell count.
-func SubCells(dcounts []int64, dkeys, dfings []uint64, scounts []int64, skeys, sfings []uint64) {
+func SubCells[C Count](dcounts []C, dkeys, dfings []uint64, scounts []C, skeys, sfings []uint64) {
 	subCells(dcounts, dkeys, dfings, scounts, skeys, sfings)
 }
 
 // ScatterAdd3 applies one routed update to a set of SoA cells: for
 // every cell index i in idx, counts[i] += delta, keys[i] =
 // Add(keys[i], ks), fings[i] = Add(fings[i], fg). This is the
-// ingest-side scatter of SketchB.addRouted — the single hottest loop
+// ingest-side scatter of L0Sampler.AddHint — the single hottest loop
 // of stream ingest — where the ~50% taken carry branch of the scalar
 // Add is the dominant mispredict source. Indices must be in bounds for
 // all three lanes.
-func ScatterAdd3(counts []int64, keys, fings []uint64, delta int64, ks, fg uint64, idx []int32) {
+func ScatterAdd3[C Count](counts []C, keys, fings []uint64, delta C, ks, fg uint64, idx []int32) {
 	scatterAdd3(counts, keys, fings, delta, ks, fg, idx)
 }
 

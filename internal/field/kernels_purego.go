@@ -45,7 +45,7 @@ func hornerStepVec(acc []uint64, x uint64, c []uint64) {
 	}
 }
 
-func mergeCells(dc []int64, dk, df []uint64, sc []int64, sk, sf []uint64) {
+func mergeCells[C Count](dc []C, dk, df []uint64, sc []C, sk, sf []uint64) {
 	for i := range dc {
 		dc[i] += sc[i]
 		dk[i] = Add(dk[i], sk[i])
@@ -53,7 +53,7 @@ func mergeCells(dc []int64, dk, df []uint64, sc []int64, sk, sf []uint64) {
 	}
 }
 
-func subCells(dc []int64, dk, df []uint64, sc []int64, sk, sf []uint64) {
+func subCells[C Count](dc []C, dk, df []uint64, sc []C, sk, sf []uint64) {
 	for i := range dc {
 		dc[i] -= sc[i]
 		dk[i] = Sub(dk[i], sk[i])
@@ -61,7 +61,7 @@ func subCells(dc []int64, dk, df []uint64, sc []int64, sk, sf []uint64) {
 	}
 }
 
-func scatterAdd3(counts []int64, keys, fings []uint64, delta int64, ks, fg uint64, idx []int32) {
+func scatterAdd3[C Count](counts []C, keys, fings []uint64, delta C, ks, fg uint64, idx []int32) {
 	for _, i := range idx {
 		counts[i] += delta
 		keys[i] = Add(keys[i], ks)

@@ -110,10 +110,10 @@ func TestL0SamplerAddBatchEquivalence(t *testing.T) {
 }
 
 func TestL0FamilySamplersMatchStandalone(t *testing.T) {
-	// Samplers sliced out of a family's flat backing must be
+	// Samplers of a one-family grid (round stride 1) must be
 	// indistinguishable from standalone NewL0Sampler instances.
 	fam := NewL0Family(0xabcd, 1<<16, 4)
-	shared := fam.NewSamplers(3)
+	shared := NewL0Grid([]*L0Family{fam}, 3)
 	keys, deltas := batchWorkload(0x42, 2000, 1<<16)
 	for i := range shared {
 		solo := NewL0Sampler(0xabcd, 1<<16, 4)

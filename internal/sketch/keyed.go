@@ -349,7 +349,10 @@ func (w *peelWork) at(idx int, cursor *int) *keyedAgg {
 // peel decodes the whole table: it repeatedly finds a key-pure bucket,
 // records that key's aggregate, and subtracts it from the key's buckets
 // in every row, until no further progress. Results are cached until the
-// next Add.
+// next Add. Peeling the table of any actual stream extracts from each
+// bucket at most once; a corrupt or hostile state can instead refill
+// emptied buckets forever, so past one extraction per bucket the table
+// is given up as undecodable: nothing recovered.
 //
 // The work set is the table's non-zero buckets, gathered once — a
 // touched table holds a few keys in thousands of provisioned buckets,
@@ -376,6 +379,7 @@ func (t *KeyedEdgeSketch) peel() {
 	var hbuf [maxBankRows]uint64
 	hs := hbuf[:t.rows]
 	cells := uint64(t.cells)
+	budget := len(t.counts)
 	for progress := true; progress; {
 		progress = false
 		for p := 0; p < len(work); p++ {
@@ -386,6 +390,10 @@ func (t *KeyedEdgeSketch) peel() {
 			key, ok := t.pureKey(agg.edgeCount, agg.keySum, agg.keyFing)
 			if !ok {
 				continue
+			}
+			if budget--; budget < 0 {
+				t.recovered = nil
+				return
 			}
 			t.bank.HashPrefix(key, hs)
 			for r := 0; r < t.rows; r++ {

@@ -5,6 +5,32 @@ import (
 	"dynstream/internal/hashing"
 )
 
+// Lane layout. An L0Sampler's state is flat uint64 lanes, no per-level
+// objects. One level is a block of 3·cells words — the count lane (two's
+// complement), the key-sum lane, the fingerprint lane, cells words each
+// — and the field kernels run on the three sub-slices directly:
+//
+//	sampler  {fam, gen, l0, tail}              64 bytes, no other headers
+//	l0       [counts | keySums | fings]        level 0
+//	tail     [level 1][level 2] ... [level top]  one block, same shape each
+//
+// Level 0 takes every update, levels j >= 1 take one in 2^j. A grid
+// (NewL0Grid) therefore lays every sampler's level 0 out in one arena,
+// vertex-major and round-minor — the R samplers one stream update hits
+// per endpoint are R consecutive slots — and gives each sampler one
+// private tail.
+//
+// Prefix invariant: an update at geometric level lv writes levels
+// 0..lv, and Merge/Sub/SetTo/UnmarshalBinary extend the receiver to the
+// source's highest non-zero level, so the materialized levels are
+// always a prefix 0..top. Levels past the tail are the zero sketch and
+// cost nothing; an update that reaches a new top reallocates the tail
+// once and copies it, about log2(updates) times in a sampler's life.
+// A sampler outside a grid has no level 0 either until something is
+// added to it. Zero is by content everywhere (IsZero, the encodings,
+// the merge skip): a materialized all-zero level and an absent one are
+// indistinguishable.
+
 // L0Family is the immutable randomness and geometry shared by every
 // L0Sampler built from one (seed, universe, perLevel) triple: the level
 // hash, the tie-break hash, and one SketchB shape (hash rows +
@@ -19,6 +45,7 @@ type L0Family struct {
 	universe  uint64
 	perLevel  int
 	rows      int // uniform across levels (same perLevel everywhere)
+	cells     int // cells per level, uniform likewise
 	levelHash *hashing.Poly
 	choiceFn  *hashing.Poly
 	levels    []*sketchBShape
@@ -51,6 +78,7 @@ func NewL0Family(seed uint64, universe uint64, perLevel int) *L0Family {
 		f.levels[j] = newSketchBShape(hashing.Mix(seed, 0x1b, uint64(j)), perLevel, SketchConfig{})
 	}
 	f.rows = f.levels[0].rows
+	f.cells = f.levels[0].cells()
 	var rowPolys []*hashing.Poly
 	for _, sh := range f.levels {
 		rowPolys = append(rowPolys, sh.hashes...)
@@ -59,111 +87,50 @@ func NewL0Family(seed uint64, universe uint64, perLevel int) *L0Family {
 	return f
 }
 
-// NewSampler returns a zeroed sampler of the family. Level sketches are
-// materialized lazily: a nil levels[j] is a sketch of the zero vector,
-// allocated only when an update first routes into it. Geometric
-// sampling makes the population extremely sparse — level j of a vertex
-// sampler is touched with probability ~2^-j per incident update — so
-// lazy materialization is what keeps construction of large sketch
-// arrays (agm.New at n=10k allocates n×rounds samplers) from zeroing
-// gigabytes of never-touched cells.
-func (f *L0Family) NewSampler() *L0Sampler {
-	return &L0Sampler{fam: f, levels: make([]*SketchB, len(f.levels))}
+// levelWords is the size of one level's block: three lanes of cells.
+func (f *L0Family) levelWords() int { return 3 * f.cells }
+
+// same reports whether two families carry the same randomness.
+func (f *L0Family) same(o *L0Family) bool {
+	return f == o || (f != nil && o != nil &&
+		f.seed == o.seed && f.universe == o.universe && f.perLevel == o.perLevel)
 }
 
-// NewSamplers returns n zeroed samplers backed by a handful of
-// contiguous allocations — agm.New calls this once per round instead
-// of allocating n×levels objects.
-//
-// Level 0 is special-cased: every update routes into it (geometric
-// sampling only thins levels j >= 1), so for array-of-samplers uses
-// every sampler with any incident update materializes it anyway.
-// Allocating all n level-0 sketches eagerly out of three flat backing
-// arrays replaces ~4n tiny allocations (and their GC scan load) with
-// four, and lays the hottest cells out vertex-contiguously. Levels
-// j >= 1 — touched with probability 2^-j per update — stay lazy, which
-// is what keeps construction from zeroing the (much larger) never-
-// touched tail. A materialized zero level is indistinguishable from a
-// nil one to every observer (marshal and IsZero are content-canonical).
-func (f *L0Family) NewSamplers(n int) []*L0Sampler {
-	L := len(f.levels)
-	samplers := make([]L0Sampler, n)
-	levels := make([]*SketchB, n*L)
-	out := make([]*L0Sampler, n)
-	sh0 := f.levels[0]
-	cells := sh0.cells()
-	sk0 := make([]SketchB, n)
-	counts := make([]int64, n*cells)
-	sums := make([]uint64, 2*n*cells)
-	for i := range samplers {
-		lv := levels[i*L : (i+1)*L : (i+1)*L]
-		c0 := i * cells
-		pair := sums[2*c0 : 2*c0+2*cells : 2*c0+2*cells]
-		sk0[i] = SketchB{
-			shape:   sh0,
-			counts:  counts[c0 : c0+cells : c0+cells],
-			keySums: pair[:cells:cells],
-			fings:   pair[cells : 2*cells : 2*cells],
-		}
-		lv[0] = &sk0[i]
-		samplers[i] = L0Sampler{fam: f, levels: lv}
-		out[i] = &samplers[i]
+// NewSampler returns a zeroed sampler of the family: no lanes at all
+// until the first update.
+func (f *L0Family) NewSampler() *L0Sampler { return &L0Sampler{fam: f} }
+
+// NewL0Grid returns n·R zeroed samplers, R = len(fams): the sampler of
+// vertex v in family r is element v·R+r. Their level-0 lanes are
+// consecutive slots of one arena in that same order, so the R samplers
+// an edge update hits at one endpoint — and their level-0 cells, which
+// every update writes — are one contiguous run, found by index.
+func NewL0Grid(fams []*L0Family, n int) []L0Sampler {
+	stride := 0
+	for _, f := range fams {
+		stride += f.levelWords()
 	}
-	return out
+	arena := make([]uint64, n*stride)
+	grid := make([]L0Sampler, 0, n*len(fams))
+	for v := 0; v < n; v++ {
+		for _, f := range fams {
+			w := f.levelWords()
+			grid = append(grid, L0Sampler{fam: f, l0: arena[:w:w]})
+			arena = arena[w:]
+		}
+	}
+	return grid
 }
 
-// NewSamplerGrid returns one sampler per (family, vertex) pair —
-// out[r][v] belongs to fams[r] — with every level-0 arena in a single
-// backing allocation laid out vertex-major, round-minor: the level-0
-// cells of vertex v sit at consecutive 288-byte-class strides across
-// all rounds. An edge update fans into every round for each of its two
-// endpoints, so this turns the hottest scatter of ingest from R random
-// regions per endpoint into one short strided sweep the hardware
-// prefetcher tracks. Content and wire format are identical to
-// per-family NewSamplers (a materialized zero level is content-
-// canonical); only the allocation layout differs. Families must share
-// a geometry (same level count and level-0 cell count) — mixed
-// geometries fall back to per-family arenas.
+// NewSamplerGrid is NewL0Grid seen as out[r][v], one pointer per
+// sampler, for callers that address a sampler by (family, vertex).
 func NewSamplerGrid(fams []*L0Family, n int) [][]*L0Sampler {
-	R := len(fams)
-	if R == 0 {
-		return nil
-	}
-	L := len(fams[0].levels)
-	cells := fams[0].levels[0].cells()
-	for _, f := range fams[1:] {
-		if len(f.levels) != L || f.levels[0].cells() != cells {
-			out := make([][]*L0Sampler, R)
-			for r, f := range fams {
-				out[r] = f.NewSamplers(n)
-			}
-			return out
-		}
-	}
-	samplers := make([]L0Sampler, n*R)
-	levels := make([]*SketchB, n*R*L)
-	sk0 := make([]SketchB, n*R)
-	counts := make([]int64, n*R*cells)
-	sums := make([]uint64, 2*n*R*cells)
-	out := make([][]*L0Sampler, R)
+	grid := NewL0Grid(fams, n)
+	out := make([][]*L0Sampler, len(fams))
 	for r := range out {
 		out[r] = make([]*L0Sampler, n)
-	}
-	for v := 0; v < n; v++ {
-		for r := 0; r < R; r++ {
-			i := v*R + r
-			lv := levels[i*L : (i+1)*L : (i+1)*L]
-			c0 := i * cells
-			pair := sums[2*c0 : 2*c0+2*cells : 2*c0+2*cells]
-			sk0[i] = SketchB{
-				shape:   fams[r].levels[0],
-				counts:  counts[c0 : c0+cells : c0+cells],
-				keySums: pair[:cells:cells],
-				fings:   pair[cells : 2*cells : 2*cells],
-			}
-			lv[0] = &sk0[i]
-			samplers[i] = L0Sampler{fam: fams[r], levels: lv}
-			out[r][v] = &samplers[i]
+		for v := range out[r] {
+			out[r][v] = &grid[v*len(fams)+r]
 		}
 	}
 	return out
@@ -193,6 +160,10 @@ type L0Hint struct {
 	hash  []uint64 // banked row-hash scratch, reused across calls
 }
 
+// Level returns the geometric level of the hinted key: applying the
+// hint writes levels 0..Level() of a sampler.
+func (h *L0Hint) Level() int { return h.level }
+
 // Hint fills h with the routing of key. Slices are reused across
 // calls. The bucket hashes of every surviving level come from one
 // interleaved Horner sweep over the family bank, and the per-level
@@ -208,13 +179,13 @@ func (f *L0Family) Hint(key uint64, h *L0Hint) {
 	red := field.Reduce(key)
 	rows := f.rows
 	lanes := (lv + 1) * rows
-	if cap(h.hash) < lanes {
-		h.hash = make([]uint64, lanes)
+	if cap(h.hash) < lanes { // sized once, for the family's deepest level
+		h.hash = make([]uint64, len(f.levels)*rows)
 	}
 	hs := h.hash[:lanes]
 	f.bank.HashPrefix(key, hs)
 	if cap(h.cells) < lanes {
-		h.cells = make([]int32, lanes)
+		h.cells = make([]int32, len(f.levels)*rows)
 	}
 	h.cells = h.cells[:lanes]
 	for j := 0; j <= lv; j++ {
@@ -225,7 +196,7 @@ func (f *L0Family) Hint(key uint64, h *L0Hint) {
 		}
 	}
 	if cap(h.fkeys) < lv+1 {
-		h.fkeys = make([]uint64, lv+1)
+		h.fkeys = make([]uint64, len(f.levels))
 	}
 	h.fkeys = h.fkeys[:lv+1]
 	j := 0
@@ -245,20 +216,21 @@ func (f *L0Family) Hint(key uint64, h *L0Hint) {
 // built directly on these.
 //
 // Implementation: geometric subsampling levels; level j sketches the
-// coordinates sampled at rate 2^-j with a small SketchB. Sampling walks
-// from the sparsest level down and returns an element of the first
-// level that decodes to a nonempty vector.
+// coordinates sampled at rate 2^-j with a small SketchB, stored as flat
+// lanes (see the layout comment at the top of this file). Sampling
+// walks from the sparsest level down and returns an element of the
+// first level that decodes to a nonempty vector.
 type L0Sampler struct {
-	fam    *L0Family
-	levels []*SketchB
-	gen    uint64
+	fam  *L0Family
+	gen  uint64
+	l0   []uint64 // level 0; empty = not materialized (never in a grid)
+	tail []uint64 // levels 1..top, contiguous
 }
 
 // Gen returns the sampler's generation counter: a monotonic count of
-// state mutations. Zero-valued merges (the other side has no
-// materialized levels, i.e. sketches the zero vector) do not count, so
-// merging a zero-suppressed wire blob bumps exactly the samplers the
-// blob actually touches.
+// state mutations. Zero-valued merges (the other side sketches the zero
+// vector) do not count, so merging a zero-suppressed wire blob bumps
+// exactly the samplers the blob actually touches.
 func (s *L0Sampler) Gen() uint64 { return s.gen }
 
 // BumpGen forces a generation bump, invalidating any decode-cache
@@ -276,32 +248,70 @@ func NewL0Sampler(seed uint64, universe uint64, perLevel int) *L0Sampler {
 // Family returns the shared randomness/geometry of the sampler.
 func (s *L0Sampler) Family() *L0Family { return s.fam }
 
-// level materializes and returns level j (nil means zero sketch).
-func (s *L0Sampler) level(j int) *SketchB {
-	if s.levels[j] == nil {
-		s.levels[j] = s.fam.levels[j].instance()
+// top returns the highest materialized level, -1 when there is none.
+func (s *L0Sampler) top() int {
+	if len(s.l0) == 0 {
+		return -1
 	}
-	return s.levels[j]
+	return len(s.tail) / s.fam.levelWords()
+}
+
+// level returns the block of materialized level j.
+func (s *L0Sampler) level(j int) []uint64 {
+	if j == 0 {
+		return s.l0
+	}
+	w := s.fam.levelWords()
+	return s.tail[(j-1)*w : j*w]
+}
+
+// lanes returns the three lanes of materialized level j.
+func (s *L0Sampler) lanes(j int) (counts, keySums, fings []uint64) {
+	b, c := s.level(j), s.fam.cells
+	return b[:c], b[c : 2*c], b[2*c : 3*c]
+}
+
+// topNonZero returns the highest level with a non-zero cell, -1 when
+// the sampler sketches the zero vector.
+func (s *L0Sampler) topNonZero() int {
+	for j := s.top(); j >= 0; j-- {
+		if !field.AllZero(s.level(j)) {
+			return j
+		}
+	}
+	return -1
+}
+
+// grow returns b extended to n words, the extension zeroed; spare
+// capacity (a scratch sampler's) is reused.
+func grow(b []uint64, n int) []uint64 {
+	if n <= cap(b) {
+		clear(b[len(b):n])
+		return b[:n]
+	}
+	t := make([]uint64, n)
+	copy(t, b)
+	return t
+}
+
+// reach materializes levels 0..top.
+func (s *L0Sampler) reach(top int) {
+	w := s.fam.levelWords()
+	if len(s.l0) == 0 {
+		s.l0 = grow(s.l0, w)
+	}
+	if top*w > len(s.tail) {
+		s.tail = grow(s.tail, top*w)
+	}
 }
 
 // Add folds x[key] += delta into the sampler.
 func (s *L0Sampler) Add(key uint64, delta int64) {
-	if delta == 0 {
-		return
-	}
-	s.gen++
-	lv := s.fam.levelHash.Level(key)
-	if lv >= len(s.levels) {
-		lv = len(s.levels) - 1
-	}
-	red := field.Reduce(key)
-	for j := 0; j <= lv; j++ {
-		s.level(j).AddFkey(key, delta, s.fam.levels[j].tab().Pow(red))
-	}
+	s.AddBatch([]uint64{key}, []int64{delta})
 }
 
-// AddBatch folds a batch of updates; bit-identical to calling Add per
-// element. keys and deltas must have equal length.
+// AddBatch folds a batch of updates. keys and deltas must have equal
+// length.
 func (s *L0Sampler) AddBatch(keys []uint64, deltas []int64) {
 	var h L0Hint
 	for i, key := range keys {
@@ -314,161 +324,121 @@ func (s *L0Sampler) AddBatch(keys []uint64, deltas []int64) {
 }
 
 // AddHint folds x[key] += delta using a routing hint produced by this
-// sampler's family for the same key; bit-identical to Add(key, delta).
-// The level-independent field values d and d·key are computed once here
-// and shared across all surviving levels (AddFkey recomputes them per
-// level sketch).
+// sampler's family for the same key. The level-independent field values
+// d and d·key are computed once and shared across all surviving levels.
 func (s *L0Sampler) AddHint(key uint64, delta int64, h *L0Hint) {
 	if delta == 0 {
 		return
 	}
 	s.gen++
+	s.reach(h.level)
 	d := field.FromInt64(delta)
 	ks := field.Mul(d, field.Reduce(key))
 	rows := s.fam.rows
 	for j := 0; j <= h.level; j++ {
-		s.level(j).addRouted(delta, ks, field.Mul(d, h.fkeys[j]), h.cells[j*rows:(j+1)*rows])
+		c, k, f := s.lanes(j)
+		field.ScatterAdd3(c, k, f, uint64(delta), ks, field.Mul(d, h.fkeys[j]), h.cells[j*rows:(j+1)*rows])
 	}
+}
+
+// fold applies a cell kernel (merge or subtract) level by level up to
+// o's highest non-zero level. A source that sketches the zero vector —
+// nothing materialized, or churn canceled back to zero — folds to a
+// no-op and leaves the generation, and with it every cached decode
+// keyed on it, untouched.
+func (s *L0Sampler) fold(o *L0Sampler, kernel func(dc, dk, df, sc, sk, sf []uint64)) error {
+	if !s.fam.same(o.fam) {
+		return errIncompatible
+	}
+	top := o.topNonZero()
+	if top < 0 {
+		return nil
+	}
+	s.gen++
+	s.reach(top)
+	for j := 0; j <= top; j++ {
+		dc, dk, df := s.lanes(j)
+		sc, sk, sf := o.lanes(j)
+		kernel(dc, dk, df, sc, sk, sf)
+	}
+	return nil
 }
 
 // Merge adds another sampler built with the same seed; the result
-// samples from the support of the summed vectors. A nil level on
-// either side is a zero sketch: merging it is a no-op (other side nil)
-// or a copy (own side nil).
-func (s *L0Sampler) Merge(o *L0Sampler) error {
-	if len(s.levels) != len(o.levels) {
-		return errIncompatible
-	}
-	touched := false
-	for j := range s.levels {
-		// A nil level and a materialized-but-zero level (an eager
-		// level-0 arena, or churn canceled back to zero) both sketch
-		// the zero vector: folding either is a no-op, so skip the
-		// merge sweep and leave the generation — and with it every
-		// cached decode keyed on it — untouched. The early-exit
-		// kernel scan makes the zero test cheap for nonzero levels.
-		if o.levels[j] == nil || o.levels[j].IsZero() {
-			continue
-		}
-		touched = true
-		if err := s.level(j).Merge(o.levels[j]); err != nil {
-			return err
-		}
-	}
-	if touched {
-		s.gen++
-	}
-	return nil
-}
+// samples from the support of the summed vectors.
+func (s *L0Sampler) Merge(o *L0Sampler) error { return s.fold(o, field.MergeCells[uint64]) }
 
 // Sub subtracts another sampler built with the same seed.
-func (s *L0Sampler) Sub(o *L0Sampler) error {
-	if len(s.levels) != len(o.levels) {
-		return errIncompatible
-	}
-	touched := false
-	for j := range s.levels {
-		// Same zero-content skip as Merge: subtracting a zero level is
-		// a no-op and must not dirty the generation.
-		if o.levels[j] == nil || o.levels[j].IsZero() {
-			continue
-		}
-		touched = true
-		if err := s.level(j).Sub(o.levels[j]); err != nil {
-			return err
-		}
-	}
-	if touched {
-		s.gen++
-	}
-	return nil
-}
+func (s *L0Sampler) Sub(o *L0Sampler) error { return s.fold(o, field.SubCells[uint64]) }
 
-// SetTo makes s a copy of o, adopting o's family and reusing s's
-// materialized level storage where the geometry matches — the
-// scratch-reuse path of the parallel Borůvka decode, which would
-// otherwise Clone a sampler per component per round. Levels that are
-// zero (nil) in o become nil in s, so the copy decodes exactly like o.
+// SetTo makes s a copy of o, adopting o's family and reusing s's lane
+// storage — the scratch-reuse path of the parallel Borůvka decode,
+// which would otherwise Clone a sampler per component per round.
 func (s *L0Sampler) SetTo(o *L0Sampler) {
 	s.gen++
 	s.fam = o.fam
-	if len(s.levels) != len(o.levels) {
-		s.levels = make([]*SketchB, len(o.levels))
-	}
-	for j := range o.levels {
-		switch {
-		case o.levels[j] == nil:
-			s.levels[j] = nil
-		case s.levels[j] == nil:
-			s.levels[j] = o.levels[j].Clone()
-		default:
-			s.levels[j].SetTo(o.levels[j])
-		}
-	}
+	s.l0 = append(s.l0[:0], o.l0...)
+	s.tail = append(s.tail[:0], o.tail...)
 }
 
-// Clone returns a deep copy (the immutable family is shared; zero
-// levels stay unmaterialized).
+// Clone returns a deep copy (the immutable family is shared).
 func (s *L0Sampler) Clone() *L0Sampler {
-	c := &L0Sampler{fam: s.fam, levels: make([]*SketchB, len(s.levels))}
-	for j := range s.levels {
-		if s.levels[j] != nil {
-			c.levels[j] = s.levels[j].Clone()
-		}
-	}
+	c := &L0Sampler{}
+	c.SetTo(s)
+	c.gen = 0
 	return c
+}
+
+// IsZero reports whether the sampler holds the zero vector's state:
+// every level absent or canceled back to all-zero cells. A zero sampler
+// is indistinguishable from a fresh one, which is what lets the
+// compressed encodings suppress it entirely.
+func (s *L0Sampler) IsZero() bool {
+	return field.AllZero(s.l0) && field.AllZero(s.tail)
 }
 
 // Sample returns one support element (key and net weight). ok=false
 // means the vector is (whp) zero or every level failed to decode — a
 // 1/poly(n) probability event for nonzero vectors.
 func (s *L0Sampler) Sample() (key uint64, weight int64, ok bool) {
-	for j := len(s.levels) - 1; j >= 0; j-- {
-		if s.levels[j] == nil {
-			continue // zero sketch: decodes to the empty vector
+	j := s.topNonZero()
+	if j < 0 {
+		return 0, 0, false
+	}
+	work := s.fam.levels[j].instance()
+	for ; j >= 0; j-- {
+		counts, keySums, fings := s.lanes(j)
+		work.shape = s.fam.levels[j]
+		for i, c := range counts {
+			work.counts[i] = int64(c)
 		}
-		items, decoded := s.levels[j].Decode()
-		if !decoded {
-			// Overloaded level: denser levels are hopeless too only in
-			// expectation — keep scanning downward since independence
-			// across levels is limited, then give up at j=0.
-			continue
-		}
-		if len(items) == 0 {
+		copy(work.keySums, keySums)
+		copy(work.fings, fings)
+		items, decoded := work.peel()
+		// An overloaded level fails to decode and a zero one decodes to
+		// nothing: keep scanning downward, give up after level 0.
+		if !decoded || len(items) == 0 {
 			continue
 		}
 		// Choose the item with the minimum choice-hash so that the
 		// sample is a near-uniform function of the support, not of the
 		// decode order.
-		var (
-			bestKey uint64
-			bestW   int64
-			bestH   uint64
-			first   = true
-		)
+		var bestH uint64
+		first := true
 		for k, w := range items {
-			h := s.fam.choiceFn.Hash(k)
-			if first || h < bestH {
-				bestKey, bestW, bestH, first = k, w, h, false
+			if h := s.fam.choiceFn.Hash(k); first || h < bestH {
+				key, weight, bestH, first = k, w, h, false
 			}
 		}
-		return bestKey, bestW, true
+		return key, weight, true
 	}
 	return 0, 0, false
 }
 
-// SpaceWords returns the memory footprint in 64-bit words. Zero levels
-// count at full size: this is the paper-facing space accounting, which
+// SpaceWords returns the memory footprint in 64-bit words. Every level
+// counts at full size: this is the paper-facing space accounting, which
 // describes the sketch as a linear projection independent of how
 // sparsely the implementation materializes it.
 func (s *L0Sampler) SpaceWords() int {
-	w := 2
-	for j, lv := range s.levels {
-		if lv == nil {
-			w += 3*s.fam.levels[j].cells() + 4
-		} else {
-			w += lv.SpaceWords()
-		}
-	}
-	return w
+	return 2 + len(s.fam.levels)*s.fam.levels[0].spaceWords()
 }

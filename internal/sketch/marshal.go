@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"dynstream/internal/field"
 )
 
 // Binary serialization for the linear sketches. The encoding carries
@@ -21,7 +23,7 @@ const (
 	tagKeyed     uint64 = 0xd15c_0004
 	tagF0        uint64 = 0xd15c_0005
 	// tagL0SamplerV2 is the compressed sampler encoding: varint level
-	// lengths with zero-run suppression — a lazily-nil (or canceled-to-
+	// lengths with zero-run suppression — an absent (or canceled-to-
 	// zero) level encodes as a single 0 byte instead of a dense zero
 	// sketch. v1 blobs still decode; encoding always emits v2.
 	tagL0SamplerV2 uint64 = 0xd15c_0102
@@ -66,16 +68,26 @@ func (r *rbuf) uvarint() (uint64, error) {
 	return v, nil
 }
 
+// sketchBHeaderBytes and sketchBCellBytes size a SketchB encoding: five
+// 64-bit header words, then three per cell.
+const (
+	sketchBHeaderBytes = 40
+	sketchBCellBytes   = 24
+)
+
+// header returns the SketchB encoding's header words for this shape.
+func (sh *sketchBShape) header() [sketchBHeaderBytes / 8]uint64 {
+	return [...]uint64{tagSketchB, sh.seed, uint64(sh.capacity), uint64(sh.rows), uint64(sh.cols)}
+}
+
 // MarshalBinary encodes the sketch: parameters plus linear state. The
 // wire format is cell-interleaved (count, keySum, fing per cell),
 // independent of the in-memory structure-of-arrays layout.
 func (s *SketchB) MarshalBinary() ([]byte, error) {
 	w := &wbuf{}
-	w.u64(tagSketchB)
-	w.u64(s.shape.seed)
-	w.u64(uint64(s.shape.capacity))
-	w.u64(uint64(s.shape.rows))
-	w.u64(uint64(s.shape.cols))
+	for _, v := range s.shape.header() {
+		w.u64(v)
+	}
 	for i := range s.counts {
 		w.i64(s.counts[i])
 		w.u64(s.keySums[i])
@@ -88,119 +100,96 @@ func (s *SketchB) MarshalBinary() ([]byte, error) {
 // MarshalBinary, reconstructing hash functions from the stored seed.
 // If the receiver already has a shape with matching parameters (e.g. a
 // family-backed sketch being refilled over the wire), it is reused
-// instead of re-deriving hashes and power tables.
+// instead of re-deriving hashes and power tables. The encoding is
+// fixed-width, so the header's geometry is checked against the
+// remaining length before anything is allocated: a short blob cannot
+// request more memory than it carries.
 func (s *SketchB) UnmarshalBinary(data []byte) error {
-	rebuilt, err := unmarshalSketchB(data, s.shape)
-	if err != nil {
-		return err
+	r := &rbuf{b: data}
+	tag, err := r.u64()
+	if err != nil || tag != tagSketchB {
+		return fmt.Errorf("sketch: not a SketchB encoding: %w", errCorrupt)
+	}
+	var seed, capacity, rows, cols uint64
+	for _, dst := range []*uint64{&seed, &capacity, &rows, &cols} {
+		if *dst, err = r.u64(); err != nil {
+			return err
+		}
+	}
+	if capacity == 0 || capacity > 1<<32 || rows == 0 || cols == 0 || rows > 16 || cols > 1<<30 ||
+		uint64(len(r.b)) != rows*cols*sketchBCellBytes {
+		return errCorrupt
+	}
+	shape := s.shape
+	if shape == nil || shape.seed != seed || shape.capacity != int(capacity) ||
+		shape.rows != int(rows) || shape.cols != int(cols) {
+		// Derived exactly as the constructor would, with the explicit
+		// geometry (which may differ from defaults) adopted afterwards.
+		shape = newSketchBShape(seed, int(capacity), SketchConfig{Rows: int(rows)})
+		shape.cols = int(cols)
+	}
+	rebuilt := shape.instance()
+	for i := range rebuilt.counts {
+		rebuilt.counts[i], _ = r.i64() // length checked above
+		rebuilt.keySums[i], _ = r.u64()
+		rebuilt.fings[i], _ = r.u64()
 	}
 	rebuilt.gen = s.gen + 1 // whole-state replacement keeps gen monotonic
 	*s = *rebuilt
 	return nil
 }
 
-// unmarshalSketchB decodes a SketchB encoding. hint, when non-nil and
-// matching the encoded parameters, supplies the shape; otherwise the
-// shape is derived exactly as the constructor would, with the explicit
-// geometry (which may differ from defaults) adopted afterwards.
-func unmarshalSketchB(data []byte, hint *sketchBShape) (*SketchB, error) {
-	r := &rbuf{b: data}
-	tag, err := r.u64()
-	if err != nil || tag != tagSketchB {
-		return nil, fmt.Errorf("sketch: not a SketchB encoding: %w", errCorrupt)
-	}
-	seed, err := r.u64()
-	if err != nil {
-		return nil, err
-	}
-	capacity, err := r.u64()
-	if err != nil {
-		return nil, err
-	}
-	rows, err := r.u64()
-	if err != nil {
-		return nil, err
-	}
-	cols, err := r.u64()
-	if err != nil {
-		return nil, err
-	}
-	if rows == 0 || cols == 0 || rows > 16 || cols > 1<<30 {
-		return nil, errCorrupt
-	}
-	shape := hint
-	if shape == nil || shape.seed != seed || shape.capacity != int(capacity) ||
-		shape.rows != int(rows) || shape.cols != int(cols) {
-		shape = newSketchBShape(seed, int(capacity), SketchConfig{Rows: int(rows)})
-		shape.cols = int(cols)
-	}
-	rebuilt := shape.instance()
-	for i := range rebuilt.counts {
-		if rebuilt.counts[i], err = r.i64(); err != nil {
-			return nil, err
-		}
-		if rebuilt.keySums[i], err = r.u64(); err != nil {
-			return nil, err
-		}
-		if rebuilt.fings[i], err = r.u64(); err != nil {
-			return nil, err
-		}
-	}
-	if len(r.b) != 0 {
-		return nil, errCorrupt
-	}
-	return rebuilt, nil
-}
-
-// IsZero reports whether the sampler holds the zero vector's state:
-// every level unmaterialized or canceled back to all-zero cells. A
-// zero sampler is indistinguishable from a fresh one, which is what
-// lets the compressed encodings suppress it entirely.
-func (s *L0Sampler) IsZero() bool {
-	for _, lv := range s.levels {
-		if lv != nil && !lv.IsZero() {
-			return false
-		}
-	}
-	return true
-}
-
 // MarshalBinary encodes the sampler: parameters plus per-level states,
-// in the v2 compressed layout — varint level lengths, with a zero (nil
-// or canceled-to-zero) level encoded as a single 0 byte. Geometric
-// sampling leaves most levels untouched, so this shrinks AGM-family
-// states by orders of magnitude on the wire. The encoding is
-// content-canonical: states with equal linear content (regardless of
-// which zero levels happen to be materialized) encode identically.
+// in the v2 compressed layout — varint level lengths, each level a
+// SketchB encoding, with a zero (absent or canceled-to-zero) level
+// encoded as a single 0 byte. Geometric sampling leaves most levels
+// untouched, so this shrinks AGM-family states by orders of magnitude
+// on the wire. The encoding is content-canonical: states with equal
+// linear content (regardless of which zero levels happen to be
+// materialized) encode identically.
 func (s *L0Sampler) MarshalBinary() ([]byte, error) {
 	w := &wbuf{}
 	w.u64(tagL0SamplerV2)
 	w.u64(s.fam.seed)
 	w.u64(s.fam.universe)
 	w.uvarint(uint64(s.fam.perLevel))
-	w.uvarint(uint64(len(s.levels)))
-	for _, lv := range s.levels {
-		if lv == nil || lv.IsZero() {
+	w.uvarint(uint64(len(s.fam.levels)))
+	top := s.top()
+	for j, sh := range s.fam.levels {
+		if j > top || field.AllZero(s.level(j)) {
 			w.uvarint(0) // zero-run suppression
 			continue
 		}
-		enc, err := lv.MarshalBinary()
-		if err != nil {
-			return nil, err
+		w.uvarint(uint64(sketchBHeaderBytes + sketchBCellBytes*s.fam.cells))
+		for _, v := range sh.header() {
+			w.u64(v)
 		}
-		w.uvarint(uint64(len(enc)))
-		w.b = append(w.b, enc...)
+		counts, keySums, fings := s.lanes(j)
+		for i := range counts {
+			w.u64(counts[i])
+			w.u64(keySums[i])
+			w.u64(fings[i])
+		}
 	}
 	return w.b, nil
 }
 
 // UnmarshalBinary decodes a sampler encoded with MarshalBinary —
 // either the current v2 layout or the dense v1 layout older blobs
-// carry. If the receiver already belongs to a family with matching
-// parameters — as when agm.Sketch.UnmarshalBinary refills the
-// family-backed samplers its constructor allocated — that family (and
-// its level shapes, hash functions, and power tables) is reused rather
-// than re-derived per sampler.
+// carry — into the receiver's own lanes: a grid sampler's arena slot is
+// filled in place. If the receiver already belongs to a family with
+// matching parameters — as when agm.Sketch.UnmarshalBinary refills the
+// samplers its constructor allocated — that family (and its level
+// shapes, hash functions, and power tables) is reused rather than
+// re-derived per sampler.
+//
+// Every level must be empty (v2) or exactly the SketchB encoding of the
+// family's shape for it, and a v2 blob may not carry a level above a
+// suppressed one: that would be a non-zero vector whose subsample one
+// level denser sketches to all-zero cells, which no stream produces.
+// Together the two rules are checked over the whole blob before the
+// receiver is touched, and bound what decoding allocates to the lanes
+// the blob actually carries.
 func (s *L0Sampler) UnmarshalBinary(data []byte) error {
 	r := &rbuf{b: data}
 	tag, err := r.u64()
@@ -228,6 +217,9 @@ func (s *L0Sampler) UnmarshalBinary(data []byte) error {
 	if err != nil {
 		return err
 	}
+	if perLevel > 1<<32 { // the level sketches' capacity: same bound as SketchB's
+		return errCorrupt
+	}
 	fam := s.fam
 	if fam == nil || fam.seed != seed || fam.universe != universe ||
 		uint64(fam.perLevel) != perLevel {
@@ -236,30 +228,48 @@ func (s *L0Sampler) UnmarshalBinary(data []byte) error {
 	if uint64(len(fam.levels)) != nLevels {
 		return errCorrupt
 	}
-	rebuilt := fam.NewSampler()
-	for j := range rebuilt.levels {
+	// First walk: validate every level and find the highest one present.
+	// Second walk: fill the lanes.
+	body, top := *r, -1
+	for j, sh := range fam.levels {
 		ln, err := length(r)
 		if err != nil {
 			return err
 		}
 		if ln == 0 && v2 {
-			continue // suppressed zero level stays unmaterialized
+			continue
 		}
-		if uint64(len(r.b)) < ln {
+		if ln != uint64(sketchBHeaderBytes+sketchBCellBytes*fam.cells) || uint64(len(r.b)) < ln || top != j-1 {
 			return errCorrupt
 		}
-		lv, err := unmarshalSketchB(r.b[:ln], fam.levels[j])
-		if err != nil {
-			return err
+		for _, want := range sh.header() {
+			if got, _ := r.u64(); got != want {
+				return errCorrupt
+			}
 		}
-		rebuilt.levels[j] = lv
-		r.b = r.b[ln:]
+		r.b = r.b[sketchBCellBytes*fam.cells:]
+		top = j
 	}
 	if len(r.b) != 0 {
 		return errCorrupt
 	}
-	rebuilt.gen = s.gen + 1 // whole-state replacement keeps gen monotonic
-	*s = *rebuilt
+	s.fam = fam
+	s.gen++ // whole-state replacement keeps gen monotonic
+	s.l0, s.tail = s.l0[:0], s.tail[:0]
+	if top >= 0 || cap(s.l0) > 0 { // a grid slot stays materialized
+		s.reach(max(top, 0))
+	}
+	r = &body
+	for j := 0; j <= top; j++ {
+		_, _ = length(r)
+		r.b = r.b[sketchBHeaderBytes:]
+		counts, keySums, fings := s.lanes(j)
+		for i := range counts {
+			counts[i], _ = r.u64()
+			keySums[i], _ = r.u64()
+			fings[i], _ = r.u64()
+		}
+	}
 	return nil
 }
 

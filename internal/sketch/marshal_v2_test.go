@@ -6,43 +6,22 @@ import (
 	"testing"
 )
 
-// encodeL0V1 reproduces the legacy dense v1 sampler layout (u64 level
-// lengths, every level materialized — nil levels as dense zero
-// sketches), so the decoder's back-compat path stays pinned even
-// though the encoder only emits v2 now.
-func encodeL0V1(t *testing.T, s *L0Sampler) []byte {
-	t.Helper()
-	w := &wbuf{}
-	w.u64(tagL0Sampler)
-	w.u64(s.fam.seed)
-	w.u64(s.fam.universe)
-	w.u64(uint64(s.fam.perLevel))
-	w.u64(uint64(len(s.levels)))
-	for j, lv := range s.levels {
-		if lv == nil {
-			lv = s.fam.levels[j].instance()
-		}
-		enc, err := lv.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.u64(uint64(len(enc)))
-		w.b = append(w.b, enc...)
-	}
-	return w.b
-}
-
 func TestL0MarshalV2SuppressesZeroLevels(t *testing.T) {
 	s := NewL0Sampler(7, 1<<20, 4)
+	ref := newRefSampler(s.fam)
 	// A handful of keys: geometric levels leave most levels untouched.
 	for _, k := range []uint64{3, 99, 12345, 777777} {
 		s.Add(k, 2)
+		ref.Add(k, 2)
 	}
 	v2, err := s.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1 := encodeL0V1(t, s)
+	// The legacy dense v1 layout (u64 lengths, every level dense) is no
+	// longer emitted; the reference sampler still writes it, so the
+	// decoder's back-compat path stays pinned.
+	v1 := ref.marshal(true)
 	if len(v2) >= len(v1)/2 {
 		t.Fatalf("v2 encoding %d bytes, dense v1 %d bytes — zero-run suppression missing", len(v2), len(v1))
 	}

@@ -176,9 +176,9 @@ func (f *SketchBFamily) SpaceWords() int { return f.sh.spaceWords() }
 // instance returns a zeroed sketch over the shared shape.
 func (sh *sketchBShape) instance() *SketchB {
 	n := sh.cells()
-	// One backing array for both field lanes: lazy level
-	// materialization during ingest allocates thousands of these, and
-	// halving the object count halves the GC scan load they add.
+	// One backing array for both field lanes: the spanner's first-touch
+	// pass-1 sketches allocate thousands of these, and halving the
+	// object count halves the GC scan load they add.
 	pair := make([]uint64, 2*n)
 	return &SketchB{
 		shape:   sh,
@@ -276,15 +276,6 @@ func (s *SketchB) AddFkey(key uint64, delta int64, fkey uint64) {
 	}
 }
 
-// addRouted folds one update whose field values (d·key, d·fkey) and
-// per-row cell indices are already computed — the hint path of L0
-// families, where one update fans into several samplers and the
-// routing is shared across them and across levels.
-func (s *SketchB) addRouted(delta int64, ks, fg uint64, idx []int32) {
-	s.gen++
-	field.ScatterAdd3(s.counts, s.keySums, s.fings, delta, ks, fg, idx)
-}
-
 func (s *SketchB) compatible(o *SketchB) error {
 	if s.shape.seed != o.shape.seed || s.shape.rows != o.shape.rows || s.shape.cols != o.shape.cols {
 		return fmt.Errorf("sketch: merging incompatible sketches (seed %d/%d, %dx%d vs %dx%d)",
@@ -363,35 +354,45 @@ func (s *SketchB) decodeCell(i int) (key uint64, weight int64, ok bool) {
 // recovery is (whp) exact. Decoding a zero vector returns an empty map
 // and ok=true. Decode does not mutate the sketch.
 func (s *SketchB) Decode() (map[uint64]int64, bool) {
-	work := s.Clone()
+	return s.Clone().peel()
+}
+
+// peel is Decode in place: it consumes the receiver's cells. It
+// repeatedly finds a pure cell, extracts its item and removes the item
+// from all rows, until no progress. Peeling a sketch of any actual
+// vector empties a cell with each extraction and never refills one, so
+// it makes at most one extraction per cell; in a state no stream
+// produces (a corrupt or hostile blob) an extraction can refill the
+// cell another one emptied and the two alternate forever, so past that
+// budget the sketch is reported undecodable.
+func (s *SketchB) peel() (map[uint64]int64, bool) {
 	out := make(map[uint64]int64)
-	// Peel: repeatedly find a pure cell, extract its item, remove the
-	// item from all rows, until no progress.
-	for {
-		progress := false
-		for i := range work.counts {
-			if work.counts[i] == 0 {
+	budget := len(s.counts)
+	for progress := true; progress; {
+		progress = false
+		for i := range s.counts {
+			if s.counts[i] == 0 {
 				// Cheap count-lane skip: a zero-count cell never decodes
 				// (decodeCell rejects it first thing), and most cells of a
 				// peeled-down sketch are zero.
 				continue
 			}
-			key, w, ok := work.decodeCell(i)
+			key, w, ok := s.decodeCell(i)
 			if !ok {
 				continue
 			}
-			work.AddFkey(key, -w, work.Fkey(key))
+			if budget--; budget < 0 {
+				return out, false
+			}
+			s.AddFkey(key, -w, s.Fkey(key))
 			out[key] += w
 			if out[key] == 0 {
 				delete(out, key)
 			}
 			progress = true
 		}
-		if !progress {
-			break
-		}
 	}
-	return out, work.IsZero()
+	return out, s.IsZero()
 }
 
 // SpaceWords returns the memory footprint in 64-bit words, used by the
