@@ -191,7 +191,7 @@ func run(args []string, stdin io.Reader, stderr io.Writer, lookupEnv func(string
 	fmt.Fprintf(stderr, "dynstreamd: listening on http://%s (targets %s, n=%d)\n",
 		ln.Addr(), strings.Join(names, ","), *nFlag)
 
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := srv.HTTPServer()
 	httpErr := make(chan error, 1)
 	go func() { httpErr <- httpSrv.Serve(ln) }()
 

@@ -224,7 +224,7 @@ func runE8(p *params) error {
 		for trial := 0; trial < trials; trial++ {
 			s := stream.WithChurn(g, 2*g.M(), hashing.Mix(p.seed, 18, uint64(n), uint64(trial)))
 			sk := newForest(hashing.Mix(p.seed, 19, uint64(n), uint64(trial)), n)
-			if err := s.Replay(func(u stream.Update) error { sk.AddUpdate(u); return nil }); err != nil {
+			if err := stream.ReplayBatches(s, 0, func(ups []stream.Update) error { sk.AddBatch(ups); return nil }); err != nil {
 				return err
 			}
 			forest, err := sk.SpanningForest(nil)
@@ -391,7 +391,7 @@ func runE10(p *params) error {
 		const k = 4
 		kc := newKConn(hashing.Mix(p.seed, 31, uint64(cut)), n, k)
 		st := stream.WithChurn(g, g.M(), hashing.Mix(p.seed, 32, uint64(cut)))
-		if err := st.Replay(func(u stream.Update) error { kc.AddUpdate(u); return nil }); err != nil {
+		if err := stream.ReplayBatches(st, 0, func(ups []stream.Update) error { kc.AddBatch(ups); return nil }); err != nil {
 			return err
 		}
 		cert, err := kc.CertificateGraph()
@@ -421,7 +421,7 @@ func runE10(p *params) error {
 	for _, c := range cases {
 		b := newBipartite(hashing.Mix(p.seed, 33), c.g.N())
 		st := stream.WithChurn(c.g, c.g.M(), hashing.Mix(p.seed, 34))
-		if err := st.Replay(func(u stream.Update) error { b.AddUpdate(u); return nil }); err != nil {
+		if err := stream.ReplayBatches(st, 0, func(ups []stream.Update) error { b.AddBatch(ups); return nil }); err != nil {
 			return err
 		}
 		got, err := b.IsBipartite()

@@ -71,7 +71,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := srv.HTTPServer()
 	go httpSrv.Serve(ln)
 	base := "http://" + ln.Addr().String()
 	fmt.Printf("daemon listening on %s (forest, n=%d)\n", base, n)

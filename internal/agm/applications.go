@@ -107,11 +107,11 @@ func (kc *KConnectivity) reconcile(i int, want []graph.Edge) {
 		e = e.Canon()
 		counts[[2]int{e.U, e.V}]--
 	}
+	diff := make([]stream.Update, 0, len(counts))
 	for key, d := range counts {
-		if d != 0 {
-			kc.sketches[i].AddEdge(key[0], key[1], -d)
-		}
+		diff = append(diff, stream.Update{U: key[0], V: key[1], Delta: int(-d)})
 	}
+	kc.sketches[i].AddBatch(diff)
 	kc.subtracted[i] = append([]graph.Edge(nil), want...)
 }
 
@@ -249,6 +249,8 @@ type Bipartiteness struct {
 	n     int
 	base  *Sketch // sketch of G on n vertices
 	cover *Sketch // sketch of the double cover on 2n vertices
+
+	coverBuf []stream.Update // AddBatch's double-cover batch, reused
 }
 
 // NewBipartiteness creates the tester for a graph on n vertices.
@@ -287,19 +289,22 @@ func (b *Bipartiteness) DecodeCacheStats() (hits, misses uint64) {
 
 // AddUpdate folds a stream update into both sketches.
 func (b *Bipartiteness) AddUpdate(u stream.Update) {
-	b.base.AddUpdate(u)
-	d := int64(u.Delta)
-	// Double cover: (u,0)=u, (u,1)=u+n.
-	b.cover.AddEdge(u.U, u.V+b.n, d)
-	b.cover.AddEdge(u.U+b.n, u.V, d)
+	b.AddBatch([]stream.Update{u})
 }
 
-// AddBatch folds a batch of stream updates; bit-identical to calling
-// AddUpdate per element.
+// AddBatch folds a batch of stream updates into the base sketch and
+// the batch's double cover — two updates per input, (u,0)=u and
+// (u,1)=u+n — into the cover sketch.
 func (b *Bipartiteness) AddBatch(batch []stream.Update) {
+	b.base.AddBatch(batch)
+	cover := b.coverBuf[:0]
 	for _, u := range batch {
-		b.AddUpdate(u)
+		cover = append(cover,
+			stream.Update{U: u.U, V: u.V + b.n, Delta: u.Delta},
+			stream.Update{U: u.U + b.n, V: u.V, Delta: u.Delta})
 	}
+	b.cover.AddBatch(cover)
+	b.coverBuf = cover
 }
 
 // Merge adds another tester built with the same seed; the result tests

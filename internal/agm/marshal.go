@@ -7,6 +7,7 @@ import (
 	"math"
 
 	"dynstream/internal/graph"
+	"dynstream/internal/sketch"
 )
 
 const (
@@ -59,6 +60,9 @@ func (s *Sketch) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary reconstructs a sketch encoded with MarshalBinary
 // (the current v2 layout, or the dense v1 layout of older blobs).
+// Header bounds, checked before anything is allocated: n in 1..2^24,
+// rounds in 1..256, perLevel at most sketch.MaxL0PerLevel (2^13), and
+// at least one byte of input per sampler.
 func (s *Sketch) UnmarshalBinary(data []byte) error {
 	pos := 0
 	u64 := func() (uint64, error) {
@@ -104,7 +108,8 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	}
 	// Every sampler takes at least its length byte, so a blob shorter
 	// than n·rounds is rejected before the grid is allocated for it.
-	if n == 0 || n > 1<<24 || rounds == 0 || rounds > 256 || uint64(len(data)-pos) < n*rounds {
+	if n == 0 || n > 1<<24 || rounds == 0 || rounds > 256 || perLvl > sketch.MaxL0PerLevel ||
+		uint64(len(data)-pos) < n*rounds {
 		return errCorrupt
 	}
 	rebuilt := New(seed, int(n), Config{Rounds: int(rounds), PerLevel: int(perLvl)})

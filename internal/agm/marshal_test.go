@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dynstream/internal/graph"
+	"dynstream/internal/sketch"
 	"dynstream/internal/stream"
 )
 
@@ -116,5 +117,21 @@ func TestAGMUnmarshalCorrupt(t *testing.T) {
 	}
 	if err := s.UnmarshalBinary(huge); !errors.Is(err, errCorrupt) {
 		t.Errorf("oversized geometry: %v, want errCorrupt", err)
+	}
+	// perLevel is a wire bound too (cell indices are 16 bits): one past
+	// it is corrupt in both layouts, not a panic in the family
+	// constructor. The blobs are long enough to pass the length check.
+	for _, v2 := range []bool{true, false} {
+		tag, num := tagAGM, binary.LittleEndian.AppendUint64
+		if v2 {
+			tag, num = tagAGMv2, binary.AppendUvarint
+		}
+		blob := binary.LittleEndian.AppendUint64(nil, tag)
+		blob = binary.LittleEndian.AppendUint64(blob, 1)
+		blob = num(num(num(blob, 2), 2), sketch.MaxL0PerLevel+1)
+		blob = append(blob, make([]byte, 64)...)
+		if err := s.UnmarshalBinary(blob); !errors.Is(err, errCorrupt) {
+			t.Errorf("v2=%v perLevel %d: %v, want errCorrupt", v2, sketch.MaxL0PerLevel+1, err)
+		}
 	}
 }

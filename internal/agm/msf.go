@@ -26,6 +26,11 @@ type MSF struct {
 	maxClass  int
 	prefixes  []*Sketch // prefixes[c] sketches edges with class <= c
 	classSeen []bool
+
+	// AddBatch's working memory, reused: the class-partitioned batch and
+	// the per-class slot cursors.
+	byClass []stream.Update
+	end     []int
 }
 
 // NewMSF creates the sketch for a graph on n vertices whose edge
@@ -81,20 +86,41 @@ func (m *MSF) DecodeCacheStats() (hits, misses uint64) {
 // AddUpdate folds a weighted update into every prefix sketch whose
 // class bound covers the edge's weight class.
 func (m *MSF) AddUpdate(u stream.Update) {
-	c := stream.WeightClassOf(u.W, 1+m.gamma)
-	if c > m.maxClass {
-		c = m.maxClass
-	}
-	for p := c; p <= m.maxClass; p++ {
-		m.prefixes[p].AddEdge(u.U, u.V, int64(u.Delta))
-	}
+	m.AddBatch([]stream.Update{u})
 }
 
-// AddBatch folds a batch of weighted updates; bit-identical to calling
-// AddUpdate per element.
+// AddBatch folds a batch of weighted updates: the batch is partitioned
+// by weight class once (a stable counting sort), and prefix sketch p
+// takes the updates of classes 0..p — a prefix of the partitioned
+// batch — in one AddBatch.
 func (m *MSF) AddBatch(batch []stream.Update) {
+	class := func(u stream.Update) int {
+		return min(stream.WeightClassOf(u.W, 1+m.gamma), m.maxClass)
+	}
+	if len(m.end) != m.maxClass+1 {
+		m.end = make([]int, m.maxClass+1)
+	}
+	end := m.end // class c's next slot; its end once scattered
+	clear(end)
 	for _, u := range batch {
-		m.AddUpdate(u)
+		if c := class(u); c < m.maxClass {
+			end[c+1]++
+		}
+	}
+	for c := 1; c <= m.maxClass; c++ {
+		end[c] += end[c-1]
+	}
+	if cap(m.byClass) < len(batch) {
+		m.byClass = make([]stream.Update, len(batch))
+	}
+	sorted := m.byClass[:len(batch)]
+	for _, u := range batch {
+		c := class(u)
+		sorted[end[c]] = u
+		end[c]++
+	}
+	for p, s := range m.prefixes {
+		s.AddBatch(sorted[:end[p]])
 	}
 }
 

@@ -1,0 +1,348 @@
+package agm
+
+import (
+	"bytes"
+	"fmt"
+	"sync"
+	"testing"
+
+	"dynstream/internal/graph"
+	"dynstream/internal/hashing"
+	"dynstream/internal/sketch"
+	"dynstream/internal/stream"
+)
+
+// addPerUpdate is the ingest AddBatch replaced, kept as the reference
+// the batch kernel is diffed against: one update at a time in stream
+// order, routed through a hint per round and applied to both endpoint
+// samplers before the next update is looked at.
+func (s *Sketch) addPerUpdate(u stream.Update) {
+	if u.U == u.V || u.Delta == 0 {
+		return
+	}
+	a, b := u.U, u.V
+	if a > b {
+		a, b = b, a
+	}
+	key := stream.PairKey(a, b, s.n)
+	if s.caching {
+		s.logUpdate(key, a, b, int64(u.Delta))
+	}
+	var h sketch.L0Hint
+	for r, fam := range s.fam {
+		fam.Hint(key, &h)
+		s.at(r, a).AddHint(key, int64(u.Delta), &h)
+		s.at(r, b).AddHint(key, -int64(u.Delta), &h)
+	}
+}
+
+// nastyStream is a seeded update sequence built to break a batch
+// kernel that is not a pure reordering of commuting additions: random
+// inserts and deletes, self-loops and zero deltas (dropped), duplicate
+// edges, an insert and its delete back to back (inside one batch at any
+// batch size > 1), multiplicities above one, and a few hub vertices that
+// collect a fifth of all incidences, so one vertex's strip takes
+// hundreds of updates in a single sweep. The AGM layer accepts all of
+// it; validation lives in the stream sources.
+func nastyStream(n, count int, seed uint64) []stream.Update {
+	rng := hashing.NewSplitMix64(seed)
+	vertex := func() int {
+		if rng.Intn(5) == 0 {
+			return rng.Intn(4) // hubs
+		}
+		return rng.Intn(n)
+	}
+	ups := make([]stream.Update, 0, count)
+	for len(ups) < count {
+		u, v := vertex(), vertex()
+		switch rng.Intn(16) {
+		case 0:
+			ups = append(ups, stream.Update{U: u, V: u, Delta: 1}) // self-loop
+		case 1:
+			ups = append(ups, stream.Update{U: u, V: v, Delta: 0})
+		case 2: // duplicate edge, both orientations
+			ups = append(ups, stream.Update{U: u, V: v, Delta: 1}, stream.Update{U: v, V: u, Delta: 1})
+		case 3: // insert-then-delete
+			ups = append(ups, stream.Update{U: u, V: v, Delta: 1}, stream.Update{U: u, V: v, Delta: -1})
+		case 4:
+			ups = append(ups, stream.Update{U: u, V: v, Delta: 3})
+		case 5, 6, 7:
+			ups = append(ups, stream.Update{U: u, V: v, Delta: -1})
+		default:
+			ups = append(ups, stream.Update{U: u, V: v, Delta: 1})
+		}
+	}
+	return ups[:count]
+}
+
+// feed ingests ups in consecutive batches of the given size.
+func feed(ups []stream.Update, size int, add func([]stream.Update)) {
+	for lo := 0; lo < len(ups); lo += size {
+		add(ups[lo:min(lo+size, len(ups))])
+	}
+}
+
+func marshalOf(t *testing.T, s *Sketch) []byte {
+	t.Helper()
+	enc, err := s.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return enc
+}
+
+func allVertices(n int) []int {
+	all := make([]int, n)
+	for v := range all {
+		all[v] = v
+	}
+	return all
+}
+
+// TestAGMSortedBatchMatchesPerUpdate: the vertex-sorted batch kernel
+// leaves exactly the state the per-update fold does — wire bytes,
+// sampler generations, and with the decode cache on the forests of a
+// query between two ingest halves and a re-query after — at batch sizes
+// on both sides of every boundary the kernel has: one update, a pair, a
+// short batch, exactly one chunk, one chunk plus one, several chunks.
+// The small sketch sweeps every 4n updates; the large one (4n >
+// ingestChunk) runs full-size chunks.
+func TestAGMSortedBatchMatchesPerUpdate(t *testing.T) {
+	t.Run("n=300", func(t *testing.T) {
+		checkSortedBatch(t, 300, mixedStream(t, 300, 6000), []int{1, 2, 255, 4 * 300, 4*300 + 1, 5000})
+	})
+	t.Run("deep", func(t *testing.T) {
+		checkSortedBatch(t, 300, deepStream(t, 300, 6000), []int{255, 4 * 300, 5000})
+	})
+	if !testing.Short() {
+		t.Run("n=4200", func(t *testing.T) {
+			checkSortedBatch(t, 4200, mixedStream(t, 4200, 45000), []int{ingestChunk, ingestChunk + 1, 40000})
+		})
+	}
+}
+
+// sortedBatchCfg is the geometry the equivalence runs use: the kernel
+// is per round, so four rounds keep them quick.
+var sortedBatchCfg = Config{Rounds: 4}
+
+// mixedStream is a churned random graph's stream followed by a
+// nastyStream, count updates in all.
+func mixedStream(t *testing.T, n, count int) []stream.Update {
+	g := graph.ConnectedGNP(n, 3/float64(n), 21)
+	var ups []stream.Update
+	if err := stream.WithChurn(g, count/8, 22).Replay(func(u stream.Update) error {
+		ups = append(ups, u)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return append(ups, nastyStream(n, count-len(ups), 23)...)
+}
+
+// deepStream draws only edges whose keys reach three levels per round
+// on average, against the two the routing buffer provisions for: a
+// chunk of them fills its level slots before its update count, which
+// takes AddBatch through its sweep-early-and-continue path. The check
+// that it does is made on the routing buffer directly.
+func deepStream(t *testing.T, n, count int) []stream.Update {
+	s := New(0x5b, n, sortedBatchCfg)
+	rng := hashing.NewSplitMix64(24)
+	var h sketch.L0Hint
+	var ups []stream.Update
+	for len(ups) < count {
+		a, b := rng.Intn(n), rng.Intn(n)
+		if a == b {
+			continue
+		}
+		lv := 0
+		for _, fam := range s.fam {
+			fam.Hint(stream.PairKey(a, b, n), &h)
+			lv += h.Level()
+		}
+		if lv >= 2*s.rounds {
+			ups = append(ups, stream.Update{U: a, V: b, Delta: 1 - 2*(len(ups)%2)})
+		}
+	}
+	var routes sketch.L0Routes
+	routes.Reset(s.fam, 4*n)
+	for _, u := range ups[:4*n] {
+		if !routes.Route(stream.PairKey(u.U, u.V, n), 1) {
+			return ups
+		}
+	}
+	t.Fatal("a chunk of deep edges fit the routing buffer: the early sweep is not exercised")
+	return nil
+}
+
+func checkSortedBatch(t *testing.T, n int, ups []stream.Update, sizes []int) {
+	all := allVertices(n)
+	for _, caching := range []bool{false, true} {
+		// run ingests the first half, queries (cache on), ingests the
+		// rest and queries again; it returns what must match.
+		run := func(add func(*Sketch, []stream.Update)) (enc []byte, gen uint64, forests string) {
+			s := New(0x5b, n, sortedBatchCfg)
+			s.EnableDecodeCache(caching)
+			half := len(ups) / 2
+			add(s, ups[:half])
+			if caching {
+				f, err := s.SpanningForest(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				forests = fmt.Sprint(f)
+			}
+			add(s, ups[half:])
+			f, err := s.SpanningForest(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return marshalOf(t, s), s.GenSum(all...), forests + fmt.Sprint(f)
+		}
+		wantEnc, wantGen, wantForests := run(func(s *Sketch, part []stream.Update) {
+			for _, u := range part {
+				s.addPerUpdate(u)
+			}
+		})
+		for _, size := range sizes {
+			enc, gen, forests := run(func(s *Sketch, part []stream.Update) { feed(part, size, s.AddBatch) })
+			label := fmt.Sprintf("cache=%v batch=%d", caching, size)
+			if !bytes.Equal(enc, wantEnc) {
+				t.Errorf("%s: marshal bytes differ from the per-update fold", label)
+			}
+			if gen != wantGen {
+				t.Errorf("%s: GenSum %d, per-update fold %d", label, gen, wantGen)
+			}
+			if forests != wantForests {
+				t.Errorf("%s: forests differ from the per-update fold", label)
+			}
+		}
+	}
+}
+
+// TestApplicationsBatchMatchPerUpdate: Bipartiteness, MSF and
+// KConnectivity hand their sketches whole batches (a double-cover
+// batch, class-partitioned prefixes, k copies); each must leave every
+// constituent sketch exactly as folding the stream one update at a time
+// through the reference does. n is small, so 4n-update chunks put
+// several chunk boundaries inside each batch.
+func TestApplicationsBatchMatchPerUpdate(t *testing.T) {
+	const n = 40
+	ups := nastyStream(n, 3000, 31)
+	rng := hashing.NewSplitMix64(32)
+	for i := range ups {
+		ups[i].W = 1 + 30*rng.Float64() // spread over the MSF's classes
+	}
+	same := func(label string, got, want *Sketch) {
+		t.Helper()
+		if !bytes.Equal(marshalOf(t, got), marshalOf(t, want)) {
+			t.Errorf("%s: marshal bytes differ from the per-update fold", label)
+		}
+		all := allVertices(want.n)
+		if g, w := got.GenSum(all...), want.GenSum(all...); g != w {
+			t.Errorf("%s: GenSum %d, per-update fold %d", label, g, w)
+		}
+	}
+	for _, size := range []int{1, 7, 4*n + 1, len(ups)} {
+		kc, kcRef := NewKConnectivity(41, n, 3), NewKConnectivity(41, n, 3)
+		bip, bipRef := NewBipartiteness(42, n), NewBipartiteness(42, n)
+		msf, msfRef := NewMSF(43, n, 32, 0.5), NewMSF(43, n, 32, 0.5)
+		feed(ups, size, kc.AddBatch)
+		feed(ups, size, bip.AddBatch)
+		feed(ups, size, msf.AddBatch)
+		for _, u := range ups {
+			for _, s := range kcRef.sketches {
+				s.addPerUpdate(u)
+			}
+			bipRef.base.addPerUpdate(u)
+			bipRef.cover.addPerUpdate(stream.Update{U: u.U, V: u.V + n, Delta: u.Delta})
+			bipRef.cover.addPerUpdate(stream.Update{U: u.U + n, V: u.V, Delta: u.Delta})
+			c := min(stream.WeightClassOf(u.W, 1.5), msfRef.maxClass)
+			for _, s := range msfRef.prefixes[c:] {
+				s.addPerUpdate(u)
+			}
+		}
+		for i := range kc.sketches {
+			same(fmt.Sprintf("batch=%d kconn sketch %d", size, i), kc.sketches[i], kcRef.sketches[i])
+		}
+		same(fmt.Sprintf("batch=%d bipartite base", size), bip.base, bipRef.base)
+		same(fmt.Sprintf("batch=%d bipartite cover", size), bip.cover, bipRef.cover)
+		for c := range msf.prefixes {
+			same(fmt.Sprintf("batch=%d msf prefix %d", size, c), msf.prefixes[c], msfRef.prefixes[c])
+		}
+	}
+}
+
+// TestReconcileIsOneExactBatch: the certificate's forest subtraction and
+// SubtractEdges now issue one batch each; after a certificate, folding
+// the subtracted forests back must return every sketch to the pure
+// stream state.
+func TestReconcileIsOneExactBatch(t *testing.T) {
+	const n = 60
+	g := graph.ConnectedGNP(n, 0.2, 51)
+	var ups []stream.Update
+	_ = stream.FromGraph(g, 52).Replay(func(u stream.Update) error {
+		ups = append(ups, u)
+		return nil
+	})
+	kc, ref := NewKConnectivity(53, n, 3), NewKConnectivity(53, n, 3)
+	kc.AddBatch(ups)
+	ref.AddBatch(ups)
+	if _, err := kc.Certificate(); err != nil {
+		t.Fatal(err)
+	}
+	kc.restoreStream()
+	for i := range kc.sketches {
+		if !bytes.Equal(marshalOf(t, kc.sketches[i]), marshalOf(t, ref.sketches[i])) {
+			t.Errorf("sketch %d: state after subtract + restore differs from the stream state", i)
+		}
+	}
+
+	sub, want := New(54, n, Config{}), New(54, n, Config{})
+	sub.AddBatch(ups)
+	edges := g.Edges()[:g.M()/2]
+	sub.SubtractEdges(edges)
+	for _, u := range ups {
+		want.addPerUpdate(u)
+	}
+	for _, e := range edges {
+		want.addPerUpdate(stream.Update{U: e.U, V: e.V, Delta: -1})
+	}
+	if !bytes.Equal(marshalOf(t, sub), marshalOf(t, want)) {
+		t.Error("SubtractEdges differs from per-update subtraction")
+	}
+}
+
+// TestScratchSharedByConcurrentSketches: more sketches than processors
+// ingest at once, each call borrowing a scratch from the shared free
+// list; every sketch ends bit-identical to a serial build and the list
+// keeps no more than scratchKeep buffers. Meaningful under -race.
+func TestScratchSharedByConcurrentSketches(t *testing.T) {
+	const n = 120
+	ups := nastyStream(n, 3000, 5)
+	serial := New(9, n, Config{})
+	serial.AddBatch(ups)
+	want := marshalOf(t, serial)
+
+	sketches := make([]*Sketch, 2*scratchKeep+1)
+	var wg sync.WaitGroup
+	for i := range sketches {
+		sketches[i] = New(9, n, Config{})
+		wg.Add(1)
+		go func(s *Sketch) {
+			defer wg.Done()
+			feed(ups, 97, s.AddBatch)
+		}(sketches[i])
+	}
+	wg.Wait()
+	for i, s := range sketches {
+		if !bytes.Equal(marshalOf(t, s), want) {
+			t.Errorf("sketch %d differs from the serial build", i)
+		}
+	}
+	scratchFree.Lock()
+	kept := len(scratchFree.list)
+	scratchFree.Unlock()
+	if kept == 0 || kept > scratchKeep {
+		t.Errorf("free list holds %d scratch buffers, want 1..%d", kept, scratchKeep)
+	}
+}

@@ -58,6 +58,11 @@ func HornerStepVec(acc []uint64, x uint64, c []uint64) { hornerStepVec(acc, x, c
 // either way.
 type Count interface{ int64 | uint64 }
 
+// Index is the element type of a scatter's cell-index list: int32 for
+// sketches of arbitrary width (SketchB), uint16 for the L0 sampler's
+// small levels, whose routing is stored packed.
+type Index interface{ int32 | uint16 }
+
 // MergeCells folds one SoA cell block into another in a single pass:
 // dcounts[i] += scounts[i] (plain integer counts), dkeys[i] =
 // Add(dkeys[i], skeys[i]), dfings[i] = Add(dfings[i], sfings[i]).
@@ -80,7 +85,7 @@ func SubCells[C Count](dcounts []C, dkeys, dfings []uint64, scounts []C, skeys, 
 // of stream ingest — where the ~50% taken carry branch of the scalar
 // Add is the dominant mispredict source. Indices must be in bounds for
 // all three lanes.
-func ScatterAdd3[C Count](counts []C, keys, fings []uint64, delta C, ks, fg uint64, idx []int32) {
+func ScatterAdd3[C Count, I Index](counts []C, keys, fings []uint64, delta C, ks, fg uint64, idx []I) {
 	scatterAdd3(counts, keys, fings, delta, ks, fg, idx)
 }
 

@@ -207,7 +207,7 @@ func subCells[C Count](dc []C, dk, df []uint64, sc []C, sk, sf []uint64) {
 	}
 }
 
-func scatterAdd3[C Count](counts []C, keys, fings []uint64, delta C, ks, fg uint64, idx []int32) {
+func scatterAdd3[C Count, I Index](counts []C, keys, fings []uint64, delta C, ks, fg uint64, idx []I) {
 	for _, i := range idx {
 		counts[i] += delta
 		keys[i] = addP(keys[i], ks)

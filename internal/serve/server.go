@@ -46,7 +46,24 @@ type Server struct {
 	ckptPath  string
 	every     int
 	slowQuery time.Duration
+
+	// Request limits. NewServer sets the exported constants below; they
+	// are fields only so that limits_test.go can shrink them — a test
+	// seam, not configuration, and not meant to grow into ServerConfig.
+	maxBody           int64
+	readHeaderTimeout time.Duration
+	idleTimeout       time.Duration
 }
+
+// Limits on what one client can hold of the daemon: the largest
+// /v1/update body it reads (about a million updates in either format),
+// how long a connection may take to deliver its request headers, and
+// how long an idle keep-alive connection is kept open.
+const (
+	MaxUpdateBodyBytes = 32 << 20
+	ReadHeaderTimeout  = 10 * time.Second
+	IdleTimeout        = 2 * time.Minute
+)
 
 // ServerConfig configures NewServer.
 type ServerConfig struct {
@@ -75,6 +92,10 @@ func NewServer(backends []Backend, cfg ServerConfig) (*Server, error) {
 		every:     cfg.Every,
 		logf:      cfg.Logf,
 		slowQuery: cfg.SlowQuery,
+
+		maxBody:           MaxUpdateBodyBytes,
+		readHeaderTimeout: ReadHeaderTimeout,
+		idleTimeout:       IdleTimeout,
 	}
 	if s.logf == nil {
 		s.logf = func(string, ...any) {}
@@ -242,6 +263,20 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// HTTPServer returns the http.Server to serve Handler on, with the
+// header and idle timeouts set: a bare http.Server lets a client that
+// never finishes its headers, or never closes, hold a connection and
+// its goroutine forever. Request bodies are bounded by the handlers
+// themselves; query responses can take as long as a decode does, so
+// there is no write timeout.
+func (s *Server) HTTPServer() *http.Server {
+	return &http.Server{
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: s.readHeaderTimeout,
+		IdleTimeout:       s.idleTimeout,
+	}
+}
+
 // writeJSON writes v with the given status.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -260,6 +295,17 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
+	// Either format is read to the end before anything is applied, so
+	// the body bound is also the bound on what one request can allocate.
+	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
+	tooLarge := func(err error) bool {
+		var mbe *http.MaxBytesError
+		if !errors.As(err, &mbe) {
+			return false
+		}
+		writeError(w, http.StatusRequestEntityTooLarge, "update body exceeds %d bytes; split the batch", mbe.Limit)
+		return true
+	}
 	var updates []dynstream.Update
 	ct := r.Header.Get("Content-Type")
 	if strings.HasPrefix(ct, "text/plain") {
@@ -268,8 +314,12 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		for sc.Scan() {
 			u, ok, err := ParseLine(sc.Text(), s.N())
 			if err != nil {
-				s.metrics.AddFeedError()
-				writeError(w, http.StatusBadRequest, "bad update line: %v", err)
+				// The scanner hands over a line cut short by the body
+				// limit as its last token, before it reports the limit.
+				if sc.Scan() || !tooLarge(sc.Err()) {
+					s.metrics.AddFeedError()
+					writeError(w, http.StatusBadRequest, "bad update line: %v", err)
+				}
 				return
 			}
 			if ok {
@@ -277,13 +327,17 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		if err := sc.Err(); err != nil {
-			writeError(w, http.StatusBadRequest, "read body: %v", err)
+			if !tooLarge(err) {
+				writeError(w, http.StatusBadRequest, "read body: %v", err)
+			}
 			return
 		}
 	} else {
 		var req UpdateRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "bad JSON body: %v", err)
+			if !tooLarge(err) {
+				writeError(w, http.StatusBadRequest, "bad JSON body: %v", err)
+			}
 			return
 		}
 		updates = make([]dynstream.Update, 0, len(req.Updates))

@@ -33,6 +33,56 @@ func TestSketchBUnmarshalBoundedByInput(t *testing.T) {
 	}
 }
 
+// l0Header is an L0Sampler encoding with every level suppressed (v2) —
+// the cheapest blob that gets past the header.
+func l0Header(v2 bool, seed, universe, perLevel, nLevels uint64) []byte {
+	tag, num := tagL0Sampler, binary.LittleEndian.AppendUint64
+	if v2 {
+		tag, num = tagL0SamplerV2, binary.AppendUvarint
+	}
+	b := binary.LittleEndian.AppendUint64(nil, tag)
+	b = binary.LittleEndian.AppendUint64(b, seed)
+	b = binary.LittleEndian.AppendUint64(b, universe)
+	b = num(num(b, perLevel), nLevels)
+	for i := uint64(0); i < nLevels; i++ {
+		b = num(b, 0)
+	}
+	return b
+}
+
+// TestL0PerLevelBound: a cell index is 16 bits, so perLevel is bounded
+// by MaxL0PerLevel — on the wire with a typed error in both layouts (no
+// family is built for the oversized value, so nothing panics), in the
+// constructor with a panic. The bound itself is accepted and its levels
+// stay addressable.
+func TestL0PerLevelBound(t *testing.T) {
+	atBound := NewL0Family(1, 2, MaxL0PerLevel)
+	if atBound.cells > 1<<16 {
+		t.Fatalf("perLevel %d: %d cells per level do not fit a uint16 index", MaxL0PerLevel, atBound.cells)
+	}
+	levels := uint64(len(atBound.levels))
+	var s L0Sampler
+	if err := s.UnmarshalBinary(l0Header(true, 1, 2, MaxL0PerLevel, levels)); err != nil {
+		t.Fatalf("perLevel at the bound rejected: %v", err)
+	}
+	for _, v2 := range []bool{true, false} {
+		var s L0Sampler
+		err := s.UnmarshalBinary(l0Header(v2, 1, 2, MaxL0PerLevel+1, levels))
+		if !errors.Is(err, errCorrupt) {
+			t.Errorf("v2=%v perLevel %d: %v, want errCorrupt", v2, MaxL0PerLevel+1, err)
+		}
+		if s.fam != nil {
+			t.Errorf("v2=%v: a rejected blob touched the receiver", v2)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("NewL0Family accepted perLevel above MaxL0PerLevel")
+		}
+	}()
+	NewL0Family(1, 2, MaxL0PerLevel+1)
+}
+
 // wipeRows zeroes every cell from index from on, leaving a state no
 // stream produces: a key present in one hash row and absent from the
 // others. Peeling it extracts the key, which drives the other rows'
@@ -147,6 +197,7 @@ func FuzzL0Unmarshal(f *testing.F) {
 	huge = binary.AppendUvarint(huge, 1<<32)
 	huge = append(binary.AppendUvarint(huge, 3), 0, 0, 0)
 	f.Add(huge)
+	f.Add(l0Header(true, 1, 2, MaxL0PerLevel+1, 3))
 	p.ref.levels[1] = nil
 	f.Add(p.ref.marshal(false)) // a level above a suppressed one
 	f.Add([]byte{})

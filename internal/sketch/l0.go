@@ -56,9 +56,22 @@ type L0Family struct {
 	bank *hashing.PolyBank
 }
 
+// MaxL0PerLevel is the largest per-level recovery budget an L0 family
+// accepts: it keeps a level (3 rows × 1.5·perLevel columns) within the
+// 65536 cells a packed uint16 cell index can address. It is also a wire
+// bound: the L0Sampler and agm.Sketch decoders reject a larger perLevel
+// as corrupt.
+const MaxL0PerLevel = 1 << 13
+
 // NewL0Family derives the family exactly as NewL0Sampler always did, so
 // samplers over a shared family are bit-identical to standalone ones.
+// perLevel above MaxL0PerLevel is a programming error and panics.
 func NewL0Family(seed uint64, universe uint64, perLevel int) *L0Family {
+	if perLevel > MaxL0PerLevel {
+		// Routing stores cell indices as uint16. Decoders check the bound
+		// before they get here.
+		panic("sketch: L0 perLevel exceeds MaxL0PerLevel")
+	}
 	nLevels := 2
 	for u := universe; u > 1; u >>= 1 {
 		nLevels++
@@ -150,13 +163,14 @@ func (f *L0Family) Warm() {
 // L0Hint is the key-dependent routing of one update, valid for every
 // sampler of the family that produced it: the geometric level, and per
 // surviving level the fingerprint power and the target cell index per
-// hash row. Computing it once and applying it to several samplers (the
-// two endpoints of an AGM edge update) halves the hash work; reusing
-// the hint buffer across updates keeps ingest allocation-free.
+// hash row. Computing it once and applying it to several samplers (a
+// logged update folded into cached component sums) saves the hash work;
+// reusing the hint buffer across updates keeps the fold allocation-free.
+// Batch ingest routes through the packed L0Routes instead.
 type L0Hint struct {
 	level int
 	fkeys []uint64
-	cells []int32  // (level+1)×rows target indices, row-major per level
+	cells []uint16 // (level+1)×rows target indices, row-major per level
 	hash  []uint64 // banked row-hash scratch, reused across calls
 }
 
@@ -165,47 +179,53 @@ type L0Hint struct {
 func (h *L0Hint) Level() int { return h.level }
 
 // Hint fills h with the routing of key. Slices are reused across
-// calls. The bucket hashes of every surviving level come from one
-// interleaved Horner sweep over the family bank, and the per-level
-// fingerprint powers are evaluated two levels at a time with a shared
-// window traversal (field.PowPair) — both bit-identical to the
-// per-row, per-level scalar evaluation.
+// calls, sized once for the family's deepest level.
 func (f *L0Family) Hint(key uint64, h *L0Hint) {
+	if n := len(f.levels); cap(h.fkeys) < n {
+		h.fkeys = make([]uint64, n)
+		h.cells = make([]uint16, n*f.rows)
+		h.hash = make([]uint64, n*f.rows)
+	}
+	lvls := f.route(key, h.fkeys[:cap(h.fkeys)], h.cells[:cap(h.cells)], h.hash)
+	h.level = lvls - 1
+	h.fkeys = h.fkeys[:lvls]
+	h.cells = h.cells[:lvls*f.rows]
+}
+
+// route writes the routing of key in place and returns the number of
+// levels lv+1 the update reaches: one fingerprint power per level into
+// fkeys, rows cell indices per level into cells. fkeys, cells and the
+// hash scratch must have room for the family's deepest level. The
+// bucket hashes of every surviving level come from one interleaved
+// Horner sweep over the family bank, and the per-level fingerprint
+// powers are evaluated two levels at a time with a shared window
+// traversal (field.PowPair) — both bit-identical to the per-row,
+// per-level scalar evaluation.
+func (f *L0Family) route(key uint64, fkeys []uint64, cells []uint16, hash []uint64) int {
 	lv := f.levelHash.Level(key)
 	if lv >= len(f.levels) {
 		lv = len(f.levels) - 1
 	}
-	h.level = lv
-	red := field.Reduce(key)
 	rows := f.rows
-	lanes := (lv + 1) * rows
-	if cap(h.hash) < lanes { // sized once, for the family's deepest level
-		h.hash = make([]uint64, len(f.levels)*rows)
-	}
-	hs := h.hash[:lanes]
+	hs := hash[:(lv+1)*rows]
 	f.bank.HashPrefix(key, hs)
-	if cap(h.cells) < lanes {
-		h.cells = make([]int32, len(f.levels)*rows)
-	}
-	h.cells = h.cells[:lanes]
+	cells = cells[:len(hs)]
 	for j := 0; j <= lv; j++ {
-		sh := f.levels[j]
-		cols := uint64(sh.cols)
+		cols := f.levels[j].cols
 		for r := 0; r < rows; r++ {
-			h.cells[j*rows+r] = int32(r*sh.cols + int(hs[j*rows+r]%cols))
+			cells[j*rows+r] = uint16(r*cols + int(hs[j*rows+r]%uint64(cols)))
 		}
 	}
-	if cap(h.fkeys) < lv+1 {
-		h.fkeys = make([]uint64, len(f.levels))
-	}
-	h.fkeys = h.fkeys[:lv+1]
+	red := field.Reduce(key)
+	fkeys = fkeys[:lv+1]
 	j := 0
 	for ; j+1 <= lv; j += 2 {
-		h.fkeys[j], h.fkeys[j+1] = field.PowPair(f.levels[j].tab(), f.levels[j+1].tab(), red, red)
+		fkeys[j], fkeys[j+1] = field.PowPair(f.levels[j].tab(), f.levels[j+1].tab(), red, red)
 	}
 	if j <= lv {
-		h.fkeys[j] = f.levels[j].tab().Pow(red)
+		fkeys[j] = f.levels[j].tab().Pow(red)
 	}
+	return lv + 1
 }
 
 // L0Sampler recovers one element of the support of a signed integer
@@ -324,20 +344,27 @@ func (s *L0Sampler) AddBatch(keys []uint64, deltas []int64) {
 }
 
 // AddHint folds x[key] += delta using a routing hint produced by this
-// sampler's family for the same key. The level-independent field values
-// d and d·key are computed once and shared across all surviving levels.
+// sampler's family for the same key.
 func (s *L0Sampler) AddHint(key uint64, delta int64, h *L0Hint) {
 	if delta == 0 {
 		return
 	}
-	s.gen++
-	s.reach(h.level)
 	d := field.FromInt64(delta)
-	ks := field.Mul(d, field.Reduce(key))
+	s.apply(delta, d, field.Mul(d, field.Reduce(key)), h.fkeys, h.cells)
+}
+
+// apply folds one routed update into the sampler: fkeys holds the
+// fingerprint power of each level the update reaches, cells the rows
+// target indices per level. d is delta as a field element and ks is
+// d·key, both level-independent and shared by every sampler the update
+// lands in.
+func (s *L0Sampler) apply(delta int64, d, ks uint64, fkeys []uint64, cells []uint16) {
+	s.gen++
+	s.reach(len(fkeys) - 1)
 	rows := s.fam.rows
-	for j := 0; j <= h.level; j++ {
+	for j, fk := range fkeys {
 		c, k, f := s.lanes(j)
-		field.ScatterAdd3(c, k, f, uint64(delta), ks, field.Mul(d, h.fkeys[j]), h.cells[j*rows:(j+1)*rows])
+		field.ScatterAdd3(c, k, f, uint64(delta), ks, field.Mul(d, fk), cells[j*rows:(j+1)*rows])
 	}
 }
 

@@ -189,7 +189,9 @@ func (s *L0Sampler) MarshalBinary() ([]byte, error) {
 // level denser sketches to all-zero cells, which no stream produces.
 // Together the two rules are checked over the whole blob before the
 // receiver is touched, and bound what decoding allocates to the lanes
-// the blob actually carries.
+// the blob actually carries. The perLevel field is bounded by
+// MaxL0PerLevel (2^13, so that a cell index fits 16 bits): a larger
+// value is rejected as corrupt in both layouts.
 func (s *L0Sampler) UnmarshalBinary(data []byte) error {
 	r := &rbuf{b: data}
 	tag, err := r.u64()
@@ -217,7 +219,7 @@ func (s *L0Sampler) UnmarshalBinary(data []byte) error {
 	if err != nil {
 		return err
 	}
-	if perLevel > 1<<32 { // the level sketches' capacity: same bound as SketchB's
+	if perLevel > MaxL0PerLevel {
 		return errCorrupt
 	}
 	fam := s.fam

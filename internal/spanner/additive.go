@@ -198,16 +198,18 @@ func (a *Additive) InvalidateDecodeCache() {
 // is currently subtracted. An unchanged E_low is a no-op that touches
 // no sampler.
 func (a *Additive) reconcileElow(want map[[2]int]int64) {
+	var diff []stream.Update
 	for key, m := range want {
 		if d := m - a.subtracted[key]; d != 0 {
-			a.forest.AddEdge(key[0], key[1], -d)
+			diff = append(diff, stream.Update{U: key[0], V: key[1], Delta: int(-d)})
 		}
 	}
 	for key, m := range a.subtracted {
 		if _, ok := want[key]; !ok && m != 0 {
-			a.forest.AddEdge(key[0], key[1], m)
+			diff = append(diff, stream.Update{U: key[0], V: key[1], Delta: int(m)})
 		}
 	}
+	a.forest.AddBatch(diff)
 	a.subtracted = make(map[[2]int]int64, len(want))
 	for key, m := range want {
 		a.subtracted[key] = m
@@ -223,24 +225,22 @@ func (a *Additive) restoreStream() {
 
 // Update ingests one stream update.
 func (a *Additive) Update(u stream.Update) error {
+	return a.AddBatch([]stream.Update{u})
+}
+
+// AddBatch ingests a batch of updates: the per-vertex sketches of both
+// endpoints update by update, then the forest sketch takes the whole
+// batch at once.
+func (a *Additive) AddBatch(batch []stream.Update) error {
 	if a.done {
 		return fmt.Errorf("spanner: additive Update after Finish")
 	}
-	d := int64(u.Delta)
-	a.ingestHalf(u.U, u.V, d)
-	a.ingestHalf(u.V, u.U, d)
-	a.forest.AddUpdate(u)
-	return nil
-}
-
-// AddBatch ingests a batch of updates; bit-identical to calling Update
-// per element.
-func (a *Additive) AddBatch(batch []stream.Update) error {
 	for _, u := range batch {
-		if err := a.Update(u); err != nil {
-			return err
-		}
+		d := int64(u.Delta)
+		a.ingestHalf(u.U, u.V, d)
+		a.ingestHalf(u.V, u.U, d)
 	}
+	a.forest.AddBatch(batch)
 	return nil
 }
 

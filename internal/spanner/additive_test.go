@@ -1,9 +1,12 @@
 package spanner
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
 	"dynstream/internal/graph"
+	"dynstream/internal/parallel"
 	"dynstream/internal/stream"
 )
 
@@ -194,5 +197,69 @@ func TestAdditiveDiagnostics(t *testing.T) {
 	}
 	if res.LowDegree < 0 || res.LowDegree > g.N() {
 		t.Errorf("low-degree count %d out of range", res.LowDegree)
+	}
+}
+
+// TestAdditiveAddBatchAcrossChunks: AddBatch feeds the per-vertex
+// sketches update by update and hands the forest sketch the whole
+// batch, which the AGM kernel sorts and sweeps in chunks of 4n updates
+// at this n. A batch spanning several chunks, a mid-stream extraction
+// (which reconciles E_low into the forest as one batch) and the rest of
+// the stream must leave the same state and the same spanner as Update
+// per element.
+func TestAdditiveAddBatchAcrossChunks(t *testing.T) {
+	const n = 50
+	g := graph.ConnectedGNP(n, 0.25, 31)
+	var ups []stream.Update
+	if err := stream.WithChurn(g, 900, 32).Replay(func(u stream.Update) error {
+		ups = append(ups, u)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(ups) < 3*4*n {
+		t.Fatalf("stream of %d updates does not span three %d-update chunks", len(ups), 4*n)
+	}
+	cfg := AdditiveConfig{D: 4, Seed: 33}
+	one, batched := NewAdditive(n, cfg), NewAdditive(n, cfg)
+	half := len(ups) / 2
+	for i, part := range [][]stream.Update{ups[:half], ups[half:]} {
+		for _, u := range part {
+			if err := one.Update(u); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := batched.AddBatch(part); err != nil {
+			t.Fatal(err)
+		}
+		r1, err := one.ExtractOpts(parallel.Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		r2, err := batched.ExtractOpts(parallel.Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(r1.Spanner.Edges()) != fmt.Sprint(r2.Spanner.Edges()) {
+			t.Fatalf("part %d: spanners differ", i)
+		}
+		b1, err := one.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b2, err := batched.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b1, b2) {
+			t.Fatalf("part %d: marshal bytes differ", i)
+		}
+		all := make([]int, n)
+		for v := range all {
+			all[v] = v
+		}
+		if g1, g2 := one.forest.GenSum(all...), batched.forest.GenSum(all...); g1 != g2 {
+			t.Fatalf("part %d: forest GenSum %d per update, %d batched", i, g1, g2)
+		}
 	}
 }
