@@ -139,7 +139,7 @@ func run(args []string, stdin io.Reader, stderr io.Writer, lookupEnv func(string
 	var srv *serve.Server
 	tr.OnSpanEnd(func(e dynstream.TraceEvent) {
 		if srv != nil {
-			srv.Metrics().ObservePhase(e.Phase, e.Dur)
+			srv.Metrics().ObserveSpan(e)
 		}
 	})
 

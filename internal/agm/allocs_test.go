@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dynstream/internal/graph"
+	"dynstream/internal/parallel"
 	"dynstream/internal/sketch"
 	"dynstream/internal/stream"
 )
@@ -82,4 +83,46 @@ func TestMSFAddUpdateAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, func() { m.AddUpdate(u) }); allocs != 0 {
 		t.Errorf("MSF.AddUpdate on a warmed sketch: %v allocs per run, want 0", allocs)
 	}
+}
+
+// TestRequeryAllocs budgets a warmed cached re-query on the serving
+// benchmark's shape (n = 10 000, 56 updates since the previous query):
+// the per-query scratch is a fixed set of flat arrays, a member list is
+// copied only for a component whose membership changed, and what is left
+// is the dirty components' Sample calls. The map-based bookkeeping this
+// replaced took 22 180 allocations and 5.5 MB per query.
+func TestRequeryAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds an n = 10 000 sketch")
+	}
+	const n, perQuery, queries = 10000, 56, 10
+	preload, churn := serveShape(n, 20000, 20000, (queries+4)*perQuery/2, 11)
+	s := New(5, n, Config{})
+	s.EnableDecodeCache(true)
+	s.AddBatch(preload)
+	p := parallel.Default()
+	query := func() {
+		if _, err := s.SpanningForestOpts(nil, p); err != nil {
+			t.Fatal(err)
+		}
+		s.AddBatch(churn[:perQuery])
+		churn = churn[perQuery:]
+	}
+	for i := 0; i < 4; i++ {
+		query()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < queries; i++ {
+		query()
+	}
+	runtime.ReadMemStats(&after)
+	// AddBatch grows a few sampler tails per batch; that is inside the
+	// budget's slack.
+	allocs := (after.Mallocs - before.Mallocs) / queries
+	bytes := (after.TotalAlloc - before.TotalAlloc) / queries
+	if allocs > 3000 || bytes > 3500<<10 {
+		t.Errorf("warmed re-query: %d allocs, %d KB per query; budget 3000 allocs, 3500 KB", allocs, bytes>>10)
+	}
+	t.Logf("warmed re-query: %d allocs, %d KB per query", allocs, bytes>>10)
 }

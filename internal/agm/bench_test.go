@@ -1,9 +1,11 @@
 package agm
 
 import (
+	"math/rand"
 	"testing"
 
 	"dynstream/internal/graph"
+	"dynstream/internal/parallel"
 	"dynstream/internal/stream"
 )
 
@@ -40,6 +42,110 @@ func BenchmarkBipartiteness(b *testing.B) {
 			return nil
 		})
 		if _, err := bip.IsBipartite(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// serveShape is the serving benchmark's input shape: a connected base
+// graph (random recursive tree plus random extras) with a sliding window
+// of extra edges, and a churn log whose every step inserts one fresh
+// edge and deletes the oldest extra, so the live edge count never moves.
+func serveShape(n, baseEdges, window, steps int, seed int64) (preload, churn []stream.Update) {
+	rng := rand.New(rand.NewSource(seed))
+	type pair struct{ u, v int }
+	have := map[pair]bool{}
+	fresh := func() pair {
+		for {
+			u, v := rng.Intn(n), rng.Intn(n)
+			if u > v {
+				u, v = v, u
+			}
+			if p := (pair{u, v}); u != v && !have[p] {
+				have[p] = true
+				return p
+			}
+		}
+	}
+	ins := func(p pair, d int) stream.Update { return stream.Update{U: p.u, V: p.v, Delta: d, W: 1} }
+	order := rng.Perm(n)
+	for i := 1; i < n; i++ {
+		p := pair{order[i], order[rng.Intn(i)]}
+		if p.u > p.v {
+			p.u, p.v = p.v, p.u
+		}
+		have[p] = true
+		preload = append(preload, ins(p, 1))
+	}
+	for len(preload) < baseEdges {
+		preload = append(preload, ins(fresh(), 1))
+	}
+	extras := make([]pair, 0, window+steps)
+	for i := 0; i < window; i++ {
+		extras = append(extras, fresh())
+		preload = append(preload, ins(extras[i], 1))
+	}
+	rng.Shuffle(len(preload), func(i, j int) { preload[i], preload[j] = preload[j], preload[i] })
+	for i := 0; i < steps; i++ {
+		p := fresh()
+		extras = append(extras, p)
+		delete(have, extras[i])
+		churn = append(churn, ins(p, 1), ins(extras[i], -1))
+	}
+	return preload, churn
+}
+
+// benchRequery times a cached re-query after perQuery churn updates on
+// the serving benchmark's graph (n = 10 000, 20 000 base + 20 000 window
+// edges); the AddBatch between queries is off the clock.
+func benchRequery(b *testing.B, perQuery int) {
+	const n = 10000
+	warm := 8
+	preload, churn := serveShape(n, 20000, 20000, (b.N+warm)*perQuery/2, 11)
+	s := New(5, n, Config{})
+	s.EnableDecodeCache(true)
+	s.AddBatch(preload)
+	p := parallel.Default()
+	step := func() {
+		s.AddBatch(churn[:perQuery])
+		churn = churn[perQuery:]
+	}
+	for i := 0; i < warm; i++ {
+		if _, err := s.SpanningForestOpts(nil, p); err != nil {
+			b.Fatal(err)
+		}
+		step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.SpanningForestOpts(nil, p); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		step()
+		b.StartTimer()
+	}
+}
+
+// BenchmarkRequeryFresh is the serve-fresh shape: 56 updates per query.
+func BenchmarkRequeryFresh(b *testing.B) { benchRequery(b, 56) }
+
+// BenchmarkRequeryChurn is the serve-churn shape: 4 % of the graph's
+// edges (1 638 updates) per query.
+func BenchmarkRequeryChurn(b *testing.B) { benchRequery(b, 1638) }
+
+// BenchmarkForestCold is the uncached extraction on the same graph: what
+// a one-shot Build pays, and the ceiling a re-query is measured against.
+func BenchmarkForestCold(b *testing.B) {
+	const n = 10000
+	preload, _ := serveShape(n, 20000, 20000, 0, 11)
+	s := New(5, n, Config{})
+	s.AddBatch(preload)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.SpanningForestOpts(nil, parallel.Default()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -21,11 +21,10 @@ import (
 // already connected. Within a class, weights differ by at most a
 // (1+gamma) factor, so the result is a (1+gamma)-approximate MSF.
 type MSF struct {
-	n         int
-	gamma     float64
-	maxClass  int
-	prefixes  []*Sketch // prefixes[c] sketches edges with class <= c
-	classSeen []bool
+	n        int
+	gamma    float64
+	maxClass int
+	prefixes []*Sketch // prefixes[c] sketches edges with class <= c
 
 	// AddBatch's working memory, reused: the class-partitioned batch and
 	// the per-class slot cursors.

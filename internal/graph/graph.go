@@ -5,7 +5,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -21,6 +23,14 @@ func (e Edge) Canon() Edge {
 		e.U, e.V = e.V, e.U
 	}
 	return e
+}
+
+// CompareEdges orders edges by (U, V), the order Edges returns them in.
+func CompareEdges(a, b Edge) int {
+	if c := cmp.Compare(a.U, b.U); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.V, b.V)
 }
 
 // Graph is a simple undirected weighted graph on vertices 0..N-1,
@@ -97,12 +107,7 @@ func (g *Graph) Edges() []Edge {
 	for k, w := range g.edges {
 		out = append(out, Edge{U: k[0], V: k[1], W: w})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
-	})
+	slices.SortFunc(out, CompareEdges)
 	return out
 }
 

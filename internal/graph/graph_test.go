@@ -3,6 +3,8 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -338,5 +340,27 @@ func TestTotalWeight(t *testing.T) {
 	g.AddEdge(1, 2, 3)
 	if g.TotalWeight() != 5 {
 		t.Errorf("total = %v", g.TotalWeight())
+	}
+}
+
+// TestEdgesOrderMatchesReflectionSort: Edges lists random graphs in the
+// order the sort.Slice comparator it used to sort with puts them in.
+func TestEdgesOrderMatchesReflectionSort(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		g := RandomWeighted(GNP(40+int(seed)*7, 0.08, seed), 0.5, 9, seed)
+		want := make([]Edge, 0, g.M())
+		for k, w := range g.edges {
+			want = append(want, Edge{U: k[0], V: k[1], W: w})
+		}
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].U != want[j].U {
+				return want[i].U < want[j].U
+			}
+			return want[i].V < want[j].V
+		})
+		got := g.Edges()
+		if len(got) == 0 || !slices.Equal(got, want) {
+			t.Fatalf("seed %d: Edges order differs from the (U, V) sort:\n got %v\nwant %v", seed, got, want)
+		}
 	}
 }

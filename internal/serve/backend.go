@@ -4,10 +4,12 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"dynstream"
 	"dynstream/internal/graph"
+	"dynstream/internal/parallel"
 )
 
 // Backend is one live target behind the daemon, erased to a non-generic
@@ -119,11 +121,12 @@ func openBackend[R any](ctx context.Context, spec Spec, target dynstream.Target[
 
 // edgesJSON converts a result graph to wire edges in the graph's own
 // deterministic edge order.
-func edgesJSON(g *graph.Graph) []EdgeJSON {
-	edges := g.Edges()
+func edgesJSON(g *graph.Graph) []EdgeJSON { return wireEdges(g.Edges()) }
+
+func wireEdges(edges []graph.Edge) []EdgeJSON {
 	out := make([]EdgeJSON, len(edges))
 	for i, e := range edges {
-		out[i] = EdgeJSON{U: e.U, V: e.V, W: e.W}
+		out[i] = EdgeJSON(e)
 	}
 	return out
 }
@@ -136,18 +139,20 @@ func OpenBackend(ctx context.Context, spec Spec, ckptPath string) (b Backend, re
 	case "forest":
 		return openBackend(ctx, spec, dynstream.ForestTarget{Seed: spec.Seed}, ckptPath,
 			func(sk *dynstream.ForestSketch, applied int64) (*QueryResponse, error) {
-				forest, err := sk.SpanningForestParallel(nil, spec.decodeWorkers())
+				// The spec's tracer sees the decode's Borůvka rounds too:
+				// their fold counts feed the /metrics counter.
+				forest, err := sk.SpanningForestOpts(nil,
+					parallel.Default().WithWorkers(spec.decodeWorkers()).WithTracer(spec.Tracer))
 				if err != nil {
 					return nil, err
 				}
-				g := graph.New(spec.N)
-				for _, e := range forest {
-					g.AddUnitEdge(e.U, e.V)
-				}
+				// Forest edges are canonical, distinct and of unit weight:
+				// sorted, they are what a Graph of them would list.
+				slices.SortFunc(forest, graph.CompareEdges)
 				comps := spec.N - len(forest)
 				conn := comps == 1
 				return &QueryResponse{
-					Target: spec.Target, Applied: applied, Edges: edgesJSON(g),
+					Target: spec.Target, Applied: applied, Edges: wireEdges(forest),
 					Connected: &conn, Components: comps,
 					Summary: fmt.Sprintf("spanning forest: %d edges, %d components", len(forest), comps),
 				}, nil

@@ -392,6 +392,35 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestMetricsDecodeFolds: with the daemon's tracer bridge in place, the
+// Borůvka rounds' fold counts reach /metrics as a counter, next to the
+// phase histograms the same spans feed.
+func TestMetricsDecodeFolds(t *testing.T) {
+	tr := dynstream.NewTracer()
+	b, _, _, err := OpenBackend(context.Background(), Spec{Target: "forest", N: 32, Seed: 2, Tracer: tr}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewServer([]Backend{b}, ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.OnSpanEnd(s.Metrics().ObserveSpan)
+	if err := s.ApplyBatch(testLog(32, 100, 11)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Query(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	s.Metrics().WritePrometheus(&out, true, false, nil)
+	var folds uint64
+	fmt.Sscanf(findLine(out.String(), "dynstream_decode_folds_total"), "dynstream_decode_folds_total %d", &folds)
+	if folds == 0 || !strings.Contains(out.String(), `dynstream_phase_duration_seconds_count{phase="agm/round01"}`) {
+		t.Errorf("a cold decode of a 100-update graph exported %d folds\n%s", folds, out.String())
+	}
+}
+
 func findLine(text, prefix string) string {
 	for _, l := range strings.Split(text, "\n") {
 		if strings.HasPrefix(l, prefix) {

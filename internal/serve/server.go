@@ -402,8 +402,22 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "query %s: %v", b.Target(), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	// Query bodies run to one object per result edge: they are appended
+	// into a pooled buffer, not reflected over.
+	buf := queryBodies.Get().(*[]byte)
+	defer queryBodies.Put(buf)
+	body, ok := appendQueryResponse((*buf)[:0], res)
+	if !ok {
+		writeJSON(w, http.StatusOK, res)
+		return
+	}
+	*buf = body
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(body) // a failed write means the client has gone
 }
+
+var queryBodies = sync.Pool{New: func() any { return new([]byte) }}
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
