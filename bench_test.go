@@ -337,7 +337,7 @@ func BenchmarkDecodeThroughput(b *testing.B) {
 		for _, w := range workerCounts {
 			b.Run(fmt.Sprintf("forest/n%d/decode%d", n, w), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := sk.SpanningForestParallel(nil, w); err != nil {
+					if _, err := sk.SpanningForestOpts(nil, parallel.Default().WithWorkers(w)); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -362,7 +362,7 @@ func BenchmarkDecodeThroughput(b *testing.B) {
 						b.Fatal(err)
 					}
 					b.StartTimer()
-					if _, err := fresh.CertificateParallel(w); err != nil {
+					if _, err := fresh.CertificateOpts(parallel.Default().WithWorkers(w)); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -35,28 +35,13 @@ import (
 // from pipes and channels at constant memory.
 func Build[R any](ctx context.Context, src Source, target Target[R], opts ...Option) (R, error) {
 	var zero R
-	if src == nil {
-		return zero, fmt.Errorf("%w: nil source", ErrBadConfig)
-	}
-	if target == nil {
-		return zero, fmt.Errorf("%w: nil target", ErrBadConfig)
-	}
-	o := &buildOptions{}
-	for _, opt := range opts {
-		if opt != nil {
-			opt(o)
-		}
-	}
-	if err := o.validate(); err != nil {
+	o, pl, err := resolve(src, target, opts, false)
+	if err != nil {
 		return zero, err
-	}
-	if target.Passes() > 1 && !CanReplay(src) {
-		return zero, fmt.Errorf("dynstream: %T needs %d passes over the stream: %w",
-			target, target.Passes(), ErrNotReplayable)
 	}
 	tr, traceDone := o.effectiveTracer()
 	defer traceDone()
-	res, err := buildDispatch(ctx, src, target, o, tr)
+	res, err := buildDispatch(ctx, src, pl, o, tr)
 	if err != nil {
 		return res, err
 	}
@@ -66,11 +51,44 @@ func Build[R any](ctx context.Context, src Source, target Target[R], opts ...Opt
 	return res, nil
 }
 
+// resolve is the gate Build, Open and Restore share: it folds and
+// validates the options (live adds the live front doors' extra rules),
+// checks the source can be replayed as often as the target needs, and
+// asks the target for its plan.
+func resolve[R any](src Source, target Target[R], opts []Option, live bool) (*buildOptions, plan[R], error) {
+	if src == nil {
+		return nil, nil, fmt.Errorf("%w: nil source", ErrBadConfig)
+	}
+	if target == nil {
+		return nil, nil, fmt.Errorf("%w: nil target", ErrBadConfig)
+	}
+	o := &buildOptions{}
+	for _, opt := range opts {
+		if opt != nil {
+			opt(o)
+		}
+	}
+	if err := o.validate(); err != nil {
+		return nil, nil, err
+	}
+	if live {
+		if err := o.validateLive(); err != nil {
+			return nil, nil, err
+		}
+	}
+	if target.Passes() > 1 && !CanReplay(src) {
+		return nil, nil, fmt.Errorf("dynstream: %T needs %d passes over the stream: %w",
+			target, target.Passes(), ErrNotReplayable)
+	}
+	pl, err := target.plan(o)
+	return o, pl, err
+}
+
 // buildDispatch routes a validated Build between the remote and local
 // execution paths. tr (possibly nil) is the resolved tracer; the
 // progress callback, when any, is already registered on it, so
 // policies carry only the tracer.
-func buildDispatch[R any](ctx context.Context, src Source, target Target[R], o *buildOptions, tr *obs.Tracer) (R, error) {
+func buildDispatch[R any](ctx context.Context, src Source, pl plan[R], o *buildOptions, tr *obs.Tracer) (R, error) {
 	var zero R
 	if o.remote() {
 		cluster := o.cluster
@@ -88,7 +106,7 @@ func buildDispatch[R any](ctx context.Context, src Source, target Target[R], o *
 		} else {
 			decodeP := parallel.NewPolicy(ctx, o.resolveDecodeWorkers(src), o.batch, nil).
 				WithTracer(tr)
-			res, err = target.buildRemote(ctx, src, o, &remoteRun{cluster: cluster, o: o, p: decodeP})
+			res, err = pl.buildRemote(ctx, src, &remoteRun{cluster: cluster, o: o, p: decodeP})
 		}
 		// Opt-in degradation: when the whole cluster is gone (every
 		// worker unreachable or lost mid-build) and the source can be
@@ -100,15 +118,11 @@ func buildDispatch[R any](ctx context.Context, src Source, target Target[R], o *
 		clusterLost := dialErr != nil || errors.Is(err, dynnet.ErrNoWorkers)
 		if err != nil && o.localFallback && ctx.Err() == nil &&
 			clusterLost && CanReplay(src) {
-			p := parallel.NewPolicy(ctx, o.resolveWorkers(src), o.batch, nil).
-				WithDecode(o.resolveDecodeWorkers(src)).WithTracer(tr)
-			return target.build(src, o, p)
+			return pl.build(src, o.policy(ctx, src, tr))
 		}
 		return res, err
 	}
-	p := parallel.NewPolicy(ctx, o.resolveWorkers(src), o.batch, nil).
-		WithDecode(o.resolveDecodeWorkers(src)).WithTracer(tr)
-	return target.build(src, o, p)
+	return pl.build(src, o.policy(ctx, src, tr))
 }
 
 // Target describes what Build constructs: each target couples a
@@ -117,23 +131,32 @@ func buildDispatch[R any](ctx context.Context, src Source, target Target[R], o *
 // provided by this package (SpannerTarget, AdditiveTarget,
 // SparsifierTarget, ForestTarget, KConnectivityTarget,
 // BipartitenessTarget, MSFTarget); the interface is sealed by its
-// unexported methods.
+// unexported method.
 type Target[R any] interface {
 	// Passes is the number of full stream passes the target needs (for
 	// replayability validation; multi-phase targets report > 1).
 	Passes() int
-	// build runs the construction under the resolved options/policy.
-	build(src Source, o *buildOptions, p *parallel.Policy) (R, error)
+	// plan resolves the target against the call's options (seed
+	// override, weight classes) into the four ways it can run.
+	plan(o *buildOptions) (plan[R], error)
+}
+
+// plan is a target with its options resolved. The five single-pass
+// targets share one implementation, onePass; the two-pass targets
+// (spanner, sparsifier) bring their own.
+type plan[R any] interface {
+	// build runs the construction under the policy.
+	build(src Source, p *parallel.Policy) (R, error)
 	// buildRemote runs the construction on remote worker processes
 	// (WithRemoteWorkers / WithRemoteCluster), producing the same
 	// result bit for bit.
-	buildRemote(ctx context.Context, src Source, o *buildOptions, r *remoteRun) (R, error)
+	buildRemote(ctx context.Context, src Source, r *remoteRun) (R, error)
 	// openLive ingests src and returns the mutable state behind a live
 	// Handle (see Open).
-	openLive(src Source, o *buildOptions, p *parallel.Policy) (liveState[R], error)
+	openLive(src Source, p *parallel.Policy) (liveState[R], error)
 	// restoreLive rebuilds the live state behind a Handle from a
 	// checkpoint's state section (see Restore in checkpoint.go).
-	restoreLive(src Source, o *buildOptions, kind dynnet.StateKind, state []byte) (liveState[R], error)
+	restoreLive(src Source, kind dynnet.StateKind, state []byte) (liveState[R], error)
 }
 
 // noWeightClasses rejects WithWeightClasses for targets without a
@@ -145,6 +168,15 @@ func noWeightClasses(o *buildOptions, what string) error {
 	return nil
 }
 
+// singlePass is plan for the onePass targets: none of them has a
+// weight-class mode.
+func singlePass[S sketchState[S], R any](o *buildOptions, k onePass[S, R]) (plan[R], error) {
+	if err := noWeightClasses(o, k.what); err != nil {
+		return nil, err
+	}
+	return k, nil
+}
+
 // SpannerTarget builds the two-pass 2^K-spanner of Theorem 1
 // (BuildSpanner's successor). With WithWeightClasses it runs the
 // weight-class construction of Remark 14.
@@ -154,15 +186,22 @@ type SpannerTarget struct {
 
 func (t SpannerTarget) Passes() int { return 2 }
 
-func (t SpannerTarget) build(src Source, o *buildOptions, p *parallel.Policy) (*SpannerResult, error) {
-	cfg := t.Config
-	if o.seedSet {
-		cfg.Seed = o.seed
+func (t SpannerTarget) plan(o *buildOptions) (plan[*SpannerResult], error) {
+	t.Config.Seed = o.seedOr(t.Config.Seed)
+	return spannerPlan{t.Config, o.classBase}, nil
+}
+
+// spannerPlan is SpannerTarget with its seed and class base resolved.
+type spannerPlan struct {
+	cfg       SpannerConfig
+	classBase float64
+}
+
+func (s spannerPlan) build(src Source, p *parallel.Policy) (*SpannerResult, error) {
+	if s.classBase != 0 {
+		return spanner.BuildTwoPassWeightedOpts(src, s.cfg, s.classBase, p)
 	}
-	if o.classBase != 0 {
-		return spanner.BuildTwoPassWeightedOpts(src, cfg, o.classBase, p)
-	}
-	return spanner.BuildTwoPassOpts(src, cfg, p)
+	return spanner.BuildTwoPassOpts(src, s.cfg, p)
 }
 
 // AdditiveTarget builds the single-pass O(n/D)-additive spanner of
@@ -174,15 +213,16 @@ type AdditiveTarget struct {
 
 func (t AdditiveTarget) Passes() int { return 1 }
 
-func (t AdditiveTarget) build(src Source, o *buildOptions, p *parallel.Policy) (*AdditiveResult, error) {
-	if err := noWeightClasses(o, "the additive spanner"); err != nil {
-		return nil, err
-	}
+func (t AdditiveTarget) plan(o *buildOptions) (plan[*AdditiveResult], error) {
 	cfg := t.Config
-	if o.seedSet {
-		cfg.Seed = o.seed
-	}
-	return spanner.BuildAdditiveOpts(src, cfg, p)
+	cfg.Seed = o.seedOr(cfg.Seed)
+	return singlePass(o, onePass[*spanner.Additive, *AdditiveResult]{
+		kind: dynnet.KindAdditive, what: "the additive spanner",
+		fresh:  func(n int) *spanner.Additive { return spanner.NewAdditive(n, cfg) },
+		empty:  func() *spanner.Additive { return new(spanner.Additive) },
+		add:    (*spanner.Additive).AddBatch,
+		result: (*spanner.Additive).ExtractOpts,
+	})
 }
 
 // SparsifierTarget builds the two-pass ε-spectral sparsifier of
@@ -194,15 +234,23 @@ type SparsifierTarget struct {
 
 func (t SparsifierTarget) Passes() int { return 2 }
 
-func (t SparsifierTarget) build(src Source, o *buildOptions, p *parallel.Policy) (*SparsifierResult, error) {
-	cfg := t.Config
-	if o.seedSet {
-		cfg.Seed = o.seed
+func (t SparsifierTarget) plan(o *buildOptions) (plan[*SparsifierResult], error) {
+	t.Config.Seed = o.seedOr(t.Config.Seed)
+	return sparsifierPlan{t.Config, o.classBase}, nil
+}
+
+// sparsifierPlan is SparsifierTarget with its seed and class base
+// resolved.
+type sparsifierPlan struct {
+	cfg       SparsifierConfig
+	classBase float64
+}
+
+func (s sparsifierPlan) build(src Source, p *parallel.Policy) (*SparsifierResult, error) {
+	if s.classBase != 0 {
+		return sparsify.SparsifyWeightedOpts(src, s.cfg, s.classBase, p)
 	}
-	if o.classBase != 0 {
-		return sparsify.SparsifyWeightedOpts(src, cfg, o.classBase, p)
-	}
-	return sparsify.SparsifyOpts(src, cfg, p)
+	return sparsify.SparsifyOpts(src, s.cfg, p)
 }
 
 // ForestTarget ingests the stream into an AGM connectivity sketch
@@ -214,16 +262,14 @@ type ForestTarget struct {
 
 func (t ForestTarget) Passes() int { return 1 }
 
-func (t ForestTarget) build(src Source, o *buildOptions, p *parallel.Policy) (*ForestSketch, error) {
-	if err := noWeightClasses(o, "the forest sketch"); err != nil {
-		return nil, err
-	}
-	seed := t.Seed
-	if o.seedSet {
-		seed = o.seed
-	}
-	return parallel.IngestBatchedOpts(p, src, func() *agm.Sketch {
-		return agm.New(seed, src.N(), t.Config)
+func (t ForestTarget) plan(o *buildOptions) (plan[*ForestSketch], error) {
+	seed := o.seedOr(t.Seed)
+	return singlePass(o, onePass[*agm.Sketch, *ForestSketch]{
+		kind: dynnet.KindForest, what: "the forest sketch",
+		fresh:  func(n int) *agm.Sketch { return agm.New(seed, n, t.Config) },
+		empty:  func() *agm.Sketch { return new(agm.Sketch) },
+		add:    addBatch[*agm.Sketch],
+		result: sketchResult[*agm.Sketch],
 	})
 }
 
@@ -237,16 +283,14 @@ type KConnectivityTarget struct {
 
 func (t KConnectivityTarget) Passes() int { return 1 }
 
-func (t KConnectivityTarget) build(src Source, o *buildOptions, p *parallel.Policy) (*KConnectivity, error) {
-	if err := noWeightClasses(o, "the connectivity certificate"); err != nil {
-		return nil, err
-	}
-	seed := t.Seed
-	if o.seedSet {
-		seed = o.seed
-	}
-	return parallel.IngestBatchedOpts(p, src, func() *agm.KConnectivity {
-		return agm.NewKConnectivity(seed, src.N(), t.K)
+func (t KConnectivityTarget) plan(o *buildOptions) (plan[*KConnectivity], error) {
+	seed := o.seedOr(t.Seed)
+	return singlePass(o, onePass[*agm.KConnectivity, *KConnectivity]{
+		kind: dynnet.KindKConn, what: "the connectivity certificate",
+		fresh:  func(n int) *agm.KConnectivity { return agm.NewKConnectivity(seed, n, t.K) },
+		empty:  func() *agm.KConnectivity { return new(agm.KConnectivity) },
+		add:    addBatch[*agm.KConnectivity],
+		result: sketchResult[*agm.KConnectivity],
 	})
 }
 
@@ -259,16 +303,14 @@ type BipartitenessTarget struct {
 
 func (t BipartitenessTarget) Passes() int { return 1 }
 
-func (t BipartitenessTarget) build(src Source, o *buildOptions, p *parallel.Policy) (*Bipartiteness, error) {
-	if err := noWeightClasses(o, "the bipartiteness tester"); err != nil {
-		return nil, err
-	}
-	seed := t.Seed
-	if o.seedSet {
-		seed = o.seed
-	}
-	return parallel.IngestBatchedOpts(p, src, func() *agm.Bipartiteness {
-		return agm.NewBipartiteness(seed, src.N())
+func (t BipartitenessTarget) plan(o *buildOptions) (plan[*Bipartiteness], error) {
+	seed := o.seedOr(t.Seed)
+	return singlePass(o, onePass[*agm.Bipartiteness, *Bipartiteness]{
+		kind: dynnet.KindBip, what: "the bipartiteness tester",
+		fresh:  func(n int) *agm.Bipartiteness { return agm.NewBipartiteness(seed, n) },
+		empty:  func() *agm.Bipartiteness { return new(agm.Bipartiteness) },
+		add:    addBatch[*agm.Bipartiteness],
+		result: sketchResult[*agm.Bipartiteness],
 	})
 }
 
@@ -290,31 +332,77 @@ func (t MSFTarget) Passes() int {
 	return 2
 }
 
-func (t MSFTarget) build(src Source, o *buildOptions, p *parallel.Policy) (*MSF, error) {
+// plan returns the target itself, seed resolved. MSF is onePass plus the
+// one thing only it needs, a weight bound before the first state exists. A build without one scans the stream
+// for it, a live handle requires it explicit, and a restore reads it
+// from the checkpointed state — so the target is its own plan, handing
+// each call to the recipe once the bound is known.
+func (t MSFTarget) plan(o *buildOptions) (plan[*MSF], error) {
 	if err := noWeightClasses(o, "the MSF sketch (weights are native)"); err != nil {
 		return nil, err
 	}
-	seed := t.Seed
-	if o.seedSet {
-		seed = o.seed
+	t.Seed = o.seedOr(t.Seed)
+	return t, nil
+}
+
+// bounded is the MSF recipe for weights in [1, wmax].
+func (t MSFTarget) bounded(wmax float64) onePass[*agm.MSF, *MSF] {
+	return onePass[*agm.MSF, *MSF]{
+		kind: dynnet.KindMSF, what: "the MSF sketch",
+		fresh:  func(n int) *agm.MSF { return agm.NewMSF(t.Seed, n, wmax, t.Gamma) },
+		empty:  func() *agm.MSF { return new(agm.MSF) },
+		add:    addBatch[*agm.MSF],
+		result: sketchResult[*agm.MSF],
 	}
-	wmax := t.WMax
-	if wmax <= 0 {
-		// Upper-bound weight scan to size the class prefixes.
-		wmax = 1.0
-		err := p.Replay(src, func(batch []Update) error {
-			for _, u := range batch {
-				if u.W > wmax {
-					wmax = u.W
-				}
-			}
-			return nil
-		})
-		if err != nil {
+}
+
+// scanned is bounded with a missing WMax read off the stream: src is
+// replayed under p, so the scan is cancellable and, with a tracer on p,
+// counted as progress.
+func (t MSFTarget) scanned(src Source, p *parallel.Policy) (onePass[*agm.MSF, *MSF], error) {
+	if t.WMax > 0 {
+		return t.bounded(t.WMax), nil
+	}
+	wmax := 1.0
+	err := p.Replay(src, func(batch []Update) error {
+		for _, u := range batch {
+			wmax = max(wmax, u.W)
+		}
+		return nil
+	})
+	return t.bounded(wmax), err
+}
+
+func (t MSFTarget) build(src Source, p *parallel.Policy) (*MSF, error) {
+	k, err := t.scanned(src, p)
+	if err != nil {
+		return nil, err
+	}
+	return k.build(src, p)
+}
+
+func (t MSFTarget) buildRemote(ctx context.Context, src Source, r *remoteRun) (*MSF, error) {
+	if t.WMax <= 0 {
+		if err := noWorkerShards(r.o, "the MSF weight scan (set WMax explicitly)"); err != nil {
 			return nil, err
 		}
 	}
-	return parallel.IngestBatchedOpts(p, src, func() *agm.MSF {
-		return agm.NewMSF(seed, src.N(), wmax, t.Gamma)
-	})
+	// The coordinator owns the stream, so it scans — outside the run's
+	// progress count; the sketch pass itself then runs remotely.
+	k, err := t.scanned(src, parallel.NewPolicy(ctx, 1, r.o.batch, nil))
+	if err != nil {
+		return nil, err
+	}
+	return k.buildRemote(ctx, src, r)
+}
+
+func (t MSFTarget) openLive(src Source, p *parallel.Policy) (liveState[*MSF], error) {
+	if t.WMax <= 0 {
+		return nil, fmt.Errorf("%w: a live MSF handle needs an explicit WMax (a scanned bound could be exceeded by a later Apply)", ErrBadConfig)
+	}
+	return t.bounded(t.WMax).openLive(src, p)
+}
+
+func (t MSFTarget) restoreLive(src Source, kind dynnet.StateKind, state []byte) (liveState[*MSF], error) {
+	return t.bounded(t.WMax).restoreLive(src, kind, state)
 }

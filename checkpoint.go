@@ -11,7 +11,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"dynstream/internal/agm"
 	"dynstream/internal/dynnet"
 	"dynstream/internal/obs"
 	"dynstream/internal/spanner"
@@ -261,33 +260,14 @@ func readCheckpoint(r io.Reader) (checkpointMeta, []byte, error) {
 // as Open rejects them.
 func Restore[R any](ctx context.Context, r io.Reader, src Source, target Target[R], opts ...Option) (*Handle[R], error) {
 	_ = ctx // restores are offline: no stream pass runs until the first Query
-	if src == nil {
-		return nil, fmt.Errorf("%w: nil source", ErrBadConfig)
-	}
-	if target == nil {
-		return nil, fmt.Errorf("%w: nil target", ErrBadConfig)
-	}
-	o := &buildOptions{}
-	for _, opt := range opts {
-		if opt != nil {
-			opt(o)
-		}
-	}
-	if err := o.validate(); err != nil {
+	o, pl, err := resolve(src, target, opts, true)
+	if err != nil {
 		return nil, err
-	}
-	if err := o.validateLive(); err != nil {
-		return nil, err
-	}
-	if target.Passes() > 1 && !CanReplay(src) {
-		return nil, fmt.Errorf("dynstream: %T needs %d passes over the stream: %w",
-			target, target.Passes(), ErrNotReplayable)
 	}
 	// As in Open, the tracer (with any WithProgress observer) persists
 	// for the restored handle's lifetime.
-	tr, _ := o.effectiveTracer()
-	o.tracer = tr
-	sp := tr.Span("checkpoint/restore")
+	o.tracer, _ = o.effectiveTracer()
+	sp := o.tracer.Span("checkpoint/restore")
 	meta, state, err := readCheckpoint(r)
 	if err != nil {
 		return nil, err
@@ -295,7 +275,7 @@ func Restore[R any](ctx context.Context, r io.Reader, src Source, target Target[
 	if meta.n != src.N() {
 		return nil, fmt.Errorf("%w: checkpoint has n=%d, source has n=%d", ErrBadCheckpoint, meta.n, src.N())
 	}
-	live, err := target.restoreLive(src, o, meta.kind, state)
+	live, err := pl.restoreLive(src, meta.kind, state)
 	if err != nil {
 		return nil, err
 	}
@@ -310,16 +290,6 @@ func wrongKind(got dynnet.StateKind, target string) error {
 	return fmt.Errorf("%w: checkpoint holds a %v state, target wants %s", ErrBadCheckpoint, got, target)
 }
 
-// checkpointN cross-checks the decoded state's own vertex count
-// against the source (the meta section was already checked; the state
-// blob carries its own n, and the two must agree).
-func checkpointN(stateN, srcN int) error {
-	if stateN != srcN {
-		return fmt.Errorf("%w: state has n=%d, source has n=%d", ErrBadCheckpoint, stateN, srcN)
-	}
-	return nil
-}
-
 // liveStream asserts the replayable-stream view the two-pass restores
 // need (Restore's CanReplay gate has already run; this guards the
 // concrete interface).
@@ -331,111 +301,15 @@ func liveStream(src Source) (Stream, error) {
 	return st, nil
 }
 
-// ---- per-target snapshot / restore ----
-
-func (l forestLive) snapshot() (dynnet.StateKind, []byte, error) {
-	b, err := l.s.MarshalBinary()
-	return dynnet.KindForest, b, err
-}
-
-func (t ForestTarget) restoreLive(src Source, o *buildOptions, kind dynnet.StateKind, state []byte) (liveState[*ForestSketch], error) {
-	if kind != dynnet.KindForest {
-		return nil, wrongKind(kind, "a forest sketch")
-	}
-	s := &agm.Sketch{}
-	if err := s.UnmarshalBinary(state); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
-	}
-	if err := checkpointN(s.N(), src.N()); err != nil {
-		return nil, err
-	}
-	return forestLive{s}, nil
-}
-
-func (l kconnLive) snapshot() (dynnet.StateKind, []byte, error) {
-	b, err := l.kc.MarshalBinary()
-	return dynnet.KindKConn, b, err
-}
-
-func (t KConnectivityTarget) restoreLive(src Source, o *buildOptions, kind dynnet.StateKind, state []byte) (liveState[*KConnectivity], error) {
-	if kind != dynnet.KindKConn {
-		return nil, wrongKind(kind, "a k-connectivity certificate")
-	}
-	kc := &agm.KConnectivity{}
-	if err := kc.UnmarshalBinary(state); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
-	}
-	if err := checkpointN(kc.N(), src.N()); err != nil {
-		return nil, err
-	}
-	return kconnLive{kc}, nil
-}
-
-func (l bipLive) snapshot() (dynnet.StateKind, []byte, error) {
-	b, err := l.b.MarshalBinary()
-	return dynnet.KindBip, b, err
-}
-
-func (t BipartitenessTarget) restoreLive(src Source, o *buildOptions, kind dynnet.StateKind, state []byte) (liveState[*Bipartiteness], error) {
-	if kind != dynnet.KindBip {
-		return nil, wrongKind(kind, "a bipartiteness tester")
-	}
-	b := &agm.Bipartiteness{}
-	if err := b.UnmarshalBinary(state); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
-	}
-	if err := checkpointN(b.N(), src.N()); err != nil {
-		return nil, err
-	}
-	return bipLive{b}, nil
-}
-
-func (l msfLive) snapshot() (dynnet.StateKind, []byte, error) {
-	b, err := l.m.MarshalBinary()
-	return dynnet.KindMSF, b, err
-}
-
-func (t MSFTarget) restoreLive(src Source, o *buildOptions, kind dynnet.StateKind, state []byte) (liveState[*MSF], error) {
-	if kind != dynnet.KindMSF {
-		return nil, wrongKind(kind, "an MSF sketch")
-	}
-	// The blob carries the checkpointed handle's WMax (Open required it
-	// to be explicit), so the target's own WMax is not consulted.
-	m := &agm.MSF{}
-	if err := m.UnmarshalBinary(state); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
-	}
-	if err := checkpointN(m.N(), src.N()); err != nil {
-		return nil, err
-	}
-	return msfLive{m}, nil
-}
-
-func (l additiveLive) snapshot() (dynnet.StateKind, []byte, error) {
-	b, err := l.a.MarshalBinary()
-	return dynnet.KindAdditive, b, err
-}
-
-func (t AdditiveTarget) restoreLive(src Source, o *buildOptions, kind dynnet.StateKind, state []byte) (liveState[*AdditiveResult], error) {
-	if kind != dynnet.KindAdditive {
-		return nil, wrongKind(kind, "an additive spanner")
-	}
-	a := &spanner.Additive{}
-	if err := a.UnmarshalBinary(state); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
-	}
-	if err := checkpointN(a.N(), src.N()); err != nil {
-		return nil, err
-	}
-	return additiveLive{a}, nil
-}
+// ---- the two-pass targets' snapshot / restore (the single-pass ones
+// share onePass) ----
 
 func (l twoPassLive) snapshot() (dynnet.StateKind, []byte, error) {
 	b, err := l.tp.MarshalLive()
 	return dynnet.KindTwoPass, b, err
 }
 
-func (t SpannerTarget) restoreLive(src Source, o *buildOptions, kind dynnet.StateKind, state []byte) (liveState[*SpannerResult], error) {
+func (s spannerPlan) restoreLive(src Source, kind dynnet.StateKind, state []byte) (liveState[*SpannerResult], error) {
 	if kind != dynnet.KindTwoPass {
 		return nil, wrongKind(kind, "a two-pass spanner")
 	}
@@ -455,7 +329,7 @@ func (l sparsifyLive) snapshot() (dynnet.StateKind, []byte, error) {
 	return dynnet.KindGrid, b, err
 }
 
-func (t SparsifierTarget) restoreLive(src Source, o *buildOptions, kind dynnet.StateKind, state []byte) (liveState[*SparsifierResult], error) {
+func (s sparsifierPlan) restoreLive(src Source, kind dynnet.StateKind, state []byte) (liveState[*SparsifierResult], error) {
 	if kind != dynnet.KindGrid {
 		return nil, wrongKind(kind, "a sparsifier")
 	}

@@ -89,8 +89,6 @@ import (
 
 	"dynstream"
 	"dynstream/internal/dynnet"
-	"dynstream/internal/graph"
-	"dynstream/internal/parallel"
 	"dynstream/internal/serve"
 )
 
@@ -303,6 +301,10 @@ func runCoord(ctx context.Context, args []string, stdin io.Reader, stdout, stder
 // stream).
 func runBuild(ctx context.Context, args []string, extraOpts []dynstream.Option, srcOverride dynstream.Source, stdin io.Reader, stdout, stderr io.Writer) error {
 	cmd := args[0]
+	row, err := serve.Lookup(cmd)
+	if err != nil {
+		return err
+	}
 	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -325,9 +327,12 @@ func runBuild(ctx context.Context, args []string, extraOpts []dynstream.Option, 
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
 	}
-	// Algorithm-parameter validation, typed so callers can classify
-	// (execution options — workers, batch — are validated by Build).
+	// Flag validation, typed so callers can classify. The batch size is
+	// left to Build; the worker count is not, because a Spec reads a
+	// non-positive count as "unset".
 	switch {
+	case *workers < 1:
+		return fmt.Errorf("-workers: %w, got %d", dynstream.ErrBadWorkers, *workers)
 	case *k < 1:
 		return fmt.Errorf("-k must be >= 1, got %d: %w", *k, dynstream.ErrBadConfig)
 	case *d < 1:
@@ -345,19 +350,13 @@ func runBuild(ctx context.Context, args []string, extraOpts []dynstream.Option, 
 	case *ckpt != "" && !*repl:
 		return fmt.Errorf("-checkpoint/-every only apply to -repl sessions: %w", dynstream.ErrBadConfig)
 	}
-	// Sketch-target subcommands decode after Build returns; they run
-	// their extraction at the decode worker count (same output at any
-	// count, by the decode engine's determinism).
-	dw := *decodeW
-	if dw == 0 {
-		dw = *workers
-	}
 	if extra := fs.Args(); len(extra) > 0 {
 		return fmt.Errorf("unexpected arguments after flags: %v", extra)
 	}
-	// -trace/-trace-out attach one tracer to every phase of the run;
-	// the timeline prints on the way out (success or failure — a
-	// partial timeline is exactly what a stuck build needs).
+	// -trace/-trace-out attach one tracer to every phase of the run —
+	// the build and, through the spec, the extraction the sketch targets
+	// run after it; the timeline prints on the way out (success or
+	// failure — a partial timeline is exactly what a stuck build needs).
 	var tr *dynstream.Tracer
 	if *trace || *traceF != "" {
 		tr = dynstream.NewTracer()
@@ -365,10 +364,10 @@ func runBuild(ctx context.Context, args []string, extraOpts []dynstream.Option, 
 			defer tr.WriteTimeline(stderr)
 		}
 	}
-	// Post-build extraction runs outside Build, so it needs its own
-	// policy to land in the same timeline (agm/round, certificate, and
-	// MSF phases). A nil tracer keeps it the plain parallel decode.
-	dpol := parallel.Default().WithWorkers(dw).WithTracer(tr)
+	spec := serve.Spec{
+		Target: cmd, K: *k, D: *d, Z: *z, Seed: *seed, WMax: *wmax,
+		Workers: *workers, DecodeWorkers: *decodeW, Batch: *batch, Tracer: tr,
+	}
 	if *repl {
 		if *traceF != "" {
 			return fmt.Errorf("-trace-out needs a bounded build; use -trace for repl sessions: %w", dynstream.ErrBadConfig)
@@ -394,18 +393,7 @@ func runBuild(ctx context.Context, args []string, extraOpts []dynstream.Option, 
 		default:
 			return fmt.Errorf("-repl needs a base stream: -in FILE or -n N: %w", dynstream.ErrBadConfig)
 		}
-		opts := []dynstream.Option{
-			dynstream.WithWorkers(*workers),
-			dynstream.WithBatchSize(*batch),
-		}
-		if *decodeW > 0 {
-			opts = append(opts, dynstream.WithDecodeWorkers(*decodeW))
-		}
-		if tr != nil {
-			opts = append(opts, dynstream.WithTracer(tr))
-		}
-		return runRepl(ctx, cmd, base, replParams{k: *k, d: *d, z: *z, seed: *seed, wmax: *wmax, dpol: dpol},
-			replCkpt{path: *ckpt, every: *every}, opts, stdin, stdout, stderr)
+		return runRepl(ctx, row, spec, base, replCkpt{path: *ckpt, every: *every}, stdin, stdout, stderr)
 	}
 	var src dynstream.Source
 	if srcOverride != nil {
@@ -428,138 +416,23 @@ func runBuild(ctx context.Context, args []string, extraOpts []dynstream.Option, 
 		fmt.Fprintf(stderr, "stream: n=%d, %d workers\n", rs.N(), *workers)
 		src = rs
 	}
-
-	opts := append([]dynstream.Option{
-		dynstream.WithWorkers(*workers),
-		dynstream.WithBatchSize(*batch),
-	}, extraOpts...)
-	if *decodeW > 0 {
-		opts = append(opts, dynstream.WithDecodeWorkers(*decodeW))
-	}
-	if tr != nil {
-		opts = append(opts, dynstream.WithTracer(tr))
-	}
 	if *traceF != "" {
-		opts = append(opts, dynstream.WithTraceFile(*traceF))
+		extraOpts = append(extraOpts, dynstream.WithTraceFile(*traceF))
 	}
-
-	switch cmd {
-	case "spanner":
-		st, err := replayableFor(src, 2, stderr)
-		if err != nil {
-			return err
-		}
-		res, err := dynstream.Build(ctx, st,
-			dynstream.SpannerTarget{Config: dynstream.SpannerConfig{K: *k, Seed: *seed}}, opts...)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "2^%d-spanner: %d edges, %d sketch words\n",
-			*k, res.Spanner.M(), res.SpaceWords)
-		return writeEdges(stdout, res.Spanner)
-
-	case "additive":
-		res, err := dynstream.Build(ctx, src,
-			dynstream.AdditiveTarget{Config: dynstream.AdditiveConfig{D: *d, Seed: *seed}}, opts...)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "n/%d-additive spanner: %d edges, %d centers, %d sketch words\n",
-			*d, res.Spanner.M(), res.Centers, res.SpaceWords)
-		return writeEdges(stdout, res.Spanner)
-
-	case "sparsify":
-		st, err := replayableFor(src, 2, stderr)
-		if err != nil {
-			return err
-		}
-		res, err := dynstream.Build(ctx, st,
-			dynstream.SparsifierTarget{Config: dynstream.SparsifierConfig{K: *k, Z: *z, Seed: *seed}}, opts...)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "sparsifier: %d edges from %d samples, %d sketch words\n",
-			res.Sparsifier.M(), res.Samples, res.SpaceWords)
-		return writeEdges(stdout, res.Sparsifier)
-
-	case "forest":
-		sk, err := dynstream.Build(ctx, src, dynstream.ForestTarget{Seed: *seed}, opts...)
-		if err != nil {
-			return err
-		}
-		forest, err := sk.SpanningForestOpts(nil, dpol)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "spanning forest: %d edges, %d sketch words\n",
-			len(forest), sk.SpaceWords())
-		g := graph.New(src.N())
-		for _, e := range forest {
-			g.AddUnitEdge(e.U, e.V)
-		}
-		return writeEdges(stdout, g)
-
-	case "kcert":
-		kc, err := dynstream.Build(ctx, src,
-			dynstream.KConnectivityTarget{Seed: *seed, K: *k}, opts...)
-		if err != nil {
-			return err
-		}
-		cert, err := kc.CertificateGraphOpts(dpol)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "%d-connectivity certificate: %d edges, %d sketch words\n",
-			*k, cert.M(), kc.SpaceWords())
-		return writeEdges(stdout, cert)
-
-	case "msf":
-		target := dynstream.MSFTarget{Seed: *seed, WMax: *wmax, Gamma: 0.5}
-		st, err := replayableFor(src, target.Passes(), stderr)
-		if err != nil {
-			return err
-		}
-		m, err := dynstream.Build(ctx, st, target, opts...)
-		if err != nil {
-			return err
-		}
-		forest, err := m.ForestOpts(dpol)
-		if err != nil {
-			return err
-		}
-		total := 0.0
-		g := graph.New(src.N())
-		for _, e := range forest {
-			g.AddEdge(e.U, e.V, e.W)
-			total += e.W
-		}
-		fmt.Fprintf(stderr, "approximate MSF: %d edges, class-weight total %g, %d sketch words\n",
-			len(forest), total, m.SpaceWords())
-		return writeEdges(stdout, g)
-
-	case "bipartite":
-		b, err := dynstream.Build(ctx, src, dynstream.BipartitenessTarget{Seed: *seed}, opts...)
-		if err != nil {
-			return err
-		}
-		bip, err := b.IsBipartiteOpts(dpol)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "bipartite: %v\n", bip)
-		return nil
-
-	default:
-		return fmt.Errorf("unknown subcommand %q", cmd)
+	src, err = replayableFor(src, row.Passes(spec), stderr)
+	if err != nil {
+		return err
 	}
-}
-
-// replParams carries the algorithm flags into the live serving loop.
-type replParams struct {
-	k, d, z int
-	seed    uint64
-	wmax    float64
-	dpol    *parallel.Policy // decode policy: worker count + tracer
+	resp, words, err := row.Build(ctx, spec, src, extraOpts...)
+	if err != nil {
+		return err
+	}
+	if resp.Bipartite != nil {
+		_, err := fmt.Fprintf(stdout, "bipartite: %v\n", *resp.Bipartite)
+		return err
+	}
+	fmt.Fprintf(stderr, "%s, %d sketch words\n", resp.Summary, words)
+	return writeEdges(stdout, resp.Edges)
 }
 
 // replCkpt is the repl's auto-snapshot schedule (-checkpoint/-every).
@@ -568,129 +441,26 @@ type replCkpt struct {
 	every int
 }
 
-// runRepl opens a live handle for the subcommand's target and serves
-// the +/-/query/save/load command loop over it.
-func runRepl(ctx context.Context, cmd string, base dynstream.Source, pr replParams, ck replCkpt,
-	opts []dynstream.Option, stdin io.Reader, stdout, stderr io.Writer) error {
-	fmt.Fprintf(stderr, "repl: n=%d, serving %s (+/-/query/save/load/quit on stdin)\n", base.N(), cmd)
-	switch cmd {
-	case "spanner":
-		return serveLive(ctx, base,
-			dynstream.SpannerTarget{Config: dynstream.SpannerConfig{K: pr.k, Seed: pr.seed}},
-			ck, opts, stdin, stdout, stderr,
-			func(res *dynstream.SpannerResult) (*graph.Graph, string, error) {
-				return res.Spanner, fmt.Sprintf("2^%d-spanner: %d edges", pr.k, res.Spanner.M()), nil
-			})
-
-	case "additive":
-		return serveLive(ctx, base,
-			dynstream.AdditiveTarget{Config: dynstream.AdditiveConfig{D: pr.d, Seed: pr.seed}},
-			ck, opts, stdin, stdout, stderr,
-			func(res *dynstream.AdditiveResult) (*graph.Graph, string, error) {
-				return res.Spanner, fmt.Sprintf("n/%d-additive spanner: %d edges", pr.d, res.Spanner.M()), nil
-			})
-
-	case "sparsify":
-		return serveLive(ctx, base,
-			dynstream.SparsifierTarget{Config: dynstream.SparsifierConfig{K: pr.k, Z: pr.z, Seed: pr.seed}},
-			ck, opts, stdin, stdout, stderr,
-			func(res *dynstream.SparsifierResult) (*graph.Graph, string, error) {
-				return res.Sparsifier, fmt.Sprintf("sparsifier: %d edges from %d samples", res.Sparsifier.M(), res.Samples), nil
-			})
-
-	case "forest":
-		return serveLive(ctx, base, dynstream.ForestTarget{Seed: pr.seed},
-			ck, opts, stdin, stdout, stderr,
-			func(sk *dynstream.ForestSketch) (*graph.Graph, string, error) {
-				forest, err := sk.SpanningForestOpts(nil, pr.dpol)
-				if err != nil {
-					return nil, "", err
-				}
-				g := graph.New(base.N())
-				for _, e := range forest {
-					g.AddUnitEdge(e.U, e.V)
-				}
-				return g, fmt.Sprintf("spanning forest: %d edges", len(forest)), nil
-			})
-
-	case "kcert":
-		return serveLive(ctx, base, dynstream.KConnectivityTarget{Seed: pr.seed, K: pr.k},
-			ck, opts, stdin, stdout, stderr,
-			func(kc *dynstream.KConnectivity) (*graph.Graph, string, error) {
-				cert, err := kc.CertificateGraphOpts(pr.dpol)
-				if err != nil {
-					return nil, "", err
-				}
-				return cert, fmt.Sprintf("%d-connectivity certificate: %d edges", pr.k, cert.M()), nil
-			})
-
-	case "msf":
-		return serveLive(ctx, base, dynstream.MSFTarget{Seed: pr.seed, WMax: pr.wmax, Gamma: 0.5},
-			ck, opts, stdin, stdout, stderr,
-			func(m *dynstream.MSF) (*graph.Graph, string, error) {
-				forest, err := m.ForestOpts(pr.dpol)
-				if err != nil {
-					return nil, "", err
-				}
-				g := graph.New(base.N())
-				for _, e := range forest {
-					g.AddEdge(e.U, e.V, e.W)
-				}
-				return g, fmt.Sprintf("approximate MSF: %d edges", len(forest)), nil
-			})
-
-	case "bipartite":
-		return serveLive(ctx, base, dynstream.BipartitenessTarget{Seed: pr.seed},
-			ck, opts, stdin, stdout, stderr,
-			func(b *dynstream.Bipartiteness) (*graph.Graph, string, error) {
-				bip, err := b.IsBipartiteOpts(pr.dpol)
-				if err != nil {
-					return nil, "", err
-				}
-				return graph.New(0), fmt.Sprintf("bipartite: %v", bip), nil
-			})
-
-	default:
-		return fmt.Errorf("unknown subcommand %q", cmd)
-	}
-}
-
-// serveLive opens the target's handle over the base stream and serves
-// the command loop, wiring `load` to the library's Restore over the
-// same base/target/options.
-func serveLive[R any](ctx context.Context, base dynstream.Source, target dynstream.Target[R],
-	ck replCkpt, opts []dynstream.Option, stdin io.Reader, stdout, stderr io.Writer,
-	render func(R) (*graph.Graph, string, error)) error {
-	h, err := dynstream.Open(ctx, base, target, opts...)
-	if err != nil {
-		return err
-	}
-	restore := func(r io.Reader) (*dynstream.Handle[R], error) {
-		return dynstream.Restore(ctx, r, base, target, opts...)
-	}
-	return serveReplErr(ctx, h, restore, ck, stdin, stdout, stderr, render)
-}
-
-// saveCheckpoint writes the handle's snapshot atomically (temp file +
-// rename, via the library's CheckpointFile): a process killed mid-write
-// can never leave a torn checkpoint at path.
-func saveCheckpoint[R any](h *dynstream.Handle[R], path string) error {
-	return dynstream.CheckpointFile(h, path)
-}
-
-// serveReplErr drives the live command loop: +/- lines accumulate into
-// a pending batch, "query" flushes the batch into the handle and
-// prints the freshly extracted result (edges on stdout, a summary line
-// on stderr), "save"/"load" checkpoint and restore the live state, and
-// "quit" exits. A malformed line is answered with a distinguishable
+// runRepl opens the target's live backend over the base stream and
+// drives the command loop: +/- lines accumulate into a pending batch,
+// "query" flushes the batch into the backend and prints the freshly
+// extracted result (edges on stdout, a summary line on stderr),
+// "save"/"load" checkpoint and restore the live state over the same
+// base and spec (a failed load keeps the current state), and "quit"
+// exits. A malformed line is answered with a distinguishable
 // "err <reason>" line on stdout (mirrored on stderr) and skipped, so a
 // scripted producer reading the response stream sees every rejection
 // in-band instead of a silent gap. With an auto-snapshot schedule
 // (-checkpoint/-every) the pending batch is flushed and the state
-// saved every `every` applied updates.
-func serveReplErr[R any](ctx context.Context, h *dynstream.Handle[R],
-	restore func(io.Reader) (*dynstream.Handle[R], error), ck replCkpt,
-	stdin io.Reader, stdout, stderr io.Writer, render func(R) (*graph.Graph, string, error)) error {
+// saved — atomically, a killed process never leaves a torn file —
+// every `every` applied updates.
+func runRepl(ctx context.Context, row serve.Named, spec serve.Spec, base dynstream.Source, ck replCkpt,
+	stdin io.Reader, stdout, stderr io.Writer) error {
+	fmt.Fprintf(stderr, "repl: n=%d, serving %s (+/-/query/save/load/quit on stdin)\n", base.N(), row.Name)
+	b, err := row.Open(ctx, spec, base, nil)
+	if err != nil {
+		return err
+	}
 	sc := bufio.NewScanner(stdin)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
 	var pending []dynstream.Update
@@ -709,7 +479,7 @@ func serveReplErr[R any](ctx context.Context, h *dynstream.Handle[R],
 		if len(pending) == 0 {
 			return nil
 		}
-		if err := h.Apply(pending); err != nil {
+		if err := b.Apply(pending); err != nil {
 			return err
 		}
 		pending = pending[:0]
@@ -737,31 +507,27 @@ func serveReplErr[R any](ctx context.Context, h *dynstream.Handle[R],
 				if err := flush(); err != nil {
 					return err
 				}
-				if err := saveCheckpoint(h, ck.path); err != nil {
+				if err := b.CheckpointTo(ck.path); err != nil {
 					return fmt.Errorf("repl: auto-checkpoint: %w", err)
 				}
-				fmt.Fprintf(stderr, "repl: checkpoint saved to %s (%d updates applied)\n", ck.path, h.AppliedUpdates())
+				fmt.Fprintf(stderr, "repl: checkpoint saved to %s (%d updates applied)\n", ck.path, b.Applied())
 			}
 		case "query":
 			if err := flush(); err != nil {
 				return err
 			}
-			res, err := h.Query(ctx)
-			if err != nil {
-				return err
-			}
-			g, summary, err := render(res)
+			resp, err := b.Query(ctx)
 			if err != nil {
 				return err
 			}
 			queries++
-			if err := writeEdges(stdout, g); err != nil {
+			if err := writeEdges(stdout, resp.Edges); err != nil {
 				return err
 			}
-			if _, err := fmt.Fprintf(stdout, "ok %d\n", g.M()); err != nil {
+			if _, err := fmt.Fprintf(stdout, "ok %d\n", len(resp.Edges)); err != nil {
 				return err
 			}
-			fmt.Fprintf(stderr, "repl query %d: %s\n", queries, summary)
+			fmt.Fprintf(stderr, "repl query %d: %s\n", queries, resp.Summary)
 		case "save":
 			if len(fields) != 2 {
 				if err := reject("want: save <path>"); err != nil {
@@ -772,11 +538,11 @@ func serveReplErr[R any](ctx context.Context, h *dynstream.Handle[R],
 			if err := flush(); err != nil {
 				return err
 			}
-			if err := saveCheckpoint(h, fields[1]); err != nil {
+			if err := b.CheckpointTo(fields[1]); err != nil {
 				fmt.Fprintf(stderr, "repl: save: %v\n", err)
 				continue
 			}
-			fmt.Fprintf(stderr, "repl: checkpoint saved to %s (%d updates applied)\n", fields[1], h.AppliedUpdates())
+			fmt.Fprintf(stderr, "repl: checkpoint saved to %s (%d updates applied)\n", fields[1], b.Applied())
 		case "load":
 			if len(fields) != 2 {
 				if err := reject("want: load <path>"); err != nil {
@@ -793,14 +559,14 @@ func serveReplErr[R any](ctx context.Context, h *dynstream.Handle[R],
 				fmt.Fprintf(stderr, "repl: load: %v\n", err)
 				continue
 			}
-			h2, err := restore(f)
+			b2, err := row.Open(ctx, spec, base, f)
 			f.Close()
 			if err != nil {
 				fmt.Fprintf(stderr, "repl: load: %v\n", err)
 				continue
 			}
-			h = h2
-			fmt.Fprintf(stderr, "repl: restored %s (%d updates applied)\n", fields[1], h.AppliedUpdates())
+			b = b2
+			fmt.Fprintf(stderr, "repl: restored %s (%d updates applied)\n", fields[1], b.Applied())
 		case "quit", "exit":
 			return nil
 		default:
@@ -827,8 +593,8 @@ func replayableFor(src dynstream.Source, passes int, stderr io.Writer) (dynstrea
 	return ms, nil
 }
 
-func writeEdges(w io.Writer, g *graph.Graph) error {
-	for _, e := range g.Edges() {
+func writeEdges(w io.Writer, edges []serve.EdgeJSON) error {
+	for _, e := range edges {
 		if _, err := fmt.Fprintf(w, "%d %d %g\n", e.U, e.V, e.W); err != nil {
 			return err
 		}

@@ -101,7 +101,7 @@ func offlineForestEdges(t *testing.T, n int, log []dynstream.Update, upto int64,
 	if err != nil {
 		t.Fatal(err)
 	}
-	forest, err := sk.SpanningForestParallel(nil, 1)
+	forest, err := sk.SpanningForest(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 
 	"dynstream"
 	"dynstream/internal/graph"
+	"dynstream/internal/parallel"
 )
 
 // Seeded parallel-decode == serial-decode equivalence for every
@@ -52,14 +53,14 @@ func TestForestDecodeEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, w := range decodeWorkerCounts {
-				got, err := sk.SpanningForestParallel(nil, w)
+				got, err := sk.SpanningForestOpts(nil, parallel.Default().WithWorkers(w))
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(got, serial) {
 					t.Fatalf("decode workers=%d: forest differs from serial decode", w)
 				}
-				got, err = sk.SpanningForestParallel(groups, w)
+				got, err = sk.SpanningForestOpts(groups, parallel.Default().WithWorkers(w))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -90,7 +91,7 @@ func TestKConnectivityDecodeEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, w := range decodeWorkerCounts {
-				got, err := build().CertificateParallel(w)
+				got, err := build().CertificateOpts(parallel.Default().WithWorkers(w))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -117,7 +118,7 @@ func TestBipartitenessDecodeEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, w := range decodeWorkerCounts {
-				got, err := b.IsBipartiteParallel(w)
+				got, err := b.IsBipartiteOpts(parallel.Default().WithWorkers(w))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -142,7 +143,7 @@ func TestMSFDecodeEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, w := range decodeWorkerCounts {
-				got, err := m.ForestParallel(w)
+				got, err := m.ForestOpts(parallel.Default().WithWorkers(w))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -255,7 +256,7 @@ func TestRemoteDecodeEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rf, err := remote.SpanningForestParallel(nil, 4)
+		rf, err := remote.SpanningForestOpts(nil, parallel.Default().WithWorkers(4))
 		if err != nil {
 			t.Fatal(err)
 		}

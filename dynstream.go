@@ -88,6 +88,10 @@ type SparsifierResult = sparsify.Result
 // (Algorithm 4) inside SparsifierConfig.
 type EstimateConfig = sparsify.EstimateConfig
 
+// OracleGrid is the mergeable sketch state of the sparsifier's robust-
+// connectivity oracle grid (Algorithm 4).
+type OracleGrid = sparsify.Grid
+
 // ForestSketch is the AGM connectivity sketch (Theorem 10).
 type ForestSketch = agm.Sketch
 
@@ -129,6 +133,12 @@ func NewTwoPassSpanner(n int, cfg SpannerConfig) *TwoPassSpanner {
 // NewAdditiveSpanner creates the explicit single-pass streaming state.
 func NewAdditiveSpanner(n int, cfg AdditiveConfig) *AdditiveSpanner {
 	return spanner.NewAdditive(n, cfg)
+}
+
+// NewOracleGrid creates the oracle-grid sketch state for a graph on n
+// vertices.
+func NewOracleGrid(n int, cfg EstimateConfig) (*OracleGrid, error) {
+	return sparsify.NewGrid(n, cfg)
 }
 
 // NewForestSketch creates an AGM connectivity sketch for a graph on n

@@ -165,7 +165,7 @@ func offlineEdges(ctx context.Context, n int, log_ []dynstream.Update, seed uint
 	if err != nil {
 		log.Fatal(err)
 	}
-	forest, err := sk.SpanningForestParallel(nil, 1)
+	forest, err := sk.SpanningForest(nil)
 	if err != nil {
 		log.Fatal(err)
 	}

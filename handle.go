@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"dynstream/internal/agm"
 	"dynstream/internal/dynnet"
 	"dynstream/internal/obs"
 	"dynstream/internal/parallel"
@@ -88,47 +87,20 @@ type liveState[R any] interface {
 // Apply batch. Multi-pass targets (spanner, sparsifier) need a
 // replayable source, which the handle retains for re-extraction.
 func Open[R any](ctx context.Context, src Source, target Target[R], opts ...Option) (*Handle[R], error) {
-	if src == nil {
-		return nil, fmt.Errorf("%w: nil source", ErrBadConfig)
-	}
-	if target == nil {
-		return nil, fmt.Errorf("%w: nil target", ErrBadConfig)
-	}
-	o := &buildOptions{}
-	for _, opt := range opts {
-		if opt != nil {
-			opt(o)
-		}
-	}
-	if err := o.validate(); err != nil {
+	o, pl, err := resolve(src, target, opts, true)
+	if err != nil {
 		return nil, err
-	}
-	if err := o.validateLive(); err != nil {
-		return nil, err
-	}
-	if target.Passes() > 1 && !CanReplay(src) {
-		return nil, fmt.Errorf("dynstream: %T needs %d passes over the stream: %w",
-			target, target.Passes(), ErrNotReplayable)
 	}
 	// The tracer (and the WithProgress observer riding on it) persists
-	// for the handle's lifetime: ingest here, then every QueryAt and
+	// for the handle's lifetime: ingest here, then every Query and
 	// Checkpoint report into the same tracer.
-	tr, _ := o.effectiveTracer()
-	o.tracer = tr
-	p := parallel.NewPolicy(ctx, o.resolveWorkers(src), o.batch, nil).
-		WithDecode(o.resolveDecodeWorkers(src)).WithTracer(tr)
-	live, err := target.openLive(src, o, p)
+	o.tracer, _ = o.effectiveTracer()
+	live, err := pl.openLive(src, o.policy(ctx, src, o.tracer))
 	if err != nil {
 		return nil, err
 	}
 	live.enableCache(o.cacheOn())
 	return &Handle[R]{n: src.N(), src: src, o: o, live: live}, nil
-}
-
-// BuildHandle is Open under Build's naming, for callers migrating from
-// the one-shot front door.
-func BuildHandle[R any](ctx context.Context, src Source, target Target[R], opts ...Option) (*Handle[R], error) {
-	return Open(ctx, src, target, opts...)
 }
 
 // N returns the vertex count.
@@ -174,42 +146,30 @@ func (h *Handle[R]) AppliedUpdates() int64 {
 // its decode methods (SpanningForestOpts, CertificateOpts, ...) are
 // what re-decode incrementally. Decode-family targets (spanner,
 // additive spanner, sparsifier) return a freshly extracted result.
-func (h *Handle[R]) Query(ctx context.Context) (R, error) {
-	r, _, err := h.QueryAt(ctx)
+func (h *Handle[R]) Query(ctx context.Context) (r R, err error) {
+	err = h.QueryView(ctx, func(res R, _ int64) error {
+		r = res
+		return nil
+	})
 	return r, err
 }
 
-// QueryAt is Query plus the applied-update count the result observed,
-// both read under one hold of the handle's mutex. Concurrent servers
-// need the pair to be atomic: a Query followed by a separate
-// AppliedUpdates call can race an Apply in between, mislabeling which
-// stream prefix the result corresponds to. The count always lands on a
-// batch boundary (Apply is all-or-nothing), so a caller can prove the
-// result against an offline Build over exactly the first `applied`
-// updates of its log.
-func (h *Handle[R]) QueryAt(ctx context.Context) (r R, applied int64, err error) {
-	err = h.QueryView(ctx, func(res R, at int64) error {
-		r, applied = res, at
-		return nil
-	})
-	return r, applied, err
-}
-
-// QueryView is QueryAt with the result consumed under the same hold of
+// QueryView is Query with the result consumed under the same hold of
 // the handle's mutex: view runs with the result and the applied-update
 // count it observed, and no Apply, Merge or Checkpoint can land until
-// view returns. Sketch-family targets answer a query with the live
-// sketch itself, so a caller that decodes it concurrently with Apply
-// must decode inside view — after QueryAt returns, the next Apply
-// mutates the sketch mid-decode and tears the answer. view must not
-// call back into the handle.
+// view returns. The count always lands on a batch boundary (Apply is
+// all-or-nothing), so a caller can prove the result against an offline
+// Build over exactly the first `applied` updates of its log.
+// Sketch-family targets answer a query with the live sketch itself, so
+// a caller that decodes it concurrently with Apply must decode inside
+// view — after Query returns, the next Apply mutates the sketch
+// mid-decode and tears the answer. view must not call back into the
+// handle.
 func (h *Handle[R]) QueryView(ctx context.Context, view func(r R, applied int64) error) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	sp := h.o.tracer.Span("query")
-	p := parallel.NewPolicy(ctx, h.o.resolveWorkers(h.src), h.o.batch, nil).
-		WithDecode(h.o.resolveDecodeWorkers(h.src)).WithTracer(h.o.tracer)
-	r, err := h.live.query(p)
+	r, err := h.live.query(h.o.policy(ctx, h.src, h.o.tracer))
 	if err != nil {
 		return err
 	}
@@ -252,169 +212,8 @@ func (h *Handle[R]) Invalidate() {
 	h.live.invalidate()
 }
 
-// ---- per-target live states ----
-
-type forestLive struct{ s *agm.Sketch }
-
-func (l forestLive) apply(b []Update) error { l.s.AddBatch(b); return nil }
-func (l forestLive) query(p *parallel.Policy) (*ForestSketch, error) {
-	_ = p
-	return l.s, nil
-}
-func (l forestLive) enableCache(on bool)          { l.s.EnableDecodeCache(on) }
-func (l forestLive) invalidate()                  { l.s.InvalidateDecodeCache() }
-func (l forestLive) cacheStats() (uint64, uint64) { return l.s.DecodeCacheStats() }
-func (l forestLive) merge(state any) error {
-	o, ok := state.(*agm.Sketch)
-	if !ok {
-		return fmt.Errorf("%w: a ForestTarget handle merges *ForestSketch, got %T", ErrBadConfig, state)
-	}
-	return l.s.Merge(o)
-}
-
-func (t ForestTarget) openLive(src Source, o *buildOptions, p *parallel.Policy) (liveState[*ForestSketch], error) {
-	seed := t.Seed
-	if o.seedSet {
-		seed = o.seed
-	}
-	s, err := parallel.IngestBatchedOpts(p, src, func() *agm.Sketch {
-		return agm.New(seed, src.N(), t.Config)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return forestLive{s}, nil
-}
-
-type kconnLive struct{ kc *agm.KConnectivity }
-
-func (l kconnLive) apply(b []Update) error { l.kc.AddBatch(b); return nil }
-func (l kconnLive) query(p *parallel.Policy) (*KConnectivity, error) {
-	_ = p
-	return l.kc, nil
-}
-func (l kconnLive) enableCache(on bool)          { l.kc.EnableDecodeCache(on) }
-func (l kconnLive) invalidate()                  { l.kc.InvalidateDecodeCache() }
-func (l kconnLive) cacheStats() (uint64, uint64) { return l.kc.DecodeCacheStats() }
-func (l kconnLive) merge(state any) error {
-	o, ok := state.(*agm.KConnectivity)
-	if !ok {
-		return fmt.Errorf("%w: a KConnectivityTarget handle merges *KConnectivity, got %T", ErrBadConfig, state)
-	}
-	return l.kc.Merge(o)
-}
-
-func (t KConnectivityTarget) openLive(src Source, o *buildOptions, p *parallel.Policy) (liveState[*KConnectivity], error) {
-	seed := t.Seed
-	if o.seedSet {
-		seed = o.seed
-	}
-	kc, err := parallel.IngestBatchedOpts(p, src, func() *agm.KConnectivity {
-		return agm.NewKConnectivity(seed, src.N(), t.K)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return kconnLive{kc}, nil
-}
-
-type bipLive struct{ b *agm.Bipartiteness }
-
-func (l bipLive) apply(b []Update) error { l.b.AddBatch(b); return nil }
-func (l bipLive) query(p *parallel.Policy) (*Bipartiteness, error) {
-	_ = p
-	return l.b, nil
-}
-func (l bipLive) enableCache(on bool)          { l.b.EnableDecodeCache(on) }
-func (l bipLive) invalidate()                  { l.b.InvalidateDecodeCache() }
-func (l bipLive) cacheStats() (uint64, uint64) { return l.b.DecodeCacheStats() }
-func (l bipLive) merge(state any) error {
-	o, ok := state.(*agm.Bipartiteness)
-	if !ok {
-		return fmt.Errorf("%w: a BipartitenessTarget handle merges *Bipartiteness, got %T", ErrBadConfig, state)
-	}
-	return l.b.Merge(o)
-}
-
-func (t BipartitenessTarget) openLive(src Source, o *buildOptions, p *parallel.Policy) (liveState[*Bipartiteness], error) {
-	seed := t.Seed
-	if o.seedSet {
-		seed = o.seed
-	}
-	b, err := parallel.IngestBatchedOpts(p, src, func() *agm.Bipartiteness {
-		return agm.NewBipartiteness(seed, src.N())
-	})
-	if err != nil {
-		return nil, err
-	}
-	return bipLive{b}, nil
-}
-
-type msfLive struct{ m *agm.MSF }
-
-func (l msfLive) apply(b []Update) error { l.m.AddBatch(b); return nil }
-func (l msfLive) query(p *parallel.Policy) (*MSF, error) {
-	_ = p
-	return l.m, nil
-}
-func (l msfLive) enableCache(on bool)          { l.m.EnableDecodeCache(on) }
-func (l msfLive) invalidate()                  { l.m.InvalidateDecodeCache() }
-func (l msfLive) cacheStats() (uint64, uint64) { return l.m.DecodeCacheStats() }
-func (l msfLive) merge(state any) error {
-	o, ok := state.(*agm.MSF)
-	if !ok {
-		return fmt.Errorf("%w: an MSFTarget handle merges *MSF, got %T", ErrBadConfig, state)
-	}
-	return l.m.Merge(o)
-}
-
-func (t MSFTarget) openLive(src Source, o *buildOptions, p *parallel.Policy) (liveState[*MSF], error) {
-	if t.WMax <= 0 {
-		return nil, fmt.Errorf("%w: a live MSF handle needs an explicit WMax (a scanned bound could be exceeded by a later Apply)", ErrBadConfig)
-	}
-	seed := t.Seed
-	if o.seedSet {
-		seed = o.seed
-	}
-	m, err := parallel.IngestBatchedOpts(p, src, func() *agm.MSF {
-		return agm.NewMSF(seed, src.N(), t.WMax, t.Gamma)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return msfLive{m}, nil
-}
-
-type additiveLive struct{ a *spanner.Additive }
-
-func (l additiveLive) apply(b []Update) error { return l.a.AddBatch(b) }
-func (l additiveLive) query(p *parallel.Policy) (*AdditiveResult, error) {
-	return l.a.ExtractOpts(p)
-}
-func (l additiveLive) enableCache(on bool)          { l.a.EnableDecodeCache(on) }
-func (l additiveLive) invalidate()                  { l.a.InvalidateDecodeCache() }
-func (l additiveLive) cacheStats() (uint64, uint64) { return l.a.DecodeCacheStats() }
-func (l additiveLive) merge(state any) error {
-	o, ok := state.(*spanner.Additive)
-	if !ok {
-		return fmt.Errorf("%w: an AdditiveTarget handle merges *AdditiveSpanner, got %T", ErrBadConfig, state)
-	}
-	return l.a.Merge(o)
-}
-
-func (t AdditiveTarget) openLive(src Source, o *buildOptions, p *parallel.Policy) (liveState[*AdditiveResult], error) {
-	cfg := t.Config
-	if o.seedSet {
-		cfg.Seed = o.seed
-	}
-	a, err := parallel.IngestOpts(p, src,
-		func() (*spanner.Additive, error) { return spanner.NewAdditive(src.N(), cfg), nil },
-		(*spanner.Additive).AddBatch, (*spanner.Additive).Merge)
-	if err != nil {
-		return nil, err
-	}
-	return additiveLive{a}, nil
-}
+// ---- the two-pass targets' live states (the single-pass ones share
+// onePassLive) ----
 
 type twoPassLive struct{ tp *spanner.TwoPass }
 
@@ -429,13 +228,10 @@ func (l twoPassLive) merge(any) error {
 	return fmt.Errorf("%w: a two-pass spanner handle cannot merge remote state (its live log never saw those updates); Apply them instead", ErrBadConfig)
 }
 
-func (t SpannerTarget) openLive(src Source, o *buildOptions, p *parallel.Policy) (liveState[*SpannerResult], error) {
-	_ = p // ingest is the serial replay StartLive runs; queries use the per-call policy
-	cfg := t.Config
-	if o.seedSet {
-		cfg.Seed = o.seed
-	}
-	tp := spanner.NewTwoPass(src.N(), cfg)
+// openLive ingests with the serial replay StartLive runs; queries use
+// the per-call policy.
+func (s spannerPlan) openLive(src Source, _ *parallel.Policy) (liveState[*SpannerResult], error) {
+	tp := spanner.NewTwoPass(src.N(), s.cfg)
 	if err := tp.StartLive(src.(Stream)); err != nil {
 		return nil, err
 	}
@@ -455,13 +251,8 @@ func (l sparsifyLive) merge(any) error {
 	return fmt.Errorf("%w: a sparsifier handle cannot merge remote state (its live logs never saw those updates); Apply them instead", ErrBadConfig)
 }
 
-func (t SparsifierTarget) openLive(src Source, o *buildOptions, p *parallel.Policy) (liveState[*SparsifierResult], error) {
-	_ = p
-	cfg := t.Config
-	if o.seedSet {
-		cfg.Seed = o.seed
-	}
-	ls, err := sparsify.StartLive(src.(Stream), cfg)
+func (s sparsifierPlan) openLive(src Source, _ *parallel.Policy) (liveState[*SparsifierResult], error) {
+	ls, err := sparsify.StartLive(src.(Stream), s.cfg)
 	if err != nil {
 		return nil, err
 	}

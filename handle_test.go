@@ -10,6 +10,7 @@ import (
 
 	"dynstream"
 	"dynstream/internal/graph"
+	"dynstream/internal/parallel"
 )
 
 // Seeded Apply/Query interleaving matrix for live handles: after every
@@ -137,7 +138,7 @@ func TestHandleForestMatrix(t *testing.T) {
 						if err != nil {
 							return nil, err
 						}
-						return sk.SpanningForestParallel(nil, w)
+						return sk.SpanningForestOpts(nil, parallel.Default().WithWorkers(w))
 					}
 					return h.Apply, query, h.Invalidate, nil
 				},
@@ -174,7 +175,7 @@ func TestHandleKConnectivityMatrix(t *testing.T) {
 						if err != nil {
 							return nil, err
 						}
-						return kc.CertificateParallel(w)
+						return kc.CertificateOpts(parallel.Default().WithWorkers(w))
 					}
 					return h.Apply, query, h.Invalidate, nil
 				},
@@ -211,7 +212,7 @@ func TestHandleBipartitenessMatrix(t *testing.T) {
 						if err != nil {
 							return false, err
 						}
-						return b.IsBipartiteParallel(w)
+						return b.IsBipartiteOpts(parallel.Default().WithWorkers(w))
 					}
 					return h.Apply, query, h.Invalidate, nil
 				},
@@ -249,7 +250,7 @@ func TestHandleMSFMatrix(t *testing.T) {
 						if err != nil {
 							return nil, err
 						}
-						return m.ForestParallel(w)
+						return m.ForestOpts(parallel.Default().WithWorkers(w))
 					}
 					return h.Apply, query, h.Invalidate, nil
 				},

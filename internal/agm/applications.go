@@ -176,17 +176,11 @@ func (kc *KConnectivity) Certificate() ([][]graph.Edge, error) {
 	return kc.CertificateOpts(parallel.Default())
 }
 
-// CertificateParallel is Certificate with each forest's Borůvka rounds
-// decoded by `workers` goroutines (see Sketch.SpanningForestParallel).
-// The k forests themselves stay sequential — forest i is defined over
-// the sketch minus forests 1..i-1 — and the output is bit-identical to
-// Certificate.
-func (kc *KConnectivity) CertificateParallel(workers int) ([][]graph.Edge, error) {
-	return kc.CertificateOpts(parallel.Default().WithWorkers(workers))
-}
-
 // CertificateOpts is the policy-driven certificate extraction behind
-// Certificate / CertificateParallel.
+// Certificate: each forest's Borůvka rounds decode on the policy's
+// workers, while the k forests themselves stay sequential — forest i is
+// defined over the sketch minus forests 1..i-1 — so the output is
+// bit-identical at every worker count.
 func (kc *KConnectivity) CertificateOpts(p *parallel.Policy) ([][]graph.Edge, error) {
 	var prior []graph.Edge
 	out := make([][]graph.Edge, 0, kc.k)
@@ -206,13 +200,6 @@ func (kc *KConnectivity) CertificateOpts(p *parallel.Policy) ([][]graph.Edge, er
 // graph — the sparse subgraph preserving all cuts up to value k.
 func (kc *KConnectivity) CertificateGraph() (*graph.Graph, error) {
 	return kc.CertificateGraphOpts(parallel.Default())
-}
-
-// CertificateGraphParallel is CertificateGraph with the per-forest
-// decode fanned across `workers` goroutines; output identical to
-// CertificateGraph.
-func (kc *KConnectivity) CertificateGraphParallel(workers int) (*graph.Graph, error) {
-	return kc.CertificateGraphOpts(parallel.Default().WithWorkers(workers))
 }
 
 // CertificateGraphOpts is the policy-driven form of CertificateGraph.
@@ -325,13 +312,6 @@ func (b *Bipartiteness) Merge(o *Bipartiteness) error {
 // IsBipartite decides bipartiteness whp from the sketches alone.
 func (b *Bipartiteness) IsBipartite() (bool, error) {
 	return b.IsBipartiteOpts(parallel.Default())
-}
-
-// IsBipartiteParallel is IsBipartite with the two forest extractions
-// (G and its double cover) each decoded by `workers` goroutines;
-// verdict identical to IsBipartite.
-func (b *Bipartiteness) IsBipartiteParallel(workers int) (bool, error) {
-	return b.IsBipartiteOpts(parallel.Default().WithWorkers(workers))
 }
 
 // IsBipartiteOpts is the policy-driven form of IsBipartite.

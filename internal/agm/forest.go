@@ -26,17 +26,8 @@ func (s *Sketch) SpanningForest(groups [][]int) ([]graph.Edge, error) {
 	return s.SpanningForestOpts(groups, parallel.Default())
 }
 
-// SpanningForestParallel is SpanningForest with each Borůvka round's
-// per-component sampler merges and L0 decodes fanned across `workers`
-// goroutines. The extracted forest is bit-identical to SpanningForest:
-// component results are placed by sorted root index and the unions are
-// applied serially in that order, exactly the serial schedule.
-func (s *Sketch) SpanningForestParallel(groups [][]int, workers int) ([]graph.Edge, error) {
-	return s.SpanningForestOpts(groups, parallel.Default().WithWorkers(workers))
-}
-
 // SpanningForestOpts is the policy-driven forest extraction behind
-// SpanningForest / SpanningForestParallel. Within each round the
+// SpanningForest, bit-identical at every worker count. Within each round the
 // per-component work (merge the component's samplers, draw one
 // boundary edge) touches disjoint state, so it fans across the
 // policy's workers with one reusable scratch sampler per worker;

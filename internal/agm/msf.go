@@ -145,15 +145,10 @@ func (m *MSF) Forest() ([]graph.Edge, error) {
 	return m.ForestOpts(parallel.Default())
 }
 
-// ForestParallel is Forest with each class prefix's Borůvka rounds
-// decoded by `workers` goroutines (see Sketch.SpanningForestParallel);
-// the classes themselves stay sequential (each contracts the previous)
-// and the forest is bit-identical to Forest.
-func (m *MSF) ForestParallel(workers int) ([]graph.Edge, error) {
-	return m.ForestOpts(parallel.Default().WithWorkers(workers))
-}
-
-// ForestOpts is the policy-driven form of Forest.
+// ForestOpts is the policy-driven form of Forest: each class prefix's
+// Borůvka rounds decode on the policy's workers; the classes themselves
+// stay sequential (each contracts the previous) and the forest is
+// bit-identical to Forest.
 func (m *MSF) ForestOpts(p *parallel.Policy) ([]graph.Edge, error) {
 	uf := graph.NewUnionFind(m.n)
 	var out []graph.Edge

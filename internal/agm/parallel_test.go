@@ -17,6 +17,18 @@ func churned(n int, p float64, extra int, seed uint64) (*graph.Graph, *stream.Me
 	return g, stream.WithChurn(g, extra, seed+1)
 }
 
+// shardedIngest builds one state per round-robin shard of st and merges
+// them, through the same pipeline the Build front door uses.
+func shardedIngest[S interface {
+	AddBatch([]stream.Update)
+	Merge(S) error
+}](st stream.Source, workers int, newState func() S) (S, error) {
+	return parallel.IngestOpts(parallel.Default().WithWorkers(workers), st,
+		func() (S, error) { return newState(), nil },
+		func(s S, b []stream.Update) error { s.AddBatch(b); return nil },
+		S.Merge)
+}
+
 func sameEdges(t *testing.T, name string, got, want []graph.Edge) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -40,7 +52,7 @@ func TestForestShardedMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 8} {
-		sk, err := parallel.Ingest(st, workers, func() *Sketch { return New(7, st.N(), Config{}) })
+		sk, err := shardedIngest(st, workers, func() *Sketch { return New(7, st.N(), Config{}) })
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -62,7 +74,7 @@ func TestKConnectivityShardedMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kc, err := parallel.Ingest(st, 4, func() *KConnectivity { return NewKConnectivity(9, st.N(), 3) })
+	kc, err := shardedIngest(st, 4, func() *KConnectivity { return NewKConnectivity(9, st.N(), 3) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +97,7 @@ func TestBipartitenessShardedMatchesSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		b, err := parallel.Ingest(st, 3, func() *Bipartiteness { return NewBipartiteness(11, tc.n) })
+		b, err := shardedIngest(st, 3, func() *Bipartiteness { return NewBipartiteness(11, tc.n) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +134,7 @@ func TestMSFShardedMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := parallel.Ingest(st, 4, func() *MSF { return NewMSF(13, n, wmax, 0.5) })
+	m, err := shardedIngest(st, 4, func() *MSF { return NewMSF(13, n, wmax, 0.5) })
 	if err != nil {
 		t.Fatal(err)
 	}

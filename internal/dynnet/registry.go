@@ -87,6 +87,26 @@ func (s gridState) AddBatch(b []stream.Update) error {
 }
 func (s gridState) MarshalBinary() ([]byte, error) { return s.g.MarshalBinary() }
 
+// load decodes a prototype blob into the empty state s and wraps it for
+// the worker loop, reporting the vertex count the prototype carries.
+func load[S interface {
+	UnmarshalBinary([]byte) error
+	N() int
+}](s S, blob []byte, wrap func(S) workerState) (workerState, int, error) {
+	if err := s.UnmarshalBinary(blob); err != nil {
+		return nil, 0, err
+	}
+	return wrap(s), s.N(), nil
+}
+
+// agg wraps an AGM-family state (see aggState).
+func agg[S interface {
+	AddBatch([]stream.Update)
+	MarshalBinary() ([]byte, error)
+}](s S) workerState {
+	return aggState[S]{s}
+}
+
 // newWorkerState decodes the coordinator's prototype blob into a fresh
 // state of the given kind, ready to ingest this worker's shard. The
 // decoded state carries the same randomness as the coordinator's, so
@@ -98,51 +118,27 @@ func (s gridState) MarshalBinary() ([]byte, error) { return s.g.MarshalBinary() 
 func newWorkerState(kind StateKind, n int, blob []byte) (workerState, error) {
 	var st workerState
 	var protoN int
+	var err error
 	switch kind {
 	case KindForest:
-		s := &agm.Sketch{}
-		if err := s.UnmarshalBinary(blob); err != nil {
-			return nil, err
-		}
-		st, protoN = aggState[*agm.Sketch]{s}, s.N()
+		st, protoN, err = load(new(agm.Sketch), blob, agg[*agm.Sketch])
 	case KindKConn:
-		s := &agm.KConnectivity{}
-		if err := s.UnmarshalBinary(blob); err != nil {
-			return nil, err
-		}
-		st, protoN = aggState[*agm.KConnectivity]{s}, s.N()
+		st, protoN, err = load(new(agm.KConnectivity), blob, agg[*agm.KConnectivity])
 	case KindBip:
-		s := &agm.Bipartiteness{}
-		if err := s.UnmarshalBinary(blob); err != nil {
-			return nil, err
-		}
-		st, protoN = aggState[*agm.Bipartiteness]{s}, s.N()
+		st, protoN, err = load(new(agm.Bipartiteness), blob, agg[*agm.Bipartiteness])
 	case KindMSF:
-		s := &agm.MSF{}
-		if err := s.UnmarshalBinary(blob); err != nil {
-			return nil, err
-		}
-		st, protoN = aggState[*agm.MSF]{s}, s.N()
+		st, protoN, err = load(new(agm.MSF), blob, agg[*agm.MSF])
 	case KindAdditive:
-		s := &spanner.Additive{}
-		if err := s.UnmarshalBinary(blob); err != nil {
-			return nil, err
-		}
-		st, protoN = s, s.N()
+		st, protoN, err = load(new(spanner.Additive), blob, func(a *spanner.Additive) workerState { return a })
 	case KindTwoPass:
-		tp := &spanner.TwoPass{}
-		if err := tp.UnmarshalBinary(blob); err != nil {
-			return nil, err
-		}
-		st, protoN = twoPassState{tp}, tp.N()
+		st, protoN, err = load(new(spanner.TwoPass), blob, func(tp *spanner.TwoPass) workerState { return twoPassState{tp} })
 	case KindGrid:
-		g := &sparsify.Grid{}
-		if err := g.UnmarshalBinary(blob); err != nil {
-			return nil, err
-		}
-		st, protoN = gridState{g}, g.N()
+		st, protoN, err = load(new(sparsify.Grid), blob, func(g *sparsify.Grid) workerState { return gridState{g} })
 	default:
 		return nil, fmt.Errorf("dynnet: unknown state kind %d", kind)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if protoN != n {
 		return nil, fmt.Errorf("dynnet: prototype has n=%d, assign says n=%d", protoN, n)

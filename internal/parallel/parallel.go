@@ -366,49 +366,6 @@ func fanoutIngest[S any](
 	return states[0], nil
 }
 
-// State is a linear sketch state that can ingest stream updates and be
-// merged with another state built from the same randomness.
-type State[S any] interface {
-	AddUpdate(stream.Update)
-	Merge(S) error
-}
-
-// BatchState is a linear sketch state that can ingest whole update
-// batches — the fast path: one virtual dispatch and one shard-replay
-// round trip per batch instead of per update.
-type BatchState[S any] interface {
-	AddBatch([]stream.Update)
-	Merge(S) error
-}
-
-// Ingest splits st into `workers` round-robin shards, feeds each shard
-// into its own fresh state on its own goroutine, and merges the
-// per-shard states into one. newState must return states built from
-// identical randomness (same seed and parameters) or the merge will
-// fail.
-func Ingest[S State[S]](st stream.Source, workers int, newState func() S) (S, error) {
-	return IngestOpts(Default().WithWorkers(workers), st,
-		func() (S, error) { return newState(), nil },
-		func(s S, batch []stream.Update) error {
-			for _, u := range batch {
-				s.AddUpdate(u)
-			}
-			return nil
-		},
-		func(dst, src S) error { return dst.Merge(src) })
-}
-
-// IngestBatchedOpts is IngestOpts over the batched update API of a
-// BatchState. Because every AddBatch in this repository is defined as
-// the per-update fold, the result is bit-identical to update-at-a-time
-// ingestion — only faster.
-func IngestBatchedOpts[S BatchState[S]](p *Policy, st stream.Source, newState func() S) (S, error) {
-	return IngestOpts(p, st,
-		func() (S, error) { return newState(), nil },
-		func(s S, batch []stream.Update) error { s.AddBatch(batch); return nil },
-		func(dst, src S) error { return dst.Merge(src) })
-}
-
 // ForEachOpts runs fn(0..n-1) on up to the policy's workers and waits
 // for all of them. Dispatch stops at the first cancellation; already
 // dispatched tasks run to completion. The first error (by index) is

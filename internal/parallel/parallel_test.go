@@ -16,9 +16,19 @@ type counter struct {
 	sum     int64
 }
 
-func (c *counter) AddUpdate(u stream.Update) {
-	c.updates++
-	c.sum += int64(u.Delta) * int64(u.U+u.V)
+func (c *counter) add(batch []stream.Update) {
+	for _, u := range batch {
+		c.updates++
+		c.sum += int64(u.Delta) * int64(u.U+u.V)
+	}
+}
+
+// ingest runs IngestOpts over a counter-like state at a worker count.
+func ingest[S interface{ Merge(S) error }](st stream.Source, workers int, newState func() S, add func(S, []stream.Update)) (S, error) {
+	return IngestOpts(Default().WithWorkers(workers), st,
+		func() (S, error) { return newState(), nil },
+		func(s S, b []stream.Update) error { add(s, b); return nil },
+		S.Merge)
 }
 
 func (c *counter) Merge(o *counter) error {
@@ -44,12 +54,12 @@ func testStream(t *testing.T, n, m int) *stream.MemoryStream {
 
 func TestIngestMatchesSerial(t *testing.T) {
 	st := testStream(t, 20, 500)
-	serial, err := Ingest(st, 1, func() *counter { return &counter{} })
+	serial, err := ingest(st, 1, func() *counter { return &counter{} }, (*counter).add)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 8, 100} {
-		par, err := Ingest(st, workers, func() *counter { return &counter{} })
+		par, err := ingest(st, workers, func() *counter { return &counter{} }, (*counter).add)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -57,8 +67,8 @@ func TestIngestMatchesSerial(t *testing.T) {
 			t.Errorf("workers=%d: %+v vs serial %+v", workers, *par, *serial)
 		}
 	}
-	if _, err := Ingest(st, 0, func() *counter { return &counter{} }); err == nil {
-		t.Error("Ingest accepted workers=0")
+	if _, err := ingest(st, 0, func() *counter { return &counter{} }, (*counter).add); err == nil {
+		t.Error("IngestOpts accepted workers=0")
 	}
 }
 
@@ -68,7 +78,7 @@ func (f *failing) Merge(o *failing) error { return errors.New("merge refused") }
 
 func TestIngestPropagatesMergeError(t *testing.T) {
 	st := testStream(t, 10, 40)
-	if _, err := Ingest(st, 2, func() *failing { return &failing{} }); err == nil {
+	if _, err := ingest(st, 2, func() *failing { return &failing{} }, func(f *failing, b []stream.Update) { f.add(b) }); err == nil {
 		t.Error("merge error not propagated")
 	}
 }

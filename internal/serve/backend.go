@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"slices"
 	"strings"
@@ -45,9 +46,6 @@ type Spec struct {
 	Tracer *dynstream.Tracer
 }
 
-// Targets lists the recognized Spec.Target names.
-var Targets = []string{"additive", "bipartite", "forest", "kcert", "msf", "spanner", "sparsify"}
-
 // backend adapts one Handle[R] plus a render function to the Backend
 // interface.
 type backend[R any] struct {
@@ -77,51 +75,101 @@ func (b *backend[R]) CheckpointTo(path string) error {
 	return dynstream.CheckpointFile(b.h, path)
 }
 
-// openBackend opens (or restores) one target's handle over an empty
-// base graph of spec.N vertices. If ckptPath names a readable, valid
-// checkpoint for this target, the handle resumes from it — restored is
-// then the snapshot's applied-update count; otherwise the handle starts
-// fresh (restored -1) and a non-empty ckptPath that failed to restore
-// is reported in note. The daemon replays nothing itself: the feed that
-// produced the checkpointed updates is expected to resume past
-// AppliedUpdates, or queries simply reflect the restored prefix.
-func openBackend[R any](ctx context.Context, spec Spec, target dynstream.Target[R], ckptPath string,
-	render func(R, int64) (*QueryResponse, error)) (Backend, int64, string, error) {
-	base := dynstream.NewMemoryStream(spec.N)
-	opts := []dynstream.Option{dynstream.WithBatchSize(spec.Batch)}
-	if spec.Workers > 0 {
-		opts = append(opts, dynstream.WithWorkers(spec.Workers))
+// options are the spec's execution knobs as front-door options; a
+// non-positive worker count leaves the library's automatic choice.
+func (s Spec) options() []dynstream.Option {
+	opts := []dynstream.Option{dynstream.WithBatchSize(s.Batch)}
+	if s.Workers > 0 {
+		opts = append(opts, dynstream.WithWorkers(s.Workers))
 	}
-	if spec.DecodeWorkers > 0 {
-		opts = append(opts, dynstream.WithDecodeWorkers(spec.DecodeWorkers))
+	if s.DecodeWorkers > 0 {
+		opts = append(opts, dynstream.WithDecodeWorkers(s.DecodeWorkers))
 	}
-	if spec.Tracer != nil {
-		opts = append(opts, dynstream.WithTracer(spec.Tracer))
+	if s.Tracer != nil {
+		opts = append(opts, dynstream.WithTracer(s.Tracer))
 	}
-	note := ""
-	if ckptPath != "" {
-		f, err := os.Open(ckptPath)
-		if err == nil {
-			h, rerr := dynstream.Restore(ctx, f, base, target, opts...)
-			f.Close()
-			if rerr == nil {
-				return &backend[R]{target: spec.Target, h: h, render: render}, h.AppliedUpdates(), "", nil
-			}
-			note = fmt.Sprintf("checkpoint %s not restored (%v); starting fresh", ckptPath, rerr)
-		} else if !os.IsNotExist(err) {
-			note = fmt.Sprintf("checkpoint %s not restored (%v); starting fresh", ckptPath, err)
-		}
-	}
-	h, err := dynstream.Open(ctx, base, target, opts...)
-	if err != nil {
-		return nil, 0, note, err
-	}
-	return &backend[R]{target: spec.Target, h: h, render: render}, -1, note, nil
+	return opts
 }
 
-// edgesJSON converts a result graph to wire edges in the graph's own
-// deterministic edge order.
-func edgesJSON(g *graph.Graph) []EdgeJSON { return wireEdges(g.Edges()) }
+// decodePolicy is the policy every render decodes under: the decode
+// worker count (0 follows Workers, floor 1 — the CLI's -decodeworkers
+// semantics) and the spec's tracer, so the Borůvka rounds of every
+// sketch-family target land in the same timeline and fold counter.
+func (s Spec) decodePolicy() *parallel.Policy {
+	dw := s.DecodeWorkers
+	if dw == 0 {
+		dw = s.Workers
+	}
+	return parallel.Default().WithWorkers(max(dw, 1)).WithTracer(s.Tracer)
+}
+
+// Named is one row of the target table: a target name bound to its
+// dynstream target and its render, erased to non-generic functions so
+// the daemon, the CLI's one-shot build and its repl all drive a target
+// the same way.
+type Named struct {
+	Name string
+	// Passes is the number of stream passes the spec's target needs.
+	Passes func(Spec) int
+	// Open opens a live backend over base, or, when ckpt is non-nil,
+	// restores it from that checkpoint (failing if it does not fit).
+	Open func(ctx context.Context, spec Spec, base dynstream.Source, ckpt io.Reader) (Backend, error)
+	// Build runs the target once over src and renders the result; words
+	// is the sketch's size. extra options follow the spec's own.
+	Build func(ctx context.Context, spec Spec, src dynstream.Source, extra ...dynstream.Option) (resp *QueryResponse, words int, err error)
+}
+
+// row binds one target to its render and its sketch-size reading.
+// render leaves Target and Applied to the caller; words is asked only
+// by a one-shot Build — a live query must not pay for walking the
+// sketch to size it.
+func row[R any](name string, target func(Spec) dynstream.Target[R],
+	render func(Spec, R) (*QueryResponse, error), words func(R) int) Named {
+	answer := func(spec Spec, res R, applied int64) (*QueryResponse, error) {
+		resp, err := render(spec, res)
+		if err != nil {
+			return nil, err
+		}
+		resp.Target, resp.Applied = name, applied
+		return resp, nil
+	}
+	return Named{
+		Name:   name,
+		Passes: func(spec Spec) int { return target(spec).Passes() },
+		Open: func(ctx context.Context, spec Spec, base dynstream.Source, ckpt io.Reader) (Backend, error) {
+			var h *dynstream.Handle[R]
+			var err error
+			if ckpt != nil {
+				h, err = dynstream.Restore(ctx, ckpt, base, target(spec), spec.options()...)
+			} else {
+				h, err = dynstream.Open(ctx, base, target(spec), spec.options()...)
+			}
+			if err != nil {
+				return nil, err
+			}
+			return &backend[R]{target: name, h: h, render: func(res R, applied int64) (*QueryResponse, error) {
+				return answer(spec, res, applied)
+			}}, nil
+		},
+		Build: func(ctx context.Context, spec Spec, src dynstream.Source, extra ...dynstream.Option) (*QueryResponse, int, error) {
+			res, err := dynstream.Build(ctx, src, target(spec), append(spec.options(), extra...)...)
+			if err != nil {
+				return nil, 0, err
+			}
+			resp, err := answer(spec, res, 0)
+			if err != nil {
+				return nil, 0, err
+			}
+			return resp, words(res), nil
+		},
+	}
+}
+
+// edgeResult is the render of the decode-family targets, whose result
+// already is a graph.
+func edgeResult(g *graph.Graph, summary string) (*QueryResponse, error) {
+	return &QueryResponse{Edges: wireEdges(g.Edges()), Summary: summary}, nil
+}
 
 func wireEdges(edges []graph.Edge) []EdgeJSON {
 	out := make([]EdgeJSON, len(edges))
@@ -131,130 +179,150 @@ func wireEdges(edges []graph.Edge) []EdgeJSON {
 	return out
 }
 
-// OpenBackend opens (or restores, when ckptPath names a valid snapshot)
-// the spec's target. The note return carries a human-readable remark
-// about a checkpoint that existed but could not be restored.
+// table is the one place a target name meets its dynstream target; an
+// eighth target is one more row.
+var table = []Named{
+	row("additive",
+		func(s Spec) dynstream.Target[*dynstream.AdditiveResult] {
+			return dynstream.AdditiveTarget{Config: dynstream.AdditiveConfig{D: s.D, Seed: s.Seed}}
+		},
+		func(s Spec, res *dynstream.AdditiveResult) (*QueryResponse, error) {
+			return edgeResult(res.Spanner, fmt.Sprintf("n/%d-additive spanner: %d edges", s.D, res.Spanner.M()))
+		},
+		func(res *dynstream.AdditiveResult) int { return res.SpaceWords }),
+	row("bipartite",
+		func(s Spec) dynstream.Target[*dynstream.Bipartiteness] {
+			return dynstream.BipartitenessTarget{Seed: s.Seed}
+		},
+		func(s Spec, b *dynstream.Bipartiteness) (*QueryResponse, error) {
+			bip, err := b.IsBipartiteOpts(s.decodePolicy())
+			if err != nil {
+				return nil, err
+			}
+			return &QueryResponse{Bipartite: &bip, Summary: fmt.Sprintf("bipartite: %v", bip)}, nil
+		},
+		(*dynstream.Bipartiteness).SpaceWords),
+	row("forest",
+		func(s Spec) dynstream.Target[*dynstream.ForestSketch] {
+			return dynstream.ForestTarget{Seed: s.Seed}
+		},
+		func(s Spec, sk *dynstream.ForestSketch) (*QueryResponse, error) {
+			forest, err := sk.SpanningForestOpts(nil, s.decodePolicy())
+			if err != nil {
+				return nil, err
+			}
+			// Forest edges are canonical, distinct and of unit weight:
+			// sorted, they are what a Graph of them would list.
+			slices.SortFunc(forest, graph.CompareEdges)
+			comps := sk.N() - len(forest)
+			conn := comps == 1
+			return &QueryResponse{
+				Edges: wireEdges(forest), Connected: &conn, Components: comps,
+				Summary: fmt.Sprintf("spanning forest: %d edges, %d components", len(forest), comps),
+			}, nil
+		},
+		(*dynstream.ForestSketch).SpaceWords),
+	row("kcert",
+		func(s Spec) dynstream.Target[*dynstream.KConnectivity] {
+			return dynstream.KConnectivityTarget{Seed: s.Seed, K: s.K}
+		},
+		func(s Spec, kc *dynstream.KConnectivity) (*QueryResponse, error) {
+			cert, err := kc.CertificateGraphOpts(s.decodePolicy())
+			if err != nil {
+				return nil, err
+			}
+			return edgeResult(cert, fmt.Sprintf("%d-connectivity certificate: %d edges", s.K, cert.M()))
+		},
+		(*dynstream.KConnectivity).SpaceWords),
+	row("msf",
+		func(s Spec) dynstream.Target[*dynstream.MSF] {
+			gamma := s.Gamma
+			if gamma <= 0 {
+				gamma = 0.5 // the CLI's choice
+			}
+			return dynstream.MSFTarget{Seed: s.Seed, WMax: s.WMax, Gamma: gamma}
+		},
+		func(s Spec, m *dynstream.MSF) (*QueryResponse, error) {
+			forest, err := m.ForestOpts(s.decodePolicy())
+			if err != nil {
+				return nil, err
+			}
+			g := graph.New(m.N())
+			for _, e := range forest {
+				g.AddEdge(e.U, e.V, e.W)
+			}
+			return edgeResult(g, fmt.Sprintf("approximate MSF: %d edges", len(forest)))
+		},
+		(*dynstream.MSF).SpaceWords),
+	row("spanner",
+		func(s Spec) dynstream.Target[*dynstream.SpannerResult] {
+			return dynstream.SpannerTarget{Config: dynstream.SpannerConfig{K: s.K, Seed: s.Seed}}
+		},
+		func(s Spec, res *dynstream.SpannerResult) (*QueryResponse, error) {
+			return edgeResult(res.Spanner, fmt.Sprintf("2^%d-spanner: %d edges", s.K, res.Spanner.M()))
+		},
+		func(res *dynstream.SpannerResult) int { return res.SpaceWords }),
+	row("sparsify",
+		func(s Spec) dynstream.Target[*dynstream.SparsifierResult] {
+			return dynstream.SparsifierTarget{Config: dynstream.SparsifierConfig{K: s.K, Z: s.Z, Seed: s.Seed}}
+		},
+		func(s Spec, res *dynstream.SparsifierResult) (*QueryResponse, error) {
+			return edgeResult(res.Sparsifier,
+				fmt.Sprintf("sparsifier: %d edges from %d samples", res.Sparsifier.M(), res.Samples))
+		},
+		func(res *dynstream.SparsifierResult) int { return res.SpaceWords }),
+}
+
+// Targets lists the recognized target names, sorted.
+func Targets() []string {
+	names := make([]string, len(table))
+	for i, r := range table {
+		names[i] = r.Name
+	}
+	return names
+}
+
+// Lookup returns the table row for a target name.
+func Lookup(name string) (Named, error) {
+	for _, r := range table {
+		if r.Name == name {
+			return r, nil
+		}
+	}
+	return Named{}, fmt.Errorf("unknown target %q (want one of %s)", name, strings.Join(Targets(), "|"))
+}
+
+// OpenBackend is the daemon's opening policy over Named.Open: the
+// spec's target serves an empty base graph of spec.N vertices, resumed
+// from ckptPath when that names a readable, valid checkpoint for it —
+// restored is then the snapshot's applied-update count. Otherwise the
+// handle starts fresh (restored -1), and a checkpoint that exists but
+// could not be restored is reported in note rather than failing the
+// daemon. The daemon replays nothing itself: the feed that produced the
+// checkpointed updates is expected to resume past AppliedUpdates, or
+// queries simply reflect the restored prefix.
 func OpenBackend(ctx context.Context, spec Spec, ckptPath string) (b Backend, restored int64, note string, err error) {
-	switch spec.Target {
-	case "forest":
-		return openBackend(ctx, spec, dynstream.ForestTarget{Seed: spec.Seed}, ckptPath,
-			func(sk *dynstream.ForestSketch, applied int64) (*QueryResponse, error) {
-				// The spec's tracer sees the decode's Borůvka rounds too:
-				// their fold counts feed the /metrics counter.
-				forest, err := sk.SpanningForestOpts(nil,
-					parallel.Default().WithWorkers(spec.decodeWorkers()).WithTracer(spec.Tracer))
-				if err != nil {
-					return nil, err
-				}
-				// Forest edges are canonical, distinct and of unit weight:
-				// sorted, they are what a Graph of them would list.
-				slices.SortFunc(forest, graph.CompareEdges)
-				comps := spec.N - len(forest)
-				conn := comps == 1
-				return &QueryResponse{
-					Target: spec.Target, Applied: applied, Edges: wireEdges(forest),
-					Connected: &conn, Components: comps,
-					Summary: fmt.Sprintf("spanning forest: %d edges, %d components", len(forest), comps),
-				}, nil
-			})
-
-	case "kcert":
-		return openBackend(ctx, spec, dynstream.KConnectivityTarget{Seed: spec.Seed, K: spec.K}, ckptPath,
-			func(kc *dynstream.KConnectivity, applied int64) (*QueryResponse, error) {
-				cert, err := kc.CertificateGraphParallel(spec.decodeWorkers())
-				if err != nil {
-					return nil, err
-				}
-				return &QueryResponse{
-					Target: spec.Target, Applied: applied, Edges: edgesJSON(cert),
-					Summary: fmt.Sprintf("%d-connectivity certificate: %d edges", spec.K, cert.M()),
-				}, nil
-			})
-
-	case "bipartite":
-		return openBackend(ctx, spec, dynstream.BipartitenessTarget{Seed: spec.Seed}, ckptPath,
-			func(b *dynstream.Bipartiteness, applied int64) (*QueryResponse, error) {
-				bip, err := b.IsBipartiteParallel(spec.decodeWorkers())
-				if err != nil {
-					return nil, err
-				}
-				return &QueryResponse{
-					Target: spec.Target, Applied: applied, Bipartite: &bip,
-					Summary: fmt.Sprintf("bipartite: %v", bip),
-				}, nil
-			})
-
-	case "msf":
-		return openBackend(ctx, spec, dynstream.MSFTarget{Seed: spec.Seed, WMax: spec.WMax, Gamma: spec.gamma()}, ckptPath,
-			func(m *dynstream.MSF, applied int64) (*QueryResponse, error) {
-				forest, err := m.ForestParallel(spec.decodeWorkers())
-				if err != nil {
-					return nil, err
-				}
-				g := graph.New(spec.N)
-				for _, e := range forest {
-					g.AddEdge(e.U, e.V, e.W)
-				}
-				return &QueryResponse{
-					Target: spec.Target, Applied: applied, Edges: edgesJSON(g),
-					Summary: fmt.Sprintf("approximate MSF: %d edges", len(forest)),
-				}, nil
-			})
-
-	case "spanner":
-		return openBackend(ctx, spec,
-			dynstream.SpannerTarget{Config: dynstream.SpannerConfig{K: spec.K, Seed: spec.Seed}}, ckptPath,
-			func(res *dynstream.SpannerResult, applied int64) (*QueryResponse, error) {
-				return &QueryResponse{
-					Target: spec.Target, Applied: applied, Edges: edgesJSON(res.Spanner),
-					Summary: fmt.Sprintf("2^%d-spanner: %d edges", spec.K, res.Spanner.M()),
-				}, nil
-			})
-
-	case "additive":
-		return openBackend(ctx, spec,
-			dynstream.AdditiveTarget{Config: dynstream.AdditiveConfig{D: spec.D, Seed: spec.Seed}}, ckptPath,
-			func(res *dynstream.AdditiveResult, applied int64) (*QueryResponse, error) {
-				return &QueryResponse{
-					Target: spec.Target, Applied: applied, Edges: edgesJSON(res.Spanner),
-					Summary: fmt.Sprintf("n/%d-additive spanner: %d edges", spec.D, res.Spanner.M()),
-				}, nil
-			})
-
-	case "sparsify":
-		return openBackend(ctx, spec,
-			dynstream.SparsifierTarget{Config: dynstream.SparsifierConfig{K: spec.K, Z: spec.Z, Seed: spec.Seed}}, ckptPath,
-			func(res *dynstream.SparsifierResult, applied int64) (*QueryResponse, error) {
-				return &QueryResponse{
-					Target: spec.Target, Applied: applied, Edges: edgesJSON(res.Sparsifier),
-					Summary: fmt.Sprintf("sparsifier: %d edges from %d samples", res.Sparsifier.M(), res.Samples),
-				}, nil
-			})
-
-	default:
-		return nil, 0, "", fmt.Errorf("unknown target %q (want one of %s)", spec.Target, strings.Join(Targets, "|"))
+	r, err := Lookup(spec.Target)
+	if err != nil {
+		return nil, 0, "", err
 	}
-}
-
-// decodeWorkers resolves the decode worker count for the render-side
-// decode methods (SpanningForestParallel etc.), mirroring the CLI's
-// -decodeworkers semantics: 0 follows Workers, floor 1.
-func (s Spec) decodeWorkers() int {
-	dw := s.DecodeWorkers
-	if dw == 0 {
-		dw = s.Workers
+	base := dynstream.NewMemoryStream(spec.N)
+	if ckptPath != "" {
+		f, err := os.Open(ckptPath)
+		if err == nil {
+			b, err = r.Open(ctx, spec, base, f)
+			f.Close()
+			if err == nil {
+				return b, b.Applied(), "", nil
+			}
+		}
+		if !os.IsNotExist(err) {
+			note = fmt.Sprintf("checkpoint %s not restored (%v); starting fresh", ckptPath, err)
+		}
 	}
-	if dw < 1 {
-		dw = 1
+	b, err = r.Open(ctx, spec, base, nil)
+	if err != nil {
+		return nil, 0, note, err
 	}
-	return dw
-}
-
-// gamma resolves the MSF approximation parameter (default 0.5, the
-// CLI's choice).
-func (s Spec) gamma() float64 {
-	if s.Gamma > 0 {
-		return s.Gamma
-	}
-	return 0.5
+	return b, -1, note, nil
 }

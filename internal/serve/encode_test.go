@@ -46,7 +46,7 @@ func TestQueryEncodingMatchesJSON(t *testing.T) {
 		ups = append(ups, dynstream.Update{U: v - 1, V: v, W: 1 + float64(v%5)/4, Delta: 1})
 		ups = append(ups, dynstream.Update{U: (v * 7) % n, V: (v*7 + 5) % n, W: 2.5, Delta: 1})
 	}
-	for _, target := range Targets {
+	for _, target := range Targets() {
 		b, _, _, err := OpenBackend(ctx, Spec{Target: target, N: n, K: 2, D: 2, Z: 2, Seed: 5, WMax: 8}, "")
 		if err != nil {
 			t.Fatalf("%s: %v", target, err)

@@ -69,7 +69,7 @@ func offlineForest(t *testing.T, n int, log []dynstream.Update, upto int64, seed
 	if err != nil {
 		t.Fatal(err)
 	}
-	forest, err := sk.SpanningForestParallel(nil, 1)
+	forest, err := sk.SpanningForest(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func offlineForest(t *testing.T, n int, log []dynstream.Update, upto int64, seed
 	for _, e := range forest {
 		g.AddUnitEdge(e.U, e.V)
 	}
-	return edgesJSON(g)
+	return wireEdges(g.Edges())
 }
 
 func newForestServer(t *testing.T, n int, seed uint64, cfg ServerConfig) (*Server, *httptest.Server) {
@@ -396,28 +396,36 @@ func TestMetricsEndpoint(t *testing.T) {
 // Borůvka rounds' fold counts reach /metrics as a counter, next to the
 // phase histograms the same spans feed.
 func TestMetricsDecodeFolds(t *testing.T) {
-	tr := dynstream.NewTracer()
-	b, _, _, err := OpenBackend(context.Background(), Spec{Target: "forest", N: 32, Seed: 2, Tracer: tr}, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewServer([]Backend{b}, ServerConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr.OnSpanEnd(s.Metrics().ObserveSpan)
-	if err := s.ApplyBatch(testLog(32, 100, 11)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Query(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	var out strings.Builder
-	s.Metrics().WritePrometheus(&out, true, false, nil)
-	var folds uint64
-	fmt.Sscanf(findLine(out.String(), "dynstream_decode_folds_total"), "dynstream_decode_folds_total %d", &folds)
-	if folds == 0 || !strings.Contains(out.String(), `dynstream_phase_duration_seconds_count{phase="agm/round01"}`) {
-		t.Errorf("a cold decode of a 100-update graph exported %d folds\n%s", folds, out.String())
+	// Every sketch-family target decodes under the spec's tracer: kcert,
+	// bipartite and msf used to render through worker-count-only decode
+	// calls and emitted no agm/round spans at all.
+	for _, target := range []string{"forest", "kcert", "bipartite", "msf"} {
+		t.Run(target, func(t *testing.T) {
+			tr := dynstream.NewTracer()
+			b, _, _, err := OpenBackend(context.Background(),
+				Spec{Target: target, N: 32, K: 2, Seed: 2, WMax: 8, Tracer: tr}, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := NewServer([]Backend{b}, ServerConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr.OnSpanEnd(s.Metrics().ObserveSpan)
+			if err := s.ApplyBatch(testLog(32, 100, 11)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := b.Query(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			var out strings.Builder
+			s.Metrics().WritePrometheus(&out, true, false, nil)
+			var folds uint64
+			fmt.Sscanf(findLine(out.String(), "dynstream_decode_folds_total"), "dynstream_decode_folds_total %d", &folds)
+			if folds == 0 || !strings.Contains(out.String(), `dynstream_phase_duration_seconds_count{phase="agm/round01"}`) {
+				t.Errorf("a cold decode of a 100-update graph exported %d folds\n%s", folds, out.String())
+			}
+		})
 	}
 }
 

@@ -217,17 +217,3 @@ func (a *Additive) Merge(o *Additive) error {
 	}
 	return a.forest.Merge(o.forest)
 }
-
-// BuildAdditiveOpts is the policy-driven single-pass additive build:
-// ingestion runs under p's context, workers, batch size, and progress
-// sink. Because it is single-pass, any Source works — including pipes
-// and channels that cannot be replayed.
-func BuildAdditiveOpts(src stream.Source, cfg AdditiveConfig, p *parallel.Policy) (*AdditiveResult, error) {
-	main, err := parallel.IngestOpts(p, src,
-		func() (*Additive, error) { return NewAdditive(src.N(), cfg), nil },
-		(*Additive).AddBatch, (*Additive).Merge)
-	if err != nil {
-		return nil, fmt.Errorf("spanner: additive pass: %w", err)
-	}
-	return main.FinishOpts(p)
-}

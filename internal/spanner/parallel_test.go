@@ -75,6 +75,18 @@ func TestTwoPassParallelAugmented(t *testing.T) {
 	sameGraph(t, "augmented", par.Augmented, serial.Augmented)
 }
 
+// buildAdditiveOpts is the sharded additive build as the Build front
+// door composes it: same-seeded states per shard, merged, then decoded.
+func buildAdditiveOpts(src stream.Source, cfg AdditiveConfig, p *parallel.Policy) (*AdditiveResult, error) {
+	a, err := parallel.IngestOpts(p, src,
+		func() (*Additive, error) { return NewAdditive(src.N(), cfg), nil },
+		(*Additive).AddBatch, (*Additive).Merge)
+	if err != nil {
+		return nil, err
+	}
+	return a.FinishOpts(p)
+}
+
 func TestAdditiveParallelMatchesSerial(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -92,7 +104,7 @@ func TestAdditiveParallelMatchesSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{2, 4, 8} {
-				par, err := BuildAdditiveOpts(tc.st, tc.cfg, parallel.Default().WithWorkers(workers))
+				par, err := buildAdditiveOpts(tc.st, tc.cfg, parallel.Default().WithWorkers(workers))
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -111,8 +123,8 @@ func TestParallelRejectsBadWorkers(t *testing.T) {
 	if _, err := BuildTwoPassOpts(st, Config{K: 2, Seed: 1}, parallel.Default().WithWorkers(0)); err == nil {
 		t.Error("BuildTwoPassOpts accepted workers=0")
 	}
-	if _, err := BuildAdditiveOpts(st, AdditiveConfig{D: 2, Seed: 1}, parallel.Default().WithWorkers(-1)); err == nil {
-		t.Error("BuildAdditiveOpts accepted workers=-1")
+	if _, err := buildAdditiveOpts(st, AdditiveConfig{D: 2, Seed: 1}, parallel.Default().WithWorkers(-1)); err == nil {
+		t.Error("additive ingest accepted workers=-1")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dynstream/internal/graph"
+	"dynstream/internal/parallel"
 	"dynstream/internal/stream"
 )
 
@@ -17,7 +18,7 @@ func TestEstimatorParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4} {
-		par, err := NewEstimatorParallel(st, cfg, workers)
+		par, err := NewEstimatorOpts(st, cfg, parallel.Default().WithWorkers(workers))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -44,7 +45,7 @@ func TestEstimatorParallelExactOracles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := NewEstimatorParallel(st, cfg, 3)
+	par, err := NewEstimatorOpts(st, cfg, parallel.Default().WithWorkers(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestSparsifyParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4} {
-		par, err := SparsifyParallel(st, cfg, workers)
+		par, err := SparsifyOpts(st, cfg, parallel.Default().WithWorkers(workers))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -96,11 +97,11 @@ func TestSparsifyParallelMatchesSerial(t *testing.T) {
 
 func TestSparsifyParallelRejectsBadWorkers(t *testing.T) {
 	st := stream.FromGraph(graph.Complete(6), 108)
-	if _, err := SparsifyParallel(st, Config{K: 1, Z: 2, Seed: 1}, 0); err == nil {
-		t.Error("SparsifyParallel accepted workers=0")
+	if _, err := SparsifyOpts(st, Config{K: 1, Z: 2, Seed: 1}, parallel.Default().WithWorkers(0)); err == nil {
+		t.Error("SparsifyOpts accepted workers=0")
 	}
-	if _, err := NewEstimatorParallel(st, EstimateConfig{K: 1, Seed: 1}, -2); err == nil {
-		t.Error("NewEstimatorParallel accepted workers=-2")
+	if _, err := NewEstimatorOpts(st, EstimateConfig{K: 1, Seed: 1}, parallel.Default().WithWorkers(-2)); err == nil {
+		t.Error("NewEstimatorOpts accepted workers=-2")
 	}
 }
 

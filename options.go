@@ -1,11 +1,13 @@
 package dynstream
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
 
 	"dynstream/internal/obs"
+	"dynstream/internal/parallel"
 	"dynstream/internal/stream"
 )
 
@@ -54,6 +56,22 @@ func (o *buildOptions) cacheOn() bool {
 		return o.decodeCache
 	}
 	return true
+}
+
+// seedOr resolves a target's seed: WithSeed overrides the target's own.
+func (o *buildOptions) seedOr(seed uint64) uint64 {
+	if o.seedSet {
+		return o.seed
+	}
+	return seed
+}
+
+// policy is the execution policy of one local pass or query: the
+// resolved ingest and decode worker counts over src, the batch size,
+// and tr (nil disables tracing; a progress callback rides on it).
+func (o *buildOptions) policy(ctx context.Context, src Source, tr *obs.Tracer) *parallel.Policy {
+	return parallel.NewPolicy(ctx, o.resolveWorkers(src), o.batch, nil).
+		WithDecode(o.resolveDecodeWorkers(src)).WithTracer(tr)
 }
 
 // remote reports whether this build runs on remote worker processes.

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dynstream/internal/agm"
 	"dynstream/internal/dynnet"
 	"dynstream/internal/obs"
 	"dynstream/internal/parallel"
@@ -380,49 +379,25 @@ func noWorkerShards(o *buildOptions, what string) error {
 	return nil
 }
 
-// --- per-target remote builds (the buildRemote half of Target) ---
+// --- the two-pass targets' remote builds (the single-pass ones share
+// onePass) ---
 
-func (t SpannerTarget) buildRemote(ctx context.Context, src Source, o *buildOptions, r *remoteRun) (*SpannerResult, error) {
-	cfg := t.Config
-	if o.seedSet {
-		cfg.Seed = o.seed
-	}
-	if o.classBase != 0 {
-		if err := noWorkerShards(o, "the weight-class spanner"); err != nil {
+func (s spannerPlan) buildRemote(ctx context.Context, src Source, r *remoteRun) (*SpannerResult, error) {
+	if s.classBase != 0 {
+		if err := noWorkerShards(r.o, "the weight-class spanner"); err != nil {
 			return nil, err
 		}
-		return spanner.BuildTwoPassWeightedWith(src, cfg, o.classBase,
+		return spanner.BuildTwoPassWeightedWith(src, s.cfg, s.classBase,
 			func(sub stream.Source, ccfg SpannerConfig) (*SpannerResult, error) {
 				return r.twoPass(ctx, sub, ccfg)
 			})
 	}
-	return r.twoPass(ctx, src, cfg)
+	return r.twoPass(ctx, src, s.cfg)
 }
 
-func (t AdditiveTarget) buildRemote(ctx context.Context, src Source, o *buildOptions, r *remoteRun) (*AdditiveResult, error) {
-	if err := noWeightClasses(o, "the additive spanner"); err != nil {
+func (s sparsifierPlan) buildRemote(ctx context.Context, src Source, r *remoteRun) (*SparsifierResult, error) {
+	if err := noWorkerShards(r.o, "the sparsifier"); err != nil {
 		return nil, err
-	}
-	cfg := t.Config
-	if o.seedSet {
-		cfg.Seed = o.seed
-	}
-	proto := spanner.NewAdditive(src.N(), cfg)
-	err := ingestRemote(ctx, r, dynnet.KindAdditive, src, proto,
-		func() *spanner.Additive { return &spanner.Additive{} }, (*spanner.Additive).Merge)
-	if err != nil {
-		return nil, err
-	}
-	return proto.FinishOpts(r.p)
-}
-
-func (t SparsifierTarget) buildRemote(ctx context.Context, src Source, o *buildOptions, r *remoteRun) (*SparsifierResult, error) {
-	if err := noWorkerShards(o, "the sparsifier"); err != nil {
-		return nil, err
-	}
-	cfg := t.Config
-	if o.seedSet {
-		cfg.Seed = o.seed
 	}
 	one := func(sub stream.Source, ccfg SparsifierConfig) (*SparsifierResult, error) {
 		return sparsify.SparsifyWith(sub, ccfg,
@@ -431,94 +406,8 @@ func (t SparsifierTarget) buildRemote(ctx context.Context, src Source, o *buildO
 				return r.twoPass(ctx, ssub, scfg)
 			})
 	}
-	if o.classBase != 0 {
-		return sparsify.SparsifyWeightedWith(src, cfg, o.classBase, one)
+	if s.classBase != 0 {
+		return sparsify.SparsifyWeightedWith(src, s.cfg, s.classBase, one)
 	}
-	return one(src, cfg)
-}
-
-func (t ForestTarget) buildRemote(ctx context.Context, src Source, o *buildOptions, r *remoteRun) (*ForestSketch, error) {
-	if err := noWeightClasses(o, "the forest sketch"); err != nil {
-		return nil, err
-	}
-	seed := t.Seed
-	if o.seedSet {
-		seed = o.seed
-	}
-	proto := agm.New(seed, src.N(), t.Config)
-	err := ingestRemote(ctx, r, dynnet.KindForest, src, proto,
-		func() *agm.Sketch { return &agm.Sketch{} }, (*agm.Sketch).Merge)
-	if err != nil {
-		return nil, err
-	}
-	return proto, nil
-}
-
-func (t KConnectivityTarget) buildRemote(ctx context.Context, src Source, o *buildOptions, r *remoteRun) (*KConnectivity, error) {
-	if err := noWeightClasses(o, "the connectivity certificate"); err != nil {
-		return nil, err
-	}
-	seed := t.Seed
-	if o.seedSet {
-		seed = o.seed
-	}
-	proto := agm.NewKConnectivity(seed, src.N(), t.K)
-	err := ingestRemote(ctx, r, dynnet.KindKConn, src, proto,
-		func() *agm.KConnectivity { return &agm.KConnectivity{} }, (*agm.KConnectivity).Merge)
-	if err != nil {
-		return nil, err
-	}
-	return proto, nil
-}
-
-func (t BipartitenessTarget) buildRemote(ctx context.Context, src Source, o *buildOptions, r *remoteRun) (*Bipartiteness, error) {
-	if err := noWeightClasses(o, "the bipartiteness tester"); err != nil {
-		return nil, err
-	}
-	seed := t.Seed
-	if o.seedSet {
-		seed = o.seed
-	}
-	proto := agm.NewBipartiteness(seed, src.N())
-	err := ingestRemote(ctx, r, dynnet.KindBip, src, proto,
-		func() *agm.Bipartiteness { return &agm.Bipartiteness{} }, (*agm.Bipartiteness).Merge)
-	if err != nil {
-		return nil, err
-	}
-	return proto, nil
-}
-
-func (t MSFTarget) buildRemote(ctx context.Context, src Source, o *buildOptions, r *remoteRun) (*MSF, error) {
-	if err := noWeightClasses(o, "the MSF sketch (weights are native)"); err != nil {
-		return nil, err
-	}
-	seed := t.Seed
-	if o.seedSet {
-		seed = o.seed
-	}
-	wmax := t.WMax
-	if wmax <= 0 {
-		if err := noWorkerShards(o, "the MSF weight scan (set WMax explicitly)"); err != nil {
-			return nil, err
-		}
-		// Upper-bound weight scan at the coordinator (it owns the
-		// stream); the sketch pass itself then runs remotely.
-		wmax = 1.0
-		err := src.Replay(func(u Update) error {
-			if u.W > wmax {
-				wmax = u.W
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	proto := agm.NewMSF(seed, src.N(), wmax, t.Gamma)
-	err := ingestRemote(ctx, r, dynnet.KindMSF, src, proto,
-		func() *agm.MSF { return &agm.MSF{} }, (*agm.MSF).Merge)
-	if err != nil {
-		return nil, err
-	}
-	return proto, nil
+	return one(src, s.cfg)
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"dynstream/internal/graph"
+	"dynstream/internal/parallel"
 )
 
 // graphKey renders a result graph to a canonical string so traced and
@@ -65,7 +66,7 @@ func TestTracedBuildsBitIdentical(t *testing.T) {
 			if err != nil {
 				return "", err
 			}
-			forest, err := sk.SpanningForestParallel(nil, 2)
+			forest, err := sk.SpanningForestOpts(nil, parallel.Default().WithWorkers(2))
 			if err != nil {
 				return "", err
 			}
@@ -76,7 +77,7 @@ func TestTracedBuildsBitIdentical(t *testing.T) {
 			if err != nil {
 				return "", err
 			}
-			cert, err := kc.CertificateGraphParallel(2)
+			cert, err := kc.CertificateGraphOpts(parallel.Default().WithWorkers(2))
 			if err != nil {
 				return "", err
 			}
@@ -87,7 +88,7 @@ func TestTracedBuildsBitIdentical(t *testing.T) {
 			if err != nil {
 				return "", err
 			}
-			bip, err := b.IsBipartiteParallel(2)
+			bip, err := b.IsBipartiteOpts(parallel.Default().WithWorkers(2))
 			if err != nil {
 				return "", err
 			}
@@ -98,7 +99,7 @@ func TestTracedBuildsBitIdentical(t *testing.T) {
 			if err != nil {
 				return "", err
 			}
-			forest, err := m.ForestParallel(2)
+			forest, err := m.ForestOpts(parallel.Default().WithWorkers(2))
 			if err != nil {
 				return "", err
 			}
