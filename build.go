@@ -142,8 +142,8 @@ type Target[R any] interface {
 }
 
 // plan is a target with its options resolved. The five single-pass
-// targets share one implementation, onePass; the two-pass targets
-// (spanner, sparsifier) bring their own.
+// targets share one implementation, onePass, and the two two-pass
+// targets (spanner, sparsifier) another, twoPass.
 type plan[R any] interface {
 	// build runs the construction under the policy.
 	build(src Source, p *parallel.Policy) (R, error)
@@ -187,21 +187,31 @@ type SpannerTarget struct {
 func (t SpannerTarget) Passes() int { return 2 }
 
 func (t SpannerTarget) plan(o *buildOptions) (plan[*SpannerResult], error) {
-	t.Config.Seed = o.seedOr(t.Config.Seed)
-	return spannerPlan{t.Config, o.classBase}, nil
-}
-
-// spannerPlan is SpannerTarget with its seed and class base resolved.
-type spannerPlan struct {
-	cfg       SpannerConfig
-	classBase float64
-}
-
-func (s spannerPlan) build(src Source, p *parallel.Policy) (*SpannerResult, error) {
-	if s.classBase != 0 {
-		return spanner.BuildTwoPassWeightedOpts(src, s.cfg, s.classBase, p)
-	}
-	return spanner.BuildTwoPassOpts(src, s.cfg, p)
+	cfg, classBase := t.Config, o.classBase
+	cfg.Seed = o.seedOr(cfg.Seed)
+	return twoPass[*spanner.TwoPass, *SpannerResult]{
+		kind: dynnet.KindTwoPass, what: "a two-pass spanner",
+		local: func(src Source, p *parallel.Policy) (*SpannerResult, error) {
+			return spanner.BuildTwoPassWeightedWith(src, cfg, classBase,
+				func(sub Source, c SpannerConfig) (*SpannerResult, error) { return spanner.BuildTwoPassOpts(sub, c, p) })
+		},
+		remote: func(ctx context.Context, src Source, r *remoteRun) (*SpannerResult, error) {
+			if classBase != 0 {
+				if err := noWorkerShards(r.o, "the weight-class spanner"); err != nil {
+					return nil, err
+				}
+			}
+			return spanner.BuildTwoPassWeightedWith(src, cfg, classBase, remoteSpanner(ctx, r))
+		},
+		start: func(src Stream) (*spanner.TwoPass, error) {
+			tp := spanner.NewTwoPass(src.N(), cfg)
+			return tp, tp.StartLive(src)
+		},
+		restore: func(src Stream, state []byte) (*spanner.TwoPass, error) {
+			tp := new(spanner.TwoPass)
+			return tp, tp.RestoreLive(src, state)
+		},
+	}, nil
 }
 
 // AdditiveTarget builds the single-pass O(n/D)-additive spanner of
@@ -235,22 +245,32 @@ type SparsifierTarget struct {
 func (t SparsifierTarget) Passes() int { return 2 }
 
 func (t SparsifierTarget) plan(o *buildOptions) (plan[*SparsifierResult], error) {
-	t.Config.Seed = o.seedOr(t.Config.Seed)
-	return sparsifierPlan{t.Config, o.classBase}, nil
-}
-
-// sparsifierPlan is SparsifierTarget with its seed and class base
-// resolved.
-type sparsifierPlan struct {
-	cfg       SparsifierConfig
-	classBase float64
-}
-
-func (s sparsifierPlan) build(src Source, p *parallel.Policy) (*SparsifierResult, error) {
-	if s.classBase != 0 {
-		return sparsify.SparsifyWeightedOpts(src, s.cfg, s.classBase, p)
-	}
-	return sparsify.SparsifyOpts(src, s.cfg, p)
+	cfg, classBase := t.Config, o.classBase
+	cfg.Seed = o.seedOr(cfg.Seed)
+	return twoPass[*sparsify.Live, *SparsifierResult]{
+		kind: dynnet.KindGrid, what: "a sparsifier",
+		local: func(src Source, p *parallel.Policy) (*SparsifierResult, error) {
+			return sparsify.SparsifyWeightedWith(src, cfg, classBase,
+				func(sub Source, c SparsifierConfig) (*SparsifierResult, error) {
+					return sparsify.SparsifyOpts(sub, c, p)
+				})
+		},
+		remote: func(ctx context.Context, src Source, r *remoteRun) (*SparsifierResult, error) {
+			if err := noWorkerShards(r.o, "the sparsifier"); err != nil {
+				return nil, err
+			}
+			return sparsify.SparsifyWeightedWith(src, cfg, classBase, func(sub Source, c SparsifierConfig) (*SparsifierResult, error) {
+				grid := func(ecfg EstimateConfig) (*sparsify.Estimator, error) {
+					return parallel.RunTwoPass(r.p, "dynstream: remote grid",
+						remotePass(ctx, r, dynnet.KindGrid, sub, func() *sparsify.Grid { return new(sparsify.Grid) }),
+						func() (*sparsify.Grid, error) { return sparsify.NewGrid(sub.N(), ecfg) })
+				}
+				return sparsify.SparsifyWith(sub, c, grid, remoteSpanner(ctx, r))
+			})
+		},
+		start:   func(src Stream) (*sparsify.Live, error) { return sparsify.StartLive(src, cfg) },
+		restore: sparsify.RestoreLive,
+	}, nil
 }
 
 // ForestTarget ingests the stream into an AGM connectivity sketch

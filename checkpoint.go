@@ -13,8 +13,6 @@ import (
 
 	"dynstream/internal/dynnet"
 	"dynstream/internal/obs"
-	"dynstream/internal/spanner"
-	"dynstream/internal/sparsify"
 )
 
 // Checkpoint/restore for live handles. Every construction in this
@@ -284,62 +282,8 @@ func Restore[R any](ctx context.Context, r io.Reader, src Source, target Target[
 	return &Handle[R]{n: src.N(), src: src, o: o, live: live, applied: meta.applied}, nil
 }
 
-// wrongKind is the shared kind-mismatch error of the restoreLive
+// wrongKind is the kind-mismatch error of the restoreLive
 // implementations.
 func wrongKind(got dynnet.StateKind, target string) error {
 	return fmt.Errorf("%w: checkpoint holds a %v state, target wants %s", ErrBadCheckpoint, got, target)
-}
-
-// liveStream asserts the replayable-stream view the two-pass restores
-// need (Restore's CanReplay gate has already run; this guards the
-// concrete interface).
-func liveStream(src Source) (Stream, error) {
-	st, ok := src.(Stream)
-	if !ok {
-		return nil, fmt.Errorf("dynstream: source %T is not a replayable stream: %w", src, ErrNotReplayable)
-	}
-	return st, nil
-}
-
-// ---- the two-pass targets' snapshot / restore (the single-pass ones
-// share onePass) ----
-
-func (l twoPassLive) snapshot() (dynnet.StateKind, []byte, error) {
-	b, err := l.tp.MarshalLive()
-	return dynnet.KindTwoPass, b, err
-}
-
-func (s spannerPlan) restoreLive(src Source, kind dynnet.StateKind, state []byte) (liveState[*SpannerResult], error) {
-	if kind != dynnet.KindTwoPass {
-		return nil, wrongKind(kind, "a two-pass spanner")
-	}
-	st, err := liveStream(src)
-	if err != nil {
-		return nil, err
-	}
-	tp := &spanner.TwoPass{}
-	if err := tp.RestoreLive(st, state); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
-	}
-	return twoPassLive{tp}, nil
-}
-
-func (l sparsifyLive) snapshot() (dynnet.StateKind, []byte, error) {
-	b, err := l.ls.MarshalLive()
-	return dynnet.KindGrid, b, err
-}
-
-func (s sparsifierPlan) restoreLive(src Source, kind dynnet.StateKind, state []byte) (liveState[*SparsifierResult], error) {
-	if kind != dynnet.KindGrid {
-		return nil, wrongKind(kind, "a sparsifier")
-	}
-	st, err := liveStream(src)
-	if err != nil {
-		return nil, err
-	}
-	ls, err := sparsify.RestoreLive(st, state)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
-	}
-	return sparsifyLive{ls}, nil
 }

@@ -8,8 +8,6 @@ import (
 	"dynstream/internal/dynnet"
 	"dynstream/internal/obs"
 	"dynstream/internal/parallel"
-	"dynstream/internal/spanner"
-	"dynstream/internal/sparsify"
 	"dynstream/internal/stream"
 )
 
@@ -210,51 +208,4 @@ func (h *Handle[R]) Invalidate() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.live.invalidate()
-}
-
-// ---- the two-pass targets' live states (the single-pass ones share
-// onePassLive) ----
-
-type twoPassLive struct{ tp *spanner.TwoPass }
-
-func (l twoPassLive) apply(b []Update) error { return l.tp.ApplyLive(b) }
-func (l twoPassLive) query(p *parallel.Policy) (*SpannerResult, error) {
-	return l.tp.QueryLive(p)
-}
-func (l twoPassLive) enableCache(on bool)          { l.tp.EnableDecodeCache(on) }
-func (l twoPassLive) invalidate()                  { l.tp.InvalidateDecodeCache() }
-func (l twoPassLive) cacheStats() (uint64, uint64) { return l.tp.DecodeCacheStats() }
-func (l twoPassLive) merge(any) error {
-	return fmt.Errorf("%w: a two-pass spanner handle cannot merge remote state (its live log never saw those updates); Apply them instead", ErrBadConfig)
-}
-
-// openLive ingests with the serial replay StartLive runs; queries use
-// the per-call policy.
-func (s spannerPlan) openLive(src Source, _ *parallel.Policy) (liveState[*SpannerResult], error) {
-	tp := spanner.NewTwoPass(src.N(), s.cfg)
-	if err := tp.StartLive(src.(Stream)); err != nil {
-		return nil, err
-	}
-	return twoPassLive{tp}, nil
-}
-
-type sparsifyLive struct{ ls *sparsify.Live }
-
-func (l sparsifyLive) apply(b []Update) error { return l.ls.Apply(b) }
-func (l sparsifyLive) query(p *parallel.Policy) (*SparsifierResult, error) {
-	return l.ls.Query(p)
-}
-func (l sparsifyLive) enableCache(on bool)          { l.ls.EnableDecodeCache(on) }
-func (l sparsifyLive) invalidate()                  { l.ls.InvalidateDecodeCache() }
-func (l sparsifyLive) cacheStats() (uint64, uint64) { return l.ls.DecodeCacheStats() }
-func (l sparsifyLive) merge(any) error {
-	return fmt.Errorf("%w: a sparsifier handle cannot merge remote state (its live logs never saw those updates); Apply them instead", ErrBadConfig)
-}
-
-func (s sparsifierPlan) openLive(src Source, _ *parallel.Policy) (liveState[*SparsifierResult], error) {
-	ls, err := sparsify.StartLive(src.(Stream), s.cfg)
-	if err != nil {
-		return nil, err
-	}
-	return sparsifyLive{ls}, nil
 }

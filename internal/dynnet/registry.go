@@ -63,29 +63,24 @@ type aggState[S interface {
 func (a aggState[S]) AddBatch(b []stream.Update) error { a.s.AddBatch(b); return nil }
 func (a aggState[S]) MarshalBinary() ([]byte, error)   { return a.s.MarshalBinary() }
 
-// twoPassState routes AddBatch by the decoded state's phase, so one
-// kind covers both passes: the coordinator ships a phase-0 prototype
-// for pass 1 and the post-EndPass1 (phase-1) state for pass 2.
-type twoPassState struct{ tp *spanner.TwoPass }
+// phasedState routes AddBatch by the decoded state's phase, so one kind
+// covers both passes of a two-pass state: the coordinator ships a
+// phase-0 prototype for pass 1 and a tables-only ForkPass2 state
+// (phase 1) for pass 2.
+type phasedState[S interface {
+	Phase() int
+	Pass1AddBatch([]stream.Update) error
+	Pass2AddBatch([]stream.Update) error
+	MarshalBinary() ([]byte, error)
+}] struct{ s S }
 
-func (s twoPassState) AddBatch(b []stream.Update) error {
-	if s.tp.Phase() == 0 {
-		return s.tp.Pass1AddBatch(b)
+func (p phasedState[S]) AddBatch(b []stream.Update) error {
+	if p.s.Phase() == 0 {
+		return p.s.Pass1AddBatch(b)
 	}
-	return s.tp.Pass2AddBatch(b)
+	return p.s.Pass2AddBatch(b)
 }
-func (s twoPassState) MarshalBinary() ([]byte, error) { return s.tp.MarshalBinary() }
-
-// gridState is twoPassState for the sparsifier's oracle grid.
-type gridState struct{ g *sparsify.Grid }
-
-func (s gridState) AddBatch(b []stream.Update) error {
-	if s.g.Phase() == 0 {
-		return s.g.Pass1AddBatch(b)
-	}
-	return s.g.Pass2AddBatch(b)
-}
-func (s gridState) MarshalBinary() ([]byte, error) { return s.g.MarshalBinary() }
+func (p phasedState[S]) MarshalBinary() ([]byte, error) { return p.s.MarshalBinary() }
 
 // load decodes a prototype blob into the empty state s and wraps it for
 // the worker loop, reporting the vertex count the prototype carries.
@@ -131,9 +126,9 @@ func newWorkerState(kind StateKind, n int, blob []byte) (workerState, error) {
 	case KindAdditive:
 		st, protoN, err = load(new(spanner.Additive), blob, func(a *spanner.Additive) workerState { return a })
 	case KindTwoPass:
-		st, protoN, err = load(new(spanner.TwoPass), blob, func(tp *spanner.TwoPass) workerState { return twoPassState{tp} })
+		st, protoN, err = load(new(spanner.TwoPass), blob, func(s *spanner.TwoPass) workerState { return phasedState[*spanner.TwoPass]{s} })
 	case KindGrid:
-		st, protoN, err = load(new(sparsify.Grid), blob, func(g *sparsify.Grid) workerState { return gridState{g} })
+		st, protoN, err = load(new(sparsify.Grid), blob, func(s *sparsify.Grid) workerState { return phasedState[*sparsify.Grid]{s} })
 	default:
 		return nil, fmt.Errorf("dynnet: unknown state kind %d", kind)
 	}

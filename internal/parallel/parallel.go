@@ -6,6 +6,9 @@
 // to single-threaded ingestion — the distributed-servers setting of the
 // paper's introduction, realized as goroutines.
 //
+// The two-pass states run one protocol, RunTwoPass, over a PassEngine:
+// Local here, or dynstream's remote engine over worker processes.
+//
 // Execution is governed by a Policy: context (cancellation), worker
 // count, batch size, and an optional progress callback. Replayable
 // in-memory sources are sharded (each worker replays its own
@@ -193,6 +196,61 @@ func IngestOpts[S any](
 		obs.A("updates", atomic.LoadInt64(p.done)-before),
 		obs.A("workers", int64(p.workers)))
 	return s, nil
+}
+
+// TwoPassState is the pass protocol of the two-pass sketch states
+// (spanner.TwoPass, and sparsify.Grid whose cells are TwoPass states):
+// pass 1 into linear sketches that merge by addition, an offline decode
+// closing it (EndPass1), pass 2 into tables-only forks of the decoded
+// state, their merge back into it, and the final decode.
+type TwoPassState[S, R any] interface {
+	Pass1AddBatch([]stream.Update) error
+	MergePass1(S) error
+	EndPass1Opts(*Policy) error
+	ForkPass2() (S, error)
+	Pass2AddBatch([]stream.Update) error
+	MergePass2(S) error
+	FinishOpts(*Policy) (R, error)
+}
+
+// PassEngine runs one ingest pass: it ingests the stream into states
+// made by newState through add, folds them together with merge, and
+// returns the folded state. Local is the in-process engine; dynstream's
+// remote engine ships newState's state to worker processes instead.
+type PassEngine[S any] func(newState func() (S, error),
+	add func(S, []stream.Update) error, merge func(dst, src S) error) (S, error)
+
+// Local is the in-process pass engine: IngestOpts over src under p.
+func Local[S any](p *Policy, src stream.Source) PassEngine[S] {
+	return func(newState func() (S, error), add func(S, []stream.Update) error, merge func(dst, src S) error) (S, error) {
+		return IngestOpts(p, src, newState, add, merge)
+	}
+}
+
+// RunTwoPass runs the two-pass protocol over pass, the one place the
+// pass sequence is written: pass 1 into newState's states, EndPass1 on
+// their merge, pass 2 into its ForkPass2 forks, MergePass2, and the
+// decode. p governs the offline stages. Every state operation is a
+// commutative group operation, so the result is independent of the
+// engine and its sharding. what names the build in pass errors
+// ("spanner: parallel" → "spanner: parallel pass 1: …").
+func RunTwoPass[S TwoPassState[S, R], R any](p *Policy, what string, pass PassEngine[S], newState func() (S, error)) (R, error) {
+	var zero R
+	main, err := pass(newState, S.Pass1AddBatch, S.MergePass1)
+	if err != nil {
+		return zero, fmt.Errorf("%s pass 1: %w", what, err)
+	}
+	if err := main.EndPass1Opts(p); err != nil {
+		return zero, err
+	}
+	tables, err := pass(main.ForkPass2, S.Pass2AddBatch, S.MergePass2)
+	if err != nil {
+		return zero, fmt.Errorf("%s pass 2: %w", what, err)
+	}
+	if err := main.MergePass2(tables); err != nil {
+		return zero, err
+	}
+	return main.FinishOpts(p)
 }
 
 // ingestDispatch picks the ingest strategy: serial, sharded replay, or

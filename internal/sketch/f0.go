@@ -18,7 +18,8 @@ import (
 // fingerprint accumulator is zero (whp — a random linear combination of
 // the net weights). At the level where occupancy is moderate, linear
 // counting (−K·ln(empty fraction)·2^j) estimates F0 within a constant
-// factor, which is all the guard needs.
+// factor, which is all the guard needs. A nil *F0 reads as the zero
+// estimator (IsZero, Estimate), as a nil SketchB does.
 type F0 struct {
 	seed      uint64 // retained for serialization (hashes re-derive from it)
 	levels    int
@@ -114,6 +115,9 @@ func (f *F0) AddBatch(keys []uint64, deltas []int64) {
 // IsZero reports whether every accumulator is zero — the state of a
 // fresh estimator, which is what lets compressed encodings suppress it.
 func (f *F0) IsZero() bool {
+	if f == nil {
+		return true
+	}
 	for j := range f.acc {
 		if !field.AllZero(f.acc[j]) {
 			return false
@@ -149,6 +153,9 @@ func (f *F0) occupied(j int) int {
 // Estimate returns an estimate of the number of distinct keys with
 // nonzero net weight, within a constant factor whp.
 func (f *F0) Estimate() float64 {
+	if f == nil {
+		return 0
+	}
 	k := float64(f.buckets)
 	// Use the densest level that is still below the linear-counting
 	// saturation band: occupancy there is large enough for a reliable

@@ -139,6 +139,20 @@ func (s *SketchB) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
+// Decode decodes a sketch of this family — the non-zero blocks of an
+// encoding that suppresses zero sketches. An encoding of another shape,
+// or of the zero sketch, is corrupt.
+func (f *SketchBFamily) Decode(enc []byte) (*SketchB, error) {
+	s := &SketchB{shape: f.sh}
+	if err := s.UnmarshalBinary(enc); err != nil {
+		return nil, err
+	}
+	if s.shape != f.sh || s.IsZero() {
+		return nil, errCorrupt
+	}
+	return s, nil
+}
+
 // MarshalBinary encodes the sampler: parameters plus per-level states,
 // in the v2 compressed layout — varint level lengths, each level a
 // SketchB encoding, with a zero (absent or canceled-to-zero) level

@@ -41,30 +41,40 @@ func (sh *sketchBShape) tab() *field.PowTable {
 // did, so sketches over a shared shape are bit-identical to sketches
 // built standalone from the same seed.
 func newSketchBShape(seed uint64, capacity int, cfg SketchConfig) *sketchBShape {
-	cfg = cfg.withDefaults()
-	if capacity < 1 {
-		capacity = 1
-	}
-	cols := int(cfg.ColsPerItem * float64(capacity))
-	if cols < cfg.MinCols {
-		cols = cfg.MinCols
-	}
+	capacity, rows, cols := sketchBGeometry(capacity, cfg)
 	sh := &sketchBShape{
 		seed:     seed,
 		capacity: capacity,
-		rows:     cfg.Rows,
+		rows:     rows,
 		cols:     cols,
-		hashes:   make([]*hashing.Poly, cfg.Rows),
+		hashes:   make([]*hashing.Poly, rows),
 		fingBase: field.Reduce(hashing.Mix(seed, 0xf1f1)),
 	}
 	if sh.fingBase < 2 {
 		sh.fingBase = 2
 	}
-	for r := 0; r < cfg.Rows; r++ {
+	for r := 0; r < rows; r++ {
 		sh.hashes[r] = hashing.NewPoly(hashing.Mix(seed, uint64(r)+1), 6)
 	}
 	sh.bank = hashing.NewPolyBank(sh.hashes...)
 	return sh
+}
+
+// sketchBGeometry is the cell layout a capacity gets: cfg.Rows rows of
+// ColsPerItem·capacity columns, at least MinCols.
+func sketchBGeometry(capacity int, cfg SketchConfig) (capa, rows, cols int) {
+	cfg = cfg.withDefaults()
+	capa = max(capacity, 1)
+	return capa, cfg.Rows, max(int(cfg.ColsPerItem*float64(capa)), cfg.MinCols)
+}
+
+// SketchBWords is SpaceWords of a SketchB of the given capacity and
+// redundancy, known without deriving its hashes — so callers that
+// create sketches on first touch can account for the ones not yet
+// created.
+func SketchBWords(capacity int, cfg SketchConfig) int {
+	_, rows, cols := sketchBGeometry(capacity, cfg)
+	return (&sketchBShape{rows: rows, cols: cols}).spaceWords()
 }
 
 // maxBankRows bounds the stack scratch used for banked row hashes; the
@@ -84,7 +94,9 @@ func (sh *sketchBShape) spaceWords() int { return 3*sh.cells() + 4 }
 // rows × cols one-sparse cells, each key hashed to one cell per row,
 // decoded by peeling pure cells. The structure is linear, so sketches
 // can be merged (summing vectors) and subtracted — the operations
-// Algorithms 1–3 rely on.
+// Algorithms 1–3 rely on. A nil *SketchB reads as the zero sketch
+// (IsZero, Gen, Decode), so callers that create sketches on first
+// touch need not test for the ones not yet created.
 //
 // Cell state is stored structure-of-arrays (counts / keySums / fings as
 // three flat slices) so that ingest and merge sweep contiguous memory,
@@ -103,7 +115,12 @@ type SketchB struct {
 // Decode-side caches key reuse on it — equal generation sums over a
 // fixed sketch set imply the states are unchanged, with no collision
 // risk, because generations only grow.
-func (s *SketchB) Gen() uint64 { return s.gen }
+func (s *SketchB) Gen() uint64 {
+	if s == nil {
+		return 0
+	}
+	return s.gen
+}
 
 // SketchConfig tunes the redundancy of sparse recovery. Zero values take
 // defaults suitable for whp recovery at small polynomial scale.
@@ -167,11 +184,6 @@ func (f *SketchBFamily) New() *SketchB { return f.sh.instance() }
 // cell mutation, so parallel decoders over sketches of one family call
 // Warm once before fanning out.
 func (f *SketchBFamily) Warm() { f.sh.tab() }
-
-// SpaceWords is the footprint of one family instance — what
-// SketchB.SpaceWords reports for it — so callers that create instances
-// on first touch can account for the ones not yet created.
-func (f *SketchBFamily) SpaceWords() int { return f.sh.spaceWords() }
 
 // instance returns a zeroed sketch over the shared shape.
 func (sh *sketchBShape) instance() *SketchB {
@@ -339,7 +351,7 @@ func (s *SketchB) SetTo(o *SketchB) {
 // since any touched cell has a nonzero count far more often than a
 // canceled one — instead of per-cell struct loads.
 func (s *SketchB) IsZero() bool {
-	return field.AllZeroI64(s.counts) && field.AllZero(s.keySums) && field.AllZero(s.fings)
+	return s == nil || field.AllZeroI64(s.counts) && field.AllZero(s.keySums) && field.AllZero(s.fings)
 }
 
 // decodeCell attempts one-sparse recovery of cell i: Cell.DecodeTable
@@ -354,6 +366,9 @@ func (s *SketchB) decodeCell(i int) (key uint64, weight int64, ok bool) {
 // recovery is (whp) exact. Decoding a zero vector returns an empty map
 // and ok=true. Decode does not mutate the sketch.
 func (s *SketchB) Decode() (map[uint64]int64, bool) {
+	if s == nil {
+		return nil, true
+	}
 	return s.Clone().peel()
 }
 

@@ -2,7 +2,6 @@ package spanner
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"dynstream/internal/agm"
@@ -59,19 +58,24 @@ type AdditiveResult struct {
 
 // Additive is the single-pass streaming state of Algorithm 3.
 type Additive struct {
-	cfg    AdditiveConfig
-	n      int
-	log2n  int
-	cutoff float64 // low-degree threshold C·d·log n
+	cfg       AdditiveConfig
+	n         int
+	log2n     int
+	cutoff    float64 // low-degree threshold C·d·log n
+	nbrBudget int     // nbr capacity, 2× the cutoff: all edges of a low-degree vertex
 
 	inC    []bool // center sample at rate Θ(1/d)
 	zLevel *hashing.Poly
 
-	nbr     []*sketch.SketchB   // S(u) = SKETCH_{Õ(d)}(N(u))
-	centerS [][]*sketch.SketchB // A^r(u) = SKETCH_{O(log n)}(N(u) ∩ C ∩ Z_r)
-	degree  []int64             // exact net degree counter
-	degF0   []*sketch.F0        // optional Theorem 9 degree sketch
-	forest  *agm.Sketch         // AGM sketches (Theorem 10)
+	// The per-vertex sketches are created on first touch (nbrAt,
+	// centerAt, f0At); a nil slot is the zero sketch. So memory follows
+	// the vertices the stream reached, and a decoded state allocates
+	// what its blob carries, not what its header promises.
+	nbr     []*sketch.SketchB // S(u) = SKETCH_{Õ(d)}(N(u))
+	centerS []*sketch.SketchB // A^r(u) = SKETCH_{O(log n)}(N(u) ∩ C ∩ Z_r), at u·(log2n+1)+r
+	degree  []int64           // exact net degree counter
+	degF0   []*sketch.F0      // optional Theorem 9 degree sketch
+	forest  *agm.Sketch       // AGM sketches (Theorem 10)
 	done    bool
 
 	// subtracted is the E_low multiset currently folded OUT of the
@@ -127,46 +131,75 @@ type parEntry struct {
 
 // NewAdditive creates the streaming state for a graph on n vertices.
 func NewAdditive(n int, cfg AdditiveConfig) *Additive {
+	a := newAdditive(n, cfg)
+	a.forest = agm.New(hashing.Mix(a.cfg.Seed, 0x33), n, agm.Config{})
+	return a
+}
+
+// newAdditive lays out everything but the forest sketch, which a
+// decoder reads off the wire instead.
+func newAdditive(n int, cfg AdditiveConfig) *Additive {
 	cfg = cfg.withDefaults()
-	log2n := int(math.Ceil(math.Log2(float64(n + 1))))
-	if log2n < 1 {
-		log2n = 1
-	}
+	log2n := log2(n)
+	cutoff := cfg.cutoff(n)
 	a := &Additive{
-		cfg:    cfg,
-		n:      n,
-		log2n:  log2n,
-		cutoff: cfg.DegreeFactor * float64(cfg.D) * float64(log2n),
-		inC:    make([]bool, n),
-		zLevel: hashing.NewPoly(hashing.Mix(cfg.Seed, 0x22), 8),
-		nbr:    make([]*sketch.SketchB, n),
-		degree: make([]int64, n),
-		forest: agm.New(hashing.Mix(cfg.Seed, 0x33), n, agm.Config{}),
+		cfg:       cfg,
+		n:         n,
+		log2n:     log2n,
+		cutoff:    cutoff,
+		nbrBudget: int(2*cutoff) + 4,
+		inC:       make([]bool, n),
+		zLevel:    hashing.NewPoly(hashing.Mix(cfg.Seed, 0x22), 8),
+		nbr:       make([]*sketch.SketchB, n),
+		centerS:   make([]*sketch.SketchB, n*(log2n+1)),
+		degree:    make([]int64, n),
 	}
 	rate := cfg.CenterFactor / float64(cfg.D)
 	hC := hashing.NewPoly(hashing.Mix(cfg.Seed, 0x44), 8)
 	for u := 0; u < n; u++ {
 		a.inC[u] = hC.Bernoulli(uint64(u), rate)
 	}
-	// Neighborhood sketches sized to recover all edges of a low-degree
-	// vertex: budget 2× the cutoff.
-	nbrBudget := int(2*a.cutoff) + 4
-	a.centerS = make([][]*sketch.SketchB, n)
-	for u := 0; u < n; u++ {
-		a.nbr[u] = sketch.NewSketchB(hashing.Mix(cfg.Seed, 0x55, uint64(u)), nbrBudget)
-		row := make([]*sketch.SketchB, log2n+1)
-		for r := 0; r <= log2n; r++ {
-			row[r] = sketch.NewSketchB(hashing.Mix(cfg.Seed, 0x66, uint64(u), uint64(r)), 8)
-		}
-		a.centerS[u] = row
-	}
 	if cfg.UseF0Degree {
 		a.degF0 = make([]*sketch.F0, n)
-		for u := 0; u < n; u++ {
-			a.degF0[u] = sketch.NewF0(hashing.Mix(cfg.Seed, 0x77, uint64(u)), uint64(n))
-		}
 	}
 	return a
+}
+
+// cutoff is the low-degree threshold C·d·log n on n vertices.
+func (c AdditiveConfig) cutoff(n int) float64 {
+	return c.DegreeFactor * float64(c.D) * float64(log2(n))
+}
+
+// nbrAt returns S(u), creating it on first touch.
+func (a *Additive) nbrAt(u int) *sketch.SketchB {
+	if a.nbr[u] == nil {
+		a.nbr[u] = sketch.NewSketchB(hashing.Mix(a.cfg.Seed, 0x55, uint64(u)), a.nbrBudget)
+	}
+	return a.nbr[u]
+}
+
+// centers returns u's row of center sketches, A^0(u) … A^log2n(u).
+func (a *Additive) centers(u int) []*sketch.SketchB {
+	w := a.log2n + 1
+	return a.centerS[u*w : (u+1)*w]
+}
+
+// centerAt returns centerS[i] = A^r(u), i = u·(log2n+1)+r, creating it
+// on first touch.
+func (a *Additive) centerAt(i int) *sketch.SketchB {
+	if a.centerS[i] == nil {
+		u, r := i/(a.log2n+1), i%(a.log2n+1)
+		a.centerS[i] = sketch.NewSketchB(hashing.Mix(a.cfg.Seed, 0x66, uint64(u), uint64(r)), 8)
+	}
+	return a.centerS[i]
+}
+
+// f0At returns u's degree estimator, creating it on first touch.
+func (a *Additive) f0At(u int) *sketch.F0 {
+	if a.degF0[u] == nil {
+		a.degF0[u] = sketch.NewF0(hashing.Mix(a.cfg.Seed, 0x77, uint64(u)), uint64(a.n))
+	}
+	return a.degF0[u]
 }
 
 // N returns the vertex count.
@@ -244,12 +277,16 @@ func (a *Additive) AddBatch(batch []stream.Update) error {
 	return nil
 }
 
-// ingestHalf folds neighbor v into u's per-vertex sketches.
+// ingestHalf folds neighbor v into u's per-vertex sketches. A zero
+// delta changes none of them, so it creates none.
 func (a *Additive) ingestHalf(u, v int, d int64) {
-	a.nbr[u].Add(uint64(v), d)
+	if d == 0 {
+		return
+	}
+	a.nbrAt(u).Add(uint64(v), d)
 	a.degree[u] += d
 	if a.degF0 != nil {
-		a.degF0[u].Add(uint64(v), d)
+		a.f0At(u).Add(uint64(v), d)
 	}
 	if a.inC[v] {
 		lvl := a.zLevel.Level(uint64(v))
@@ -257,7 +294,7 @@ func (a *Additive) ingestHalf(u, v int, d int64) {
 			lvl = a.log2n
 		}
 		for r := 0; r <= lvl; r++ {
-			a.centerS[u][r].Add(uint64(v), d)
+			a.centerAt(u*(a.log2n+1)+r).Add(uint64(v), d)
 		}
 	}
 }
@@ -385,7 +422,7 @@ func (a *Additive) ExtractOpts(p *parallel.Policy) (*AdditiveResult, error) {
 			continue // centers root their own clusters
 		}
 		var gens uint64
-		for _, s := range a.centerS[u] {
+		for _, s := range a.centers(u) {
 			gens += s.Gen()
 		}
 		if ent, ok := a.parCache[u]; a.caching && ok && ent.gens == gens {
@@ -396,7 +433,7 @@ func (a *Additive) ExtractOpts(p *parallel.Policy) (*AdditiveResult, error) {
 				a.cacheMisses++
 			}
 			for r := a.log2n; r >= 0 && parent[u] == -1; r-- {
-				items, ok := a.centerS[u][r].Decode()
+				items, ok := a.centers(u)[r].Decode()
 				if !ok || len(items) == 0 {
 					continue
 				}
@@ -465,20 +502,15 @@ func (a *Additive) ExtractOpts(p *parallel.Policy) (*AdditiveResult, error) {
 	return res, nil
 }
 
-// SpaceWords returns the sketch footprint in 64-bit words.
+// SpaceWords returns the sketch footprint in 64-bit words: every
+// per-vertex sketch counts, created or not.
 func (a *Additive) SpaceWords() int {
-	w := len(a.degree)
-	for u := 0; u < a.n; u++ {
-		w += a.nbr[u].SpaceWords()
-		for _, s := range a.centerS[u] {
-			w += s.SpaceWords()
-		}
-		if a.degF0 != nil {
-			w += a.degF0[u].SpaceWords()
-		}
+	w := len(a.degree) + a.n*sketch.SketchBWords(a.nbrBudget, sketch.SketchConfig{}) +
+		len(a.centerS)*sketch.SketchBWords(8, sketch.SketchConfig{})
+	if a.degF0 != nil {
+		w += a.n * sketch.NewF0(0, uint64(a.n)).SpaceWords() // the footprint depends on the universe only
 	}
-	w += a.forest.SpaceWords()
-	return w
+	return w + a.forest.SpaceWords()
 }
 
 // BuildAdditive runs the single-pass additive spanner over a stream

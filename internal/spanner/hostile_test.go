@@ -1,0 +1,210 @@
+package spanner
+
+import (
+	"bytes"
+	"errors"
+	"runtime"
+	"testing"
+
+	"dynstream/internal/agm"
+	"dynstream/internal/graph"
+	"dynstream/internal/hashing"
+	"dynstream/internal/sketch"
+	"dynstream/internal/stream"
+)
+
+// Bytes that cross a trust boundary — dynnet ASSIGN and SKETCH frames,
+// checkpoints: the decoders answer any input with a typed error or a
+// usable state, and allocate at most wireBudget while doing so.
+
+// wireBudget is what decoding n input bytes may allocate: 64 KB of
+// derived hashes and runtime slack, plus 128 per input byte. That is 32
+// times the sketch package's 4×, because a decoded TwoPass is linear in
+// its input but not tightly: a suppressed vertex-sketch block is one
+// byte standing for a slot pointer and its share of two slice headers
+// (54× measured with one edge level), and an untouched pass-2 table is
+// one byte standing for a ~240 B header (28× measured for a fork at
+// n = 1000; rows grow with log n, to ~65× at n = 2^24).
+func wireBudget(n int) uint64 { return 64<<10 + 128*uint64(n) }
+
+// decodeAlloc runs decode and reports its error and what it allocated:
+// the least of three readings, since the counter is process-wide and
+// what the decoder allocates repeats while noise does not.
+func decodeAlloc(data []byte, decode func([]byte) error) (alloc uint64, err error) {
+	alloc = ^uint64(0)
+	for try := 0; try < 3; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err = decode(data)
+		runtime.ReadMemStats(&after)
+		alloc = min(alloc, after.TotalAlloc-before.TotalAlloc)
+	}
+	return alloc, err
+}
+
+// twoPassHeader is a TwoPass encoding up to its vertex-sketch blocks.
+func twoPassHeader(n, phase uint64, cfg Config, sketches bool) *wbuf {
+	w := &wbuf{}
+	w.u64(tagTwoPassV2)
+	w.u64(n)
+	w.u64(phase)
+	w.config(cfg)
+	w.boolean(sketches)
+	return w
+}
+
+func additiveHeader(n uint64, cfg AdditiveConfig) []byte {
+	w := &wbuf{}
+	w.u64(tagAdditiveV2)
+	w.u64(n)
+	w.additiveConfig(cfg)
+	return w.b
+}
+
+// hostileTwoPass are encodings a peer or a damaged checkpoint can hand
+// the TwoPass decoder. Each was accepted, or allocated far beyond
+// wireBudget before failing, before the decoder was bounded.
+func hostileTwoPass() map[string][]byte {
+	small := Config{K: 2, Budget: 8, TableFactor: 1}
+	out := map[string][]byte{
+		"n=2^16, no body":          twoPassHeader(1<<16, 0, small, true).b,
+		"K=4096":                   twoPassHeader(8, 0, Config{K: 4096, Budget: 8, TableFactor: 1}, true).b,
+		"Levels=2^16":              twoPassHeader(8, 0, Config{K: 2, Budget: 8, TableFactor: 1, Levels: 1 << 16}, true).b,
+		"fork of n=2^16, no body":  twoPassHeader(1<<16, 1, small, false).b,
+		"phase 0 without sketches": twoPassHeader(8, 0, small, false).b,
+		"K=0 (not resolved)":       twoPassHeader(8, 0, Config{Budget: 8, TableFactor: 1}, false).b,
+	}
+	// Budget 2^40 over an otherwise valid fresh n=2 state: ingest into
+	// it would allocate a 100 TB sketch per touched slot.
+	w := twoPassHeader(2, 0, Config{K: 2, Budget: 1 << 40, TableFactor: 1}, true)
+	w.b = append(w.b, make([]byte, 2*5)...) // n·(k−1)·levels suppressed blocks
+	out["Budget=2^40"] = w.b
+	// A present block holding the zero sketch: the encoder suppresses
+	// those, so the blob does not round-trip.
+	w = twoPassHeader(2, 0, small, true)
+	zero, _ := sketch.NewSketchBFamily(hashing.Mix(0, 0x5e, 1, 0), 8, sketch.SketchConfig{}).New().MarshalBinary()
+	w.uvarint(uint64(len(zero)))
+	w.b = append(append(w.b, zero...), make([]byte, 9)...)
+	out["zero sketch block"] = w.b
+	// A fork whose vertex lists a non-terminal copy: there is no table
+	// for it, so pass-2 ingest on a larger n would index a missing row.
+	w = twoPassHeader(1, 1, Config{K: 1, Budget: 8, TableFactor: 1}, false)
+	for _, v := range []uint64{1, 0, 0, ^uint64(0), 0, 0, 0} { // one copy: u 0, level 0, parent −1, witness, not terminal
+		w.u64(v)
+	}
+	w.intSlice([]int{0}) // members
+	w.intSlice([]int{0}) // terminalsOf[0]
+	w.u64(0)             // tables
+	w.u64(0)             // augmented edges
+	out["terminal list names a non-terminal copy"] = w.b
+	return out
+}
+
+func hostileAdditive() map[string][]byte {
+	// untouched is an additive encoding up to its forest block: n
+	// vertices with every sketch block suppressed and degree 0.
+	untouched := func(n int, cfg AdditiveConfig) []byte {
+		b := additiveHeader(uint64(n), cfg)
+		return append(b, make([]byte, n*(10+log2(n)))...)
+	}
+	wide := AdditiveConfig{D: 64, DegreeFactor: 64, CenterFactor: 2}
+	forest, _ := agm.New(1, 2, agm.Config{}).MarshalBinary()
+	w := &wbuf{b: untouched(64, AdditiveConfig{D: 1, DegreeFactor: 1, CenterFactor: 2})}
+	w.block(forest)
+	return map[string][]byte{
+		"n=2^10, no body":   additiveHeader(1<<10, AdditiveConfig{D: 3, DegreeFactor: 1, CenterFactor: 2}),
+		"D=2^14":            additiveHeader(2, AdditiveConfig{D: 1 << 14, DegreeFactor: 1, CenterFactor: 2}),
+		"DegreeFactor=4096": additiveHeader(2, AdditiveConfig{D: 1, DegreeFactor: 4096, CenterFactor: 2}),
+		// Every bound holds one at a time; the neighborhood sketches they
+		// size together (2·64·64·7+4 ≈ 57k keys) would be ~400 MB if
+		// laid out before the missing forest block is found.
+		"n=D=64, DegreeFactor=64, no forest": untouched(64, wide),
+		"DegreeFactor=2^20":                  untouched(2, AdditiveConfig{D: 1, DegreeFactor: 1 << 20, CenterFactor: 2}),
+		"forest of another n":                w.b,
+	}
+}
+
+// TestHostileHeaders: each hostile encoding is refused with the typed
+// error, within wireBudget.
+func TestHostileHeaders(t *testing.T) {
+	check := func(t *testing.T, blobs map[string][]byte, decode func([]byte) error) {
+		for name, blob := range blobs {
+			alloc, err := decodeAlloc(blob, decode)
+			if !errors.Is(err, errCorrupt) {
+				t.Errorf("%s: %v, want errCorrupt", name, err)
+			}
+			if alloc > wireBudget(len(blob)) {
+				t.Errorf("%s: %d bytes allocated %d (budget %d)", name, len(blob), alloc, wireBudget(len(blob)))
+			}
+		}
+	}
+	t.Run("twopass", func(t *testing.T) {
+		check(t, hostileTwoPass(), func(b []byte) error { return new(TwoPass).UnmarshalBinary(b) })
+	})
+	t.Run("additive", func(t *testing.T) {
+		check(t, hostileAdditive(), func(b []byte) error { return new(Additive).UnmarshalBinary(b) })
+	})
+}
+
+// FuzzTwoPassUnmarshal: arbitrary bytes never panic the decoder or make
+// it allocate beyond wireBudget; whatever decodes re-encodes to the
+// same bytes and ingests an update in its pass, as a dynnet worker
+// does with a prototype.
+func FuzzTwoPassUnmarshal(f *testing.F) {
+	st := stream.WithChurn(graph.ConnectedGNP(24, 0.2, 7), 40, 8)
+	tp := NewTwoPass(st.N(), Config{K: 2, Seed: 9, CollectAugmented: true})
+	add := func(s *TwoPass, pass func(*TwoPass, []stream.Update) error) {
+		if err := stream.ReplayBatches(st, 0, func(b []stream.Update) error { return pass(s, b) }); err != nil {
+			f.Fatal(err)
+		}
+	}
+	seed := func(s *TwoPass) {
+		enc, err := s.MarshalBinary()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
+		f.Add(enc[:len(enc)-5])
+	}
+	seed(tp) // fresh
+	add(tp, (*TwoPass).Pass1AddBatch)
+	seed(tp) // pass 1
+	if err := tp.EndPass1(); err != nil {
+		f.Fatal(err)
+	}
+	seed(tp) // post-EndPass1
+	fork, err := tp.ForkPass2()
+	if err != nil {
+		f.Fatal(err)
+	}
+	add(fork, (*TwoPass).Pass2AddBatch)
+	seed(fork) // the pass-2 prototype after ingest
+	for _, blob := range hostileTwoPass() {
+		f.Add(blob)
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s TwoPass
+		alloc, err := decodeAlloc(data, s.UnmarshalBinary)
+		if alloc > wireBudget(len(data)) {
+			t.Fatalf("decoding %d bytes allocated %d (budget %d)", len(data), alloc, wireBudget(len(data)))
+		}
+		if err != nil {
+			if !errors.Is(err, errCorrupt) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			return
+		}
+		if back, err := s.MarshalBinary(); err != nil || !bytes.Equal(back, data) {
+			t.Fatalf("accepted encoding does not round-trip (err %v)", err)
+		}
+		if s.n > 1 {
+			batch := []stream.Update{{U: 0, V: s.n - 1, Delta: 1}, {U: s.n / 2, V: 0, Delta: -1}}
+			if s.phase == 0 {
+				s.Pass1AddBatch(batch)
+			} else {
+				s.Pass2AddBatch(batch)
+			}
+		}
+	})
+}

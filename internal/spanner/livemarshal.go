@@ -51,13 +51,12 @@ func (tp *TwoPass) MarshalLive() ([]byte, error) {
 // by linearity reproduces the saved state's query output bit for bit.
 func (tp *TwoPass) RestoreLive(src stream.Stream, data []byte) error {
 	r := &rbuf{b: data}
-	tag, err := r.u64()
-	if err != nil || tag != tagTwoPassLive {
+	if r.u64() != tagTwoPassLive {
 		return fmt.Errorf("spanner: not a live TwoPass encoding: %w", errCorrupt)
 	}
-	base, err := r.block()
-	if err != nil {
-		return err
+	base := r.block()
+	if r.err != nil {
+		return r.err
 	}
 	rebuilt := &TwoPass{}
 	if err := rebuilt.UnmarshalBinary(base); err != nil {
@@ -69,26 +68,16 @@ func (tp *TwoPass) RestoreLive(src stream.Stream, data []byte) error {
 	if rebuilt.n != src.N() {
 		return fmt.Errorf("spanner: live state has n=%d, stream has n=%d: %w", rebuilt.n, src.N(), errCorrupt)
 	}
-	count, err := r.u64()
-	if err != nil {
-		return err
-	}
+	count := r.u64()
 	if count > uint64(len(r.b))/32 { // 4 fixed u64 fields per record
 		return errCorrupt
 	}
 	log := make([]stream.Update, count)
 	for i := range log {
-		u, err1 := r.i64()
-		v, err2 := r.i64()
-		d, err3 := r.i64()
-		wt, err4 := r.f64()
-		if err1 != nil || err2 != nil || err3 != nil || err4 != nil {
-			return errCorrupt
-		}
-		log[i] = stream.Update{U: int(u), V: int(v), Delta: int(d), W: wt}
+		log[i] = stream.Update{U: r.int(), V: r.int(), Delta: r.int(), W: r.f64()}
 	}
-	if len(r.b) != 0 {
-		return fmt.Errorf("spanner: %d trailing bytes in live encoding: %w", len(r.b), errCorrupt)
+	if r.err != nil || len(r.b) != 0 {
+		return fmt.Errorf("spanner: malformed live log: %w", errCorrupt)
 	}
 	rebuilt.liveSrc = src
 	rebuilt.liveLog = log

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"dynstream/internal/agm"
 )
 
 // Binary serialization for the spanner streaming states, so per-shard
@@ -17,14 +19,30 @@ import (
 // sketches, and do not serialize.
 
 const (
-	tagTwoPass  uint64 = 0xd15c_0006 // v1: dense u64-length sketch blocks
-	tagAdditive uint64 = 0xd15c_0007 // v1: dense u64-length sketch blocks
-	// The v2 encodings varint-encode sketch-block lengths and suppress
-	// zero sketches (an untouched vertex sketch, table row, or degree
-	// sketch encodes as a single 0 byte). v1 blobs still decode;
-	// encoding always emits v2.
+	// The encodings varint-encode sketch-block lengths and suppress zero
+	// sketches (an untouched vertex sketch, table row, or degree sketch
+	// encodes as a single 0 byte).
 	tagTwoPassV2  uint64 = 0xd15c_0106
 	tagAdditiveV2 uint64 = 0xd15c_0107
+)
+
+// Wire bounds. The blobs cross dynnet frames and checkpoints, and a
+// decoded state allocates the layout its header describes, so every
+// header field a constructor sizes memory from is bounded, and the body
+// must be long enough for that layout before any of it is allocated:
+// a TwoPass vertex-sketch slot is at least one byte, a phase-1 state
+// lists every vertex's terminal copies (eight bytes at least) and each
+// copy in minCopyBytes, an additive vertex carries its degree counter
+// and one byte per sketch. What a decoded state then allocates is
+// linear in its input: mostly slot pointers (both states create their
+// per-vertex sketches on first touch), and a TwoPass's pass-2 table
+// headers (~240 B, encoded as one byte while untouched).
+const (
+	maxWireN      = 1 << 24
+	maxWireK      = 64 // the stretch exponent
+	maxWireLevels = 64 // edge-subsampling levels: a pair's level is at most 64
+	maxWireBudget = 1 << 16
+	minCopyBytes  = 56
 )
 
 var errCorrupt = errors.New("spanner: corrupt serialized data")
@@ -51,8 +69,9 @@ type zeroSketch interface {
 }
 
 // sketchBlock writes one varint-length sketch block with zero-run
-// suppression: a zero state (never touched, or canceled back to zero)
-// is a single 0 byte. Content-canonical by construction.
+// suppression: a zero state (never touched — possibly never created,
+// nil — or canceled back to zero) is a single 0 byte.
+// Content-canonical by construction.
 func (w *wbuf) sketchBlock(s zeroSketch) error {
 	if s.IsZero() {
 		w.uvarint(0)
@@ -67,108 +86,109 @@ func (w *wbuf) sketchBlock(s zeroSketch) error {
 	return nil
 }
 
-type rbuf struct{ b []byte }
+// rbuf reads an encoding front to back. The first short or malformed
+// read sets err and empties the buffer, so every later read returns a
+// zero value: a decoder checks err once per section, before it
+// allocates from what it read.
+type rbuf struct {
+	b   []byte
+	err error
+}
 
-func (r *rbuf) u64() (uint64, error) {
+// fail records a corrupt encoding; cause, when not nil, is the nested
+// decoder's error.
+func (r *rbuf) fail(cause error) {
+	if r.err == nil {
+		r.err = errCorrupt
+		if cause != nil {
+			r.err = fmt.Errorf("%w: %v", errCorrupt, cause)
+		}
+	}
+	r.b = nil
+}
+
+func (r *rbuf) u64() uint64 {
 	if len(r.b) < 8 {
-		return 0, errCorrupt
+		r.fail(nil)
+		return 0
 	}
 	v := binary.LittleEndian.Uint64(r.b[:8])
 	r.b = r.b[8:]
-	return v, nil
+	return v
 }
 
-func (r *rbuf) i64() (int64, error) {
-	v, err := r.u64()
-	return int64(v), err
-}
+func (r *rbuf) int() int     { return int(int64(r.u64())) }
+func (r *rbuf) f64() float64 { return math.Float64frombits(r.u64()) }
 
-func (r *rbuf) f64() (float64, error) {
-	v, err := r.u64()
-	return math.Float64frombits(v), err
-}
-
-func (r *rbuf) boolean() (bool, error) {
-	v, err := r.u64()
-	if err != nil {
-		return false, err
-	}
+func (r *rbuf) boolean() bool {
+	v := r.u64()
 	if v > 1 {
-		return false, errCorrupt
+		r.fail(nil)
 	}
-	return v == 1, nil
+	return v == 1
 }
 
-func (r *rbuf) block() ([]byte, error) {
-	ln, err := r.u64()
-	if err != nil {
-		return nil, err
-	}
+// bytes reads the next ln bytes.
+func (r *rbuf) bytes(ln uint64) []byte {
 	if uint64(len(r.b)) < ln {
-		return nil, errCorrupt
+		r.fail(nil)
+		return nil
 	}
 	b := r.b[:ln]
 	r.b = r.b[ln:]
-	return b, nil
+	return b
 }
 
-func (r *rbuf) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		return 0, errCorrupt
+func (r *rbuf) block() []byte { return r.bytes(r.u64()) }
+
+// sketchBlock reads one varint-length sketch block; nil is a suppressed
+// block, the zero state. The length must be minimally encoded, as the
+// encoder writes it.
+func (r *rbuf) sketchBlock() []byte {
+	ln, n := binary.Uvarint(r.b)
+	if n <= 0 || n > 1 && r.b[n-1] == 0 {
+		r.fail(nil)
+		return nil
 	}
 	r.b = r.b[n:]
-	return v, nil
+	if ln == 0 {
+		return nil
+	}
+	return r.bytes(ln)
 }
 
-// rawSketchBlock reads one sketch block in the given version; ok is
-// false for a suppressed (0-length, v2) block, which stands for the
-// zero state.
-func (r *rbuf) rawSketchBlock(v2 bool) (enc []byte, ok bool, err error) {
-	var ln uint64
-	if v2 {
-		ln, err = r.uvarint()
-	} else {
-		ln, err = r.u64()
-	}
-	if err != nil || (ln == 0 && v2) {
-		return nil, false, err
-	}
-	if uint64(len(r.b)) < ln {
-		return nil, false, errCorrupt
-	}
-	enc = r.b[:ln]
-	r.b = r.b[ln:]
-	return enc, true, nil
+type zeroDecoder interface {
+	UnmarshalBinary([]byte) error
+	IsZero() bool
 }
 
-// sketchBlock reads one sketch block and decodes it into dst; a
-// suppressed block leaves dst as the fresh zero state it already is.
-func (r *rbuf) sketchBlock(v2 bool, dst interface{ UnmarshalBinary([]byte) error }) error {
-	enc, ok, err := r.rawSketchBlock(v2)
-	if err != nil || !ok {
-		return err
+// sketchInto decodes the next sketch block into the fresh zero state at
+// returns. at runs only for a present block, so a slot created on first
+// touch stays nil (zero) for a suppressed one; a present block must not
+// encode zero (the encoder would have suppressed it).
+func (r *rbuf) sketchInto(at func() zeroDecoder) {
+	enc := r.sketchBlock()
+	if enc == nil {
+		return
 	}
-	return dst.UnmarshalBinary(enc)
+	dst := at()
+	if err := dst.UnmarshalBinary(enc); err != nil || dst.IsZero() {
+		r.fail(err)
+	}
 }
 
-func (r *rbuf) intSlice(max int) ([]int, error) {
-	ln, err := r.u64()
-	if err != nil {
-		return nil, err
-	}
-	if ln > uint64(max) {
-		return nil, errCorrupt
+// intSlice reads a length-prefixed list of at most max ints.
+func (r *rbuf) intSlice(max int) []int {
+	ln := r.u64()
+	if ln > uint64(max) || ln > uint64(len(r.b))/8 {
+		r.fail(nil)
+		return nil
 	}
 	out := make([]int, ln)
 	for i := range out {
-		v, err := r.i64()
-		if err != nil {
-			return nil, err
-		}
-		out[i] = int(v)
+		out[i] = r.int()
 	}
-	return out, nil
+	return out
 }
 
 func (w *wbuf) intSlice(s []int) {
@@ -187,29 +207,17 @@ func (w *wbuf) config(cfg Config) {
 	w.boolean(cfg.CollectAugmented)
 }
 
-func (r *rbuf) config() (Config, error) {
-	var cfg Config
-	var err error
-	read := func(dst *int) {
-		if err == nil {
-			var v int64
-			v, err = r.i64()
-			*dst = int(v)
-		}
-	}
-	read(&cfg.K)
-	if err == nil {
-		cfg.Seed, err = r.u64()
-	}
-	read(&cfg.Budget)
-	if err == nil {
-		cfg.TableFactor, err = r.f64()
-	}
-	read(&cfg.Levels)
-	if err == nil {
-		cfg.CollectAugmented, err = r.boolean()
-	}
-	return cfg, err
+func (r *rbuf) config() Config {
+	return Config{K: r.int(), Seed: r.u64(), Budget: r.int(), TableFactor: r.f64(),
+		Levels: r.int(), CollectAugmented: r.boolean()}
+}
+
+// onWire reports whether a decoded configuration is one NewTwoPass
+// resolves to for n — so it re-encodes to the same bytes — and inside
+// the wire bounds.
+func (c Config) onWire(n int) bool {
+	return c == c.withDefaults(n) && c.K <= maxWireK && c.Budget >= 1 && c.Budget <= maxWireBudget &&
+		c.Levels >= 0 && c.Levels <= maxWireLevels
 }
 
 // MarshalBinary encodes the full streaming state of the two-pass
@@ -233,9 +241,7 @@ func (tp *TwoPass) MarshalBinary() ([]byte, error) {
 	for u := range tp.vertexSk {
 		for r := range tp.vertexSk[u] {
 			for _, s := range tp.vertexSk[u][r] {
-				if s == nil {
-					w.uvarint(0) // never touched: the zero block
-				} else if err := w.sketchBlock(s); err != nil {
+				if err := w.sketchBlock(s); err != nil {
 					return nil, err
 				}
 			}
@@ -277,10 +283,7 @@ func (tp *TwoPass) MarshalBinary() ([]byte, error) {
 		for e := range tp.augmented {
 			edges = append(edges, e)
 		}
-		sort.Slice(edges, func(a, b int) bool {
-			return edges[a][0] < edges[b][0] ||
-				(edges[a][0] == edges[b][0] && edges[a][1] < edges[b][1])
-		})
+		sort.Slice(edges, func(a, b int) bool { return pairLess(edges[a], edges[b]) })
 		w.u64(uint64(len(edges)))
 		for _, e := range edges {
 			w.i64(int64(e[0]))
@@ -290,136 +293,137 @@ func (tp *TwoPass) MarshalBinary() ([]byte, error) {
 	return w.b, nil
 }
 
+func pairLess(a, b [2]int) bool { return a[0] < b[0] || (a[0] == b[0] && a[1] < b[1]) }
+
 // UnmarshalBinary reconstructs a two-pass state encoded with
 // MarshalBinary. The rebuilt state merges with (and forks from) states
-// built locally from the same configuration.
+// built locally from the same configuration. Only canonical encodings
+// decode — exactly the bytes MarshalBinary writes for some state, and
+// within the wire bounds — and the header is checked against the body
+// before the state is laid out.
 func (tp *TwoPass) UnmarshalBinary(data []byte) error {
 	r := &rbuf{b: data}
-	tag, err := r.u64()
-	if err != nil || (tag != tagTwoPass && tag != tagTwoPassV2) {
+	if r.u64() != tagTwoPassV2 {
 		return fmt.Errorf("spanner: not a TwoPass encoding: %w", errCorrupt)
 	}
-	v2 := tag == tagTwoPassV2
-	n64, err := r.u64()
-	if err != nil {
-		return err
-	}
-	phase, err := r.u64()
-	if err != nil {
-		return err
-	}
-	cfg, err := r.config()
-	if err != nil {
-		return err
-	}
-	if n64 == 0 || n64 > 1<<24 || phase > 1 {
+	n64, phase, cfg, sketches := r.u64(), r.u64(), r.config(), r.boolean()
+	n := int(n64)
+	// A phase-0 state with k > 1 always has its vertex sketches; k = 1
+	// never has any; a phase-1 state without them is a ForkPass2 worker.
+	if r.err != nil || n64 == 0 || n64 > maxWireN || phase > 1 || !cfg.onWire(n) ||
+		sketches && cfg.K == 1 || !sketches && cfg.K > 1 && phase == 0 {
 		return errCorrupt
 	}
-	n := int(n64)
-	rebuilt := NewTwoPass(n, cfg)
-	hasVertexSk, err := r.boolean()
-	if err != nil {
-		return err
-	}
-	if !hasVertexSk {
-		rebuilt.vertexSk, rebuilt.fams = nil, nil // pass-2 worker shape (ForkPass2)
-	}
-	for u := range rebuilt.vertexSk {
-		for ri := range rebuilt.vertexSk[u] {
-			for j := range rebuilt.vertexSk[u][ri] {
-				enc, ok, err := r.rawSketchBlock(v2)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					continue // zero block: the slot stays untouched
-				}
-				if err := rebuilt.sk(u, ri+1, j).UnmarshalBinary(enc); err != nil {
-					return err
-				}
-			}
-		}
+	var need uint64
+	if sketches {
+		need = n64 * uint64(cfg.K-1) * uint64(cfg.levels(log2(n)))
 	}
 	if phase == 1 {
-		nCopies, err := r.u64()
-		if err != nil {
-			return err
-		}
-		if nCopies > uint64(n)*uint64(rebuilt.k) {
-			return errCorrupt
-		}
-		rebuilt.copies = make([]copyNode, nCopies)
-		for i := range rebuilt.copies {
-			c := &rebuilt.copies[i]
-			fields := []*int{&c.u, &c.level, &c.parent, &c.witness[0], &c.witness[1]}
-			for _, dst := range fields {
-				v, err := r.i64()
-				if err != nil {
-					return err
-				}
-				*dst = int(v)
-			}
-			if c.terminal, err = r.boolean(); err != nil {
-				return err
-			}
-			if c.members, err = r.intSlice(n); err != nil {
-				return err
-			}
-		}
-		rebuilt.terminalsOf = make([][]int, n)
-		for u := 0; u < n; u++ {
-			if rebuilt.terminalsOf[u], err = r.intSlice(int(nCopies)); err != nil {
-				return err
-			}
-		}
-		rebuilt.tables = rebuilt.allocTables()
-		nTables, err := r.u64()
-		if err != nil {
-			return err
-		}
-		if nTables != uint64(len(rebuilt.tables)) {
-			return errCorrupt
-		}
-		for i := uint64(0); i < nTables; i++ {
-			ci64, err := r.i64()
-			if err != nil {
-				return err
-			}
-			row, ok := rebuilt.tables[int(ci64)]
-			if !ok {
-				return errCorrupt
-			}
-			for j := range row {
-				if err := r.sketchBlock(v2, row[j]); err != nil {
-					return err
-				}
-			}
-		}
-		nAug, err := r.u64()
-		if err != nil {
-			return err
-		}
-		if nAug > uint64(n)*uint64(n) {
-			return errCorrupt
-		}
-		for i := uint64(0); i < nAug; i++ {
-			a, err := r.i64()
-			if err != nil {
-				return err
-			}
-			b, err := r.i64()
-			if err != nil {
-				return err
-			}
-			rebuilt.augmented[[2]int{int(a), int(b)}] = true
-		}
-		rebuilt.phase = 1
+		need += 8*n64 + 16
 	}
-	if len(r.b) != 0 {
+	if uint64(len(r.b)) < need {
 		return errCorrupt
+	}
+	rebuilt := newTwoPass(n, cfg, sketches)
+	for u := range rebuilt.vertexSk {
+		for ri, row := range rebuilt.vertexSk[u] {
+			for j := range row {
+				if enc := r.sketchBlock(); enc != nil {
+					s, err := rebuilt.fam(ri+1, j).Decode(enc)
+					if err != nil {
+						r.fail(err)
+					}
+					row[j] = s
+				}
+			}
+		}
+	}
+	if phase == 1 && r.err == nil {
+		rebuilt.readStructure(r)
+	}
+	if r.err == nil && len(r.b) != 0 {
+		r.fail(nil)
+	}
+	if r.err != nil {
+		return r.err
 	}
 	*tp = *rebuilt
 	return nil
+}
+
+// readStructure decodes what EndPass1 adds — cluster structure, pass-2
+// tables, augmented edges — into a state laid out by newTwoPass. Every
+// index a later pass-2 ingest or decode follows is checked here: copy
+// levels and endpoints, and that each vertex's terminal list names
+// terminal copies in ascending order (routePass2 reads their tables).
+func (tp *TwoPass) readStructure(r *rbuf) {
+	n, k := tp.n, tp.k
+	nCopies := r.u64()
+	if nCopies > uint64(n)*uint64(k) || nCopies*minCopyBytes > uint64(len(r.b)) {
+		r.fail(nil)
+		return
+	}
+	nc := int(nCopies)
+	tp.copies = make([]copyNode, nc)
+	for i := range tp.copies {
+		c := &tp.copies[i]
+		c.u, c.level, c.parent = r.int(), r.int(), r.int()
+		c.witness = [2]int{r.int(), r.int()}
+		c.terminal = r.boolean()
+		c.members = r.intSlice(n)
+		if c.u < 0 || c.u >= n || c.level < 0 || c.level >= k || c.parent < -1 || c.parent >= nc ||
+			min(c.witness[0], c.witness[1]) < 0 || max(c.witness[0], c.witness[1]) >= n {
+			r.fail(nil)
+		}
+	}
+	if r.err != nil || uint64(len(r.b)) < 8*uint64(n) {
+		r.fail(nil)
+		return
+	}
+	tp.terminalsOf = make([][]int, n)
+	for u := range tp.terminalsOf {
+		ts := r.intSlice(nc)
+		for i, t := range ts {
+			if t < 0 || t >= nc || !tp.copies[t].terminal || i > 0 && t <= ts[i-1] {
+				r.fail(nil)
+				return
+			}
+		}
+		tp.terminalsOf[u] = ts
+	}
+	if r.err != nil {
+		return
+	}
+	tp.tables = tp.allocTables()
+	if r.u64() != uint64(len(tp.tables)) {
+		r.fail(nil)
+	}
+	prev := -1
+	for i := 0; i < len(tp.tables) && r.err == nil; i++ {
+		ci := r.int()
+		row, ok := tp.tables[ci]
+		if !ok || ci <= prev {
+			r.fail(nil)
+			return
+		}
+		prev = ci
+		for _, t := range row {
+			r.sketchInto(func() zeroDecoder { return t })
+		}
+	}
+	nAug := r.u64()
+	if nAug > uint64(len(r.b))/16 {
+		r.fail(nil)
+	}
+	last := [2]int{math.MinInt, math.MinInt}
+	for i := uint64(0); i < nAug && r.err == nil; i++ {
+		e := [2]int{r.int(), r.int()}
+		if !pairLess(last, e) {
+			r.fail(nil)
+		}
+		tp.augmented[e], last = true, e
+	}
+	tp.phase = 1
 }
 
 func (w *wbuf) additiveConfig(cfg AdditiveConfig) {
@@ -430,24 +434,9 @@ func (w *wbuf) additiveConfig(cfg AdditiveConfig) {
 	w.boolean(cfg.UseF0Degree)
 }
 
-func (r *rbuf) additiveConfig() (AdditiveConfig, error) {
-	var cfg AdditiveConfig
-	d, err := r.i64()
-	if err != nil {
-		return cfg, err
-	}
-	cfg.D = int(d)
-	if cfg.Seed, err = r.u64(); err != nil {
-		return cfg, err
-	}
-	if cfg.DegreeFactor, err = r.f64(); err != nil {
-		return cfg, err
-	}
-	if cfg.CenterFactor, err = r.f64(); err != nil {
-		return cfg, err
-	}
-	cfg.UseF0Degree, err = r.boolean()
-	return cfg, err
+func (r *rbuf) additiveConfig() AdditiveConfig {
+	return AdditiveConfig{D: r.int(), Seed: r.u64(), DegreeFactor: r.f64(), CenterFactor: r.f64(),
+		UseF0Degree: r.boolean()}
 }
 
 // MarshalBinary encodes the full streaming state of the single-pass
@@ -469,7 +458,7 @@ func (a *Additive) MarshalBinary() ([]byte, error) {
 		if err := w.sketchBlock(a.nbr[u]); err != nil {
 			return nil, err
 		}
-		for _, s := range a.centerS[u] {
+		for _, s := range a.centers(u) {
 			if err := w.sketchBlock(s); err != nil {
 				return nil, err
 			}
@@ -491,53 +480,45 @@ func (a *Additive) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary reconstructs an additive state encoded with
 // MarshalBinary. The rebuilt state merges with states built locally
-// from the same configuration.
+// from the same configuration. What it allocates is linear in its
+// input: a slot pointer per suppressed sketch block (one byte each), a
+// sketch per present one, and the forest sketch, whose own decoder
+// bounds it. The header is checked first: n against the body, and the
+// neighborhood sketch a first touch creates to at most maxWireBudget.
 func (a *Additive) UnmarshalBinary(data []byte) error {
 	r := &rbuf{b: data}
-	tag, err := r.u64()
-	if err != nil || (tag != tagAdditive && tag != tagAdditiveV2) {
+	if r.u64() != tagAdditiveV2 {
 		return fmt.Errorf("spanner: not an Additive encoding: %w", errCorrupt)
 	}
-	v2 := tag == tagAdditiveV2
-	n64, err := r.u64()
-	if err != nil {
-		return err
-	}
-	cfg, err := r.additiveConfig()
-	if err != nil {
-		return err
-	}
-	if n64 == 0 || n64 > 1<<24 {
+	n64, cfg := r.u64(), r.additiveConfig()
+	n := int(n64)
+	perVertex := uint64(10 + log2(n)) // degree counter, nbr and center sketch blocks
+	if r.err != nil || n64 == 0 || n64 > maxWireN || cfg != cfg.withDefaults() || cfg.D > n ||
+		!(cfg.DegreeFactor > 0 && 2*cfg.cutoff(n)+4 <= maxWireBudget) || uint64(len(r.b)) < n64*perVertex {
 		return errCorrupt
 	}
-	rebuilt := NewAdditive(int(n64), cfg)
-	for u := 0; u < rebuilt.n; u++ {
-		if err := r.sketchBlock(v2, rebuilt.nbr[u]); err != nil {
-			return err
+	rebuilt := newAdditive(n, cfg)
+	for u := 0; u < n && r.err == nil; u++ {
+		r.sketchInto(func() zeroDecoder { return rebuilt.nbrAt(u) })
+		for i := u * (rebuilt.log2n + 1); i < (u+1)*(rebuilt.log2n+1); i++ {
+			r.sketchInto(func() zeroDecoder { return rebuilt.centerAt(i) })
 		}
-		for ri := range rebuilt.centerS[u] {
-			if err := r.sketchBlock(v2, rebuilt.centerS[u][ri]); err != nil {
-				return err
-			}
-		}
-		if rebuilt.degree[u], err = r.i64(); err != nil {
-			return err
-		}
+		rebuilt.degree[u] = int64(r.u64())
 		if rebuilt.degF0 != nil {
-			if err := r.sketchBlock(v2, rebuilt.degF0[u]); err != nil {
-				return err
-			}
+			r.sketchInto(func() zeroDecoder { return rebuilt.f0At(u) })
 		}
 	}
-	enc, err := r.block()
-	if err != nil {
-		return err
+	if enc := r.block(); r.err == nil {
+		rebuilt.forest = new(agm.Sketch)
+		if err := rebuilt.forest.UnmarshalBinary(enc); err != nil || rebuilt.forest.N() != n {
+			r.fail(err)
+		}
 	}
-	if err := rebuilt.forest.UnmarshalBinary(enc); err != nil {
-		return err
+	if r.err == nil && len(r.b) != 0 {
+		r.fail(nil)
 	}
-	if len(r.b) != 0 {
-		return errCorrupt
+	if r.err != nil {
+		return r.err
 	}
 	*a = *rebuilt
 	return nil

@@ -106,54 +106,32 @@ func (tp *TwoPass) MergePass2(o *TwoPass) error {
 	return nil
 }
 
-// BuildTwoPassOpts is the policy-driven two-pass build: both passes
-// run under p's context (cancellation observed at batch granularity),
-// worker count, batch size, and progress sink. The source must be
-// replayable (two passes); output is identical to BuildTwoPass for the
-// same configuration regardless of the policy.
+// BuildTwoPassOpts is the policy-driven two-pass build:
+// parallel.RunTwoPass over sharded in-process ingest, both passes under
+// p's context (cancellation observed at batch granularity), worker
+// count, batch size, and progress sink. At one worker the ingest
+// degenerates to a serial replay — one code path (and one set of trace
+// spans) for all widths. The source must be replayable; output is
+// identical to BuildTwoPass for the same configuration under any
+// policy.
 func BuildTwoPassOpts(src stream.Source, cfg Config, p *parallel.Policy) (*Result, error) {
 	if !stream.CanReplay(src) {
 		return nil, fmt.Errorf("spanner: two-pass build: %w", stream.ErrNotReplayable)
 	}
-	// Pass 1: independent states, one per shard, batched ingest. At one
-	// worker the dispatcher degenerates to a serial replay of the same
-	// state — one code path (and one set of trace spans) for all widths.
-	main, err := parallel.IngestOpts(p, src,
-		func() (*TwoPass, error) { return NewTwoPass(src.N(), cfg), nil },
-		(*TwoPass).Pass1AddBatch, (*TwoPass).MergePass1)
-	if err != nil {
-		return nil, fmt.Errorf("spanner: parallel pass 1: %w", err)
-	}
-	if err := main.EndPass1Opts(p); err != nil {
-		return nil, err
-	}
-	// Pass 2: fork table-only workers over the shared cluster structure.
-	tables, err := parallel.IngestOpts(p, src,
-		main.ForkPass2, (*TwoPass).Pass2AddBatch, (*TwoPass).MergePass2)
-	if err != nil {
-		return nil, fmt.Errorf("spanner: parallel pass 2: %w", err)
-	}
-	if err := main.MergePass2(tables); err != nil {
-		return nil, err
-	}
-	return main.FinishOpts(p)
-}
-
-// BuildTwoPassWeightedOpts is the policy-driven weight-class build of
-// Remark 14 (see BuildTwoPassWeighted): each geometric weight class is
-// built with BuildTwoPassOpts under the same policy.
-func BuildTwoPassWeightedOpts(src stream.Source, cfg Config, classBase float64, p *parallel.Policy) (*Result, error) {
-	return BuildTwoPassWeightedWith(src, cfg, classBase, func(sub stream.Source, ccfg Config) (*Result, error) {
-		return BuildTwoPassOpts(sub, ccfg, p)
-	})
+	return parallel.RunTwoPass(p, "spanner: parallel", parallel.Local[*TwoPass](p, src),
+		func() (*TwoPass, error) { return NewTwoPass(src.N(), cfg), nil })
 }
 
 // BuildTwoPassWeightedWith is the weight-class construction with an
 // injected per-class builder: the class split, per-class seed mixing,
 // and weight-rescaled assembly live here once, while build runs each
-// class's unweighted two-pass construction — locally under a policy
-// (BuildTwoPassWeightedOpts) or on remote workers (the dynnet path).
+// class's unweighted two-pass construction — serially
+// (BuildTwoPassWeighted), under a policy, or on remote workers.
+// classBase 0 means no weight classes: build runs once over src.
 func BuildTwoPassWeightedWith(src stream.Source, cfg Config, classBase float64, build func(stream.Source, Config) (*Result, error)) (*Result, error) {
+	if classBase == 0 {
+		return build(src, cfg)
+	}
 	if classBase <= 1 {
 		return nil, fmt.Errorf("spanner: classBase must be > 1, got %v", classBase)
 	}
@@ -201,18 +179,25 @@ func (a *Additive) Merge(o *Additive) error {
 	// E_low subtractions back in on both sides first.
 	a.restoreStream()
 	o.restoreStream()
-	for u := 0; u < a.n; u++ {
-		if err := a.nbr[u].Merge(o.nbr[u]); err != nil {
-			return fmt.Errorf("spanner: additive merge nbr[%d]: %w", u, err)
-		}
-		for r := range a.centerS[u] {
-			if err := a.centerS[u][r].Merge(o.centerS[u][r]); err != nil {
-				return fmt.Errorf("spanner: additive merge centerS[%d][%d]: %w", u, r, err)
+	// A sketch o never touched adds zero: skipped, and not created here.
+	for u, s := range o.nbr {
+		if s != nil {
+			if err := a.nbrAt(u).Merge(s); err != nil {
+				return fmt.Errorf("spanner: additive merge nbr[%d]: %w", u, err)
 			}
 		}
 		a.degree[u] += o.degree[u]
-		if a.degF0 != nil {
-			a.degF0[u].Merge(o.degF0[u])
+	}
+	for i, s := range o.centerS {
+		if s != nil {
+			if err := a.centerAt(i).Merge(s); err != nil {
+				return fmt.Errorf("spanner: additive merge centerS[%d][%d]: %w", i/(a.log2n+1), i%(a.log2n+1), err)
+			}
+		}
+	}
+	for u, f := range o.degF0 {
+		if f != nil {
+			a.f0At(u).Merge(f)
 		}
 	}
 	return a.forest.Merge(o.forest)

@@ -51,12 +51,8 @@ func (c Config) withDefaults(n int) Config {
 	if c.K < 1 {
 		c.K = 1
 	}
-	log2n := int(math.Ceil(math.Log2(float64(n + 1))))
-	if log2n < 1 {
-		log2n = 1
-	}
 	if c.Budget == 0 {
-		c.Budget = 2 * log2n
+		c.Budget = 2 * log2(n)
 		if c.Budget < 8 {
 			c.Budget = 8
 		}
@@ -124,14 +120,15 @@ type TwoPass struct {
 	yMax  int // vertex subsampling levels 0..yMax
 	log2n int
 
-	inC       [][]bool // inC[r][u]: u ∈ C_r (inC[0] is all-true)
+	inC       [][]bool // inC[r][u]: u ∈ C_r for r ≥ 1 (C_0 = V has no table)
 	edgeLevel *hashing.Poly
 	yLevel    *hashing.Poly
 
 	// vertexSk[u][r-1][j] = SKETCH^{r,j}(({u} × C_r) ∩ E ∩ E_j),
 	// r ∈ [1, k-1]. Keys are directed pairs u*n + c. An instance is
-	// created from fams[r-1][j] by the first update routed to it; nil is
-	// the zero sketch everywhere it is read.
+	// created from fams[r-1][j] by the first update routed to it, and
+	// the family itself by the first instance; nil is the zero sketch
+	// everywhere it is read.
 	vertexSk [][][]*sketch.SketchB
 	fams     [][]*sketch.SketchBFamily
 
@@ -173,54 +170,58 @@ func (tp *TwoPass) DecodeCacheStats() (hits, misses uint64) {
 
 // NewTwoPass creates the streaming state for a graph on n vertices.
 func NewTwoPass(n int, cfg Config) *TwoPass {
-	cfg = cfg.withDefaults(n)
-	k := cfg.K
-	log2n := int(math.Ceil(math.Log2(float64(n + 1))))
-	if log2n < 1 {
-		log2n = 1
+	return newTwoPass(n, cfg.withDefaults(n), true)
+}
+
+// log2 is ⌈log2(n+1)⌉, at least 1: the paper's log n.
+func log2(n int) int { return max(1, int(math.Ceil(math.Log2(float64(n+1))))) }
+
+// levels is the number of edge-subsampling levels E_0..E_jMax.
+func (c Config) levels(log2n int) int {
+	if c.Levels > 0 {
+		return c.Levels
 	}
-	jMax := 2 * log2n
-	if cfg.Levels > 0 {
-		jMax = cfg.Levels - 1
-	}
+	return 2*log2n + 1
+}
+
+// newTwoPass creates the state for a resolved configuration; sketches
+// lays out the pass-1 vertex-sketch slots, which a ForkPass2 worker —
+// and its decoded copy — does not own.
+func newTwoPass(n int, cfg Config, sketches bool) *TwoPass {
+	k, log2n := cfg.K, log2(n)
 	tp := &TwoPass{
 		cfg:       cfg,
 		n:         n,
 		k:         k,
-		jMax:      jMax,
+		jMax:      cfg.levels(log2n) - 1,
 		yMax:      log2n,
 		log2n:     log2n,
 		edgeLevel: hashing.NewPoly(hashing.Mix(cfg.Seed, 0xe), 8),
 		yLevel:    hashing.NewPoly(hashing.Mix(cfg.Seed, 0x11), 8),
 		augmented: map[[2]int]bool{},
 	}
-	// Sample the center hierarchy C_0 = V ⊇ ... sampled at n^{-r/k}.
+	// Sample the center hierarchy C_0 = V ⊇ C_1 ⊇ ... at rate n^{-r/k}.
 	tp.inC = make([][]bool, k)
-	for r := 0; r < k; r++ {
+	for r := 1; r < k; r++ {
 		tp.inC[r] = make([]bool, n)
 		rate := math.Pow(float64(n), -float64(r)/float64(k))
 		h := hashing.NewPoly(hashing.Mix(cfg.Seed, 0xc, uint64(r)), 8)
 		for u := 0; u < n; u++ {
-			tp.inC[r][u] = r == 0 || h.Bernoulli(uint64(u), rate)
+			tp.inC[r][u] = h.Bernoulli(uint64(u), rate)
 		}
 	}
 	// First-pass sketches, shared hash functions per (r, j) so that
 	// summing over cluster members is a sketch of the union. The seed
 	// depends only on (r, j), so one SketchBFamily per pair supplies
 	// all n per-vertex instances — hashes and power tables are derived
-	// k·jMax times, not n·k·jMax times — and only the slots are laid
-	// out here: an edge at geometric level ℓ touches rows j ≤ ℓ of its
-	// two endpoints, so most of the n·(k−1)·(jMax+1) instances are
-	// never needed.
-	if k > 1 {
+	// at most k·jMax times, not n·k·jMax times — and only the slots are
+	// laid out here: an edge at geometric level ℓ touches rows j ≤ ℓ of
+	// its two endpoints, so most of the n·(k−1)·(jMax+1) instances, and
+	// the families of levels no edge reaches, are never needed.
+	if k > 1 && sketches {
 		tp.fams = make([][]*sketch.SketchBFamily, k-1)
-		for r := 1; r < k; r++ {
-			tp.fams[r-1] = make([]*sketch.SketchBFamily, tp.jMax+1)
-			for j := 0; j <= tp.jMax; j++ {
-				tp.fams[r-1][j] = sketch.NewSketchBFamily(
-					hashing.Mix(cfg.Seed, 0x5e, uint64(r), uint64(j)), cfg.Budget,
-					sketch.SketchConfig{})
-			}
+		for r := range tp.fams {
+			tp.fams[r] = make([]*sketch.SketchBFamily, tp.jMax+1)
 		}
 		slots := make([]*sketch.SketchB, n*(k-1)*(tp.jMax+1))
 		tp.vertexSk = make([][][]*sketch.SketchB, n)
@@ -238,10 +239,21 @@ func NewTwoPass(n int, cfg Config) *TwoPass {
 func (tp *TwoPass) sk(u, r, j int) *sketch.SketchB {
 	s := tp.vertexSk[u][r-1][j]
 	if s == nil {
-		s = tp.fams[r-1][j].New()
+		s = tp.fam(r, j).New()
 		tp.vertexSk[u][r-1][j] = s
 	}
 	return s
+}
+
+// fam returns the shared shape of the (r, j) vertex sketches, deriving
+// it on first use.
+func (tp *TwoPass) fam(r, j int) *sketch.SketchBFamily {
+	f := &tp.fams[r-1][j]
+	if *f == nil {
+		*f = sketch.NewSketchBFamily(hashing.Mix(tp.cfg.Seed, 0x5e, uint64(r), uint64(j)),
+			tp.cfg.Budget, sketch.SketchConfig{})
+	}
+	return *f
 }
 
 // N returns the vertex count.
@@ -391,7 +403,7 @@ func (tp *TwoPass) clusterize(p *parallel.Policy) (*clusterResult, error) {
 	for i := 0; i < k; i++ {
 		copyIdx[i] = map[int]int{}
 		for u := 0; u < n; u++ {
-			if tp.inC[i][u] {
+			if i == 0 || tp.inC[i][u] {
 				copyIdx[i][u] = len(cr.copies)
 				cr.copies = append(cr.copies, copyNode{
 					u: u, level: i, parent: -1, members: []int{u},
@@ -402,10 +414,13 @@ func (tp *TwoPass) clusterize(p *parallel.Policy) (*clusterResult, error) {
 
 	// Materialize the lazy fingerprint tables of the shared per-(r, j)
 	// sketch shapes before fanning out: every decode of a level touches
-	// them, and materialization is confined to one goroutine.
+	// them, and materialization is confined to one goroutine. A family
+	// never derived has no sketch to decode.
 	for _, row := range tp.fams {
 		for _, fam := range row {
-			fam.Warm()
+			if fam != nil {
+				fam.Warm()
+			}
 		}
 	}
 
@@ -888,18 +903,10 @@ func (tp *TwoPass) recoverTerminal(ci int, resolved []int32, mark int32) (rec []
 
 // SpaceWords returns the sketch footprint in 64-bit words.
 func (tp *TwoPass) SpaceWords() int {
-	w := 0
-	for _, perR := range tp.vertexSk {
-		for r, row := range perR {
-			for j, s := range row {
-				if s == nil {
-					w += tp.fams[r][j].SpaceWords() // provisioned, not yet touched
-				} else {
-					w += s.SpaceWords()
-				}
-			}
-		}
-	}
+	// Every vertex-sketch slot counts, touched or not (newTwoPass lays
+	// out n·(k−1)·(jMax+1) of them, none for a fork): all families share
+	// one geometry.
+	w := len(tp.vertexSk) * (tp.k - 1) * (tp.jMax + 1) * sketch.SketchBWords(tp.cfg.Budget, sketch.SketchConfig{})
 	for _, row := range tp.tables {
 		for _, t := range row {
 			w += t.SpaceWords()
@@ -933,5 +940,7 @@ func BuildTwoPass(st stream.Stream, cfg Config) (*Result, error) {
 // weight bound — so distances in the spanner are between d_G and
 // classBase·2^k·d_G.
 func BuildTwoPassWeighted(st stream.Stream, cfg Config, classBase float64) (*Result, error) {
-	return BuildTwoPassWeightedOpts(st, cfg, classBase, parallel.Default())
+	return BuildTwoPassWeightedWith(st, cfg, classBase, func(sub stream.Source, ccfg Config) (*Result, error) {
+		return BuildTwoPass(sub, ccfg)
+	})
 }

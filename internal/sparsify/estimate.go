@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"dynstream/internal/hashing"
+	"dynstream/internal/spanner"
 	"dynstream/internal/stream"
 )
 
@@ -65,33 +66,65 @@ type Estimator struct {
 
 // NewEstimator builds the oracle grid over the stream (each oracle is a
 // two-pass spanner over a filtered substream, so this replays st
-// 2·J·T times — the paper's preprocessing loop).
+// 2·J·T times — the paper's preprocessing loop). It is the serial
+// reference the sketch-grid builds are tested against.
 func NewEstimator(st stream.Stream, cfg EstimateConfig) (*Estimator, error) {
 	cfg = cfg.withDefaults(st.N())
-	build := spannerOracleBuilder(cfg.K)
-	if cfg.ExactOracles {
-		build = exactOracleBuilder()
+	oracles := make([]Oracle, cfg.T*cfg.J)
+	for i := range oracles {
+		o, err := cfg.oracle(st, i)
+		if err != nil {
+			return nil, err
+		}
+		oracles[i] = o
 	}
-	e := &Estimator{cfg: cfg}
-	e.threshold = cfg.Threshold
+	return newEstimator(cfg, oracles), nil
+}
+
+// newEstimator assembles the Estimator of a resolved configuration
+// from its T·J oracles, t-major (oracles[(t-1)·J + j] answers on E^j_t)
+// — the one assembly every estimator build and live query ends in.
+func newEstimator(cfg EstimateConfig, oracles []Oracle) *Estimator {
+	e := &Estimator{cfg: cfg, threshold: cfg.Threshold, oracles: make([][]Oracle, cfg.T)}
 	if e.threshold == 0 {
-		e.threshold = math.Pow(2, float64(cfg.K))
+		e.threshold = math.Pow(2, float64(cfg.K)) // the oracles' stretch α
 	}
-	e.oracles = make([][]Oracle, cfg.T)
-	for t := 1; t <= cfg.T; t++ {
-		row := make([]Oracle, cfg.J)
-		for j := 0; j < cfg.J; j++ {
-			sub := stream.SampledSubstream(st, hashing.Mix(cfg.Seed, 0xe5, uint64(j)), t-1)
-			o, err := build(sub, hashing.Mix(cfg.Seed, 0x0a, uint64(t), uint64(j)))
-			if err != nil {
-				return nil, fmt.Errorf("sparsify: estimator oracle (t=%d, j=%d): %w", t, j, err)
-			}
-			row[j] = o
+	for t := range e.oracles {
+		e.oracles[t] = oracles[t*cfg.J : (t+1)*cfg.J]
+		for _, o := range e.oracles[t] {
 			e.space += o.SpaceWords()
 		}
-		e.oracles[t-1] = row
 	}
-	return e, nil
+	return e
+}
+
+// substream is E^j_t, the edge set oracle (t, j) answers on: column j's
+// nested sample at rate 2^{-(t-1)}.
+func (c EstimateConfig) substream(st stream.Stream, t, j int) stream.Stream {
+	return stream.SampledSubstream(st, hashing.Mix(c.Seed, 0xe5, uint64(j)), t-1)
+}
+
+// cellConfig is the spanner configuration of grid cell i (t-major).
+func (c EstimateConfig) cellConfig(i int) spanner.Config {
+	t, j := i/c.J+1, i%c.J
+	return spanner.Config{K: c.K, Seed: hashing.Mix(c.Seed, 0x0a, uint64(t), uint64(j))}
+}
+
+// oracle builds the oracle of grid cell i (t-major) serially over st.
+func (c EstimateConfig) oracle(st stream.Stream, i int) (Oracle, error) {
+	t, j := i/c.J+1, i%c.J
+	sub := c.substream(st, t, j)
+	var o Oracle
+	var err error
+	if c.ExactOracles {
+		o, err = NewExactOracle(sub)
+	} else {
+		o, err = NewSpannerOracle(sub, c.K, c.cellConfig(i).Seed)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("sparsify: estimator oracle (t=%d, j=%d): %w", t, j, err)
+	}
+	return o, nil
 }
 
 // QExp returns the exponent t* of the robust-connectivity estimate

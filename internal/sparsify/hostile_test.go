@@ -1,0 +1,141 @@
+package sparsify
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"math"
+	"runtime"
+	"testing"
+
+	"dynstream/internal/graph"
+	"dynstream/internal/stream"
+)
+
+// The oracle-grid encodings cross the same trust boundaries as the
+// spanner states they hold (see spanner's hostile_test.go, whose
+// wireBudget this one repeats: a decoded grid adds a cell pointer, a
+// column hash and an empty state per ≥ 88-byte cell block).
+
+func wireBudget(n int) uint64 { return 64<<10 + 128*uint64(n) }
+
+func decodeAlloc(data []byte, decode func([]byte) error) (alloc uint64, err error) {
+	alloc = ^uint64(0)
+	for try := 0; try < 3; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err = decode(data)
+		runtime.ReadMemStats(&after)
+		alloc = min(alloc, after.TotalAlloc-before.TotalAlloc)
+	}
+	return alloc, err
+}
+
+func words(vs ...uint64) []byte {
+	var b []byte
+	for _, v := range vs {
+		b = binary.LittleEndian.AppendUint64(b, v)
+	}
+	return b
+}
+
+// gridCfg is an oracle-grid configuration as both encodings write it.
+func gridCfg(k, j, t uint64) []uint64 { return []uint64{k, j, t, math.Float64bits(0.25), 0, 5} }
+
+// hostileGrids are Grid encodings with no cells behind their header,
+// and live encodings of a one-vertex stream: each made the decoder lay
+// out its grid before reading a cell.
+func hostileGrids() (grids, lives map[string][]byte) {
+	grid := func(n uint64, cfg []uint64) []byte { return words(append([]uint64{tagGrid, n, 0}, cfg...)...) }
+	live := func(cfg []uint64) []byte { return words(append([]uint64{tagLive, 1, 2, 1, 1, 3}, cfg...)...) }
+	return map[string][]byte{
+			"16×16 cells of n=100": grid(100, gridCfg(2, 16, 16)),
+		}, map[string][]byte{
+			"grid K=1024": live(gridCfg(1024, 1, 1)),
+			"64×64 cells": live(gridCfg(1, 64, 64)),
+		}
+}
+
+// TestGridHostileHeaders: each is refused with the typed error, within
+// wireBudget.
+func TestGridHostileHeaders(t *testing.T) {
+	grids, lives := hostileGrids()
+	check := func(blobs map[string][]byte, decode func([]byte) error) {
+		for name, blob := range blobs {
+			alloc, err := decodeAlloc(blob, decode)
+			if !errors.Is(err, errCorrupt) {
+				t.Errorf("%s: %v, want errCorrupt", name, err)
+			}
+			if alloc > wireBudget(len(blob)) {
+				t.Errorf("%s: %d bytes allocated %d (budget %d)", name, len(blob), alloc, wireBudget(len(blob)))
+			}
+		}
+	}
+	check(grids, func(b []byte) error { return new(Grid).UnmarshalBinary(b) })
+	one := stream.NewMemoryStream(1)
+	check(lives, func(b []byte) error { _, err := RestoreLive(one, b); return err })
+}
+
+// FuzzGridUnmarshal: arbitrary bytes never panic the decoder or make it
+// allocate beyond wireBudget; whatever decodes re-encodes to the same
+// bytes and ingests an update in its pass, as a dynnet worker does.
+func FuzzGridUnmarshal(f *testing.F) {
+	st := stream.WithChurn(graph.ConnectedGNP(20, 0.25, 3), 30, 4)
+	g, err := NewGrid(st.N(), EstimateConfig{K: 2, J: 2, T: 2, Seed: 5})
+	if err != nil {
+		f.Fatal(err)
+	}
+	seed := func(g *Grid) {
+		enc, err := g.MarshalBinary()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
+		f.Add(enc[:len(enc)-3])
+	}
+	if err := st.Replay(g.Pass1Update); err != nil {
+		f.Fatal(err)
+	}
+	seed(g) // pass 1
+	if err := g.EndPass1(); err != nil {
+		f.Fatal(err)
+	}
+	seed(g) // post-EndPass1
+	fork, err := g.ForkPass2()
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := st.Replay(fork.Pass2Update); err != nil {
+		f.Fatal(err)
+	}
+	seed(fork) // the pass-2 prototype after ingest
+	grids, _ := hostileGrids()
+	for _, blob := range grids {
+		f.Add(blob)
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var g Grid
+		alloc, err := decodeAlloc(data, g.UnmarshalBinary)
+		if alloc > wireBudget(len(data)) {
+			t.Fatalf("decoding %d bytes allocated %d (budget %d)", len(data), alloc, wireBudget(len(data)))
+		}
+		if err != nil {
+			if !errors.Is(err, errCorrupt) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			return
+		}
+		if back, err := g.MarshalBinary(); err != nil || !bytes.Equal(back, data) {
+			t.Fatalf("accepted encoding does not round-trip (err %v)", err)
+		}
+		if g.n > 1 {
+			batch := []stream.Update{{U: 0, V: g.n - 1, Delta: 1}}
+			if g.phase == 0 {
+				g.Pass1AddBatch(batch)
+			} else {
+				g.Pass2AddBatch(batch)
+			}
+		}
+	})
+}

@@ -2,9 +2,8 @@ package sparsify
 
 import (
 	"fmt"
-	"math"
+	"slices"
 
-	"dynstream/internal/graph"
 	"dynstream/internal/hashing"
 	"dynstream/internal/parallel"
 	"dynstream/internal/spanner"
@@ -14,13 +13,14 @@ import (
 // Live is the mutable sparsifier state behind a live build handle: the
 // T×J oracle-grid cells and the Z×H sample spanners are each held as a
 // live two-pass spanner state (pass 1 permanently open, see
-// spanner.TwoPass.StartLive). Apply routes every update to exactly the
-// states whose subsampled edge set contains it — an untouched state
+// spanner.TwoPass.StartLive). ApplyLive routes every update to exactly
+// the states whose subsampled edge set contains it — an untouched state
 // sees zero generation churn, so its next QueryLive is answered
-// entirely from its attachment and recovery caches. Query reassembles
-// the Estimator and the weighted samples from the per-state extractions
-// in the serial pipeline's order, so the output is bit-identical to a
-// cold Sparsify over the base stream plus every applied batch.
+// entirely from its attachment and recovery caches. QueryLive
+// reassembles the Estimator and the weighted samples from the per-state
+// extractions through the same assembly as the cold pipelines, so the
+// output is bit-identical to a cold Sparsify over the base stream plus
+// every applied batch.
 type Live struct {
 	cfg  Config
 	n    int
@@ -29,7 +29,41 @@ type Live struct {
 	// streams: E_j keeps the edges with level >= j. Must match
 	// sampleSubstream (stream.SampledSubstream mixes 0xe1 onto the seed).
 	repHash []*hashing.Poly
-	reps    [][]*spanner.TwoPass // reps[s][j-1] over E_j of invocation s
+	reps    []*spanner.TwoPass // s-major: reps[s·H + j-1] over E_j of invocation s
+}
+
+// newLive lays out a live state over grid g with rep(i) as sample
+// state i (see newGrid).
+func newLive(cfg Config, g *Grid, rep func(i int) *spanner.TwoPass) *Live {
+	ls := &Live{cfg: cfg, n: g.n, grid: g,
+		repHash: make([]*hashing.Poly, cfg.Z), reps: make([]*spanner.TwoPass, cfg.Z*cfg.H)}
+	for i := range ls.reps {
+		ls.reps[i] = rep(i)
+	}
+	for s := range ls.repHash {
+		ls.repHash[s] = hashing.NewPoly(hashing.Mix(hashing.Mix(cfg.Seed, 0x5a, uint64(s)), 0xe1), 8)
+	}
+	return ls
+}
+
+// all lists every live spanner state: the grid cells t-major, then the
+// samples s-major — the order of the encoding too.
+func (ls *Live) all() []*spanner.TwoPass { return append(slices.Clip(ls.grid.cells), ls.reps...) }
+
+// substream is the view of src that state i of all ingests.
+func (ls *Live) substream(src stream.Stream, i int) stream.Stream {
+	if c := len(ls.grid.cells); i >= c {
+		return sampleSubstream(src, ls.cfg, (i-c)/ls.cfg.H, (i-c)%ls.cfg.H+1)
+	}
+	return ls.grid.cfg.substream(src, i/ls.grid.cfg.J+1, i%ls.grid.cfg.J)
+}
+
+// stateErr names state i of all in its error.
+func (ls *Live) stateErr(i int, err error) error {
+	if c := len(ls.grid.cells); i >= c {
+		return fmt.Errorf("sparsify: live sample rep=%d j=%d: %w", (i-c)/ls.cfg.H, (i-c)%ls.cfg.H+1, err)
+	}
+	return ls.grid.cellErr(i, err)
 }
 
 // StartLive builds the live sparsifier state over the replayable base
@@ -38,38 +72,21 @@ type Live struct {
 // first query needs. The ExactOracles ablation materializes substreams
 // instead of sketching them and has no live state.
 func StartLive(src stream.Stream, cfg Config) (*Live, error) {
-	n := src.N()
-	cfg = cfg.withDefaults(n)
+	cfg = cfg.withDefaults(src.N())
 	if cfg.Estimate.ExactOracles {
 		return nil, fmt.Errorf("sparsify: exact oracles have no live state")
 	}
-	g, err := NewGrid(n, cfg.Estimate)
+	g, err := NewGrid(src.N(), cfg.Estimate)
 	if err != nil {
 		return nil, err
 	}
-	ls := &Live{cfg: cfg, n: n, grid: g}
-	ecfg := g.cfg
-	for t := 1; t <= ecfg.T; t++ {
-		for j := 0; j < ecfg.J; j++ {
-			sub := stream.SampledSubstream(src, hashing.Mix(ecfg.Seed, 0xe5, uint64(j)), t-1)
-			if err := g.cells[t-1][j].StartLive(sub); err != nil {
-				return nil, fmt.Errorf("sparsify: live grid cell (t=%d, j=%d): %w", t, j, err)
-			}
+	ls := newLive(cfg, g, func(i int) *spanner.TwoPass {
+		return spanner.NewTwoPass(src.N(), sampleSpannerConfig(cfg, i/cfg.H, i%cfg.H+1))
+	})
+	for i, tp := range ls.all() {
+		if err := tp.StartLive(ls.substream(src, i)); err != nil {
+			return nil, ls.stateErr(i, err)
 		}
-	}
-	ls.repHash = make([]*hashing.Poly, cfg.Z)
-	ls.reps = make([][]*spanner.TwoPass, cfg.Z)
-	for s := 0; s < cfg.Z; s++ {
-		ls.repHash[s] = hashing.NewPoly(
-			hashing.Mix(hashing.Mix(cfg.Seed, 0x5a, uint64(s)), 0xe1), 8)
-		row := make([]*spanner.TwoPass, cfg.H)
-		for j := 1; j <= cfg.H; j++ {
-			row[j-1] = spanner.NewTwoPass(n, sampleSpannerConfig(cfg, s, j))
-			if err := row[j-1].StartLive(sampleSubstream(src, cfg, s, j)); err != nil {
-				return nil, fmt.Errorf("sparsify: live sample rep=%d j=%d: %w", s, j, err)
-			}
-		}
-		ls.reps[s] = row
 	}
 	return ls, nil
 }
@@ -80,60 +97,38 @@ func (ls *Live) N() int { return ls.n }
 // EnableDecodeCache turns the per-center attachment and per-terminal
 // recovery caches of every underlying live spanner state on or off.
 func (ls *Live) EnableDecodeCache(on bool) {
-	for _, row := range ls.grid.cells {
-		for _, c := range row {
-			c.EnableDecodeCache(on)
-		}
-	}
-	for _, row := range ls.reps {
-		for _, tp := range row {
-			tp.EnableDecodeCache(on)
-		}
+	for _, tp := range ls.all() {
+		tp.EnableDecodeCache(on)
 	}
 }
 
 // InvalidateDecodeCache drops every underlying live spanner state's
-// caches and cluster digests; the next Query re-extracts from scratch.
+// caches and cluster digests; the next QueryLive re-extracts from
+// scratch.
 func (ls *Live) InvalidateDecodeCache() {
-	for _, row := range ls.grid.cells {
-		for _, c := range row {
-			c.InvalidateDecodeCache()
-		}
-	}
-	for _, row := range ls.reps {
-		for _, tp := range row {
-			tp.InvalidateDecodeCache()
-		}
+	for _, tp := range ls.all() {
+		tp.InvalidateDecodeCache()
 	}
 }
 
 // DecodeCacheStats sums the decode-cache hit/miss counters of every
 // underlying live spanner state (grid cells and sample spanners).
 func (ls *Live) DecodeCacheStats() (hits, misses uint64) {
-	for _, row := range ls.grid.cells {
-		for _, c := range row {
-			h, m := c.DecodeCacheStats()
-			hits += h
-			misses += m
-		}
-	}
-	for _, row := range ls.reps {
-		for _, tp := range row {
-			h, m := tp.DecodeCacheStats()
-			hits += h
-			misses += m
-		}
+	for _, tp := range ls.all() {
+		h, m := tp.DecodeCacheStats()
+		hits += h
+		misses += m
 	}
 	return hits, misses
 }
 
-// Apply folds a batch of updates into the live state. Each update
+// ApplyLive folds a batch of updates into the live state. Each update
 // reaches exactly the grid cells and sample spanners whose subsampled
 // edge set contains it — the same membership the cold pipeline's
 // SampledSubstream filters enforce — so every state's pass-1 sketches
 // and live log stay identical to a from-scratch build over the total
 // stream, and untouched states keep their caches warm.
-func (ls *Live) Apply(batch []stream.Update) error {
+func (ls *Live) ApplyLive(batch []stream.Update) error {
 	if len(batch) == 0 {
 		return nil
 	}
@@ -145,23 +140,28 @@ func (ls *Live) Apply(batch []stream.Update) error {
 	for i, u := range batch {
 		keys[i] = stream.PairKey(u.U, u.V, ls.n)
 	}
+	all := ls.all()
+	// route applies to state i the updates whose level reaches lvl.
+	route := func(i, lvl int) error {
+		var sub []stream.Update
+		for b, u := range batch {
+			if levels[b] >= lvl {
+				sub = append(sub, u)
+			}
+		}
+		if len(sub) == 0 {
+			return nil
+		}
+		return all[i].ApplyLive(sub)
+	}
 	for j := 0; j < ecfg.J; j++ {
 		for i := range batch {
 			levels[i] = ls.grid.colHash[j].Level(keys[i])
 		}
 		for t := 1; t <= ecfg.T; t++ {
 			// Cell (t, j) sketches E^j_t: edges with column-j level >= t-1.
-			var sub []stream.Update
-			for i, u := range batch {
-				if levels[i] >= t-1 {
-					sub = append(sub, u)
-				}
-			}
-			if len(sub) == 0 {
-				continue
-			}
-			if err := ls.grid.cells[t-1][j].ApplyLive(sub); err != nil {
-				return fmt.Errorf("sparsify: live grid cell (t=%d, j=%d): %w", t, j, err)
+			if err := route((t-1)*ecfg.J+j, t-1); err != nil {
+				return ls.stateErr((t-1)*ecfg.J+j, err)
 			}
 		}
 	}
@@ -171,75 +171,46 @@ func (ls *Live) Apply(batch []stream.Update) error {
 		}
 		for j := 1; j <= ls.cfg.H; j++ {
 			// Sample stream E_j keeps the edges with invocation-s level >= j.
-			var sub []stream.Update
-			for i, u := range batch {
-				if levels[i] >= j {
-					sub = append(sub, u)
-				}
-			}
-			if len(sub) == 0 {
-				continue
-			}
-			if err := ls.reps[s][j-1].ApplyLive(sub); err != nil {
-				return fmt.Errorf("sparsify: live sample rep=%d j=%d: %w", s, j, err)
+			i := len(ls.grid.cells) + s*ls.cfg.H + j - 1
+			if err := route(i, j); err != nil {
+				return ls.stateErr(i, err)
 			}
 		}
 	}
 	return nil
 }
 
-// Query extracts the sparsifier from the live state's current contents
-// — bit-identical to a cold Sparsify/SparsifyOpts over the base stream
-// plus every applied batch, at any worker count. Only dirty regions
-// re-decode: each cell and sample re-clusters through its attachment
-// cache, reuses its pass-2 tables when its cluster structure digest is
-// unchanged (folding just the unsynced log suffix), and recovers
-// neighborhoods through its per-terminal cache.
-func (ls *Live) Query(p *parallel.Policy) (*Result, error) {
+// QueryLive extracts the sparsifier from the live state's current
+// contents — bit-identical to a cold Sparsify/SparsifyOpts over the
+// base stream plus every applied batch, at any worker count. Only dirty
+// regions re-decode: each cell and sample re-clusters through its
+// attachment cache, reuses its pass-2 tables when its cluster structure
+// digest is unchanged (folding just the unsynced log suffix), and
+// recovers neighborhoods through its per-terminal cache.
+func (ls *Live) QueryLive(p *parallel.Policy) (*Result, error) {
 	p = p.DecodePolicy()
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("sparsify: %w", err)
 	}
 	ecfg := ls.grid.cfg
-	e := &Estimator{cfg: ecfg}
-	e.threshold = ecfg.Threshold
-	if e.threshold == 0 {
-		e.threshold = math.Pow(2, float64(ecfg.K))
-	}
-	alpha := math.Pow(2, float64(ecfg.K))
-	e.oracles = make([][]Oracle, ecfg.T)
-	for t := 1; t <= ecfg.T; t++ {
-		row := make([]Oracle, ecfg.J)
-		for j := 0; j < ecfg.J; j++ {
-			res, err := ls.grid.cells[t-1][j].QueryLive(p)
-			if err != nil {
-				return nil, fmt.Errorf("sparsify: live grid cell (t=%d, j=%d): %w", t, j, err)
-			}
-			row[j] = &spannerOracle{
-				h: res.Spanner, alpha: alpha, space: res.SpaceWords, memo: map[int][]int{},
-			}
-			e.space += res.SpaceWords
+	oracles := make([]Oracle, len(ls.grid.cells))
+	for i, c := range ls.grid.cells {
+		res, err := c.QueryLive(p)
+		if err != nil {
+			return nil, ls.stateErr(i, err)
 		}
-		e.oracles[t-1] = row
+		oracles[i] = newSpannerOracle(res, ecfg.K)
 	}
-	space := e.SpaceWords()
-	samples := make([]*graph.Graph, 0, ls.cfg.Z)
-	results := make([]*spanner.Result, ls.cfg.H)
-	for s := 0; s < ls.cfg.Z; s++ {
-		for j := 1; j <= ls.cfg.H; j++ {
-			res, err := ls.reps[s][j-1].QueryLive(p)
+	return sampleAndAverage(ls.n, ls.cfg, newEstimator(ecfg, oracles), func(s int) ([]*spanner.Result, error) {
+		results := make([]*spanner.Result, ls.cfg.H)
+		for j := range results {
+			i := s*ls.cfg.H + j
+			res, err := ls.reps[i].QueryLive(p)
 			if err != nil {
-				return nil, fmt.Errorf("sparsify: live sample rep=%d j=%d: %w", s, j, err)
+				return nil, ls.stateErr(len(ls.grid.cells)+i, err)
 			}
-			results[j-1] = res
+			results[j] = res
 		}
-		x, w := assembleSample(ls.n, e, results)
-		space += w
-		samples = append(samples, x)
-	}
-	return &Result{
-		Sparsifier: averageSamples(ls.n, ls.cfg.Z, samples),
-		SpaceWords: space,
-		Samples:    ls.cfg.Z,
-	}, nil
+		return results, nil
+	})
 }

@@ -62,7 +62,7 @@ func TestLiveSparsifyBitIdentical(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		for _, workers := range []int{1, 2, 4} {
 			p := parallel.Default().WithWorkers(workers)
-			got, err := live.Query(p)
+			got, err := live.QueryLive(p)
 			if err != nil {
 				t.Fatalf("round %d workers %d: live: %v", round, workers, err)
 			}
@@ -91,7 +91,7 @@ func TestLiveSparsifyBitIdentical(t *testing.T) {
 			}
 			batch = append(batch, stream.Update{U: u, V: v, Delta: 1})
 		}
-		if err := live.Apply(batch); err != nil {
+		if err := live.ApplyLive(batch); err != nil {
 			t.Fatal(err)
 		}
 		total = append(total, batch...)
@@ -120,14 +120,14 @@ func TestLiveSparsifyRoutesDirtyOnly(t *testing.T) {
 	}
 	live.EnableDecodeCache(true)
 	p := parallel.Default()
-	first, err := live.Query(p)
+	first, err := live.QueryLive(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := live.Apply(nil); err != nil {
+	if err := live.ApplyLive(nil); err != nil {
 		t.Fatal(err)
 	}
-	again, err := live.Query(p)
+	again, err := live.QueryLive(p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"dynstream/internal/hashing"
-	"dynstream/internal/spanner"
 	"dynstream/internal/stream"
 )
 
@@ -47,23 +45,12 @@ func (ls *Live) MarshalLive() ([]byte, error) {
 	u64(math.Float64bits(ecfg.Delta))
 	u64(math.Float64bits(ecfg.Threshold))
 	u64(ecfg.Seed)
-	for t := 1; t <= ecfg.T; t++ {
-		for j := 0; j < ecfg.J; j++ {
-			enc, err := ls.grid.cells[t-1][j].MarshalLive()
-			if err != nil {
-				return nil, fmt.Errorf("sparsify: marshal grid cell (t=%d, j=%d): %w", t, j, err)
-			}
-			block(enc)
+	for i, tp := range ls.all() {
+		enc, err := tp.MarshalLive()
+		if err != nil {
+			return nil, ls.stateErr(i, err)
 		}
-	}
-	for s := 0; s < ls.cfg.Z; s++ {
-		for j := 1; j <= ls.cfg.H; j++ {
-			enc, err := ls.reps[s][j-1].MarshalLive()
-			if err != nil {
-				return nil, fmt.Errorf("sparsify: marshal sample rep=%d j=%d: %w", s, j, err)
-			}
-			block(enc)
-		}
+		block(enc)
 	}
 	return out, nil
 }
@@ -75,95 +62,30 @@ func (ls *Live) MarshalLive() ([]byte, error) {
 // first Query re-derives the per-state tables, which by linearity
 // reproduces the saved state's output bit for bit.
 func RestoreLive(src stream.Stream, data []byte) (*Live, error) {
-	pos := 0
-	u64 := func() (uint64, error) {
-		if len(data)-pos < 8 {
-			return 0, errCorrupt
-		}
-		v := binary.LittleEndian.Uint64(data[pos : pos+8])
-		pos += 8
-		return v, nil
-	}
-	block := func() ([]byte, error) {
-		ln, err := u64()
-		if err != nil {
-			return nil, err
-		}
-		if uint64(len(data)-pos) < ln {
-			return nil, errCorrupt
-		}
-		b := data[pos : pos+int(ln)]
-		pos += int(ln)
-		return b, nil
-	}
-	tag, err := u64()
-	if err != nil || tag != tagLive {
+	r := &reader{b: data}
+	if r.u64() != tagLive {
 		return nil, fmt.Errorf("sparsify: not a live sparsifier encoding: %w", errCorrupt)
 	}
-	var n, k, z, h, seed, ek, ej, et, deltaBits, thrBits, eseed uint64
-	for _, dst := range []*uint64{&n, &k, &z, &h, &seed, &ek, &ej, &et, &deltaBits, &thrBits, &eseed} {
-		if *dst, err = u64(); err != nil {
-			return nil, err
-		}
-	}
-	if n == 0 || n > 1<<24 || k == 0 || k > 64 || z == 0 || z > 1<<12 || h == 0 || h > 1<<12 {
+	n, k, z, h, seed := r.u64(), r.u64(), r.u64(), r.u64(), r.u64()
+	if r.err != nil || k == 0 || k > 64 || z == 0 || z > 1<<12 || h == 0 || h > 1<<12 {
 		return nil, errCorrupt
 	}
-	if int(n) != src.N() {
+	if n != uint64(src.N()) {
 		return nil, fmt.Errorf("sparsify: live state has n=%d, stream has n=%d: %w", n, src.N(), errCorrupt)
 	}
-	cfg := Config{
-		K: int(k), Z: int(z), H: int(h), Seed: seed,
-		Estimate: EstimateConfig{
-			K: int(ek), J: int(ej), T: int(et),
-			Delta:     math.Float64frombits(deltaBits),
-			Threshold: math.Float64frombits(thrBits),
-			Seed:      eseed,
-		},
-	}
-	g, err := NewGrid(int(n), cfg.Estimate)
+	g, err := r.grid(n, z*h)
 	if err != nil {
 		return nil, err
 	}
-	if g.cfg != cfg.Estimate {
-		// NewGrid must accept the stored configuration verbatim — a
-		// re-defaulted field would re-seed the substream wiring.
-		return nil, fmt.Errorf("sparsify: stored grid configuration is not resolved: %w", errCorrupt)
-	}
-	ls := &Live{cfg: cfg, n: int(n), grid: g}
-	ecfg := g.cfg
-	for t := 1; t <= ecfg.T; t++ {
-		for j := 0; j < ecfg.J; j++ {
-			enc, err := block()
-			if err != nil {
-				return nil, err
-			}
-			sub := stream.SampledSubstream(src, hashing.Mix(ecfg.Seed, 0xe5, uint64(j)), t-1)
-			if err := g.cells[t-1][j].RestoreLive(sub, enc); err != nil {
-				return nil, fmt.Errorf("sparsify: restore grid cell (t=%d, j=%d): %w", t, j, err)
-			}
+	ls := newLive(Config{K: int(k), Z: int(z), H: int(h), Seed: seed, Estimate: g.cfg}, g, emptyState)
+	for i, tp := range ls.all() {
+		// RestoreLive rebuilds each state from its blob's own config.
+		if err := tp.RestoreLive(ls.substream(src, i), r.block()); err != nil {
+			return nil, ls.stateErr(i, fmt.Errorf("%w: %v", errCorrupt, err))
 		}
 	}
-	ls.repHash = make([]*hashing.Poly, cfg.Z)
-	ls.reps = make([][]*spanner.TwoPass, cfg.Z)
-	for s := 0; s < cfg.Z; s++ {
-		ls.repHash[s] = hashing.NewPoly(
-			hashing.Mix(hashing.Mix(cfg.Seed, 0x5a, uint64(s)), 0xe1), 8)
-		row := make([]*spanner.TwoPass, cfg.H)
-		for j := 1; j <= cfg.H; j++ {
-			enc, err := block()
-			if err != nil {
-				return nil, err
-			}
-			row[j-1] = &spanner.TwoPass{} // RestoreLive rebuilds from the blob's own config
-			if err := row[j-1].RestoreLive(sampleSubstream(src, cfg, s, j), enc); err != nil {
-				return nil, fmt.Errorf("sparsify: restore sample rep=%d j=%d: %w", s, j, err)
-			}
-		}
-		ls.reps[s] = row
-	}
-	if pos != len(data) {
-		return nil, fmt.Errorf("sparsify: %d trailing bytes in live encoding: %w", len(data)-pos, errCorrupt)
+	if len(r.b) != 0 {
+		return nil, fmt.Errorf("sparsify: %d trailing bytes in live encoding: %w", len(r.b), errCorrupt)
 	}
 	return ls, nil
 }

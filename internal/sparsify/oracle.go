@@ -19,7 +19,6 @@ import (
 	"math"
 
 	"dynstream/internal/graph"
-	"dynstream/internal/hashing"
 	"dynstream/internal/spanner"
 	"dynstream/internal/stream"
 )
@@ -55,12 +54,12 @@ func NewSpannerOracle(st stream.Stream, k int, seed uint64) (Oracle, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sparsify: oracle spanner: %w", err)
 	}
-	return &spannerOracle{
-		h:     res.Spanner,
-		alpha: math.Pow(2, float64(k)),
-		space: res.SpaceWords,
-		memo:  map[int][]int{},
-	}, nil
+	return newSpannerOracle(res, k), nil
+}
+
+// newSpannerOracle is the stretch-2^k oracle over a built spanner.
+func newSpannerOracle(res *spanner.Result, k int) Oracle {
+	return &spannerOracle{h: res.Spanner, alpha: math.Pow(2, float64(k)), space: res.SpaceWords, memo: map[int][]int{}}
 }
 
 func (o *spannerOracle) Dist(u, v int) float64 {
@@ -109,21 +108,3 @@ func (o *exactOracle) Dist(u, v int) float64 {
 
 func (o *exactOracle) Alpha() float64  { return 1 }
 func (o *exactOracle) SpaceWords() int { return 2 * o.g.M() }
-
-// oracleBuilder abstracts which oracle kind the Estimator constructs.
-type oracleBuilder func(st stream.Stream, seed uint64) (Oracle, error)
-
-func spannerOracleBuilder(k int) oracleBuilder {
-	return func(st stream.Stream, seed uint64) (Oracle, error) {
-		return NewSpannerOracle(st, k, seed)
-	}
-}
-
-func exactOracleBuilder() oracleBuilder {
-	return func(st stream.Stream, seed uint64) (Oracle, error) {
-		_ = seed
-		return NewExactOracle(st)
-	}
-}
-
-var _ = hashing.Mix // used by sibling files

@@ -19,11 +19,11 @@ import (
 //     subsampled edge set, and the whole grid is a linear function of
 //     the update stream — so per-shard grids merge into exactly the
 //     single-threaded grid (the "oracle-grid state" merge).
-//   - SparsifyOpts / NewEstimatorOpts drive the grid's two
-//     passes over round-robin stream shards with a worker per shard,
-//     and fan the Z×H augmented-spanner builds of Algorithms 5–6 out
-//     over a bounded worker pool. Every decode happens on the merged
-//     state, so the output is identical to the serial pipeline.
+//   - SparsifyOpts / NewEstimatorOpts drive the grid's two passes
+//     (parallel.RunTwoPass) over round-robin stream shards with a worker
+//     per shard, and fan the Z×H augmented-spanner builds of Algorithms
+//     5–6 out over a bounded worker pool. Every decode happens on the
+//     merged state, so the output is identical to the serial pipeline.
 
 // Grid is the linear sketch state underlying an Estimator: cell
 // (t, j) holds the two-pass spanner state of oracle j at subsampling
@@ -33,8 +33,8 @@ import (
 type Grid struct {
 	cfg     EstimateConfig
 	n       int
-	colHash []*hashing.Poly      // per column j: the E^j_t level hash
-	cells   [][]*spanner.TwoPass // cells[t-1][j]
+	colHash []*hashing.Poly    // per column j: the E^j_t level hash
+	cells   []*spanner.TwoPass // t-major: cells[(t-1)·J + j]
 	phase   int
 }
 
@@ -47,25 +47,23 @@ func NewGrid(n int, cfg EstimateConfig) (*Grid, error) {
 	if cfg.ExactOracles {
 		return nil, fmt.Errorf("sparsify: exact oracles have no mergeable grid state")
 	}
-	g := &Grid{cfg: cfg, n: n}
+	return newGrid(n, cfg, func(i int) *spanner.TwoPass { return spanner.NewTwoPass(n, cfg.cellConfig(i)) }), nil
+}
+
+// newGrid lays out a grid for a resolved configuration with cell(i) as
+// cell i: a fresh state, or an empty one for a decoder to fill.
+func newGrid(n int, cfg EstimateConfig, cell func(i int) *spanner.TwoPass) *Grid {
+	g := &Grid{cfg: cfg, n: n, cells: make([]*spanner.TwoPass, cfg.T*cfg.J)}
+	for i := range g.cells {
+		g.cells[i] = cell(i)
+	}
 	g.colHash = make([]*hashing.Poly, cfg.J)
-	for j := 0; j < cfg.J; j++ {
-		// Must match stream.SampledSubstream(st, Mix(seed, 0xe5, j), t-1)
-		// so that cell (t, j) sees exactly the substream E^j_t the serial
-		// estimator feeds oracle (t, j).
-		g.colHash[j] = hashing.NewPoly(
-			hashing.Mix(hashing.Mix(cfg.Seed, 0xe5, uint64(j)), 0xe1), 8)
+	for j := range g.colHash {
+		// Must match cfg.substream so that cell (t, j) sees exactly the
+		// substream E^j_t the serial estimator feeds oracle (t, j).
+		g.colHash[j] = hashing.NewPoly(hashing.Mix(hashing.Mix(cfg.Seed, 0xe5, uint64(j)), 0xe1), 8)
 	}
-	g.cells = make([][]*spanner.TwoPass, cfg.T)
-	for t := 1; t <= cfg.T; t++ {
-		row := make([]*spanner.TwoPass, cfg.J)
-		for j := 0; j < cfg.J; j++ {
-			row[j] = spanner.NewTwoPass(n, spanner.Config{
-				K: cfg.K, Seed: hashing.Mix(cfg.Seed, 0x0a, uint64(t), uint64(j))})
-		}
-		g.cells[t-1] = row
-	}
-	return g, nil
+	return g
 }
 
 // N returns the vertex count.
@@ -81,12 +79,9 @@ func (g *Grid) Phase() int { return g.phase }
 func (g *Grid) forEachCell(u stream.Update, visit func(cell *spanner.TwoPass) error) error {
 	key := stream.PairKey(u.U, u.V, g.n)
 	for j := 0; j < g.cfg.J; j++ {
-		tMax := g.colHash[j].Level(key) + 1
-		if tMax > g.cfg.T {
-			tMax = g.cfg.T
-		}
+		tMax := min(g.colHash[j].Level(key)+1, g.cfg.T)
 		for t := 1; t <= tMax; t++ {
-			if err := visit(g.cells[t-1][j]); err != nil {
+			if err := visit(g.cells[(t-1)*g.cfg.J+j]); err != nil {
 				return err
 			}
 		}
@@ -94,39 +89,32 @@ func (g *Grid) forEachCell(u stream.Update, visit func(cell *spanner.TwoPass) er
 	return nil
 }
 
-// Pass1Update ingests one update into every cell whose substream
-// contains the edge (first spanner pass).
-func (g *Grid) Pass1Update(u stream.Update) error {
-	if g.phase != 0 {
-		return fmt.Errorf("sparsify: grid Pass1Update in phase %d", g.phase)
+// ingest feeds each update of batch to every cell whose substream
+// contains the edge, through the pass's cell ingest add; the grid must
+// be in phase.
+func (g *Grid) ingest(phase int, batch []stream.Update, add func(*spanner.TwoPass, stream.Update) error) error {
+	if g.phase != phase {
+		return fmt.Errorf("sparsify: grid pass-%d ingest in phase %d", phase+1, g.phase)
 	}
-	return g.forEachCell(u, func(c *spanner.TwoPass) error { return c.Pass1Update(u) })
-}
-
-// Pass1AddBatch ingests a batch of first-pass updates; bit-identical
-// to calling Pass1Update per element.
-func (g *Grid) Pass1AddBatch(batch []stream.Update) error {
 	for _, u := range batch {
-		if err := g.Pass1Update(u); err != nil {
+		if err := g.forEachCell(u, func(c *spanner.TwoPass) error { return add(c, u) }); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// Pass1Update ingests one first-pass update: a batch of one.
+func (g *Grid) Pass1Update(u stream.Update) error { return g.Pass1AddBatch([]stream.Update{u}) }
+
+// Pass1AddBatch ingests a batch of first-pass updates.
+func (g *Grid) Pass1AddBatch(batch []stream.Update) error {
+	return g.ingest(0, batch, (*spanner.TwoPass).Pass1Update)
+}
+
 // MergePass1 adds another grid's first-pass state, cell-wise.
 func (g *Grid) MergePass1(o *Grid) error {
-	if err := g.compatible(o); err != nil {
-		return err
-	}
-	for t := range g.cells {
-		for j := range g.cells[t] {
-			if err := g.cells[t][j].MergePass1(o.cells[t][j]); err != nil {
-				return fmt.Errorf("sparsify: grid merge cell (t=%d, j=%d): %w", t+1, j, err)
-			}
-		}
-	}
-	return nil
+	return g.merge(o, (*spanner.TwoPass).MergePass1)
 }
 
 // EndPass1 runs the offline cluster construction in every cell.
@@ -145,19 +133,14 @@ func (g *Grid) EndPass1Opts(p *parallel.Policy) error {
 		return fmt.Errorf("sparsify: grid EndPass1 in phase %d", g.phase)
 	}
 	sp := p.Tracer().Span("sparsify/grid/endpass1")
-	J := g.cfg.J
-	err := parallel.ForEachOpts(p.DecodePolicy(), len(g.cells)*J, func(i int) error {
-		t, j := i/J, i%J
-		if err := g.cells[t][j].EndPass1(); err != nil {
-			return fmt.Errorf("sparsify: grid cell (t=%d, j=%d): %w", t+1, j, err)
-		}
-		return nil
+	err := parallel.ForEachOpts(p.DecodePolicy(), len(g.cells), func(i int) error {
+		return g.cellErr(i, g.cells[i].EndPass1())
 	})
 	if err != nil {
 		return err
 	}
 	g.phase = 1
-	sp.End(obs.A("cells", int64(len(g.cells)*J)))
+	sp.End(obs.A("cells", int64(len(g.cells))))
 	return nil
 }
 
@@ -168,59 +151,47 @@ func (g *Grid) ForkPass2() (*Grid, error) {
 	if g.phase != 1 {
 		return nil, fmt.Errorf("sparsify: grid ForkPass2 in phase %d", g.phase)
 	}
-	w := &Grid{cfg: g.cfg, n: g.n, colHash: g.colHash, phase: 1}
-	w.cells = make([][]*spanner.TwoPass, len(g.cells))
-	for t := range g.cells {
-		w.cells[t] = make([]*spanner.TwoPass, len(g.cells[t]))
-		for j := range g.cells[t] {
-			f, err := g.cells[t][j].ForkPass2()
-			if err != nil {
-				return nil, err
-			}
-			w.cells[t][j] = f
+	w := &Grid{cfg: g.cfg, n: g.n, colHash: g.colHash, cells: make([]*spanner.TwoPass, len(g.cells)), phase: 1}
+	for i, c := range g.cells {
+		f, err := c.ForkPass2()
+		if err != nil {
+			return nil, err
 		}
+		w.cells[i] = f
 	}
 	return w, nil
 }
 
-// Pass2Update ingests one update into every cell whose substream
-// contains the edge (second spanner pass).
-func (g *Grid) Pass2Update(u stream.Update) error {
-	if g.phase != 1 {
-		return fmt.Errorf("sparsify: grid Pass2Update in phase %d", g.phase)
-	}
-	return g.forEachCell(u, func(c *spanner.TwoPass) error { return c.Pass2Update(u) })
-}
+// Pass2Update ingests one second-pass update: a batch of one.
+func (g *Grid) Pass2Update(u stream.Update) error { return g.Pass2AddBatch([]stream.Update{u}) }
 
-// Pass2AddBatch ingests a batch of second-pass updates; bit-identical
-// to calling Pass2Update per element.
+// Pass2AddBatch ingests a batch of second-pass updates.
 func (g *Grid) Pass2AddBatch(batch []stream.Update) error {
-	for _, u := range batch {
-		if err := g.Pass2Update(u); err != nil {
-			return err
-		}
-	}
-	return nil
+	return g.ingest(1, batch, (*spanner.TwoPass).Pass2Update)
 }
 
 // MergePass2 adds another grid's second-pass table state, cell-wise.
 func (g *Grid) MergePass2(o *Grid) error {
-	if err := g.compatible(o); err != nil {
-		return err
+	return g.merge(o, (*spanner.TwoPass).MergePass2)
+}
+
+// merge folds another grid into g cell by cell with the pass's merge.
+func (g *Grid) merge(o *Grid, mergeCell func(dst, src *spanner.TwoPass) error) error {
+	if g.n != o.n || g.cfg != o.cfg {
+		return fmt.Errorf("sparsify: merging incompatible grids (n %d/%d)", g.n, o.n)
 	}
-	for t := range g.cells {
-		for j := range g.cells[t] {
-			if err := g.cells[t][j].MergePass2(o.cells[t][j]); err != nil {
-				return fmt.Errorf("sparsify: grid merge cell (t=%d, j=%d): %w", t+1, j, err)
-			}
+	for i, c := range g.cells {
+		if err := mergeCell(c, o.cells[i]); err != nil {
+			return g.cellErr(i, fmt.Errorf("merge: %w", err))
 		}
 	}
 	return nil
 }
 
-func (g *Grid) compatible(o *Grid) error {
-	if g.n != o.n || g.cfg != o.cfg {
-		return fmt.Errorf("sparsify: merging incompatible grids (n %d/%d)", g.n, o.n)
+// cellErr names cell i in a cell's error.
+func (g *Grid) cellErr(i int, err error) error {
+	if err != nil {
+		return fmt.Errorf("sparsify: grid cell (t=%d, j=%d): %w", i/g.cfg.J+1, i%g.cfg.J, err)
 	}
 	return nil
 }
@@ -245,110 +216,45 @@ func (g *Grid) FinishOpts(p *parallel.Policy) (*Estimator, error) {
 	}
 	g.phase = 2
 	sp := p.Tracer().Span("sparsify/grid/extract")
-	e := &Estimator{cfg: g.cfg}
-	e.threshold = g.cfg.Threshold
-	if e.threshold == 0 {
-		e.threshold = math.Pow(2, float64(g.cfg.K))
-	}
-	alpha := math.Pow(2, float64(g.cfg.K))
-	J := g.cfg.J
-	oracles, err := parallel.MapOpts(p, len(g.cells)*J, func(i int) (Oracle, error) {
-		t, j := i/J, i%J
-		res, err := g.cells[t][j].Finish()
+	oracles, err := parallel.MapOpts(p, len(g.cells), func(i int) (Oracle, error) {
+		res, err := g.cells[i].Finish()
 		if err != nil {
-			return nil, fmt.Errorf("sparsify: grid finish cell (t=%d, j=%d): %w", t+1, j, err)
+			return nil, g.cellErr(i, err)
 		}
-		return &spannerOracle{
-			h: res.Spanner, alpha: alpha, space: res.SpaceWords, memo: map[int][]int{},
-		}, nil
+		return newSpannerOracle(res, g.cfg.K), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	e.oracles = make([][]Oracle, g.cfg.T)
-	for t := range g.cells {
-		e.oracles[t] = oracles[t*J : (t+1)*J]
-		for _, o := range e.oracles[t] {
-			e.space += o.SpaceWords()
-		}
-	}
-	sp.End(obs.A("cells", int64(len(g.cells)*J)))
-	return e, nil
+	sp.End(obs.A("cells", int64(len(g.cells))))
+	return newEstimator(g.cfg, oracles), nil
 }
 
 // NewEstimatorOpts is the policy-driven estimator build: the oracle
-// grid's two passes run under p's context, workers, batch size, and
-// progress sink, producing an Estimator identical to NewEstimator's
-// for any policy. The source must be replayable. The ExactOracles
-// ablation (which materializes substreams rather than sketching them)
-// is built cell-by-cell on the policy's worker pool instead.
+// grid's two passes run through parallel.RunTwoPass under p's context,
+// workers, batch size, and progress sink, producing an Estimator
+// identical to NewEstimator's for any policy. The source must be
+// replayable. The ExactOracles ablation (which materializes substreams
+// rather than sketching them) is built cell-by-cell on the policy's
+// worker pool instead; each cell replays the source, so a single-cursor
+// source degrades the pool to one worker.
 func NewEstimatorOpts(src stream.Source, cfg EstimateConfig, p *parallel.Policy) (*Estimator, error) {
 	if !stream.CanReplay(src) {
 		return nil, fmt.Errorf("sparsify: estimator: %w", stream.ErrNotReplayable)
 	}
 	cfg = cfg.withDefaults(src.N())
-	if cfg.ExactOracles {
-		return newExactEstimatorOpts(src, cfg, p)
+	if !cfg.ExactOracles {
+		return parallel.RunTwoPass(p, "sparsify: estimator", parallel.Local[*Grid](p, src),
+			func() (*Grid, error) { return NewGrid(src.N(), cfg) })
 	}
-	// At one worker the ingest dispatcher degenerates to a serial replay
-	// of a single grid — one code path (and one set of trace spans) for
-	// all widths.
-	main, err := parallel.IngestOpts(p, src,
-		func() (*Grid, error) { return NewGrid(src.N(), cfg) },
-		(*Grid).Pass1AddBatch, (*Grid).MergePass1)
-	if err != nil {
-		return nil, fmt.Errorf("sparsify: estimator pass 1: %w", err)
-	}
-	if err := main.EndPass1Opts(p); err != nil {
-		return nil, err
-	}
-	tables, err := parallel.IngestOpts(p, src,
-		main.ForkPass2, (*Grid).Pass2AddBatch, (*Grid).MergePass2)
-	if err != nil {
-		return nil, fmt.Errorf("sparsify: estimator pass 2: %w", err)
-	}
-	if err := main.MergePass2(tables); err != nil {
-		return nil, err
-	}
-	return main.FinishOpts(p)
-}
-
-// newExactEstimatorOpts builds the A3 ablation grid (materialized
-// exact oracles) cell-by-cell on the policy's worker pool. Each cell
-// replays the source, so a single-cursor source degrades the pool to
-// one worker.
-func newExactEstimatorOpts(st stream.Source, cfg EstimateConfig, p *parallel.Policy) (*Estimator, error) {
-	if !stream.ConcurrentReplayable(st) {
+	if !stream.ConcurrentReplayable(src) {
 		p = p.WithWorkers(1)
 	}
-	e := &Estimator{cfg: cfg}
-	e.threshold = cfg.Threshold
-	if e.threshold == 0 {
-		e.threshold = math.Pow(2, float64(cfg.K))
-	}
-	e.oracles = make([][]Oracle, cfg.T)
-	for t := range e.oracles {
-		e.oracles[t] = make([]Oracle, cfg.J)
-	}
-	err := parallel.ForEachOpts(p, cfg.T*cfg.J, func(i int) error {
-		t, j := i/cfg.J+1, i%cfg.J
-		sub := stream.SampledSubstream(st, hashing.Mix(cfg.Seed, 0xe5, uint64(j)), t-1)
-		o, err := NewExactOracle(sub)
-		if err != nil {
-			return fmt.Errorf("sparsify: estimator oracle (t=%d, j=%d): %w", t, j, err)
-		}
-		e.oracles[t-1][j] = o
-		return nil
-	})
+	oracles, err := parallel.MapOpts(p, cfg.T*cfg.J, func(i int) (Oracle, error) { return cfg.oracle(src, i) })
 	if err != nil {
 		return nil, err
 	}
-	for t := range e.oracles {
-		for j := range e.oracles[t] {
-			e.space += e.oracles[t][j].SpaceWords()
-		}
-	}
-	return e, nil
+	return newEstimator(cfg, oracles), nil
 }
 
 // SparsifyOpts is the policy-driven sparsifier build: the oracle grid
@@ -388,38 +294,20 @@ func SparsifyOpts(src stream.Source, cfg Config, p *parallel.Policy) (*Result, e
 	if fan.Workers() > 1 {
 		inner = inner.WithDecode(1)
 	}
-	aug := make([][]*spanner.Result, cfg.Z)
-	for s := range aug {
-		aug[s] = make([]*spanner.Result, cfg.H)
-	}
-	err = parallel.ForEachOpts(fan, cfg.Z*cfg.H, func(i int) error {
+	aug, err := parallel.MapOpts(fan, cfg.Z*cfg.H, func(i int) (*spanner.Result, error) {
 		s, j := i/cfg.H, i%cfg.H+1
 		res, err := spanner.BuildTwoPassOpts(sampleSubstream(src, cfg, s, j), sampleSpannerConfig(cfg, s, j), inner)
 		if err != nil {
-			return fmt.Errorf("sparsify: sample rep=%d j=%d: %w", s, j, err)
+			return nil, fmt.Errorf("sparsify: sample rep=%d j=%d: %w", s, j, err)
 		}
-		aug[s][j-1] = res
-		return nil
+		return res, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	// Filter against the robust-connectivity estimates and average, in
-	// exactly the serial iteration order (QExp memoizes BFS trees, so
-	// this stays single-threaded).
-	space := est.SpaceWords()
-	samples := make([]*graph.Graph, 0, cfg.Z)
-	for s := 0; s < cfg.Z; s++ {
-		x, w := assembleSample(src.N(), est, aug[s])
-		space += w
-		samples = append(samples, x)
-	}
-	return &Result{
-		Sparsifier: averageSamples(src.N(), cfg.Z, samples),
-		SpaceWords: space,
-		Samples:    cfg.Z,
-	}, nil
+	return sampleAndAverage(src.N(), cfg, est, func(s int) ([]*spanner.Result, error) {
+		return aug[s*cfg.H : (s+1)*cfg.H], nil
+	})
 }
 
 // SparsifyWith is the sparsification pipeline with injected pass
@@ -427,11 +315,11 @@ func SparsifyOpts(src stream.Source, cfg Config, p *parallel.Policy) (*Result, e
 // (the oracle grid's two passes), and buildSpanner constructs one
 // augmented spanner over a subsampled substream. The substream/config
 // derivations, the filtering against the estimates, and the averaging
-// are shared with the serial pipeline, so any engine that ingests the
-// same updates into the same-seeded states — a policy worker pool or
-// dynnet's remote workers — produces an identical sparsifier. The Z×H
-// sample builds run sequentially; concurrent fan-out stays in
-// SparsifyOpts.
+// are shared with every other pipeline, so any engine that ingests the
+// same updates into the same-seeded states — the serial references, a
+// policy worker pool, or dynnet's remote workers — produces an
+// identical sparsifier. The Z×H sample builds run sequentially;
+// concurrent fan-out stays in SparsifyOpts.
 func SparsifyWith(src stream.Source, cfg Config,
 	buildEstimator func(cfg EstimateConfig) (*Estimator, error),
 	buildSpanner func(sub stream.Source, scfg spanner.Config) (*spanner.Result, error),
@@ -444,40 +332,19 @@ func SparsifyWith(src stream.Source, cfg Config,
 	if err != nil {
 		return nil, err
 	}
-	space := est.SpaceWords()
-	samples := make([]*graph.Graph, 0, cfg.Z)
-	for s := 0; s < cfg.Z; s++ {
-		results := make([]*spanner.Result, cfg.H)
-		for j := 1; j <= cfg.H; j++ {
-			res, err := buildSpanner(sampleSubstream(src, cfg, s, j), sampleSpannerConfig(cfg, s, j))
-			if err != nil {
-				return nil, fmt.Errorf("sparsify: sample rep=%d j=%d: %w", s, j, err)
-			}
-			results[j-1] = res
-		}
-		x, w := assembleSample(src.N(), est, results)
-		space += w
-		samples = append(samples, x)
-	}
-	return &Result{
-		Sparsifier: averageSamples(src.N(), cfg.Z, samples),
-		SpaceWords: space,
-		Samples:    cfg.Z,
-	}, nil
-}
-
-// SparsifyWeightedOpts is the policy-driven weight-class sparsifier
-// (see SparsifyWeighted): each class is sparsified with SparsifyOpts
-// under the same policy and rescaled by its class upper bound.
-func SparsifyWeightedOpts(src stream.Source, cfg Config, classBase float64, p *parallel.Policy) (*Result, error) {
-	return SparsifyWeightedWith(src, cfg, classBase, func(sub stream.Source, ccfg Config) (*Result, error) {
-		return SparsifyOpts(sub, ccfg, p)
+	return sampleAndAverage(src.N(), cfg, est, func(s int) ([]*spanner.Result, error) {
+		return sampleSpanners(src, cfg, s, buildSpanner)
 	})
 }
 
 // SparsifyWeightedWith is the weight-class sparsifier with an injected
-// per-class builder (see BuildTwoPassWeightedWith for the pattern).
+// per-class builder (see spanner.BuildTwoPassWeightedWith for the
+// pattern): each class is sparsified and rescaled by its class upper
+// bound. classBase 0 means no weight classes: build runs once over src.
 func SparsifyWeightedWith(src stream.Source, cfg Config, classBase float64, build func(stream.Source, Config) (*Result, error)) (*Result, error) {
+	if classBase == 0 {
+		return build(src, cfg)
+	}
 	if classBase <= 1 {
 		return nil, fmt.Errorf("sparsify: classBase must be > 1, got %v", classBase)
 	}

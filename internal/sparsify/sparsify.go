@@ -6,7 +6,6 @@ import (
 
 	"dynstream/internal/graph"
 	"dynstream/internal/hashing"
-	"dynstream/internal/parallel"
 	"dynstream/internal/spanner"
 	"dynstream/internal/stream"
 )
@@ -68,8 +67,8 @@ type Result struct {
 
 // sampleSubstream is the subsampled edge stream E_j of invocation rep,
 // and sampleSpannerConfig the matching augmented-spanner configuration.
-// The parallel pipeline prebuilds the same (rep, j) spanners from the
-// same substreams, so both derivations live here, once.
+// Every pipeline builds the (rep, j) spanners from these, so both
+// derivations live here, once.
 func sampleSubstream(st stream.Stream, cfg Config, rep, j int) stream.Stream {
 	return stream.SampledSubstream(st, hashing.Mix(cfg.Seed, 0x5a, uint64(rep)), j)
 }
@@ -102,9 +101,9 @@ func assembleSample(n int, est *Estimator, results []*spanner.Result) (*graph.Gr
 }
 
 // averageSamples averages the Z weighted samples edge-wise — the
-// output assembly of Algorithm 6, shared by the serial and parallel
-// pipelines so the accumulation order (and hence every floating-point
-// result) is identical in both.
+// output assembly of Algorithm 6, shared by sampleAndAverage and the
+// serial reference Sparsify so the accumulation order (and hence every
+// floating-point weight) is the same in both.
 func averageSamples(n, z int, samples []*graph.Graph) *graph.Graph {
 	acc := map[[2]int]float64{}
 	for _, x := range samples {
@@ -119,19 +118,55 @@ func averageSamples(n, z int, samples []*graph.Graph) *graph.Graph {
 	return out
 }
 
+// sampleAndAverage is the tail of Algorithm 6 shared by SparsifyOpts,
+// SparsifyWith and Live.QueryLive: each of the Z invocations filters its
+// H augmented spanners (spanners(s), results[j-1] over E_j) against
+// est, and the Z samples are averaged.
+func sampleAndAverage(n int, cfg Config, est *Estimator, spanners func(s int) ([]*spanner.Result, error)) (*Result, error) {
+	space := est.SpaceWords()
+	samples := make([]*graph.Graph, cfg.Z)
+	for s := range samples {
+		results, err := spanners(s)
+		if err != nil {
+			return nil, err
+		}
+		x, w := assembleSample(n, est, results)
+		space += w
+		samples[s] = x
+	}
+	return &Result{Sparsifier: averageSamples(n, cfg.Z, samples), SpaceWords: space, Samples: cfg.Z}, nil
+}
+
+// sampleSpanners builds invocation rep's H augmented spanners, one
+// after another, with build.
+func sampleSpanners(src stream.Source, cfg Config, rep int,
+	build func(stream.Source, spanner.Config) (*spanner.Result, error)) ([]*spanner.Result, error) {
+	results := make([]*spanner.Result, cfg.H)
+	for j := 1; j <= cfg.H; j++ {
+		res, err := build(sampleSubstream(src, cfg, rep, j), sampleSpannerConfig(cfg, rep, j))
+		if err != nil {
+			return nil, fmt.Errorf("sparsify: sample rep=%d j=%d: %w", rep, j, err)
+		}
+		results[j-1] = res
+	}
+	return results, nil
+}
+
+// buildTwoPass is spanner.BuildTwoPass, the serial reference, as a
+// sampleSpanners engine.
+func buildTwoPass(sub stream.Source, cfg spanner.Config) (*spanner.Result, error) {
+	return spanner.BuildTwoPass(sub, cfg)
+}
+
 // SampleOnce is Algorithm 5 (SAMPLE-AUGMENTED-SPANNER): for each rate
 // 2^{-j} it builds an augmented spanner of the subsampled stream E_j and
 // keeps the edges whose robust connectivity matches the rate, with
 // weight 2^j. rep indexes the invocation's independent randomness.
 func SampleOnce(st stream.Stream, est *Estimator, cfg Config, rep int) (*graph.Graph, int, error) {
 	cfg = cfg.withDefaults(st.N())
-	results := make([]*spanner.Result, cfg.H)
-	for j := 1; j <= cfg.H; j++ {
-		res, err := spanner.BuildTwoPass(sampleSubstream(st, cfg, rep, j), sampleSpannerConfig(cfg, rep, j))
-		if err != nil {
-			return nil, 0, fmt.Errorf("sparsify: sample rep=%d j=%d: %w", rep, j, err)
-		}
-		results[j-1] = res
+	results, err := sampleSpanners(st, cfg, rep, buildTwoPass)
+	if err != nil {
+		return nil, 0, err
 	}
 	out, space := assembleSample(st.N(), est, results)
 	return out, space, nil
@@ -140,7 +175,9 @@ func SampleOnce(st stream.Stream, est *Estimator, cfg Config, rep int) (*graph.G
 // Sparsify is Algorithm 6 (AUGMENTED-SPANNER-SPARSIFY): it estimates
 // robust connectivities, draws Z independent weighted samples, and
 // returns their average — a (1±O(ε))-spectral sparsifier whp for
-// appropriately scaled Z (Lemma 22).
+// appropriately scaled Z (Lemma 22). It is the serial reference the
+// other pipelines are tested against, so it keeps its own Z-loop over
+// SampleOnce rather than sharing their sampleAndAverage.
 func Sparsify(st stream.Stream, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults(st.N())
 	est, err := NewEstimator(st, cfg.Estimate)
@@ -157,11 +194,7 @@ func Sparsify(st stream.Stream, cfg Config) (*Result, error) {
 		space += w
 		samples = append(samples, x)
 	}
-	return &Result{
-		Sparsifier: averageSamples(st.N(), cfg.Z, samples),
-		SpaceWords: space,
-		Samples:    cfg.Z,
-	}, nil
+	return &Result{Sparsifier: averageSamples(st.N(), cfg.Z, samples), SpaceWords: space, Samples: cfg.Z}, nil
 }
 
 // SparsifyWeighted extends Sparsify to weighted streams via the
@@ -169,5 +202,7 @@ func Sparsify(st stream.Stream, cfg Config) (*Result, error) {
 // is sparsified as an unweighted graph and rescaled by its class upper
 // bound, contributing the paper's log(wmax/wmin) factor.
 func SparsifyWeighted(st stream.Stream, cfg Config, classBase float64) (*Result, error) {
-	return SparsifyWeightedOpts(st, cfg, classBase, parallel.Default())
+	return SparsifyWeightedWith(st, cfg, classBase, func(sub stream.Source, ccfg Config) (*Result, error) {
+		return Sparsify(sub, ccfg)
+	})
 }

@@ -23,12 +23,6 @@ var (
 	_ sketchState[*spanner.Additive]  = (*spanner.Additive)(nil)
 )
 
-// wireState is what the ship-and-merge pipeline needs of a state.
-type wireState interface {
-	MarshalBinary() ([]byte, error)
-	UnmarshalBinary([]byte) error
-}
-
 func ingestInto[S any](t *testing.T, src Source, s S, add func(S, []Update) error) {
 	t.Helper()
 	err := stream.ReplayBatches(src, 0, func(b []Update) error { return add(s, b) })
@@ -81,8 +75,9 @@ func decoded[S wireState](t *testing.T, proto S, empty func() S) func() S {
 // same distributed pipeline — ingest two shards, marshal, unmarshal
 // into a fresh state, merge — and checks the merged state against a
 // serial one: by encoding for the five single-pass states, by final
-// result for the two-pass states (both passes shipped). (The name
-// predates the removal of the Sketch view wrappers it first covered.)
+// result for the two-pass states (both passes shipped, pass 2 from
+// either prototype). (The name predates the removal of the Sketch view
+// wrappers it first covered.)
 func TestSketchViewsWirePipeline(t *testing.T) {
 	g := graph.ConnectedGNP(30, 0.2, 1001)
 	st := StreamWithChurn(g, 120, 1002)
@@ -113,6 +108,9 @@ func TestSketchViewsWirePipeline(t *testing.T) {
 		checkSinglePass(t, st, shards, mk, func() *AdditiveSpanner { return new(AdditiveSpanner) }, (*AdditiveSpanner).AddBatch)
 	})
 
+	// Pass 2 ships either prototype: the whole post-EndPass1 state, or
+	// the tables-only ForkPass2 state the remote engine sends.
+	protos := map[string]bool{"endpass1-proto": false, "fork-proto": true}
 	t.Run("twopass", func(t *testing.T) {
 		cfg := SpannerConfig{K: 2, Seed: 1008}
 		want, err := Build(context.Background(), st, SpannerTarget{Config: cfg}, WithWorkers(1))
@@ -120,19 +118,27 @@ func TestSketchViewsWirePipeline(t *testing.T) {
 			t.Fatal(err)
 		}
 		empty := func() *TwoPassSpanner { return new(TwoPassSpanner) }
-		tp := NewTwoPassSpanner(n, cfg)
-		shipMerge(t, shards, tp, func() *TwoPassSpanner { return NewTwoPassSpanner(n, cfg) }, empty,
-			(*TwoPassSpanner).Pass1AddBatch, (*TwoPassSpanner).MergePass1)
-		if err := tp.EndPass1(); err != nil {
-			t.Fatal(err)
+		for name, fork := range protos {
+			tp := NewTwoPassSpanner(n, cfg)
+			shipMerge(t, shards, tp, func() *TwoPassSpanner { return NewTwoPassSpanner(n, cfg) }, empty,
+				(*TwoPassSpanner).Pass1AddBatch, (*TwoPassSpanner).MergePass1)
+			if err := tp.EndPass1(); err != nil {
+				t.Fatal(err)
+			}
+			proto := tp
+			if fork {
+				if proto, err = tp.ForkPass2(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			shipMerge(t, shards, tp, decoded(t, proto, empty), empty,
+				(*TwoPassSpanner).Pass2AddBatch, (*TwoPassSpanner).MergePass2)
+			got, err := tp.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			edgesEqual(t, "two-pass spanner, "+name, got.Spanner, want.Spanner)
 		}
-		shipMerge(t, shards, tp, decoded(t, tp, empty), empty,
-			(*TwoPassSpanner).Pass2AddBatch, (*TwoPassSpanner).MergePass2)
-		got, err := tp.Finish()
-		if err != nil {
-			t.Fatal(err)
-		}
-		edgesEqual(t, "two-pass spanner", got.Spanner, want.Spanner)
 	})
 
 	t.Run("grid", func(t *testing.T) {
@@ -150,18 +156,44 @@ func TestSketchViewsWirePipeline(t *testing.T) {
 			t.Fatal(err)
 		}
 		ingestInto(t, st, serial, (*OracleGrid).Pass2AddBatch)
-
-		empty := func() *OracleGrid { return new(OracleGrid) }
-		grid := mk()
-		shipMerge(t, shards, grid, mk, empty, (*OracleGrid).Pass1AddBatch, (*OracleGrid).MergePass1)
-		if err := grid.EndPass1(); err != nil {
+		serialEnc, err := serial.MarshalBinary()
+		if err != nil {
 			t.Fatal(err)
 		}
-		shipMerge(t, shards, grid, decoded(t, grid, empty), empty,
-			(*OracleGrid).Pass2AddBatch, (*OracleGrid).MergePass2)
-		wireEqual(t, grid, serial)
-		if _, err := grid.Finish(); err != nil {
+		want, err := serial.Finish()
+		if err != nil {
 			t.Fatal(err)
+		}
+
+		empty := func() *OracleGrid { return new(OracleGrid) }
+		for name, fork := range protos {
+			grid := mk()
+			shipMerge(t, shards, grid, mk, empty, (*OracleGrid).Pass1AddBatch, (*OracleGrid).MergePass1)
+			if err := grid.EndPass1(); err != nil {
+				t.Fatal(err)
+			}
+			proto := grid
+			if fork {
+				if proto, err = grid.ForkPass2(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			shipMerge(t, shards, grid, decoded(t, proto, empty), empty,
+				(*OracleGrid).Pass2AddBatch, (*OracleGrid).MergePass2)
+			if enc, err := grid.MarshalBinary(); err != nil || !bytes.Equal(enc, serialEnc) {
+				t.Fatalf("%s: shipped-and-merged grid encodes differently from the serial one (err %v)", name, err)
+			}
+			got, err := grid.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for u := 0; u < n; u++ {
+				for v := u + 1; v < n; v++ {
+					if got.QExp(u, v) != want.QExp(u, v) {
+						t.Fatalf("%s: QExp(%d, %d) = %d, serial %d", name, u, v, got.QExp(u, v), want.QExp(u, v))
+					}
+				}
+			}
 		}
 	})
 }

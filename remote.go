@@ -11,8 +11,6 @@ import (
 	"dynstream/internal/obs"
 	"dynstream/internal/parallel"
 	"dynstream/internal/spanner"
-	"dynstream/internal/sparsify"
-	"dynstream/internal/stream"
 )
 
 // Multi-process builds. The sketches are linear, so a stream sharded
@@ -250,22 +248,25 @@ func (r *remoteRun) syncFrameCounters(tr *obs.Tracer) {
 	}
 }
 
-// remoteProto is the common surface of every coordinator-side
-// prototype: it marshals proto for the ASSIGN frame and returns the
-// end-of-pass collector, which decodes the worker blobs into fresh
-// states on the run's decode workers, folds them with a parallel tree
-// merge, and merges the result into proto — bit-identical to the
-// linear shard-order fold, because every state merge is an exact
-// commutative group operation.
-func remoteProto[S interface {
+// wireState is what a state needs to cross the wire.
+type wireState interface {
 	MarshalBinary() ([]byte, error)
 	UnmarshalBinary([]byte) error
-}](r *remoteRun, proto S, fresh func() S, merge func(dst, src S) error) (blob []byte, collect func([][]byte) error, err error) {
-	blob, err = proto.MarshalBinary()
+}
+
+// ingestRemote runs one remote pass of src into proto: proto's encoding
+// is the prototype the workers ingest their shards into, and the states
+// they ship back are decoded into fresh states on the run's decode
+// workers, folded with a parallel tree merge, and merged into proto —
+// bit-identical to the linear shard-order fold, because every state
+// merge is an exact commutative group operation.
+func ingestRemote[S wireState](ctx context.Context, r *remoteRun, kind dynnet.StateKind, src Source,
+	proto S, fresh func() S, merge func(dst, src S) error) error {
+	blob, err := proto.MarshalBinary()
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	collect = func(blobs [][]byte) error {
+	return r.pass(ctx, kind, src.N(), blob, src, func(blobs [][]byte) error {
 		// Decode and fold in waves of the decode worker count: peak
 		// memory holds at most DecodeWorkers decoded states (one, for
 		// a serial policy — the pre-engine coordinator footprint)
@@ -277,11 +278,7 @@ func remoteProto[S interface {
 			wave := blobs[start:min(start+k, len(blobs))]
 			states, err := parallel.MapOpts(r.p, len(wave), func(i int) (S, error) {
 				s := fresh()
-				if err := s.UnmarshalBinary(wave[i]); err != nil {
-					var zero S
-					return zero, err
-				}
-				return s, nil
+				return s, s.UnmarshalBinary(wave[i])
 			})
 			if err != nil {
 				return err
@@ -295,77 +292,32 @@ func remoteProto[S interface {
 			}
 		}
 		return nil
-	}
-	return blob, collect, nil
+	})
 }
 
-// ingestRemote runs a single-pass remote ingest of src into proto.
-func ingestRemote[S interface {
-	MarshalBinary() ([]byte, error)
-	UnmarshalBinary([]byte) error
-}](ctx context.Context, r *remoteRun, kind dynnet.StateKind, src Source,
-	proto S, fresh func() S, merge func(dst, src S) error) error {
-	blob, collect, err := remoteProto(r, proto, fresh, merge)
-	if err != nil {
-		return err
+// remotePass is the remote engine of parallel.RunTwoPass: the state
+// newState returns is the prototype every worker decodes, ingests its
+// shard into — by the prototype's phase, which is why add goes unused —
+// and ships back, and the workers' states fold into it. For pass 2 that
+// is ForkPass2's tables-only state, so the pass-1 sketches never cross
+// the wire a second time.
+func remotePass[S wireState](ctx context.Context, r *remoteRun, kind dynnet.StateKind, src Source, empty func() S) parallel.PassEngine[S] {
+	return func(newState func() (S, error), _ func(S, []Update) error, merge func(dst, src S) error) (S, error) {
+		proto, err := newState()
+		if err == nil {
+			err = ingestRemote(ctx, r, kind, src, proto, empty, merge)
+		}
+		return proto, err
 	}
-	return r.pass(ctx, kind, src.N(), blob, src, collect)
 }
 
-// twoPass runs the two-pass spanner remotely: pass 1 across the
-// workers, the offline cluster construction (EndPass1) at the
-// coordinator, pass 2 across the workers over the shipped post-pass1
-// state, then the local decode. Bit-identical to the serial build —
-// every per-update operation is a commutative group operation.
-func (r *remoteRun) twoPass(ctx context.Context, src Source, cfg SpannerConfig) (*SpannerResult, error) {
-	tp := spanner.NewTwoPass(src.N(), cfg)
-	fresh := func() *spanner.TwoPass { return &spanner.TwoPass{} }
-	blob1, collect1, err := remoteProto(r, tp, fresh, (*spanner.TwoPass).MergePass1)
-	if err != nil {
-		return nil, err
+// remoteSpanner builds one two-pass spanner on r's workers.
+func remoteSpanner(ctx context.Context, r *remoteRun) func(Source, SpannerConfig) (*SpannerResult, error) {
+	return func(src Source, cfg SpannerConfig) (*SpannerResult, error) {
+		return parallel.RunTwoPass(r.p, "dynstream: remote",
+			remotePass(ctx, r, dynnet.KindTwoPass, src, func() *spanner.TwoPass { return new(spanner.TwoPass) }),
+			func() (*spanner.TwoPass, error) { return spanner.NewTwoPass(src.N(), cfg), nil })
 	}
-	if err := r.pass(ctx, dynnet.KindTwoPass, src.N(), blob1, src, collect1); err != nil {
-		return nil, fmt.Errorf("dynstream: remote pass 1: %w", err)
-	}
-	if err := tp.EndPass1Opts(r.p); err != nil {
-		return nil, err
-	}
-	blob2, collect2, err := remoteProto(r, tp, fresh, (*spanner.TwoPass).MergePass2)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.pass(ctx, dynnet.KindTwoPass, src.N(), blob2, src, collect2); err != nil {
-		return nil, fmt.Errorf("dynstream: remote pass 2: %w", err)
-	}
-	return tp.FinishOpts(r.p)
-}
-
-// grid runs the sparsifier's oracle grid remotely (same two-pass shape
-// as twoPass) and finishes it into the estimator.
-func (r *remoteRun) grid(ctx context.Context, src Source, cfg EstimateConfig) (*sparsify.Estimator, error) {
-	g, err := sparsify.NewGrid(src.N(), cfg)
-	if err != nil {
-		return nil, err
-	}
-	fresh := func() *sparsify.Grid { return &sparsify.Grid{} }
-	blob1, collect1, err := remoteProto(r, g, fresh, (*sparsify.Grid).MergePass1)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.pass(ctx, dynnet.KindGrid, src.N(), blob1, src, collect1); err != nil {
-		return nil, fmt.Errorf("dynstream: remote grid pass 1: %w", err)
-	}
-	if err := g.EndPass1Opts(r.p); err != nil {
-		return nil, err
-	}
-	blob2, collect2, err := remoteProto(r, g, fresh, (*sparsify.Grid).MergePass2)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.pass(ctx, dynnet.KindGrid, src.N(), blob2, src, collect2); err != nil {
-		return nil, fmt.Errorf("dynstream: remote grid pass 2: %w", err)
-	}
-	return g.FinishOpts(r.p)
 }
 
 // noWorkerShards rejects WithWorkerShards for builds that must observe
@@ -377,37 +329,4 @@ func noWorkerShards(o *buildOptions, what string) error {
 		return fmt.Errorf("%w: %s needs the stream at the coordinator and cannot run from worker-local shards", ErrBadConfig, what)
 	}
 	return nil
-}
-
-// --- the two-pass targets' remote builds (the single-pass ones share
-// onePass) ---
-
-func (s spannerPlan) buildRemote(ctx context.Context, src Source, r *remoteRun) (*SpannerResult, error) {
-	if s.classBase != 0 {
-		if err := noWorkerShards(r.o, "the weight-class spanner"); err != nil {
-			return nil, err
-		}
-		return spanner.BuildTwoPassWeightedWith(src, s.cfg, s.classBase,
-			func(sub stream.Source, ccfg SpannerConfig) (*SpannerResult, error) {
-				return r.twoPass(ctx, sub, ccfg)
-			})
-	}
-	return r.twoPass(ctx, src, s.cfg)
-}
-
-func (s sparsifierPlan) buildRemote(ctx context.Context, src Source, r *remoteRun) (*SparsifierResult, error) {
-	if err := noWorkerShards(r.o, "the sparsifier"); err != nil {
-		return nil, err
-	}
-	one := func(sub stream.Source, ccfg SparsifierConfig) (*SparsifierResult, error) {
-		return sparsify.SparsifyWith(sub, ccfg,
-			func(ecfg EstimateConfig) (*sparsify.Estimator, error) { return r.grid(ctx, sub, ecfg) },
-			func(ssub stream.Source, scfg SpannerConfig) (*SpannerResult, error) {
-				return r.twoPass(ctx, ssub, scfg)
-			})
-	}
-	if s.classBase != 0 {
-		return sparsify.SparsifyWeightedWith(src, s.cfg, s.classBase, one)
-	}
-	return one(src, s.cfg)
 }
