@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net"
@@ -241,45 +242,66 @@ func BenchmarkE9Baselines(b *testing.B) {
 	b.ReportMetric(float64(h.M()), "edges")
 }
 
-// BenchmarkParallelIngest measures the concurrent sharded-ingest
-// pipeline: the same churn stream is ingested into AGM forest sketches
-// by 1/2/4/8 workers and merged, so the speedup of the worker pool is
-// tracked in the perf trajectory. Output is identical across worker
-// counts (linearity), which is asserted once per run. The workload is
-// ingest-dominated (a long churn stream over a moderate vertex set):
-// sharding pays for the per-worker state allocation and the final
-// merge only when the update volume dwarfs the sketch size, which is
-// exactly the heavy-traffic regime the pipeline targets.
+// BenchmarkParallelIngest measures the ingest of the five single-pass
+// targets at 1/2/4/8 workers over one churn stream: Open ingests the
+// stream exactly as Build does and stops before any decode. One state
+// takes the whole stream, and its batch kernel routes each chunk on the
+// workers and sweeps it in disjoint vertex ranges of the state, so the
+// speedup tracked here is that kernel's. Output is identical across
+// worker counts (linearity), which is asserted once per run by the
+// handle's checkpoint bytes. The workload is ingest-dominated: a long
+// churn stream over a small vertex set.
 func BenchmarkParallelIngest(b *testing.B) {
+	ctx := context.Background()
 	g := graph.ConnectedGNP(64, 0.2, benchSeed+30)
 	st := stream.WithChurn(g, 30000, benchSeed+31)
-	serial, err := Build(context.Background(), st, ForestTarget{Seed: benchSeed + 32}, WithWorkers(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	wantForest, err := serial.SpanningForest(nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
-			var sk *ForestSketch
-			for i := 0; i < b.N; i++ {
-				sk, err = Build(context.Background(), st, ForestTarget{Seed: benchSeed + 32}, WithWorkers(workers))
-				if err != nil {
-					b.Fatal(err)
+	seed := uint64(benchSeed + 32)
+	type checkpointer interface{ Checkpoint(io.Writer) error }
+	for _, tc := range []struct {
+		name string
+		open func(workers int) (checkpointer, error)
+	}{
+		{"forest", func(w int) (checkpointer, error) { return Open(ctx, st, ForestTarget{Seed: seed}, WithWorkers(w)) }},
+		{"kconnectivity", func(w int) (checkpointer, error) {
+			return Open(ctx, st, KConnectivityTarget{Seed: seed, K: 2}, WithWorkers(w))
+		}},
+		{"bipartiteness", func(w int) (checkpointer, error) {
+			return Open(ctx, st, BipartitenessTarget{Seed: seed}, WithWorkers(w))
+		}},
+		{"msf", func(w int) (checkpointer, error) {
+			return Open(ctx, st, MSFTarget{Seed: seed, WMax: 8, Gamma: 0.5}, WithWorkers(w))
+		}},
+		{"additive", func(w int) (checkpointer, error) {
+			return Open(ctx, st, AdditiveTarget{Config: AdditiveConfig{D: 3, Seed: seed}}, WithWorkers(w))
+		}},
+	} {
+		state := func(tb testing.TB, h checkpointer) []byte {
+			var buf bytes.Buffer
+			if err := h.Checkpoint(&buf); err != nil {
+				tb.Fatal(err)
+			}
+			return buf.Bytes()
+		}
+		serial, err := tc.open(1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		want := state(b, serial)
+		for _, workers := range []int{1, 2, 4, 8} {
+			b.Run(fmt.Sprintf("%s/workers%d", tc.name, workers), func(b *testing.B) {
+				var h checkpointer
+				for i := 0; i < b.N; i++ {
+					if h, err = tc.open(workers); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-			b.StopTimer()
-			forest, err := sk.SpanningForest(nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(forest) != len(wantForest) {
-				b.Fatalf("workers=%d: forest %d edges, serial %d", workers, len(forest), len(wantForest))
-			}
-			b.ReportMetric(float64(st.Len()*b.N)/b.Elapsed().Seconds(), "updates/s")
-		})
+				b.StopTimer()
+				if !bytes.Equal(state(b, h), want) {
+					b.Fatalf("workers=%d: state differs from the serial one", workers)
+				}
+				b.ReportMetric(float64(st.Len()*b.N)/b.Elapsed().Seconds(), "updates/s")
+			})
+		}
 	}
 }
 

@@ -21,9 +21,9 @@ import (
 //	any sketch (target) × any source × any execution policy (options)
 //
 // and the result is bit-identical across execution policies: serial,
-// sharded-merge (WithWorkers), any batch size. Cancellation via ctx is
-// observed at update-batch granularity through every pass, including
-// inside the sparsifier's inner spanner builds.
+// multi-worker (WithWorkers), remote, any batch size. Cancellation via
+// ctx is observed at update-batch granularity through every pass,
+// including inside the sparsifier's inner spanner builds.
 //
 //	res, err := dynstream.Build(ctx, src,
 //	    dynstream.SpannerTarget{Config: dynstream.SpannerConfig{K: 2, Seed: 7}},
@@ -230,7 +230,7 @@ func (t AdditiveTarget) plan(o *buildOptions) (plan[*AdditiveResult], error) {
 		kind: dynnet.KindAdditive, what: "the additive spanner",
 		fresh:  func(n int) *spanner.Additive { return spanner.NewAdditive(n, cfg) },
 		empty:  func() *spanner.Additive { return new(spanner.Additive) },
-		add:    (*spanner.Additive).AddBatch,
+		add:    (*spanner.Additive).AddBatchOpts,
 		result: (*spanner.Additive).ExtractOpts,
 	})
 }

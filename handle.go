@@ -59,7 +59,8 @@ type CacheStats struct {
 
 // liveState is the per-target mutable state behind a Handle.
 type liveState[R any] interface {
-	apply(batch []Update) error
+	// apply folds a batch in at the policy's worker count.
+	apply(batch []Update, p *parallel.Policy) error
 	query(p *parallel.Policy) (R, error)
 	enableCache(on bool)
 	invalidate()
@@ -119,7 +120,10 @@ func (h *Handle[R]) Apply(updates []Update) error {
 		}
 		checked = append(checked, cu)
 	}
-	if err := h.live.apply(checked); err != nil {
+	// Apply takes no context and reports no progress: its policy carries
+	// the handle's worker count and nothing else.
+	p := parallel.NewPolicy(nil, h.o.resolveWorkers(h.src), h.o.batch, nil)
+	if err := h.live.apply(checked, p); err != nil {
 		return err
 	}
 	h.applied += int64(len(checked))

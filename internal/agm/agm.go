@@ -15,10 +15,6 @@
 package agm
 
 import (
-	"runtime"
-	"slices"
-	"sync"
-
 	"dynstream/internal/graph"
 	"dynstream/internal/hashing"
 	"dynstream/internal/sketch"
@@ -77,6 +73,8 @@ type Sketch struct {
 	// DecodeCacheStats for operational visibility (daemon /metrics).
 	cacheHits   uint64
 	cacheMisses uint64
+
+	crew *ingestCrew // AddBatch's per-call bookkeeping; nil until the first batch
 }
 
 // DecodeCacheStats reports the cumulative decode-cache hit and miss
@@ -273,115 +271,6 @@ func (s *Sketch) logUpdate(key uint64, a, b int, delta int64) {
 // AddUpdate folds a stream update.
 func (s *Sketch) AddUpdate(u stream.Update) {
 	s.AddBatch([]stream.Update{u})
-}
-
-// ingestChunk is the most updates AddBatch routes before it sweeps: one
-// default replay batch, comparable to n at the sizes where ingest cost
-// matters. A sketch on fewer than ingestChunk/4 vertices sweeps every
-// 4n updates instead — eight incidences per vertex already amortize
-// the strip loads — which keeps the routing scratch (about 32 bytes per
-// update and round) under a third of the level-0 arena it serves.
-const ingestChunk = stream.DefaultBatchSize
-
-// ingestScratch is the working memory of one AddBatch call: the routed
-// chunk and the vertex-sorted list of its endpoint incidences, each
-// packed as vertex<<32 | index<<1 | side.
-type ingestScratch struct {
-	routes sketch.L0Routes
-	inc    []uint64
-}
-
-// scratchFree shares ingest scratch across sketches: AddBatch holds one
-// only for the duration of a call, so the k sketches of a certificate,
-// an MSF's classes and the shards of a parallel build take turns on a
-// few buffers instead of owning one each. It is a plain free list and
-// not a sync.Pool: a pool is emptied by every collection (and at random
-// under the race detector), and re-making an 8 MB scratch per GC cycle
-// costs more than keeping one per concurrent ingester. A parked scratch
-// still points at the families it last routed through.
-var scratchFree struct {
-	sync.Mutex
-	list []*ingestScratch
-}
-
-// scratchKeep bounds the free list: more ingesters than processors can
-// be inside AddBatch at once, but their extra buffers are not kept.
-var scratchKeep = runtime.GOMAXPROCS(0)
-
-func getScratch() *ingestScratch {
-	scratchFree.Lock()
-	defer scratchFree.Unlock()
-	if k := len(scratchFree.list); k > 0 {
-		sc := scratchFree.list[k-1]
-		scratchFree.list = scratchFree.list[:k-1]
-		return sc
-	}
-	return new(ingestScratch)
-}
-
-func putScratch(sc *ingestScratch) {
-	scratchFree.Lock()
-	defer scratchFree.Unlock()
-	if len(scratchFree.list) < scratchKeep {
-		scratchFree.list = append(scratchFree.list, sc)
-	}
-}
-
-// AddBatch folds a batch of stream updates. The sketch is linear, so
-// the updates of a batch commute, and instead of replaying them in
-// stream order — two random vertices' sampler strips per update —
-// AddBatch (1) routes every update once per round into a packed buffer,
-// (2) sorts the batch's endpoint incidences by vertex, and (3) sweeps
-// them in that order, so a vertex's strip and its tails are loaded once
-// per batch and the grid is walked in address order. The state is
-// bit-identical to the per-update fold: cells are commutative field
-// additions, a sampler's generation counts the updates that reached it,
-// and a tail's length is the highest level seen. Batches longer than
-// ingestChunk are processed in chunks.
-func (s *Sketch) AddBatch(batch []stream.Update) {
-	if len(batch) == 0 {
-		return
-	}
-	sc := getScratch() // empty: sweep leaves it so
-	chunk := min(len(batch), ingestChunk, 4*s.n)
-	sc.routes.Reset(s.fam, chunk)
-	if cap(sc.inc) < 2*chunk {
-		sc.inc = make([]uint64, 0, 2*chunk)
-	}
-	for _, u := range batch {
-		if u.U == u.V || u.Delta == 0 {
-			continue
-		}
-		a, b := u.U, u.V
-		if a > b {
-			a, b = b, a
-		}
-		key := stream.PairKey(a, b, s.n)
-		if s.caching {
-			s.logUpdate(key, a, b, int64(u.Delta))
-		}
-		if !sc.routes.Route(key, int64(u.Delta)) {
-			s.sweep(sc)
-			sc.routes.Route(key, int64(u.Delta))
-		}
-		i := uint64(sc.routes.Len()-1) << 1
-		sc.inc = append(sc.inc, uint64(a)<<32|i, uint64(b)<<32|i|1)
-	}
-	s.sweep(sc)
-	putScratch(sc)
-}
-
-// sweep applies the routed chunk in vertex order — endpoint a of an
-// update takes +delta, endpoint b (side 1) takes -delta — and empties
-// the scratch for the next chunk.
-func (s *Sketch) sweep(sc *ingestScratch) {
-	slices.Sort(sc.inc)
-	for _, w := range sc.inc {
-		v := int(w >> 32)
-		sc.routes.Apply(s.samp[v*s.rounds:(v+1)*s.rounds], int(uint32(w)>>1), w&1 == 1)
-	}
-	sc.inc = sc.inc[:0]
-	sc.routes.Clear()
 }
 
 // SubtractEdges removes an explicit edge set from the sketch — the

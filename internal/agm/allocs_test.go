@@ -71,6 +71,23 @@ func TestAGMIngestAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(5, func() { s.AddBatch(warm) }); allocs != 0 {
 		t.Errorf("AddBatch on a warmed sketch: %v allocs per run, want 0", allocs)
 	}
+
+	// Fanned out, a warmed call allocates its goroutines and nothing
+	// else: each chunk routes and sweeps on w-1 goroutines besides the
+	// caller's.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	wide := ups[:2*min(ingestChunk, 4*n)]
+	p := parallel.Default().WithWorkers(2)
+	w := parallel.BatchWorkers(2, min(len(wide), ingestChunk, 4*n))
+	if w != 2 {
+		t.Fatalf("a %d-update batch fans out to %d workers, want 2", len(wide), w)
+	}
+	s.AddBatchOpts(wide, p)
+	goroutines := 2 * (w - 1) * 2 // per chunk: one route and one sweep goroutine; two chunks
+	if allocs := testing.AllocsPerRun(5, func() { s.AddBatchOpts(wide, p) }); allocs > float64(goroutines) {
+		t.Errorf("AddBatchOpts at %d workers on a warmed sketch: %v allocs per run, want at most %d (its goroutines)",
+			w, allocs, goroutines)
+	}
 }
 
 // TestMSFAddUpdateAllocs: the per-update path (a batch of one through

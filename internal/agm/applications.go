@@ -143,9 +143,13 @@ func (kc *KConnectivity) AddEdge(u, v int, delta int64) {
 
 // AddBatch folds a batch of stream updates into all k sketches;
 // bit-identical to calling AddUpdate per element.
-func (kc *KConnectivity) AddBatch(batch []stream.Update) {
+func (kc *KConnectivity) AddBatch(batch []stream.Update) { kc.AddBatchOpts(batch, serial) }
+
+// AddBatchOpts is AddBatch with each sketch's ingest fanned out across
+// the policy's workers (Sketch.AddBatchOpts).
+func (kc *KConnectivity) AddBatchOpts(batch []stream.Update, p *parallel.Policy) {
 	for _, s := range kc.sketches {
-		s.AddBatch(batch)
+		s.AddBatchOpts(batch, p)
 	}
 }
 
@@ -282,15 +286,19 @@ func (b *Bipartiteness) AddUpdate(u stream.Update) {
 // AddBatch folds a batch of stream updates into the base sketch and
 // the batch's double cover — two updates per input, (u,0)=u and
 // (u,1)=u+n — into the cover sketch.
-func (b *Bipartiteness) AddBatch(batch []stream.Update) {
-	b.base.AddBatch(batch)
+func (b *Bipartiteness) AddBatch(batch []stream.Update) { b.AddBatchOpts(batch, serial) }
+
+// AddBatchOpts is AddBatch with both sketches' ingest fanned out across
+// the policy's workers (Sketch.AddBatchOpts).
+func (b *Bipartiteness) AddBatchOpts(batch []stream.Update, p *parallel.Policy) {
+	b.base.AddBatchOpts(batch, p)
 	cover := b.coverBuf[:0]
 	for _, u := range batch {
 		cover = append(cover,
 			stream.Update{U: u.U, V: u.V + b.n, Delta: u.Delta},
 			stream.Update{U: u.U + b.n, V: u.V, Delta: u.Delta})
 	}
-	b.cover.AddBatch(cover)
+	b.cover.AddBatchOpts(cover, p)
 	b.coverBuf = cover
 }
 

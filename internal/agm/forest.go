@@ -184,6 +184,7 @@ func (s *Sketch) SpanningForestOpts(groups [][]int, p *parallel.Policy) ([]graph
 		}
 		sp.End(
 			obs.A("components", int64(k)),
+			obs.A("largest", int64(d.cs.largest())),
 			obs.A("dirty", int64(len(dirty))),
 			obs.A("sampled", int64(sampled)),
 			obs.A("sample_empty", int64(k-sampled)),
@@ -216,6 +217,15 @@ type components struct {
 }
 
 func (c *components) members(i int) []int32 { return c.mem[c.off[i]:c.off[i+1]] }
+
+// largest is the size of the biggest component.
+func (c *components) largest() int32 {
+	size := int32(0)
+	for i := range c.roots {
+		size = max(size, c.off[i+1]-c.off[i])
+	}
+	return size
+}
 
 func (c *components) rebuild(uf *graph.UnionFind) {
 	for v := range c.comp {

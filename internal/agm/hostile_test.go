@@ -1,0 +1,150 @@
+package agm
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"runtime"
+	"testing"
+
+	"dynstream/internal/graph"
+	"dynstream/internal/stream"
+)
+
+// wireBudget is what decoding n input bytes may allocate: 64 KB of
+// runtime slack plus 2.5 KB per input byte. A suppressed sampler is one
+// byte standing for its level-0 slot (at most maxArenaPerByte) and its
+// 64-byte sampler header; on one vertex it also stands for its round's
+// family — hash banks and level shapes, about 2.3 KB.
+func wireBudget(n int) uint64 { return 64<<10 + 2560*uint64(n) }
+
+// decodeAlloc runs UnmarshalBinary into s and reports its error and
+// what it allocated: the least of three readings, since the counter is
+// process-wide and what the decoder allocates repeats while noise does
+// not.
+func decodeAlloc(s *Sketch, data []byte) (alloc uint64, err error) {
+	alloc = ^uint64(0)
+	for try := 0; try < 3; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err = s.UnmarshalBinary(data)
+		runtime.ReadMemStats(&after)
+		alloc = min(alloc, after.TotalAlloc-before.TotalAlloc)
+	}
+	return alloc, err
+}
+
+// agmHeader is a v2 sketch encoding with every sampler suppressed: the
+// smallest blob a header can claim its grid with.
+func agmHeader(n, rounds, perLevel uint64) []byte {
+	b := binary.LittleEndian.AppendUint64(nil, tagAGMv2)
+	b = binary.LittleEndian.AppendUint64(b, 1)
+	for _, v := range []uint64{n, rounds, perLevel} {
+		b = binary.AppendUvarint(b, v)
+	}
+	return append(b, make([]byte, n*rounds)...)
+}
+
+// hostileAGM are encodings a peer or a damaged checkpoint can hand the
+// decoder. The first two were accepted, allocating 227 MB and 454 MB,
+// before the arena was bounded by the input.
+func hostileAGM() map[string][]byte {
+	return map[string][]byte{
+		"n=1, rounds=256, perLevel=8192 (277 B)":  agmHeader(1, 256, 8192),
+		"n=64, rounds=64, perLevel=1024 (4116 B)": agmHeader(64, 64, 1024),
+		"perLevel=6, every sampler suppressed":    agmHeader(64, 8, 6),
+		"perLevel=0":                              agmHeader(4, 4, 0),
+	}
+}
+
+// TestAGMHostileHeaders: each hostile encoding is refused with the
+// typed error, within wireBudget; at perLevel 5, the largest whose
+// suppressed samplers fit the arena bound, the same grid decodes.
+func TestAGMHostileHeaders(t *testing.T) {
+	for name, blob := range hostileAGM() {
+		var s Sketch
+		alloc, err := decodeAlloc(&s, blob)
+		if !errors.Is(err, errCorrupt) {
+			t.Errorf("%s: %v, want errCorrupt", name, err)
+		}
+		if alloc > wireBudget(len(blob)) {
+			t.Errorf("%s: %d bytes allocated %d (budget %d)", name, len(blob), alloc, wireBudget(len(blob)))
+		}
+	}
+	var s Sketch
+	if err := s.UnmarshalBinary(agmHeader(64, 8, 5)); err != nil {
+		t.Errorf("perLevel=5, every sampler suppressed: %v", err)
+	}
+}
+
+// FuzzAGMUnmarshal: arbitrary bytes never panic the decoder or make it
+// allocate beyond wireBudget, and every error is errCorrupt. Whatever
+// decodes re-encodes to bytes that decode and re-encode to themselves
+// (the encoding is canonical by content, so a v1 blob or a sampler
+// blob holding zeros re-encodes differently once), and the decoded
+// state ingests a batch to the same bytes at one worker and at two.
+func FuzzAGMUnmarshal(f *testing.F) {
+	const n = 12
+	s := New(3, n, Config{})
+	seed := func(s *Sketch) {
+		enc, err := s.MarshalBinary()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
+		f.Add(enc[:len(enc)-3])
+	}
+	seed(s) // fresh
+	var ups []stream.Update
+	_ = stream.WithChurn(graph.Cycle(n), 30, 4).Replay(func(u stream.Update) error {
+		ups = append(ups, u)
+		return nil
+	})
+	s.AddBatch(ups)
+	seed(s)
+	f.Add(encodeAGMV1(f, s))
+	for _, blob := range hostileAGM() {
+		f.Add(blob)
+	}
+	f.Add(agmHeader(64, 8, 5))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s Sketch
+		alloc, err := decodeAlloc(&s, data)
+		if alloc > wireBudget(len(data)) {
+			t.Fatalf("decoding %d bytes allocated %d (budget %d)", len(data), alloc, wireBudget(len(data)))
+		}
+		if err != nil {
+			if !errors.Is(err, errCorrupt) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			return
+		}
+		enc, err := s.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		decode := func() *Sketch {
+			var again Sketch
+			if err := again.UnmarshalBinary(enc); err != nil {
+				t.Fatalf("re-encoding of an accepted blob rejected: %v", err)
+			}
+			return &again
+		}
+		if back, _ := decode().MarshalBinary(); !bytes.Equal(back, enc) {
+			t.Fatal("accepted encoding does not round-trip")
+		}
+		batch := make([]stream.Update, 64)
+		for i := range batch {
+			batch[i] = stream.Update{U: i % s.n, V: (7*i + 1) % s.n, Delta: []int{1, -1, 2}[i%3]}
+		}
+		one, two := decode(), decode()
+		one.addBatch(batch, 1)
+		two.addBatch(batch, 2)
+		a, _ := one.MarshalBinary()
+		b, _ := two.MarshalBinary()
+		if !bytes.Equal(a, b) {
+			t.Fatal("a decoded state ingests differently at two workers than at one")
+		}
+	})
+}

@@ -58,11 +58,23 @@ func (s *Sketch) MarshalBinary() ([]byte, error) {
 	return out, nil
 }
 
+// maxArenaPerByte is the most level-0 arena, in bytes, a decoded header
+// may lay out per byte of input after it. A suppressed zero sampler is
+// one byte standing for its whole slot, 432 bytes at the default
+// perLevel of 4.
+const maxArenaPerByte = 512
+
 // UnmarshalBinary reconstructs a sketch encoded with MarshalBinary
 // (the current v2 layout, or the dense v1 layout of older blobs).
 // Header bounds, checked before anything is allocated: n in 1..2^24,
-// rounds in 1..256, perLevel at most sketch.MaxL0PerLevel (2^13), and
-// at least one byte of input per sampler.
+// rounds in 1..256, perLevel in 1..sketch.MaxL0PerLevel (2^13), at
+// least one byte of input per sampler, and a level-0 arena — n·rounds
+// slots of sketch.L0SlotWords(perLevel) words, 3·cells·8 bytes each —
+// of at most maxArenaPerByte (512) bytes per byte of input left. That
+// last bound narrows the wire the way MaxL0PerLevel does: every
+// encoding at perLevel ≤ 5 passes it, while at a larger perLevel a grid
+// whose samplers are mostly suppressed zeros is rejected as corrupt (no
+// caller sets Config.PerLevel).
 func (s *Sketch) UnmarshalBinary(data []byte) error {
 	pos := 0
 	u64 := func() (uint64, error) {
@@ -106,10 +118,14 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	if err != nil {
 		return err
 	}
-	// Every sampler takes at least its length byte, so a blob shorter
-	// than n·rounds is rejected before the grid is allocated for it.
-	if n == 0 || n > 1<<24 || rounds == 0 || rounds > 256 || perLvl > sketch.MaxL0PerLevel ||
-		uint64(len(data)-pos) < n*rounds {
+	if n == 0 || n > 1<<24 || rounds == 0 || rounds > 256 || perLvl == 0 || perLvl > sketch.MaxL0PerLevel {
+		return errCorrupt
+	}
+	// Every sampler takes at least its length byte, and the grid's
+	// level-0 arena is bounded by the input left, both before the grid is
+	// allocated for them.
+	left, arena := uint64(len(data)-pos), n*rounds*uint64(8*sketch.L0SlotWords(int(perLvl)))
+	if left < n*rounds || arena > maxArenaPerByte*left {
 		return errCorrupt
 	}
 	rebuilt := New(seed, int(n), Config{Rounds: int(rounds), PerLevel: int(perLvl)})
@@ -126,7 +142,7 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 				return errCorrupt
 			}
 			if err := rebuilt.at(r, v).UnmarshalBinary(data[pos : pos+int(ln)]); err != nil {
-				return err
+				return fmt.Errorf("%w: round %d vertex %d: %v", errCorrupt, r, v, err)
 			}
 			pos += int(ln)
 		}

@@ -12,7 +12,7 @@ import (
 // encodeAGMV1 reproduces the legacy dense v1 sketch layout (all-u64
 // header, u64 sampler lengths, no zero suppression) to pin the
 // decoder's back-compat path.
-func encodeAGMV1(t *testing.T, s *Sketch) []byte {
+func encodeAGMV1(t testing.TB, s *Sketch) []byte {
 	t.Helper()
 	var out []byte
 	u64 := func(v uint64) {

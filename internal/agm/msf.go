@@ -92,7 +92,11 @@ func (m *MSF) AddUpdate(u stream.Update) {
 // by weight class once (a stable counting sort), and prefix sketch p
 // takes the updates of classes 0..p — a prefix of the partitioned
 // batch — in one AddBatch.
-func (m *MSF) AddBatch(batch []stream.Update) {
+func (m *MSF) AddBatch(batch []stream.Update) { m.AddBatchOpts(batch, serial) }
+
+// AddBatchOpts is AddBatch with each prefix sketch's ingest fanned out
+// across the policy's workers (Sketch.AddBatchOpts).
+func (m *MSF) AddBatchOpts(batch []stream.Update, pol *parallel.Policy) {
 	class := func(u stream.Update) int {
 		return min(stream.WeightClassOf(u.W, 1+m.gamma), m.maxClass)
 	}
@@ -119,7 +123,7 @@ func (m *MSF) AddBatch(batch []stream.Update) {
 		end[c]++
 	}
 	for p, s := range m.prefixes {
-		s.AddBatch(sorted[:end[p]])
+		s.AddBatchOpts(sorted[:end[p]], pol)
 	}
 }
 

@@ -3,11 +3,15 @@ package agm
 import (
 	"bytes"
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"dynstream/internal/graph"
 	"dynstream/internal/hashing"
+	"dynstream/internal/parallel"
 	"dynstream/internal/sketch"
 	"dynstream/internal/stream"
 )
@@ -217,6 +221,88 @@ func checkSortedBatch(t *testing.T, n int, ups []stream.Update, sizes []int) {
 			}
 		}
 	}
+}
+
+// TestAGMVertexRangeIngest: a chunk routed in w parts and swept in w
+// vertex ranges leaves the state the one-part kernel does — wire bytes,
+// generation sums and, with the decode cache on, the update log and its
+// window number — at w = 2, 3 and 8: with w above n (empty ranges), on
+// deep keys that fill a part's routing buffer mid-chunk, with hubs
+// owning a fifth of the incidences, and in batches that span several
+// chunks. Through AddBatchOpts a policy asking for more workers than
+// GOMAXPROCS gets GOMAXPROCS of them.
+func TestAGMVertexRangeIngest(t *testing.T) {
+	check := func(t *testing.T, n int, ups []stream.Update, add func(s *Sketch, b []stream.Update)) {
+		t.Helper()
+		for _, caching := range []bool{false, true} {
+			build := func(add func(*Sketch, []stream.Update)) *Sketch {
+				s := New(0x5b, n, sortedBatchCfg)
+				s.EnableDecodeCache(caching)
+				feed(ups, 2500, func(b []stream.Update) { add(s, b) })
+				return s
+			}
+			want, got := build((*Sketch).AddBatch), build(add)
+			label := fmt.Sprintf("cache=%v", caching)
+			if !bytes.Equal(marshalOf(t, got), marshalOf(t, want)) {
+				t.Errorf("%s: marshal bytes differ from the one-part kernel", label)
+			}
+			all := allVertices(n)
+			if g, w := got.GenSum(all...), want.GenSum(all...); g != w {
+				t.Errorf("%s: GenSum %d, one-part kernel %d", label, g, w)
+			}
+			if !slices.Equal(got.log, want.log) || got.logGen != want.logGen {
+				t.Errorf("%s: update log (%d entries, window %d) differs from the one-part kernel's (%d, %d)",
+					label, len(got.log), got.logGen, len(want.log), want.logGen)
+			}
+		}
+	}
+	streams := []struct {
+		name string
+		n    int
+		ups  []stream.Update
+	}{
+		{"mixed", 300, mixedStream(t, 300, 6000)},
+		{"deep", 300, deepStream(t, 300, 6000)},
+		{"n=3", 3, nastyStream(3, 200, 7)},
+	}
+	for _, st := range streams {
+		for _, w := range []int{2, 3, 8} {
+			w := w
+			t.Run(fmt.Sprintf("%s/w=%d", st.name, w), func(t *testing.T) {
+				check(t, st.n, st.ups, func(s *Sketch, b []stream.Update) { s.addBatch(b, w) })
+			})
+		}
+	}
+	t.Run("gomaxprocs<workers", func(t *testing.T) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+		const n = 2000
+		if w := parallel.BatchWorkers(8, 2500); w != 2 {
+			t.Fatalf("BatchWorkers(8, 2500) = %d at GOMAXPROCS 2, want 2", w)
+		}
+		p := parallel.Default().WithWorkers(8)
+		check(t, n, nastyStream(n, 12000, 8), func(s *Sketch, b []stream.Update) { s.AddBatchOpts(b, p) })
+	})
+}
+
+// TestParkedScratchReleasesSketch: a scratch back on the free list
+// keeps no reference to the sketch it last served, so a dropped
+// sketch's round families — hash banks and power tables, about 1 MB at
+// n = 10 000 — are collected.
+func TestParkedScratchReleasesSketch(t *testing.T) {
+	s := New(11, 200, Config{})
+	s.AddBatch(nastyStream(200, 2000, 12))
+	collected := make(chan struct{})
+	runtime.SetFinalizer(s.fam[0], func(*sketch.L0Family) { close(collected) })
+	s = nil
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("a dropped sketch's family is still reachable after its ingest")
 }
 
 // TestApplicationsBatchMatchPerUpdate: Bipartiteness, MSF and

@@ -113,6 +113,14 @@ func (f *L0Family) same(o *L0Family) bool {
 // until the first update.
 func (f *L0Family) NewSampler() *L0Sampler { return &L0Sampler{fam: f} }
 
+// L0SlotWords is the size in words of one sampler's level-0 slot in a
+// grid over families of the given perLevel: NewL0Grid allocates n·R of
+// them.
+func L0SlotWords(perLevel int) int {
+	_, rows, cols := sketchBGeometry(max(perLevel, 2), SketchConfig{})
+	return 3 * rows * cols
+}
+
 // NewL0Grid returns n·R zeroed samplers, R = len(fams): the sampler of
 // vertex v in family r is element v·R+r. Their level-0 lanes are
 // consecutive slots of one arena in that same order, so the R samplers

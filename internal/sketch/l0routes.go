@@ -62,6 +62,13 @@ func (r *L0Routes) Reset(fams []*L0Family, updates int) {
 // Clear empties the buffer, keeping its sizing.
 func (r *L0Routes) Clear() { r.n, r.used = 0, 0 }
 
+// Release empties the buffer and drops its families, so a parked buffer
+// keeps no sketch's randomness alive; Reset attaches it again.
+func (r *L0Routes) Release() {
+	r.Clear()
+	r.fams = nil
+}
+
 // Len returns the number of updates routed since Reset or Clear.
 func (r *L0Routes) Len() int { return r.n }
 

@@ -261,19 +261,38 @@ func (a *Additive) Update(u stream.Update) error {
 	return a.AddBatch([]stream.Update{u})
 }
 
-// AddBatch ingests a batch of updates: the per-vertex sketches of both
-// endpoints update by update, then the forest sketch takes the whole
-// batch at once.
+// AddBatch ingests a batch of updates on the calling goroutine:
+// AddBatchOpts at one worker.
 func (a *Additive) AddBatch(batch []stream.Update) error {
+	return a.AddBatchOpts(batch, parallel.Default())
+}
+
+// AddBatchOpts ingests a batch of updates: the per-vertex sketches of
+// both endpoints update by update, then the forest sketch takes the
+// whole batch at once (agm.Sketch.AddBatchOpts). An update's half at
+// endpoint u touches only u's sketches, so with w workers
+// (parallel.BatchWorkers) worker j takes the halves whose endpoint lies
+// in the j-th of w equal vertex ranges, and no sketch is written by two
+// goroutines.
+func (a *Additive) AddBatchOpts(batch []stream.Update, p *parallel.Policy) error {
 	if a.done {
 		return fmt.Errorf("spanner: additive Update after Finish")
 	}
-	for _, u := range batch {
-		d := int64(u.Delta)
-		a.ingestHalf(u.U, u.V, d)
-		a.ingestHalf(u.V, u.U, d)
-	}
-	a.forest.AddBatch(batch)
+	w := parallel.BatchWorkers(p.Workers(), len(batch))
+	_ = parallel.ForEach(w, w, func(j int) error { // the halves cannot fail
+		lo, hi := j*a.n/w, (j+1)*a.n/w
+		for _, u := range batch {
+			d := int64(u.Delta)
+			if lo <= u.U && u.U < hi {
+				a.ingestHalf(u.U, u.V, d)
+			}
+			if lo <= u.V && u.V < hi {
+				a.ingestHalf(u.V, u.U, d)
+			}
+		}
+		return nil
+	})
+	a.forest.AddBatchOpts(batch, p)
 	return nil
 }
 

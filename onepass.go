@@ -24,29 +24,35 @@ type sketchState[S any] interface {
 
 // onePass is the recipe of a single-pass target: which state to
 // create, how to feed it, and how a result is read from it. Everything
-// else — sharded and remote ingest, the live handle, checkpoint and
+// else — local and remote ingest, the live handle, checkpoint and
 // restore — is the same for every linear sketch and lives here once.
 type onePass[S sketchState[S], R any] struct {
 	kind   dynnet.StateKind
-	what   string                               // the state, for error messages
-	fresh  func(n int) S                        // a seeded empty state on n vertices
-	empty  func() S                             // an UnmarshalBinary receiver
-	add    func(S, []Update) error              // batched ingest
-	result func(S, *parallel.Policy) (R, error) // the query: the state itself, or a decode of it
+	what   string                                    // the state, for error messages
+	fresh  func(n int) S                             // a seeded empty state on n vertices
+	empty  func() S                                  // an UnmarshalBinary receiver
+	add    func(S, []Update, *parallel.Policy) error // batched ingest at the policy's worker count
+	result func(S, *parallel.Policy) (R, error)      // the query: the state itself, or a decode of it
 }
 
 // sketchResult is onePass.result for targets whose result is the state.
 func sketchResult[S any](s S, _ *parallel.Policy) (S, error) { return s, nil }
 
-// addBatch is onePass.add for states whose AddBatch cannot fail.
-func addBatch[S interface{ AddBatch([]Update) }](s S, b []Update) error {
-	s.AddBatch(b)
+// addBatch is onePass.add for states whose AddBatchOpts cannot fail.
+func addBatch[S interface {
+	AddBatchOpts([]Update, *parallel.Policy)
+}](s S, b []Update, p *parallel.Policy) error {
+	s.AddBatchOpts(b, p)
 	return nil
 }
 
+// ingest replays src once into one state: the state's batch kernel
+// spreads each batch over the policy's workers, so a local build never
+// allocates a state per worker or merges.
 func (k onePass[S, R]) ingest(src Source, p *parallel.Policy) (S, error) {
-	return parallel.IngestOpts(p, src,
-		func() (S, error) { return k.fresh(src.N()), nil }, k.add, S.Merge)
+	s := k.fresh(src.N())
+	err := parallel.Ingest(p, src, func(b []Update) error { return k.add(s, b, p) })
+	return s, err
 }
 
 func (k onePass[S, R]) build(src Source, p *parallel.Policy) (R, error) {
@@ -97,11 +103,11 @@ type onePassLive[S sketchState[S], R any] struct {
 	s S
 }
 
-func (l onePassLive[S, R]) apply(b []Update) error              { return l.add(l.s, b) }
-func (l onePassLive[S, R]) query(p *parallel.Policy) (R, error) { return l.result(l.s, p) }
-func (l onePassLive[S, R]) enableCache(on bool)                 { l.s.EnableDecodeCache(on) }
-func (l onePassLive[S, R]) invalidate()                         { l.s.InvalidateDecodeCache() }
-func (l onePassLive[S, R]) cacheStats() (uint64, uint64)        { return l.s.DecodeCacheStats() }
+func (l onePassLive[S, R]) apply(b []Update, p *parallel.Policy) error { return l.add(l.s, b, p) }
+func (l onePassLive[S, R]) query(p *parallel.Policy) (R, error)        { return l.result(l.s, p) }
+func (l onePassLive[S, R]) enableCache(on bool)                        { l.s.EnableDecodeCache(on) }
+func (l onePassLive[S, R]) invalidate()                                { l.s.InvalidateDecodeCache() }
+func (l onePassLive[S, R]) cacheStats() (uint64, uint64)               { return l.s.DecodeCacheStats() }
 
 func (l onePassLive[S, R]) merge(state any) error {
 	o, ok := state.(S)

@@ -6,10 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"testing"
 
 	"dynstream/internal/agm"
 	"dynstream/internal/graph"
+	"dynstream/internal/hashing"
 	"dynstream/internal/spanner"
 	"dynstream/internal/stream"
 )
@@ -22,6 +24,12 @@ var (
 	_ sketchState[*agm.MSF]           = (*agm.MSF)(nil)
 	_ sketchState[*spanner.Additive]  = (*spanner.Additive)(nil)
 )
+
+// serialAdd feeds a state whose AddBatch cannot fail.
+func serialAdd[S interface{ AddBatch([]Update) }](s S, b []Update) error {
+	s.AddBatch(b)
+	return nil
+}
 
 func ingestInto[S any](t *testing.T, src Source, s S, add func(S, []Update) error) {
 	t.Helper()
@@ -89,19 +97,19 @@ func TestSketchViewsWirePipeline(t *testing.T) {
 
 	t.Run("forest", func(t *testing.T) {
 		mk := func() *ForestSketch { return NewForestSketch(1003, n, ForestConfig{}) }
-		checkSinglePass(t, st, shards, mk, func() *ForestSketch { return new(ForestSketch) }, addBatch[*ForestSketch])
+		checkSinglePass(t, st, shards, mk, func() *ForestSketch { return new(ForestSketch) }, serialAdd[*ForestSketch])
 	})
 	t.Run("kconnectivity", func(t *testing.T) {
 		mk := func() *KConnectivity { return NewKConnectivity(1004, n, 2) }
-		checkSinglePass(t, st, shards, mk, func() *KConnectivity { return new(KConnectivity) }, addBatch[*KConnectivity])
+		checkSinglePass(t, st, shards, mk, func() *KConnectivity { return new(KConnectivity) }, serialAdd[*KConnectivity])
 	})
 	t.Run("bipartiteness", func(t *testing.T) {
 		mk := func() *Bipartiteness { return NewBipartiteness(1005, n) }
-		checkSinglePass(t, st, shards, mk, func() *Bipartiteness { return new(Bipartiteness) }, addBatch[*Bipartiteness])
+		checkSinglePass(t, st, shards, mk, func() *Bipartiteness { return new(Bipartiteness) }, serialAdd[*Bipartiteness])
 	})
 	t.Run("msf", func(t *testing.T) {
 		mk := func() *MSF { return NewMSF(1006, n, 8, 0.5) }
-		checkSinglePass(t, st, shards, mk, func() *MSF { return new(MSF) }, addBatch[*MSF])
+		checkSinglePass(t, st, shards, mk, func() *MSF { return new(MSF) }, serialAdd[*MSF])
 	})
 	t.Run("additive", func(t *testing.T) {
 		mk := func() *AdditiveSpanner { return NewAdditiveSpanner(n, AdditiveConfig{D: 3, Seed: 1007}) }
@@ -229,31 +237,22 @@ func wireEqual[S wireState](t *testing.T, got, want S) {
 
 // TestOnePassTargets runs the five single-pass targets through every
 // way onePass can run them and checks they agree: a serial Build, a
-// sharded Build, Open over a prefix plus Apply of the rest, and
+// Build at more workers, Open over a prefix plus Apply of the rest, and
 // Checkpoint→Restore of that handle — compared by the state's encoding
 // (by the decoded result for the additive spanner, whose result is not
-// its state). The shared adapter's typed rejections ride along: a Merge
-// of another target's state type, a Restore of another target's
-// checkpoint.
+// its state). The second input is long enough for the AGM kernel to
+// split its chunks across workers, and its hub owns half the endpoint
+// incidences, so one vertex range holds a single vertex. The shared
+// adapter's typed rejections ride along: a Merge of another target's
+// state type, a Restore of another target's checkpoint.
 func TestOnePassTargets(t *testing.T) {
 	g := graph.New(40)
 	for i, e := range graph.ConnectedGNP(40, 0.1, 2811).Edges() {
 		g.AddEdge(e.U, e.V, float64(1+i%8))
 	}
-	st := StreamWithChurn(g, 60, 2812)
-	n := st.N()
-	base := NewMemoryStream(n)
-	var rest []Update
-	err := st.Replay(func(u Update) error {
-		if base.Len() < st.Len()/2 {
-			return base.Append(u)
-		}
-		rest = append(rest, u)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	small := splitHalf(t, StreamWithChurn(g, 60, 2812))
+	hub := splitHalf(t, hubStream(t, 256, 700, 2818))
+	n := small.st.N()
 	ctx := context.Background()
 
 	// A forest handle's checkpoint is every other target's foreign
@@ -265,16 +264,16 @@ func TestOnePassTargets(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	fh, err := Open(ctx, base, ForestTarget{Seed: 1})
+	fh, err := Open(ctx, small.base, ForestTarget{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bh, err := Open(ctx, base, BipartitenessTarget{Seed: 1})
+	bh, err := Open(ctx, small.base, BipartitenessTarget{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	forestCkpt, bipCkpt := ckpt(fh), ckpt(bh)
-	forestState := NewForestSketch(1, n, ForestConfig{})
+	notForest := &foreign{ckpt(bh), NewBipartiteness(1, n)}
+	forest := &foreign{ckpt(fh), NewForestSketch(1, n, ForestConfig{})}
 
 	encoding := func(s wireState) string {
 		b, err := s.MarshalBinary()
@@ -283,81 +282,167 @@ func TestOnePassTargets(t *testing.T) {
 		}
 		return string(b)
 	}
+	// Eight workers are eight goroutines only where GOMAXPROCS allows.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(8, runtime.GOMAXPROCS(0))))
+	inputs := []onePassCase{
+		{name: "small", in: small, workers: []int{3}, refuse: true},
+		{name: "hub", in: hub, workers: []int{1, 2, 3, 8}},
+	}
 	t.Run("forest", func(t *testing.T) {
-		checkOnePassTarget(t, st, base, rest, ForestTarget{Seed: 2813}, bipCkpt, NewBipartiteness(1, n),
-			func(s *ForestSketch) string { return encoding(s) })
+		for _, c := range inputs {
+			checkOnePassTarget(t, c, ForestTarget{Seed: 2813}, notForest,
+				func(s *ForestSketch) string { return encoding(s) })
+		}
 	})
 	t.Run("kconnectivity", func(t *testing.T) {
-		checkOnePassTarget(t, st, base, rest, KConnectivityTarget{Seed: 2814, K: 2}, forestCkpt, forestState,
-			func(s *KConnectivity) string { return encoding(s) })
+		for _, c := range inputs {
+			checkOnePassTarget(t, c, KConnectivityTarget{Seed: 2814, K: 2}, forest,
+				func(s *KConnectivity) string { return encoding(s) })
+		}
 	})
 	t.Run("bipartiteness", func(t *testing.T) {
-		checkOnePassTarget(t, st, base, rest, BipartitenessTarget{Seed: 2815}, forestCkpt, forestState,
-			func(s *Bipartiteness) string { return encoding(s) })
+		for _, c := range inputs {
+			checkOnePassTarget(t, c, BipartitenessTarget{Seed: 2815}, forest,
+				func(s *Bipartiteness) string { return encoding(s) })
+		}
 	})
 	t.Run("msf", func(t *testing.T) {
-		checkOnePassTarget(t, st, base, rest, MSFTarget{Seed: 2816, WMax: 8, Gamma: 0.5}, forestCkpt, forestState,
-			func(s *MSF) string { return encoding(s) })
+		for _, c := range inputs {
+			checkOnePassTarget(t, c, MSFTarget{Seed: 2816, WMax: 8, Gamma: 0.5}, forest,
+				func(s *MSF) string { return encoding(s) })
+		}
 		// A live handle cannot scan for its weight bound: a later Apply
 		// could exceed whatever the base stream held.
-		if _, err := Open(ctx, base, MSFTarget{Seed: 2816}); !errors.Is(err, ErrBadConfig) {
+		if _, err := Open(ctx, small.base, MSFTarget{Seed: 2816}); !errors.Is(err, ErrBadConfig) {
 			t.Errorf("Open(MSFTarget{WMax: 0}) = %v, want ErrBadConfig", err)
 		}
 	})
 	t.Run("additive", func(t *testing.T) {
-		checkOnePassTarget(t, st, base, rest, AdditiveTarget{Config: AdditiveConfig{D: 3, Seed: 2817}}, forestCkpt, forestState,
-			func(r *AdditiveResult) string {
-				return fmt.Sprint(r.Spanner.Edges(), r.Centers, r.LowDegree, r.SpaceWords)
-			})
+		for _, c := range inputs {
+			checkOnePassTarget(t, c, AdditiveTarget{Config: AdditiveConfig{D: 3, Seed: 2817}}, forest,
+				func(r *AdditiveResult) string {
+					return fmt.Sprint(r.Spanner.Edges(), r.Centers, r.LowDegree, r.SpaceWords)
+				})
+		}
 	})
 }
 
-func checkOnePassTarget[R any](t *testing.T, st, base Stream, rest []Update, target Target[R],
-	foreignCkpt []byte, foreignState any, key func(R) string) {
-	t.Helper()
-	ctx := context.Background()
-	serial, err := Build(ctx, st, target, WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := key(serial)
-	sharded, err := Build(ctx, st, target, WithWorkers(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if key(sharded) != want {
-		t.Error("Build(WithWorkers(3)) differs from the serial Build")
-	}
+// onePassCase is one input of TestOnePassTargets, the worker counts it
+// runs at, and whether the foreign-state rejections run over it.
+type onePassCase struct {
+	name    string
+	in      onePassInput
+	workers []int
+	refuse  bool
+}
 
-	h, err := Open(ctx, base, target)
+// onePassInput is a stream, and the same stream as a base to Open plus
+// the rest to Apply.
+type onePassInput struct {
+	st, base *MemoryStream
+	rest     []Update
+}
+
+func splitHalf(t *testing.T, st *MemoryStream) onePassInput {
+	t.Helper()
+	in := onePassInput{st: st, base: NewMemoryStream(st.N())}
+	err := st.Replay(func(u Update) error {
+		if in.base.Len() < st.Len()/2 {
+			return in.base.Append(u)
+		}
+		in.rest = append(in.rest, u)
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Apply(rest); err != nil {
-		t.Fatal(err)
+	return in
+}
+
+// hubStream is a star on n vertices, weights 1..8, followed by churn
+// pairs that delete a spoke and insert it again: every update touches
+// vertex 0, which so owns half of all endpoint incidences.
+func hubStream(t *testing.T, n, churn int, seed uint64) *MemoryStream {
+	t.Helper()
+	st := NewMemoryStream(n)
+	spoke := func(v, delta int) {
+		if err := st.Append(Update{U: 0, V: v, Delta: delta, W: float64(1 + v%8)}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	var snap bytes.Buffer
-	if err := h.Checkpoint(&snap); err != nil {
-		t.Fatal(err)
+	for v := 1; v < n; v++ {
+		spoke(v, 1)
 	}
-	restored, err := Restore(ctx, &snap, base, target)
-	if err != nil {
-		t.Fatal(err)
+	rng := hashing.NewSplitMix64(seed)
+	for i := 0; i < churn; i++ {
+		v := 1 + rng.Intn(n-1)
+		spoke(v, -1)
+		spoke(v, 1)
 	}
-	for name, hh := range map[string]*Handle[R]{"Open+Apply": h, "Checkpoint→Restore": restored} {
-		res, err := hh.Query(ctx)
+	return st
+}
+
+// foreign is what a handle must refuse: another target's checkpoint
+// over the same base, and another target's state.
+type foreign struct {
+	ckpt  []byte
+	state any
+}
+
+func checkOnePassTarget[R any](t *testing.T, c onePassCase, target Target[R], refuse *foreign, key func(R) string) {
+	t.Helper()
+	t.Run(c.name, func(t *testing.T) {
+		ctx := context.Background()
+		in := c.in
+		serial, err := Build(ctx, in.st, target, WithWorkers(1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if key(res) != want {
-			t.Errorf("%s differs from the serial Build", name)
-		}
-	}
+		want := key(serial)
+		var h *Handle[R]
+		for _, w := range c.workers {
+			built, err := Build(ctx, in.st, target, WithWorkers(w))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if key(built) != want {
+				t.Errorf("Build(WithWorkers(%d)) differs from the serial Build", w)
+			}
 
-	if err := h.Merge(foreignState); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("Merge(%T) = %v, want ErrBadConfig", foreignState, err)
-	}
-	if _, err := Restore(ctx, bytes.NewReader(foreignCkpt), base, target); !errors.Is(err, ErrBadCheckpoint) {
-		t.Errorf("Restore of another target's checkpoint = %v, want ErrBadCheckpoint", err)
-	}
+			h, err = Open(ctx, in.base, target, WithWorkers(w))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := h.Apply(in.rest); err != nil {
+				t.Fatal(err)
+			}
+			var snap bytes.Buffer
+			if err := h.Checkpoint(&snap); err != nil {
+				t.Fatal(err)
+			}
+			restored, err := Restore(ctx, &snap, in.base, target, WithWorkers(w))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, hh := range map[string]*Handle[R]{"Open+Apply": h, "Checkpoint→Restore": restored} {
+				res, err := hh.Query(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if key(res) != want {
+					t.Errorf("%s at %d workers differs from the serial Build", name, w)
+				}
+			}
+		}
+
+		if !c.refuse {
+			return
+		}
+		if err := h.Merge(refuse.state); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("Merge(%T) = %v, want ErrBadConfig", refuse.state, err)
+		}
+		if _, err := Restore(ctx, bytes.NewReader(refuse.ckpt), in.base, target); !errors.Is(err, ErrBadCheckpoint) {
+			t.Errorf("Restore of another target's checkpoint = %v, want ErrBadCheckpoint", err)
+		}
+	})
 }

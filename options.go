@@ -77,9 +77,12 @@ func (o *buildOptions) policy(ctx context.Context, src Source, tr *obs.Tracer) *
 // remote reports whether this build runs on remote worker processes.
 func (o *buildOptions) remote() bool { return o.remoteSet || o.cluster != nil }
 
-// WithWorkers fixes the number of concurrent ingest workers. Without
-// it, Build picks serial or sharded-merge execution automatically; by
-// linearity the result is identical either way.
+// WithWorkers fixes the number of concurrent ingest workers. A
+// single-pass target keeps one state and splits each batch across the
+// workers by vertex range of that state; a two-pass target shards the
+// stream into one state per worker and merges them. Without it, Build
+// picks one worker or several automatically; by linearity the result
+// is identical either way.
 func WithWorkers(n int) Option {
 	return func(o *buildOptions) { o.workers = n; o.workersSet = true }
 }
@@ -269,11 +272,11 @@ func (o *buildOptions) validateLive() error {
 }
 
 // autoParallelThreshold is the stream length above which Build picks
-// sharded-merge execution when no explicit worker count is given.
+// multi-worker execution when no explicit worker count is given.
 const autoParallelThreshold = 1 << 15
 
 // resolveWorkers picks the execution mode: an explicit WithWorkers
-// wins; otherwise long in-memory streams get a sharded merge and
+// wins; otherwise long in-memory streams get several workers and
 // everything else (short streams, pipes, channels) runs serially —
 // the memory-optimal choice for single-cursor sources.
 func (o *buildOptions) resolveWorkers(src Source) int {
@@ -286,7 +289,7 @@ func (o *buildOptions) resolveWorkers(src Source) int {
 // resolveDecodeWorkers picks the decode-phase worker count: an
 // explicit WithDecodeWorkers wins; otherwise decode follows the ingest
 // resolution — an explicit WithWorkers, or the automatic
-// serial/sharded choice. Remote builds (where WithWorkers does not
+// one-or-several choice. Remote builds (where WithWorkers does not
 // govern ingest) resolve the same way, so one knob scales the whole
 // coordinator side.
 func (o *buildOptions) resolveDecodeWorkers(src Source) int {
@@ -296,7 +299,7 @@ func (o *buildOptions) resolveDecodeWorkers(src Source) int {
 	return o.resolveWorkers(src)
 }
 
-// autoWorkers is the automatic serial-vs-sharded choice of
+// autoWorkers is the automatic one-or-several choice of
 // resolveWorkers for builds without an explicit WithWorkers.
 func (o *buildOptions) autoWorkers(src Source) int {
 	type lengther interface{ Len() int }

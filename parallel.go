@@ -5,9 +5,10 @@ package dynstream
 // workers into states built from the same seed, and merged yields a
 // state — and therefore an output — identical to single-threaded
 // ingestion (the distributed setting of the paper's introduction,
-// Theorem 10's mergeability, realized as goroutines). Build with
-// WithWorkers does this automatically; the shard views below are for
-// callers that drive their own states.
+// Theorem 10's mergeability, realized as goroutines). Build does this
+// for the two-pass targets under WithWorkers, and remote builds across
+// processes; the shard views below are for callers that drive their own
+// states.
 
 import (
 	"dynstream/internal/stream"

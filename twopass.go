@@ -68,11 +68,11 @@ type replayLive[L liveReplay[R], R any] struct {
 	l L
 }
 
-func (l replayLive[L, R]) apply(b []Update) error              { return l.l.ApplyLive(b) }
-func (l replayLive[L, R]) query(p *parallel.Policy) (R, error) { return l.l.QueryLive(p) }
-func (l replayLive[L, R]) enableCache(on bool)                 { l.l.EnableDecodeCache(on) }
-func (l replayLive[L, R]) invalidate()                         { l.l.InvalidateDecodeCache() }
-func (l replayLive[L, R]) cacheStats() (uint64, uint64)        { return l.l.DecodeCacheStats() }
+func (l replayLive[L, R]) apply(b []Update, _ *parallel.Policy) error { return l.l.ApplyLive(b) }
+func (l replayLive[L, R]) query(p *parallel.Policy) (R, error)        { return l.l.QueryLive(p) }
+func (l replayLive[L, R]) enableCache(on bool)                        { l.l.EnableDecodeCache(on) }
+func (l replayLive[L, R]) invalidate()                                { l.l.InvalidateDecodeCache() }
+func (l replayLive[L, R]) cacheStats() (uint64, uint64)               { return l.l.DecodeCacheStats() }
 
 func (l replayLive[L, R]) merge(any) error {
 	return fmt.Errorf("%w: a handle over %s cannot merge remote state (its live log never saw those updates); Apply them instead",
