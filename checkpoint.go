@@ -13,6 +13,7 @@ import (
 
 	"dynstream/internal/dynnet"
 	"dynstream/internal/obs"
+	"dynstream/internal/wire"
 )
 
 // Checkpoint/restore for live handles. Every construction in this
@@ -73,12 +74,12 @@ type checkpointMeta struct {
 // writeSection frames one section: kind, uvarint length, payload, and
 // the CRC over all of it.
 func writeSection(w *bufio.Writer, kind byte, payload []byte) error {
-	var hdr []byte
-	hdr = append(hdr, kind)
-	hdr = binary.AppendUvarint(hdr, uint64(len(payload)))
-	crc := crc32.ChecksumIEEE(hdr)
+	hdr := &wire.Writer{}
+	hdr.Byte(kind)
+	hdr.Uvarint(uint64(len(payload)))
+	crc := crc32.ChecksumIEEE(hdr.Bytes())
 	crc = crc32.Update(crc, crc32.IEEETable, payload)
-	if _, err := w.Write(hdr); err != nil {
+	if _, err := w.Write(hdr.Bytes()); err != nil {
 		return err
 	}
 	if _, err := w.Write(payload); err != nil {
@@ -150,15 +151,15 @@ func (h *Handle[R]) Checkpoint(w io.Writer) error {
 	defer func() {
 		sp.End(obs.A("bytes", int64(len(blob))), obs.A("applied", h.applied))
 	}()
-	var meta []byte
-	meta = append(meta, byte(kind))
-	meta = binary.AppendUvarint(meta, uint64(h.n))
-	meta = binary.AppendUvarint(meta, uint64(h.applied))
+	meta := &wire.Writer{}
+	meta.Byte(byte(kind))
+	meta.Uvarint(uint64(h.n))
+	meta.Uvarint(uint64(h.applied))
 	bw := bufio.NewWriterSize(w, 1<<16)
 	if _, err := bw.WriteString(checkpointMagic); err != nil {
 		return err
 	}
-	if err := writeSection(bw, sectionMeta, meta); err != nil {
+	if err := writeSection(bw, sectionMeta, meta.Bytes()); err != nil {
 		return err
 	}
 	if err := writeSection(bw, sectionState, blob); err != nil {
@@ -211,22 +212,11 @@ func readCheckpoint(r io.Reader) (checkpointMeta, []byte, error) {
 	if kind != sectionMeta {
 		return meta, nil, fmt.Errorf("%w: first section is %d, want meta", ErrBadCheckpoint, kind)
 	}
-	if len(payload) < 1 {
-		return meta, nil, fmt.Errorf("%w: empty meta section", ErrBadCheckpoint)
+	mr := wire.NewReader(payload, ErrBadCheckpoint)
+	meta = checkpointMeta{kind: dynnet.StateKind(mr.Byte()), n: int(mr.Uvarint()), applied: int64(mr.Uvarint())}
+	if err := mr.Done(); err != nil {
+		return meta, nil, fmt.Errorf("%w (meta section)", err)
 	}
-	meta.kind = dynnet.StateKind(payload[0])
-	rest := payload[1:]
-	n, ln := binary.Uvarint(rest)
-	if ln <= 0 {
-		return meta, nil, fmt.Errorf("%w: bad vertex count", ErrBadCheckpoint)
-	}
-	rest = rest[ln:]
-	applied, ln := binary.Uvarint(rest)
-	if ln <= 0 || len(rest[ln:]) != 0 {
-		return meta, nil, fmt.Errorf("%w: bad applied-update count", ErrBadCheckpoint)
-	}
-	meta.n = int(n)
-	meta.applied = int64(applied)
 	kind, state, err := readSection(br)
 	if err != nil {
 		return meta, nil, err

@@ -1,24 +1,12 @@
 package agm
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 
 	"dynstream/internal/graph"
 	"dynstream/internal/sketch"
-)
-
-const (
-	tagAGM uint64 = 0xd15c_0003 // v1: dense u64 sampler lengths
-	// tagAGMv2 is the compressed sketch encoding: varint sampler
-	// lengths, with an untouched (zero) vertex sampler suppressed to a
-	// single 0 byte. Together with the samplers' own zero-level
-	// suppression, a sparse-stream AGM state shrinks by orders of
-	// magnitude on the wire. v1 blobs still decode; encoding always
-	// emits v2.
-	tagAGMv2 uint64 = 0xd15c_0103
+	"dynstream/internal/wire"
 )
 
 var errCorrupt = errors.New("agm: corrupt serialized data")
@@ -26,36 +14,27 @@ var errCorrupt = errors.New("agm: corrupt serialized data")
 // MarshalBinary encodes the sketch so that a remote party can
 // reconstruct and merge it — the wire format for the distributed
 // protocol of the paper's introduction (servers send Sx^i, the
-// coordinator sums them). The encoding is content-canonical: states
-// with equal linear content encode identically, however their lazily
-// materialized levels differ.
+// coordinator sums them): varint geometry, then every sampler as a
+// sketch block, an untouched (zero) sampler suppressed to a single 0
+// byte. Together with the samplers' own zero-level suppression, a
+// sparse-stream state is orders of magnitude smaller than its grid. The
+// encoding is content-canonical: states with equal linear content encode
+// identically, however their lazily materialized levels differ.
 func (s *Sketch) MarshalBinary() ([]byte, error) {
-	var out []byte
-	u64 := func(v uint64) {
-		var tmp [8]byte
-		binary.LittleEndian.PutUint64(tmp[:], v)
-		out = append(out, tmp[:]...)
-	}
-	u64(tagAGMv2)
-	u64(s.seed)
-	out = binary.AppendUvarint(out, uint64(s.n))
-	out = binary.AppendUvarint(out, uint64(s.rounds))
-	out = binary.AppendUvarint(out, uint64(s.perLvl))
+	w := &wire.Writer{}
+	w.U64(wire.TagAGM)
+	w.U64(s.seed)
+	w.Uvarint(uint64(s.n))
+	w.Uvarint(uint64(s.rounds))
+	w.Uvarint(uint64(s.perLvl))
 	for r := 0; r < s.rounds; r++ {
 		for v := 0; v < s.n; v++ {
-			if s.at(r, v).IsZero() {
-				out = binary.AppendUvarint(out, 0)
-				continue
-			}
-			enc, err := s.at(r, v).MarshalBinary()
-			if err != nil {
+			if err := w.SketchBlock(s.at(r, v)); err != nil {
 				return nil, err
 			}
-			out = binary.AppendUvarint(out, uint64(len(enc)))
-			out = append(out, enc...)
 		}
 	}
-	return out, nil
+	return w.Bytes(), nil
 }
 
 // maxArenaPerByte is the most level-0 arena, in bytes, a decoded header
@@ -64,8 +43,7 @@ func (s *Sketch) MarshalBinary() ([]byte, error) {
 // perLevel of 4.
 const maxArenaPerByte = 512
 
-// UnmarshalBinary reconstructs a sketch encoded with MarshalBinary
-// (the current v2 layout, or the dense v1 layout of older blobs).
+// UnmarshalBinary reconstructs a sketch encoded with MarshalBinary.
 // Header bounds, checked before anything is allocated: n in 1..2^24,
 // rounds in 1..256, perLevel in 1..sketch.MaxL0PerLevel (2^13), at
 // least one byte of input per sampler, and a level-0 arena — n·rounds
@@ -76,79 +54,35 @@ const maxArenaPerByte = 512
 // whose samplers are mostly suppressed zeros is rejected as corrupt (no
 // caller sets Config.PerLevel).
 func (s *Sketch) UnmarshalBinary(data []byte) error {
-	pos := 0
-	u64 := func() (uint64, error) {
-		if len(data)-pos < 8 {
-			return 0, errCorrupt
-		}
-		v := binary.LittleEndian.Uint64(data[pos : pos+8])
-		pos += 8
-		return v, nil
-	}
-	uvar := func() (uint64, error) {
-		v, n := binary.Uvarint(data[pos:])
-		if n <= 0 {
-			return 0, errCorrupt
-		}
-		pos += n
-		return v, nil
-	}
-	tag, err := u64()
-	if err != nil || (tag != tagAGM && tag != tagAGMv2) {
+	r := wire.NewReader(data, errCorrupt)
+	if r.U64() != wire.TagAGM {
 		return fmt.Errorf("agm: not an AGM sketch encoding: %w", errCorrupt)
 	}
-	v2 := tag == tagAGMv2
-	num := u64
-	if v2 {
-		num = uvar
-	}
-	seed, err := u64()
-	if err != nil {
-		return err
-	}
-	n, err := num()
-	if err != nil {
-		return err
-	}
-	rounds, err := num()
-	if err != nil {
-		return err
-	}
-	perLvl, err := num()
-	if err != nil {
-		return err
-	}
-	if n == 0 || n > 1<<24 || rounds == 0 || rounds > 256 || perLvl == 0 || perLvl > sketch.MaxL0PerLevel {
+	seed, n, rounds, perLvl := r.U64(), r.Uvarint(), r.Uvarint(), r.Uvarint()
+	if r.Err() != nil || n == 0 || n > 1<<24 || rounds == 0 || rounds > 256 || perLvl == 0 || perLvl > sketch.MaxL0PerLevel {
 		return errCorrupt
 	}
 	// Every sampler takes at least its length byte, and the grid's
 	// level-0 arena is bounded by the input left, both before the grid is
 	// allocated for them.
-	left, arena := uint64(len(data)-pos), n*rounds*uint64(8*sketch.L0SlotWords(int(perLvl)))
+	left, arena := uint64(r.Len()), n*rounds*uint64(8*sketch.L0SlotWords(int(perLvl)))
 	if left < n*rounds || arena > maxArenaPerByte*left {
 		return errCorrupt
 	}
 	rebuilt := New(seed, int(n), Config{Rounds: int(rounds), PerLevel: int(perLvl)})
-	for r := 0; r < rebuilt.rounds; r++ {
+	for rd := 0; rd < rebuilt.rounds && r.Err() == nil; rd++ {
 		for v := 0; v < rebuilt.n; v++ {
-			ln, err := num()
-			if err != nil {
-				return err
-			}
-			if ln == 0 && v2 {
+			enc := r.SketchBlock()
+			if enc == nil {
 				continue // suppressed zero sampler stays fresh
 			}
-			if uint64(len(data)-pos) < ln {
-				return errCorrupt
+			if err := rebuilt.at(rd, v).UnmarshalBinary(enc); err != nil {
+				return fmt.Errorf("%w: round %d vertex %d: %v", errCorrupt, rd, v, err)
 			}
-			if err := rebuilt.at(r, v).UnmarshalBinary(data[pos : pos+int(ln)]); err != nil {
-				return fmt.Errorf("%w: round %d vertex %d: %v", errCorrupt, r, v, err)
-			}
-			pos += int(ln)
 		}
 	}
-	if pos != len(data) {
-		return errCorrupt
+	if err := r.Done(); err != nil {
+		return err
 	}
 	// Whole-state replacement: keep the caching preference but drop the
 	// cached picks — the rebuilt samplers carry fresh generations, so
@@ -183,53 +117,33 @@ func (s *Sketch) Merge(o *Sketch) error {
 	return nil
 }
 
-// Tags for the application sketches built on top of the base sketch.
-const (
-	tagKConn uint64 = 0xd15c_0008
-	tagBip   uint64 = 0xd15c_0009
-	tagMSF   uint64 = 0xd15c_000a
-)
-
-// appendBlock writes a length-prefixed byte block.
-func appendBlock(out []byte, block []byte) []byte {
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], uint64(len(block)))
-	return append(append(out, tmp[:]...), block...)
-}
-
-// blockReader cursors over length-prefixed blocks.
-type blockReader struct {
-	data []byte
-	pos  int
-}
-
-func (r *blockReader) u64() (uint64, error) {
-	if len(r.data)-r.pos < 8 {
-		return 0, errCorrupt
-	}
-	v := binary.LittleEndian.Uint64(r.data[r.pos : r.pos+8])
-	r.pos += 8
-	return v, nil
-}
-
-func (r *blockReader) block() ([]byte, error) {
-	ln, err := r.u64()
-	if err != nil {
-		return nil, err
-	}
-	if uint64(len(r.data)-r.pos) < ln {
-		return nil, errCorrupt
-	}
-	b := r.data[r.pos : r.pos+int(ln)]
-	r.pos += int(ln)
-	return b, nil
-}
-
-func (r *blockReader) done() error {
-	if r.pos != len(r.data) {
-		return errCorrupt
+// writeSketches writes each sketch as a length-prefixed block.
+func writeSketches(w *wire.Writer, ss ...*Sketch) error {
+	for _, s := range ss {
+		enc, err := s.MarshalBinary()
+		if err != nil {
+			return err
+		}
+		w.Block(enc)
 	}
 	return nil
+}
+
+// readSketches decodes count length-prefixed sketch blocks. Each block
+// takes at least its 8-byte length, so a count the input cannot hold is
+// rejected before anything is allocated for it.
+func readSketches(r *wire.Reader, count uint64) ([]*Sketch, error) {
+	if r.Err() != nil || count > uint64(r.Len())/8 {
+		return nil, errCorrupt
+	}
+	out := make([]*Sketch, count)
+	for i := range out {
+		out[i] = &Sketch{}
+		if err := out[i].UnmarshalBinary(r.Block()); err != nil {
+			return nil, err
+		}
+	}
+	return out, r.Done()
 }
 
 // MarshalBinary encodes the k-connectivity certificate sketch as its k
@@ -238,174 +152,97 @@ func (kc *KConnectivity) MarshalBinary() ([]byte, error) {
 	// The wire format carries pure stream states: fold any
 	// extraction-era subtractions back in first.
 	kc.restoreStream()
-	var out []byte
-	var tmp [8]byte
-	for _, v := range []uint64{tagKConn, uint64(kc.k), uint64(kc.n)} {
-		binary.LittleEndian.PutUint64(tmp[:], v)
-		out = append(out, tmp[:]...)
+	w := &wire.Writer{}
+	for _, v := range []uint64{wire.TagKConn, uint64(kc.k), uint64(kc.n)} {
+		w.U64(v)
 	}
-	for _, s := range kc.sketches {
-		enc, err := s.MarshalBinary()
-		if err != nil {
-			return nil, err
-		}
-		out = appendBlock(out, enc)
+	if err := writeSketches(w, kc.sketches...); err != nil {
+		return nil, err
 	}
-	return out, nil
+	return w.Bytes(), nil
 }
 
 // UnmarshalBinary reconstructs a certificate sketch encoded with
 // MarshalBinary.
 func (kc *KConnectivity) UnmarshalBinary(data []byte) error {
-	r := &blockReader{data: data}
-	tag, err := r.u64()
-	if err != nil || tag != tagKConn {
+	r := wire.NewReader(data, errCorrupt)
+	if r.U64() != wire.TagKConn {
 		return fmt.Errorf("agm: not a KConnectivity encoding: %w", errCorrupt)
 	}
-	k, err := r.u64()
-	if err != nil {
-		return err
-	}
-	n, err := r.u64()
-	if err != nil {
-		return err
-	}
+	k, n := r.U64(), r.U64()
 	if k == 0 || k > 1<<16 || n == 0 || n > 1<<24 {
 		return errCorrupt
 	}
-	rebuilt := &KConnectivity{k: int(k), n: int(n), sketches: make([]*Sketch, k), subtracted: make([][]graph.Edge, k)}
-	for i := range rebuilt.sketches {
-		enc, err := r.block()
-		if err != nil {
-			return err
-		}
-		rebuilt.sketches[i] = &Sketch{}
-		if err := rebuilt.sketches[i].UnmarshalBinary(enc); err != nil {
-			return err
-		}
-	}
-	if err := r.done(); err != nil {
+	sketches, err := readSketches(r, k)
+	if err != nil {
 		return err
 	}
-	*kc = *rebuilt
+	*kc = KConnectivity{k: int(k), n: int(n), sketches: sketches, subtracted: make([][]graph.Edge, k)}
 	return nil
 }
 
 // MarshalBinary encodes the bipartiteness tester as its base and
 // double-cover sketches.
 func (b *Bipartiteness) MarshalBinary() ([]byte, error) {
-	var out []byte
-	var tmp [8]byte
-	for _, v := range []uint64{tagBip, uint64(b.n)} {
-		binary.LittleEndian.PutUint64(tmp[:], v)
-		out = append(out, tmp[:]...)
+	w := &wire.Writer{}
+	w.U64(wire.TagBip)
+	w.U64(uint64(b.n))
+	if err := writeSketches(w, b.base, b.cover); err != nil {
+		return nil, err
 	}
-	for _, s := range []*Sketch{b.base, b.cover} {
-		enc, err := s.MarshalBinary()
-		if err != nil {
-			return nil, err
-		}
-		out = appendBlock(out, enc)
-	}
-	return out, nil
+	return w.Bytes(), nil
 }
 
 // UnmarshalBinary reconstructs a tester encoded with MarshalBinary.
 func (b *Bipartiteness) UnmarshalBinary(data []byte) error {
-	r := &blockReader{data: data}
-	tag, err := r.u64()
-	if err != nil || tag != tagBip {
+	r := wire.NewReader(data, errCorrupt)
+	if r.U64() != wire.TagBip {
 		return fmt.Errorf("agm: not a Bipartiteness encoding: %w", errCorrupt)
 	}
-	n, err := r.u64()
-	if err != nil {
-		return err
-	}
+	n := r.U64()
 	if n == 0 || n > 1<<24 {
 		return errCorrupt
 	}
-	rebuilt := &Bipartiteness{n: int(n), base: &Sketch{}, cover: &Sketch{}}
-	for _, s := range []*Sketch{rebuilt.base, rebuilt.cover} {
-		enc, err := r.block()
-		if err != nil {
-			return err
-		}
-		if err := s.UnmarshalBinary(enc); err != nil {
-			return err
-		}
-	}
-	if rebuilt.base.n != rebuilt.n || rebuilt.cover.n != 2*rebuilt.n {
-		return errCorrupt
-	}
-	if err := r.done(); err != nil {
+	ss, err := readSketches(r, 2)
+	if err != nil {
 		return err
 	}
-	*b = *rebuilt
+	if ss[0].n != int(n) || ss[1].n != 2*int(n) {
+		return errCorrupt
+	}
+	*b = Bipartiteness{n: int(n), base: ss[0], cover: ss[1]}
 	return nil
 }
 
 // MarshalBinary encodes the approximate-MSF sketch as its per-class
 // prefix sketches plus the class geometry.
 func (m *MSF) MarshalBinary() ([]byte, error) {
-	var out []byte
-	var tmp [8]byte
-	for _, v := range []uint64{tagMSF, uint64(m.n), math.Float64bits(m.gamma), uint64(m.maxClass)} {
-		binary.LittleEndian.PutUint64(tmp[:], v)
-		out = append(out, tmp[:]...)
+	w := &wire.Writer{}
+	w.U64(wire.TagMSF)
+	w.U64(uint64(m.n))
+	w.F64(m.gamma)
+	w.U64(uint64(m.maxClass))
+	if err := writeSketches(w, m.prefixes...); err != nil {
+		return nil, err
 	}
-	for _, s := range m.prefixes {
-		enc, err := s.MarshalBinary()
-		if err != nil {
-			return nil, err
-		}
-		out = appendBlock(out, enc)
-	}
-	return out, nil
+	return w.Bytes(), nil
 }
 
 // UnmarshalBinary reconstructs an MSF sketch encoded with
 // MarshalBinary.
 func (m *MSF) UnmarshalBinary(data []byte) error {
-	r := &blockReader{data: data}
-	tag, err := r.u64()
-	if err != nil || tag != tagMSF {
+	r := wire.NewReader(data, errCorrupt)
+	if r.U64() != wire.TagMSF {
 		return fmt.Errorf("agm: not an MSF encoding: %w", errCorrupt)
 	}
-	n, err := r.u64()
-	if err != nil {
-		return err
-	}
-	gbits, err := r.u64()
-	if err != nil {
-		return err
-	}
-	maxClass, err := r.u64()
-	if err != nil {
-		return err
-	}
-	gamma := math.Float64frombits(gbits)
+	n, gamma, maxClass := r.U64(), r.F64(), r.U64()
 	if n == 0 || n > 1<<24 || maxClass > 1<<16 || !(gamma > 0) {
 		return errCorrupt
 	}
-	rebuilt := &MSF{
-		n:        int(n),
-		gamma:    gamma,
-		maxClass: int(maxClass),
-		prefixes: make([]*Sketch, maxClass+1),
-	}
-	for c := range rebuilt.prefixes {
-		enc, err := r.block()
-		if err != nil {
-			return err
-		}
-		rebuilt.prefixes[c] = &Sketch{}
-		if err := rebuilt.prefixes[c].UnmarshalBinary(enc); err != nil {
-			return err
-		}
-	}
-	if err := r.done(); err != nil {
+	prefixes, err := readSketches(r, maxClass+1)
+	if err != nil {
 		return err
 	}
-	*m = *rebuilt
+	*m = MSF{n: int(n), gamma: gamma, maxClass: int(maxClass), prefixes: prefixes}
 	return nil
 }

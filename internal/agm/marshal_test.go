@@ -8,6 +8,7 @@ import (
 	"dynstream/internal/graph"
 	"dynstream/internal/sketch"
 	"dynstream/internal/stream"
+	"dynstream/internal/wire"
 )
 
 func TestAGMMarshalRoundTrip(t *testing.T) {
@@ -110,7 +111,7 @@ func TestAGMUnmarshalCorrupt(t *testing.T) {
 	}
 	// A 22-byte header that used to allocate a 2^24 × 256 sampler grid
 	// before reading a single sampler.
-	huge := binary.LittleEndian.AppendUint64(nil, tagAGMv2)
+	huge := binary.LittleEndian.AppendUint64(nil, wire.TagAGM)
 	huge = binary.LittleEndian.AppendUint64(huge, 1)
 	for _, v := range []uint64{1 << 24, 256, 4} {
 		huge = binary.AppendUvarint(huge, v)
@@ -119,12 +120,13 @@ func TestAGMUnmarshalCorrupt(t *testing.T) {
 		t.Errorf("oversized geometry: %v, want errCorrupt", err)
 	}
 	// perLevel is a wire bound too (cell indices are 16 bits): one past
-	// it is corrupt in both layouts, not a panic in the family
-	// constructor. The blobs are long enough to pass the length check.
+	// it is corrupt in both layouts (v1 is rejected by its tag), not a
+	// panic in the family constructor. The blobs are long enough to pass
+	// the length check.
 	for _, v2 := range []bool{true, false} {
-		tag, num := tagAGM, binary.LittleEndian.AppendUint64
+		tag, num := uint64(0xd15c_0003), binary.LittleEndian.AppendUint64
 		if v2 {
-			tag, num = tagAGMv2, binary.AppendUvarint
+			tag, num = wire.TagAGM, binary.AppendUvarint
 		}
 		blob := binary.LittleEndian.AppendUint64(nil, tag)
 		blob = binary.LittleEndian.AppendUint64(blob, 1)

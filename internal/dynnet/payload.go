@@ -1,16 +1,16 @@
 package dynnet
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 
 	"dynstream/internal/stream"
+	"dynstream/internal/wire"
 )
 
-// Payload encodings for each frame type. All integers are varints; the
-// only fixed-width payload fields are float64 weights.
+// Payload encodings for each frame type, in the wire codec. All integers
+// are minimal uvarints; the only fixed-width payload fields are float64
+// weights.
 
 // ErrBadPayload reports a payload that does not decode under its
 // frame's schema.
@@ -39,43 +39,6 @@ const (
 	CodeWrongVersion ErrorCode = 5
 )
 
-// reader is a varint cursor over a payload.
-type reader struct{ b []byte }
-
-func (r *reader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		return 0, ErrBadPayload
-	}
-	r.b = r.b[n:]
-	return v, nil
-}
-
-func (r *reader) byte() (byte, error) {
-	if len(r.b) < 1 {
-		return 0, ErrBadPayload
-	}
-	b := r.b[0]
-	r.b = r.b[1:]
-	return b, nil
-}
-
-func (r *reader) bytes(n uint64) ([]byte, error) {
-	if uint64(len(r.b)) < n {
-		return nil, ErrBadPayload
-	}
-	b := r.b[:n]
-	r.b = r.b[n:]
-	return b, nil
-}
-
-func (r *reader) done() error {
-	if len(r.b) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrBadPayload, len(r.b))
-	}
-	return nil
-}
-
 // Hello is the registration payload a worker sends when it connects
 // (and the coordinator echoes back to acknowledge).
 type Hello struct {
@@ -84,25 +47,21 @@ type Hello struct {
 
 // EncodeHello encodes a HELLO payload.
 func EncodeHello(h Hello) []byte {
-	out := binary.AppendUvarint(nil, uint64(len(h.ID)))
-	return append(out, h.ID...)
+	w := &wire.Writer{}
+	w.Uvarint(uint64(len(h.ID)))
+	w.Raw([]byte(h.ID))
+	return w.Bytes()
 }
 
 // DecodeHello decodes a HELLO payload.
 func DecodeHello(payload []byte) (Hello, error) {
-	r := &reader{b: payload}
-	ln, err := r.uvarint()
-	if err != nil {
-		return Hello{}, err
-	}
+	r := wire.NewReader(payload, ErrBadPayload)
+	ln := r.Uvarint()
 	if ln > 1<<16 {
 		return Hello{}, fmt.Errorf("%w: worker id of %d bytes", ErrBadPayload, ln)
 	}
-	id, err := r.bytes(ln)
-	if err != nil {
-		return Hello{}, err
-	}
-	if err := r.done(); err != nil {
+	id := r.Bytes(ln)
+	if err := r.Done(); err != nil {
 		return Hello{}, err
 	}
 	return Hello{ID: string(id)}, nil
@@ -133,53 +92,33 @@ func EncodeAssign(a Assign) []byte {
 	if a.Local {
 		flags |= assignFlagLocal
 	}
-	out := []byte{byte(a.Kind), flags}
-	out = binary.AppendUvarint(out, uint64(a.Seq))
-	out = binary.AppendUvarint(out, uint64(a.N))
-	out = binary.AppendUvarint(out, uint64(len(a.Blob)))
-	return append(out, a.Blob...)
+	w := &wire.Writer{}
+	w.Byte(byte(a.Kind))
+	w.Byte(flags)
+	w.Uvarint(uint64(a.Seq))
+	w.Uvarint(uint64(a.N))
+	w.Uvarint(uint64(len(a.Blob)))
+	w.Raw(a.Blob)
+	return w.Bytes()
 }
 
 // DecodeAssign decodes an ASSIGN payload.
 func DecodeAssign(payload []byte) (Assign, error) {
-	r := &reader{b: payload}
-	var a Assign
-	kind, err := r.byte()
-	if err != nil {
-		return a, err
-	}
-	a.Kind = StateKind(kind)
-	flags, err := r.byte()
-	if err != nil {
-		return a, err
+	r := wire.NewReader(payload, ErrBadPayload)
+	kind, flags, seq, n := r.Byte(), r.Byte(), r.Uvarint(), r.Uvarint()
+	if err := r.Err(); err != nil {
+		return Assign{}, err
 	}
 	if flags&^byte(assignFlagLocal) != 0 {
-		return a, fmt.Errorf("%w: unknown assign flags %02x", ErrBadPayload, flags)
-	}
-	a.Local = flags&assignFlagLocal != 0
-	seq, err := r.uvarint()
-	if err != nil {
-		return a, err
-	}
-	n, err := r.uvarint()
-	if err != nil {
-		return a, err
+		return Assign{}, fmt.Errorf("%w: unknown assign flags %02x", ErrBadPayload, flags)
 	}
 	if seq > 1<<20 || n == 0 || n > 1<<32 {
-		return a, fmt.Errorf("%w: assign seq=%d n=%d out of range", ErrBadPayload, seq, n)
+		return Assign{}, fmt.Errorf("%w: assign seq=%d n=%d out of range", ErrBadPayload, seq, n)
 	}
-	a.Seq, a.N = int(seq), int(n)
-	ln, err := r.uvarint()
-	if err != nil {
-		return a, err
-	}
-	blob, err := r.bytes(ln)
-	if err != nil {
-		return a, err
-	}
-	a.Blob = blob
-	if err := r.done(); err != nil {
-		return a, err
+	a := Assign{Kind: StateKind(kind), Local: flags&assignFlagLocal != 0, Seq: int(seq), N: int(n)}
+	a.Blob = r.Bytes(r.Uvarint())
+	if err := r.Done(); err != nil {
+		return Assign{}, err
 	}
 	return a, nil
 }
@@ -198,10 +137,11 @@ const (
 // Endpoints and the near-universal unit weight varint-compress to a
 // fraction of the fixed 20-byte binary stream record.
 func AppendUpdates(dst []byte, batch []stream.Update) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(batch)))
+	w := wire.NewWriter(dst)
+	w.Uvarint(uint64(len(batch)))
 	for _, u := range batch {
-		dst = binary.AppendUvarint(dst, uint64(u.U))
-		dst = binary.AppendUvarint(dst, uint64(u.V))
+		w.Uvarint(uint64(u.U))
+		w.Uvarint(uint64(u.V))
 		flags := byte(0)
 		if u.Delta > 0 {
 			flags |= updFlagInsert
@@ -209,14 +149,12 @@ func AppendUpdates(dst []byte, batch []stream.Update) []byte {
 		if u.W == 1 {
 			flags |= updFlagUnitWeight
 		}
-		dst = append(dst, flags)
+		w.Byte(flags)
 		if u.W != 1 {
-			var tmp [8]byte
-			binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(u.W))
-			dst = append(dst, tmp[:]...)
+			w.F64(u.W)
 		}
 	}
-	return dst
+	return w.Bytes()
 }
 
 // DecodeUpdates decodes an UPDATES payload into buf (reused when large
@@ -224,9 +162,9 @@ func AppendUpdates(dst []byte, batch []stream.Update) []byte {
 // same gate every Source uses, so a worker ingests exactly the updates
 // a local replay would deliver.
 func DecodeUpdates(payload []byte, n int, buf []stream.Update) ([]stream.Update, error) {
-	r := &reader{b: payload}
-	count, err := r.uvarint()
-	if err != nil {
+	r := wire.NewReader(payload, ErrBadPayload)
+	count := r.Uvarint()
+	if err := r.Err(); err != nil {
 		return nil, err
 	}
 	if count > uint64(len(payload)) { // every record is >= 3 bytes
@@ -237,18 +175,7 @@ func DecodeUpdates(payload []byte, n int, buf []stream.Update) ([]stream.Update,
 	}
 	buf = buf[:0]
 	for i := uint64(0); i < count; i++ {
-		uu, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		vv, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		flags, err := r.byte()
-		if err != nil {
-			return nil, err
-		}
+		uu, vv, flags := r.Uvarint(), r.Uvarint(), r.Byte()
 		if flags&^byte(updFlagInsert|updFlagUnitWeight) != 0 {
 			return nil, fmt.Errorf("%w: unknown update flags %02x", ErrBadPayload, flags)
 		}
@@ -257,11 +184,10 @@ func DecodeUpdates(payload []byte, n int, buf []stream.Update) ([]stream.Update,
 			u.Delta = 1
 		}
 		if flags&updFlagUnitWeight == 0 {
-			wb, err := r.bytes(8)
-			if err != nil {
-				return nil, err
-			}
-			u.W = math.Float64frombits(binary.LittleEndian.Uint64(wb))
+			u.W = r.F64()
+		}
+		if err := r.Err(); err != nil {
+			return nil, err
 		}
 		if uu > 1<<32 || vv > 1<<32 {
 			return nil, fmt.Errorf("%w: endpoint out of range", ErrBadPayload)
@@ -272,7 +198,7 @@ func DecodeUpdates(payload []byte, n int, buf []stream.Update) ([]stream.Update,
 		}
 		buf = append(buf, cu)
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return buf, nil
@@ -288,30 +214,20 @@ type SketchMsg struct {
 
 // EncodeSketch encodes a SKETCH payload.
 func EncodeSketch(m SketchMsg) []byte {
-	out := binary.AppendUvarint(nil, uint64(m.Updates))
-	out = binary.AppendUvarint(out, uint64(len(m.Blob)))
-	return append(out, m.Blob...)
+	w := &wire.Writer{}
+	w.Uvarint(uint64(m.Updates))
+	w.Uvarint(uint64(len(m.Blob)))
+	w.Raw(m.Blob)
+	return w.Bytes()
 }
 
 // DecodeSketch decodes a SKETCH payload.
 func DecodeSketch(payload []byte) (SketchMsg, error) {
-	r := &reader{b: payload}
-	var m SketchMsg
-	upd, err := r.uvarint()
-	if err != nil {
-		return m, err
-	}
-	m.Updates = int64(upd)
-	ln, err := r.uvarint()
-	if err != nil {
-		return m, err
-	}
-	m.Blob, err = r.bytes(ln)
-	if err != nil {
-		return m, err
-	}
-	if err := r.done(); err != nil {
-		return m, err
+	r := wire.NewReader(payload, ErrBadPayload)
+	m := SketchMsg{Updates: int64(r.Uvarint())}
+	m.Blob = r.Bytes(r.Uvarint())
+	if err := r.Done(); err != nil {
+		return SketchMsg{}, err
 	}
 	return m, nil
 }
@@ -324,36 +240,25 @@ type ErrorMsg struct {
 
 // EncodeError encodes an ERROR payload.
 func EncodeError(e ErrorMsg) []byte {
-	out := []byte{byte(e.Code)}
-	out = binary.AppendUvarint(out, uint64(len(e.Msg)))
-	return append(out, e.Msg...)
+	w := &wire.Writer{}
+	w.Byte(byte(e.Code))
+	w.Uvarint(uint64(len(e.Msg)))
+	w.Raw([]byte(e.Msg))
+	return w.Bytes()
 }
 
 // DecodeError decodes an ERROR payload.
 func DecodeError(payload []byte) (ErrorMsg, error) {
-	r := &reader{b: payload}
-	var e ErrorMsg
-	code, err := r.byte()
-	if err != nil {
-		return e, err
-	}
-	e.Code = ErrorCode(code)
-	ln, err := r.uvarint()
-	if err != nil {
-		return e, err
-	}
+	r := wire.NewReader(payload, ErrBadPayload)
+	code, ln := r.Byte(), r.Uvarint()
 	if ln > 1<<16 {
-		return e, fmt.Errorf("%w: error message of %d bytes", ErrBadPayload, ln)
+		return ErrorMsg{}, fmt.Errorf("%w: error message of %d bytes", ErrBadPayload, ln)
 	}
-	msg, err := r.bytes(ln)
-	if err != nil {
-		return e, err
+	msg := r.Bytes(ln)
+	if err := r.Done(); err != nil {
+		return ErrorMsg{}, err
 	}
-	e.Msg = string(msg)
-	if err := r.done(); err != nil {
-		return e, err
-	}
-	return e, nil
+	return ErrorMsg{Code: ErrorCode(code), Msg: string(msg)}, nil
 }
 
 // Err converts a received ERROR frame into the matching typed Go error.

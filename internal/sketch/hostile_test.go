@@ -6,6 +6,8 @@ import (
 	"errors"
 	"runtime"
 	"testing"
+
+	"dynstream/internal/wire"
 )
 
 // Bytes that cross a trust boundary: the decoders must answer any
@@ -14,7 +16,7 @@ import (
 
 func sketchBHeader(seed, capacity, rows, cols uint64) []byte {
 	var b []byte
-	for _, v := range []uint64{tagSketchB, seed, capacity, rows, cols} {
+	for _, v := range []uint64{wire.TagSketchB, seed, capacity, rows, cols} {
 		b = binary.LittleEndian.AppendUint64(b, v)
 	}
 	return b
@@ -33,12 +35,13 @@ func TestSketchBUnmarshalBoundedByInput(t *testing.T) {
 	}
 }
 
-// l0Header is an L0Sampler encoding with every level suppressed (v2) —
-// the cheapest blob that gets past the header.
+// l0Header is an L0Sampler encoding with every level suppressed — the
+// cheapest blob that gets past the header — or, with v2 false, the same
+// header in the retired dense v1 layout.
 func l0Header(v2 bool, seed, universe, perLevel, nLevels uint64) []byte {
-	tag, num := tagL0Sampler, binary.LittleEndian.AppendUint64
+	tag, num := l0SamplerV1Tag, binary.LittleEndian.AppendUint64
 	if v2 {
-		tag, num = tagL0SamplerV2, binary.AppendUvarint
+		tag, num = wire.TagL0Sampler, binary.AppendUvarint
 	}
 	b := binary.LittleEndian.AppendUint64(nil, tag)
 	b = binary.LittleEndian.AppendUint64(b, seed)
@@ -51,8 +54,9 @@ func l0Header(v2 bool, seed, universe, perLevel, nLevels uint64) []byte {
 }
 
 // TestL0PerLevelBound: a cell index is 16 bits, so perLevel is bounded
-// by MaxL0PerLevel — on the wire with a typed error in both layouts (no
-// family is built for the oversized value, so nothing panics), in the
+// by MaxL0PerLevel — on the wire with a typed error (no family is built
+// for the oversized value, so nothing panics; the v1 layout is rejected
+// whatever its header), in the
 // constructor with a panic. The bound itself is accepted and its levels
 // stay addressable.
 func TestL0PerLevelBound(t *testing.T) {
@@ -176,7 +180,8 @@ func FuzzSketchBUnmarshal(f *testing.F) {
 	})
 }
 
-// FuzzL0Unmarshal: the same for the sampler, both wire versions. The
+// FuzzL0Unmarshal: the same for the sampler; a v1 blob is a seed that
+// must be rejected. The
 // encoding is canonical by content, not by bytes (a dense zero level
 // re-encodes suppressed), so the round trip is checked one step on:
 // the re-encoding decodes and re-encodes to itself.
@@ -191,7 +196,7 @@ func FuzzL0Unmarshal(f *testing.F) {
 	f.Add(v2[:len(v2)-8])
 	f.Add(newRefSampler(fam).marshal(false))
 	// A header asking for 2^32 items per level with every level suppressed.
-	huge := binary.LittleEndian.AppendUint64(nil, tagL0SamplerV2)
+	huge := binary.LittleEndian.AppendUint64(nil, wire.TagL0Sampler)
 	huge = binary.LittleEndian.AppendUint64(huge, 1)
 	huge = binary.LittleEndian.AppendUint64(huge, 2)
 	huge = binary.AppendUvarint(huge, 1<<32)

@@ -11,6 +11,7 @@ import (
 
 	"dynstream/internal/field"
 	"dynstream/internal/hashing"
+	"dynstream/internal/wire"
 )
 
 // A KeyedEdgeSketch materializes on first touch. These tests hold it
@@ -266,7 +267,7 @@ func TestKeyedUnmaterializedMarshalRoundTrip(t *testing.T) {
 // keyedHeader is a KeyedEdgeSketch encoding's five header words.
 func keyedHeader(seed, n, rows, cells uint64) []byte {
 	var b []byte
-	for _, v := range []uint64{tagKeyed, seed, n, rows, cells} {
+	for _, v := range []uint64{wire.TagKeyed, seed, n, rows, cells} {
 		b = binary.LittleEndian.AppendUint64(b, v)
 	}
 	return b

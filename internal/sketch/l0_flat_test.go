@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 )
@@ -138,41 +139,42 @@ func TestL0FlatMatchesReference(t *testing.T) {
 
 // TestL0UnmarshalIntoGridInPlace checks that decoding into a grid
 // sampler — what agm.Sketch.UnmarshalBinary does n·R times — writes the
-// sampler's own arena slot, for both wire versions, and equals the
-// reference byte for byte.
+// sampler's own arena slot and equals the reference byte for byte, and
+// that a rejected blob (truncated, or in the retired v1 layout) leaves
+// the receiver as it was.
 func TestL0UnmarshalIntoGridInPlace(t *testing.T) {
 	const universe = 1 << 20
 	fam := NewL0Family(0x77, universe, 4)
 	src := newL0Pair(fam.NewSampler())
 	keys, deltas := batchWorkload(5, 200, universe)
 	src.add("AddBatch", keys, deltas)
-	for name, blob := range map[string][]byte{"v1": src.ref.marshal(true), "v2": src.ref.marshal(false)} {
-		grid := NewL0Grid([]*L0Family{fam}, 3)
-		dst := &grid[1]
-		dst.Add(9, 1) // stale content the decode must replace
-		slot, gen := &dst.l0[0], dst.Gen()
-		if err := dst.UnmarshalBinary(blob); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if &dst.l0[0] != slot || dst.fam != fam {
-			t.Errorf("%s: decode moved the sampler out of its arena slot or family", name)
-		}
-		if dst.Gen() != gen+1 {
-			t.Errorf("%s: Gen %d after decode, want %d", name, dst.Gen(), gen+1)
-		}
-		enc, _ := dst.MarshalBinary()
-		if !bytes.Equal(enc, src.ref.marshal(false)) {
-			t.Errorf("%s: decoded state re-encodes differently from the reference", name)
-		}
-		if !grid[0].IsZero() || !grid[2].IsZero() {
-			t.Errorf("%s: decode spilled into a neighbouring slot", name)
-		}
-		// A rejected blob leaves the receiver as it was.
-		if err := dst.UnmarshalBinary(blob[:len(blob)-1]); err == nil {
-			t.Errorf("%s: truncated blob accepted", name)
+	blob := src.ref.marshal(false)
+	grid := NewL0Grid([]*L0Family{fam}, 3)
+	dst := &grid[1]
+	dst.Add(9, 1) // stale content the decode must replace
+	slot, gen := &dst.l0[0], dst.Gen()
+	if err := dst.UnmarshalBinary(blob); err != nil {
+		t.Fatal(err)
+	}
+	if &dst.l0[0] != slot || dst.fam != fam {
+		t.Error("decode moved the sampler out of its arena slot or family")
+	}
+	if dst.Gen() != gen+1 {
+		t.Errorf("Gen %d after decode, want %d", dst.Gen(), gen+1)
+	}
+	enc, _ := dst.MarshalBinary()
+	if !bytes.Equal(enc, blob) {
+		t.Error("decoded state re-encodes differently from the reference")
+	}
+	if !grid[0].IsZero() || !grid[2].IsZero() {
+		t.Error("decode spilled into a neighbouring slot")
+	}
+	for name, bad := range map[string][]byte{"truncated": blob[:len(blob)-1], "v1": src.ref.marshal(true)} {
+		if err := dst.UnmarshalBinary(bad); !errors.Is(err, errCorrupt) {
+			t.Errorf("%s blob: %v, want errCorrupt", name, err)
 		}
 		if again, _ := dst.MarshalBinary(); !bytes.Equal(again, enc) || dst.Gen() != gen+1 {
-			t.Errorf("%s: rejected blob changed the receiver", name)
+			t.Errorf("%s blob changed the receiver", name)
 		}
 	}
 	// A level above a suppressed one is a state no stream produces.

@@ -1,6 +1,9 @@
 package sketch
 
-import "dynstream/internal/field"
+import (
+	"dynstream/internal/field"
+	"dynstream/internal/wire"
+)
 
 // refSampler is the representation L0Sampler had before the flat lane
 // layout, kept as the reference the flat one is diffed against: one
@@ -143,19 +146,23 @@ func (s *refSampler) SpaceWords() int {
 	return w
 }
 
-// marshal emits the v2 encoding (dense=false) or the legacy v1 one:
+// l0SamplerV1Tag opens the retired dense v1 sampler layout, which the
+// decoder rejects.
+const l0SamplerV1Tag uint64 = 0xd15c_0002
+
+// marshal emits the v2 encoding (dense=false) or the retired v1 one:
 // u64 lengths and every level dense, a nil level as a zero sketch.
 func (s *refSampler) marshal(dense bool) []byte {
-	w := &wbuf{}
-	num := w.uvarint
+	w := &wire.Writer{}
+	num := w.Uvarint
 	if dense {
-		num = w.u64
-		w.u64(tagL0Sampler)
+		num = w.U64
+		w.U64(l0SamplerV1Tag)
 	} else {
-		w.u64(tagL0SamplerV2)
+		w.U64(wire.TagL0Sampler)
 	}
-	w.u64(s.fam.seed)
-	w.u64(s.fam.universe)
+	w.U64(s.fam.seed)
+	w.U64(s.fam.universe)
 	num(uint64(s.fam.perLevel))
 	num(uint64(len(s.levels)))
 	for j, lv := range s.levels {
@@ -168,7 +175,7 @@ func (s *refSampler) marshal(dense bool) []byte {
 		}
 		enc, _ := lv.MarshalBinary() // never fails
 		num(uint64(len(enc)))
-		w.b = append(w.b, enc...)
+		w.Raw(enc)
 	}
-	return w.b
+	return w.Bytes()
 }

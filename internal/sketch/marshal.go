@@ -1,11 +1,11 @@
 package sketch
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
 	"dynstream/internal/field"
+	"dynstream/internal/wire"
 )
 
 // Binary serialization for the linear sketches. The encoding carries
@@ -16,57 +16,7 @@ import (
 // and a sketch decoded from bytes merges with any sketch built from
 // the same seed.
 
-// The magic constants identify the structure kind and version.
-const (
-	tagSketchB   uint64 = 0xd15c_0001
-	tagL0Sampler uint64 = 0xd15c_0002 // v1: every level dense, u64 lengths
-	tagKeyed     uint64 = 0xd15c_0004
-	tagF0        uint64 = 0xd15c_0005
-	// tagL0SamplerV2 is the compressed sampler encoding: varint level
-	// lengths with zero-run suppression — an absent (or canceled-to-
-	// zero) level encodes as a single 0 byte instead of a dense zero
-	// sketch. v1 blobs still decode; encoding always emits v2.
-	tagL0SamplerV2 uint64 = 0xd15c_0102
-)
-
 var errCorrupt = errors.New("sketch: corrupt serialized data")
-
-type wbuf struct{ b []byte }
-
-func (w *wbuf) u64(v uint64) {
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], v)
-	w.b = append(w.b, tmp[:]...)
-}
-
-func (w *wbuf) i64(v int64) { w.u64(uint64(v)) }
-
-func (w *wbuf) uvarint(v uint64) { w.b = binary.AppendUvarint(w.b, v) }
-
-type rbuf struct{ b []byte }
-
-func (r *rbuf) u64() (uint64, error) {
-	if len(r.b) < 8 {
-		return 0, errCorrupt
-	}
-	v := binary.LittleEndian.Uint64(r.b[:8])
-	r.b = r.b[8:]
-	return v, nil
-}
-
-func (r *rbuf) i64() (int64, error) {
-	v, err := r.u64()
-	return int64(v), err
-}
-
-func (r *rbuf) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		return 0, errCorrupt
-	}
-	r.b = r.b[n:]
-	return v, nil
-}
 
 // sketchBHeaderBytes and sketchBCellBytes size a SketchB encoding: five
 // 64-bit header words, then three per cell.
@@ -77,23 +27,23 @@ const (
 
 // header returns the SketchB encoding's header words for this shape.
 func (sh *sketchBShape) header() [sketchBHeaderBytes / 8]uint64 {
-	return [...]uint64{tagSketchB, sh.seed, uint64(sh.capacity), uint64(sh.rows), uint64(sh.cols)}
+	return [...]uint64{wire.TagSketchB, sh.seed, uint64(sh.capacity), uint64(sh.rows), uint64(sh.cols)}
 }
 
 // MarshalBinary encodes the sketch: parameters plus linear state. The
 // wire format is cell-interleaved (count, keySum, fing per cell),
 // independent of the in-memory structure-of-arrays layout.
 func (s *SketchB) MarshalBinary() ([]byte, error) {
-	w := &wbuf{}
+	w := wire.NewWriter(make([]byte, 0, sketchBHeaderBytes+sketchBCellBytes*len(s.counts)))
 	for _, v := range s.shape.header() {
-		w.u64(v)
+		w.U64(v)
 	}
 	for i := range s.counts {
-		w.i64(s.counts[i])
-		w.u64(s.keySums[i])
-		w.u64(s.fings[i])
+		w.U64(uint64(s.counts[i]))
+		w.U64(s.keySums[i])
+		w.U64(s.fings[i])
 	}
-	return w.b, nil
+	return w.Bytes(), nil
 }
 
 // UnmarshalBinary decodes a sketch previously encoded with
@@ -105,19 +55,13 @@ func (s *SketchB) MarshalBinary() ([]byte, error) {
 // remaining length before anything is allocated: a short blob cannot
 // request more memory than it carries.
 func (s *SketchB) UnmarshalBinary(data []byte) error {
-	r := &rbuf{b: data}
-	tag, err := r.u64()
-	if err != nil || tag != tagSketchB {
+	r := wire.NewReader(data, errCorrupt)
+	if r.U64() != wire.TagSketchB {
 		return fmt.Errorf("sketch: not a SketchB encoding: %w", errCorrupt)
 	}
-	var seed, capacity, rows, cols uint64
-	for _, dst := range []*uint64{&seed, &capacity, &rows, &cols} {
-		if *dst, err = r.u64(); err != nil {
-			return err
-		}
-	}
-	if capacity == 0 || capacity > 1<<32 || rows == 0 || cols == 0 || rows > 16 || cols > 1<<30 ||
-		uint64(len(r.b)) != rows*cols*sketchBCellBytes {
+	seed, capacity, rows, cols := r.U64(), r.U64(), r.U64(), r.U64()
+	if r.Err() != nil || capacity == 0 || capacity > 1<<32 || rows == 0 || cols == 0 || rows > 16 || cols > 1<<30 ||
+		uint64(r.Len()) != rows*cols*sketchBCellBytes {
 		return errCorrupt
 	}
 	shape := s.shape
@@ -129,10 +73,8 @@ func (s *SketchB) UnmarshalBinary(data []byte) error {
 		shape.cols = int(cols)
 	}
 	rebuilt := shape.instance()
-	for i := range rebuilt.counts {
-		rebuilt.counts[i], _ = r.i64() // length checked above
-		rebuilt.keySums[i], _ = r.u64()
-		rebuilt.fings[i], _ = r.u64()
+	for i := range rebuilt.counts { // length checked above
+		rebuilt.counts[i], rebuilt.keySums[i], rebuilt.fings[i] = int64(r.U64()), r.U64(), r.U64()
 	}
 	rebuilt.gen = s.gen + 1 // whole-state replacement keeps gen monotonic
 	*s = *rebuilt
@@ -154,86 +96,63 @@ func (f *SketchBFamily) Decode(enc []byte) (*SketchB, error) {
 }
 
 // MarshalBinary encodes the sampler: parameters plus per-level states,
-// in the v2 compressed layout — varint level lengths, each level a
-// SketchB encoding, with a zero (absent or canceled-to-zero) level
-// encoded as a single 0 byte. Geometric sampling leaves most levels
-// untouched, so this shrinks AGM-family states by orders of magnitude
-// on the wire. The encoding is content-canonical: states with equal
-// linear content (regardless of which zero levels happen to be
-// materialized) encode identically.
+// varint level lengths, each level a SketchB encoding, with a zero
+// (absent or canceled-to-zero) level encoded as a single 0 byte.
+// Geometric sampling leaves most levels untouched, so this shrinks
+// AGM-family states by orders of magnitude on the wire. The encoding is
+// content-canonical: states with equal linear content (regardless of
+// which zero levels happen to be materialized) encode identically.
 func (s *L0Sampler) MarshalBinary() ([]byte, error) {
-	w := &wbuf{}
-	w.u64(tagL0SamplerV2)
-	w.u64(s.fam.seed)
-	w.u64(s.fam.universe)
-	w.uvarint(uint64(s.fam.perLevel))
-	w.uvarint(uint64(len(s.fam.levels)))
+	w := &wire.Writer{}
+	w.U64(wire.TagL0Sampler)
+	w.U64(s.fam.seed)
+	w.U64(s.fam.universe)
+	w.Uvarint(uint64(s.fam.perLevel))
+	w.Uvarint(uint64(len(s.fam.levels)))
 	top := s.top()
 	for j, sh := range s.fam.levels {
 		if j > top || field.AllZero(s.level(j)) {
-			w.uvarint(0) // zero-run suppression
+			w.Uvarint(0) // zero-run suppression
 			continue
 		}
-		w.uvarint(uint64(sketchBHeaderBytes + sketchBCellBytes*s.fam.cells))
+		w.Uvarint(uint64(sketchBHeaderBytes + sketchBCellBytes*s.fam.cells))
 		for _, v := range sh.header() {
-			w.u64(v)
+			w.U64(v)
 		}
 		counts, keySums, fings := s.lanes(j)
 		for i := range counts {
-			w.u64(counts[i])
-			w.u64(keySums[i])
-			w.u64(fings[i])
+			w.U64(counts[i])
+			w.U64(keySums[i])
+			w.U64(fings[i])
 		}
 	}
-	return w.b, nil
+	return w.Bytes(), nil
 }
 
-// UnmarshalBinary decodes a sampler encoded with MarshalBinary —
-// either the current v2 layout or the dense v1 layout older blobs
-// carry — into the receiver's own lanes: a grid sampler's arena slot is
-// filled in place. If the receiver already belongs to a family with
-// matching parameters — as when agm.Sketch.UnmarshalBinary refills the
-// samplers its constructor allocated — that family (and its level
-// shapes, hash functions, and power tables) is reused rather than
-// re-derived per sampler.
+// UnmarshalBinary decodes a sampler encoded with MarshalBinary into the
+// receiver's own lanes: a grid sampler's arena slot is filled in place.
+// If the receiver already belongs to a family with matching parameters
+// — as when agm.Sketch.UnmarshalBinary refills the samplers its
+// constructor allocated — that family (and its level shapes, hash
+// functions, and power tables) is reused rather than re-derived per
+// sampler.
 //
-// Every level must be empty (v2) or exactly the SketchB encoding of the
-// family's shape for it, and a v2 blob may not carry a level above a
+// Every level must be empty or exactly the SketchB encoding of the
+// family's shape for it, and a blob may not carry a level above a
 // suppressed one: that would be a non-zero vector whose subsample one
 // level denser sketches to all-zero cells, which no stream produces.
 // Together the two rules are checked over the whole blob before the
 // receiver is touched, and bound what decoding allocates to the lanes
 // the blob actually carries. The perLevel field is bounded by
 // MaxL0PerLevel (2^13, so that a cell index fits 16 bits): a larger
-// value is rejected as corrupt in both layouts.
+// value is rejected as corrupt.
 func (s *L0Sampler) UnmarshalBinary(data []byte) error {
-	r := &rbuf{b: data}
-	tag, err := r.u64()
-	if err != nil || (tag != tagL0Sampler && tag != tagL0SamplerV2) {
+	r := wire.NewReader(data, errCorrupt)
+	if r.U64() != wire.TagL0Sampler {
 		return fmt.Errorf("sketch: not an L0Sampler encoding: %w", errCorrupt)
 	}
-	v2 := tag == tagL0SamplerV2
-	length := (*rbuf).u64
-	if v2 {
-		length = (*rbuf).uvarint
-	}
-	seed, err := r.u64()
-	if err != nil {
-		return err
-	}
-	universe, err := r.u64()
-	if err != nil {
-		return err
-	}
-	perLevel, err := length(r)
-	if err != nil {
-		return err
-	}
-	nLevels, err := length(r)
-	if err != nil {
-		return err
-	}
-	if perLevel > MaxL0PerLevel {
+	seed, universe, perLevel, nLevels := r.U64(), r.U64(), r.Uvarint(), r.Uvarint()
+	if r.Err() != nil || perLevel > MaxL0PerLevel {
 		return errCorrupt
 	}
 	fam := s.fam
@@ -248,26 +167,23 @@ func (s *L0Sampler) UnmarshalBinary(data []byte) error {
 	// Second walk: fill the lanes.
 	body, top := *r, -1
 	for j, sh := range fam.levels {
-		ln, err := length(r)
-		if err != nil {
-			return err
-		}
-		if ln == 0 && v2 {
+		enc := r.SketchBlock()
+		if enc == nil {
 			continue
 		}
-		if ln != uint64(sketchBHeaderBytes+sketchBCellBytes*fam.cells) || uint64(len(r.b)) < ln || top != j-1 {
+		if len(enc) != sketchBHeaderBytes+sketchBCellBytes*fam.cells || top != j-1 {
 			return errCorrupt
 		}
+		h := wire.NewReader(enc, errCorrupt)
 		for _, want := range sh.header() {
-			if got, _ := r.u64(); got != want {
+			if h.U64() != want {
 				return errCorrupt
 			}
 		}
-		r.b = r.b[sketchBCellBytes*fam.cells:]
 		top = j
 	}
-	if len(r.b) != 0 {
-		return errCorrupt
+	if err := r.Done(); err != nil {
+		return err
 	}
 	s.fam = fam
 	s.gen++ // whole-state replacement keeps gen monotonic
@@ -275,15 +191,11 @@ func (s *L0Sampler) UnmarshalBinary(data []byte) error {
 	if top >= 0 || cap(s.l0) > 0 { // a grid slot stays materialized
 		s.reach(max(top, 0))
 	}
-	r = &body
 	for j := 0; j <= top; j++ {
-		_, _ = length(r)
-		r.b = r.b[sketchBHeaderBytes:]
+		cells := wire.NewReader(body.SketchBlock()[sketchBHeaderBytes:], errCorrupt)
 		counts, keySums, fings := s.lanes(j)
 		for i := range counts {
-			counts[i], _ = r.u64()
-			keySums[i], _ = r.u64()
-			fings[i], _ = r.u64()
+			counts[i], keySums[i], fings[i] = cells.U64(), cells.U64(), cells.U64()
 		}
 	}
 	return nil
@@ -300,23 +212,21 @@ const keyedBucketBytes = 40
 // encodes as the zero buckets it stands for.
 func (t *KeyedEdgeSketch) MarshalBinary() ([]byte, error) {
 	size := 5*8 + t.rows*t.cells*keyedBucketBytes
-	w := &wbuf{b: make([]byte, 0, size)}
-	w.u64(tagKeyed)
-	w.u64(t.seed)
-	w.u64(uint64(t.n))
-	w.u64(uint64(t.rows))
-	w.u64(uint64(t.cells))
+	w := wire.NewWriter(make([]byte, 0, size))
+	for _, v := range []uint64{wire.TagKeyed, t.seed, uint64(t.n), uint64(t.rows), uint64(t.cells)} {
+		w.U64(v)
+	}
 	if t.lanes == nil {
-		return w.b[:size], nil // the buckets are the zeros make left there
+		return w.Bytes()[:size], nil // the buckets are the zeros make left there
 	}
 	for i := range t.counts {
-		w.u64(t.counts[i])
-		w.u64(t.keySums[i])
-		w.u64(t.keyFings[i])
-		w.u64(t.edgeSums[i])
-		w.u64(t.edgeFings[i])
+		w.U64(t.counts[i])
+		w.U64(t.keySums[i])
+		w.U64(t.keyFings[i])
+		w.U64(t.edgeSums[i])
+		w.U64(t.edgeFings[i])
 	}
-	return w.b, nil
+	return w.Bytes(), nil
 }
 
 // UnmarshalBinary decodes a table encoded with MarshalBinary. The
@@ -324,30 +234,20 @@ func (t *KeyedEdgeSketch) MarshalBinary() ([]byte, error) {
 // the remaining length before anything is allocated: a short blob
 // cannot request more memory than it carries.
 func (t *KeyedEdgeSketch) UnmarshalBinary(data []byte) error {
-	r := &rbuf{b: data}
-	tag, err := r.u64()
-	if err != nil || tag != tagKeyed {
+	r := wire.NewReader(data, errCorrupt)
+	if r.U64() != wire.TagKeyed {
 		return fmt.Errorf("sketch: not a KeyedEdgeSketch encoding: %w", errCorrupt)
 	}
-	var seed, n, rows, cells uint64
-	for _, dst := range []*uint64{&seed, &n, &rows, &cells} {
-		if *dst, err = r.u64(); err != nil {
-			return err
-		}
-	}
-	if n == 0 || n > 1<<32 || rows == 0 || rows > 16 || cells == 0 || cells > 1<<30 ||
-		uint64(len(r.b)) != rows*cells*keyedBucketBytes {
+	seed, n, rows, cells := r.U64(), r.U64(), r.U64(), r.U64()
+	if r.Err() != nil || n == 0 || n > 1<<32 || rows == 0 || rows > 16 || cells == 0 || cells > 1<<30 ||
+		uint64(r.Len()) != rows*cells*keyedBucketBytes {
 		return errCorrupt
 	}
 	rebuilt := newKeyedEdgeSketchGeom(seed, int(n), int(rows), int(cells))
 	rebuilt.materialize()
-	for i := range rebuilt.counts {
-		b := r.b[i*keyedBucketBytes : (i+1)*keyedBucketBytes]
-		rebuilt.counts[i] = binary.LittleEndian.Uint64(b)
-		rebuilt.keySums[i] = binary.LittleEndian.Uint64(b[8:])
-		rebuilt.keyFings[i] = binary.LittleEndian.Uint64(b[16:])
-		rebuilt.edgeSums[i] = binary.LittleEndian.Uint64(b[24:])
-		rebuilt.edgeFings[i] = binary.LittleEndian.Uint64(b[32:])
+	for i := range rebuilt.counts { // length checked above
+		rebuilt.counts[i], rebuilt.keySums[i], rebuilt.keyFings[i] = r.U64(), r.U64(), r.U64()
+		rebuilt.edgeSums[i], rebuilt.edgeFings[i] = r.U64(), r.U64()
 	}
 	rebuilt.gen = t.gen + 1 // whole-state replacement keeps gen monotonic
 	*t = *rebuilt
@@ -357,39 +257,26 @@ func (t *KeyedEdgeSketch) UnmarshalBinary(data []byte) error {
 // MarshalBinary encodes the F0 estimator: parameters plus the field
 // accumulators of every level.
 func (f *F0) MarshalBinary() ([]byte, error) {
-	w := &wbuf{}
-	w.u64(tagF0)
-	w.u64(f.seed)
-	w.u64(uint64(f.levels))
-	w.u64(uint64(f.buckets))
+	w := &wire.Writer{}
+	for _, v := range []uint64{wire.TagF0, f.seed, uint64(f.levels), uint64(f.buckets)} {
+		w.U64(v)
+	}
 	for j := range f.acc {
 		for _, v := range f.acc[j] {
-			w.u64(v)
+			w.U64(v)
 		}
 	}
-	return w.b, nil
+	return w.Bytes(), nil
 }
 
 // UnmarshalBinary decodes an estimator encoded with MarshalBinary.
 func (f *F0) UnmarshalBinary(data []byte) error {
-	r := &rbuf{b: data}
-	tag, err := r.u64()
-	if err != nil || tag != tagF0 {
+	r := wire.NewReader(data, errCorrupt)
+	if r.U64() != wire.TagF0 {
 		return fmt.Errorf("sketch: not an F0 encoding: %w", errCorrupt)
 	}
-	seed, err := r.u64()
-	if err != nil {
-		return err
-	}
-	levels, err := r.u64()
-	if err != nil {
-		return err
-	}
-	buckets, err := r.u64()
-	if err != nil {
-		return err
-	}
-	if levels == 0 || levels > 256 {
+	seed, levels, buckets := r.U64(), r.U64(), r.U64()
+	if r.Err() != nil || levels == 0 || levels > 256 {
 		return errCorrupt
 	}
 	rebuilt := newF0Geom(seed, int(levels))
@@ -398,13 +285,11 @@ func (f *F0) UnmarshalBinary(data []byte) error {
 	}
 	for j := range rebuilt.acc {
 		for b := range rebuilt.acc[j] {
-			if rebuilt.acc[j][b], err = r.u64(); err != nil {
-				return err
-			}
+			rebuilt.acc[j][b] = r.U64()
 		}
 	}
-	if len(r.b) != 0 {
-		return errCorrupt
+	if err := r.Done(); err != nil {
+		return err
 	}
 	*f = *rebuilt
 	return nil

@@ -3,6 +3,7 @@ package sketch
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"testing"
 )
 
@@ -18,26 +19,18 @@ func TestL0MarshalV2SuppressesZeroLevels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The legacy dense v1 layout (u64 lengths, every level dense) is no
-	// longer emitted; the reference sampler still writes it, so the
-	// decoder's back-compat path stays pinned.
+	// The retired dense v1 layout (u64 lengths, every level dense) is
+	// what suppression saves against, and it no longer decodes.
 	v1 := ref.marshal(true)
 	if len(v2) >= len(v1)/2 {
 		t.Fatalf("v2 encoding %d bytes, dense v1 %d bytes — zero-run suppression missing", len(v2), len(v1))
 	}
-
-	// The legacy blob still decodes, to a state that re-encodes
-	// identically to the live one (content-canonical).
 	var fromV1 L0Sampler
-	if err := fromV1.UnmarshalBinary(v1); err != nil {
-		t.Fatalf("v1 blob no longer decodes: %v", err)
+	if err := fromV1.UnmarshalBinary(v1); !errors.Is(err, errCorrupt) {
+		t.Fatalf("v1 blob: %v, want errCorrupt", err)
 	}
-	re, err := fromV1.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(re, v2) {
-		t.Fatal("v1-decoded state re-encodes differently from the live state")
+	if !bytes.Equal(ref.marshal(false), v2) {
+		t.Fatal("reference v2 encoding differs from the live one")
 	}
 
 	// And the v2 round trip is exact.

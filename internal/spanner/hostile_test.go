@@ -11,6 +11,7 @@ import (
 	"dynstream/internal/hashing"
 	"dynstream/internal/sketch"
 	"dynstream/internal/stream"
+	"dynstream/internal/wire"
 )
 
 // Bytes that cross a trust boundary — dynnet ASSIGN and SKETCH frames,
@@ -43,22 +44,22 @@ func decodeAlloc(data []byte, decode func([]byte) error) (alloc uint64, err erro
 }
 
 // twoPassHeader is a TwoPass encoding up to its vertex-sketch blocks.
-func twoPassHeader(n, phase uint64, cfg Config, sketches bool) *wbuf {
-	w := &wbuf{}
-	w.u64(tagTwoPassV2)
-	w.u64(n)
-	w.u64(phase)
-	w.config(cfg)
-	w.boolean(sketches)
+func twoPassHeader(n, phase uint64, cfg Config, sketches bool) *wire.Writer {
+	w := &wire.Writer{}
+	w.U64(wire.TagTwoPass)
+	w.U64(n)
+	w.U64(phase)
+	writeConfig(w, cfg)
+	w.Bool(sketches)
 	return w
 }
 
 func additiveHeader(n uint64, cfg AdditiveConfig) []byte {
-	w := &wbuf{}
-	w.u64(tagAdditiveV2)
-	w.u64(n)
-	w.additiveConfig(cfg)
-	return w.b
+	w := &wire.Writer{}
+	w.U64(wire.TagAdditive)
+	w.U64(n)
+	writeAdditiveConfig(w, cfg)
+	return w.Bytes()
 }
 
 // hostileTwoPass are encodings a peer or a damaged checkpoint can hand
@@ -67,36 +68,37 @@ func additiveHeader(n uint64, cfg AdditiveConfig) []byte {
 func hostileTwoPass() map[string][]byte {
 	small := Config{K: 2, Budget: 8, TableFactor: 1}
 	out := map[string][]byte{
-		"n=2^16, no body":          twoPassHeader(1<<16, 0, small, true).b,
-		"K=4096":                   twoPassHeader(8, 0, Config{K: 4096, Budget: 8, TableFactor: 1}, true).b,
-		"Levels=2^16":              twoPassHeader(8, 0, Config{K: 2, Budget: 8, TableFactor: 1, Levels: 1 << 16}, true).b,
-		"fork of n=2^16, no body":  twoPassHeader(1<<16, 1, small, false).b,
-		"phase 0 without sketches": twoPassHeader(8, 0, small, false).b,
-		"K=0 (not resolved)":       twoPassHeader(8, 0, Config{Budget: 8, TableFactor: 1}, false).b,
+		"n=2^16, no body":          twoPassHeader(1<<16, 0, small, true).Bytes(),
+		"K=4096":                   twoPassHeader(8, 0, Config{K: 4096, Budget: 8, TableFactor: 1}, true).Bytes(),
+		"Levels=2^16":              twoPassHeader(8, 0, Config{K: 2, Budget: 8, TableFactor: 1, Levels: 1 << 16}, true).Bytes(),
+		"fork of n=2^16, no body":  twoPassHeader(1<<16, 1, small, false).Bytes(),
+		"phase 0 without sketches": twoPassHeader(8, 0, small, false).Bytes(),
+		"K=0 (not resolved)":       twoPassHeader(8, 0, Config{Budget: 8, TableFactor: 1}, false).Bytes(),
 	}
 	// Budget 2^40 over an otherwise valid fresh n=2 state: ingest into
 	// it would allocate a 100 TB sketch per touched slot.
 	w := twoPassHeader(2, 0, Config{K: 2, Budget: 1 << 40, TableFactor: 1}, true)
-	w.b = append(w.b, make([]byte, 2*5)...) // n·(k−1)·levels suppressed blocks
-	out["Budget=2^40"] = w.b
+	w.Raw(make([]byte, 2*5)) // n·(k−1)·levels suppressed blocks
+	out["Budget=2^40"] = w.Bytes()
 	// A present block holding the zero sketch: the encoder suppresses
 	// those, so the blob does not round-trip.
 	w = twoPassHeader(2, 0, small, true)
 	zero, _ := sketch.NewSketchBFamily(hashing.Mix(0, 0x5e, 1, 0), 8, sketch.SketchConfig{}).New().MarshalBinary()
-	w.uvarint(uint64(len(zero)))
-	w.b = append(append(w.b, zero...), make([]byte, 9)...)
-	out["zero sketch block"] = w.b
+	w.Uvarint(uint64(len(zero)))
+	w.Raw(zero)
+	w.Raw(make([]byte, 9))
+	out["zero sketch block"] = w.Bytes()
 	// A fork whose vertex lists a non-terminal copy: there is no table
 	// for it, so pass-2 ingest on a larger n would index a missing row.
 	w = twoPassHeader(1, 1, Config{K: 1, Budget: 8, TableFactor: 1}, false)
 	for _, v := range []uint64{1, 0, 0, ^uint64(0), 0, 0, 0} { // one copy: u 0, level 0, parent −1, witness, not terminal
-		w.u64(v)
+		w.U64(v)
 	}
-	w.intSlice([]int{0}) // members
-	w.intSlice([]int{0}) // terminalsOf[0]
-	w.u64(0)             // tables
-	w.u64(0)             // augmented edges
-	out["terminal list names a non-terminal copy"] = w.b
+	w.Ints([]int{0}) // members
+	w.Ints([]int{0}) // terminalsOf[0]
+	w.U64(0)         // tables
+	w.U64(0)         // augmented edges
+	out["terminal list names a non-terminal copy"] = w.Bytes()
 	return out
 }
 
@@ -109,8 +111,8 @@ func hostileAdditive() map[string][]byte {
 	}
 	wide := AdditiveConfig{D: 64, DegreeFactor: 64, CenterFactor: 2}
 	forest, _ := agm.New(1, 2, agm.Config{}).MarshalBinary()
-	w := &wbuf{b: untouched(64, AdditiveConfig{D: 1, DegreeFactor: 1, CenterFactor: 2})}
-	w.block(forest)
+	w := wire.NewWriter(untouched(64, AdditiveConfig{D: 1, DegreeFactor: 1, CenterFactor: 2}))
+	w.Block(forest)
 	return map[string][]byte{
 		"n=2^10, no body":   additiveHeader(1<<10, AdditiveConfig{D: 3, DegreeFactor: 1, CenterFactor: 2}),
 		"D=2^14":            additiveHeader(2, AdditiveConfig{D: 1 << 14, DegreeFactor: 1, CenterFactor: 2}),
@@ -120,7 +122,7 @@ func hostileAdditive() map[string][]byte {
 		// laid out before the missing forest block is found.
 		"n=D=64, DegreeFactor=64, no forest": untouched(64, wide),
 		"DegreeFactor=2^20":                  untouched(2, AdditiveConfig{D: 1, DegreeFactor: 1 << 20, CenterFactor: 2}),
-		"forest of another n":                w.b,
+		"forest of another n":                w.Bytes(),
 	}
 }
 
@@ -205,6 +207,106 @@ func FuzzTwoPassUnmarshal(f *testing.F) {
 			} else {
 				s.Pass2AddBatch(batch)
 			}
+		}
+	})
+}
+
+// FuzzAdditiveUnmarshal: the Additive decoder under FuzzTwoPassUnmarshal's
+// bound. Its forest block is an AGM encoding, canonical by content rather
+// than by bytes (a sampler blob holding zeros re-encodes suppressed), so
+// the round trip is checked one step on: the re-encoding decodes and
+// re-encodes to itself. A decoded state ingests a batch.
+func FuzzAdditiveUnmarshal(f *testing.F) {
+	st := stream.WithChurn(graph.ConnectedGNP(20, 0.2, 11), 30, 12)
+	for _, f0 := range []bool{false, true} {
+		a := NewAdditive(st.N(), AdditiveConfig{D: 2, Seed: 13, UseF0Degree: f0})
+		if err := stream.ReplayBatches(st, 0, a.AddBatch); err != nil {
+			f.Fatal(err)
+		}
+		enc, err := a.MarshalBinary()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
+		f.Add(enc[:len(enc)-5])
+	}
+	for _, blob := range hostileAdditive() {
+		f.Add(blob)
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var a Additive
+		alloc, err := decodeAlloc(data, a.UnmarshalBinary)
+		if alloc > wireBudget(len(data)) {
+			t.Fatalf("decoding %d bytes allocated %d (budget %d)", len(data), alloc, wireBudget(len(data)))
+		}
+		if err != nil {
+			if !errors.Is(err, errCorrupt) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			return
+		}
+		enc, err := a.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var again Additive
+		if err := again.UnmarshalBinary(enc); err != nil {
+			t.Fatalf("re-encoding of an accepted blob rejected: %v", err)
+		}
+		if back, _ := again.MarshalBinary(); !bytes.Equal(back, enc) {
+			t.Fatal("accepted encoding does not round-trip")
+		}
+		if a.n > 1 {
+			if err := a.AddBatch([]stream.Update{{U: 0, V: a.n - 1, Delta: 1}, {U: a.n / 2, V: 0, Delta: -1}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+}
+
+// FuzzRestoreLive: the live two-pass decoder over a fixed base stream,
+// under FuzzTwoPassUnmarshal's bound; whatever restores re-encodes to
+// the same bytes.
+func FuzzRestoreLive(f *testing.F) {
+	st := stream.WithChurn(graph.ConnectedGNP(16, 0.25, 14), 20, 15)
+	tp := NewTwoPass(st.N(), Config{K: 2, Seed: 16})
+	if err := tp.StartLive(st); err != nil {
+		f.Fatal(err)
+	}
+	seed := func() {
+		enc, err := tp.MarshalLive()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
+		f.Add(enc[:len(enc)-5])
+	}
+	seed() // nothing applied
+	if err := tp.ApplyLive([]stream.Update{{U: 1, V: 9, Delta: 1, W: 1}, {U: 2, V: 3, Delta: -1, W: 2.5}}); err != nil {
+		f.Fatal(err)
+	}
+	seed()
+	w := &wire.Writer{} // an empty base and a log claiming 2^40 records
+	w.U64(wire.TagTwoPassLive)
+	w.Block(nil)
+	w.U64(1 << 40)
+	f.Add(w.Bytes())
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s TwoPass
+		alloc, err := decodeAlloc(data, func(b []byte) error { return s.RestoreLive(st, b) })
+		if alloc > wireBudget(len(data)) {
+			t.Fatalf("decoding %d bytes allocated %d (budget %d)", len(data), alloc, wireBudget(len(data)))
+		}
+		if err != nil {
+			if !errors.Is(err, errCorrupt) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			return
+		}
+		if back, err := s.MarshalLive(); err != nil || !bytes.Equal(back, data) {
+			t.Fatalf("accepted encoding does not round-trip (err %v)", err)
 		}
 	})
 }

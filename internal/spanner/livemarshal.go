@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dynstream/internal/stream"
+	"dynstream/internal/wire"
 )
 
 // Serialization of *live* two-pass states, the checkpoint substrate of
@@ -16,10 +17,6 @@ import (
 // state answers queries bit-identically to the state it was saved
 // from.
 
-// tagTwoPassLive frames a live-state encoding: a phase-0 MarshalBinary
-// blob plus the live log.
-const tagTwoPassLive uint64 = 0xd15c_0206
-
 // MarshalLive encodes a live two-pass state for checkpointing. The
 // base stream is not part of the encoding — RestoreLive re-attaches
 // it, exactly as StartLive attached it originally.
@@ -31,17 +28,17 @@ func (tp *TwoPass) MarshalLive() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &wbuf{}
-	w.u64(tagTwoPassLive)
-	w.block(base)
-	w.u64(uint64(len(tp.liveLog)))
+	w := &wire.Writer{}
+	w.U64(wire.TagTwoPassLive)
+	w.Block(base)
+	w.U64(uint64(len(tp.liveLog)))
 	for _, u := range tp.liveLog {
-		w.i64(int64(u.U))
-		w.i64(int64(u.V))
-		w.i64(int64(u.Delta))
-		w.f64(u.W)
+		w.Int(u.U)
+		w.Int(u.V)
+		w.Int(u.Delta)
+		w.F64(u.W)
 	}
-	return w.b, nil
+	return w.Bytes(), nil
 }
 
 // RestoreLive reconstructs a live state from a MarshalLive encoding
@@ -50,13 +47,13 @@ func (tp *TwoPass) MarshalLive() ([]byte, error) {
 // the first QueryLive re-clusters and replays src plus the log, which
 // by linearity reproduces the saved state's query output bit for bit.
 func (tp *TwoPass) RestoreLive(src stream.Stream, data []byte) error {
-	r := &rbuf{b: data}
-	if r.u64() != tagTwoPassLive {
+	r := wire.NewReader(data, errCorrupt)
+	if r.U64() != wire.TagTwoPassLive {
 		return fmt.Errorf("spanner: not a live TwoPass encoding: %w", errCorrupt)
 	}
-	base := r.block()
-	if r.err != nil {
-		return r.err
+	base := r.Block()
+	if r.Err() != nil {
+		return r.Err()
 	}
 	rebuilt := &TwoPass{}
 	if err := rebuilt.UnmarshalBinary(base); err != nil {
@@ -68,15 +65,15 @@ func (tp *TwoPass) RestoreLive(src stream.Stream, data []byte) error {
 	if rebuilt.n != src.N() {
 		return fmt.Errorf("spanner: live state has n=%d, stream has n=%d: %w", rebuilt.n, src.N(), errCorrupt)
 	}
-	count := r.u64()
-	if count > uint64(len(r.b))/32 { // 4 fixed u64 fields per record
+	count := r.U64()
+	if count > uint64(r.Len())/32 { // 4 fixed u64 fields per record
 		return errCorrupt
 	}
 	log := make([]stream.Update, count)
 	for i := range log {
-		log[i] = stream.Update{U: r.int(), V: r.int(), Delta: r.int(), W: r.f64()}
+		log[i] = stream.Update{U: r.Int(), V: r.Int(), Delta: r.Int(), W: r.F64()}
 	}
-	if r.err != nil || len(r.b) != 0 {
+	if r.Done() != nil {
 		return fmt.Errorf("spanner: malformed live log: %w", errCorrupt)
 	}
 	rebuilt.liveSrc = src

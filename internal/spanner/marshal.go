@@ -1,13 +1,13 @@
 package spanner
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"sort"
 
 	"dynstream/internal/agm"
+	"dynstream/internal/wire"
 )
 
 // Binary serialization for the spanner streaming states, so per-shard
@@ -16,15 +16,9 @@ import (
 // marshals its pass state, the coordinator unmarshals and merges it
 // with MergePass1/MergePass2/Merge exactly as if the shard had been
 // ingested locally. Finished states (after Finish) are results, not
-// sketches, and do not serialize.
-
-const (
-	// The encodings varint-encode sketch-block lengths and suppress zero
-	// sketches (an untouched vertex sketch, table row, or degree sketch
-	// encodes as a single 0 byte).
-	tagTwoPassV2  uint64 = 0xd15c_0106
-	tagAdditiveV2 uint64 = 0xd15c_0107
-)
+// sketches, and do not serialize. Every embedded sketch is a wire sketch
+// block, so an untouched vertex sketch, table row, or degree sketch
+// encodes as a single 0 byte.
 
 // Wire bounds. The blobs cross dynnet frames and checkpoints, and a
 // decoded state allocates the layout its header describes, so every
@@ -47,169 +41,18 @@ const (
 
 var errCorrupt = errors.New("spanner: corrupt serialized data")
 
-type wbuf struct{ b []byte }
-
-func (w *wbuf) u64(v uint64) {
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], v)
-	w.b = append(w.b, tmp[:]...)
+func writeConfig(w *wire.Writer, cfg Config) {
+	w.Int(cfg.K)
+	w.U64(cfg.Seed)
+	w.Int(cfg.Budget)
+	w.F64(cfg.TableFactor)
+	w.Int(cfg.Levels)
+	w.Bool(cfg.CollectAugmented)
 }
 
-func (w *wbuf) i64(v int64)      { w.u64(uint64(v)) }
-func (w *wbuf) f64(v float64)    { w.u64(math.Float64bits(v)) }
-func (w *wbuf) boolean(v bool)   { w.u64(map[bool]uint64{false: 0, true: 1}[v]) }
-func (w *wbuf) block(enc []byte) { w.u64(uint64(len(enc))); w.b = append(w.b, enc...) }
-
-func (w *wbuf) uvarint(v uint64) { w.b = binary.AppendUvarint(w.b, v) }
-
-// zeroSketch is the common zero test of the embedded sketch states.
-type zeroSketch interface {
-	IsZero() bool
-	MarshalBinary() ([]byte, error)
-}
-
-// sketchBlock writes one varint-length sketch block with zero-run
-// suppression: a zero state (never touched — possibly never created,
-// nil — or canceled back to zero) is a single 0 byte.
-// Content-canonical by construction.
-func (w *wbuf) sketchBlock(s zeroSketch) error {
-	if s.IsZero() {
-		w.uvarint(0)
-		return nil
-	}
-	enc, err := s.MarshalBinary()
-	if err != nil {
-		return err
-	}
-	w.uvarint(uint64(len(enc)))
-	w.b = append(w.b, enc...)
-	return nil
-}
-
-// rbuf reads an encoding front to back. The first short or malformed
-// read sets err and empties the buffer, so every later read returns a
-// zero value: a decoder checks err once per section, before it
-// allocates from what it read.
-type rbuf struct {
-	b   []byte
-	err error
-}
-
-// fail records a corrupt encoding; cause, when not nil, is the nested
-// decoder's error.
-func (r *rbuf) fail(cause error) {
-	if r.err == nil {
-		r.err = errCorrupt
-		if cause != nil {
-			r.err = fmt.Errorf("%w: %v", errCorrupt, cause)
-		}
-	}
-	r.b = nil
-}
-
-func (r *rbuf) u64() uint64 {
-	if len(r.b) < 8 {
-		r.fail(nil)
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b[:8])
-	r.b = r.b[8:]
-	return v
-}
-
-func (r *rbuf) int() int     { return int(int64(r.u64())) }
-func (r *rbuf) f64() float64 { return math.Float64frombits(r.u64()) }
-
-func (r *rbuf) boolean() bool {
-	v := r.u64()
-	if v > 1 {
-		r.fail(nil)
-	}
-	return v == 1
-}
-
-// bytes reads the next ln bytes.
-func (r *rbuf) bytes(ln uint64) []byte {
-	if uint64(len(r.b)) < ln {
-		r.fail(nil)
-		return nil
-	}
-	b := r.b[:ln]
-	r.b = r.b[ln:]
-	return b
-}
-
-func (r *rbuf) block() []byte { return r.bytes(r.u64()) }
-
-// sketchBlock reads one varint-length sketch block; nil is a suppressed
-// block, the zero state. The length must be minimally encoded, as the
-// encoder writes it.
-func (r *rbuf) sketchBlock() []byte {
-	ln, n := binary.Uvarint(r.b)
-	if n <= 0 || n > 1 && r.b[n-1] == 0 {
-		r.fail(nil)
-		return nil
-	}
-	r.b = r.b[n:]
-	if ln == 0 {
-		return nil
-	}
-	return r.bytes(ln)
-}
-
-type zeroDecoder interface {
-	UnmarshalBinary([]byte) error
-	IsZero() bool
-}
-
-// sketchInto decodes the next sketch block into the fresh zero state at
-// returns. at runs only for a present block, so a slot created on first
-// touch stays nil (zero) for a suppressed one; a present block must not
-// encode zero (the encoder would have suppressed it).
-func (r *rbuf) sketchInto(at func() zeroDecoder) {
-	enc := r.sketchBlock()
-	if enc == nil {
-		return
-	}
-	dst := at()
-	if err := dst.UnmarshalBinary(enc); err != nil || dst.IsZero() {
-		r.fail(err)
-	}
-}
-
-// intSlice reads a length-prefixed list of at most max ints.
-func (r *rbuf) intSlice(max int) []int {
-	ln := r.u64()
-	if ln > uint64(max) || ln > uint64(len(r.b))/8 {
-		r.fail(nil)
-		return nil
-	}
-	out := make([]int, ln)
-	for i := range out {
-		out[i] = r.int()
-	}
-	return out
-}
-
-func (w *wbuf) intSlice(s []int) {
-	w.u64(uint64(len(s)))
-	for _, v := range s {
-		w.i64(int64(v))
-	}
-}
-
-func (w *wbuf) config(cfg Config) {
-	w.i64(int64(cfg.K))
-	w.u64(cfg.Seed)
-	w.i64(int64(cfg.Budget))
-	w.f64(cfg.TableFactor)
-	w.i64(int64(cfg.Levels))
-	w.boolean(cfg.CollectAugmented)
-}
-
-func (r *rbuf) config() Config {
-	return Config{K: r.int(), Seed: r.u64(), Budget: r.int(), TableFactor: r.f64(),
-		Levels: r.int(), CollectAugmented: r.boolean()}
+func readConfig(r *wire.Reader) Config {
+	return Config{K: r.Int(), Seed: r.U64(), Budget: r.Int(), TableFactor: r.F64(),
+		Levels: r.Int(), CollectAugmented: r.Bool()}
 }
 
 // onWire reports whether a decoded configuration is one NewTwoPass
@@ -228,20 +71,20 @@ func (tp *TwoPass) MarshalBinary() ([]byte, error) {
 	if tp.phase > 1 {
 		return nil, fmt.Errorf("spanner: cannot marshal a finished two-pass state")
 	}
-	w := &wbuf{}
-	w.u64(tagTwoPassV2)
-	w.u64(uint64(tp.n))
-	w.u64(uint64(tp.phase))
-	w.config(tp.cfg)
+	w := &wire.Writer{}
+	w.U64(wire.TagTwoPass)
+	w.U64(uint64(tp.n))
+	w.U64(uint64(tp.phase))
+	writeConfig(w, tp.cfg)
 	// Pass-1 vertex sketches, in the deterministic (u, r, j) order the
 	// constructor allocates. A pass-2 worker from ForkPass2 owns no
 	// vertex sketches (tables only); the flag records which shape this
 	// state has.
-	w.boolean(tp.vertexSk != nil)
+	w.Bool(tp.vertexSk != nil)
 	for u := range tp.vertexSk {
 		for r := range tp.vertexSk[u] {
 			for _, s := range tp.vertexSk[u][r] {
-				if err := w.sketchBlock(s); err != nil {
+				if err := w.SketchBlock(s); err != nil {
 					return nil, err
 				}
 			}
@@ -249,19 +92,17 @@ func (tp *TwoPass) MarshalBinary() ([]byte, error) {
 	}
 	if tp.phase == 1 {
 		// Cluster structure from EndPass1.
-		w.u64(uint64(len(tp.copies)))
+		w.U64(uint64(len(tp.copies)))
 		for i := range tp.copies {
 			c := &tp.copies[i]
-			w.i64(int64(c.u))
-			w.i64(int64(c.level))
-			w.i64(int64(c.parent))
-			w.i64(int64(c.witness[0]))
-			w.i64(int64(c.witness[1]))
-			w.boolean(c.terminal)
-			w.intSlice(c.members)
+			for _, v := range []int{c.u, c.level, c.parent, c.witness[0], c.witness[1]} {
+				w.Int(v)
+			}
+			w.Bool(c.terminal)
+			w.Ints(c.members)
 		}
 		for u := 0; u < tp.n; u++ {
-			w.intSlice(tp.terminalsOf[u])
+			w.Ints(tp.terminalsOf[u])
 		}
 		// Pass-2 tables, sorted by terminal copy index.
 		cis := make([]int, 0, len(tp.tables))
@@ -269,11 +110,11 @@ func (tp *TwoPass) MarshalBinary() ([]byte, error) {
 			cis = append(cis, ci)
 		}
 		sort.Ints(cis)
-		w.u64(uint64(len(cis)))
+		w.U64(uint64(len(cis)))
 		for _, ci := range cis {
-			w.i64(int64(ci))
+			w.Int(ci)
 			for _, t := range tp.tables[ci] {
-				if err := w.sketchBlock(t); err != nil {
+				if err := w.SketchBlock(t); err != nil {
 					return nil, err
 				}
 			}
@@ -284,13 +125,13 @@ func (tp *TwoPass) MarshalBinary() ([]byte, error) {
 			edges = append(edges, e)
 		}
 		sort.Slice(edges, func(a, b int) bool { return pairLess(edges[a], edges[b]) })
-		w.u64(uint64(len(edges)))
+		w.U64(uint64(len(edges)))
 		for _, e := range edges {
-			w.i64(int64(e[0]))
-			w.i64(int64(e[1]))
+			w.Int(e[0])
+			w.Int(e[1])
 		}
 	}
-	return w.b, nil
+	return w.Bytes(), nil
 }
 
 func pairLess(a, b [2]int) bool { return a[0] < b[0] || (a[0] == b[0] && a[1] < b[1]) }
@@ -302,15 +143,15 @@ func pairLess(a, b [2]int) bool { return a[0] < b[0] || (a[0] == b[0] && a[1] < 
 // within the wire bounds — and the header is checked against the body
 // before the state is laid out.
 func (tp *TwoPass) UnmarshalBinary(data []byte) error {
-	r := &rbuf{b: data}
-	if r.u64() != tagTwoPassV2 {
+	r := wire.NewReader(data, errCorrupt)
+	if r.U64() != wire.TagTwoPass {
 		return fmt.Errorf("spanner: not a TwoPass encoding: %w", errCorrupt)
 	}
-	n64, phase, cfg, sketches := r.u64(), r.u64(), r.config(), r.boolean()
+	n64, phase, cfg, sketches := r.U64(), r.U64(), readConfig(r), r.Bool()
 	n := int(n64)
 	// A phase-0 state with k > 1 always has its vertex sketches; k = 1
 	// never has any; a phase-1 state without them is a ForkPass2 worker.
-	if r.err != nil || n64 == 0 || n64 > maxWireN || phase > 1 || !cfg.onWire(n) ||
+	if r.Err() != nil || n64 == 0 || n64 > maxWireN || phase > 1 || !cfg.onWire(n) ||
 		sketches && cfg.K == 1 || !sketches && cfg.K > 1 && phase == 0 {
 		return errCorrupt
 	}
@@ -321,31 +162,28 @@ func (tp *TwoPass) UnmarshalBinary(data []byte) error {
 	if phase == 1 {
 		need += 8*n64 + 16
 	}
-	if uint64(len(r.b)) < need {
+	if uint64(r.Len()) < need {
 		return errCorrupt
 	}
 	rebuilt := newTwoPass(n, cfg, sketches)
 	for u := range rebuilt.vertexSk {
 		for ri, row := range rebuilt.vertexSk[u] {
 			for j := range row {
-				if enc := r.sketchBlock(); enc != nil {
+				if enc := r.SketchBlock(); enc != nil {
 					s, err := rebuilt.fam(ri+1, j).Decode(enc)
 					if err != nil {
-						r.fail(err)
+						r.Fail(err)
 					}
 					row[j] = s
 				}
 			}
 		}
 	}
-	if phase == 1 && r.err == nil {
+	if phase == 1 && r.Err() == nil {
 		rebuilt.readStructure(r)
 	}
-	if r.err == nil && len(r.b) != 0 {
-		r.fail(nil)
-	}
-	if r.err != nil {
-		return r.err
+	if err := r.Done(); err != nil {
+		return err
 	}
 	*tp = *rebuilt
 	return nil
@@ -356,87 +194,87 @@ func (tp *TwoPass) UnmarshalBinary(data []byte) error {
 // index a later pass-2 ingest or decode follows is checked here: copy
 // levels and endpoints, and that each vertex's terminal list names
 // terminal copies in ascending order (routePass2 reads their tables).
-func (tp *TwoPass) readStructure(r *rbuf) {
+func (tp *TwoPass) readStructure(r *wire.Reader) {
 	n, k := tp.n, tp.k
-	nCopies := r.u64()
-	if nCopies > uint64(n)*uint64(k) || nCopies*minCopyBytes > uint64(len(r.b)) {
-		r.fail(nil)
+	nCopies := r.U64()
+	if nCopies > uint64(n)*uint64(k) || nCopies*minCopyBytes > uint64(r.Len()) {
+		r.Fail(nil)
 		return
 	}
 	nc := int(nCopies)
 	tp.copies = make([]copyNode, nc)
 	for i := range tp.copies {
 		c := &tp.copies[i]
-		c.u, c.level, c.parent = r.int(), r.int(), r.int()
-		c.witness = [2]int{r.int(), r.int()}
-		c.terminal = r.boolean()
-		c.members = r.intSlice(n)
+		c.u, c.level, c.parent = r.Int(), r.Int(), r.Int()
+		c.witness = [2]int{r.Int(), r.Int()}
+		c.terminal = r.Bool()
+		c.members = r.Ints(n)
 		if c.u < 0 || c.u >= n || c.level < 0 || c.level >= k || c.parent < -1 || c.parent >= nc ||
 			min(c.witness[0], c.witness[1]) < 0 || max(c.witness[0], c.witness[1]) >= n {
-			r.fail(nil)
+			r.Fail(nil)
 		}
 	}
-	if r.err != nil || uint64(len(r.b)) < 8*uint64(n) {
-		r.fail(nil)
+	if r.Err() != nil || uint64(r.Len()) < 8*uint64(n) {
+		r.Fail(nil)
 		return
 	}
 	tp.terminalsOf = make([][]int, n)
 	for u := range tp.terminalsOf {
-		ts := r.intSlice(nc)
+		ts := r.Ints(nc)
 		for i, t := range ts {
 			if t < 0 || t >= nc || !tp.copies[t].terminal || i > 0 && t <= ts[i-1] {
-				r.fail(nil)
+				r.Fail(nil)
 				return
 			}
 		}
 		tp.terminalsOf[u] = ts
 	}
-	if r.err != nil {
+	if r.Err() != nil {
 		return
 	}
 	tp.tables = tp.allocTables()
-	if r.u64() != uint64(len(tp.tables)) {
-		r.fail(nil)
+	if r.U64() != uint64(len(tp.tables)) {
+		r.Fail(nil)
 	}
 	prev := -1
-	for i := 0; i < len(tp.tables) && r.err == nil; i++ {
-		ci := r.int()
+	for i := 0; i < len(tp.tables) && r.Err() == nil; i++ {
+		ci := r.Int()
 		row, ok := tp.tables[ci]
 		if !ok || ci <= prev {
-			r.fail(nil)
+			r.Fail(nil)
 			return
 		}
 		prev = ci
 		for _, t := range row {
-			r.sketchInto(func() zeroDecoder { return t })
+			r.SketchInto(func() wire.Decoder { return t })
 		}
 	}
-	nAug := r.u64()
-	if nAug > uint64(len(r.b))/16 {
-		r.fail(nil)
+	nAug := r.U64()
+	if nAug > uint64(r.Len())/16 {
+		r.Fail(nil)
 	}
 	last := [2]int{math.MinInt, math.MinInt}
-	for i := uint64(0); i < nAug && r.err == nil; i++ {
-		e := [2]int{r.int(), r.int()}
+	for i := uint64(0); i < nAug && r.Err() == nil; i++ {
+		e := [2]int{r.Int(), r.Int()}
 		if !pairLess(last, e) {
-			r.fail(nil)
+			r.Fail(nil)
 		}
 		tp.augmented[e], last = true, e
 	}
 	tp.phase = 1
 }
 
-func (w *wbuf) additiveConfig(cfg AdditiveConfig) {
-	w.i64(int64(cfg.D))
-	w.u64(cfg.Seed)
-	w.f64(cfg.DegreeFactor)
-	w.f64(cfg.CenterFactor)
-	w.boolean(cfg.UseF0Degree)
+func writeAdditiveConfig(w *wire.Writer, cfg AdditiveConfig) {
+	w.Int(cfg.D)
+	w.U64(cfg.Seed)
+	w.F64(cfg.DegreeFactor)
+	w.F64(cfg.CenterFactor)
+	w.Bool(cfg.UseF0Degree)
 }
 
-func (r *rbuf) additiveConfig() AdditiveConfig {
-	return AdditiveConfig{D: r.int(), Seed: r.u64(), DegreeFactor: r.f64(), CenterFactor: r.f64(),
-		UseF0Degree: r.boolean()}
+func readAdditiveConfig(r *wire.Reader) AdditiveConfig {
+	return AdditiveConfig{D: r.Int(), Seed: r.U64(), DegreeFactor: r.F64(), CenterFactor: r.F64(),
+		UseF0Degree: r.Bool()}
 }
 
 // MarshalBinary encodes the full streaming state of the single-pass
@@ -450,22 +288,22 @@ func (a *Additive) MarshalBinary() ([]byte, error) {
 	// The wire format carries pure stream states: fold any
 	// extraction-era E_low subtractions back in first.
 	a.restoreStream()
-	w := &wbuf{}
-	w.u64(tagAdditiveV2)
-	w.u64(uint64(a.n))
-	w.additiveConfig(a.cfg)
+	w := &wire.Writer{}
+	w.U64(wire.TagAdditive)
+	w.U64(uint64(a.n))
+	writeAdditiveConfig(w, a.cfg)
 	for u := 0; u < a.n; u++ {
-		if err := w.sketchBlock(a.nbr[u]); err != nil {
+		if err := w.SketchBlock(a.nbr[u]); err != nil {
 			return nil, err
 		}
 		for _, s := range a.centers(u) {
-			if err := w.sketchBlock(s); err != nil {
+			if err := w.SketchBlock(s); err != nil {
 				return nil, err
 			}
 		}
-		w.i64(a.degree[u])
+		w.U64(uint64(a.degree[u]))
 		if a.degF0 != nil {
-			if err := w.sketchBlock(a.degF0[u]); err != nil {
+			if err := w.SketchBlock(a.degF0[u]); err != nil {
 				return nil, err
 			}
 		}
@@ -474,8 +312,8 @@ func (a *Additive) MarshalBinary() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	w.block(enc)
-	return w.b, nil
+	w.Block(enc)
+	return w.Bytes(), nil
 }
 
 // UnmarshalBinary reconstructs an additive state encoded with
@@ -486,39 +324,36 @@ func (a *Additive) MarshalBinary() ([]byte, error) {
 // bounds it. The header is checked first: n against the body, and the
 // neighborhood sketch a first touch creates to at most maxWireBudget.
 func (a *Additive) UnmarshalBinary(data []byte) error {
-	r := &rbuf{b: data}
-	if r.u64() != tagAdditiveV2 {
+	r := wire.NewReader(data, errCorrupt)
+	if r.U64() != wire.TagAdditive {
 		return fmt.Errorf("spanner: not an Additive encoding: %w", errCorrupt)
 	}
-	n64, cfg := r.u64(), r.additiveConfig()
+	n64, cfg := r.U64(), readAdditiveConfig(r)
 	n := int(n64)
 	perVertex := uint64(10 + log2(n)) // degree counter, nbr and center sketch blocks
-	if r.err != nil || n64 == 0 || n64 > maxWireN || cfg != cfg.withDefaults() || cfg.D > n ||
-		!(cfg.DegreeFactor > 0 && 2*cfg.cutoff(n)+4 <= maxWireBudget) || uint64(len(r.b)) < n64*perVertex {
+	if r.Err() != nil || n64 == 0 || n64 > maxWireN || cfg != cfg.withDefaults() || cfg.D > n ||
+		!(cfg.DegreeFactor > 0 && 2*cfg.cutoff(n)+4 <= maxWireBudget) || uint64(r.Len()) < n64*perVertex {
 		return errCorrupt
 	}
 	rebuilt := newAdditive(n, cfg)
-	for u := 0; u < n && r.err == nil; u++ {
-		r.sketchInto(func() zeroDecoder { return rebuilt.nbrAt(u) })
+	for u := 0; u < n && r.Err() == nil; u++ {
+		r.SketchInto(func() wire.Decoder { return rebuilt.nbrAt(u) })
 		for i := u * (rebuilt.log2n + 1); i < (u+1)*(rebuilt.log2n+1); i++ {
-			r.sketchInto(func() zeroDecoder { return rebuilt.centerAt(i) })
+			r.SketchInto(func() wire.Decoder { return rebuilt.centerAt(i) })
 		}
-		rebuilt.degree[u] = int64(r.u64())
+		rebuilt.degree[u] = int64(r.U64())
 		if rebuilt.degF0 != nil {
-			r.sketchInto(func() zeroDecoder { return rebuilt.f0At(u) })
+			r.SketchInto(func() wire.Decoder { return rebuilt.f0At(u) })
 		}
 	}
-	if enc := r.block(); r.err == nil {
+	if enc := r.Block(); r.Err() == nil {
 		rebuilt.forest = new(agm.Sketch)
 		if err := rebuilt.forest.UnmarshalBinary(enc); err != nil || rebuilt.forest.N() != n {
-			r.fail(err)
+			r.Fail(err)
 		}
 	}
-	if r.err == nil && len(r.b) != 0 {
-		r.fail(nil)
-	}
-	if r.err != nil {
-		return r.err
+	if err := r.Done(); err != nil {
+		return err
 	}
 	*a = *rebuilt
 	return nil

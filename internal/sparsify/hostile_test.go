@@ -10,6 +10,7 @@ import (
 
 	"dynstream/internal/graph"
 	"dynstream/internal/stream"
+	"dynstream/internal/wire"
 )
 
 // The oracle-grid encodings cross the same trust boundaries as the
@@ -46,8 +47,10 @@ func gridCfg(k, j, t uint64) []uint64 { return []uint64{k, j, t, math.Float64bit
 // and live encodings of a one-vertex stream: each made the decoder lay
 // out its grid before reading a cell.
 func hostileGrids() (grids, lives map[string][]byte) {
-	grid := func(n uint64, cfg []uint64) []byte { return words(append([]uint64{tagGrid, n, 0}, cfg...)...) }
-	live := func(cfg []uint64) []byte { return words(append([]uint64{tagLive, 1, 2, 1, 1, 3}, cfg...)...) }
+	grid := func(n uint64, cfg []uint64) []byte { return words(append([]uint64{wire.TagGrid, n, 0}, cfg...)...) }
+	live := func(cfg []uint64) []byte {
+		return words(append([]uint64{wire.TagSparsifyLive, 1, 2, 1, 1, 3}, cfg...)...)
+	}
 	return map[string][]byte{
 			"16×16 cells of n=100": grid(100, gridCfg(2, 16, 16)),
 		}, map[string][]byte{
@@ -136,6 +139,51 @@ func FuzzGridUnmarshal(f *testing.F) {
 			} else {
 				g.Pass2AddBatch(batch)
 			}
+		}
+	})
+}
+
+// FuzzRestoreLive: the live sparsifier decoder over a fixed base
+// stream, under FuzzGridUnmarshal's bound; whatever restores re-encodes
+// to the same bytes.
+func FuzzRestoreLive(f *testing.F) {
+	st := stream.WithChurn(graph.ConnectedGNP(12, 0.3, 6), 10, 7)
+	ls, err := StartLive(st, Config{K: 1, Z: 2, Seed: 8, Estimate: EstimateConfig{K: 1, J: 2, T: 2, Seed: 9}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	seed := func() {
+		enc, err := ls.MarshalLive()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
+		f.Add(enc[:len(enc)-5])
+	}
+	seed() // nothing applied
+	if err := ls.ApplyLive([]stream.Update{{U: 1, V: 9, Delta: 1, W: 1}, {U: 2, V: 3, Delta: 1, W: 1}}); err != nil {
+		f.Fatal(err)
+	}
+	seed()
+	_, lives := hostileGrids()
+	for _, blob := range lives {
+		f.Add(blob)
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var got *Live
+		alloc, err := decodeAlloc(data, func(b []byte) (err error) { got, err = RestoreLive(st, b); return err })
+		if alloc > wireBudget(len(data)) {
+			t.Fatalf("decoding %d bytes allocated %d (budget %d)", len(data), alloc, wireBudget(len(data)))
+		}
+		if err != nil {
+			if !errors.Is(err, errCorrupt) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			return
+		}
+		if back, err := got.MarshalLive(); err != nil || !bytes.Equal(back, data) {
+			t.Fatalf("accepted encoding does not round-trip (err %v)", err)
 		}
 	})
 }

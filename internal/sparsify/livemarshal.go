@@ -1,11 +1,10 @@
 package sparsify
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"dynstream/internal/stream"
+	"dynstream/internal/wire"
 )
 
 // Serialization of the live sparsifier state, the checkpoint substrate
@@ -16,43 +15,22 @@ import (
 // pure function of the configuration, so RestoreLive rebuilds it
 // exactly as StartLive did, without replaying pass 1.
 
-// tagLive frames a live sparsifier encoding.
-const tagLive uint64 = 0xd15c_020b
-
 // MarshalLive encodes the live state for checkpointing. The base
 // stream is not part of the encoding — RestoreLive re-attaches it.
 func (ls *Live) MarshalLive() ([]byte, error) {
-	var out []byte
-	u64 := func(v uint64) {
-		var tmp [8]byte
-		binary.LittleEndian.PutUint64(tmp[:], v)
-		out = append(out, tmp[:]...)
+	w := &wire.Writer{}
+	for _, v := range []uint64{wire.TagSparsifyLive, uint64(ls.n), uint64(ls.cfg.K), uint64(ls.cfg.Z), uint64(ls.cfg.H), ls.cfg.Seed} {
+		w.U64(v)
 	}
-	block := func(b []byte) {
-		u64(uint64(len(b)))
-		out = append(out, b...)
-	}
-	u64(tagLive)
-	u64(uint64(ls.n))
-	u64(uint64(ls.cfg.K))
-	u64(uint64(ls.cfg.Z))
-	u64(uint64(ls.cfg.H))
-	u64(ls.cfg.Seed)
-	ecfg := ls.grid.cfg
-	u64(uint64(ecfg.K))
-	u64(uint64(ecfg.J))
-	u64(uint64(ecfg.T))
-	u64(math.Float64bits(ecfg.Delta))
-	u64(math.Float64bits(ecfg.Threshold))
-	u64(ecfg.Seed)
+	writeGridConfig(w, ls.grid.cfg)
 	for i, tp := range ls.all() {
 		enc, err := tp.MarshalLive()
 		if err != nil {
 			return nil, ls.stateErr(i, err)
 		}
-		block(enc)
+		w.Block(enc)
 	}
-	return out, nil
+	return w.Bytes(), nil
 }
 
 // RestoreLive reconstructs a live sparsifier state from a MarshalLive
@@ -62,30 +40,30 @@ func (ls *Live) MarshalLive() ([]byte, error) {
 // first Query re-derives the per-state tables, which by linearity
 // reproduces the saved state's output bit for bit.
 func RestoreLive(src stream.Stream, data []byte) (*Live, error) {
-	r := &reader{b: data}
-	if r.u64() != tagLive {
+	r := wire.NewReader(data, errCorrupt)
+	if r.U64() != wire.TagSparsifyLive {
 		return nil, fmt.Errorf("sparsify: not a live sparsifier encoding: %w", errCorrupt)
 	}
-	n, k, z, h, seed := r.u64(), r.u64(), r.u64(), r.u64(), r.u64()
-	if r.err != nil || k == 0 || k > 64 || z == 0 || z > 1<<12 || h == 0 || h > 1<<12 {
+	n, k, z, h, seed := r.U64(), r.U64(), r.U64(), r.U64(), r.U64()
+	if r.Err() != nil || k == 0 || k > 64 || z == 0 || z > 1<<12 || h == 0 || h > 1<<12 {
 		return nil, errCorrupt
 	}
 	if n != uint64(src.N()) {
 		return nil, fmt.Errorf("sparsify: live state has n=%d, stream has n=%d: %w", n, src.N(), errCorrupt)
 	}
-	g, err := r.grid(n, z*h)
+	g, err := readGrid(r, n, z*h)
 	if err != nil {
 		return nil, err
 	}
 	ls := newLive(Config{K: int(k), Z: int(z), H: int(h), Seed: seed, Estimate: g.cfg}, g, emptyState)
 	for i, tp := range ls.all() {
 		// RestoreLive rebuilds each state from its blob's own config.
-		if err := tp.RestoreLive(ls.substream(src, i), r.block()); err != nil {
+		if err := tp.RestoreLive(ls.substream(src, i), r.Block()); err != nil {
 			return nil, ls.stateErr(i, fmt.Errorf("%w: %v", errCorrupt, err))
 		}
 	}
-	if len(r.b) != 0 {
-		return nil, fmt.Errorf("sparsify: %d trailing bytes in live encoding: %w", len(r.b), errCorrupt)
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return ls, nil
 }

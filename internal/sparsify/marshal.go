@@ -1,20 +1,17 @@
 package sparsify
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 
 	"dynstream/internal/spanner"
+	"dynstream/internal/wire"
 )
 
 // Binary serialization for the oracle-grid sketch state, so per-shard
 // grids can be shipped between processes and merged at a coordinator
 // (MergePass1/MergePass2) exactly like the spanner states they are
 // made of.
-
-const tagGrid uint64 = 0xd15c_000b
 
 var errCorrupt = errors.New("sparsify: corrupt serialized data")
 
@@ -25,30 +22,19 @@ func (g *Grid) MarshalBinary() ([]byte, error) {
 	if g.phase > 1 {
 		return nil, fmt.Errorf("sparsify: cannot marshal a finished grid")
 	}
-	var out []byte
-	u64 := func(v uint64) {
-		var tmp [8]byte
-		binary.LittleEndian.PutUint64(tmp[:], v)
-		out = append(out, tmp[:]...)
-	}
-	u64(tagGrid)
-	u64(uint64(g.n))
-	u64(uint64(g.phase))
-	u64(uint64(g.cfg.K))
-	u64(uint64(g.cfg.J))
-	u64(uint64(g.cfg.T))
-	u64(math.Float64bits(g.cfg.Delta))
-	u64(math.Float64bits(g.cfg.Threshold))
-	u64(g.cfg.Seed)
+	w := &wire.Writer{}
+	w.U64(wire.TagGrid)
+	w.U64(uint64(g.n))
+	w.U64(uint64(g.phase))
+	writeGridConfig(w, g.cfg)
 	for _, c := range g.cells {
 		enc, err := c.MarshalBinary()
 		if err != nil {
 			return nil, err
 		}
-		u64(uint64(len(enc)))
-		out = append(out, enc...)
+		w.Block(enc)
 	}
-	return out, nil
+	return w.Bytes(), nil
 }
 
 // minCellBytes is the least one grid cell or sample state takes on the
@@ -58,59 +44,27 @@ func (g *Grid) MarshalBinary() ([]byte, error) {
 // input.
 const minCellBytes = 88
 
-// reader reads an encoding front to back. The first short read sets err
-// and every later read returns zero, so a decoder checks err once per
-// section.
-type reader struct {
-	b   []byte
-	err error
+// writeGridConfig writes the oracle-grid configuration that Grid and
+// Live both encode, as readGrid reads it.
+func writeGridConfig(w *wire.Writer, cfg EstimateConfig) {
+	w.U64(uint64(cfg.K))
+	w.U64(uint64(cfg.J))
+	w.U64(uint64(cfg.T))
+	w.F64(cfg.Delta)
+	w.F64(cfg.Threshold)
+	w.U64(cfg.Seed)
 }
 
-// fail records a corrupt encoding; cause, when not nil, is the nested
-// decoder's error.
-func (r *reader) fail(cause error) {
-	if r.err == nil {
-		r.err = errCorrupt
-		if cause != nil {
-			r.err = fmt.Errorf("%w: %v", errCorrupt, cause)
-		}
-	}
-	r.b = nil
-}
-
-func (r *reader) u64() uint64 {
-	if len(r.b) < 8 {
-		r.fail(nil)
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b)
-	r.b = r.b[8:]
-	return v
-}
-
-func (r *reader) block() []byte {
-	ln := r.u64()
-	if uint64(len(r.b)) < ln {
-		r.fail(nil)
-		return nil
-	}
-	b := r.b[:ln]
-	r.b = r.b[ln:]
-	return b
-}
-
-// grid reads the oracle-grid configuration that Grid and Live both
-// encode and lays out a grid for it on n vertices, its cells empty
-// states to decode into. The configuration must be the one NewGrid
-// resolves for n — a re-defaulted field would re-seed the substream
-// wiring — and the remaining input must hold the T·J cells and extra
-// more states.
-func (r *reader) grid(n, extra uint64) (*Grid, error) {
-	k, j, t := r.u64(), r.u64(), r.u64()
-	cfg := EstimateConfig{K: int(k), J: int(j), T: int(t), Delta: math.Float64frombits(r.u64()),
-		Threshold: math.Float64frombits(r.u64()), Seed: r.u64()}
-	if r.err != nil || n == 0 || n > 1<<24 || k == 0 || k > 64 || j == 0 || j > 1<<12 || t == 0 || t > 1<<12 ||
-		(t*j+extra)*minCellBytes > uint64(len(r.b)) || cfg != cfg.withDefaults(int(n)) {
+// readGrid reads the oracle-grid configuration and lays out a grid for
+// it on n vertices, its cells empty states to decode into. The
+// configuration must be the one NewGrid resolves for n — a re-defaulted
+// field would re-seed the substream wiring — and the remaining input
+// must hold the T·J cells and extra more states.
+func readGrid(r *wire.Reader, n, extra uint64) (*Grid, error) {
+	k, j, t := r.U64(), r.U64(), r.U64()
+	cfg := EstimateConfig{K: int(k), J: int(j), T: int(t), Delta: r.F64(), Threshold: r.F64(), Seed: r.U64()}
+	if r.Err() != nil || n == 0 || n > 1<<24 || k == 0 || k > 64 || j == 0 || j > 1<<12 || t == 0 || t > 1<<12 ||
+		(t*j+extra)*minCellBytes > uint64(r.Len()) || cfg != cfg.withDefaults(int(n)) {
 		return nil, errCorrupt
 	}
 	return newGrid(int(n), cfg, emptyState), nil
@@ -121,27 +75,24 @@ func emptyState(int) *spanner.TwoPass { return new(spanner.TwoPass) }
 
 // UnmarshalBinary reconstructs a grid encoded with MarshalBinary.
 func (g *Grid) UnmarshalBinary(data []byte) error {
-	r := &reader{b: data}
-	if r.u64() != tagGrid {
+	r := wire.NewReader(data, errCorrupt)
+	if r.U64() != wire.TagGrid {
 		return fmt.Errorf("sparsify: not a Grid encoding: %w", errCorrupt)
 	}
-	n, phase := r.u64(), r.u64()
-	rebuilt, err := r.grid(n, 0)
+	n, phase := r.U64(), r.U64()
+	rebuilt, err := readGrid(r, n, 0)
 	if err != nil || phase > 1 {
 		return errCorrupt
 	}
 	rebuilt.phase = int(phase)
 	for _, c := range rebuilt.cells {
-		if err := c.UnmarshalBinary(r.block()); err != nil || c.N() != rebuilt.n || c.Phase() != rebuilt.phase {
-			r.fail(err)
+		if err := c.UnmarshalBinary(r.Block()); err != nil || c.N() != rebuilt.n || c.Phase() != rebuilt.phase {
+			r.Fail(err)
 			break
 		}
 	}
-	if r.err == nil && len(r.b) != 0 {
-		r.fail(nil)
-	}
-	if r.err != nil {
-		return r.err
+	if err := r.Done(); err != nil {
+		return err
 	}
 	*g = *rebuilt
 	return nil
