@@ -262,7 +262,7 @@ func (t SparsifierTarget) plan(o *buildOptions) (plan[*SparsifierResult], error)
 			return sparsify.SparsifyWeightedWith(src, cfg, classBase, func(sub Source, c SparsifierConfig) (*SparsifierResult, error) {
 				grid := func(ecfg EstimateConfig) (*sparsify.Estimator, error) {
 					return parallel.RunTwoPass(r.p, "dynstream: remote grid",
-						remotePass(ctx, r, dynnet.KindGrid, sub, func() *sparsify.Grid { return new(sparsify.Grid) }),
+						remoteEngine(ctx, r, dynnet.KindGrid, sub, func() *sparsify.Grid { return new(sparsify.Grid) }),
 						func() (*sparsify.Grid, error) { return sparsify.NewGrid(sub.N(), ecfg) })
 				}
 				return sparsify.SparsifyWith(sub, c, grid, remoteSpanner(ctx, r))

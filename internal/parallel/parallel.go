@@ -8,10 +8,12 @@
 //
 // Two ingest shapes use that. Ingest replays the stream once into one
 // state whose batch kernel fans each batch out by itself (the AGM-family
-// sketches split a batch by vertex range); IngestOpts shards the stream
-// into P states and merges them, which is what the two-pass states run,
-// through one protocol, RunTwoPass, over a PassEngine: Local here, or
-// dynstream's remote engine over worker processes.
+// sketches split a batch by vertex range, the two-pass states' pass 2
+// by table range); IngestOpts shards the stream into P states and
+// merges them, which is what the two-pass states' pass 1 and remote
+// builds run. Both two-pass states go through one protocol, RunTwoPass,
+// over an Engine: Local here, or dynstream's remote engine over worker
+// processes.
 //
 // Execution is governed by a Policy: context (cancellation), worker
 // count, batch size, and an optional progress callback. IngestOpts
@@ -239,57 +241,68 @@ func (p *Policy) traceIngest(pass func() error) error {
 	return nil
 }
 
-// TwoPassState is the pass protocol of the two-pass sketch states
-// (spanner.TwoPass, and sparsify.Grid whose cells are TwoPass states):
-// pass 1 into linear sketches that merge by addition, an offline decode
-// closing it (EndPass1), pass 2 into tables-only forks of the decoded
-// state, their merge back into it, and the final decode.
-type TwoPassState[S, R any] interface {
+// TwoPassIngest is the ingest half of TwoPassState, the calls the local
+// engine makes: pass 1 into linear sketches that merge by addition, and
+// pass 2 into the decoded state through its fanned-out batch kernel.
+type TwoPassIngest[S any] interface {
 	Pass1AddBatch([]stream.Update) error
 	MergePass1(S) error
+	Pass2AddBatchOpts([]stream.Update, *Policy) error
+}
+
+// TwoPassState is the pass protocol of the two-pass sketch states
+// (spanner.TwoPass, and sparsify.Grid whose cells are TwoPass states):
+// pass 1, an offline decode closing it (EndPass1), pass 2 into the
+// decoded state's tables, and the final decode.
+type TwoPassState[S, R any] interface {
+	TwoPassIngest[S]
 	EndPass1Opts(*Policy) error
-	ForkPass2() (S, error)
-	Pass2AddBatch([]stream.Update) error
-	MergePass2(S) error
 	FinishOpts(*Policy) (R, error)
 }
 
-// PassEngine runs one ingest pass: it ingests the stream into states
-// made by newState through add, folds them together with merge, and
-// returns the folded state. Local is the in-process engine; dynstream's
-// remote engine ships newState's state to worker processes instead.
-type PassEngine[S any] func(newState func() (S, error),
-	add func(S, []stream.Update) error, merge func(dst, src S) error) (S, error)
+// Engine runs the two ingest passes of RunTwoPass over one stream:
+// Pass1 ingests it into states made by newState and returns their fold;
+// Pass2 ingests it into main, the state EndPass1 closed. Local is the
+// in-process engine; dynstream's remote engine ships states to worker
+// processes instead.
+type Engine[S any] struct {
+	Pass1 func(newState func() (S, error)) (S, error)
+	Pass2 func(main S) error
+}
 
-// Local is the in-process pass engine: IngestOpts over src under p.
-func Local[S any](p *Policy, src stream.Source) PassEngine[S] {
-	return func(newState func() (S, error), add func(S, []stream.Update) error, merge func(dst, src S) error) (S, error) {
-		return IngestOpts(p, src, newState, add, merge)
+// Local is the in-process engine over src under p. Pass 1 is IngestOpts
+// (sharded states merged by MergePass1); pass 2 replays src once into
+// main itself, whose batch kernel fans each batch out by itself, so a
+// local build keeps one state through pass 2 at any worker count.
+func Local[S TwoPassIngest[S]](p *Policy, src stream.Source) Engine[S] {
+	return Engine[S]{
+		Pass1: func(newState func() (S, error)) (S, error) {
+			return IngestOpts(p, src, newState, S.Pass1AddBatch, S.MergePass1)
+		},
+		Pass2: func(main S) error {
+			return Ingest(p, src, func(b []stream.Update) error { return main.Pass2AddBatchOpts(b, p) })
+		},
 	}
 }
 
-// RunTwoPass runs the two-pass protocol over pass, the one place the
+// RunTwoPass runs the two-pass protocol through e, the one place the
 // pass sequence is written: pass 1 into newState's states, EndPass1 on
-// their merge, pass 2 into its ForkPass2 forks, MergePass2, and the
-// decode. p governs the offline stages. Every state operation is a
-// commutative group operation, so the result is independent of the
-// engine and its sharding. what names the build in pass errors
-// ("spanner: parallel" → "spanner: parallel pass 1: …").
-func RunTwoPass[S TwoPassState[S, R], R any](p *Policy, what string, pass PassEngine[S], newState func() (S, error)) (R, error) {
+// their fold, pass 2 into that state, and the decode. p governs the
+// offline stages. Every state operation is a commutative group
+// operation, so the result is independent of the engine and its
+// sharding. what names the build in pass errors ("spanner: parallel" →
+// "spanner: parallel pass 1: …").
+func RunTwoPass[S TwoPassState[S, R], R any](p *Policy, what string, e Engine[S], newState func() (S, error)) (R, error) {
 	var zero R
-	main, err := pass(newState, S.Pass1AddBatch, S.MergePass1)
+	main, err := e.Pass1(newState)
 	if err != nil {
 		return zero, fmt.Errorf("%s pass 1: %w", what, err)
 	}
 	if err := main.EndPass1Opts(p); err != nil {
 		return zero, err
 	}
-	tables, err := pass(main.ForkPass2, S.Pass2AddBatch, S.MergePass2)
-	if err != nil {
+	if err := e.Pass2(main); err != nil {
 		return zero, fmt.Errorf("%s pass 2: %w", what, err)
-	}
-	if err := main.MergePass2(tables); err != nil {
-		return zero, err
 	}
 	return main.FinishOpts(p)
 }

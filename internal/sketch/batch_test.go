@@ -230,6 +230,33 @@ func TestKeyedEdgeSketchAddBatchEquivalence(t *testing.T) {
 	}
 }
 
+// TestKeyedAddBatchWithAllocs: on a materialized table, a batch add
+// through a scratch that has served a batch as long allocates nothing,
+// and leaves the table as AddBatch does.
+func TestKeyedAddBatchWithAllocs(t *testing.T) {
+	const n = 300
+	rng := hashing.NewSplitMix64(0x90a)
+	batch := make([]KeyedEdgeUpdate, 500)
+	for i := range batch {
+		batch[i] = KeyedEdgeUpdate{W: int(rng.Next() % n), V: int(rng.Next() % n), Delta: int64(rng.Next()%5) - 2}
+	}
+	with, plain := NewKeyedEdgeSketch(0x67, n, 64), NewKeyedEdgeSketch(0x67, n, 64)
+	var sc KeyedScratch
+	with.AddBatchWith(batch, &sc)
+	plain.AddBatch(batch)
+	if allocs := testing.AllocsPerRun(10, func() { with.AddBatchWith(batch[:300], &sc) }); allocs != 0 {
+		t.Errorf("AddBatchWith on a materialized table: %v allocs per run, want 0", allocs)
+	}
+	for i := 0; i < 11; i++ { // AllocsPerRun's warm-up call plus its ten runs
+		plain.AddBatch(batch[:300])
+	}
+	b1, _ := with.MarshalBinary()
+	b2, _ := plain.MarshalBinary()
+	if !bytes.Equal(b1, b2) || with.Gen() != plain.Gen() {
+		t.Errorf("AddBatchWith left the table differently from AddBatch (gen %d vs %d)", with.Gen(), plain.Gen())
+	}
+}
+
 func TestF0AddBatchEquivalence(t *testing.T) {
 	keys, deltas := batchWorkload(0xf0f0, 4000, 1<<16)
 	one := NewF0(0x21, 1<<16)

@@ -246,11 +246,26 @@ type KeyedEdgeUpdate struct {
 	Delta int64
 }
 
+// KeyedScratch is the working memory of AddBatchWith: the batch's
+// fingerprint exponents and powers. The zero value is ready to use; it
+// grows to the largest batch it has served and is reused from then on,
+// so a caller that adds many batches — a sweep over many tables — keeps
+// one and allocates nothing per call. It may serve one call at a time.
+type KeyedScratch struct {
+	words []uint64 // four lanes of one batch's length: key/edge exponents, key/edge powers
+}
+
 // AddBatch folds a batch of edge updates; bit-identical to calling Add
-// per element. Both fingerprint lanes of the whole batch are evaluated
-// with shared window traversals (field.FingerprintVec) before the
-// per-update scatter.
+// per element. It is AddBatchWith on a scratch of its own.
 func (t *KeyedEdgeSketch) AddBatch(batch []KeyedEdgeUpdate) {
+	t.AddBatchWith(batch, new(KeyedScratch))
+}
+
+// AddBatchWith folds a batch of edge updates through the caller's
+// scratch; bit-identical to calling Add per element. Both fingerprint
+// lanes of the whole batch are evaluated with shared window traversals
+// (field.FingerprintVec) before the per-update scatter.
+func (t *KeyedEdgeSketch) AddBatchWith(batch []KeyedEdgeUpdate, sc *KeyedScratch) {
 	live := false
 	for _, u := range batch {
 		live = live || u.Delta != 0
@@ -261,14 +276,16 @@ func (t *KeyedEdgeSketch) AddBatch(batch []KeyedEdgeUpdate) {
 	if t.lanes == nil {
 		t.materialize()
 	}
-	keyExps := make([]uint64, len(batch))
-	edgeExps := make([]uint64, len(batch))
+	m := len(batch)
+	if cap(sc.words) < 4*m {
+		sc.words = make([]uint64, 4*m)
+	}
+	w := sc.words[:4*m]
+	keyExps, edgeExps, keyPows, edgePows := w[:m:m], w[m:2*m:2*m], w[2*m:3*m:3*m], w[3*m:]
 	for i, u := range batch {
 		keyExps[i] = uint64(u.V)
 		edgeExps[i] = field.Reduce(t.encode(u.W, u.V))
 	}
-	keyPows := make([]uint64, len(batch))
-	edgePows := make([]uint64, len(batch))
 	t.keyTab.FingerprintVec(keyPows, keyExps)
 	t.edgeTab.FingerprintVec(edgePows, edgeExps)
 	for i, u := range batch {

@@ -162,16 +162,6 @@ func (tp *TwoPass) ApplyLive(batch []stream.Update) error {
 	return nil
 }
 
-// foldPass2 routes a batch into the pass-2 tables without the phase
-// gate of Pass2Update — live states stay in phase 0 so pass-1 ingest
-// remains open.
-func (tp *TwoPass) foldPass2(batch []stream.Update) {
-	for _, u := range batch {
-		tp.routePass2(u.U, u.V, int64(u.Delta))
-		tp.routePass2(u.V, u.U, int64(u.Delta))
-	}
-}
-
 // QueryLive extracts the spanner from the live state's current
 // contents — bit-identical to a cold BuildTwoPass over the base stream
 // plus every ApplyLive batch, at any worker count.
@@ -182,7 +172,10 @@ func (tp *TwoPass) foldPass2(batch []stream.Update) {
 // existing pass-2 tables are still a correct function of the structure
 // and the stream prefix they have absorbed, so only the unsynced live
 // log suffix is folded in (sketches are linear). A changed structure
-// reallocates the tables and replays base + log.
+// reallocates the tables and replays base + log. Either way the tables
+// take the pass-2 kernel at p's worker count, without the phase gate of
+// Pass2AddBatchOpts — a live state stays in phase 0 so pass-1 ingest
+// remains open.
 func (tp *TwoPass) QueryLive(p *parallel.Policy) (*Result, error) {
 	if tp.liveSrc == nil {
 		return nil, fmt.Errorf("spanner: QueryLive before StartLive")
@@ -202,16 +195,16 @@ func (tp *TwoPass) QueryLive(p *parallel.Policy) (*Result, error) {
 		tp.recCache = nil // rows are reallocated; old recoveries are moot
 		tp.tables = tp.allocTables()
 		err = stream.ReplayBatches(tp.liveSrc, 0, func(b []stream.Update) error {
-			tp.foldPass2(b)
+			tp.addPass2(b, pass2Workers(p.Workers(), b))
 			return nil
 		})
 		if err != nil {
 			return nil, fmt.Errorf("spanner: live pass 2: %w", err)
 		}
-		tp.foldPass2(tp.liveLog)
-	} else {
-		tp.foldPass2(tp.liveLog[tp.liveSynced:])
+		tp.liveSynced = 0
 	}
+	suffix := tp.liveLog[tp.liveSynced:]
+	tp.addPass2(suffix, pass2Workers(p.Workers(), suffix))
 	tp.liveSynced = len(tp.liveLog)
 	// The augmented set is rebuilt per query: stale pairs from clusters
 	// that have since re-attached must not linger.

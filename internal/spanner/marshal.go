@@ -104,16 +104,14 @@ func (tp *TwoPass) MarshalBinary() ([]byte, error) {
 		for u := 0; u < tp.n; u++ {
 			w.Ints(tp.terminalsOf[u])
 		}
-		// Pass-2 tables, sorted by terminal copy index.
-		cis := make([]int, 0, len(tp.tables))
-		for ci := range tp.tables {
-			cis = append(cis, ci)
-		}
-		sort.Ints(cis)
-		w.U64(uint64(len(cis)))
-		for _, ci := range cis {
+		// Pass-2 tables, in terminal copy order.
+		w.U64(uint64(tp.terminals()))
+		for ci, row := range tp.tables {
+			if row == nil {
+				continue
+			}
 			w.Int(ci)
-			for _, t := range tp.tables[ci] {
+			for _, t := range row {
 				if err := w.SketchBlock(t); err != nil {
 					return nil, err
 				}
@@ -193,7 +191,8 @@ func (tp *TwoPass) UnmarshalBinary(data []byte) error {
 // tables, augmented edges — into a state laid out by newTwoPass. Every
 // index a later pass-2 ingest or decode follows is checked here: copy
 // levels and endpoints, and that each vertex's terminal list names
-// terminal copies in ascending order (routePass2 reads their tables).
+// terminal copies in ascending order (pass-2 routing merges those lists
+// and reads the tables they name).
 func (tp *TwoPass) readStructure(r *wire.Reader) {
 	n, k := tp.n, tp.k
 	nCopies := r.U64()
@@ -233,19 +232,19 @@ func (tp *TwoPass) readStructure(r *wire.Reader) {
 		return
 	}
 	tp.tables = tp.allocTables()
-	if r.U64() != uint64(len(tp.tables)) {
+	rows := tp.terminals()
+	if r.U64() != uint64(rows) {
 		r.Fail(nil)
 	}
 	prev := -1
-	for i := 0; i < len(tp.tables) && r.Err() == nil; i++ {
+	for i := 0; i < rows && r.Err() == nil; i++ {
 		ci := r.Int()
-		row, ok := tp.tables[ci]
-		if !ok || ci <= prev {
+		if ci <= prev || ci >= len(tp.tables) || tp.tables[ci] == nil {
 			r.Fail(nil)
 			return
 		}
 		prev = ci
-		for _, t := range row {
+		for _, t := range tp.tables[ci] {
 			r.SketchInto(func() wire.Decoder { return t })
 		}
 	}

@@ -19,7 +19,9 @@ import (
 // operation is a commutative group operation (int64 addition and
 // GF(2^61−1) addition), so the merged state is identical — not merely
 // equivalent — to single-threaded ingestion, and everything decoded
-// from it (clusters, tables, the final spanner) matches exactly.
+// from it (clusters, tables, the final spanner) matches exactly. Pass 1
+// and remote builds run that way; a local pass 2 needs no merge, its
+// table kernel (pass2.go) fanning out inside the one state.
 
 // MergePass1 adds the first-pass sketch state of another TwoPass built
 // with the same configuration. Both states must still be in pass 1; the
@@ -51,7 +53,8 @@ func (tp *TwoPass) MergePass1(o *TwoPass) error {
 // cluster structure (computed by EndPass1) and owns fresh, untouched
 // second-pass tables with the same seeds, so the worker can ingest a
 // stream shard independently and be folded back with MergePass2. The
-// receiver must have finished pass 1.
+// receiver must have finished pass 1. Remote builds ship it; a local
+// build feeds pass 2 into the EndPass1 state itself.
 func (tp *TwoPass) ForkPass2() (*TwoPass, error) {
 	if tp.phase != 1 {
 		return nil, fmt.Errorf("spanner: ForkPass2 in phase %d", tp.phase)
@@ -86,13 +89,13 @@ func (tp *TwoPass) MergePass2(o *TwoPass) error {
 		return fmt.Errorf("spanner: merging incompatible two-pass states (n %d/%d)", tp.n, o.n)
 	}
 	if len(tp.tables) != len(o.tables) {
-		return fmt.Errorf("spanner: merging pass-2 states with different cluster structures (%d vs %d tables)",
+		return fmt.Errorf("spanner: merging pass-2 states with different cluster structures (%d vs %d copies)",
 			len(tp.tables), len(o.tables))
 	}
 	for ci, row := range tp.tables {
-		orow, ok := o.tables[ci]
-		if !ok {
-			return fmt.Errorf("spanner: pass-2 merge: other state lacks table for copy %d", ci)
+		orow := o.tables[ci]
+		if (row == nil) != (orow == nil) {
+			return fmt.Errorf("spanner: pass-2 merge: copy %d is terminal in only one of the states", ci)
 		}
 		for j := range row {
 			if err := row[j].Merge(orow[j]); err != nil {
@@ -107,13 +110,14 @@ func (tp *TwoPass) MergePass2(o *TwoPass) error {
 }
 
 // BuildTwoPassOpts is the policy-driven two-pass build:
-// parallel.RunTwoPass over sharded in-process ingest, both passes under
-// p's context (cancellation observed at batch granularity), worker
-// count, batch size, and progress sink. At one worker the ingest
-// degenerates to a serial replay — one code path (and one set of trace
-// spans) for all widths. The source must be replayable; output is
-// identical to BuildTwoPass for the same configuration under any
-// policy.
+// parallel.RunTwoPass over in-process ingest — pass 1 sharded and
+// merged, pass 2 into the one EndPass1 state through the fanned-out
+// table kernel — both passes under p's context (cancellation observed
+// at batch granularity), worker count, batch size, and progress sink.
+// At one worker the ingest degenerates to a serial replay — one code
+// path (and one set of trace spans) for all widths. The source must be
+// replayable; output is identical to BuildTwoPass for the same
+// configuration under any policy.
 func BuildTwoPassOpts(src stream.Source, cfg Config, p *parallel.Policy) (*Result, error) {
 	if !stream.CanReplay(src) {
 		return nil, fmt.Errorf("spanner: two-pass build: %w", stream.ErrNotReplayable)

@@ -139,28 +139,33 @@ func TestRecoverTerminalMatchesProbeLoop(t *testing.T) {
 	}
 }
 
-// TestTwoPassAllocBudget: a build must allocate less than the space it
+// TestTwoPassAllocBudget: a build must allocate well under the space it
 // reports. SpaceWords is the provisioned Claim 11 size; an eager
 // allocation of it anywhere — tables at EndPass1, again per pass-2
 // worker, a full-lane clone per peel, n·(k−1)·levels pass-1 sketches —
-// costs a multiple of that and fails this test.
+// costs a multiple of that and fails this test. So does a second copy
+// of the touched tables: a pass-2 fork whose lanes are copied into the
+// state it came from read 0.43× here, one state through pass 2 0.23×.
 func TestTwoPassAllocBudget(t *testing.T) {
-	const n = 1000
+	const n, budget = 1000, 0.3
 	g := graph.ConnectedGNP(n, 0.008, 5) // ≈ 4 000 edges
 	st := stream.WithChurn(g, g.M(), 6)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	res, err := BuildTwoPassOpts(st, Config{K: 2, Seed: 7}, parallel.Default())
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
-	}
-	alloc := after.TotalAlloc - before.TotalAlloc
-	provisioned := uint64(res.SpaceWords) * 8
-	t.Logf("edges %d, updates %d: allocated %d B, provisioned %d B (%.2f×)",
-		g.M(), st.Len(), alloc, provisioned, float64(alloc)/float64(provisioned))
-	if alloc >= provisioned {
-		t.Errorf("build allocated %d B, not less than its provisioned %d B", alloc, provisioned)
+	for _, workers := range []int{1, 2} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := BuildTwoPassOpts(st, Config{K: 2, Seed: 7}, parallel.Default().WithWorkers(workers))
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alloc := after.TotalAlloc - before.TotalAlloc
+		provisioned := uint64(res.SpaceWords) * 8
+		ratio := float64(alloc) / float64(provisioned)
+		t.Logf("workers %d, edges %d, updates %d: allocated %d B, provisioned %d B (%.2f×)",
+			workers, g.M(), st.Len(), alloc, provisioned, ratio)
+		if ratio >= budget {
+			t.Errorf("workers %d: build allocated %.2f× its provisioned %d B, budget %.1f×", workers, ratio, provisioned, budget)
+		}
 	}
 }
 

@@ -135,9 +135,10 @@ type TwoPass struct {
 	copies      []copyNode
 	terminalsOf [][]int // per vertex: sorted terminal copy indices containing it
 
-	// tables[t][j] is H^t_j for terminal copy index t (nil for
-	// non-terminal copies).
-	tables map[int][]*sketch.KeyedEdgeSketch
+	// tables[t][j] is H^t_j for terminal copy index t; the row of a
+	// non-terminal copy is nil.
+	tables [][]*sketch.KeyedEdgeSketch
+	crew   *pass2Crew // pass-2 ingest bookkeeping (pass2.go)
 
 	augmented map[[2]int]bool
 	phase     int // 0 = pass 1, 1 = pass 2, 2 = finished
@@ -611,9 +612,9 @@ func canonPair(a, b int) [2]int {
 // function of the configuration and the copy index, so tables of
 // different pass-2 workers over the same cluster structure are
 // mergeable.
-func (tp *TwoPass) allocTables() map[int][]*sketch.KeyedEdgeSketch {
+func (tp *TwoPass) allocTables() [][]*sketch.KeyedEdgeSketch {
 	n, k := tp.n, tp.k
-	tables := map[int][]*sketch.KeyedEdgeSketch{}
+	tables := make([][]*sketch.KeyedEdgeSketch, len(tp.copies))
 	for ci := range tp.copies {
 		c := &tp.copies[ci]
 		if !c.terminal {
@@ -636,6 +637,17 @@ func (tp *TwoPass) allocTables() map[int][]*sketch.KeyedEdgeSketch {
 		tables[ci] = row
 	}
 	return tables
+}
+
+// terminals counts the table rows: one per terminal copy.
+func (tp *TwoPass) terminals() int {
+	count := 0
+	for _, row := range tp.tables {
+		if row != nil {
+			count++
+		}
+	}
+	return count
 }
 
 // mergeSortedUnique merges two ascending duplicate-free lists into one
@@ -680,44 +692,32 @@ func containsInt(sorted []int, v int) bool {
 	return i < len(sorted) && sorted[i] == v
 }
 
-// Pass2Update ingests one stream update during the second pass
-// (Algorithm 2, lines 10–18): the update for edge (a, b) is routed into
-// H^t_j for every terminal cluster t containing a but not b, at every
-// vertex subsampling level j with a ∈ Y_j — and symmetrically for b.
+// Pass2Update ingests one stream update during the second pass: a
+// batch of one.
 func (tp *TwoPass) Pass2Update(u stream.Update) error {
+	return tp.Pass2AddBatch([]stream.Update{u})
+}
+
+// Pass2AddBatch ingests a batch of second-pass updates on the calling
+// goroutine: Pass2AddBatchOpts at one worker.
+func (tp *TwoPass) Pass2AddBatch(batch []stream.Update) error {
+	return tp.Pass2AddBatchOpts(batch, serial)
+}
+
+// serial is the policy Pass2AddBatch runs under: only its worker count,
+// 1, is read.
+var serial = parallel.Default()
+
+// Pass2AddBatchOpts ingests a batch of second-pass updates (Algorithm
+// 2, lines 10–18), fanned out across the policy's workers: the update
+// for edge (a, b) reaches H^t_j for every terminal cluster t containing
+// a but not b, at every vertex subsampling level j with a ∈ Y_j — and
+// symmetrically for b. See addPass2 for how a batch is applied.
+func (tp *TwoPass) Pass2AddBatchOpts(batch []stream.Update, p *parallel.Policy) error {
 	if tp.phase != 1 {
 		return fmt.Errorf("spanner: Pass2Update called in phase %d", tp.phase)
 	}
-	tp.routePass2(u.U, u.V, int64(u.Delta))
-	tp.routePass2(u.V, u.U, int64(u.Delta))
-	return nil
-}
-
-func (tp *TwoPass) routePass2(a, b int, delta int64) {
-	aLvl := int(tp.yLevel.Level(uint64(a)))
-	maxJ := aLvl
-	if maxJ > tp.yMax {
-		maxJ = tp.yMax
-	}
-	for _, t := range tp.terminalsOf[a] {
-		if containsInt(tp.terminalsOf[b], t) {
-			continue // b inside the same cluster
-		}
-		row := tp.tables[t]
-		for j := 0; j <= maxJ; j++ {
-			row[j].Add(a, b, delta)
-		}
-	}
-}
-
-// Pass2AddBatch ingests a batch of second-pass updates; bit-identical
-// to calling Pass2Update per element.
-func (tp *TwoPass) Pass2AddBatch(batch []stream.Update) error {
-	for _, u := range batch {
-		if err := tp.Pass2Update(u); err != nil {
-			return err
-		}
-	}
+	tp.addPass2(batch, pass2Workers(p.Workers(), batch))
 	return nil
 }
 

@@ -3,6 +3,8 @@ package sparsify
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"dynstream/internal/graph"
 	"dynstream/internal/hashing"
@@ -20,10 +22,12 @@ import (
 //     the update stream — so per-shard grids merge into exactly the
 //     single-threaded grid (the "oracle-grid state" merge).
 //   - SparsifyOpts / NewEstimatorOpts drive the grid's two passes
-//     (parallel.RunTwoPass) over round-robin stream shards with a worker
-//     per shard, and fan the Z×H augmented-spanner builds of Algorithms
-//     5–6 out over a bounded worker pool. Every decode happens on the
-//     merged state, so the output is identical to the serial pipeline.
+//     (parallel.RunTwoPass) — pass 1 over round-robin stream shards with
+//     a worker per shard, pass 2 into the one merged grid with its cells
+//     swept in ranges — and fan the Z×H augmented-spanner builds of
+//     Algorithms 5–6 out over a bounded worker pool. Every decode happens
+//     on the merged state, so the output is identical to the serial
+//     pipeline.
 
 // Grid is the linear sketch state underlying an Estimator: cell
 // (t, j) holds the two-pass spanner state of oracle j at subsampling
@@ -36,6 +40,7 @@ type Grid struct {
 	colHash []*hashing.Poly    // per column j: the E^j_t level hash
 	cells   []*spanner.TwoPass // t-major: cells[(t-1)·J + j]
 	phase   int
+	crew    *gridCrew // pass-2 ingest scratch
 }
 
 // NewGrid creates the oracle-grid sketch state for a graph on n
@@ -89,27 +94,21 @@ func (g *Grid) forEachCell(u stream.Update, visit func(cell *spanner.TwoPass) er
 	return nil
 }
 
-// ingest feeds each update of batch to every cell whose substream
-// contains the edge, through the pass's cell ingest add; the grid must
-// be in phase.
-func (g *Grid) ingest(phase int, batch []stream.Update, add func(*spanner.TwoPass, stream.Update) error) error {
-	if g.phase != phase {
-		return fmt.Errorf("sparsify: grid pass-%d ingest in phase %d", phase+1, g.phase)
+// Pass1Update ingests one first-pass update: a batch of one.
+func (g *Grid) Pass1Update(u stream.Update) error { return g.Pass1AddBatch([]stream.Update{u}) }
+
+// Pass1AddBatch ingests a batch of first-pass updates, feeding each to
+// every cell whose substream contains the edge.
+func (g *Grid) Pass1AddBatch(batch []stream.Update) error {
+	if g.phase != 0 {
+		return fmt.Errorf("sparsify: grid pass-1 ingest in phase %d", g.phase)
 	}
 	for _, u := range batch {
-		if err := g.forEachCell(u, func(c *spanner.TwoPass) error { return add(c, u) }); err != nil {
+		if err := g.forEachCell(u, func(c *spanner.TwoPass) error { return c.Pass1Update(u) }); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// Pass1Update ingests one first-pass update: a batch of one.
-func (g *Grid) Pass1Update(u stream.Update) error { return g.Pass1AddBatch([]stream.Update{u}) }
-
-// Pass1AddBatch ingests a batch of first-pass updates.
-func (g *Grid) Pass1AddBatch(batch []stream.Update) error {
-	return g.ingest(0, batch, (*spanner.TwoPass).Pass1Update)
 }
 
 // MergePass1 adds another grid's first-pass state, cell-wise.
@@ -146,7 +145,7 @@ func (g *Grid) EndPass1Opts(p *parallel.Policy) error {
 
 // ForkPass2 returns a second-pass worker grid sharing this grid's
 // cluster structures, with freshly zeroed tables (see
-// spanner.TwoPass.ForkPass2).
+// spanner.TwoPass.ForkPass2): the state remote builds ship.
 func (g *Grid) ForkPass2() (*Grid, error) {
 	if g.phase != 1 {
 		return nil, fmt.Errorf("sparsify: grid ForkPass2 in phase %d", g.phase)
@@ -165,9 +164,148 @@ func (g *Grid) ForkPass2() (*Grid, error) {
 // Pass2Update ingests one second-pass update: a batch of one.
 func (g *Grid) Pass2Update(u stream.Update) error { return g.Pass2AddBatch([]stream.Update{u}) }
 
-// Pass2AddBatch ingests a batch of second-pass updates.
-func (g *Grid) Pass2AddBatch(batch []stream.Update) error {
-	return g.ingest(1, batch, (*spanner.TwoPass).Pass2Update)
+// Pass2AddBatch ingests a batch of second-pass updates on the calling
+// goroutine: Pass2AddBatchOpts at one worker.
+func (g *Grid) Pass2AddBatch(batch []stream.Update) error { return g.addPass2(batch, 1) }
+
+// gridChunk is the most updates Pass2AddBatchOpts buckets before it
+// sweeps.
+const gridChunk = stream.DefaultBatchSize
+
+// gridCrew is the working memory of Pass2AddBatchOpts, kept on the grid.
+// cols[j] holds a chunk's updates deepest column-j level first, so that
+// cell (t, j)'s substream E^j_t is the prefix cols[j][:reach[j][t]];
+// part k sweeps the cells [from[k], from[k+1]).
+type gridCrew struct {
+	keys  []uint64 // per update: its pair key
+	tops  []int    // per update: the last row t whose column-j cell it reaches
+	at    []int    // placement cursors per row
+	cols  [][]stream.Update
+	reach [][]int
+	from  []int
+	errs  []error
+	wg    sync.WaitGroup
+}
+
+// Pass2AddBatchOpts ingests a batch of second-pass updates, fanned out
+// across the policy's workers. Each chunk is bucketed once per column
+// — an update reaches cells (1, j)..(t, j) for its column-j level — and
+// every cell then ingests its whole share of the chunk in one call to
+// its own pass-2 kernel. With w workers (the policy's, capped by
+// parallel.BatchWorkers) the cells are cut into w contiguous ranges of
+// about equal update share, one goroutine each; cells are independent
+// states, so no lock is taken, and the grid is bit-identical to feeding
+// every update to its cells one at a time.
+func (g *Grid) Pass2AddBatchOpts(batch []stream.Update, p *parallel.Policy) error {
+	return g.addPass2(batch, parallel.BatchWorkers(p.Workers(), min(len(batch), gridChunk)))
+}
+
+// addPass2 is Pass2AddBatchOpts with the cells cut into w ranges.
+func (g *Grid) addPass2(batch []stream.Update, w int) error {
+	if g.phase != 1 {
+		return fmt.Errorf("sparsify: grid pass-2 ingest in phase %d", g.phase)
+	}
+	if g.crew == nil {
+		g.crew = &gridCrew{cols: make([][]stream.Update, g.cfg.J), reach: make([][]int, g.cfg.J)}
+		for j := range g.crew.reach {
+			g.crew.reach[j] = make([]int, g.cfg.T+2)
+		}
+		g.crew.at = make([]int, g.cfg.T+2)
+	}
+	c := g.crew
+	for lo := 0; lo < len(batch); lo += gridChunk {
+		chunk := batch[lo:min(lo+gridChunk, len(batch))]
+		g.bucket(chunk)
+		g.cutCells(w)
+		c.wg.Add(w - 1)
+		for k := 1; k < w; k++ {
+			k := k
+			go func() {
+				defer c.wg.Done()
+				c.errs[k] = g.sweepCells(k)
+			}()
+		}
+		c.errs[0] = g.sweepCells(0)
+		c.wg.Wait()
+		for _, err := range c.errs[:w] {
+			if err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// bucket sorts the chunk into every column's list, deepest level first,
+// and counts each cell's prefix.
+func (g *Grid) bucket(chunk []stream.Update) {
+	c, T := g.crew, g.cfg.T
+	c.keys, c.tops = slices.Grow(c.keys[:0], len(chunk))[:len(chunk)], slices.Grow(c.tops[:0], len(chunk))[:len(chunk)]
+	for i, u := range chunk {
+		c.keys[i] = stream.PairKey(u.U, u.V, g.n)
+	}
+	for j := range c.cols {
+		reach := c.reach[j]
+		clear(reach)
+		for i, key := range c.keys {
+			c.tops[i] = min(g.colHash[j].Level(key)+1, T)
+			reach[c.tops[i]]++
+		}
+		// reach[t] becomes the count of updates reaching row t, and at[t]
+		// the first slot of those whose last row is t.
+		for t := T; t >= 1; t-- {
+			c.at[t] = reach[t+1]
+			reach[t] += reach[t+1]
+		}
+		col := slices.Grow(c.cols[j][:0], len(chunk))[:len(chunk)]
+		for i, u := range chunk {
+			col[c.at[c.tops[i]]] = u
+			c.at[c.tops[i]]++
+		}
+		c.cols[j] = col
+	}
+}
+
+// cutCells splits the cells into w contiguous ranges of about equal
+// update share.
+func (g *Grid) cutCells(w int) {
+	c, J := g.crew, g.cfg.J
+	share := func(i int) int { return c.reach[i%J][i/J+1] }
+	total := 0
+	for i := range g.cells {
+		total += share(i)
+	}
+	// Range k ends at the first cell that brings the running total to
+	// (k+1)/w of the whole.
+	c.from = append(c.from[:0], 0)
+	sum := 0
+	for i := range g.cells {
+		sum += share(i)
+		if len(c.from) < w && sum >= len(c.from)*total/w {
+			c.from = append(c.from, i+1)
+		}
+	}
+	for len(c.from) <= w {
+		c.from = append(c.from, len(g.cells))
+	}
+	if len(c.errs) < w {
+		c.errs = make([]error, w)
+	}
+}
+
+// sweepCells feeds part k's cells their shares of the chunk.
+func (g *Grid) sweepCells(k int) error {
+	c, J := g.crew, g.cfg.J
+	for i := c.from[k]; i < c.from[k+1]; i++ {
+		sub := c.cols[i%J][:c.reach[i%J][i/J+1]]
+		if len(sub) == 0 {
+			continue
+		}
+		if err := g.cells[i].Pass2AddBatch(sub); err != nil {
+			return g.cellErr(i, err)
+		}
+	}
+	return nil
 }
 
 // MergePass2 adds another grid's second-pass table state, cell-wise.

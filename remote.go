@@ -295,19 +295,41 @@ func ingestRemote[S wireState](ctx context.Context, r *remoteRun, kind dynnet.St
 	})
 }
 
-// remotePass is the remote engine of parallel.RunTwoPass: the state
-// newState returns is the prototype every worker decodes, ingests its
-// shard into — by the prototype's phase, which is why add goes unused —
-// and ships back, and the workers' states fold into it. For pass 2 that
+// remoteTwoPass is what a two-pass state needs to run on remote
+// workers: the wire, and the pass-2 fork and fold a local build never
+// uses.
+type remoteTwoPass[S any] interface {
+	wireState
+	MergePass1(S) error
+	ForkPass2() (S, error)
+	MergePass2(S) error
+}
+
+// remoteEngine is the remote engine of parallel.RunTwoPass. In each pass
+// a prototype state is what every worker decodes, ingests its shard
+// into — by the prototype's phase — and ships back, and the workers'
+// states fold into it. Pass 1's prototype is newState's state. Pass 2's
 // is ForkPass2's tables-only state, so the pass-1 sketches never cross
-// the wire a second time.
-func remotePass[S wireState](ctx context.Context, r *remoteRun, kind dynnet.StateKind, src Source, empty func() S) parallel.PassEngine[S] {
-	return func(newState func() (S, error), _ func(S, []Update) error, merge func(dst, src S) error) (S, error) {
-		proto, err := newState()
-		if err == nil {
-			err = ingestRemote(ctx, r, kind, src, proto, empty, merge)
-		}
-		return proto, err
+// the wire a second time; its fold then merges into the EndPass1 state.
+func remoteEngine[S remoteTwoPass[S]](ctx context.Context, r *remoteRun, kind dynnet.StateKind, src Source, empty func() S) parallel.Engine[S] {
+	return parallel.Engine[S]{
+		Pass1: func(newState func() (S, error)) (S, error) {
+			main, err := newState()
+			if err == nil {
+				err = ingestRemote(ctx, r, kind, src, main, empty, S.MergePass1)
+			}
+			return main, err
+		},
+		Pass2: func(main S) error {
+			tables, err := main.ForkPass2()
+			if err == nil {
+				err = ingestRemote(ctx, r, kind, src, tables, empty, S.MergePass2)
+			}
+			if err == nil {
+				err = main.MergePass2(tables)
+			}
+			return err
+		},
 	}
 }
 
@@ -315,7 +337,7 @@ func remotePass[S wireState](ctx context.Context, r *remoteRun, kind dynnet.Stat
 func remoteSpanner(ctx context.Context, r *remoteRun) func(Source, SpannerConfig) (*SpannerResult, error) {
 	return func(src Source, cfg SpannerConfig) (*SpannerResult, error) {
 		return parallel.RunTwoPass(r.p, "dynstream: remote",
-			remotePass(ctx, r, dynnet.KindTwoPass, src, func() *spanner.TwoPass { return new(spanner.TwoPass) }),
+			remoteEngine(ctx, r, dynnet.KindTwoPass, src, func() *spanner.TwoPass { return new(spanner.TwoPass) }),
 			func() (*spanner.TwoPass, error) { return spanner.NewTwoPass(src.N(), cfg), nil })
 	}
 }
