@@ -17,6 +17,7 @@ package agm
 import (
 	"dynstream/internal/graph"
 	"dynstream/internal/hashing"
+	"dynstream/internal/parallel"
 	"dynstream/internal/sketch"
 	"dynstream/internal/stream"
 )
@@ -74,7 +75,7 @@ type Sketch struct {
 	cacheHits   uint64
 	cacheMisses uint64
 
-	crew *ingestCrew // AddBatch's per-call bookkeeping; nil until the first batch
+	crew parallel.Crew[*Sketch, ingestScratch] // AddBatch's per-call bookkeeping (ingest.go)
 }
 
 // DecodeCacheStats reports the cumulative decode-cache hit and miss

@@ -7,13 +7,14 @@
 // paper's introduction, realized as goroutines.
 //
 // Two ingest shapes use that. Ingest replays the stream once into one
-// state whose batch kernel fans each batch out by itself (the AGM-family
-// sketches split a batch by vertex range, the two-pass states' pass 2
-// by table range); IngestOpts shards the stream into P states and
-// merges them, which is what the two-pass states' pass 1 and remote
-// builds run. Both two-pass states go through one protocol, RunTwoPass,
-// over an Engine: Local here, or dynstream's remote engine over worker
-// processes.
+// state whose batch kernel fans each batch out by itself through a Crew
+// (crew.go: the AGM-family sketches split a batch by vertex range, the
+// two-pass states' pass 2 by table range, the sparsifier grid by cell
+// range); IngestOpts shards the stream into P states and merges them,
+// which is what Local's pass 1 runs. Both two-pass states go through
+// one protocol, RunTwoPass, over an Engine: Local here, or dynstream's
+// remote engine, which ships states to worker processes and folds them
+// with MapOpts and TreeMerge.
 //
 // Execution is governed by a Policy: context (cancellation), worker
 // count, batch size, and an optional progress callback. IngestOpts
@@ -186,8 +187,10 @@ const minBatchPerWorker = 128
 // BatchWorkers is the goroutine count a batch kernel fans a batch of
 // the given number of updates out to: workers, capped at GOMAXPROCS
 // and at one goroutine per minBatchPerWorker updates, and at least 1.
+// A kernel takes at most one default batch (stream.DefaultBatchSize) at
+// a time, so updates past it add no goroutine.
 func BatchWorkers(workers, updates int) int {
-	return max(1, min(workers, runtime.GOMAXPROCS(0), updates/minBatchPerWorker))
+	return max(1, min(workers, runtime.GOMAXPROCS(0), min(updates, stream.DefaultBatchSize)/minBatchPerWorker))
 }
 
 // Ingest is the pass of a state whose batch kernel fans out by itself:
@@ -479,16 +482,10 @@ func fanoutIngest[S any](
 }
 
 // ForEachOpts runs fn(0..n-1) on up to the policy's workers and waits
-// for all of them. Dispatch stops at the first cancellation; already
-// dispatched tasks run to completion. The first error (by index) is
-// returned, which keeps the failure deterministic.
+// for all of them. Every index is dispatched even after a failure; once
+// the context is done, the remaining indices skip fn and record the
+// context's error. The first error (by index) is returned, which keeps
+// the failure deterministic.
 func ForEachOpts(p *Policy, n int, fn func(i int) error) error {
 	return ForEachWorkerOpts(p, n, func(_, i int) error { return fn(i) })
-}
-
-// ForEach runs fn(0..n-1) on up to `workers` goroutines and waits for
-// all of them. All indices run even if some fail; the first error (by
-// index) is returned.
-func ForEach(workers, n int, fn func(i int) error) error {
-	return ForEachOpts(Default().WithWorkers(workers), n, fn)
 }

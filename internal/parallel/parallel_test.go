@@ -85,7 +85,7 @@ func TestIngestPropagatesMergeError(t *testing.T) {
 
 func TestForEach(t *testing.T) {
 	var ran int64
-	if err := ForEach(4, 100, func(i int) error {
+	if err := ForEachOpts(Default().WithWorkers(4), 100, func(i int) error {
 		atomic.AddInt64(&ran, 1)
 		return nil
 	}); err != nil {
@@ -96,7 +96,7 @@ func TestForEach(t *testing.T) {
 	}
 	// First error by index is returned; all tasks still run.
 	ran = 0
-	err := ForEach(3, 50, func(i int) error {
+	err := ForEachOpts(Default().WithWorkers(3), 50, func(i int) error {
 		atomic.AddInt64(&ran, 1)
 		if i == 7 || i == 31 {
 			return errors.New("boom")
@@ -109,10 +109,10 @@ func TestForEach(t *testing.T) {
 	if ran != 50 {
 		t.Errorf("ran %d tasks, want all 50 despite errors", ran)
 	}
-	if err := ForEach(2, 0, func(int) error { return nil }); err != nil {
+	if err := ForEachOpts(Default().WithWorkers(2), 0, func(int) error { return nil }); err != nil {
 		t.Errorf("n=0: %v", err)
 	}
-	if err := ForEach(0, 3, func(int) error { return nil }); err == nil {
-		t.Error("ForEach accepted workers=0")
+	if err := ForEachOpts(Default().WithWorkers(0), 3, func(int) error { return nil }); err == nil {
+		t.Error("ForEachOpts accepted workers=0")
 	}
 }

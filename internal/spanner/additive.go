@@ -77,6 +77,7 @@ type Additive struct {
 	degF0   []*sketch.F0      // optional Theorem 9 degree sketch
 	forest  *agm.Sketch       // AGM sketches (Theorem 10)
 	done    bool
+	crew    parallel.Crew[*Additive, struct{}] // AddBatchOpts's vertex ranges
 
 	// subtracted is the E_low multiset currently folded OUT of the
 	// forest sketch (canonical edge -> multiplicity). Extraction
@@ -271,29 +272,36 @@ func (a *Additive) AddBatch(batch []stream.Update) error {
 // both endpoints update by update, then the forest sketch takes the
 // whole batch at once (agm.Sketch.AddBatchOpts). An update's half at
 // endpoint u touches only u's sketches, so with w workers
-// (parallel.BatchWorkers) worker j takes the halves whose endpoint lies
-// in the j-th of w equal vertex ranges, and no sketch is written by two
+// (parallel.BatchWorkers) part k takes the halves whose endpoint lies in
+// the k-th of w equal vertex ranges, and no sketch is written by two
 // goroutines.
 func (a *Additive) AddBatchOpts(batch []stream.Update, p *parallel.Policy) error {
 	if a.done {
 		return fmt.Errorf("spanner: additive Update after Finish")
 	}
-	w := parallel.BatchWorkers(p.Workers(), len(batch))
-	_ = parallel.ForEach(w, w, func(j int) error { // the halves cannot fail
-		lo, hi := j*a.n/w, (j+1)*a.n/w
-		for _, u := range batch {
-			d := int64(u.Delta)
-			if lo <= u.U && u.U < hi {
-				a.ingestHalf(u.U, u.V, d)
-			}
-			if lo <= u.V && u.V < hi {
-				a.ingestHalf(u.V, u.U, d)
-			}
-		}
-		return nil
-	})
+	c := &a.crew
+	c.Borrow(nil, parallel.BatchWorkers(p.Workers(), len(batch)))
+	c.Chunk = batch
+	c.Run(a, ingestHalves)
+	c.Release(nil)
 	a.forest.AddBatchOpts(batch, p)
 	return nil
+}
+
+// ingestHalves folds the halves of the crew's chunk whose endpoint lies
+// in the k-th of the crew's equal vertex ranges.
+func ingestHalves(a *Additive, k int) {
+	w := len(a.crew.Spans)
+	lo, hi := k*a.n/w, (k+1)*a.n/w
+	for _, u := range a.crew.Chunk {
+		d := int64(u.Delta)
+		if lo <= u.U && u.U < hi {
+			a.ingestHalf(u.U, u.V, d)
+		}
+		if lo <= u.V && u.V < hi {
+			a.ingestHalf(u.V, u.U, d)
+		}
+	}
 }
 
 // ingestHalf folds neighbor v into u's per-vertex sketches. A zero

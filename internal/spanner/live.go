@@ -195,7 +195,7 @@ func (tp *TwoPass) QueryLive(p *parallel.Policy) (*Result, error) {
 		tp.recCache = nil // rows are reallocated; old recoveries are moot
 		tp.tables = tp.allocTables()
 		err = stream.ReplayBatches(tp.liveSrc, 0, func(b []stream.Update) error {
-			tp.addPass2(b, pass2Workers(p.Workers(), b))
+			tp.addPass2(b, parallel.BatchWorkers(p.Workers(), len(b)))
 			return nil
 		})
 		if err != nil {
@@ -204,7 +204,7 @@ func (tp *TwoPass) QueryLive(p *parallel.Policy) (*Result, error) {
 		tp.liveSynced = 0
 	}
 	suffix := tp.liveLog[tp.liveSynced:]
-	tp.addPass2(suffix, pass2Workers(p.Workers(), suffix))
+	tp.addPass2(suffix, parallel.BatchWorkers(p.Workers(), len(suffix)))
 	tp.liveSynced = len(tp.liveLog)
 	// The augmented set is rebuilt per query: stale pairs from clusters
 	// that have since re-attached must not linger.

@@ -146,7 +146,7 @@ func TestPass2KernelMatchesReference(t *testing.T) {
 				t.Fatalf("%s: state bytes differ from the reference (err %v)", label, err)
 			}
 		}
-		for _, size := range []int{1, 7, pass2Chunk} {
+		for _, size := range []int{1, 7, stream.DefaultBatchSize} {
 			for _, w := range []int{1, 2, 3, 8} {
 				got := closedPass1(t, n, ups, cfg)
 				feedBatches(ups, size, func(b []stream.Update) { got.addPass2(b, w) })
@@ -211,12 +211,12 @@ func TestPass2Allocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(5, func() { tp.addPass2(ups, 1) }); allocs != 0 {
 		t.Errorf("pass-2 chunk on materialized tables: %v allocs per run, want 0", allocs)
 	}
-	w := pass2Workers(2, ups)
+	w := parallel.BatchWorkers(2, len(ups))
 	if w != 2 {
 		t.Fatalf("a %d-update batch fans out to %d parts, want 2", len(ups), w)
 	}
-	if pass2Keep < w {
-		t.Skipf("the free list keeps %d part on a one-processor start; a %d-part call re-makes the rest", pass2Keep, w)
+	if pass2Parts.Cap() < w {
+		t.Skipf("the free list keeps %d part on a one-processor start; a %d-part call re-makes the rest", pass2Parts.Cap(), w)
 	}
 	tp.addPass2(ups, w)
 	goroutines := 2 * (w - 1) // one route and one sweep goroutine per extra part

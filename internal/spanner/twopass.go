@@ -138,7 +138,7 @@ type TwoPass struct {
 	// tables[t][j] is H^t_j for terminal copy index t; the row of a
 	// non-terminal copy is nil.
 	tables [][]*sketch.KeyedEdgeSketch
-	crew   *pass2Crew // pass-2 ingest bookkeeping (pass2.go)
+	crew   parallel.Crew[*TwoPass, pass2Part] // pass-2 ingest bookkeeping (pass2.go)
 
 	augmented map[[2]int]bool
 	phase     int // 0 = pass 1, 1 = pass 2, 2 = finished
@@ -717,7 +717,7 @@ func (tp *TwoPass) Pass2AddBatchOpts(batch []stream.Update, p *parallel.Policy) 
 	if tp.phase != 1 {
 		return fmt.Errorf("spanner: Pass2Update called in phase %d", tp.phase)
 	}
-	tp.addPass2(batch, pass2Workers(p.Workers(), batch))
+	tp.addPass2(batch, parallel.BatchWorkers(p.Workers(), len(batch)))
 	return nil
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"dynstream/internal/graph"
 	"dynstream/internal/hashing"
@@ -40,7 +39,7 @@ type Grid struct {
 	colHash []*hashing.Poly    // per column j: the E^j_t level hash
 	cells   []*spanner.TwoPass // t-major: cells[(t-1)·J + j]
 	phase   int
-	crew    *gridCrew // pass-2 ingest scratch
+	sweep   *gridSweep // ingest scratch
 }
 
 // NewGrid creates the oracle-grid sketch state for a graph on n
@@ -79,37 +78,13 @@ func (g *Grid) N() int { return g.n }
 // route ingest on a grid decoded from the wire.
 func (g *Grid) Phase() int { return g.phase }
 
-// forEachCell visits the cells an update reaches: cell (t, j) sketches
-// E^j_t, the edges whose column-j level is at least t−1.
-func (g *Grid) forEachCell(u stream.Update, visit func(cell *spanner.TwoPass) error) error {
-	key := stream.PairKey(u.U, u.V, g.n)
-	for j := 0; j < g.cfg.J; j++ {
-		tMax := min(g.colHash[j].Level(key)+1, g.cfg.T)
-		for t := 1; t <= tMax; t++ {
-			if err := visit(g.cells[(t-1)*g.cfg.J+j]); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // Pass1Update ingests one first-pass update: a batch of one.
 func (g *Grid) Pass1Update(u stream.Update) error { return g.Pass1AddBatch([]stream.Update{u}) }
 
 // Pass1AddBatch ingests a batch of first-pass updates, feeding each to
-// every cell whose substream contains the edge.
-func (g *Grid) Pass1AddBatch(batch []stream.Update) error {
-	if g.phase != 0 {
-		return fmt.Errorf("sparsify: grid pass-1 ingest in phase %d", g.phase)
-	}
-	for _, u := range batch {
-		if err := g.forEachCell(u, func(c *spanner.TwoPass) error { return c.Pass1Update(u) }); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// every cell whose substream contains the edge: the grid's sweep on the
+// calling goroutine (see Pass2AddBatchOpts).
+func (g *Grid) Pass1AddBatch(batch []stream.Update) error { return g.ingest(batch, 0, 1) }
 
 // MergePass1 adds another grid's first-pass state, cell-wise.
 func (g *Grid) MergePass1(o *Grid) error {
@@ -166,68 +141,62 @@ func (g *Grid) Pass2Update(u stream.Update) error { return g.Pass2AddBatch([]str
 
 // Pass2AddBatch ingests a batch of second-pass updates on the calling
 // goroutine: Pass2AddBatchOpts at one worker.
-func (g *Grid) Pass2AddBatch(batch []stream.Update) error { return g.addPass2(batch, 1) }
-
-// gridChunk is the most updates Pass2AddBatchOpts buckets before it
-// sweeps.
-const gridChunk = stream.DefaultBatchSize
-
-// gridCrew is the working memory of Pass2AddBatchOpts, kept on the grid.
-// cols[j] holds a chunk's updates deepest column-j level first, so that
-// cell (t, j)'s substream E^j_t is the prefix cols[j][:reach[j][t]];
-// part k sweeps the cells [from[k], from[k+1]).
-type gridCrew struct {
-	keys  []uint64 // per update: its pair key
-	tops  []int    // per update: the last row t whose column-j cell it reaches
-	at    []int    // placement cursors per row
-	cols  [][]stream.Update
-	reach [][]int
-	from  []int
-	errs  []error
-	wg    sync.WaitGroup
-}
+func (g *Grid) Pass2AddBatch(batch []stream.Update) error { return g.ingest(batch, 1, 1) }
 
 // Pass2AddBatchOpts ingests a batch of second-pass updates, fanned out
 // across the policy's workers. Each chunk is bucketed once per column
 // — an update reaches cells (1, j)..(t, j) for its column-j level — and
 // every cell then ingests its whole share of the chunk in one call to
-// its own pass-2 kernel. With w workers (the policy's, capped by
-// parallel.BatchWorkers) the cells are cut into w contiguous ranges of
-// about equal update share, one goroutine each; cells are independent
-// states, so no lock is taken, and the grid is bit-identical to feeding
-// every update to its cells one at a time.
+// its own pass-2 kernel. With w workers (parallel.BatchWorkers) a
+// parallel.Crew sweeps w cell ranges of equal update share; cells are
+// independent states, so no lock is taken, and the grid is bit-identical
+// to feeding every update to its cells one at a time.
 func (g *Grid) Pass2AddBatchOpts(batch []stream.Update, p *parallel.Policy) error {
-	return g.addPass2(batch, parallel.BatchWorkers(p.Workers(), min(len(batch), gridChunk)))
+	return g.ingest(batch, 1, parallel.BatchWorkers(p.Workers(), len(batch)))
 }
 
-// addPass2 is Pass2AddBatchOpts with the cells cut into w ranges.
-func (g *Grid) addPass2(batch []stream.Update, w int) error {
-	if g.phase != 1 {
-		return fmt.Errorf("sparsify: grid pass-2 ingest in phase %d", g.phase)
+// gridSweep is the working memory of the grid's ingest, kept on the
+// grid. cols[j] holds a chunk's updates deepest column-j level first, so
+// that cell (t, j)'s substream E^j_t is a prefix of it; below[i] counts
+// the updates of the cells under i, so cell i's prefix is
+// below[i+1]−below[i] long, and is the weight the crew's cut balances.
+type gridSweep struct {
+	tops  []int // per update: the last row t whose column-j cell it reaches
+	reach []int // per row: the column's updates reaching it
+	at    []int // placement cursors per row
+	cols  [][]stream.Update
+	below []int
+	add   func(cell *spanner.TwoPass, sub []stream.Update) error // the open pass's batch ingest
+	errs  []error
+	crew  parallel.Crew[*Grid, struct{}]
+}
+
+// ingest feeds a batch to the cells of the pass open in the given phase
+// (0: pass 1, 1: pass 2), a default batch at a time: each is bucketed
+// per column, the cells are cut into w ranges and every range is swept
+// on its own goroutine.
+func (g *Grid) ingest(batch []stream.Update, phase, w int) error {
+	if g.phase != phase {
+		return fmt.Errorf("sparsify: grid pass-%d ingest in phase %d", phase+1, g.phase)
 	}
-	if g.crew == nil {
-		g.crew = &gridCrew{cols: make([][]stream.Update, g.cfg.J), reach: make([][]int, g.cfg.J)}
-		for j := range g.crew.reach {
-			g.crew.reach[j] = make([]int, g.cfg.T+2)
-		}
-		g.crew.at = make([]int, g.cfg.T+2)
+	if g.sweep == nil {
+		g.sweep = &gridSweep{reach: make([]int, g.cfg.T+2), at: make([]int, g.cfg.T+2),
+			cols: make([][]stream.Update, g.cfg.J), below: make([]int, len(g.cells)+1)}
 	}
-	c := g.crew
-	for lo := 0; lo < len(batch); lo += gridChunk {
-		chunk := batch[lo:min(lo+gridChunk, len(batch))]
-		g.bucket(chunk)
-		g.cutCells(w)
-		c.wg.Add(w - 1)
-		for k := 1; k < w; k++ {
-			k := k
-			go func() {
-				defer c.wg.Done()
-				c.errs[k] = g.sweepCells(k)
-			}()
-		}
-		c.errs[0] = g.sweepCells(0)
-		c.wg.Wait()
-		for _, err := range c.errs[:w] {
+	sw := g.sweep
+	sw.add = (*spanner.TwoPass).Pass1AddBatch
+	if phase == 1 {
+		sw.add = (*spanner.TwoPass).Pass2AddBatch
+	}
+	sw.crew.Borrow(nil, w)
+	if len(sw.errs) < w {
+		sw.errs = make([]error, w)
+	}
+	for lo := 0; lo < len(batch); lo += stream.DefaultBatchSize {
+		g.bucket(batch[lo:min(lo+stream.DefaultBatchSize, len(batch))])
+		sw.crew.Cut(len(g.cells), g.cellsBelow)
+		sw.crew.Run(g, sweepCells)
+		for _, err := range sw.errs[:w] {
 			if err != nil {
 				return err
 			}
@@ -239,73 +208,52 @@ func (g *Grid) addPass2(batch []stream.Update, w int) error {
 // bucket sorts the chunk into every column's list, deepest level first,
 // and counts each cell's prefix.
 func (g *Grid) bucket(chunk []stream.Update) {
-	c, T := g.crew, g.cfg.T
-	c.keys, c.tops = slices.Grow(c.keys[:0], len(chunk))[:len(chunk)], slices.Grow(c.tops[:0], len(chunk))[:len(chunk)]
-	for i, u := range chunk {
-		c.keys[i] = stream.PairKey(u.U, u.V, g.n)
-	}
-	for j := range c.cols {
-		reach := c.reach[j]
+	sw, T, J := g.sweep, g.cfg.T, g.cfg.J
+	sw.tops = slices.Grow(sw.tops[:0], len(chunk))[:len(chunk)]
+	for j := range sw.cols {
+		reach := sw.reach
 		clear(reach)
-		for i, key := range c.keys {
-			c.tops[i] = min(g.colHash[j].Level(key)+1, T)
-			reach[c.tops[i]]++
+		for i, u := range chunk {
+			sw.tops[i] = min(g.colHash[j].Level(stream.PairKey(u.U, u.V, g.n))+1, T)
+			reach[sw.tops[i]]++
 		}
 		// reach[t] becomes the count of updates reaching row t, and at[t]
 		// the first slot of those whose last row is t.
 		for t := T; t >= 1; t-- {
-			c.at[t] = reach[t+1]
+			sw.at[t] = reach[t+1]
 			reach[t] += reach[t+1]
+			sw.below[(t-1)*J+j+1] = reach[t]
 		}
-		col := slices.Grow(c.cols[j][:0], len(chunk))[:len(chunk)]
+		col := slices.Grow(sw.cols[j][:0], len(chunk))[:len(chunk)]
 		for i, u := range chunk {
-			col[c.at[c.tops[i]]] = u
-			c.at[c.tops[i]]++
+			col[sw.at[sw.tops[i]]] = u
+			sw.at[sw.tops[i]]++
 		}
-		c.cols[j] = col
+		sw.cols[j] = col
+	}
+	for i := range g.cells {
+		sw.below[i+1] += sw.below[i]
 	}
 }
 
-// cutCells splits the cells into w contiguous ranges of about equal
-// update share.
-func (g *Grid) cutCells(w int) {
-	c, J := g.crew, g.cfg.J
-	share := func(i int) int { return c.reach[i%J][i/J+1] }
-	total := 0
-	for i := range g.cells {
-		total += share(i)
-	}
-	// Range k ends at the first cell that brings the running total to
-	// (k+1)/w of the whole.
-	c.from = append(c.from[:0], 0)
-	sum := 0
-	for i := range g.cells {
-		sum += share(i)
-		if len(c.from) < w && sum >= len(c.from)*total/w {
-			c.from = append(c.from, i+1)
-		}
-	}
-	for len(c.from) <= w {
-		c.from = append(c.from, len(g.cells))
-	}
-	if len(c.errs) < w {
-		c.errs = make([]error, w)
-	}
-}
+// cellsBelow counts the bucketed updates of the cells under i.
+func (g *Grid) cellsBelow(i int) int { return g.sweep.below[i] }
 
 // sweepCells feeds part k's cells their shares of the chunk.
-func (g *Grid) sweepCells(k int) error {
-	c, J := g.crew, g.cfg.J
-	for i := c.from[k]; i < c.from[k+1]; i++ {
-		sub := c.cols[i%J][:c.reach[i%J][i/J+1]]
+func sweepCells(g *Grid, k int) {
+	sw, J := g.sweep, g.cfg.J
+	sp := &sw.crew.Spans[k]
+	sw.errs[k] = nil
+	for i := sp.Lo; i < sp.Hi; i++ {
+		sub := sw.cols[i%J][:sw.below[i+1]-sw.below[i]]
 		if len(sub) == 0 {
 			continue
 		}
-		if err := g.cells[i].Pass2AddBatch(sub); err != nil {
-			return g.cellErr(i, err)
+		if err := sw.add(g.cells[i], sub); err != nil {
+			sw.errs[k] = g.cellErr(i, err)
+			return
 		}
 	}
-	return nil
 }
 
 // MergePass2 adds another grid's second-pass table state, cell-wise.

@@ -11,15 +11,33 @@ import (
 	"dynstream/internal/stream"
 )
 
-// TestGridPass2KernelMatchesReference: the grid's pass-2 kernel — each
-// chunk bucketed per column, cells swept in ranges — leaves the grid
-// bit for bit as feeding every update to each of its cells one at a
-// time does, in batches of 1, 7 and a full chunk, at 1, 2, 3 and 8
-// ranges, and through a policy whose eight workers GOMAXPROCS allows.
-// The input mixes in zero updates, multiplicities of two and a hub.
-// The cells' tables are pinned to the per-update reference, generations
-// included, by spanner's TestPass2KernelMatchesReference; here the
-// routing to cells is what is checked, through the grid's encoding.
+// forEachCell visits the cells an update reaches: cell (t, j) sketches
+// E^j_t, the edges whose column-j level is at least t−1. It is the
+// per-update routing the grid's bucketed sweep replaced, kept as the
+// reference of TestGridPass2KernelMatchesReference.
+func (g *Grid) forEachCell(u stream.Update, visit func(cell *spanner.TwoPass) error) error {
+	key := stream.PairKey(u.U, u.V, g.n)
+	for j := 0; j < g.cfg.J; j++ {
+		tMax := min(g.colHash[j].Level(key)+1, g.cfg.T)
+		for t := 1; t <= tMax; t++ {
+			if err := visit(g.cells[(t-1)*g.cfg.J+j]); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// TestGridPass2KernelMatchesReference: the grid's sweep — each chunk
+// bucketed per column, cells swept in ranges — leaves the grid bit for
+// bit as feeding every update to each of its cells one at a time does.
+// Pass 1 is checked in batches of 1, 7 and a full chunk, before and after
+// EndPass1; pass 2 in the same batches at 1, 2, 3 and 8 ranges, and
+// through a policy whose eight workers GOMAXPROCS allows. The input
+// mixes in zero updates, multiplicities of two and a hub. The cells'
+// tables are pinned to the per-update reference, generations included,
+// by spanner's TestPass2KernelMatchesReference; here the routing to
+// cells is what is checked, through the grid's encoding.
 func TestGridPass2KernelMatchesReference(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(8, runtime.GOMAXPROCS(0))))
 	const n = 48
@@ -38,20 +56,6 @@ func TestGridPass2KernelMatchesReference(t *testing.T) {
 		ups = append(ups, stream.Update{U: v, V: n - 1, Delta: -2})
 	}
 	cfg := EstimateConfig{K: 2, J: 3, T: 5, Delta: 0.34, Seed: 63}
-	closed := func() *Grid {
-		t.Helper()
-		g, err := NewGrid(n, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := g.Pass1AddBatch(ups); err != nil {
-			t.Fatal(err)
-		}
-		if err := g.EndPass1(); err != nil {
-			t.Fatal(err)
-		}
-		return g
-	}
 	encode := func(g *Grid) []byte {
 		t.Helper()
 		b, err := g.MarshalBinary()
@@ -60,6 +64,53 @@ func TestGridPass2KernelMatchesReference(t *testing.T) {
 		}
 		return b
 	}
+	newGrid := func() *Grid {
+		t.Helper()
+		g, err := NewGrid(n, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	end := func(g *Grid) {
+		t.Helper()
+		if err := g.EndPass1(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ref1 := newGrid()
+	for _, u := range ups {
+		if err := ref1.forEachCell(u, func(c *spanner.TwoPass) error { return c.Pass1Update(u) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantOpen := encode(ref1)
+	end(ref1)
+	wantClosed := encode(ref1)
+	for _, size := range []int{1, 7, stream.DefaultBatchSize} {
+		g := newGrid()
+		for lo := 0; lo < len(ups); lo += size {
+			if err := g.Pass1AddBatch(ups[lo:min(lo+size, len(ups))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(encode(g), wantOpen) {
+			t.Fatalf("pass 1, batch=%d: grid bytes differ from the per-cell reference", size)
+		}
+		end(g)
+		if !bytes.Equal(encode(g), wantClosed) {
+			t.Fatalf("pass 1, batch=%d: grid bytes after EndPass1 differ from the per-cell reference", size)
+		}
+	}
+	closed := func() *Grid {
+		t.Helper()
+		g := newGrid()
+		if err := g.Pass1AddBatch(ups); err != nil {
+			t.Fatal(err)
+		}
+		end(g)
+		return g
+	}
 	ref := closed()
 	for _, u := range ups {
 		if err := ref.forEachCell(u, func(c *spanner.TwoPass) error { return c.Pass2Update(u) }); err != nil {
@@ -67,11 +118,11 @@ func TestGridPass2KernelMatchesReference(t *testing.T) {
 		}
 	}
 	want := encode(ref)
-	for _, size := range []int{1, 7, gridChunk} {
+	for _, size := range []int{1, 7, stream.DefaultBatchSize} {
 		for _, w := range []int{1, 2, 3, 8} {
 			g := closed()
 			for lo := 0; lo < len(ups); lo += size {
-				if err := g.addPass2(ups[lo:min(lo+size, len(ups))], w); err != nil {
+				if err := g.ingest(ups[lo:min(lo+size, len(ups))], 1, w); err != nil {
 					t.Fatal(err)
 				}
 			}
