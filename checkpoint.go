@@ -243,9 +243,10 @@ func readCheckpoint(r io.Reader) (checkpointMeta, []byte, error) {
 // Apply-ing the suffix of updates past AppliedUpdates(), every Query
 // is bit-identical to an uninterrupted handle's.
 //
-// Restore accepts the same options as Open (worker counts, batch size,
-// decode cache); remote and weight-class options are rejected exactly
-// as Open rejects them.
+// Restore accepts the same options as Open (worker counts, batch
+// size); remote and weight-class options are rejected exactly as Open
+// rejects them. A restored handle's decode caches start empty, so its
+// first Query decodes cold.
 func Restore[R any](ctx context.Context, r io.Reader, src Source, target Target[R], opts ...Option) (*Handle[R], error) {
 	_ = ctx // restores are offline: no stream pass runs until the first Query
 	o, pl, err := resolve(src, target, opts, true)
@@ -267,7 +268,6 @@ func Restore[R any](ctx context.Context, r io.Reader, src Source, target Target[
 	if err != nil {
 		return nil, err
 	}
-	live.enableCache(o.cacheOn())
 	sp.End(obs.A("bytes", int64(len(state))), obs.A("applied", meta.applied))
 	return &Handle[R]{n: src.N(), src: src, o: o, live: live, applied: meta.applied}, nil
 }

@@ -19,17 +19,18 @@ import (
 // batches is bit-identical to a cold Build over the concatenated
 // stream, at every worker count.
 //
-// Queries are served incrementally: each target keeps per-region
-// decode caches — per-component sampler picks for the AGM family,
-// per-center cluster attachments and per-terminal recoveries for the
-// spanner, per-cell grid extractions for the sparsifier — keyed by
-// injective state digests over monotonic generation counters, so only
-// the regions an Apply actually touched are re-decoded. The caches are
-// on by default for handles; WithDecodeCache(false) disables them
-// (queries then re-extract cold but remain identical).
+// Queries are served incrementally. One rule governs the decode
+// caches: a live state caches, a one-shot Build does not. Each target
+// keeps per-region decodes — per-component sampler picks for the AGM
+// family, per-center cluster attachments and per-terminal recoveries
+// for the spanner, and for the sparsifier the same two spanner caches
+// in each of its grid cells and sample spanners — keyed by member list
+// and generation sum. Generation counters only grow, so an unchanged
+// key proves the region's inputs unchanged, and only the regions an
+// Apply actually touched are re-decoded.
 //
 // A Handle is safe for use from one goroutine at a time per method
-// call (an internal mutex serializes Apply/Query/Merge/Invalidate);
+// call (an internal mutex serializes Apply/Query/Merge/Checkpoint);
 // concurrent callers still need their own ordering if they care which
 // updates a query observes.
 type Handle[R any] struct {
@@ -47,11 +48,11 @@ type Handle[R any] struct {
 
 // CacheStats reports the live state's decode-cache traffic: Hits counts
 // cached region decodes (component picks, cluster attachments, terminal
-// recoveries, per-vertex peels) reused because their generation-counter
-// digests proved the inputs unchanged; Misses counts regions that had
-// to re-decode. Both are cumulative over the handle's lifetime and only
-// advance while the cache is enabled (WithDecodeCache). The serving
-// layer exports them as Prometheus counters.
+// recoveries, per-vertex peels) reused because their member lists and
+// generation sums proved the inputs unchanged; Misses counts regions
+// that had to re-decode. Both are cumulative over the handle's lifetime
+// (a restored handle starts from zero). The serving layer exports them
+// as Prometheus counters.
 type CacheStats struct {
 	Hits   uint64
 	Misses uint64
@@ -62,8 +63,6 @@ type liveState[R any] interface {
 	// apply folds a batch in at the policy's worker count.
 	apply(batch []Update, p *parallel.Policy) error
 	query(p *parallel.Policy) (R, error)
-	enableCache(on bool)
-	invalidate()
 	// cacheStats reports cumulative decode-cache hits and misses (see
 	// CacheStats).
 	cacheStats() (hits, misses uint64)
@@ -98,7 +97,6 @@ func Open[R any](ctx context.Context, src Source, target Target[R], opts ...Opti
 	if err != nil {
 		return nil, err
 	}
-	live.enableCache(o.cacheOn())
 	return &Handle[R]{n: src.N(), src: src, o: o, live: live}, nil
 }
 
@@ -202,14 +200,4 @@ func (h *Handle[R]) Merge(state any) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.live.merge(state)
-}
-
-// Invalidate drops every cached decode, so the next Query re-extracts
-// from scratch. Correctness never requires it — the digest checks
-// already reject stale cache entries — it only bounds memory or forces
-// a cold decode for measurement.
-func (h *Handle[R]) Invalidate() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.live.invalidate()
 }

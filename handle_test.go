@@ -1,6 +1,7 @@
 package dynstream_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -75,72 +76,82 @@ func cloneStream(t *testing.T, st *dynstream.MemoryStream) *dynstream.MemoryStre
 // runHandleMatrix drives one target through the interleaving matrix:
 // Open on the base stream, then per round Query (incremental) and diff
 // against cold(cum) (a from-scratch rebuild over the cumulative
-// stream), then Apply the next batch. The final round re-queries after
-// Invalidate, proving a cold in-handle decode agrees too.
-func runHandleMatrix[X any](
-	t *testing.T, seed uint64, w int,
-	open func(base *dynstream.MemoryStream) (apply func([]dynstream.Update) error, query func() (X, error), invalidate func(), err error),
+// stream), then Apply the next batch. The final round checkpoints the
+// handle, restores it over the same base stream and queries the
+// restored handle, whose caches start empty — a cold in-handle decode
+// must agree too.
+func runHandleMatrix[R, X any](
+	t *testing.T, seed uint64, w int, target dynstream.Target[R],
+	decode func(r R, w int) (X, error),
 	cold func(cum *dynstream.MemoryStream) (X, error),
 	equal func(t *testing.T, round int, got, want X),
 ) {
 	t.Helper()
+	ctx := context.Background()
 	base, batches := handleStream(t, seed)
-	apply, query, invalidate, err := open(base)
+	h, err := dynstream.Open(ctx, base, target, dynstream.WithDecodeWorkers(w))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cum := cloneStream(t, base)
 	check := func(round int) {
 		t.Helper()
-		got, err := query()
-		if err != nil {
-			t.Fatalf("round %d: query: %v", round, err)
-		}
 		want, err := cold(cum)
 		if err != nil {
 			t.Fatalf("round %d: cold rebuild: %v", round, err)
 		}
-		equal(t, round, got, want)
-		// Immediate re-query: the all-cache-hits path must reproduce
-		// the same result.
-		again, err := query()
-		if err != nil {
-			t.Fatalf("round %d: re-query: %v", round, err)
+		// The immediate re-query takes the all-cache-hits path and must
+		// reproduce the same result.
+		for _, what := range []string{"query", "re-query"} {
+			r, err := h.Query(ctx)
+			if err != nil {
+				t.Fatalf("round %d: %s: %v", round, what, err)
+			}
+			got, err := decode(r, w)
+			if err != nil {
+				t.Fatalf("round %d: %s: %v", round, what, err)
+			}
+			equal(t, round, got, want)
 		}
-		equal(t, round, again, want)
 	}
 	check(0)
 	for i, b := range batches {
-		if err := apply(b); err != nil {
+		if err := h.Apply(b); err != nil {
 			t.Fatalf("round %d: apply: %v", i+1, err)
 		}
 		appendAll(t, cum, b)
 		check(i + 1)
 	}
-	// Dropping the caches must not change what a query returns.
-	invalidate()
+	h = restoreHandle(t, h, base, target, w)
 	check(len(batches))
 }
+
+// restoreHandle checkpoints h and restores it over base at w decode
+// workers.
+func restoreHandle[R any](t *testing.T, h *dynstream.Handle[R], base *dynstream.MemoryStream, target dynstream.Target[R], w int) *dynstream.Handle[R] {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := h.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := dynstream.Restore(context.Background(), &buf, base, target, dynstream.WithDecodeWorkers(w))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return restored
+}
+
+// itself is the decode of targets whose query result is the answer.
+func itself[X any](x X, _ int) (X, error) { return x, nil }
 
 func TestHandleForestMatrix(t *testing.T) {
 	ctx := context.Background()
 	target := dynstream.ForestTarget{Seed: 8101}
 	for _, w := range decodeWorkerCounts {
 		t.Run(fmt.Sprintf("decode%d", w), func(t *testing.T) {
-			runHandleMatrix(t, 8100, w,
-				func(base *dynstream.MemoryStream) (func([]dynstream.Update) error, func() ([]graph.Edge, error), func(), error) {
-					h, err := dynstream.Open(ctx, base, target, dynstream.WithDecodeWorkers(w))
-					if err != nil {
-						return nil, nil, nil, err
-					}
-					query := func() ([]graph.Edge, error) {
-						sk, err := h.Query(ctx)
-						if err != nil {
-							return nil, err
-						}
-						return sk.SpanningForestOpts(nil, parallel.Default().WithWorkers(w))
-					}
-					return h.Apply, query, h.Invalidate, nil
+			runHandleMatrix(t, 8100, w, target,
+				func(sk *dynstream.ForestSketch, w int) ([]graph.Edge, error) {
+					return sk.SpanningForestOpts(nil, parallel.Default().WithWorkers(w))
 				},
 				func(cum *dynstream.MemoryStream) ([]graph.Edge, error) {
 					sk, err := dynstream.Build(ctx, cum, target)
@@ -164,20 +175,9 @@ func TestHandleKConnectivityMatrix(t *testing.T) {
 	target := dynstream.KConnectivityTarget{Seed: 8201, K: 3}
 	for _, w := range decodeWorkerCounts {
 		t.Run(fmt.Sprintf("decode%d", w), func(t *testing.T) {
-			runHandleMatrix(t, 8200, w,
-				func(base *dynstream.MemoryStream) (func([]dynstream.Update) error, func() ([][]graph.Edge, error), func(), error) {
-					h, err := dynstream.Open(ctx, base, target, dynstream.WithDecodeWorkers(w))
-					if err != nil {
-						return nil, nil, nil, err
-					}
-					query := func() ([][]graph.Edge, error) {
-						kc, err := h.Query(ctx)
-						if err != nil {
-							return nil, err
-						}
-						return kc.CertificateOpts(parallel.Default().WithWorkers(w))
-					}
-					return h.Apply, query, h.Invalidate, nil
+			runHandleMatrix(t, 8200, w, target,
+				func(kc *dynstream.KConnectivity, w int) ([][]graph.Edge, error) {
+					return kc.CertificateOpts(parallel.Default().WithWorkers(w))
 				},
 				func(cum *dynstream.MemoryStream) ([][]graph.Edge, error) {
 					kc, err := dynstream.Build(ctx, cum, target)
@@ -201,20 +201,9 @@ func TestHandleBipartitenessMatrix(t *testing.T) {
 	target := dynstream.BipartitenessTarget{Seed: 8301}
 	for _, w := range decodeWorkerCounts {
 		t.Run(fmt.Sprintf("decode%d", w), func(t *testing.T) {
-			runHandleMatrix(t, 8300, w,
-				func(base *dynstream.MemoryStream) (func([]dynstream.Update) error, func() (bool, error), func(), error) {
-					h, err := dynstream.Open(ctx, base, target, dynstream.WithDecodeWorkers(w))
-					if err != nil {
-						return nil, nil, nil, err
-					}
-					query := func() (bool, error) {
-						b, err := h.Query(ctx)
-						if err != nil {
-							return false, err
-						}
-						return b.IsBipartiteOpts(parallel.Default().WithWorkers(w))
-					}
-					return h.Apply, query, h.Invalidate, nil
+			runHandleMatrix(t, 8300, w, target,
+				func(b *dynstream.Bipartiteness, w int) (bool, error) {
+					return b.IsBipartiteOpts(parallel.Default().WithWorkers(w))
 				},
 				func(cum *dynstream.MemoryStream) (bool, error) {
 					b, err := dynstream.Build(ctx, cum, target)
@@ -239,20 +228,9 @@ func TestHandleMSFMatrix(t *testing.T) {
 	target := dynstream.MSFTarget{Seed: 8401, WMax: 8, Gamma: 0.5}
 	for _, w := range decodeWorkerCounts {
 		t.Run(fmt.Sprintf("decode%d", w), func(t *testing.T) {
-			runHandleMatrix(t, 8400, w,
-				func(base *dynstream.MemoryStream) (func([]dynstream.Update) error, func() ([]graph.Edge, error), func(), error) {
-					h, err := dynstream.Open(ctx, base, target, dynstream.WithDecodeWorkers(w))
-					if err != nil {
-						return nil, nil, nil, err
-					}
-					query := func() ([]graph.Edge, error) {
-						m, err := h.Query(ctx)
-						if err != nil {
-							return nil, err
-						}
-						return m.ForestOpts(parallel.Default().WithWorkers(w))
-					}
-					return h.Apply, query, h.Invalidate, nil
+			runHandleMatrix(t, 8400, w, target,
+				func(m *dynstream.MSF, w int) ([]graph.Edge, error) {
+					return m.ForestOpts(parallel.Default().WithWorkers(w))
 				},
 				func(cum *dynstream.MemoryStream) ([]graph.Edge, error) {
 					m, err := dynstream.Build(ctx, cum, target)
@@ -278,15 +256,7 @@ func TestHandleSpannerMatrix(t *testing.T) {
 	}}
 	for _, w := range decodeWorkerCounts {
 		t.Run(fmt.Sprintf("decode%d", w), func(t *testing.T) {
-			runHandleMatrix(t, 8500, w,
-				func(base *dynstream.MemoryStream) (func([]dynstream.Update) error, func() (*dynstream.SpannerResult, error), func(), error) {
-					h, err := dynstream.Open(ctx, base, target, dynstream.WithDecodeWorkers(w))
-					if err != nil {
-						return nil, nil, nil, err
-					}
-					query := func() (*dynstream.SpannerResult, error) { return h.Query(ctx) }
-					return h.Apply, query, h.Invalidate, nil
-				},
+			runHandleMatrix(t, 8500, w, target, itself[*dynstream.SpannerResult],
 				func(cum *dynstream.MemoryStream) (*dynstream.SpannerResult, error) {
 					return dynstream.Build(ctx, cum, target)
 				},
@@ -307,15 +277,7 @@ func TestHandleAdditiveMatrix(t *testing.T) {
 	target := dynstream.AdditiveTarget{Config: dynstream.AdditiveConfig{D: 4, Seed: 8601}}
 	for _, w := range decodeWorkerCounts {
 		t.Run(fmt.Sprintf("decode%d", w), func(t *testing.T) {
-			runHandleMatrix(t, 8600, w,
-				func(base *dynstream.MemoryStream) (func([]dynstream.Update) error, func() (*dynstream.AdditiveResult, error), func(), error) {
-					h, err := dynstream.Open(ctx, base, target, dynstream.WithDecodeWorkers(w))
-					if err != nil {
-						return nil, nil, nil, err
-					}
-					query := func() (*dynstream.AdditiveResult, error) { return h.Query(ctx) }
-					return h.Apply, query, h.Invalidate, nil
-				},
+			runHandleMatrix(t, 8600, w, target, itself[*dynstream.AdditiveResult],
 				func(cum *dynstream.MemoryStream) (*dynstream.AdditiveResult, error) {
 					return dynstream.Build(ctx, cum, target)
 				},
@@ -354,6 +316,7 @@ func TestHandleSparsifierMatrix(t *testing.T) {
 			cum := cloneStream(t, base)
 			rest := ups[cut:]
 			per := (len(rest) + 2) / 3
+			restored := false
 			for round := 0; ; round++ {
 				got, err := h.Query(ctx)
 				if err != nil {
@@ -365,7 +328,13 @@ func TestHandleSparsifierMatrix(t *testing.T) {
 				}
 				edgesEqual(t, fmt.Sprintf("round %d sparsifier", round), got.Sparsifier, want.Sparsifier)
 				if len(rest) == 0 {
-					break
+					if restored {
+						break
+					}
+					// Last round again on a restored handle: a cold
+					// in-handle decode must agree too.
+					h, restored = restoreHandle(t, h, base, target, w), true
+					continue
 				}
 				end := per
 				if end > len(rest) {
@@ -590,43 +559,5 @@ func TestOpenValidation(t *testing.T) {
 	}
 	if err := sp.Merge(dynstream.NewTwoPassSpanner(8, dynstream.SpannerConfig{K: 2, Seed: 1})); !errors.Is(err, dynstream.ErrBadConfig) {
 		t.Fatalf("two-pass merge: got %v, want ErrBadConfig", err)
-	}
-}
-
-// TestHandleCacheOff checks WithDecodeCache(false): queries re-extract
-// cold every time but stay identical to the cold rebuild.
-func TestHandleCacheOff(t *testing.T) {
-	ctx := context.Background()
-	target := dynstream.ForestTarget{Seed: 9001}
-	base, batches := handleStream(t, 9000)
-	h, err := dynstream.Open(ctx, base, target, dynstream.WithDecodeCache(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cum := cloneStream(t, base)
-	for i, b := range batches {
-		if err := h.Apply(b); err != nil {
-			t.Fatal(err)
-		}
-		appendAll(t, cum, b)
-		sk, err := h.Query(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := sk.SpanningForest(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		coldSk, err := dynstream.Build(ctx, cum, target)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := coldSk.SpanningForest(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("round %d: cache-off handle diverged from cold rebuild", i+1)
-		}
 	}
 }

@@ -81,7 +81,7 @@ type Sketch struct {
 // DecodeCacheStats reports the cumulative decode-cache hit and miss
 // counts of this sketch's extraction cache pass. Both are zero until a
 // cached extraction runs (EnableDecodeCache). Counters are cumulative
-// across queries and survive cache invalidation.
+// across queries and survive EnableDecodeCache(false).
 func (s *Sketch) DecodeCacheStats() (hits, misses uint64) {
 	return s.cacheHits, s.cacheMisses
 }
@@ -156,17 +156,6 @@ func (s *Sketch) EnableDecodeCache(on bool) {
 		s.log = nil
 		s.logGen++
 	}
-}
-
-// InvalidateDecodeCache drops every cached component decode; the next
-// extraction runs cold. Correctness never requires calling this — the
-// generation checks already reject stale entries — it only bounds
-// memory or forces a cold decode for measurement.
-func (s *Sketch) InvalidateDecodeCache() {
-	s.picks = nil
-	s.merges = nil
-	s.log = s.log[:0]
-	s.logGen++
 }
 
 // cachedPickCount reports how many component decodes the pick cache

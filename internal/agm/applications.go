@@ -62,14 +62,6 @@ func (kc *KConnectivity) EnableDecodeCache(on bool) {
 	}
 }
 
-// InvalidateDecodeCache drops every constituent sketch's cached
-// component decodes; the next Certificate runs cold.
-func (kc *KConnectivity) InvalidateDecodeCache() {
-	for _, s := range kc.sketches {
-		s.InvalidateDecodeCache()
-	}
-}
-
 // DecodeCacheStats sums the decode-cache hit/miss counters of the k
 // constituent forest sketches.
 func (kc *KConnectivity) DecodeCacheStats() (hits, misses uint64) {
@@ -261,13 +253,6 @@ func (b *Bipartiteness) N() int { return b.n }
 func (b *Bipartiteness) EnableDecodeCache(on bool) {
 	b.base.EnableDecodeCache(on)
 	b.cover.EnableDecodeCache(on)
-}
-
-// InvalidateDecodeCache drops both sketches' cached component decodes;
-// the next IsBipartite runs cold.
-func (b *Bipartiteness) InvalidateDecodeCache() {
-	b.base.InvalidateDecodeCache()
-	b.cover.InvalidateDecodeCache()
 }
 
 // DecodeCacheStats sums the decode-cache hit/miss counters of the base

@@ -174,9 +174,10 @@ func TestCertificateRepeatable(t *testing.T) {
 // TestRequeryModelEquivalence drives a cache-enabled sketch through
 // seeded random interleavings of everything that can happen between two
 // queries — update batches of every size class, batches that cancel to
-// zero, Merge, InvalidateDecodeCache, the cache switched off and on, a
-// marshal round trip, a log overflow, mass deletions and insertions that
-// move the round the decode stops at — and after every step checks the
+// zero, Merge, the caches released and re-enabled, the cache switched
+// off and on, a marshal round trip, a log overflow, mass deletions and
+// insertions that move the round the decode stops at — and after every
+// step checks the
 // cached forest, edge for edge and in order, against the map-based
 // reference decode of the same samplers and against a twin sketch that
 // never cached anything; every few steps also against a fresh sketch fed
@@ -317,8 +318,9 @@ func requeryModelRun(t *testing.T, n int, grouped bool, workers, steps int, seed
 				}
 				prefix = append(prefix, batch...)
 			case 8:
-				what = "invalidate"
-				live.InvalidateDecodeCache()
+				what = "release"
+				live.EnableDecodeCache(false)
+				live.EnableDecodeCache(caching)
 				ref.reset()
 			case 9:
 				what = "cache off"

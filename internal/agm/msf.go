@@ -63,14 +63,6 @@ func (m *MSF) EnableDecodeCache(on bool) {
 	}
 }
 
-// InvalidateDecodeCache drops every prefix sketch's cached component
-// decodes; the next Forest runs cold.
-func (m *MSF) InvalidateDecodeCache() {
-	for _, s := range m.prefixes {
-		s.InvalidateDecodeCache()
-	}
-}
-
 // DecodeCacheStats sums the decode-cache hit/miss counters of every
 // prefix sketch.
 func (m *MSF) DecodeCacheStats() (hits, misses uint64) {

@@ -30,8 +30,8 @@ type refPick struct {
 	genSum  uint64
 }
 
-// reset forgets every stored decode, as InvalidateDecodeCache,
-// EnableDecodeCache(false) and UnmarshalBinary do.
+// reset forgets every stored decode, as EnableDecodeCache(false) and
+// UnmarshalBinary do.
 func (d *refDecoder) reset() { d.picks = nil }
 
 func (d *refDecoder) forest(s *Sketch, groups [][]int) (forest []graph.Edge, hits, misses uint64, err error) {

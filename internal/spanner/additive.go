@@ -102,7 +102,7 @@ type Additive struct {
 // DecodeCacheStats reports the cumulative decode-cache hit and miss
 // counts across the neighborhood/attachment caches and the embedded
 // forest sketch's component cache. Counters are cumulative across
-// queries and survive cache invalidation.
+// queries and survive EnableDecodeCache(false).
 func (a *Additive) DecodeCacheStats() (hits, misses uint64) {
 	fh, fm := a.forest.DecodeCacheStats()
 	return a.cacheHits + fh, a.cacheMisses + fm
@@ -217,14 +217,6 @@ func (a *Additive) EnableDecodeCache(on bool) {
 		a.lowCache = nil
 		a.parCache = nil
 	}
-}
-
-// InvalidateDecodeCache drops every cached per-vertex decode and the
-// forest sketch's pick cache; the next ExtractOpts runs cold.
-func (a *Additive) InvalidateDecodeCache() {
-	a.lowCache = nil
-	a.parCache = nil
-	a.forest.InvalidateDecodeCache()
 }
 
 // reconcileElow adjusts the forest sketch so that exactly `want` is

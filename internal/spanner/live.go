@@ -2,9 +2,9 @@ package spanner
 
 import (
 	"fmt"
+	"slices"
 
 	"dynstream/internal/parallel"
-	"dynstream/internal/sketch"
 	"dynstream/internal/stream"
 )
 
@@ -22,18 +22,12 @@ import (
 //	                  rebuild tables and replay src + log; then extract
 //	                  (cached per terminal).
 //
-// Every cache is keyed by an injective sketch.StateDigest (member lists
-// plus monotonic generation sums), never a hash, so a hit provably
-// reproduces what a cold decode of the same state would compute — the
+// A live state caches and a one-shot build does not: every cache entry
+// holds the member list (or table row) it decoded and the sum of its
+// sketches' generation counters. Counters only grow, so an equal list
+// and sum prove the inputs bit-identical to the cached decode's — the
 // incremental result is bit-identical to a from-scratch build over the
 // same total stream.
-
-// attachKey identifies one cluster-decode region: the center vertex u
-// at hierarchy level `level`.
-type attachKey struct {
-	level int
-	u     int
-}
 
 // attachResult is one center's decode outcome, applied serially.
 type attachResult struct {
@@ -43,11 +37,14 @@ type attachResult struct {
 	augmented [][2]int
 }
 
-// attachEntry caches an attachment decode under the state digest of
-// everything the decode read.
+// attachEntry caches one center's attachment decode: the member list it
+// read (shared with the copy forest it came from, which never writes it
+// again) and the summed generation counter of the pass-1 sketches the
+// decode read. An entry with nil members is empty.
 type attachEntry struct {
-	key string
-	res attachResult
+	members []int
+	gens    uint64
+	res     attachResult
 }
 
 // recEntry caches one terminal's neighborhood recovery under the
@@ -57,77 +54,30 @@ type recEntry struct {
 	edges [][2]int
 }
 
-// EnableDecodeCache turns the per-center attachment cache and the
-// per-terminal recovery cache on or off. Off releases both caches.
-// Cached and uncached extraction are bit-identical; the cache only
-// skips decodes whose inputs are provably unchanged.
-func (tp *TwoPass) EnableDecodeCache(on bool) {
-	tp.caching = on
-	if !on {
-		tp.attach = nil
-		tp.recCache = nil
-	}
-}
-
-// InvalidateDecodeCache drops the attachment and recovery caches and
-// forgets the last cluster-structure digest, so the next QueryLive
-// re-clusters, reallocates the pass-2 tables, and replays the stream
-// from scratch. Correctness never requires this — the digest checks
-// already reject stale entries — it only bounds memory or forces a
-// cold decode for measurement.
-func (tp *TwoPass) InvalidateDecodeCache() {
-	tp.attach = nil
-	tp.recCache = nil
-	tp.clusterKey = ""
-}
-
-// attachDigest fingerprints one cluster-decode region: the member list
-// and the summed generation counter of every pass-1 sketch the decode
-// reads (rows r = level+1, all subsampling levels j). The sum is
-// collision-free over a fixed member list because each counter is
-// monotonic: an equal sum means every sketch is bit-identical to the
-// state the cache entry decoded.
-func (tp *TwoPass) attachDigest(level int, members []int) string {
-	var d sketch.StateDigest
-	d.Tag('A')
-	d.Int(level)
-	d.Int(len(members))
+// attachGens sums the generation counters of every pass-1 sketch one
+// attachment decode reads: rows r = level+1, all subsampling levels j,
+// of every member. An untouched sketch has generation 0.
+func (tp *TwoPass) attachGens(level int, members []int) uint64 {
 	var gens uint64
 	for _, v := range members {
-		d.Int(v)
 		for _, s := range tp.vertexSk[v][level] {
-			if s != nil { // an untouched sketch has generation 0
+			if s != nil {
 				gens += s.Gen()
 			}
 		}
 	}
-	d.U64(gens)
-	return d.Key()
+	return gens
 }
 
-// clusterStructKey fingerprints the cluster forest itself. Member
-// lists are omitted: they are a pure function of the parent pointers
-// (members = subtree vertex union), as is terminalsOf, so equal keys
-// mean the whole downstream routing structure — and with it every
-// pass-2 table's key population — is identical.
-func clusterStructKey(copies []copyNode) string {
-	var d sketch.StateDigest
-	d.Tag('S')
-	d.Int(len(copies))
-	for i := range copies {
-		c := &copies[i]
-		d.Int(c.u)
-		d.Int(c.level)
-		d.Int(c.parent)
-		t := 0
-		if c.terminal {
-			t = 1
-		}
-		d.Int(t)
-		d.Int(c.witness[0])
-		d.Int(c.witness[1])
-	}
-	return d.Key()
+// sameForest reports whether two cluster forests agree on every copy's
+// vertex, level, parent, terminal mark and witness. Member lists and
+// terminalsOf are pure functions of the parent pointers, so equal
+// forests route every pass-2 update to the same tables.
+func sameForest(a, b []copyNode) bool {
+	return slices.EqualFunc(a, b, func(x, y copyNode) bool {
+		return x.u == y.u && x.level == y.level && x.parent == y.parent &&
+			x.terminal == y.terminal && x.witness == y.witness
+	})
 }
 
 // StartLive converts a fresh state into a live one over the replayable
@@ -168,7 +118,7 @@ func (tp *TwoPass) ApplyLive(batch []stream.Update) error {
 //
 // The incremental structure: the cluster construction re-runs with the
 // per-center attachment cache, so only dirty clusters re-decode. If
-// the resulting structure digest matches the previous query's, the
+// the resulting cluster forest equals the previous query's, the
 // existing pass-2 tables are still a correct function of the structure
 // and the stream prefix they have absorbed, so only the unsynced live
 // log suffix is folded in (sketches are linear). A changed structure
@@ -188,10 +138,9 @@ func (tp *TwoPass) QueryLive(p *parallel.Policy) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	tp.copies = cr.copies
-	tp.terminalsOf = cr.terminalsOf
-	if cr.structKey != tp.clusterKey || tp.tables == nil {
-		tp.clusterKey = cr.structKey
+	prev := tp.copies
+	tp.copies, tp.terminalsOf = cr.copies, cr.terminalsOf
+	if tp.tables == nil || !sameForest(prev, cr.copies) {
 		tp.recCache = nil // rows are reallocated; old recoveries are moot
 		tp.tables = tp.allocTables()
 		err = stream.ReplayBatches(tp.liveSrc, 0, func(b []stream.Update) error {

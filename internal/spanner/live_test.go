@@ -2,10 +2,12 @@ package spanner
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dynstream/internal/graph"
 	"dynstream/internal/parallel"
+	"dynstream/internal/sketch"
 	"dynstream/internal/stream"
 )
 
@@ -50,7 +52,6 @@ func TestTwoPassLiveBitIdentical(t *testing.T) {
 		base = append(base, stream.Update{U: u, V: v, Delta: 1})
 	}
 	live := NewTwoPass(n, cfg)
-	live.EnableDecodeCache(true)
 	if err := live.StartLive(memStream(t, n, base)); err != nil {
 		t.Fatal(err)
 	}
@@ -98,9 +99,12 @@ func TestTwoPassLiveBitIdentical(t *testing.T) {
 	}
 }
 
-// TestTwoPassLiveCacheReuse checks that re-querying an unchanged live
-// state hits the attachment and recovery caches (no growth, same
-// output), and that pass-1 stays open after queries.
+// TestTwoPassLiveCacheReuse checks both QueryLive table paths against a
+// cold build. A re-query of an unchanged state, and one after a batch
+// that inserts and deletes the same edge (generations move, the cluster
+// forest cannot), keep the pass-2 tables and fold only the log suffix.
+// Deleting a non-terminal copy's witness edge changes the forest, so the
+// tables are reallocated and src plus the log replayed.
 func TestTwoPassLiveCacheReuse(t *testing.T) {
 	const n = 80
 	cfg := Config{K: 2, Seed: 5}
@@ -110,30 +114,101 @@ func TestTwoPassLiveCacheReuse(t *testing.T) {
 		ups = append(ups, stream.Update{U: (v * 13) % n, V: v, Delta: 1})
 	}
 	ups = filterSelfLoops(ups)
+	for i := range ups {
+		ups[i] = ups[i].Canon()
+	}
 	tp := NewTwoPass(n, cfg)
-	tp.EnableDecodeCache(true)
 	if err := tp.StartLive(memStream(t, n, ups)); err != nil {
 		t.Fatal(err)
 	}
-	p := parallel.Default()
-	first, err := tp.QueryLive(p)
-	if err != nil {
-		t.Fatal(err)
+	total := append([]stream.Update(nil), ups...)
+	apply := func(batch ...stream.Update) {
+		t.Helper()
+		if err := tp.ApplyLive(batch); err != nil {
+			t.Fatal(err)
+		}
+		total = append(total, batch...)
 	}
-	attached, recs := len(tp.attach), len(tp.recCache)
-	if attached == 0 || recs == 0 {
-		t.Fatalf("caches empty after first query: attach=%d rec=%d", attached, recs)
+	// query re-queries the live state, checks it against a cold build and
+	// reports whether the pass-2 tables survived (by pointer identity).
+	query := func(what string) (kept bool) {
+		t.Helper()
+		var before *sketch.KeyedEdgeSketch
+		if tp.tables != nil {
+			before = tp.tables[slices.IndexFunc(tp.tables, func(r []*sketch.KeyedEdgeSketch) bool { return r != nil })][0]
+		}
+		got, err := tp.QueryLive(parallel.Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := BuildTwoPass(memStream(t, n, total), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !graphsEqual(got.Spanner, want.Spanner) || got.Terminals != want.Terminals {
+			t.Fatalf("%s: live spanner diverged from cold build", what)
+		}
+		if tp.liveSynced != len(tp.liveLog) {
+			t.Fatalf("%s: %d of %d logged updates folded", what, tp.liveSynced, len(tp.liveLog))
+		}
+		return slices.ContainsFunc(tp.tables, func(r []*sketch.KeyedEdgeSketch) bool { return r != nil && r[0] == before })
 	}
-	again, err := tp.QueryLive(p)
-	if err != nil {
-		t.Fatal(err)
+
+	query("first")
+	attached := 0
+	for _, e := range tp.attach {
+		if e.members != nil {
+			attached++
+		}
 	}
-	if !graphsEqual(first.Spanner, again.Spanner) {
-		t.Fatal("re-query of unchanged live state diverged")
+	if attached == 0 || len(tp.recCache) == 0 {
+		t.Fatalf("caches empty after first query: attach=%d rec=%d", attached, len(tp.recCache))
 	}
-	if len(tp.attach) != attached || len(tp.recCache) != recs {
-		t.Fatalf("re-query of unchanged state re-decoded: attach %d->%d rec %d->%d",
-			attached, len(tp.attach), recs, len(tp.recCache))
+	hits, misses := tp.DecodeCacheStats()
+	if !query("unchanged re-query") {
+		t.Fatal("unchanged re-query reallocated the pass-2 tables")
+	}
+	if h, m := tp.DecodeCacheStats(); m != misses || h <= hits {
+		t.Fatalf("unchanged re-query re-decoded: hits %d->%d misses %d->%d", hits, h, misses, m)
+	}
+
+	// (a) One edge inserted and deleted in a single batch, at a center so
+	// that pass-1 generations move.
+	center := slices.Index(tp.inC[1], true)
+	if center < 0 {
+		t.Fatal("no level-1 center")
+	}
+	e := stream.Update{U: (center + 1) % n, V: center, Delta: 1}.Canon()
+	_, misses = tp.DecodeCacheStats()
+	apply(e, stream.Update{U: e.U, V: e.V, Delta: -1})
+	if !query("insert+delete") {
+		t.Fatal("a batch that cannot move the forest reallocated the pass-2 tables")
+	}
+	if _, m := tp.DecodeCacheStats(); m == misses {
+		t.Fatal("insert+delete moved no generation: the batch tests nothing")
+	}
+
+	// (b) Every copy of a non-terminal copy's witness edge deleted.
+	ci := slices.IndexFunc(tp.copies, func(c copyNode) bool { return !c.terminal })
+	if ci < 0 {
+		t.Fatal("no non-terminal copy")
+	}
+	w := tp.copies[ci].witness
+	pair := stream.Update{U: w[0], V: w[1]}.Canon()
+	mult := 0
+	for _, u := range total {
+		if u.U == pair.U && u.V == pair.V {
+			mult += u.Delta
+		}
+	}
+	for ; mult > 0; mult-- {
+		apply(stream.Update{U: pair.U, V: pair.V, Delta: -1})
+	}
+	if query("witness deleted") {
+		t.Fatal("a changed cluster forest kept the old pass-2 tables")
+	}
+	if c := tp.copies[ci]; !c.terminal && c.witness == w {
+		t.Fatal("deleting the witness edge left the forest unchanged: the step tests nothing")
 	}
 	if tp.Phase() != 0 {
 		t.Fatalf("live state left phase 0: %d", tp.Phase())

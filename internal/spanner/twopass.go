@@ -13,6 +13,7 @@ package spanner
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"dynstream/internal/graph"
@@ -146,25 +147,25 @@ type TwoPass struct {
 	// Live-handle state (see StartLive / QueryLive in live.go). A live
 	// state keeps pass 1 open forever: queries re-run the offline halves
 	// of Algorithms 1–2 on demand, reusing cached per-center attachments
-	// and per-terminal recoveries whose state digests are unchanged.
-	caching    bool                      // decode caches enabled
-	liveSrc    stream.Stream             // base stream (pass-2 replays)
-	liveLog    []stream.Update           // updates applied after StartLive
-	liveSynced int                       // liveLog prefix folded into tables
-	clusterKey string                    // digest of current cluster structure
-	attach     map[attachKey]attachEntry // per-(level, center) decode cache
-	recCache   map[int]recEntry          // per-terminal recovery cache
+	// and per-terminal recoveries whose inputs are unchanged. A state
+	// caches iff it is live (liveSrc != nil); a one-shot build decodes
+	// once and keeps nothing.
+	liveSrc    stream.Stream    // base stream (pass-2 replays)
+	liveLog    []stream.Update  // updates applied after StartLive
+	liveSynced int              // liveLog prefix folded into tables
+	attach     []attachEntry    // per-center attachment cache, by copy index
+	recCache   map[int]recEntry // per-terminal recovery cache
 
 	// Cumulative decode-cache outcomes across both cache consult sites
-	// (per-center attachments, per-terminal recoveries) while caching is
-	// on. Read by DecodeCacheStats for operational visibility.
+	// (per-center attachments, per-terminal recoveries) of a live state.
+	// Read by DecodeCacheStats for operational visibility.
 	cacheHits   uint64
 	cacheMisses uint64
 }
 
 // DecodeCacheStats reports the cumulative decode-cache hit and miss
-// counts across this state's attachment and recovery caches. Counters
-// are cumulative across queries and survive cache invalidation.
+// counts across this state's attachment and recovery caches, cumulative
+// across queries.
 func (tp *TwoPass) DecodeCacheStats() (hits, misses uint64) {
 	return tp.cacheHits, tp.cacheMisses
 }
@@ -356,7 +357,6 @@ func (tp *TwoPass) EndPass1Opts(p *parallel.Policy) error {
 	}
 	tp.copies = cr.copies
 	tp.terminalsOf = cr.terminalsOf
-	tp.clusterKey = cr.structKey
 	for _, e := range cr.augmented {
 		tp.augmented[e] = true
 	}
@@ -368,11 +368,10 @@ func (tp *TwoPass) EndPass1Opts(p *parallel.Policy) error {
 // clusterResult is one run of the offline cluster construction
 // (Algorithm 1, lines 8–20). clusterize never mutates tp.copies /
 // tp.terminalsOf, so live states can re-run it per query and compare
-// the structure digest against the previous run.
+// the new forest against the previous run's.
 type clusterResult struct {
 	copies      []copyNode
 	terminalsOf [][]int
-	structKey   string   // injective digest of the parent/terminal forest
 	augmented   [][2]int // every edge any cluster decode revealed
 }
 
@@ -386,15 +385,16 @@ type clusterResult struct {
 // marks) are applied serially in ascending center order, so the result
 // is bit-identical to the serial construction.
 //
-// With the decode cache enabled (EnableDecodeCache), each center's
-// attachment is keyed by a state digest of its member list and the
-// summed generation counter of every pass-1 sketch the decode would
-// read; an unchanged digest proves the sketches are bit-identical to
-// the cached decode (generations are monotonic), so only centers whose
-// clusters actually absorbed updates are re-decoded.
+// A live state caches each center's attachment under its copy index,
+// with the member list and the summed generation counter of every
+// pass-1 sketch the decode read; an equal list and sum prove the
+// sketches are bit-identical to the cached decode's (generations are
+// monotonic), so only centers whose clusters actually absorbed updates
+// are re-decoded.
 func (tp *TwoPass) clusterize(p *parallel.Policy) (*clusterResult, error) {
 	n, k := tp.n, tp.k
 	cr := &clusterResult{}
+	live := tp.liveSrc != nil
 
 	// Copy index layout: level i copies are contiguous. The layout is a
 	// pure function of the center hierarchy, so copy indices — and with
@@ -444,15 +444,19 @@ func (tp *TwoPass) clusterize(p *parallel.Policy) (*clusterResult, error) {
 		results := make([]attachResult, len(centers))
 		// Split centers into cache hits and dirty (to-decode) ones.
 		// Cluster members of level i were frozen when level i-1 was
-		// applied, so digests and decodes here are race-free.
+		// applied, so generation sums and decodes here are race-free.
 		dirty := make([]int, 0, len(centers))
-		var keys []string
-		if tp.caching {
-			keys = make([]string, len(centers))
+		var gens []uint64
+		if live {
+			if tp.attach == nil {
+				tp.attach = make([]attachEntry, len(cr.copies))
+			}
+			gens = make([]uint64, len(centers))
 			for idx, u := range centers {
-				c := &cr.copies[copyIdx[i][u]]
-				keys[idx] = tp.attachDigest(i, c.members)
-				if ent, ok := tp.attach[attachKey{level: i, u: u}]; ok && ent.key == keys[idx] {
+				ci := copyIdx[i][u]
+				members := cr.copies[ci].members
+				gens[idx] = tp.attachGens(i, members)
+				if ent := &tp.attach[ci]; ent.gens == gens[idx] && slices.Equal(ent.members, members) {
 					tp.cacheHits++
 					results[idx] = ent.res
 					continue
@@ -473,14 +477,10 @@ func (tp *TwoPass) clusterize(p *parallel.Policy) (*clusterResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		if tp.caching {
-			if tp.attach == nil {
-				tp.attach = map[attachKey]attachEntry{}
-			}
+		if live {
 			for _, idx := range dirty {
-				tp.attach[attachKey{level: i, u: centers[idx]}] = attachEntry{
-					key: keys[idx], res: results[idx],
-				}
+				ci := copyIdx[i][centers[idx]]
+				tp.attach[ci] = attachEntry{members: cr.copies[ci].members, gens: gens[idx], res: results[idx]}
 			}
 		}
 		// Apply in center order: parent assignment, member folds into
@@ -531,7 +531,6 @@ func (tp *TwoPass) clusterize(p *parallel.Policy) (*clusterResult, error) {
 		sort.Ints(cr.terminalsOf[u])
 		cr.terminalsOf[u] = compactInts(cr.terminalsOf[u])
 	}
-	cr.structKey = clusterStructKey(cr.copies)
 	return cr, nil
 }
 
@@ -749,11 +748,12 @@ func (tp *TwoPass) FinishOpts(p *parallel.Policy) (*Result, error) {
 // extractOpts is the repeatable decode behind FinishOpts and QueryLive:
 // witness edges from the cluster structure plus per-terminal
 // neighborhood recovery from the pass-2 tables. It never mutates sketch
-// state, so a live handle can call it after every churn round; with the
-// decode cache enabled, a terminal whose table row generations are
-// unchanged since its cached recovery is served from the cache instead
-// of re-peeling its row.
+// state, so a live handle can call it after every churn round; in a
+// live state, a terminal whose table row generations are unchanged
+// since its cached recovery is served from the cache instead of
+// re-peeling its row.
 func (tp *TwoPass) extractOpts(p *parallel.Policy) (*Result, error) {
+	live := tp.liveSrc != nil
 	sp := p.Tracer().Span("spanner/recover")
 	hits0, misses0 := tp.cacheHits, tp.cacheMisses
 	h := graph.New(tp.n)
@@ -790,7 +790,7 @@ func (tp *TwoPass) extractOpts(p *parallel.Policy) (*Result, error) {
 				touched++
 			}
 		}
-		if tp.caching {
+		if live {
 			if ent, ok := tp.recCache[ci]; ok && ent.gens == gens[i] {
 				tp.cacheHits++
 				recs[i] = ent.edges
@@ -815,7 +815,7 @@ func (tp *TwoPass) extractOpts(p *parallel.Policy) (*Result, error) {
 	for _, c := range keys {
 		peeled += c
 	}
-	if tp.caching {
+	if live {
 		if tp.recCache == nil {
 			tp.recCache = map[int]recEntry{}
 		}

@@ -94,23 +94,6 @@ func StartLive(src stream.Stream, cfg Config) (*Live, error) {
 // N returns the vertex count.
 func (ls *Live) N() int { return ls.n }
 
-// EnableDecodeCache turns the per-center attachment and per-terminal
-// recovery caches of every underlying live spanner state on or off.
-func (ls *Live) EnableDecodeCache(on bool) {
-	for _, tp := range ls.all() {
-		tp.EnableDecodeCache(on)
-	}
-}
-
-// InvalidateDecodeCache drops every underlying live spanner state's
-// caches and cluster digests; the next QueryLive re-extracts from
-// scratch.
-func (ls *Live) InvalidateDecodeCache() {
-	for _, tp := range ls.all() {
-		tp.InvalidateDecodeCache()
-	}
-}
-
 // DecodeCacheStats sums the decode-cache hit/miss counters of every
 // underlying live spanner state (grid cells and sample spanners).
 func (ls *Live) DecodeCacheStats() (hits, misses uint64) {
@@ -184,9 +167,9 @@ func (ls *Live) ApplyLive(batch []stream.Update) error {
 // contents — bit-identical to a cold Sparsify/SparsifyOpts over the
 // base stream plus every applied batch, at any worker count. Only dirty
 // regions re-decode: each cell and sample re-clusters through its
-// attachment cache, reuses its pass-2 tables when its cluster structure
-// digest is unchanged (folding just the unsynced log suffix), and
-// recovers neighborhoods through its per-terminal cache.
+// attachment cache, reuses its pass-2 tables when its cluster forest is
+// unchanged (folding just the unsynced log suffix), and recovers
+// neighborhoods through its per-terminal cache.
 func (ls *Live) QueryLive(p *parallel.Policy) (*Result, error) {
 	p = p.DecodePolicy()
 	if err := p.Validate(); err != nil {

@@ -56,7 +56,6 @@ func TestLiveSparsifyBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	live.EnableDecodeCache(true)
 
 	total := append([]stream.Update(nil), base...)
 	for round := 0; round < 3; round++ {
@@ -118,7 +117,6 @@ func TestLiveSparsifyRoutesDirtyOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	live.EnableDecodeCache(true)
 	p := parallel.Default()
 	first, err := live.QueryLive(p)
 	if err != nil {

@@ -18,7 +18,6 @@ type sketchState[S any] interface {
 	MarshalBinary() ([]byte, error)
 	UnmarshalBinary([]byte) error
 	EnableDecodeCache(on bool)
-	InvalidateDecodeCache()
 	DecodeCacheStats() (hits, misses uint64)
 }
 
@@ -78,6 +77,7 @@ func (k onePass[S, R]) openLive(src Source, p *parallel.Policy) (liveState[R], e
 	if err != nil {
 		return nil, err
 	}
+	s.EnableDecodeCache(true)
 	return onePassLive[S, R]{k, s}, nil
 }
 
@@ -94,6 +94,7 @@ func (k onePass[S, R]) restoreLive(src Source, kind dynnet.StateKind, state []by
 	if s.N() != src.N() {
 		return nil, fmt.Errorf("%w: state has n=%d, source has n=%d", ErrBadCheckpoint, s.N(), src.N())
 	}
+	s.EnableDecodeCache(true)
 	return onePassLive[S, R]{k, s}, nil
 }
 
@@ -105,8 +106,6 @@ type onePassLive[S sketchState[S], R any] struct {
 
 func (l onePassLive[S, R]) apply(b []Update, p *parallel.Policy) error { return l.add(l.s, b, p) }
 func (l onePassLive[S, R]) query(p *parallel.Policy) (R, error)        { return l.result(l.s, p) }
-func (l onePassLive[S, R]) enableCache(on bool)                        { l.s.EnableDecodeCache(on) }
-func (l onePassLive[S, R]) invalidate()                                { l.s.InvalidateDecodeCache() }
 func (l onePassLive[S, R]) cacheStats() (uint64, uint64)               { return l.s.DecodeCacheStats() }
 
 func (l onePassLive[S, R]) merge(state any) error {

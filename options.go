@@ -28,34 +28,23 @@ type Option func(*buildOptions)
 
 // buildOptions is the resolved option set of one Build call.
 type buildOptions struct {
-	workers        int
-	workersSet     bool
-	decodeWorkers  int
-	decodeSet      bool
-	batch          int
-	classBase      float64
-	seed           uint64
-	seedSet        bool
-	progress       func(int64)
-	tracer         *obs.Tracer
-	traceFile      string
-	remoteAddrs    []string
-	remoteSet      bool
-	cluster        *RemoteCluster
-	workerShards   bool
-	decodeCache    bool
-	decodeCacheSet bool
-	localFallback  bool
-	remoteOpts     RemoteOptions
-}
-
-// cacheOn resolves the live-handle decode-cache setting: an explicit
-// WithDecodeCache wins; handles default to caching on.
-func (o *buildOptions) cacheOn() bool {
-	if o.decodeCacheSet {
-		return o.decodeCache
-	}
-	return true
+	workers       int
+	workersSet    bool
+	decodeWorkers int
+	decodeSet     bool
+	batch         int
+	classBase     float64
+	seed          uint64
+	seedSet       bool
+	progress      func(int64)
+	tracer        *obs.Tracer
+	traceFile     string
+	remoteAddrs   []string
+	remoteSet     bool
+	cluster       *RemoteCluster
+	workerShards  bool
+	localFallback bool
+	remoteOpts    RemoteOptions
 }
 
 // seedOr resolves a target's seed: WithSeed overrides the target's own.
@@ -126,16 +115,6 @@ func WithWeightClasses(base float64) Option {
 // the build derives its randomness from it.
 func WithSeed(s uint64) Option {
 	return func(o *buildOptions) { o.seed = s; o.seedSet = true }
-}
-
-// WithDecodeCache turns a live handle's per-region decode caches on or
-// off (default on for Open). Off, every Query re-extracts cold; on,
-// only regions whose sketch state changed since the last Query are
-// re-decoded. Cached and uncached queries are bit-identical — the
-// caches are keyed by injective state digests, never hashes. Build
-// ignores this option (a one-shot build decodes exactly once).
-func WithDecodeCache(on bool) Option {
-	return func(o *buildOptions) { o.decodeCache = on; o.decodeCacheSet = true }
 }
 
 // WithProgress installs a progress callback invoked with the

@@ -15,8 +15,6 @@ import (
 type liveReplay[R any] interface {
 	ApplyLive([]Update) error
 	QueryLive(*parallel.Policy) (R, error)
-	EnableDecodeCache(on bool)
-	InvalidateDecodeCache()
 	DecodeCacheStats() (hits, misses uint64)
 	MarshalLive() ([]byte, error)
 }
@@ -70,8 +68,6 @@ type replayLive[L liveReplay[R], R any] struct {
 
 func (l replayLive[L, R]) apply(b []Update, _ *parallel.Policy) error { return l.l.ApplyLive(b) }
 func (l replayLive[L, R]) query(p *parallel.Policy) (R, error)        { return l.l.QueryLive(p) }
-func (l replayLive[L, R]) enableCache(on bool)                        { l.l.EnableDecodeCache(on) }
-func (l replayLive[L, R]) invalidate()                                { l.l.InvalidateDecodeCache() }
 func (l replayLive[L, R]) cacheStats() (uint64, uint64)               { return l.l.DecodeCacheStats() }
 
 func (l replayLive[L, R]) merge(any) error {
