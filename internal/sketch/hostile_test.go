@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"runtime"
+	"slices"
 	"testing"
 
 	"dynstream/internal/wire"
@@ -117,7 +118,7 @@ func TestDecodeTerminatesOnInconsistentState(t *testing.T) {
 
 	kt := NewKeyedEdgeSketch(9, 50, 4)
 	kt.Add(3, 7, 1)
-	wipeRows(kt.cells, kt.counts, kt.keySums, kt.keyFings, kt.edgeSums, kt.edgeFings)
+	kt.buckets = slices.DeleteFunc(kt.buckets, func(b keyedBucket) bool { return b.idx >= kt.cells })
 	if keys := kt.Keys(); len(keys) != 0 {
 		t.Errorf("keyed table recovered %v from an inconsistent state", keys)
 	}

@@ -2,6 +2,8 @@ package sketch
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"dynstream/internal/field"
@@ -33,21 +35,20 @@ import (
 // level Y_j where v has a single surviving neighbor in T_u it decodes
 // to a concrete edge, mirroring SKETCH_{O(log n)}(N(v) ∩ T_u ∩ Y_j).
 //
-// Bucket state is stored structure-of-arrays — five flat lanes
-// (counts / keySums / keyFings / edgeSums / edgeFings) sliced out of
-// one backing array — so that Merge and zero scans run through the
-// field batch kernels, like every other sketch in this package. The
-// count lane is held as two's complement in a uint64 lane: addition and
-// subtraction are bit-identical under the reinterpretation and the zero
-// test is unchanged.
+// A table stores only the buckets updates have reached: one list of
+// (bucket index, accumulator) entries in ascending index order. Claim 11
+// provisions every terminal's table for its worst-case neighborhood,
+// and SpaceWords reports that provisioned size, but a touched table
+// typically holds a few keys in thousands of buckets; the list costs
+// what the stream wrote, a batch add sorts its bucket indices and
+// merges them in, Merge is a merge-join of two lists, and peeling
+// starts from the list. A bucket outside the list is zero. The count
+// word wraps as two's complement, as a uint64 lane would.
 //
-// A table materializes on first touch. Claim 11 provisions every
-// terminal's table for its worst-case neighborhood, but most tables of
-// a cluster structure never see an update (wrong subsampling level,
-// empty neighborhood), so the constructor keeps only seed, geometry and
-// fingerprint bases; the lanes, the row-hash bank and both power tables
-// appear on the first non-zero Add/AddBatch, on Merge from a
-// materialized table, or on deserialization. An unmaterialized table is
+// The hash state appears on first touch: the constructor keeps only
+// seed, geometry and fingerprint bases; the row-hash bank and both
+// power tables appear on the first non-zero Add/AddBatch, on Merge
+// from a touched table, or on deserialization. An untouched table is
 // the zero table in every observable respect: it IsZero, decodes
 // nothing, marshals as zero buckets, and reports the same provisioned
 // SpaceWords.
@@ -59,16 +60,11 @@ type KeyedEdgeSketch struct {
 	keyBase  uint64
 	edgeBase uint64
 
-	// Materialized state: nil until first touch (see materialize).
-	lanes     []uint64          // backing array of the five lanes below
-	counts    []uint64          // edgeCount lane, two's complement
-	keySums   []uint64          // Σ δ·v
-	keyFings  []uint64          // Σ δ·r1^v
-	edgeSums  []uint64          // Σ δ·e
-	edgeFings []uint64          // Σ δ·r2^e
-	bank      *hashing.PolyBank // all row hashes, one interleaved Horner sweep
-	keyTab    *field.PowTable
-	edgeTab   *field.PowTable
+	// Touched state: nil until first touch (see materialize).
+	buckets []keyedBucket     // the buckets updates reached, ascending idx
+	bank    *hashing.PolyBank // all row hashes, one interleaved Horner sweep
+	keyTab  *field.PowTable
+	edgeTab *field.PowTable
 
 	recovered map[uint64]keyedAgg
 	dirty     bool
@@ -84,8 +80,7 @@ func (t *KeyedEdgeSketch) Gen() uint64 { return t.gen }
 // such as deserialization).
 func (t *KeyedEdgeSketch) BumpGen() { t.gen++; t.dirty = true }
 
-// keyedAgg is one bucket's (or one recovered key's) accumulator
-// tuple — the scalar view of the five SoA lanes.
+// keyedAgg is one bucket's (or one recovered key's) accumulator tuple.
 type keyedAgg struct {
 	edgeCount int64
 	keySum    uint64
@@ -107,17 +102,29 @@ func (b *keyedAgg) merge(o keyedAgg) {
 	b.edgeFing = field.Add(b.edgeFing, o.edgeFing)
 }
 
-// Touched reports whether the table has materialized its bucket state:
-// false means no non-zero update, no merge from a touched table and no
-// deserialization has ever reached it.
-func (t *KeyedEdgeSketch) Touched() bool { return t.lanes != nil }
+// keyedBucket is one entry of a table's bucket list, and of the peeling
+// work set: bucket idx = row·cells + cell and its accumulator.
+type keyedBucket struct {
+	idx int
+	agg keyedAgg
+}
+
+// Touched reports whether the table has its hash state: false means no
+// non-zero update, no merge from a touched table and no deserialization
+// has ever reached it.
+func (t *KeyedEdgeSketch) Touched() bool { return t.bank != nil }
 
 // IsZero reports whether the table holds the zero vector's state —
 // indistinguishable from a fresh table, which is what lets compressed
-// encodings suppress it. An unmaterialized table is zero by
-// construction; otherwise one early-exit kernel word scan covers all
-// five lanes.
-func (t *KeyedEdgeSketch) IsZero() bool { return field.AllZero(t.lanes) }
+// encodings suppress it. Only listed buckets can be non-zero.
+func (t *KeyedEdgeSketch) IsZero() bool {
+	for i := range t.buckets {
+		if !t.buckets[i].agg.isZero() {
+			return false
+		}
+	}
+	return true
+}
 
 // pureKey reports whether all mass in a bucket belongs to a single
 // key, and returns that key. It is a polynomial-identity fingerprint
@@ -145,7 +152,7 @@ func NewKeyedEdgeSketch(seed uint64, n, capacity int) *KeyedEdgeSketch {
 	return newKeyedEdgeSketchGeom(seed, n, rows, cells)
 }
 
-// newKeyedEdgeSketchGeom builds the unmaterialized table from its raw
+// newKeyedEdgeSketchGeom builds the untouched table from its raw
 // geometry — the deserialization entry point (rows and cells are
 // carried on the wire, so a decoded table matches its encoder cell for
 // cell).
@@ -168,23 +175,9 @@ func newKeyedEdgeSketchGeom(seed uint64, n, rows, cells int) *KeyedEdgeSketch {
 	return t
 }
 
-// setLanes slices the five bucket lanes out of one backing array of
-// 5·rows·cells words.
-func (t *KeyedEdgeSketch) setLanes(lanes []uint64) {
-	nb := t.rows * t.cells
-	t.lanes = lanes
-	t.counts = lanes[:nb:nb]
-	t.keySums = lanes[nb : 2*nb : 2*nb]
-	t.keyFings = lanes[2*nb : 3*nb : 3*nb]
-	t.edgeSums = lanes[3*nb : 4*nb : 4*nb]
-	t.edgeFings = lanes[4*nb : 5*nb : 5*nb]
-}
-
-// materialize allocates the zeroed lanes and derives the row hashes
-// and power tables from the seed. Like cell mutation it is confined to
-// the table's owning goroutine.
+// materialize derives the row hashes and power tables from the seed.
+// Like bucket mutation it is confined to the table's owning goroutine.
 func (t *KeyedEdgeSketch) materialize() {
-	t.setLanes(make([]uint64, 5*t.rows*t.cells))
 	rowHash := make([]*hashing.Poly, t.rows)
 	for r := range rowHash {
 		rowHash[r] = hashing.NewPoly(hashing.Mix(t.seed, 0xcc, uint64(r)), 6)
@@ -198,19 +191,36 @@ func (t *KeyedEdgeSketch) encode(w, v int) uint64 {
 	return uint64(w)*uint64(t.n) + uint64(v)
 }
 
-// addAgg folds upd into the buckets of key, one per row.
-func (t *KeyedEdgeSketch) addAgg(key uint64, upd keyedAgg) {
-	var hbuf [maxBankRows]uint64
-	hs := hbuf[:t.rows]
-	t.bank.HashPrefix(key, hs)
-	cells := uint64(t.cells)
-	for r := 0; r < t.rows; r++ {
-		i := r*t.cells + int(hs[r]%cells)
-		t.counts[i] += uint64(upd.edgeCount)
-		t.keySums[i] = field.Add(t.keySums[i], upd.keySum)
-		t.keyFings[i] = field.Add(t.keyFings[i], upd.keyFing)
-		t.edgeSums[i] = field.Add(t.edgeSums[i], upd.edgeSum)
-		t.edgeFings[i] = field.Add(t.edgeFings[i], upd.edgeFing)
+// absorb adds runs — buckets in ascending index order, each index at
+// most once — into the list: one forward walk counts the indices the
+// list lacks, the list grows once by that many, and a walk from the
+// back merges in place.
+func (t *KeyedEdgeSketch) absorb(runs []keyedBucket) {
+	fresh, i := 0, 0
+	for _, r := range runs {
+		for i < len(t.buckets) && t.buckets[i].idx < r.idx {
+			i++
+		}
+		if i == len(t.buckets) || t.buckets[i].idx != r.idx {
+			fresh++
+		}
+	}
+	old := len(t.buckets)
+	t.buckets = slices.Grow(t.buckets, fresh)[:old+fresh]
+	i, k := old-1, old+fresh-1
+	for r := len(runs) - 1; r >= 0; r-- {
+		for i >= 0 && t.buckets[i].idx > runs[r].idx {
+			t.buckets[k] = t.buckets[i]
+			i, k = i-1, k-1
+		}
+		if i >= 0 && t.buckets[i].idx == runs[r].idx {
+			t.buckets[k] = t.buckets[i]
+			t.buckets[k].agg.merge(runs[r].agg)
+			i--
+		} else {
+			t.buckets[k] = runs[r]
+		}
+		k--
 	}
 }
 
@@ -222,7 +232,7 @@ func (t *KeyedEdgeSketch) Add(w, v int, delta int64) {
 	if delta == 0 {
 		return
 	}
-	if t.lanes == nil {
+	if t.bank == nil {
 		t.materialize()
 	}
 	t.dirty = true
@@ -231,13 +241,21 @@ func (t *KeyedEdgeSketch) Add(w, v int, delta int64) {
 	e := t.encode(w, v)
 	d := field.FromInt64(delta)
 	kp, ep := field.PowPair(t.keyTab, t.edgeTab, key, field.Reduce(e))
-	t.addAgg(key, keyedAgg{
+	agg := keyedAgg{
 		edgeCount: delta,
 		keySum:    field.Mul(d, field.Reduce(key)),
 		keyFing:   field.Mul(d, kp),
 		edgeSum:   field.Mul(d, field.Reduce(e)),
 		edgeFing:  field.Mul(d, ep),
-	})
+	}
+	var hbuf [maxBankRows]uint64
+	var runs [maxBankRows]keyedBucket
+	hs := hbuf[:t.rows]
+	t.bank.HashPrefix(key, hs)
+	for r, h := range hs { // row r's buckets follow row r−1's: ascending
+		runs[r] = keyedBucket{r*t.cells + int(h%uint64(t.cells)), agg}
+	}
+	t.absorb(runs[:t.rows])
 }
 
 // KeyedEdgeUpdate is one (w, v, delta) edge update for AddBatch.
@@ -246,13 +264,21 @@ type KeyedEdgeUpdate struct {
 	Delta int64
 }
 
-// KeyedScratch is the working memory of AddBatchWith: the batch's
-// fingerprint exponents and powers. The zero value is ready to use; it
-// grows to the largest batch it has served and is reused from then on,
-// so a caller that adds many batches — a sweep over many tables — keeps
-// one and allocates nothing per call. It may serve one call at a time.
+// radixBits bounds the digit of sortByBucket: a count array of
+// 2^radixBits words.
+const radixBits = 11
+
+// KeyedScratch is the working memory of AddBatchWith. The zero value is
+// ready to use; it grows to the largest batch it has served and is
+// reused from then on, so a caller that adds many batches — a sweep
+// over many tables — keeps one and allocates nothing per call. It may
+// serve one call at a time.
 type KeyedScratch struct {
-	words []uint64 // four lanes of one batch's length: key/edge exponents, key/edge powers
+	words  []uint64      // four lanes of one batch's length: key/edge exponents and powers, each then times δ
+	packed []uint64      // each live update's bucket indices, bucket<<s | entry
+	tmp    []uint64      // sortByBucket's second buffer
+	runs   []keyedBucket // the batch folded per bucket, ascending
+	count  [1 << radixBits]uint32
 }
 
 // AddBatch folds a batch of edge updates; bit-identical to calling Add
@@ -264,98 +290,150 @@ func (t *KeyedEdgeSketch) AddBatch(batch []KeyedEdgeUpdate) {
 // AddBatchWith folds a batch of edge updates through the caller's
 // scratch; bit-identical to calling Add per element. Both fingerprint
 // lanes of the whole batch are evaluated with shared window traversals
-// (field.FingerprintVec) before the per-update scatter.
+// (field.FingerprintVec); then every live update's bucket per row is
+// packed with its entry, the packed words are sorted by bucket, each
+// bucket's run is folded into one accumulator, and the runs merge into
+// the list. Field addition is commutative, so the sums are the ones
+// per-element Adds leave. A table whose buckets are all listed already
+// allocates nothing.
 func (t *KeyedEdgeSketch) AddBatchWith(batch []KeyedEdgeUpdate, sc *KeyedScratch) {
-	live := false
+	live := 0
 	for _, u := range batch {
-		live = live || u.Delta != 0
+		if u.Delta != 0 {
+			live++
+		}
 	}
-	if !live {
+	if live == 0 {
 		return
 	}
-	if t.lanes == nil {
+	if t.bank == nil {
 		t.materialize()
 	}
 	m := len(batch)
 	if cap(sc.words) < 4*m {
 		sc.words = make([]uint64, 4*m)
 	}
-	w := sc.words[:4*m]
-	keyExps, edgeExps, keyPows, edgePows := w[:m:m], w[m:2*m:2*m], w[2*m:3*m:3*m], w[3*m:]
-	for i, u := range batch {
-		keyExps[i] = uint64(u.V)
-		edgeExps[i] = field.Reduce(t.encode(u.W, u.V))
+	if cap(sc.packed) < t.rows*live {
+		sc.packed = make([]uint64, t.rows*live)
+		sc.tmp = make([]uint64, t.rows*live)
 	}
-	t.keyTab.FingerprintVec(keyPows, keyExps)
-	t.edgeTab.FingerprintVec(edgePows, edgeExps)
+	w := sc.words[:4*m]
+	keySums, edgeSums, keyFings, edgeFings := w[:m:m], w[m:2*m:2*m], w[2*m:3*m:3*m], w[3*m:]
+	for i, u := range batch {
+		keySums[i] = uint64(u.V)
+		edgeSums[i] = field.Reduce(t.encode(u.W, u.V))
+	}
+	t.keyTab.FingerprintVec(keyFings, keySums)
+	t.edgeTab.FingerprintVec(edgeFings, edgeSums)
+
+	s := uint(bits.Len(uint(m - 1))) // entry bits below the bucket
+	var hbuf [maxBankRows]uint64
+	hs := hbuf[:t.rows]
+	cells := uint64(t.cells)
+	packed := sc.packed[:0]
 	for i, u := range batch {
 		if u.Delta == 0 {
 			continue
 		}
-		t.dirty = true
-		t.gen++
-		d := field.FromInt64(u.Delta)
-		t.addAgg(uint64(u.V), keyedAgg{
-			edgeCount: u.Delta,
-			keySum:    field.Mul(d, field.Reduce(uint64(u.V))),
-			keyFing:   field.Mul(d, keyPows[i]),
-			edgeSum:   field.Mul(d, edgeExps[i]),
-			edgeFing:  field.Mul(d, edgePows[i]),
-		})
+		d := field.FromInt64(u.Delta) // exponents and powers become the update's δ-multiples
+		keySums[i] = field.Mul(d, field.Reduce(keySums[i]))
+		keyFings[i] = field.Mul(d, keyFings[i])
+		edgeSums[i] = field.Mul(d, edgeSums[i])
+		edgeFings[i] = field.Mul(d, edgeFings[i])
+		t.bank.HashPrefix(uint64(u.V), hs)
+		for r, h := range hs {
+			packed = append(packed, uint64(r*t.cells+int(h%cells))<<s|uint64(i))
+		}
 	}
+	t.dirty = true
+	t.gen += uint64(live)
+	packed = sortByBucket(packed, sc.tmp[:len(packed)], s, bits.Len(uint(t.rows*t.cells-1)), &sc.count)
+	runs, entry := sc.runs[:0], uint64(1)<<s-1
+	for p := 0; p < len(packed); {
+		idx := packed[p] >> s
+		var agg keyedAgg
+		for ; p < len(packed) && packed[p]>>s == idx; p++ {
+			i := packed[p] & entry
+			agg.merge(keyedAgg{batch[i].Delta, keySums[i], keyFings[i], edgeSums[i], edgeFings[i]})
+		}
+		if !agg.isZero() {
+			runs = append(runs, keyedBucket{int(idx), agg})
+		}
+	}
+	sc.runs = runs
+	t.absorb(runs)
+}
+
+// sortByBucket sorts a — words bucket<<s | entry, the bucket below
+// 2^idxBits — by bucket with a least-significant-digit radix sort
+// through tmp, and returns whichever of the two holds the result. Each
+// pass is stable, so a bucket's entries stay in entry order. The digit
+// is about log2 len(a) bits wide, so a pass costs O(len(a)): a small
+// batch into a large table takes more, cheaper passes.
+func sortByBucket(a, tmp []uint64, s uint, idxBits int, count *[1 << radixBits]uint32) []uint64 {
+	d := min(max(bits.Len(uint(len(a))), 4), radixBits)
+	mask := uint64(1)<<d - 1
+	for shift := s; shift < s+uint(idxBits); shift += uint(d) {
+		cnt := count[:1<<d]
+		clear(cnt)
+		for _, x := range a {
+			cnt[x>>shift&mask]++
+		}
+		sum := uint32(0)
+		for i, c := range cnt {
+			cnt[i], sum = sum, sum+c
+		}
+		for _, x := range a {
+			dg := x >> shift & mask
+			tmp[cnt[dg]] = x
+			cnt[dg]++
+		}
+		a, tmp = tmp, a
+	}
+	return a
 }
 
 // Merge adds another table built with the same seed and geometry; the
 // result is the table of the summed update streams, exactly as if every
 // update of o had been Added to t. The linearity is what lets Algorithm
-// 2's second pass be ingested in parallel shards. An unmaterialized
-// source adds nothing; an unmaterialized receiver takes one copy of the
-// source's lanes and shares its (immutable) hash bank and power tables;
-// otherwise the lanes fold through the batch kernels. The generation
-// bump is the same in all three cases.
+// 2's second pass be ingested in parallel shards. An untouched source
+// adds nothing; an untouched receiver takes one copy of the source's
+// list and shares its (immutable) hash bank and power tables; otherwise
+// the two lists merge-join. The generation bump is the same in all
+// three cases.
 func (t *KeyedEdgeSketch) Merge(o *KeyedEdgeSketch) error {
 	if t.seed != o.seed || t.n != o.n || t.rows != o.rows || t.cells != o.cells {
 		return fmt.Errorf("sketch: merging incompatible keyed tables (seed %d/%d, %dx%d vs %dx%d)",
 			t.seed, o.seed, t.rows, t.cells, o.rows, o.cells)
 	}
 	switch {
-	case o.lanes == nil: // adds zero
-	case t.lanes == nil:
-		t.setLanes(append([]uint64(nil), o.lanes...))
+	case o.bank == nil: // adds zero
+	case t.bank == nil:
+		t.buckets = slices.Clone(o.buckets)
 		t.bank, t.keyTab, t.edgeTab = o.bank, o.keyTab, o.edgeTab
 	default:
-		for i, c := range o.counts {
-			t.counts[i] += c
-		}
-		nb := len(t.counts)
-		field.AddVec(t.lanes[nb:], t.lanes[nb:], o.lanes[nb:])
+		t.absorb(o.buckets)
 	}
 	t.dirty = true
 	t.gen++
 	return nil
 }
 
-// peelBucket is one bucket of the peeling work set.
-type peelBucket struct {
-	idx int
-	agg keyedAgg
-}
-
 // peelWork is the peeling work set: the table's non-zero buckets in
 // ascending bucket order.
-type peelWork []peelBucket
+type peelWork []keyedBucket
 
 // at returns the accumulator of bucket idx. A bucket outside the set
 // held zero when the set was gathered — reaching it takes a fingerprint
 // false positive or an exact cancellation — and is inserted in order,
-// so that the sweep visits it when a scan of the full lanes would;
+// so that the sweep visits it when a scan of every bucket would;
 // *cursor, the sweep's position, keeps pointing at the same bucket.
 func (w *peelWork) at(idx int, cursor *int) *keyedAgg {
 	q := sort.Search(len(*w), func(i int) bool { return (*w)[i].idx >= idx })
 	if q == len(*w) || (*w)[q].idx != idx {
-		*w = append(*w, peelBucket{})
+		*w = append(*w, keyedBucket{})
 		copy((*w)[q+1:], (*w)[q:])
-		(*w)[q] = peelBucket{idx: idx}
+		(*w)[q] = keyedBucket{idx: idx}
 		if q <= *cursor {
 			*cursor++
 		}
@@ -368,25 +446,22 @@ func (w *peelWork) at(idx int, cursor *int) *keyedAgg {
 // in every row, until no further progress. Results are cached until the
 // next Add. Peeling the table of any actual stream extracts from each
 // bucket at most once; a corrupt or hostile state can instead refill
-// emptied buckets forever, so past one extraction per bucket the table
-// is given up as undecodable: nothing recovered.
+// emptied buckets forever, so past one extraction per provisioned
+// bucket the table is given up as undecodable: nothing recovered.
 //
-// The work set is the table's non-zero buckets, gathered once — a
-// touched table holds a few keys in thousands of provisioned buckets,
-// so peeling never copies or rescans the zeros. Buckets are swept in
-// ascending index order pass after pass, exactly the order a scan of
-// the full lanes would visit them in.
+// The work set is a copy of the list's non-zero buckets, swept in
+// ascending index order pass after pass — exactly the order a scan of
+// every provisioned bucket would visit them in.
 func (t *KeyedEdgeSketch) peel() {
 	if !t.dirty {
 		return
 	}
 	t.dirty = false
 	t.recovered = nil
-	var work peelWork
-	for i := range t.counts {
-		if t.counts[i]|t.keySums[i]|t.keyFings[i]|t.edgeSums[i]|t.edgeFings[i] != 0 {
-			work = append(work, peelBucket{i, keyedAgg{
-				int64(t.counts[i]), t.keySums[i], t.keyFings[i], t.edgeSums[i], t.edgeFings[i]}})
+	work := make(peelWork, 0, len(t.buckets))
+	for _, b := range t.buckets {
+		if !b.agg.isZero() {
+			work = append(work, b)
 		}
 	}
 	if len(work) == 0 {
@@ -396,7 +471,7 @@ func (t *KeyedEdgeSketch) peel() {
 	var hbuf [maxBankRows]uint64
 	hs := hbuf[:t.rows]
 	cells := uint64(t.cells)
-	budget := len(t.counts)
+	budget := t.rows * t.cells
 	for progress := true; progress; {
 		progress = false
 		for p := 0; p < len(work); p++ {

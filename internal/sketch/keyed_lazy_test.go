@@ -9,7 +9,6 @@ import (
 	"sort"
 	"testing"
 
-	"dynstream/internal/field"
 	"dynstream/internal/hashing"
 	"dynstream/internal/wire"
 )
@@ -19,60 +18,23 @@ import (
 // and Merge reaches a table, laziness must not be observable in its
 // bytes, generation counter, space accounting or decode results.
 
-// eagerKeyed is the reference: the same table with its lanes, hash bank
-// and power tables built up front, as the constructor used to.
+// eagerKeyed is the reference: the same table with its hash bank and
+// power tables built up front, as the constructor used to.
 func eagerKeyed(seed uint64, n, capacity int) *KeyedEdgeSketch {
 	t := NewKeyedEdgeSketch(seed, n, capacity)
 	t.materialize()
 	return t
 }
 
-// referencePeel is the full-lane peeling decode the compact peel
-// replaces: clone all five lanes, sweep every bucket in index order
-// until no bucket is key-pure. Kept here as the oracle for peel.
+// referencePeel is the full-lane peeling decode of t's state: the dense
+// reference table loaded from t's bytes, swept bucket by bucket.
 func referencePeel(t *KeyedEdgeSketch) map[uint64]keyedAgg {
-	if t.IsZero() {
-		return nil
-	}
-	wc := append([]uint64(nil), t.counts...)
-	wks := append([]uint64(nil), t.keySums...)
-	wkf := append([]uint64(nil), t.keyFings...)
-	wes := append([]uint64(nil), t.edgeSums...)
-	wef := append([]uint64(nil), t.edgeFings...)
-	recovered := map[uint64]keyedAgg{}
-	hs := make([]uint64, t.rows)
-	cells := uint64(t.cells)
-	for progress := true; progress; {
-		progress = false
-		for i := range wc {
-			if wc[i] == 0 && wks[i] == 0 && wkf[i] == 0 && wes[i] == 0 && wef[i] == 0 {
-				continue
-			}
-			key, ok := t.pureKey(int64(wc[i]), wks[i], wkf[i])
-			if !ok {
-				continue
-			}
-			agg := keyedAgg{int64(wc[i]), wks[i], wkf[i], wes[i], wef[i]}
-			t.bank.HashPrefix(key, hs)
-			for r := 0; r < t.rows; r++ {
-				j := r*t.cells + int(hs[r]%cells)
-				wc[j] -= uint64(agg.edgeCount)
-				wks[j] = field.Sub(wks[j], agg.keySum)
-				wkf[j] = field.Sub(wkf[j], agg.keyFing)
-				wes[j] = field.Sub(wes[j], agg.edgeSum)
-				wef[j] = field.Sub(wef[j], agg.edgeFing)
-			}
-			prev := recovered[key]
-			prev.merge(agg)
-			if prev.isZero() {
-				delete(recovered, key)
-			} else {
-				recovered[key] = prev
-			}
-			progress = true
-		}
-	}
-	return recovered
+	g := newKeyedEdgeSketchGeom(t.seed, t.n, t.rows, t.cells)
+	g.materialize()
+	d := &denseKeyed{geom: g}
+	enc, _ := t.MarshalBinary() // cannot fail
+	d.UnmarshalBinary(enc)
+	return d.peel()
 }
 
 // keyedStream is a seeded random update stream with churn: about a

@@ -205,34 +205,38 @@ func (s *L0Sampler) UnmarshalBinary(data []byte) error {
 const keyedBucketBytes = 40
 
 // MarshalBinary encodes the keyed edge table: parameters plus the raw
-// bucket accumulators. Hash functions and power tables are re-derived
-// from the seed on decode. The wire format is bucket-interleaved
-// (count, keySum, keyFing, edgeSum, edgeFing per bucket), independent
-// of the in-memory structure-of-arrays layout; an unmaterialized table
-// encodes as the zero buckets it stands for.
+// bucket accumulators of all rows·cells provisioned buckets. Hash
+// functions and power tables are re-derived from the seed on decode.
+// The wire format is bucket-interleaved (count, keySum, keyFing,
+// edgeSum, edgeFing per bucket); a bucket outside the list, and every
+// bucket of an untouched table, encodes as zeros.
 func (t *KeyedEdgeSketch) MarshalBinary() ([]byte, error) {
 	size := 5*8 + t.rows*t.cells*keyedBucketBytes
 	w := wire.NewWriter(make([]byte, 0, size))
 	for _, v := range []uint64{wire.TagKeyed, t.seed, uint64(t.n), uint64(t.rows), uint64(t.cells)} {
 		w.U64(v)
 	}
-	if t.lanes == nil {
-		return w.Bytes()[:size], nil // the buckets are the zeros make left there
+	var zero [keyedBucketBytes]byte
+	next := 0
+	for _, b := range t.buckets {
+		for ; next < b.idx; next++ {
+			w.Raw(zero[:])
+		}
+		w.U64(uint64(b.agg.edgeCount))
+		w.U64(b.agg.keySum)
+		w.U64(b.agg.keyFing)
+		w.U64(b.agg.edgeSum)
+		w.U64(b.agg.edgeFing)
+		next++
 	}
-	for i := range t.counts {
-		w.U64(t.counts[i])
-		w.U64(t.keySums[i])
-		w.U64(t.keyFings[i])
-		w.U64(t.edgeSums[i])
-		w.U64(t.edgeFings[i])
-	}
-	return w.Bytes(), nil
+	return w.Bytes()[:size], nil // the buckets past the last entry are the zeros make left there
 }
 
 // UnmarshalBinary decodes a table encoded with MarshalBinary. The
 // encoding is fixed-width, so the header's geometry is checked against
 // the remaining length before anything is allocated: a short blob
-// cannot request more memory than it carries.
+// cannot request more memory than it carries. Only non-zero buckets
+// join the list, which is counted before it is allocated.
 func (t *KeyedEdgeSketch) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data, errCorrupt)
 	if r.U64() != wire.TagKeyed {
@@ -243,12 +247,22 @@ func (t *KeyedEdgeSketch) UnmarshalBinary(data []byte) error {
 		uint64(r.Len()) != rows*cells*keyedBucketBytes {
 		return errCorrupt
 	}
+	body := r.Bytes(uint64(r.Len()))
+	read := func(visit func(idx int, agg keyedAgg)) {
+		br := wire.NewReader(body, errCorrupt)
+		for idx := 0; br.Len() > 0; idx++ { // length checked above
+			agg := keyedAgg{int64(br.U64()), br.U64(), br.U64(), br.U64(), br.U64()}
+			if !agg.isZero() {
+				visit(idx, agg)
+			}
+		}
+	}
+	nonZero := 0
+	read(func(int, keyedAgg) { nonZero++ })
 	rebuilt := newKeyedEdgeSketchGeom(seed, int(n), int(rows), int(cells))
 	rebuilt.materialize()
-	for i := range rebuilt.counts { // length checked above
-		rebuilt.counts[i], rebuilt.keySums[i], rebuilt.keyFings[i] = r.U64(), r.U64(), r.U64()
-		rebuilt.edgeSums[i], rebuilt.edgeFings[i] = r.U64(), r.U64()
-	}
+	rebuilt.buckets = make([]keyedBucket, 0, nonZero)
+	read(func(idx int, agg keyedAgg) { rebuilt.buckets = append(rebuilt.buckets, keyedBucket{idx, agg}) })
 	rebuilt.gen = t.gen + 1 // whole-state replacement keeps gen monotonic
 	*t = *rebuilt
 	return nil
