@@ -192,7 +192,8 @@ func NewWeightedDistanceOracle(res *SpannerResult, k int, classBase float64) *Di
 }
 
 // VerifyStretch measures multiplicative stretch of h against g over
-// BFS trees from up to `sources` source vertices (all if <= 0).
+// BFS trees from every ⌊n/sources⌋-th vertex, so at least `sources` of
+// them (all if <= 0).
 func VerifyStretch(g, h *Graph, sources int) StretchReport {
 	return verify.Stretch(g, h, sources)
 }

@@ -37,6 +37,7 @@ func TestFacadeAdditivePipeline(t *testing.T) {
 	if rep.Disconnected > 0 || rep.Shortcuts > 0 {
 		t.Fatalf("invalid additive spanner: %+v", rep)
 	}
+	// Theorem 3's bound at d = 4, with internal/spanner's theorem3C = 2.
 	if rep.MaxError > 2*g.N()/4 {
 		t.Errorf("additive error %d", rep.MaxError)
 	}
@@ -47,7 +48,7 @@ func TestFacadeSparsifierPipeline(t *testing.T) {
 	st := StreamFromGraph(g, 7)
 	res, err := Build(context.Background(), st, SparsifierTarget{Config: SparsifierConfig{
 		K: 1, Z: 24, Seed: 8,
-		Estimate: EstimateConfig{K: 1, J: 3, T: 7, Delta: 0.34, Seed: 9, ExactOracles: true},
+		Estimate: EstimateConfig{K: 1, J: 3, T: 7, Delta: 0.34, Seed: 9},
 	}}, WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)

@@ -215,7 +215,7 @@ func TestIntegrationSparsifierCutsVsSpectral(t *testing.T) {
 	st := StreamFromGraph(g, 22)
 	res, err := Build(context.Background(), st, SparsifierTarget{Config: SparsifierConfig{
 		K: 1, Z: 32, Seed: 23,
-		Estimate: EstimateConfig{K: 1, J: 3, T: 7, Delta: 0.34, Seed: 24, ExactOracles: true},
+		Estimate: EstimateConfig{K: 1, J: 3, T: 7, Delta: 0.34, Seed: 24},
 	}}, WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)

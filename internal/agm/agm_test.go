@@ -1,6 +1,7 @@
 package agm
 
 import (
+	"fmt"
 	"testing"
 
 	"dynstream/internal/graph"
@@ -29,19 +30,27 @@ func forestFromGraph(t *testing.T, g *graph.Graph, seed uint64, groups [][]int) 
 // connects exactly the components of g.
 func checkSpanningForest(t *testing.T, g *graph.Graph, forest []graph.Edge) {
 	t.Helper()
+	if why := forestFault(g, forest); why != "" {
+		t.Error(why)
+	}
+}
+
+// forestFault says why forest is not a spanning forest of g, or returns
+// "" if it is one.
+func forestFault(g *graph.Graph, forest []graph.Edge) string {
 	uf := graph.NewUnionFind(g.N())
 	for _, e := range forest {
 		if !g.HasEdge(e.U, e.V) {
-			t.Errorf("forest edge (%d,%d) not in graph", e.U, e.V)
+			return fmt.Sprintf("forest edge (%d,%d) not in graph", e.U, e.V)
 		}
 		if !uf.Union(e.U, e.V) {
-			t.Errorf("forest has a cycle at (%d,%d)", e.U, e.V)
+			return fmt.Sprintf("forest has a cycle at (%d,%d)", e.U, e.V)
 		}
 	}
-	_, wantComponents := g.Components()
-	if uf.Sets() != wantComponents {
-		t.Errorf("forest leaves %d components, graph has %d", uf.Sets(), wantComponents)
+	if _, want := g.Components(); uf.Sets() != want {
+		return fmt.Sprintf("forest leaves %d components, graph has %d", uf.Sets(), want)
 	}
+	return ""
 }
 
 func TestForestPath(t *testing.T) {

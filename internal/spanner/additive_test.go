@@ -10,6 +10,24 @@ import (
 	"dynstream/internal/stream"
 )
 
+// theorem3C is the constant of Theorem 3's additive error bound, stated
+// once for every additive-spanner test here: a valid build has
+// d_H(u,v) − d_G(u,v) ≤ theorem3C·n/d for every connected pair.
+//
+// Theorem 3's proof routes a shortest path through E_low where it can
+// and, between its high-degree vertices, through the spanning forest F'
+// of the graph with each center's star contracted. Each star cluster
+// has diameter 2 and F' crosses it at most once, so the detour costs a
+// constant number of hops per cluster, and there are |C| ≈ CenterFactor·n/d
+// = 2n/d clusters. The proof's constant is therefore a small multiple of
+// CenterFactor = 2 and gives nothing below 2, so the tests keep the
+// envelope 2·n/d they have always used. Every measured error is already
+// at most n/d (TestTheorem3Guarantees logs them).
+const theorem3C = 2
+
+// additiveBound is Theorem 3's error bound theorem3C·n/d.
+func additiveBound(n, d int) int { return theorem3C * n / d }
+
 func buildAdditiveFromGraph(t *testing.T, g *graph.Graph, cfg AdditiveConfig) *AdditiveResult {
 	t.Helper()
 	st := stream.FromGraph(g, cfg.Seed+500)
@@ -59,12 +77,12 @@ func TestAdditiveSubgraph(t *testing.T) {
 }
 
 func TestAdditiveErrorBound(t *testing.T) {
-	// Theorem 3: additive error O(n/d). Check with constant 2 on a
-	// moderately dense random graph.
+	// Theorem 3: additive error O(n/d), on a moderately dense random
+	// graph.
 	g := graph.ConnectedGNP(80, 0.2, 3)
 	d := 4
 	res := buildAdditiveFromGraph(t, g, AdditiveConfig{D: d, Seed: 4})
-	bound := 2 * g.N() / d
+	bound := additiveBound(g.N(), d)
 	if err := maxAdditiveError(t, g, res.Spanner, 20); err > bound {
 		t.Errorf("additive error %d exceeds bound %d", err, bound)
 	}
@@ -76,7 +94,7 @@ func TestAdditiveDenseGraphCompresses(t *testing.T) {
 	if res.Spanner.M() >= g.M() {
 		t.Errorf("no compression: %d of %d edges", res.Spanner.M(), g.M())
 	}
-	if err := maxAdditiveError(t, g, res.Spanner, 30); err > 2*60/4 {
+	if err := maxAdditiveError(t, g, res.Spanner, 30); err > additiveBound(g.N(), 4) {
 		t.Errorf("additive error %d", err)
 	}
 }
@@ -104,7 +122,7 @@ func TestAdditiveChurnStream(t *testing.T) {
 	if !res.Spanner.IsSubgraphOf(g) {
 		t.Fatal("churn leaked deleted edges")
 	}
-	if e := maxAdditiveError(t, g, res.Spanner, 10); e > 2*g.N()/4 {
+	if e := maxAdditiveError(t, g, res.Spanner, 10); e > additiveBound(g.N(), 4) {
 		t.Errorf("additive error %d under churn", e)
 	}
 }
@@ -150,7 +168,7 @@ func TestAdditivePreferentialAttachment(t *testing.T) {
 	if !res.Spanner.IsSubgraphOf(g) {
 		t.Fatal("non-subgraph")
 	}
-	if e := maxAdditiveError(t, g, res.Spanner, 20); e > 2*g.N()/4 {
+	if e := maxAdditiveError(t, g, res.Spanner, 20); e > additiveBound(g.N(), 4) {
 		t.Errorf("PA additive error %d", e)
 	}
 }
@@ -171,7 +189,7 @@ func TestAdditiveF0DegreeMode(t *testing.T) {
 	if !res.Spanner.IsSubgraphOf(g) {
 		t.Fatal("non-subgraph in F0 mode")
 	}
-	if e := maxAdditiveError(t, g, res.Spanner, 10); e > 2*g.N()/4 {
+	if e := maxAdditiveError(t, g, res.Spanner, 10); e > additiveBound(g.N(), 4) {
 		t.Errorf("F0-mode additive error %d", e)
 	}
 }

@@ -77,9 +77,9 @@ func TestPropertyAdditiveAlwaysValid(t *testing.T) {
 				if dg[v] < 0 || v == src {
 					continue
 				}
-				// Validity: connected, no shortcut, error within the
-				// generous 2n/d envelope.
-				if dh[v] == -1 || dh[v] < dg[v] || dh[v]-dg[v] > 2*n/d {
+				// Validity: connected, no shortcut, error within
+				// Theorem 3's bound.
+				if dh[v] == -1 || dh[v] < dg[v] || dh[v]-dg[v] > additiveBound(n, d) {
 					return false
 				}
 			}

@@ -40,8 +40,8 @@ type Config struct {
 	// Claim 11 bound n^{(i+1)/k}·log2(n); default 1.
 	TableFactor float64
 	// Levels overrides the number of edge-subsampling levels E_j
-	// (default 2·ceil(log2 n), the paper's log n²). Exposed for the
-	// ablation experiment A1.
+	// (default 2·ceil(log2 n), the paper's log n²). Fewer levels still
+	// give a valid spanner (TestLevelsGuarantees).
 	Levels int
 	// CollectAugmented records every edge any decoded sketch revealed —
 	// the Ω(R) sets of Claims 16/18/20 needed by the sparsifier.

@@ -29,9 +29,6 @@ type EstimateConfig struct {
 	Threshold float64
 	// Seed selects all randomness.
 	Seed uint64
-	// ExactOracles switches to materialized exact-distance oracles —
-	// the A3 ablation (violates streaming space, preserves semantics).
-	ExactOracles bool
 }
 
 func (c EstimateConfig) withDefaults(n int) EstimateConfig {
@@ -113,14 +110,7 @@ func (c EstimateConfig) cellConfig(i int) spanner.Config {
 // oracle builds the oracle of grid cell i (t-major) serially over st.
 func (c EstimateConfig) oracle(st stream.Stream, i int) (Oracle, error) {
 	t, j := i/c.J+1, i%c.J
-	sub := c.substream(st, t, j)
-	var o Oracle
-	var err error
-	if c.ExactOracles {
-		o, err = NewExactOracle(sub)
-	} else {
-		o, err = NewSpannerOracle(sub, c.K, c.cellConfig(i).Seed)
-	}
+	o, err := NewSpannerOracle(c.substream(st, t, j), c.K, c.cellConfig(i).Seed)
 	if err != nil {
 		return nil, fmt.Errorf("sparsify: estimator oracle (t=%d, j=%d): %w", t, j, err)
 	}

@@ -69,13 +69,9 @@ func (ls *Live) stateErr(i int, err error) error {
 // StartLive builds the live sparsifier state over the replayable base
 // stream src: every grid cell and sample spanner ingests its filtered
 // view of src through pass 1 and retains it for the pass-2 replays its
-// first query needs. The ExactOracles ablation materializes substreams
-// instead of sketching them and has no live state.
+// first query needs.
 func StartLive(src stream.Stream, cfg Config) (*Live, error) {
 	cfg = cfg.withDefaults(src.N())
-	if cfg.Estimate.ExactOracles {
-		return nil, fmt.Errorf("sparsify: exact oracles have no live state")
-	}
 	g, err := NewGrid(src.N(), cfg.Estimate)
 	if err != nil {
 		return nil, err

@@ -76,35 +76,3 @@ func (o *spannerOracle) Dist(u, v int) float64 {
 
 func (o *spannerOracle) Alpha() float64  { return o.alpha }
 func (o *spannerOracle) SpaceWords() int { return o.space }
-
-// exactOracle materializes the substream and answers exactly (stretch
-// 1). It violates the streaming space budget and exists only for the
-// ablation experiment A3 (sketch oracles vs exact oracles).
-type exactOracle struct {
-	g    *graph.Graph
-	memo map[int][]int
-}
-
-// NewExactOracle materializes st and answers by BFS (ablation only).
-func NewExactOracle(st stream.Stream) (Oracle, error) {
-	g, err := stream.Materialize(st)
-	if err != nil {
-		return nil, fmt.Errorf("sparsify: exact oracle: %w", err)
-	}
-	return &exactOracle{g: g, memo: map[int][]int{}}, nil
-}
-
-func (o *exactOracle) Dist(u, v int) float64 {
-	d, ok := o.memo[u]
-	if !ok {
-		d = o.g.BFS(u)
-		o.memo[u] = d
-	}
-	if d[v] < 0 {
-		return math.Inf(1)
-	}
-	return float64(d[v])
-}
-
-func (o *exactOracle) Alpha() float64  { return 1 }
-func (o *exactOracle) SpaceWords() int { return 2 * o.g.M() }

@@ -44,13 +44,8 @@ type Grid struct {
 
 // NewGrid creates the oracle-grid sketch state for a graph on n
 // vertices. Grids built from the same (n, cfg) are mergeable.
-// ExactOracles is not a sketch and has no grid state; use
-// NewEstimatorOpts, which task-parallelizes that ablation instead.
 func NewGrid(n int, cfg EstimateConfig) (*Grid, error) {
 	cfg = cfg.withDefaults(n)
-	if cfg.ExactOracles {
-		return nil, fmt.Errorf("sparsify: exact oracles have no mergeable grid state")
-	}
 	return newGrid(n, cfg, func(i int) *spanner.TwoPass { return spanner.NewTwoPass(n, cfg.cellConfig(i)) }), nil
 }
 
@@ -320,27 +315,14 @@ func (g *Grid) FinishOpts(p *parallel.Policy) (*Estimator, error) {
 // grid's two passes run through parallel.RunTwoPass under p's context,
 // workers, batch size, and progress sink, producing an Estimator
 // identical to NewEstimator's for any policy. The source must be
-// replayable. The ExactOracles ablation (which materializes substreams
-// rather than sketching them) is built cell-by-cell on the policy's
-// worker pool instead; each cell replays the source, so a single-cursor
-// source degrades the pool to one worker.
+// replayable.
 func NewEstimatorOpts(src stream.Source, cfg EstimateConfig, p *parallel.Policy) (*Estimator, error) {
 	if !stream.CanReplay(src) {
 		return nil, fmt.Errorf("sparsify: estimator: %w", stream.ErrNotReplayable)
 	}
 	cfg = cfg.withDefaults(src.N())
-	if !cfg.ExactOracles {
-		return parallel.RunTwoPass(p, "sparsify: estimator", parallel.Local[*Grid](p, src),
-			func() (*Grid, error) { return NewGrid(src.N(), cfg) })
-	}
-	if !stream.ConcurrentReplayable(src) {
-		p = p.WithWorkers(1)
-	}
-	oracles, err := parallel.MapOpts(p, cfg.T*cfg.J, func(i int) (Oracle, error) { return cfg.oracle(src, i) })
-	if err != nil {
-		return nil, err
-	}
-	return newEstimator(cfg, oracles), nil
+	return parallel.RunTwoPass(p, "sparsify: estimator", parallel.Local[*Grid](p, src),
+		func() (*Grid, error) { return NewGrid(src.N(), cfg) })
 }
 
 // SparsifyOpts is the policy-driven sparsifier build: the oracle grid

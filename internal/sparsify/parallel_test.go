@@ -37,30 +37,6 @@ func TestEstimatorParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestEstimatorParallelExactOracles(t *testing.T) {
-	g := graph.Complete(10)
-	st := stream.FromGraph(g, 103)
-	cfg := EstimateConfig{K: 1, J: 2, T: 5, Delta: 0.34, Seed: 104, ExactOracles: true}
-	serial, err := NewEstimator(st, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := NewEstimatorOpts(st, cfg, parallel.Default().WithWorkers(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for u := 0; u < g.N(); u++ {
-		for v := u + 1; v < g.N(); v++ {
-			if pe, se := par.QExp(u, v), serial.QExp(u, v); pe != se {
-				t.Fatalf("QExp(%d,%d) = %d vs serial %d", u, v, pe, se)
-			}
-		}
-	}
-	if _, err := NewGrid(g.N(), cfg); err == nil {
-		t.Error("NewGrid accepted ExactOracles config")
-	}
-}
-
 func TestSparsifyParallelMatchesSerial(t *testing.T) {
 	g := graph.Complete(12)
 	st := stream.FromGraph(g, 105)

@@ -11,8 +11,8 @@ import (
 )
 
 // testEstimateCfg keeps oracle grids small enough for unit tests.
-func testEstimateCfg(seed uint64, exact bool) EstimateConfig {
-	return EstimateConfig{K: 2, J: 3, T: 8, Delta: 0.34, Seed: seed, ExactOracles: exact}
+func testEstimateCfg(seed uint64) EstimateConfig {
+	return EstimateConfig{K: 2, J: 3, T: 8, Delta: 0.34, Seed: seed}
 }
 
 func TestSpannerOracleStretch(t *testing.T) {
@@ -40,41 +40,13 @@ func TestSpannerOracleStretch(t *testing.T) {
 	}
 }
 
-func TestExactOracle(t *testing.T) {
-	g := graph.Path(10)
-	st := stream.FromGraph(g, 4)
-	o, err := NewExactOracle(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.Alpha() != 1 {
-		t.Errorf("alpha = %v", o.Alpha())
-	}
-	if o.Dist(0, 9) != 9 {
-		t.Errorf("dist = %v, want 9", o.Dist(0, 9))
-	}
-}
-
-func TestOracleDisconnected(t *testing.T) {
-	g := graph.New(6)
-	g.AddUnitEdge(0, 1)
-	st := stream.FromGraph(g, 5)
-	o, err := NewExactOracle(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsInf(o.Dist(0, 5), 1) {
-		t.Errorf("disconnected dist = %v, want +Inf", o.Dist(0, 5))
-	}
-}
-
 func TestEstimatorBridgeVsCliqueEdge(t *testing.T) {
 	// The defining property of robust connectivity: a bridge
 	// disconnects at mild subsampling (small t*, large q̂), a clique
 	// edge survives deep subsampling (large t*, small q̂).
 	g := graph.Barbell(8, 1) // cliques of 8 joined through one vertex
 	st := stream.FromGraph(g, 6)
-	est, err := NewEstimator(st, testEstimateCfg(7, true))
+	est, err := exactEstimator(st, testEstimateCfg(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +66,7 @@ func TestEstimatorSketchOraclesAgreeDirectionally(t *testing.T) {
 	// still hold on the barbell.
 	g := graph.Barbell(6, 1)
 	st := stream.FromGraph(g, 8)
-	est, err := NewEstimator(st, testEstimateCfg(9, false))
+	est, err := NewEstimator(st, testEstimateCfg(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,8 +81,8 @@ func TestEstimatorSketchOraclesAgreeDirectionally(t *testing.T) {
 func TestSampleOnceOnlyGraphEdges(t *testing.T) {
 	g := graph.ConnectedGNP(24, 0.25, 10)
 	st := stream.FromGraph(g, 11)
-	cfg := Config{K: 2, Z: 1, Seed: 12, Estimate: testEstimateCfg(13, true)}
-	est, err := NewEstimator(st, cfg.Estimate)
+	cfg := Config{K: 2, Z: 1, Seed: 12, Estimate: testEstimateCfg(13)}
+	est, err := exactEstimator(st, cfg.Estimate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +106,7 @@ func TestSampleOnceOnlyGraphEdges(t *testing.T) {
 func TestSparsifySupportAndWeights(t *testing.T) {
 	g := graph.ConnectedGNP(20, 0.3, 14)
 	st := stream.FromGraph(g, 15)
-	res, err := Sparsify(st, Config{K: 2, Z: 4, Seed: 16, Estimate: testEstimateCfg(17, true)})
+	res, err := sparsifyExact(st, Config{K: 2, Z: 4, Seed: 16, Estimate: testEstimateCfg(17)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +132,7 @@ func TestSparsifyPreservesBridge(t *testing.T) {
 	// all samples is a <1% event (Z=40: (7/8)^40 ≈ 0.5%).
 	g := graph.Barbell(6, 1)
 	st := stream.FromGraph(g, 18)
-	res, err := Sparsify(st, Config{K: 2, Z: 40, Seed: 19, Estimate: testEstimateCfg(20, true)})
+	res, err := sparsifyExact(st, Config{K: 2, Z: 40, Seed: 19, Estimate: testEstimateCfg(20)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +148,7 @@ func TestSparsifyQualityOnSmallDenseGraph(t *testing.T) {
 	g := graph.Complete(16)
 	st := stream.FromGraph(g, 21)
 	cfg := Config{K: 1, Z: 48, Seed: 22,
-		Estimate: EstimateConfig{K: 1, J: 3, T: 8, Delta: 0.34, Seed: 23, ExactOracles: true}}
+		Estimate: EstimateConfig{K: 1, J: 3, T: 8, Delta: 0.34, Seed: 23}}
 	res, err := Sparsify(st, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +166,7 @@ func TestSparsifyWeightedClasses(t *testing.T) {
 	base := graph.ConnectedGNP(16, 0.3, 24)
 	g := graph.RandomWeighted(base, 1, 16, 25)
 	st := stream.FromGraph(g, 26)
-	res, err := SparsifyWeighted(st, Config{K: 2, Z: 3, Seed: 27, Estimate: testEstimateCfg(28, true)}, 2)
+	res, err := SparsifyWeightedWith(st, Config{K: 2, Z: 3, Seed: 27, Estimate: testEstimateCfg(28)}, 2, sparsifyExact)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,8 @@
-// Package verify provides the ground-truth checkers used by the
-// experiment harness and examples: multiplicative stretch, additive
-// distortion, spectral ε, and cut preservation. These are the
-// quantities the paper's theorems bound; the benchmark tables report
-// the measured values next to the theoretical guarantees.
+// Package verify provides the ground-truth checkers for the quantities
+// the paper's theorems bound: multiplicative stretch, additive
+// distortion, spectral ε, and cut preservation. The guarantee tests of
+// the spanner, sparsifier and baseline packages assert their bounds
+// with these checkers, and the root package exposes them to callers.
 package verify
 
 import (
@@ -29,9 +29,10 @@ type StretchReport struct {
 	Shortcuts int
 }
 
-// Stretch verifies H against G over BFS trees from up to `sources`
-// evenly spaced source vertices (all sources if sources <= 0). For
-// weighted graphs use StretchWeighted.
+// Stretch verifies H against G over BFS trees from every
+// ⌊n/sources⌋-th vertex, starting at 0 — so at least `sources` of them
+// (n = 100, sources = 16 checks 17) — or from every vertex if
+// sources <= 0 or n <= sources. For weighted graphs use StretchWeighted.
 func Stretch(g, h *graph.Graph, sources int) StretchReport {
 	var rep StretchReport
 	n := g.N()
