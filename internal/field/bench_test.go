@@ -1,6 +1,9 @@
 package field
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func BenchmarkMul(b *testing.B) {
 	x, y := uint64(0x123456789abcdef), uint64(0xfedcba987654321)
@@ -38,10 +41,28 @@ func BenchmarkPowTableWide(b *testing.B) {
 	_ = sink
 }
 
+// BenchmarkNewPowTable builds a full table and the bounded ones a keyed
+// table takes at n = 64 and n = 1 000: keys below n, edge codes below n².
 func BenchmarkNewPowTable(b *testing.B) {
 	var sink *PowTable
-	for i := 0; i < b.N; i++ {
-		sink = NewPowTable(uint64(i) + 2)
+	b.Run("full", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sink = NewPowTable(uint64(i) + 2)
+		}
+	})
+	for _, n := range []uint64{64, 1000} {
+		for _, c := range []struct {
+			name   string
+			maxExp uint64
+		}{{"n-1", n - 1}, {"n2-1", n*n - 1}} {
+			b.Run(fmt.Sprintf("n=%d/%s", n, c.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					sink = NewPowTableBelow(uint64(i)+2, c.maxExp)
+				}
+			})
+		}
 	}
 	_ = sink
 }

@@ -14,7 +14,10 @@
 // scalar reference loops.
 package field
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // P is the field modulus 2^61 - 1.
 const P uint64 = (1 << 61) - 1
@@ -88,29 +91,45 @@ func Pow(a, e uint64) uint64 {
 const (
 	powWindowBits = 4
 	powWindowSize = 1 << powWindowBits        // 16 digit values per window
-	powWindows    = 64 / powWindowBits        // 16 windows cover any uint64
 	powWindowMask = uint64(powWindowSize - 1) // low-window digit mask
 )
 
-// PowTable holds the precomputed window powers of a fixed base.
-// Construction costs ~256 multiplications; afterwards Pow is ~8× faster
-// than the generic square-and-multiply and returns bit-identical
+// PowTable holds the precomputed window powers of a fixed base. Each
+// window costs 16 multiplications and 128 bytes to build: a full table
+// (16 windows, any uint64 exponent) ~256 Muls and 2 KB, a table for
+// exponents up to maxExp ⌈bits(maxExp)/4⌉ windows. Afterwards Pow is ~8×
+// faster than the generic square-and-multiply and returns bit-identical
 // values (both compute the canonical representative of base^e mod P).
+// An exponent past the windows takes square-and-multiply, so the bound
+// a table is built for decides cost, never the result.
 type PowTable struct {
 	base uint64
-	tab  [powWindows][powWindowSize]uint64
+	max  uint64 // largest exponent the windows cover: 16^len(tab) − 1
+	tab  [][powWindowSize]uint64
 }
 
-// NewPowTable precomputes the window powers of base (reduced mod P).
-func NewPowTable(base uint64) *PowTable {
-	t := &PowTable{base: Reduce(base)}
+// NewPowTable precomputes the window powers of base (reduced mod P)
+// for every uint64 exponent.
+func NewPowTable(base uint64) *PowTable { return NewPowTableBelow(base, math.MaxUint64) }
+
+// NewPowTableBelow precomputes only the ⌈bits(maxExp)/4⌉ windows that
+// exponents up to maxExp use. Any larger exponent still gets the exact
+// power, through field.Pow.
+func NewPowTableBelow(base, maxExp uint64) *PowTable {
+	windows := (bits.Len64(maxExp) + powWindowBits - 1) / powWindowBits
+	t := &PowTable{
+		base: Reduce(base),
+		max:  math.MaxUint64 >> (64 - powWindowBits*windows),
+		tab:  make([][powWindowSize]uint64, windows),
+	}
 	step := t.base // base^(16^w), advanced per window
-	for w := 0; w < powWindows; w++ {
-		t.tab[w][0] = 1
+	for w := range t.tab {
+		row := &t.tab[w]
+		row[0] = 1
 		for d := 1; d < powWindowSize; d++ {
-			t.tab[w][d] = Mul(t.tab[w][d-1], step)
+			row[d] = Mul(row[d-1], step)
 		}
-		step = Mul(t.tab[w][powWindowSize-1], step)
+		step = Mul(row[powWindowSize-1], step)
 	}
 	return t
 }
@@ -120,10 +139,13 @@ func (t *PowTable) Base() uint64 { return t.base }
 
 // Pow returns base^e mod P, identical to Pow(base, e).
 func (t *PowTable) Pow(e uint64) uint64 {
-	result := uint64(1)
+	if e > t.max {
+		return Pow(t.base, e)
+	}
+	result, tab := uint64(1), t.tab
 	for w := 0; e != 0; w++ {
 		if d := e & powWindowMask; d != 0 {
-			result = Mul(result, t.tab[w][d])
+			result = Mul(result, tab[w][d])
 		}
 		e >>= powWindowBits
 	}

@@ -283,7 +283,9 @@ func allZeroI64(a []int64) bool {
 // (OR of all remaining exponent suffixes) terminates the walk exactly
 // when every per-element Pow would have terminated, and zero digits
 // multiply by nothing, so each dst[i] sees precisely the Mul sequence
-// of t.Pow(exps[i]).
+// of t.Pow(exps[i]). The same OR bounds every exponent: when it passes
+// the table's windows, some element needs square-and-multiply, and the
+// slice goes through t.Pow one element at a time.
 func fingerprintVec(t *PowTable, dst, exps []uint64) {
 	n := len(exps)
 	dst = dst[:n]
@@ -292,9 +294,15 @@ func fingerprintVec(t *PowTable, dst, exps []uint64) {
 		dst[i] = 1
 		any |= exps[i]
 	}
+	if any > t.max {
+		for i, e := range exps {
+			dst[i] = t.Pow(e)
+		}
+		return
+	}
 	for w := 0; any != 0; w++ {
 		row := &t.tab[w]
-		sh := uint(w) * powWindowBits
+		sh := uint(w) * powWindowBits & 63 // w < 16: the mask only tells the compiler the shift is in range
 		for i, e := range exps {
 			if d := (e >> sh) & powWindowMask; d != 0 {
 				dst[i] = Mul(dst[i], row[d])
@@ -305,13 +313,16 @@ func fingerprintVec(t *PowTable, dst, exps []uint64) {
 }
 
 func powPair(ta, tb *PowTable, ea, eb uint64) (uint64, uint64) {
-	ra, rb := uint64(1), uint64(1)
+	if ea > ta.max || eb > tb.max {
+		return ta.Pow(ea), tb.Pow(eb)
+	}
+	ra, rb, wa, wb := uint64(1), uint64(1), ta.tab, tb.tab
 	for w := 0; ea|eb != 0; w++ {
 		if d := ea & powWindowMask; d != 0 {
-			ra = Mul(ra, ta.tab[w][d])
+			ra = Mul(ra, wa[w][d])
 		}
 		if d := eb & powWindowMask; d != 0 {
-			rb = Mul(rb, tb.tab[w][d])
+			rb = Mul(rb, wb[w][d])
 		}
 		ea >>= powWindowBits
 		eb >>= powWindowBits

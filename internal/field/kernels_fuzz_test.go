@@ -132,6 +132,9 @@ func FuzzAddSubVec(f *testing.F) {
 	})
 }
 
+// FuzzFingerprintVec draws the table's exponent bound from the input as
+// well (any bit length, usually small), so slices mix exponents inside
+// the windows with ones past them.
 func FuzzFingerprintVec(f *testing.F) {
 	fuzzSeed(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -139,20 +142,28 @@ func FuzzFingerprintVec(f *testing.F) {
 			return
 		}
 		base := binary.LittleEndian.Uint64(data[:8])
-		exps, alt := fuzzVecs(data[8:])
-		tab := NewPowTable(base)
+		maxExp := ^uint64(0)
+		if len(data) >= 16 {
+			raw := binary.LittleEndian.Uint64(data[8:16])
+			maxExp = raw >> (raw & 63)
+		}
+		exps, alt := fuzzVecs(data[min(len(data), 16):])
+		for i := 1; i < len(exps) && maxExp != ^uint64(0); i += 2 {
+			exps[i] %= maxExp + 1
+		}
+		tab := NewPowTableBelow(base, maxExp)
 		dst := make([]uint64, len(exps))
 		tab.FingerprintVec(dst, exps)
 		for i, e := range exps {
-			if want := tab.Pow(e); dst[i] != want {
-				t.Fatalf("FingerprintVec[%d] = %d, Pow(%d) = %d", i, dst[i], e, want)
+			if want := Pow(base, e); dst[i] != want {
+				t.Fatalf("FingerprintVec[%d] = %d, Pow(%d) = %d (maxExp %d)", i, dst[i], e, want, maxExp)
 			}
 		}
 		if len(exps) > 0 {
 			tb := NewPowTable(base ^ 0x5555555555555555)
 			ga, gb := PowPair(tab, tb, exps[0], alt[0])
-			if ga != tab.Pow(exps[0]) || gb != tb.Pow(alt[0]) {
-				t.Fatalf("PowPair diverges from Pow")
+			if ga != Pow(base, exps[0]) || gb != Pow(base^0x5555555555555555, alt[0]) {
+				t.Fatalf("PowPair diverges from Pow (maxExp %d)", maxExp)
 			}
 		}
 	})

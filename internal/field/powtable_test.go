@@ -51,3 +51,52 @@ func TestPowTableInverseConsistency(t *testing.T) {
 		}
 	}
 }
+
+// TestPowTableBelowMatchesPow: a table built for exponents up to maxExp
+// returns field.Pow's value for every exponent — inside its windows, at
+// their edge, and past them, where it falls back to square-and-multiply
+// — through Pow, FingerprintVec and PowPair alike.
+func TestPowTableBelowMatchesPow(t *testing.T) {
+	rng := tRng{s: 0x4b4b}
+	bases := []uint64{0, 1, 2, 3, P - 1, P, P + 5, rng.next(), rng.next()}
+	bounds := []uint64{0, 1, 15, 16, 63, 4095, 999999, 1 << 61, ^uint64(0)}
+	for _, b := range bases {
+		full := NewPowTable(b)
+		for _, bound := range bounds {
+			tab := NewPowTableBelow(b, bound)
+			if tab.max < bound || len(tab.tab) > len(full.tab) {
+				t.Fatalf("NewPowTableBelow(%d, %d): windows cover up to %d in %d windows", b, bound, tab.max, len(tab.tab))
+			}
+			exps := []uint64{0, P - 1, ^uint64(0)}
+			for _, edge := range []uint64{bound, tab.max} {
+				exps = append(exps, edge-1, edge, edge+1) // wraps at 0 and MaxUint64: still exponents
+			}
+			for _, e := range exps {
+				if got, want := tab.Pow(e), Pow(b, e); got != want {
+					t.Fatalf("NewPowTableBelow(%d, %d).Pow(%d) = %d, want %d", b, bound, e, got, want)
+				}
+				ga, gb := PowPair(tab, full, e, e^1)
+				gc, gd := PowPair(full, tab, e^1, e)
+				if want, wantAlt := Pow(b, e), Pow(b, e^1); ga != want || gb != wantAlt || gc != wantAlt || gd != want {
+					t.Fatalf("PowPair with NewPowTableBelow(%d, %d) at %d diverges from Pow", b, bound, e)
+				}
+			}
+			// In-range slices take the window walk, mixed ones the fallback.
+			var in []uint64
+			for _, e := range exps {
+				if e <= bound {
+					in = append(in, e)
+				}
+			}
+			for _, vec := range [][]uint64{exps, in, {}} {
+				dst := make([]uint64, len(vec))
+				tab.FingerprintVec(dst, vec)
+				for i, e := range vec {
+					if want := Pow(b, e); dst[i] != want {
+						t.Fatalf("NewPowTableBelow(%d, %d).FingerprintVec[%d] (e=%d) = %d, want %d", b, bound, i, e, dst[i], want)
+					}
+				}
+			}
+		}
+	}
+}

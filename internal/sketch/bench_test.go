@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"fmt"
 	"testing"
 
 	"dynstream/internal/hashing"
@@ -105,6 +106,26 @@ func BenchmarkKeyedEdgeSketchAdd(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t.Add(rng.Intn(1024), rng.Intn(1024), 1)
+	}
+}
+
+// BenchmarkKeyedFirstTouch is the cost of a pass-2 table's first batch:
+// construction, materialization (row hashes and the power tables sized
+// to n and n²) and one 8-update AddBatchWith.
+func BenchmarkKeyedFirstTouch(b *testing.B) {
+	for _, n := range []int{64, 1000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			rng := hashing.NewSplitMix64(21)
+			batch := make([]KeyedEdgeUpdate, 8)
+			for i := range batch {
+				batch[i] = KeyedEdgeUpdate{W: rng.Intn(n), V: rng.Intn(n), Delta: 1}
+			}
+			var sc KeyedScratch
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				NewKeyedEdgeSketch(uint64(i), n, 64).AddBatchWith(batch, &sc)
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -176,15 +177,25 @@ func newKeyedEdgeSketchGeom(seed uint64, n, rows, cells int) *KeyedEdgeSketch {
 }
 
 // materialize derives the row hashes and power tables from the seed.
-// Like bucket mutation it is confined to the table's owning goroutine.
+// The power tables cover the exponents an update within the graph
+// produces — keys below n, edge codes w·n+v below n² — and nothing
+// more; an exponent past them (an update with w or v ≥ n, the key or
+// edge code of a non-pure bucket) still gets its exact power, by
+// square-and-multiply. Like bucket mutation it is confined to the
+// table's owning goroutine.
 func (t *KeyedEdgeSketch) materialize() {
 	rowHash := make([]*hashing.Poly, t.rows)
 	for r := range rowHash {
 		rowHash[r] = hashing.NewPoly(hashing.Mix(t.seed, 0xcc, uint64(r)), 6)
 	}
 	t.bank = hashing.NewPolyBank(rowHash...)
-	t.keyTab = field.NewPowTable(t.keyBase)
-	t.edgeTab = field.NewPowTable(t.edgeBase)
+	n := uint64(max(t.n, 1))
+	edges := uint64(math.MaxUint64) // n² − 1, saturating
+	if hi, lo := bits.Mul64(n, n); hi == 0 {
+		edges = lo - 1
+	}
+	t.keyTab = field.NewPowTableBelow(t.keyBase, n-1)
+	t.edgeTab = field.NewPowTableBelow(t.edgeBase, edges)
 }
 
 func (t *KeyedEdgeSketch) encode(w, v int) uint64 {
@@ -403,8 +414,8 @@ func sortByBucket(a, tmp []uint64, s uint, idxBits int, count *[1 << radixBits]u
 // three cases.
 func (t *KeyedEdgeSketch) Merge(o *KeyedEdgeSketch) error {
 	if t.seed != o.seed || t.n != o.n || t.rows != o.rows || t.cells != o.cells {
-		return fmt.Errorf("sketch: merging incompatible keyed tables (seed %d/%d, %dx%d vs %dx%d)",
-			t.seed, o.seed, t.rows, t.cells, o.rows, o.cells)
+		return fmt.Errorf("sketch: merging incompatible keyed tables (seed %d/%d, n %d/%d, %dx%d vs %dx%d)",
+			t.seed, o.seed, t.n, o.n, t.rows, t.cells, o.rows, o.cells)
 	}
 	switch {
 	case o.bank == nil: // adds zero

@@ -26,10 +26,11 @@ type sketchBShape struct {
 
 // tab returns the fingerprint power table, building it on first use.
 // Laziness keeps constructors of rarely-touched sketches (e.g. the
-// additive spanner's per-vertex center sketches) from paying the ~256
-// Muls of table setup up front. Materialization follows the same
-// confinement rule as cell mutation: a sketch (and the shape it owns
-// or shares) belongs to one goroutine until its state is handed off.
+// additive spanner's per-vertex center sketches) from paying table
+// setup up front: 16 Muls per window, and the full-width keys here need
+// all 16 windows. Materialization follows the same confinement rule as
+// cell mutation: a sketch (and the shape it owns or shares) belongs to
+// one goroutine until its state is handed off.
 func (sh *sketchBShape) tab() *field.PowTable {
 	if sh.fingTab == nil {
 		sh.fingTab = field.NewPowTable(sh.fingBase)
