@@ -246,6 +246,10 @@ func (t SparsifierTarget) Passes() int { return 2 }
 
 func (t SparsifierTarget) plan(o *buildOptions) (plan[*SparsifierResult], error) {
 	cfg, classBase := t.Config, o.classBase
+	if cfg.Z < 0 || cfg.H < 0 || cfg.Estimate.J < 0 || cfg.Estimate.T < 0 || !(cfg.Estimate.Delta >= 0 && cfg.Estimate.Delta < 1) {
+		return nil, fmt.Errorf("%w: a sparsifier needs Z, H, J, T >= 0 and 0 <= Delta < 1, got Z=%d H=%d J=%d T=%d Delta=%v",
+			ErrBadConfig, cfg.Z, cfg.H, cfg.Estimate.J, cfg.Estimate.T, cfg.Estimate.Delta)
+	}
 	cfg.Seed = o.seedOr(cfg.Seed)
 	return twoPass[*sparsify.Live, *SparsifierResult]{
 		kind: dynnet.KindGrid, what: "a sparsifier",
@@ -260,12 +264,7 @@ func (t SparsifierTarget) plan(o *buildOptions) (plan[*SparsifierResult], error)
 				return nil, err
 			}
 			return sparsify.SparsifyWeightedWith(src, cfg, classBase, func(sub Source, c SparsifierConfig) (*SparsifierResult, error) {
-				grid := func(ecfg EstimateConfig) (*sparsify.Estimator, error) {
-					return parallel.RunTwoPass(r.p, "dynstream: remote grid",
-						remoteEngine(ctx, r, dynnet.KindGrid, sub, func() *sparsify.Grid { return new(sparsify.Grid) }),
-						func() (*sparsify.Grid, error) { return sparsify.NewGrid(sub.N(), ecfg) })
-				}
-				return sparsify.SparsifyWith(sub, c, grid, remoteSpanner(ctx, r))
+				return sparsify.SparsifyOn(remoteEngine(ctx, r, dynnet.KindGrid, sub, func() *sparsify.Grid { return new(sparsify.Grid) }), sub, c, r.p)
 			})
 		},
 		start:   func(src Stream) (*sparsify.Live, error) { return sparsify.StartLive(src, cfg) },

@@ -205,6 +205,29 @@ func TestBuildMSFAndBipartiteness(t *testing.T) {
 // ---------------------------------------------------------------------
 // Options validation: one typed gate.
 
+// TestSparsifierBadConfig: a negative count or a δ outside [0, 1) is a
+// typed refusal from Build and Open, not a panic in the grid's layout.
+func TestSparsifierBadConfig(t *testing.T) {
+	_, st := buildTestStream(10, 0.4, 0, 919)
+	for name, cfg := range map[string]SparsifierConfig{
+		"Z=-1":      {Z: -1},
+		"H=-1":      {H: -1},
+		"J=-1":      {Estimate: EstimateConfig{J: -1}},
+		"T=-1":      {Estimate: EstimateConfig{T: -1}},
+		"Delta=-1":  {Estimate: EstimateConfig{Delta: -1}},
+		"Delta=1":   {Estimate: EstimateConfig{Delta: 1}},
+		"Delta=NaN": {Estimate: EstimateConfig{Delta: math.NaN()}},
+	} {
+		target := SparsifierTarget{Config: cfg}
+		if _, err := Build(context.Background(), st, target); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("Build %s: err = %v, want ErrBadConfig", name, err)
+		}
+		if _, err := Open(context.Background(), st, target); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("Open %s: err = %v, want ErrBadConfig", name, err)
+		}
+	}
+}
+
 func TestBuildOptionValidation(t *testing.T) {
 	_, st := buildTestStream(10, 0.4, 0, 918)
 	if _, err := Build(context.Background(), st, SpannerTarget{}, WithWorkers(0)); !errors.Is(err, ErrBadWorkers) {

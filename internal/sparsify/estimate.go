@@ -59,6 +59,9 @@ type Estimator struct {
 	threshold float64
 	oracles   [][]Oracle // oracles[t-1][j], E^j_t at rate 2^{-(t-1)}
 	space     int
+	// samples are a sparsifier grid's Z·H augmented spanners, s-major
+	// (see Grid): decoded with the oracles, read by sampleAndAverage.
+	samples []*spanner.Result
 }
 
 // NewEstimator builds the oracle grid over the stream (each oracle is a

@@ -43,19 +43,39 @@ func words(vs ...uint64) []byte {
 // gridCfg is an oracle-grid configuration as both encodings write it.
 func gridCfg(k, j, t uint64) []uint64 { return []uint64{k, j, t, math.Float64bits(0.25), 0, 5} }
 
+// oldGrid is a grid encoded in the retired 0xd15c_000b layout: no
+// sample header between the phase and the oracle configuration.
+func oldGrid() []byte {
+	g, _ := NewGrid(4, EstimateConfig{K: 1, J: 1, T: 1, Seed: 5}) // NewGrid cannot fail
+	enc, _ := g.MarshalBinary()                                   // nor can a fresh grid's encoding
+	old := append(words(0xd15c_000b), enc[8:24]...)
+	return append(old, enc[56:]...)
+}
+
 // hostileGrids are Grid encodings with no cells behind their header,
 // and live encodings of a one-vertex stream: each made the decoder lay
-// out its grid before reading a cell.
+// out its grid before reading a cell. A sample header is K, Z, H, seed.
 func hostileGrids() (grids, lives map[string][]byte) {
-	grid := func(n uint64, cfg []uint64) []byte { return words(append([]uint64{wire.TagGrid, n, 0}, cfg...)...) }
-	live := func(cfg []uint64) []byte {
-		return words(append([]uint64{wire.TagSparsifyLive, 1, 2, 1, 1, 3}, cfg...)...)
+	grid := func(n uint64, samples, cfg []uint64) []byte {
+		return words(append(append([]uint64{wire.TagGrid, n, 0}, samples...), cfg...)...)
 	}
+	live := func(samples, cfg []uint64) []byte {
+		return words(append(append([]uint64{wire.TagSparsifyLive, 1}, samples...), cfg...)...)
+	}
+	none, one := []uint64{0, 0, 0, 0}, []uint64{2, 1, 1, 3}
 	return map[string][]byte{
-			"16×16 cells of n=100": grid(100, gridCfg(2, 16, 16)),
+			"16×16 cells of n=100":        grid(100, none, gridCfg(2, 16, 16)),
+			"Z=4097":                      grid(100, []uint64{2, 1<<12 + 1, 1, 3}, gridCfg(2, 1, 1)),
+			"H=4097":                      grid(100, []uint64{2, 1, 1<<12 + 1, 3}, gridCfg(2, 1, 1)),
+			"64×64 samples of n=100":      grid(100, []uint64{2, 64, 64, 3}, gridCfg(2, 1, 1)),
+			"samples K=0":                 grid(100, []uint64{0, 1, 1, 3}, gridCfg(2, 1, 1)),
+			"old 0xd15c_000b layout":      oldGrid(),
+			"old 0xd15c_000b 16×16 cells": words(append([]uint64{0xd15c_000b, 100, 0}, gridCfg(2, 16, 16)...)...),
 		}, map[string][]byte{
-			"grid K=1024": live(gridCfg(1024, 1, 1)),
-			"64×64 cells": live(gridCfg(1, 64, 64)),
+			"grid K=1024":   live(one, gridCfg(1024, 1, 1)),
+			"64×64 cells":   live(one, gridCfg(1, 64, 64)),
+			"64×64 samples": live([]uint64{2, 64, 64, 3}, gridCfg(1, 1, 1)),
+			"Z=0":           live(none, gridCfg(1, 1, 1)),
 		}
 }
 
@@ -112,6 +132,18 @@ func FuzzGridUnmarshal(f *testing.F) {
 		f.Fatal(err)
 	}
 	seed(fork) // the pass-2 prototype after ingest
+	sg := newGrid(st.N(), Config{K: 1, Z: 2, H: 2, Seed: 6, Estimate: EstimateConfig{J: 1, T: 2}}.withDefaults(st.N()), true)
+	if err := st.Replay(sg.Pass1Update); err != nil {
+		f.Fatal(err)
+	}
+	seed(sg) // a sparsifier's grid: sample columns, pass 1
+	if err := sg.EndPass1(); err != nil {
+		f.Fatal(err)
+	}
+	if err := st.Replay(sg.Pass2Update); err != nil {
+		f.Fatal(err)
+	}
+	seed(sg) // and pass 2
 	grids, _ := hostileGrids()
 	for _, blob := range grids {
 		f.Add(blob)

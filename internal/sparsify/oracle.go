@@ -7,7 +7,10 @@
 //     q̂_{α,δ}(e) from J×T spanner-based distance oracles over nested
 //     subsampled edge sets E^j_t.
 //   - SampleOnce (Algorithm 5, SAMPLE-AUGMENTED-SPANNER): one weighted
-//     sample X_s built from H augmented spanners over E_j.
+//     sample X_s built from H augmented spanners over E_j. The serial
+//     reference builds them one by one; every other build holds them
+//     as a sample column of the Grid, beside the estimator's oracle
+//     columns, so one pair of passes feeds all of them.
 //   - Sparsify (Algorithm 6, AUGMENTED-SPANNER-SPARSIFY): the average
 //     of Z independent samples.
 //   - SpielmanSrivastava (Theorem 7): the offline effective-resistance

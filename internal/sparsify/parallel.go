@@ -13,56 +13,106 @@ import (
 	"dynstream/internal/stream"
 )
 
-// This file makes the sparsification pipeline concurrent. Two layers:
+// This file is the sparsifier's one sketch state and the builds that
+// drive it. Two layers:
 //
-//   - Grid is the mergeable sketch state of Algorithm 4's J×T oracle
-//     grid: every cell is a two-pass spanner state over a nested
-//     subsampled edge set, and the whole grid is a linear function of
-//     the update stream — so per-shard grids merge into exactly the
-//     single-threaded grid (the "oracle-grid state" merge).
-//   - SparsifyOpts / NewEstimatorOpts drive the grid's two passes
-//     (parallel.RunTwoPass) — pass 1 over round-robin stream shards with
-//     a worker per shard, pass 2 into the one merged grid with its cells
-//     swept in ranges — and fan the Z×H augmented-spanner builds of
-//     Algorithms 5–6 out over a bounded worker pool. Every decode happens
-//     on the merged state, so the output is identical to the serial
-//     pipeline.
+//   - Grid is the mergeable sketch state of every two-pass spanner the
+//     sparsifier runs: Algorithm 4's J×T oracle grid and, in a
+//     sparsifier's grid, the Z×H augmented sample spanners of
+//     Algorithms 5–6. Both are families of nested subsampled edge sets,
+//     so each family is a column of cells under one level hash, and the
+//     whole grid is a linear function of the update stream — per-shard
+//     grids merge into exactly the single-threaded grid.
+//   - SparsifyOpts / NewEstimatorOpts run one grid's two passes through
+//     parallel.RunTwoPass: pass 1 over round-robin stream shards with a
+//     worker per shard, pass 2 into the one merged grid with its cells
+//     swept in ranges. The remote sparsifier runs the same grid on
+//     dynnet workers (SparsifyOn), and a live sparsifier holds it live.
+//     Every decode happens on the merged state, so the output is
+//     identical to the serial pipeline.
 
-// Grid is the linear sketch state underlying an Estimator: cell
-// (t, j) holds the two-pass spanner state of oracle j at subsampling
-// rate 2^{-(t-1)}. It supports the same pass protocol as
+// Grid is the linear sketch state underlying an Estimator and a
+// sparsifier: one two-pass spanner state per cell, in columns of nested
+// subsampled edge sets. Oracle column j's cell (t, j) sketches E^j_t at
+// rate 2^{-(t-1)}; sample column s's cell (s, j) sketches invocation
+// s's E_j at rate 2^{-j}. It supports the same pass protocol as
 // spanner.TwoPass, plus cell-wise merging, and finishes into an
 // Estimator identical to NewEstimator's.
 type Grid struct {
-	cfg     EstimateConfig
-	n       int
-	colHash []*hashing.Poly    // per column j: the E^j_t level hash
-	cells   []*spanner.TwoPass // t-major: cells[(t-1)·J + j]
-	phase   int
-	sweep   *gridSweep // ingest scratch
+	cfg  Config // Estimate is the oracle grid's; Z = 0 in an estimator's grid
+	n    int
+	cols []gridCol // the J oracle columns, then the Z sample columns
+	// cells holds the oracle cells t-major, cells[(t-1)·J + j], then the
+	// sample cells s-major, cells[T·J + s·H + j-1].
+	cells []*spanner.TwoPass
+	phase int
+	sweep *gridSweep // ingest scratch
 }
 
-// NewGrid creates the oracle-grid sketch state for a graph on n
-// vertices. Grids built from the same (n, cfg) are mergeable.
+// gridCol is one column: rows cells over the nested samples
+// SampledSubstream(src, seed, ·). The cell of row r (from 0) sketches
+// the edges whose level is at least r+first, and is
+// cells[base + r·stride].
+type gridCol struct {
+	seed         uint64
+	hash         *hashing.Poly // SampledSubstream's level hash for seed
+	rows, first  int
+	base, stride int
+}
+
+// NewGrid creates the oracle-grid sketch state of an estimator for a
+// graph on n vertices: a grid without sample columns. Grids built from
+// the same (n, cfg) are mergeable.
 func NewGrid(n int, cfg EstimateConfig) (*Grid, error) {
-	cfg = cfg.withDefaults(n)
-	return newGrid(n, cfg, func(i int) *spanner.TwoPass { return spanner.NewTwoPass(n, cfg.cellConfig(i)) }), nil
+	return newGrid(n, Config{Estimate: cfg.withDefaults(n)}, true), nil
 }
 
-// newGrid lays out a grid for a resolved configuration with cell(i) as
-// cell i: a fresh state, or an empty one for a decoder to fill.
-func newGrid(n int, cfg EstimateConfig, cell func(i int) *spanner.TwoPass) *Grid {
-	g := &Grid{cfg: cfg, n: n, cells: make([]*spanner.TwoPass, cfg.T*cfg.J)}
-	for i := range g.cells {
-		g.cells[i] = cell(i)
+// newGrid lays out the grid of a resolved configuration, its cells
+// fresh states or, for a decoder to fill, empty ones.
+func newGrid(n int, cfg Config, fresh bool) *Grid {
+	e := cfg.Estimate
+	g := &Grid{cfg: cfg, n: n, cells: make([]*spanner.TwoPass, e.T*e.J+cfg.Z*cfg.H)}
+	col := func(seed uint64, rows, first, base, stride int) {
+		g.cols = append(g.cols, gridCol{seed: seed, hash: hashing.NewPoly(hashing.Mix(seed, 0xe1), 8),
+			rows: rows, first: first, base: base, stride: stride})
 	}
-	g.colHash = make([]*hashing.Poly, cfg.J)
-	for j := range g.colHash {
-		// Must match cfg.substream so that cell (t, j) sees exactly the
-		// substream E^j_t the serial estimator feeds oracle (t, j).
-		g.colHash[j] = hashing.NewPoly(hashing.Mix(hashing.Mix(cfg.Seed, 0xe5, uint64(j)), 0xe1), 8)
+	for j := 0; j < e.J; j++ {
+		col(hashing.Mix(e.Seed, 0xe5, uint64(j)), e.T, 0, j, e.J) // the seed of e.substream
+	}
+	for s := 0; s < cfg.Z; s++ {
+		col(hashing.Mix(cfg.Seed, 0x5a, uint64(s)), cfg.H, 1, e.T*e.J+s*cfg.H, 1) // the seed of sampleSubstream
+	}
+	for i := range g.cells {
+		if fresh {
+			g.cells[i] = spanner.NewTwoPass(n, g.cellConfig(i))
+		} else {
+			g.cells[i] = new(spanner.TwoPass)
+		}
 	}
 	return g
+}
+
+// locate returns the column and row (from 0) of cell i.
+func (g *Grid) locate(i int) (c, r int) {
+	J, TJ := g.cfg.Estimate.J, g.cfg.Estimate.T*g.cfg.Estimate.J
+	if i < TJ {
+		return i % J, i / J
+	}
+	return J + (i-TJ)/g.cfg.H, (i - TJ) % g.cfg.H
+}
+
+// cellConfig is the spanner configuration of cell i.
+func (g *Grid) cellConfig(i int) spanner.Config {
+	if c, r := g.locate(i); c >= g.cfg.Estimate.J {
+		return sampleSpannerConfig(g.cfg, c-g.cfg.Estimate.J, r+1)
+	}
+	return g.cfg.Estimate.cellConfig(i)
+}
+
+// substream is the view of src that cell i sketches.
+func (g *Grid) substream(src stream.Stream, i int) stream.Stream {
+	c, r := g.locate(i)
+	return stream.SampledSubstream(src, g.cols[c].seed, r+g.cols[c].first)
 }
 
 // N returns the vertex count.
@@ -93,10 +143,10 @@ func (g *Grid) EndPass1() error {
 
 // EndPass1Opts fans the per-cell cluster constructions — each cell is
 // an independent two-pass spanner state — across the policy's decode
-// workers. Cells are addressed by (t, j) index, so the grid that
-// emerges is identical to the serial cell-by-cell construction; each
-// cell's own construction runs serially (the cell fan-out already
-// saturates the pool).
+// workers. Cells are addressed by index, so the grid that emerges is
+// identical to the serial cell-by-cell construction; each cell's own
+// construction runs serially (the cell fan-out already saturates the
+// pool).
 func (g *Grid) EndPass1Opts(p *parallel.Policy) error {
 	if g.phase != 0 {
 		return fmt.Errorf("sparsify: grid EndPass1 in phase %d", g.phase)
@@ -120,7 +170,7 @@ func (g *Grid) ForkPass2() (*Grid, error) {
 	if g.phase != 1 {
 		return nil, fmt.Errorf("sparsify: grid ForkPass2 in phase %d", g.phase)
 	}
-	w := &Grid{cfg: g.cfg, n: g.n, colHash: g.colHash, cells: make([]*spanner.TwoPass, len(g.cells)), phase: 1}
+	w := &Grid{cfg: g.cfg, n: g.n, cols: g.cols, cells: make([]*spanner.TwoPass, len(g.cells)), phase: 1}
 	for i, c := range g.cells {
 		f, err := c.ForkPass2()
 		if err != nil {
@@ -140,9 +190,9 @@ func (g *Grid) Pass2AddBatch(batch []stream.Update) error { return g.ingest(batc
 
 // Pass2AddBatchOpts ingests a batch of second-pass updates, fanned out
 // across the policy's workers. Each chunk is bucketed once per column
-// — an update reaches cells (1, j)..(t, j) for its column-j level — and
-// every cell then ingests its whole share of the chunk in one call to
-// its own pass-2 kernel. With w workers (parallel.BatchWorkers) a
+// — an update reaches the column's cells from row 1 down to its level —
+// and every cell then ingests its whole share of the chunk in one call
+// to its own pass-2 kernel. With w workers (parallel.BatchWorkers) a
 // parallel.Crew sweeps w cell ranges of equal update share; cells are
 // independent states, so no lock is taken, and the grid is bit-identical
 // to feeding every update to its cells one at a time.
@@ -151,14 +201,16 @@ func (g *Grid) Pass2AddBatchOpts(batch []stream.Update, p *parallel.Policy) erro
 }
 
 // gridSweep is the working memory of the grid's ingest, kept on the
-// grid. cols[j] holds a chunk's updates deepest column-j level first, so
-// that cell (t, j)'s substream E^j_t is a prefix of it; below[i] counts
-// the updates of the cells under i, so cell i's prefix is
-// below[i+1]−below[i] long, and is the weight the crew's cut balances.
+// grid. cols[c] holds a chunk's updates deepest column-c level first,
+// so that every cell's substream is a prefix of its column's list;
+// below[i] counts the updates of the cells under i, so cell i's prefix
+// is below[i+1]−below[i] long, and is the weight the crew's cut
+// balances.
 type gridSweep struct {
-	tops  []int // per update: the last row t whose column-j cell it reaches
-	reach []int // per row: the column's updates reaching it
-	at    []int // placement cursors per row
+	keys  []uint64 // per update: its pair key
+	tops  []int    // per update: the last row (from 1) of the column it reaches, 0 for none
+	reach []int    // per row: the column's updates reaching it
+	at    []int    // placement cursors per row
 	cols  [][]stream.Update
 	below []int
 	add   func(cell *spanner.TwoPass, sub []stream.Update) error // the open pass's batch ingest
@@ -175,8 +227,9 @@ func (g *Grid) ingest(batch []stream.Update, phase, w int) error {
 		return fmt.Errorf("sparsify: grid pass-%d ingest in phase %d", phase+1, g.phase)
 	}
 	if g.sweep == nil {
-		g.sweep = &gridSweep{reach: make([]int, g.cfg.T+2), at: make([]int, g.cfg.T+2),
-			cols: make([][]stream.Update, g.cfg.J), below: make([]int, len(g.cells)+1)}
+		rows := max(g.cfg.Estimate.T, g.cfg.H) + 2
+		g.sweep = &gridSweep{reach: make([]int, rows), at: make([]int, rows),
+			cols: make([][]stream.Update, len(g.cols)), below: make([]int, len(g.cells)+1)}
 	}
 	sw := g.sweep
 	sw.add = (*spanner.TwoPass).Pass1AddBatch
@@ -203,28 +256,34 @@ func (g *Grid) ingest(batch []stream.Update, phase, w int) error {
 // bucket sorts the chunk into every column's list, deepest level first,
 // and counts each cell's prefix.
 func (g *Grid) bucket(chunk []stream.Update) {
-	sw, T, J := g.sweep, g.cfg.T, g.cfg.J
+	sw := g.sweep
+	sw.keys = slices.Grow(sw.keys[:0], len(chunk))[:len(chunk)]
+	for i, u := range chunk {
+		sw.keys[i] = stream.PairKey(u.U, u.V, g.n)
+	}
 	sw.tops = slices.Grow(sw.tops[:0], len(chunk))[:len(chunk)]
-	for j := range sw.cols {
-		reach := sw.reach
+	for c, col := range g.cols {
+		reach := sw.reach[:col.rows+2]
 		clear(reach)
-		for i, u := range chunk {
-			sw.tops[i] = min(g.colHash[j].Level(stream.PairKey(u.U, u.V, g.n))+1, T)
+		for i, key := range sw.keys {
+			sw.tops[i] = min(col.hash.Level(key)+1-col.first, col.rows)
 			reach[sw.tops[i]]++
 		}
-		// reach[t] becomes the count of updates reaching row t, and at[t]
-		// the first slot of those whose last row is t.
-		for t := T; t >= 1; t-- {
-			sw.at[t] = reach[t+1]
-			reach[t] += reach[t+1]
-			sw.below[(t-1)*J+j+1] = reach[t]
+		// reach[r] becomes the count of updates reaching row r, and at[r]
+		// the first slot of those whose last row is r; the updates that
+		// reach no row go last.
+		for r := col.rows; r >= 1; r-- {
+			sw.at[r] = reach[r+1]
+			reach[r] += reach[r+1]
+			sw.below[col.base+(r-1)*col.stride+1] = reach[r]
 		}
-		col := slices.Grow(sw.cols[j][:0], len(chunk))[:len(chunk)]
+		sw.at[0] = reach[1]
+		list := slices.Grow(sw.cols[c][:0], len(chunk))[:len(chunk)]
 		for i, u := range chunk {
-			col[sw.at[sw.tops[i]]] = u
+			list[sw.at[sw.tops[i]]] = u
 			sw.at[sw.tops[i]]++
 		}
-		sw.cols[j] = col
+		sw.cols[c] = list
 	}
 	for i := range g.cells {
 		sw.below[i+1] += sw.below[i]
@@ -236,11 +295,12 @@ func (g *Grid) cellsBelow(i int) int { return g.sweep.below[i] }
 
 // sweepCells feeds part k's cells their shares of the chunk.
 func sweepCells(g *Grid, k int) {
-	sw, J := g.sweep, g.cfg.J
+	sw := g.sweep
 	sp := &sw.crew.Spans[k]
 	sw.errs[k] = nil
 	for i := sp.Lo; i < sp.Hi; i++ {
-		sub := sw.cols[i%J][:sw.below[i+1]-sw.below[i]]
+		c, _ := g.locate(i)
+		sub := sw.cols[c][:sw.below[i+1]-sw.below[i]]
 		if len(sub) == 0 {
 			continue
 		}
@@ -258,8 +318,20 @@ func (g *Grid) MergePass2(o *Grid) error {
 
 // merge folds another grid into g cell by cell with the pass's merge.
 func (g *Grid) merge(o *Grid, mergeCell func(dst, src *spanner.TwoPass) error) error {
-	if g.n != o.n || g.cfg != o.cfg {
-		return fmt.Errorf("sparsify: merging incompatible grids (n %d/%d)", g.n, o.n)
+	a, b := g.cfg, o.cfg
+	for _, f := range []struct {
+		name string
+		a, b any
+	}{
+		{"n", g.n, o.n}, {"K", a.K, b.K}, {"Z", a.Z, b.Z}, {"H", a.H, b.H}, {"Seed", a.Seed, b.Seed},
+		{"Estimate.K", a.Estimate.K, b.Estimate.K}, {"Estimate.J", a.Estimate.J, b.Estimate.J},
+		{"Estimate.T", a.Estimate.T, b.Estimate.T}, {"Estimate.Delta", a.Estimate.Delta, b.Estimate.Delta},
+		{"Estimate.Threshold", a.Estimate.Threshold, b.Estimate.Threshold},
+		{"Estimate.Seed", a.Estimate.Seed, b.Estimate.Seed},
+	} {
+		if f.a != f.b {
+			return fmt.Errorf("sparsify: merging incompatible grids (%s %v/%v)", f.name, f.a, f.b)
+		}
 	}
 	for i, c := range g.cells {
 		if err := mergeCell(c, o.cells[i]); err != nil {
@@ -271,10 +343,14 @@ func (g *Grid) merge(o *Grid, mergeCell func(dst, src *spanner.TwoPass) error) e
 
 // cellErr names cell i in a cell's error.
 func (g *Grid) cellErr(i int, err error) error {
-	if err != nil {
-		return fmt.Errorf("sparsify: grid cell (t=%d, j=%d): %w", i/g.cfg.J+1, i%g.cfg.J, err)
+	if err == nil {
+		return nil
 	}
-	return nil
+	c, r := g.locate(i)
+	if J := g.cfg.Estimate.J; c >= J {
+		return fmt.Errorf("sparsify: sample rep=%d j=%d: %w", c-J, r+1, err)
+	}
+	return fmt.Errorf("sparsify: grid cell (t=%d, j=%d): %w", r+1, c, err)
 }
 
 // Finish decodes every cell into its distance oracle and assembles the
@@ -285,8 +361,8 @@ func (g *Grid) Finish() (*Estimator, error) {
 
 // FinishOpts fans the per-cell spanner extraction (table peeling and
 // neighborhood recovery of every cell's Finish) across the policy's
-// decode workers, assembling the oracle grid by (t, j) index — the
-// Estimator is identical to Finish's.
+// decode workers and assembles the Estimator by cell index — identical
+// to Finish's.
 func (g *Grid) FinishOpts(p *parallel.Policy) (*Estimator, error) {
 	if g.phase != 1 {
 		return nil, fmt.Errorf("sparsify: grid Finish in phase %d", g.phase)
@@ -297,18 +373,29 @@ func (g *Grid) FinishOpts(p *parallel.Policy) (*Estimator, error) {
 	}
 	g.phase = 2
 	sp := p.Tracer().Span("sparsify/grid/extract")
-	oracles, err := parallel.MapOpts(p, len(g.cells), func(i int) (Oracle, error) {
+	results, err := parallel.MapOpts(p, len(g.cells), func(i int) (*spanner.Result, error) {
 		res, err := g.cells[i].Finish()
-		if err != nil {
-			return nil, g.cellErr(i, err)
-		}
-		return newSpannerOracle(res, g.cfg.K), nil
+		return res, g.cellErr(i, err)
 	})
 	if err != nil {
 		return nil, err
 	}
 	sp.End(obs.A("cells", int64(len(g.cells))))
-	return newEstimator(g.cfg, oracles), nil
+	return g.estimator(results), nil
+}
+
+// estimator assembles the Estimator from every cell's spanner, in cell
+// order: the oracle cells become its oracles, and the sample cells'
+// spanners ride along for sampleAndAverage.
+func (g *Grid) estimator(results []*spanner.Result) *Estimator {
+	e := g.cfg.Estimate
+	oracles := make([]Oracle, e.T*e.J)
+	for i := range oracles {
+		oracles[i] = newSpannerOracle(results[i], e.K)
+	}
+	est := newEstimator(e, oracles)
+	est.samples = results[len(oracles):]
+	return est
 }
 
 // NewEstimatorOpts is the policy-driven estimator build: the oracle
@@ -320,62 +407,35 @@ func NewEstimatorOpts(src stream.Source, cfg EstimateConfig, p *parallel.Policy)
 	if !stream.CanReplay(src) {
 		return nil, fmt.Errorf("sparsify: estimator: %w", stream.ErrNotReplayable)
 	}
-	cfg = cfg.withDefaults(src.N())
 	return parallel.RunTwoPass(p, "sparsify: estimator", parallel.Local[*Grid](p, src),
 		func() (*Grid, error) { return NewGrid(src.N(), cfg) })
 }
 
-// SparsifyOpts is the policy-driven sparsifier build: the oracle grid
-// runs its two passes under p, and the Z×H augmented-spanner builds of
-// Algorithms 5–6 fan out over p's worker pool (each inner build runs
-// serially under the same context, so cancellation is observed at
-// batch granularity everywhere). All filtering and averaging happens
-// on the merged states in the serial order, so the output sparsifier
-// is identical to Sparsify's for the same configuration under any
-// policy.
+// SparsifyOpts is the policy-driven sparsifier build: SparsifyOn over
+// the in-process engine, so the output sparsifier is identical to
+// Sparsify's for the same configuration under any policy.
 func SparsifyOpts(src stream.Source, cfg Config, p *parallel.Policy) (*Result, error) {
+	return SparsifyOn(parallel.Local[*Grid](p, src), src, cfg, p)
+}
+
+// SparsifyOn is the sparsifier build over the pass engine e: one grid
+// holding the oracle grid and the Z×H augmented sample spanners runs
+// its two passes through parallel.RunTwoPass, with the offline stages
+// under p, and the samples are filtered against the estimates and
+// averaged in the serial order. Any engine that ingests src into the
+// grid — the in-process one, or dynstream's remote workers — produces
+// the sparsifier Sparsify does. The source must be replayable.
+func SparsifyOn(e parallel.Engine[*Grid], src stream.Source, cfg Config, p *parallel.Policy) (*Result, error) {
 	if !stream.CanReplay(src) {
 		return nil, fmt.Errorf("sparsify: %w", stream.ErrNotReplayable)
 	}
 	cfg = cfg.withDefaults(src.N())
-	est, err := NewEstimatorOpts(src, cfg.Estimate, p)
+	est, err := parallel.RunTwoPass(p, "sparsify: grid", e,
+		func() (*Grid, error) { return newGrid(src.N(), cfg, true), nil })
 	if err != nil {
 		return nil, err
 	}
-
-	// Fan the Z×H augmented-spanner builds out over the pool. Each
-	// build is self-contained (its own sketch state over a filtered
-	// replay of src), so tasks share nothing but the read-only stream —
-	// which must therefore support concurrent replay; a single-cursor
-	// source (file-backed ReaderSource) degrades to a sequential loop.
-	// Substream and spanner configuration come from the same helpers
-	// SampleOnce uses, so the serial and parallel samples cannot drift.
-	// While the fan-out is actually parallel the inner builds run fully
-	// serial — ingest and decode — since the task fan already saturates
-	// the pool; a sequential fan (single-cursor source, or one worker)
-	// keeps the policy's decode parallelism inside each build instead.
-	inner := p.WithWorkers(1)
-	fan := p
-	if !stream.ConcurrentReplayable(src) {
-		fan = inner
-	}
-	if fan.Workers() > 1 {
-		inner = inner.WithDecode(1)
-	}
-	aug, err := parallel.MapOpts(fan, cfg.Z*cfg.H, func(i int) (*spanner.Result, error) {
-		s, j := i/cfg.H, i%cfg.H+1
-		res, err := spanner.BuildTwoPassOpts(sampleSubstream(src, cfg, s, j), sampleSpannerConfig(cfg, s, j), inner)
-		if err != nil {
-			return nil, fmt.Errorf("sparsify: sample rep=%d j=%d: %w", s, j, err)
-		}
-		return res, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return sampleAndAverage(src.N(), cfg, est, func(s int) ([]*spanner.Result, error) {
-		return aug[s*cfg.H : (s+1)*cfg.H], nil
-	})
+	return sampleAndAverage(src.N(), cfg, est, est.samples), nil
 }
 
 // SparsifyWith is the sparsification pipeline with injected pass
@@ -383,11 +443,10 @@ func SparsifyOpts(src stream.Source, cfg Config, p *parallel.Policy) (*Result, e
 // (the oracle grid's two passes), and buildSpanner constructs one
 // augmented spanner over a subsampled substream. The substream/config
 // derivations, the filtering against the estimates, and the averaging
-// are shared with every other pipeline, so any engine that ingests the
-// same updates into the same-seeded states — the serial references, a
-// policy worker pool, or dynnet's remote workers — produces an
-// identical sparsifier. The Z×H sample builds run sequentially;
-// concurrent fan-out stays in SparsifyOpts.
+// are shared with every other pipeline, so any engines that ingest the
+// same updates into the same-seeded states produce an identical
+// sparsifier. The Z×H sample builds run one after another; it is the
+// staged form of the build, for references that swap an engine out.
 func SparsifyWith(src stream.Source, cfg Config,
 	buildEstimator func(cfg EstimateConfig) (*Estimator, error),
 	buildSpanner func(sub stream.Source, scfg spanner.Config) (*spanner.Result, error),
@@ -400,9 +459,15 @@ func SparsifyWith(src stream.Source, cfg Config,
 	if err != nil {
 		return nil, err
 	}
-	return sampleAndAverage(src.N(), cfg, est, func(s int) ([]*spanner.Result, error) {
-		return sampleSpanners(src, cfg, s, buildSpanner)
-	})
+	results := make([]*spanner.Result, 0, cfg.Z*cfg.H)
+	for s := 0; s < cfg.Z; s++ {
+		rs, err := sampleSpanners(src, cfg, s, buildSpanner)
+		if err != nil {
+			return nil, err
+		}
+		results = append(results, rs...)
+	}
+	return sampleAndAverage(src.N(), cfg, est, results), nil
 }
 
 // SparsifyWeightedWith is the weight-class sparsifier with an injected

@@ -1,6 +1,8 @@
 package sparsify
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 
 	"dynstream/internal/graph"
@@ -37,6 +39,10 @@ func TestEstimatorParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestSparsifyParallelMatchesSerial: the one-grid build equals the
+// serial reference at every worker count, over a memory stream and over
+// a single-cursor file source (whose pass 1 fans batches out from one
+// reader instead of replaying shards).
 func TestSparsifyParallelMatchesSerial(t *testing.T) {
 	g := graph.Complete(12)
 	st := stream.FromGraph(g, 105)
@@ -48,24 +54,34 @@ func TestSparsifyParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 4} {
-		par, err := SparsifyOpts(st, cfg, parallel.Default().WithWorkers(workers))
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if par.Samples != serial.Samples || par.SpaceWords != serial.SpaceWords {
-			t.Errorf("workers=%d: samples/space %d/%d vs serial %d/%d",
-				workers, par.Samples, par.SpaceWords, serial.Samples, serial.SpaceWords)
-		}
-		pe, se := par.Sparsifier.Edges(), serial.Sparsifier.Edges()
-		if len(pe) != len(se) {
-			t.Fatalf("workers=%d: %d edges vs serial %d", workers, len(pe), len(se))
-		}
-		for i := range pe {
-			// Bit-identical weights: the parallel path averages in the
-			// serial iteration order.
-			if pe[i] != se[i] {
-				t.Fatalf("workers=%d: edge %d = %+v vs serial %+v", workers, i, pe[i], se[i])
+	var buf bytes.Buffer
+	if err := stream.WriteBinary(&buf, st); err != nil {
+		t.Fatal(err)
+	}
+	file, err := stream.NewReaderSource(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []stream.Source{st, file} {
+		for _, workers := range []int{1, 2, 4} {
+			par, err := SparsifyOpts(src, cfg, parallel.Default().WithWorkers(workers))
+			if err != nil {
+				t.Fatalf("%T workers=%d: %v", src, workers, err)
+			}
+			if par.Samples != serial.Samples || par.SpaceWords != serial.SpaceWords {
+				t.Errorf("%T workers=%d: samples/space %d/%d vs serial %d/%d",
+					src, workers, par.Samples, par.SpaceWords, serial.Samples, serial.SpaceWords)
+			}
+			pe, se := par.Sparsifier.Edges(), serial.Sparsifier.Edges()
+			if len(pe) != len(se) {
+				t.Fatalf("%T workers=%d: %d edges vs serial %d", src, workers, len(pe), len(se))
+			}
+			for i := range pe {
+				// Bit-identical weights: the parallel path averages in the
+				// serial iteration order.
+				if pe[i] != se[i] {
+					t.Fatalf("%T workers=%d: edge %d = %+v vs serial %+v", src, workers, i, pe[i], se[i])
+				}
 			}
 		}
 	}
@@ -92,8 +108,21 @@ func TestGridMergeMisuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.MergePass1(b); err == nil {
-		t.Error("grid MergePass1 accepted mismatched seeds")
+	if err := a.MergePass1(b); err == nil || !strings.Contains(err.Error(), "Estimate.Seed 109/110") {
+		t.Errorf("grid MergePass1 of mismatched seeds: %v, want the seeds named", err)
+	}
+	// Sparsifier grids carry sample columns; a different Z is named too.
+	sample := func(z int) *Grid {
+		return newGrid(8, Config{K: 1, Z: z, H: 2, Seed: 111, Estimate: cfgA}.withDefaults(8), true)
+	}
+	if err := sample(2).MergePass1(sample(3)); err == nil || !strings.Contains(err.Error(), "Z 2/3") {
+		t.Errorf("grid MergePass1 of Z=2 and Z=3: %v, want Z named", err)
+	}
+	if err := sample(2).MergePass1(a); err == nil || !strings.Contains(err.Error(), "K 1/0") {
+		t.Errorf("grid MergePass1 of a sparsifier's and an estimator's grid: %v, want K named", err)
+	}
+	if err := sample(2).MergePass1(sample(2)); err != nil {
+		t.Errorf("grid MergePass1 of twin sparsifier grids: %v", err)
 	}
 	if _, err := a.ForkPass2(); err == nil {
 		t.Error("grid ForkPass2 accepted phase-0 receiver")

@@ -11,16 +11,17 @@ import (
 	"dynstream/internal/stream"
 )
 
-// forEachCell visits the cells an update reaches: cell (t, j) sketches
-// E^j_t, the edges whose column-j level is at least t−1. It is the
+// forEachCell visits the cells an update reaches: a column's cell of
+// row r (from 0) sketches the edges whose column level is at least
+// r+first — E^j_t in oracle column j, E_j in sample column s. It is the
 // per-update routing the grid's bucketed sweep replaced, kept as the
 // reference of TestGridPass2KernelMatchesReference.
 func (g *Grid) forEachCell(u stream.Update, visit func(cell *spanner.TwoPass) error) error {
 	key := stream.PairKey(u.U, u.V, g.n)
-	for j := 0; j < g.cfg.J; j++ {
-		tMax := min(g.colHash[j].Level(key)+1, g.cfg.T)
-		for t := 1; t <= tMax; t++ {
-			if err := visit(g.cells[(t-1)*g.cfg.J+j]); err != nil {
+	for _, col := range g.cols {
+		level := col.hash.Level(key)
+		for r := 0; r < col.rows && level >= r+col.first; r++ {
+			if err := visit(g.cells[col.base+r*col.stride]); err != nil {
 				return err
 			}
 		}
@@ -30,8 +31,8 @@ func (g *Grid) forEachCell(u stream.Update, visit func(cell *spanner.TwoPass) er
 
 // TestGridPass2KernelMatchesReference: the grid's sweep — each chunk
 // bucketed per column, cells swept in ranges — leaves the grid bit for
-// bit as feeding every update to each of its cells one at a time does.
-// Pass 1 is checked in batches of 1, 7 and a full chunk, before and after
+// bit as feeding every update to each of its cells one at a time does,
+// in oracle and sample columns alike. Pass 1 is checked in batches of 1, 7 and a full chunk, before and after
 // EndPass1; pass 2 in the same batches at 1, 2, 3 and 8 ranges, and
 // through a policy whose eight workers GOMAXPROCS allows. The input
 // mixes in zero updates, multiplicities of two and a hub. The cells'
@@ -55,7 +56,10 @@ func TestGridPass2KernelMatchesReference(t *testing.T) {
 	for v := 0; v < n-1; v += 2 {
 		ups = append(ups, stream.Update{U: v, V: n - 1, Delta: -2})
 	}
-	cfg := EstimateConfig{K: 2, J: 3, T: 5, Delta: 0.34, Seed: 63}
+	// A sparsifier's grid: 3 oracle columns of 5 rows (first row at level
+	// 0, cells strided) and 2 sample columns of 4 rows (first row at
+	// level 1, cells contiguous).
+	cfg := Config{K: 2, Z: 2, H: 4, Seed: 64, Estimate: EstimateConfig{K: 2, J: 3, T: 5, Delta: 0.34, Seed: 63}}.withDefaults(n)
 	encode := func(g *Grid) []byte {
 		t.Helper()
 		b, err := g.MarshalBinary()
@@ -64,21 +68,14 @@ func TestGridPass2KernelMatchesReference(t *testing.T) {
 		}
 		return b
 	}
-	newGrid := func() *Grid {
-		t.Helper()
-		g, err := NewGrid(n, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g
-	}
+	fresh := func() *Grid { return newGrid(n, cfg, true) }
 	end := func(g *Grid) {
 		t.Helper()
 		if err := g.EndPass1(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ref1 := newGrid()
+	ref1 := fresh()
 	for _, u := range ups {
 		if err := ref1.forEachCell(u, func(c *spanner.TwoPass) error { return c.Pass1Update(u) }); err != nil {
 			t.Fatal(err)
@@ -88,7 +85,7 @@ func TestGridPass2KernelMatchesReference(t *testing.T) {
 	end(ref1)
 	wantClosed := encode(ref1)
 	for _, size := range []int{1, 7, stream.DefaultBatchSize} {
-		g := newGrid()
+		g := fresh()
 		for lo := 0; lo < len(ups); lo += size {
 			if err := g.Pass1AddBatch(ups[lo:min(lo+size, len(ups))]); err != nil {
 				t.Fatal(err)
@@ -104,7 +101,7 @@ func TestGridPass2KernelMatchesReference(t *testing.T) {
 	}
 	closed := func() *Grid {
 		t.Helper()
-		g := newGrid()
+		g := fresh()
 		if err := g.Pass1AddBatch(ups); err != nil {
 			t.Fatal(err)
 		}

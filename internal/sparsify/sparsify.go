@@ -51,6 +51,7 @@ func (c Config) withDefaults(n int) Config {
 	if c.Estimate.T == 0 {
 		c.Estimate.T = c.H // sample rates and estimate rates aligned
 	}
+	c.Estimate = c.Estimate.withDefaults(n)
 	return c
 }
 
@@ -118,23 +119,19 @@ func averageSamples(n, z int, samples []*graph.Graph) *graph.Graph {
 	return out
 }
 
-// sampleAndAverage is the tail of Algorithm 6 shared by SparsifyOpts,
-// SparsifyWith and Live.QueryLive: each of the Z invocations filters its
-// H augmented spanners (spanners(s), results[j-1] over E_j) against
-// est, and the Z samples are averaged.
-func sampleAndAverage(n int, cfg Config, est *Estimator, spanners func(s int) ([]*spanner.Result, error)) (*Result, error) {
+// sampleAndAverage is the tail of Algorithm 6 shared by SparsifyOn,
+// SparsifyWith and Live.QueryLive: each of the Z invocations filters
+// its H augmented spanners (results[s·H + j-1] over invocation s's E_j)
+// against est, and the Z samples are averaged.
+func sampleAndAverage(n int, cfg Config, est *Estimator, results []*spanner.Result) *Result {
 	space := est.SpaceWords()
 	samples := make([]*graph.Graph, cfg.Z)
 	for s := range samples {
-		results, err := spanners(s)
-		if err != nil {
-			return nil, err
-		}
-		x, w := assembleSample(n, est, results)
+		x, w := assembleSample(n, est, results[s*cfg.H:(s+1)*cfg.H])
 		space += w
 		samples[s] = x
 	}
-	return &Result{Sparsifier: averageSamples(n, cfg.Z, samples), SpaceWords: space, Samples: cfg.Z}, nil
+	return &Result{Sparsifier: averageSamples(n, cfg.Z, samples), SpaceWords: space, Samples: cfg.Z}
 }
 
 // sampleSpanners builds invocation rep's H augmented spanners, one

@@ -7,6 +7,7 @@ import (
 
 	"dynstream/internal/graph"
 	"dynstream/internal/linalg"
+	"dynstream/internal/parallel"
 	"dynstream/internal/stream"
 )
 
@@ -232,27 +233,38 @@ func TestSpielmanSrivastavaEmpty(t *testing.T) {
 }
 
 // TestSparsifyAllocBudget: the sparsifier allocates well under the
-// space it reports. SpaceWords sums the provisioned oracle grid and the
-// Z·H inner spanners. Keyed tables that allocated every provisioned
-// bucket on first touch read 0.138× here; tables that hold only the
-// buckets updates reach, 0.068×, later 0.063×; and power tables sized
-// to n and n² instead of 2^64, 0.045×.
+// space it reports, through the serial reference and through
+// SparsifyOpts, the one-grid build Build runs. SpaceWords sums the
+// provisioned oracle grid and the Z·H inner spanners. Keyed tables that
+// allocated every provisioned bucket on first touch read 0.138× here;
+// tables that hold only the buckets updates reach, 0.068×, later
+// 0.063×; and power tables sized to n and n² instead of 2^64, 0.045×.
 func TestSparsifyAllocBudget(t *testing.T) {
 	const budget = 0.055
 	g := graph.ConnectedGNP(64, 0.32, 5) // ≈ 640 edges, the sparsifier-twopass shape
 	st := stream.WithChurn(g, 200, 6)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	res, err := Sparsify(st, Config{K: 2, Seed: 7, Estimate: EstimateConfig{J: 4}})
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
-	}
-	alloc := after.TotalAlloc - before.TotalAlloc
-	provisioned := uint64(res.SpaceWords) * 8
-	ratio := float64(alloc) / float64(provisioned)
-	t.Logf("edges %d, updates %d: allocated %d B, provisioned %d B (%.3f×)", g.M(), st.Len(), alloc, provisioned, ratio)
-	if ratio >= budget {
-		t.Errorf("Sparsify allocated %.3f× its provisioned %d B, budget %.3f×", ratio, provisioned, budget)
+	cfg := Config{K: 2, Seed: 7, Estimate: EstimateConfig{J: 4}}
+	for _, b := range []struct {
+		name  string
+		build func() (*Result, error)
+	}{
+		{"Sparsify", func() (*Result, error) { return Sparsify(st, cfg) }},
+		{"SparsifyOpts/workers=1", func() (*Result, error) { return SparsifyOpts(st, cfg, parallel.Default()) }},
+		{"SparsifyOpts/workers=2", func() (*Result, error) { return SparsifyOpts(st, cfg, parallel.Default().WithWorkers(2)) }},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := b.build()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alloc := after.TotalAlloc - before.TotalAlloc
+		provisioned := uint64(res.SpaceWords) * 8
+		ratio := float64(alloc) / float64(provisioned)
+		t.Logf("%s: edges %d, updates %d: allocated %d B, provisioned %d B (%.3f×)", b.name, g.M(), st.Len(), alloc, provisioned, ratio)
+		if ratio >= budget {
+			t.Errorf("%s allocated %.3f× its provisioned %d B, budget %.3f×", b.name, ratio, provisioned, budget)
+		}
 	}
 }

@@ -17,7 +17,8 @@ import (
 // values are never reused: 0xd15c_0002 and 0xd15c_0003 (the dense v1
 // L0Sampler and AGM layouts, superseded by 0x0102/0x0103) and
 // 0xd15c_0006 and 0xd15c_0007 (the v1 TwoPass and Additive layouts,
-// superseded by 0x0106/0x0107).
+// superseded by 0x0106/0x0107), and 0xd15c_000b (the Grid layout
+// without sample columns, superseded by 0x010b).
 const (
 	TagSketchB      uint64 = 0xd15c_0001 // sketch.SketchB
 	TagKeyed        uint64 = 0xd15c_0004 // sketch.KeyedEdgeSketch
@@ -25,11 +26,11 @@ const (
 	TagKConn        uint64 = 0xd15c_0008 // agm.KConnectivity
 	TagBip          uint64 = 0xd15c_0009 // agm.Bipartiteness
 	TagMSF          uint64 = 0xd15c_000a // agm.MSF
-	TagGrid         uint64 = 0xd15c_000b // sparsify.Grid
 	TagL0Sampler    uint64 = 0xd15c_0102 // sketch.L0Sampler
 	TagAGM          uint64 = 0xd15c_0103 // agm.Sketch
 	TagTwoPass      uint64 = 0xd15c_0106 // spanner.TwoPass
 	TagAdditive     uint64 = 0xd15c_0107 // spanner.Additive
+	TagGrid         uint64 = 0xd15c_010b // sparsify.Grid
 	TagTwoPassLive  uint64 = 0xd15c_0206 // spanner.TwoPass live state
 	TagSparsifyLive uint64 = 0xd15c_020b // sparsify.Live
 )

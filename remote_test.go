@@ -9,12 +9,14 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"dynstream"
 	"dynstream/internal/dynnet"
 	"dynstream/internal/graph"
+	"dynstream/internal/stream"
 )
 
 // startWorkers launches n in-process protocol workers on unix sockets
@@ -192,15 +194,36 @@ func TestRemoteBuildMatchesSerial(t *testing.T) {
 			K: 1, Z: 1, H: 4, Seed: 18,
 			Estimate: dynstream.EstimateConfig{K: 1, J: 2, T: 4, Seed: 19},
 		}}
-		serial, err := dynstream.Build(ctx, st, target)
-		if err != nil {
-			t.Fatal(err)
+		for _, classBase := range []float64{0, 2} {
+			var classes []int
+			if classBase != 0 {
+				classes, _ = stream.WeightClasses(st, classBase)
+			}
+			serial, err := dynstream.Build(ctx, st, target, dynstream.WithWeightClasses(classBase))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := dynstream.NewTracer()
+			out, in := cluster.BytesOnWire()
+			remote, err := dynstream.Build(ctx, st, target, opts(dynstream.WithWeightClasses(classBase), dynstream.WithTracer(tr))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			edgesEqual(t, "sparsifier", serial.Sparsifier, remote.Sparsifier)
+			// The oracle grid and the Z·H sample spanners are one grid:
+			// one two-pass session per weight class.
+			passes := 0
+			for _, ph := range tr.Phases() {
+				if strings.HasPrefix(ph.Phase, "dynnet/pass") {
+					passes += int(ph.Count)
+				}
+			}
+			out2, in2 := cluster.BytesOnWire()
+			t.Logf("classBase %v: %d weight classes, %d dynnet passes, %d B out, %d B in", classBase, max(len(classes), 1), passes, out2-out, in2-in)
+			if want := 2 * max(len(classes), 1); passes != want {
+				t.Errorf("classBase %v: %d dynnet passes, want %d", classBase, passes, want)
+			}
 		}
-		remote, err := dynstream.Build(ctx, st, target, opts()...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		edgesEqual(t, "sparsifier", serial.Sparsifier, remote.Sparsifier)
 	})
 
 	out, in := cluster.BytesOnWire()
