@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"dynstream/internal/agm"
 	"dynstream/internal/dynnet"
@@ -360,9 +361,28 @@ func (t MSFTarget) plan(o *buildOptions) (plan[*MSF], error) {
 	if err := noWeightClasses(o, "the MSF sketch (weights are native)"); err != nil {
 		return nil, err
 	}
+	if !finite(t.Gamma) || !finite(t.WMax) {
+		return nil, fmt.Errorf("%w: MSF Gamma and WMax must be finite, got %v and %v", ErrBadConfig, t.Gamma, t.WMax)
+	}
+	if t.WMax > 0 {
+		if err := t.fits(t.WMax); err != nil {
+			return nil, err
+		}
+	}
 	t.Seed = o.seedOr(t.Seed)
 	return t, nil
 }
+
+// fits rejects a weight bound whose class count the MSF sketch's
+// decoder would refuse.
+func (t MSFTarget) fits(wmax float64) error {
+	if !agm.MSFClassesFit(wmax, t.Gamma) {
+		return fmt.Errorf("%w: MSF weights up to %v at Gamma %v need more weight classes than a sketch holds", ErrBadConfig, wmax, t.Gamma)
+	}
+	return nil
+}
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // bounded is the MSF recipe for weights in [1, wmax].
 func (t MSFTarget) bounded(wmax float64) onePass[*agm.MSF, *MSF] {
@@ -389,6 +409,9 @@ func (t MSFTarget) scanned(src Source, p *parallel.Policy) (onePass[*agm.MSF, *M
 		}
 		return nil
 	})
+	if err == nil {
+		err = t.fits(wmax)
+	}
 	return t.bounded(wmax), err
 }
 

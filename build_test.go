@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"runtime"
@@ -228,6 +229,52 @@ func TestSparsifierBadConfig(t *testing.T) {
 	}
 }
 
+// TestWeightParamsBadConfig: a class base outside (1, +Inf), a
+// non-finite MSF Gamma or WMax, and an MSF weight range with more
+// classes than its decoder accepts are typed refusals from Build and
+// Open — not a spanner with NaN weights, a checkpoint that cannot be
+// restored, or millions of class sketches.
+func TestWeightParamsBadConfig(t *testing.T) {
+	_, st := buildTestStream(10, 0.4, 0, 930)
+	heavy := NewMemoryStream(4)
+	if err := heavy.Append(Update{U: 0, V: 1, Delta: 1, W: 1e6}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, base := range []float64{math.NaN(), math.Inf(1)} {
+		t.Run(fmt.Sprintf("classBase=%v", base), func(t *testing.T) {
+			if _, err := Build(ctx, st, SpannerTarget{Config: SpannerConfig{K: 2}}, WithWeightClasses(base)); !errors.Is(err, ErrBadConfig) {
+				t.Errorf("spanner: err = %v, want ErrBadConfig", err)
+			}
+			if _, err := Build(ctx, st, SparsifierTarget{}, WithWeightClasses(base)); !errors.Is(err, ErrBadConfig) {
+				t.Errorf("sparsifier: err = %v, want ErrBadConfig", err)
+			}
+		})
+	}
+	for name, c := range map[string]struct {
+		target MSFTarget
+		src    *MemoryStream
+	}{
+		"Gamma=NaN":        {MSFTarget{WMax: 8, Gamma: math.NaN()}, st},
+		"Gamma=+Inf":       {MSFTarget{WMax: 8, Gamma: math.Inf(1)}, st},
+		"Gamma=-Inf":       {MSFTarget{WMax: 8, Gamma: math.Inf(-1)}, st},
+		"WMax=NaN":         {MSFTarget{WMax: math.NaN()}, st},
+		"WMax=+Inf":        {MSFTarget{WMax: math.Inf(1)}, st},
+		"WMax=-Inf":        {MSFTarget{WMax: math.Inf(-1)}, st},
+		"classes/explicit": {MSFTarget{WMax: 8, Gamma: 1e-7}, st},
+		"classes/scanned":  {MSFTarget{Gamma: 1e-5}, heavy},
+	} {
+		t.Run(name, func(t *testing.T) {
+			if _, err := Build(ctx, c.src, c.target, WithWorkers(2)); !errors.Is(err, ErrBadConfig) {
+				t.Errorf("Build: err = %v, want ErrBadConfig", err)
+			}
+			if _, err := Open(ctx, c.src, c.target); !errors.Is(err, ErrBadConfig) {
+				t.Errorf("Open: err = %v, want ErrBadConfig", err)
+			}
+		})
+	}
+}
+
 func TestBuildOptionValidation(t *testing.T) {
 	_, st := buildTestStream(10, 0.4, 0, 918)
 	if _, err := Build(context.Background(), st, SpannerTarget{}, WithWorkers(0)); !errors.Is(err, ErrBadWorkers) {
@@ -320,7 +367,7 @@ func TestBuildCancellationSerialAndSharded(t *testing.T) {
 }
 
 func TestBuildCancellationFanout(t *testing.T) {
-	// A channel source forces the read-once fan-out path.
+	// A channel source is read once, into the build's one state.
 	baseline := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	ch := make(chan Update, 4096)
@@ -362,8 +409,8 @@ func TestBuildCancellationSparsifier(t *testing.T) {
 
 // ---------------------------------------------------------------------
 // ReaderSource parity: the same bytes produce bit-identical sketch
-// state whether they are streamed (text or binary, even through the
-// fan-out path) or first materialized.
+// state whether they are streamed (text or binary, at one worker or
+// several) or first materialized.
 
 func TestReaderSourceSketchParity(t *testing.T) {
 	g := graph.ConnectedGNP(40, 0.15, 927)
@@ -394,7 +441,7 @@ func TestReaderSourceSketchParity(t *testing.T) {
 		{"text/seekable/serial", strings.NewReader(text.String()), 1},
 		{"binary/seekable/serial", bytes.NewReader(bin.Bytes()), 1},
 		{"text/pipe/serial", io.MultiReader(strings.NewReader(text.String())), 1},
-		{"binary/pipe/fanout", io.MultiReader(bytes.NewReader(bin.Bytes())), 3},
+		{"binary/pipe/workers3", io.MultiReader(bytes.NewReader(bin.Bytes())), 3},
 	}
 	for _, tc := range cases {
 		src, err := NewReaderSource(tc.r)

@@ -70,13 +70,18 @@ func TestTraceSmokeLarge(t *testing.T) {
 		t.Fatalf("run: %v\nstderr: %s", err, errOut.String())
 	}
 
-	// The stderr timeline must cover ingest (with its shards), both
-	// spanner phases, and the merge.
+	// The stderr timeline must cover ingest and both spanner phases. A
+	// local build ingests both passes into one state, so there are no
+	// shard or merge spans.
 	timeline := errOut.String()
-	for _, phase := range []string{"== trace:", "ingest ", "ingest/shard00", "ingest/shard03",
-		"ingest/merge", "spanner/cluster/level00", "spanner/recover", "ingested updates:"} {
+	for _, phase := range []string{"== trace:", "ingest ", "spanner/cluster/level00", "spanner/recover", "ingested updates:"} {
 		if !strings.Contains(timeline, phase) {
 			t.Errorf("timeline missing %q:\n%s", phase, timeline)
+		}
+	}
+	for _, phase := range []string{"ingest/shard", "ingest/merge"} {
+		if strings.Contains(timeline, phase) {
+			t.Errorf("timeline has %q, want one state per build:\n%s", phase, timeline)
 		}
 	}
 
@@ -91,6 +96,9 @@ func TestTraceSmokeLarge(t *testing.T) {
 			Name string `json:"name"`
 			Ph   string `json:"ph"`
 			Dur  int64  `json:"dur"`
+			Args struct {
+				Workers int `json:"workers"`
+			} `json:"args"`
 		} `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(data, &doc); err != nil {
@@ -103,10 +111,15 @@ func TestTraceSmokeLarge(t *testing.T) {
 			if ev.Dur < 1 {
 				t.Errorf("event %q has dur %d < 1µs", ev.Name, ev.Dur)
 			}
+			if ev.Name == "ingest" && ev.Args.Workers != 4 {
+				t.Errorf("ingest span has workers = %d, want 4", ev.Args.Workers)
+			}
+			if strings.HasPrefix(ev.Name, "ingest/") {
+				t.Errorf("trace file has phase %q, want one state per build", ev.Name)
+			}
 		}
 	}
-	for _, want := range []string{"ingest", "ingest/shard00", "ingest/shard03", "ingest/merge",
-		"spanner/cluster/level00", "spanner/recover"} {
+	for _, want := range []string{"ingest", "spanner/cluster/level00", "spanner/recover"} {
 		if phases[want] == 0 {
 			t.Errorf("trace file missing phase %q; has %v", want, phases)
 		}

@@ -129,8 +129,8 @@ func run(args []string, stdin io.Reader, stderr io.Writer, lookupEnv func(string
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// One tracer observes every backend's pipeline phases (ingest
-	// shards, decode, query, checkpoint) and bridges them into the
+	// One tracer observes every backend's pipeline phases (ingest,
+	// decode, query, checkpoint) and bridges them into the
 	// /metrics phase histograms. The server doesn't exist yet while
 	// backends open/restore — phases fired before it does are kept in
 	// the tracer's aggregates but skipped by the bridge (same

@@ -64,10 +64,6 @@ type SpannerConfig = spanner.Config
 // SpannerResult is the output of the two-pass construction.
 type SpannerResult = spanner.Result
 
-// TwoPassSpanner is the explicit-passes streaming state, for callers
-// that drive the stream themselves (e.g. distributed shards).
-type TwoPassSpanner = spanner.TwoPass
-
 // AdditiveConfig configures the single-pass additive spanner (Theorem 3).
 type AdditiveConfig = spanner.AdditiveConfig
 
@@ -87,10 +83,6 @@ type SparsifierResult = sparsify.Result
 // EstimateConfig configures the robust-connectivity oracle grid
 // (Algorithm 4) inside SparsifierConfig.
 type EstimateConfig = sparsify.EstimateConfig
-
-// OracleGrid is the mergeable sketch state of the sparsifier's robust-
-// connectivity oracle grid (Algorithm 4).
-type OracleGrid = sparsify.Grid
 
 // ForestSketch is the AGM connectivity sketch (Theorem 10).
 type ForestSketch = agm.Sketch
@@ -125,20 +117,9 @@ func StreamWithChurn(g *Graph, extra int, seed uint64) *MemoryStream {
 // truth; a streaming algorithm never does this).
 func Materialize(s Stream) (*Graph, error) { return stream.Materialize(s) }
 
-// NewTwoPassSpanner creates the explicit two-pass streaming state.
-func NewTwoPassSpanner(n int, cfg SpannerConfig) *TwoPassSpanner {
-	return spanner.NewTwoPass(n, cfg)
-}
-
 // NewAdditiveSpanner creates the explicit single-pass streaming state.
 func NewAdditiveSpanner(n int, cfg AdditiveConfig) *AdditiveSpanner {
 	return spanner.NewAdditive(n, cfg)
-}
-
-// NewOracleGrid creates the oracle-grid sketch state for a graph on n
-// vertices.
-func NewOracleGrid(n int, cfg EstimateConfig) (*OracleGrid, error) {
-	return sparsify.NewGrid(n, cfg)
 }
 
 // NewForestSketch creates an AGM connectivity sketch for a graph on n

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dynstream/internal/graph"
+	"dynstream/internal/spanner"
 )
 
 // These tests exercise the public facade end to end: a downstream user
@@ -94,7 +95,7 @@ func TestFacadeExplicitPasses(t *testing.T) {
 	// Drive the two passes manually (as a distributed coordinator would).
 	g := graph.ConnectedGNP(40, 0.2, 13)
 	st := StreamFromGraph(g, 14)
-	tp := NewTwoPassSpanner(g.N(), SpannerConfig{K: 2, Seed: 15})
+	tp := spanner.NewTwoPass(g.N(), SpannerConfig{K: 2, Seed: 15})
 	if err := st.Replay(tp.Pass1Update); err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,8 @@ import (
 	"dynstream"
 	"dynstream/internal/graph"
 	"dynstream/internal/parallel"
+	"dynstream/internal/spanner"
+	"dynstream/internal/stream"
 )
 
 // Seeded Apply/Query interleaving matrix for live handles: after every
@@ -472,7 +474,7 @@ func TestHandleMergeRemoteBlob(t *testing.T) {
 	defer cancel()
 	target := dynstream.ForestTarget{Seed: 8901}
 	full := remoteTestStream(t)
-	shards, err := dynstream.SplitStream(full, 2)
+	shards, err := stream.Split(full, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -557,7 +559,7 @@ func TestOpenValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sp.Merge(dynstream.NewTwoPassSpanner(8, dynstream.SpannerConfig{K: 2, Seed: 1})); !errors.Is(err, dynstream.ErrBadConfig) {
+	if err := sp.Merge(spanner.NewTwoPass(8, spanner.Config{K: 2, Seed: 1})); !errors.Is(err, dynstream.ErrBadConfig) {
 		t.Fatalf("two-pass merge: got %v, want ErrBadConfig", err)
 	}
 }

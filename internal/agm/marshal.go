@@ -236,7 +236,7 @@ func (m *MSF) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("agm: not an MSF encoding: %w", errCorrupt)
 	}
 	n, gamma, maxClass := r.U64(), r.F64(), r.U64()
-	if n == 0 || n > 1<<24 || maxClass > 1<<16 || !(gamma > 0) {
+	if n == 0 || n > 1<<24 || maxClass > maxMSFClass || !(gamma > 0) {
 		return errCorrupt
 	}
 	prefixes, err := readSketches(r, maxClass+1)

@@ -32,6 +32,23 @@ type MSF struct {
 	end     []int
 }
 
+// maxMSFClass is the largest top class index an MSF may have, one
+// sketch per class prefix; UnmarshalBinary rejects more.
+const maxMSFClass = 1 << 16
+
+// MSFClassesFit reports whether NewMSF's sketch for weights in
+// [1, wmax] at class ratio 1+gamma (gamma <= 0 meaning the default)
+// keeps its top class within what UnmarshalBinary accepts. wmax and
+// gamma must be finite. The class count comes from logarithms, with a
+// class of slack for rounding, not from WeightClassOf's loop, which
+// takes ≈ ln(wmax)/gamma steps.
+func MSFClassesFit(wmax, gamma float64) bool {
+	if gamma <= 0 {
+		gamma = 1
+	}
+	return math.Log(max(wmax, 1))/math.Log1p(gamma) < maxMSFClass-1
+}
+
 // NewMSF creates the sketch for a graph on n vertices whose edge
 // weights lie in [1, wmax], with class ratio 1+gamma.
 func NewMSF(seed uint64, n int, wmax, gamma float64) *MSF {

@@ -1,33 +1,27 @@
 // Package parallel provides the concurrent ingest machinery that turns
 // the repository's linear sketches into multi-core pipelines. Every
-// construction here is a linear function of the update stream, so a
-// stream split into P shards, ingested into P independent states built
-// from the same seed, and merged yields a state identical to
-// single-threaded ingestion — the distributed-servers setting of the
-// paper's introduction, realized as goroutines.
+// construction here is a linear function of the update stream, so
+// states built from the same seed over disjoint parts of a stream and
+// merged equal the state of one serial pass — the distributed-servers
+// setting of the paper's introduction, which dynstream's remote builds
+// run across processes.
 //
-// Two ingest shapes use that. Ingest replays the stream once into one
-// state whose batch kernel fans each batch out by itself through a Crew
-// (crew.go: the AGM-family sketches split a batch by vertex range, the
-// two-pass states' pass 2 by table range, the sparsifier grid by cell
-// range); IngestOpts shards the stream into P states and merges them,
-// which is what Local's pass 1 runs. Both two-pass states go through
-// one protocol, RunTwoPass, over an Engine: Local here, or dynstream's
-// remote engine, which ships states to worker processes and folds them
-// with MapOpts and TreeMerge.
+// Inside one process nothing is merged. Ingest replays the stream once
+// into one state whose batch kernel fans each batch out by itself
+// through a Crew (crew.go: the AGM-family sketches split a batch by
+// vertex range, the two-pass states' pass 2 by table range, the
+// sparsifier grid by cell range in both passes). Both two-pass states
+// go through one protocol, RunTwoPass, over an Engine: Local here, which
+// runs both passes through Ingest into the build's one state, or
+// dynstream's remote engine, which ships states to worker processes and
+// folds them with MapOpts and TreeMerge.
 //
 // Execution is governed by a Policy: context (cancellation), worker
-// count, batch size, and an optional progress callback. IngestOpts
-// shards replayable in-memory sources (each worker replays its own
-// round-robin view); single-cursor sources (a pipe on stdin, a live
-// channel) are read once by a dispatcher that fans batches out to the
-// workers — by linearity both strategies produce states identical to a
-// serial pass.
+// count, batch size, and an optional progress callback.
 package parallel
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -172,10 +166,6 @@ func (p *Policy) Replay(src stream.Source, fn func([]stream.Update) error) error
 	})
 }
 
-// errAbort signals the dispatcher to stop because a worker already
-// failed; the worker's error takes precedence in the result.
-var errAbort = errors.New("parallel: aborted after worker failure")
-
 // minBatchPerWorker is the fewest updates a goroutine of a fanned-out
 // batch kernel takes on. Below it, starting and joining the goroutine
 // costs more than the share of the batch it takes over. Measured with
@@ -195,19 +185,23 @@ func BatchWorkers(workers, updates int) int {
 
 // Ingest is the pass of a state whose batch kernel fans out by itself:
 // src is replayed once, serially, into add, which ingests each batch at
-// the policy's worker count. It reports to the tracer as IngestOpts
-// does.
+// the policy's worker count. Every local build's ingest is this call.
 func Ingest(p *Policy, src stream.Source, add func([]stream.Update) error) error {
 	return p.traceIngest(func() error { return p.Replay(src, add) })
 }
 
-// IngestOpts is the policy-driven sharded-ingest pipeline for batched
-// states: split (or fan out) src across the policy's workers, build a
-// state per worker with newState, feed batches through update, then
-// fold the per-worker states into the first one with merge. States
-// must be built from identical randomness (same seed and parameters).
-// The merged state is identical to a serial pass, because every update
-// operation is a commutative group operation.
+// IngestOpts is the sharded-ingest pipeline: at workers > 1 over a
+// source that replays concurrently, each worker replays its own
+// round-robin shard of src into a state built by newState, and the
+// states are folded into the first one with merge, in shard order. The
+// states must be built from identical randomness (same seed and
+// parameters), so the fold equals a serial pass: every update
+// operation is a commutative group operation. At one worker, or over a
+// single-cursor source, src is replayed into one state. IngestOpts has
+// no production caller: every local build ingests into one state
+// through Ingest, and bench/'s staged replay is its only user. It goes,
+// with ingestDispatch, shardIngest and shardSpan, once that replay
+// moves to Ingest (ROADMAP 1(a)).
 func IngestOpts[S any](
 	p *Policy,
 	src stream.Source,
@@ -245,11 +239,10 @@ func (p *Policy) traceIngest(pass func() error) error {
 }
 
 // TwoPassIngest is the ingest half of TwoPassState, the calls the local
-// engine makes: pass 1 into linear sketches that merge by addition, and
-// pass 2 into the decoded state through its fanned-out batch kernel.
-type TwoPassIngest[S any] interface {
-	Pass1AddBatch([]stream.Update) error
-	MergePass1(S) error
+// engine makes: each pass's batch kernel, which fans a batch out across
+// the policy's workers inside the one state.
+type TwoPassIngest interface {
+	Pass1AddBatchOpts([]stream.Update, *Policy) error
 	Pass2AddBatchOpts([]stream.Update, *Policy) error
 }
 
@@ -257,30 +250,29 @@ type TwoPassIngest[S any] interface {
 // (spanner.TwoPass, and sparsify.Grid whose cells are TwoPass states):
 // pass 1, an offline decode closing it (EndPass1), pass 2 into the
 // decoded state's tables, and the final decode.
-type TwoPassState[S, R any] interface {
-	TwoPassIngest[S]
+type TwoPassState[R any] interface {
+	TwoPassIngest
 	EndPass1Opts(*Policy) error
 	FinishOpts(*Policy) (R, error)
 }
 
-// Engine runs the two ingest passes of RunTwoPass over one stream:
-// Pass1 ingests it into states made by newState and returns their fold;
-// Pass2 ingests it into main, the state EndPass1 closed. Local is the
-// in-process engine; dynstream's remote engine ships states to worker
-// processes instead.
+// Engine runs the two ingest passes of RunTwoPass over one stream, each
+// into main, the one state of the build: Pass1 before EndPass1, Pass2
+// after it. Local is the in-process engine; dynstream's remote engine
+// ships states to worker processes and folds theirs into main.
 type Engine[S any] struct {
-	Pass1 func(newState func() (S, error)) (S, error)
+	Pass1 func(main S) error
 	Pass2 func(main S) error
 }
 
-// Local is the in-process engine over src under p. Pass 1 is IngestOpts
-// (sharded states merged by MergePass1); pass 2 replays src once into
-// main itself, whose batch kernel fans each batch out by itself, so a
-// local build keeps one state through pass 2 at any worker count.
-func Local[S TwoPassIngest[S]](p *Policy, src stream.Source) Engine[S] {
+// Local is the in-process engine over src under p: each pass replays
+// src once into main itself, whose batch kernel fans each batch out by
+// itself, so a local build keeps one state at any worker count and
+// merges nothing.
+func Local[S TwoPassIngest](p *Policy, src stream.Source) Engine[S] {
 	return Engine[S]{
-		Pass1: func(newState func() (S, error)) (S, error) {
-			return IngestOpts(p, src, newState, S.Pass1AddBatch, S.MergePass1)
+		Pass1: func(main S) error {
+			return Ingest(p, src, func(b []stream.Update) error { return main.Pass1AddBatchOpts(b, p) })
 		},
 		Pass2: func(main S) error {
 			return Ingest(p, src, func(b []stream.Update) error { return main.Pass2AddBatchOpts(b, p) })
@@ -289,15 +281,18 @@ func Local[S TwoPassIngest[S]](p *Policy, src stream.Source) Engine[S] {
 }
 
 // RunTwoPass runs the two-pass protocol through e, the one place the
-// pass sequence is written: pass 1 into newState's states, EndPass1 on
-// their fold, pass 2 into that state, and the decode. p governs the
-// offline stages. Every state operation is a commutative group
-// operation, so the result is independent of the engine and its
-// sharding. what names the build in pass errors ("spanner: parallel" →
-// "spanner: parallel pass 1: …").
-func RunTwoPass[S TwoPassState[S, R], R any](p *Policy, what string, e Engine[S], newState func() (S, error)) (R, error) {
+// pass sequence is written: newState's state takes pass 1, EndPass1,
+// pass 2 and the decode. p governs the offline stages. Every state
+// operation is a commutative group operation, so the result is
+// independent of the engine and of how it spreads the stream. what
+// names the build in pass errors ("spanner: parallel" → "spanner:
+// parallel pass 1: …").
+func RunTwoPass[S TwoPassState[R], R any](p *Policy, what string, e Engine[S], newState func() (S, error)) (R, error) {
 	var zero R
-	main, err := e.Pass1(newState)
+	main, err := newState()
+	if err == nil {
+		err = e.Pass1(main)
+	}
 	if err != nil {
 		return zero, fmt.Errorf("%s pass 1: %w", what, err)
 	}
@@ -310,8 +305,9 @@ func RunTwoPass[S TwoPassState[S, R], R any](p *Policy, what string, e Engine[S]
 	return main.FinishOpts(p)
 }
 
-// ingestDispatch picks the ingest strategy: serial, sharded replay, or
-// single-cursor fan-out.
+// ingestDispatch picks IngestOpts' strategy: one state, or sharded
+// replay when there are workers to shard over and src replays
+// concurrently.
 func ingestDispatch[S any](
 	p *Policy,
 	src stream.Source,
@@ -320,20 +316,17 @@ func ingestDispatch[S any](
 	merge func(dst, src S) error,
 ) (S, error) {
 	var zero S
-	if p.workers == 1 {
-		s, err := newState()
-		if err != nil {
-			return zero, err
-		}
-		if err := p.Replay(src, func(b []stream.Update) error { return update(s, b) }); err != nil {
-			return zero, err
-		}
-		return s, nil
-	}
-	if stream.ConcurrentReplayable(src) {
+	if p.workers > 1 && stream.ConcurrentReplayable(src) {
 		return shardIngest(p, src, newState, update, merge)
 	}
-	return fanoutIngest(p, src, newState, update, merge)
+	s, err := newState()
+	if err != nil {
+		return zero, err
+	}
+	if err := p.Replay(src, func(b []stream.Update) error { return update(s, b) }); err != nil {
+		return zero, err
+	}
+	return s, nil
 }
 
 // shardSpan opens the per-shard ingest span; the Sprintf only runs
@@ -390,86 +383,6 @@ func shardIngest[S any](
 		if e != nil {
 			return zero, fmt.Errorf("parallel: shard %d: %w", i, e)
 		}
-	}
-	msp := p.tracer.Span("ingest/merge")
-	for i := 1; i < p.workers; i++ {
-		if err := merge(states[0], states[i]); err != nil {
-			return zero, err
-		}
-	}
-	msp.End(obs.A("states", int64(p.workers)))
-	return states[0], nil
-}
-
-// fanoutIngest reads src once on the calling goroutine and distributes
-// copied batches to the workers over a channel — the strategy for
-// single-cursor sources (pipes, channels) that cannot be replayed
-// concurrently. Batch-to-worker assignment is scheduling-dependent,
-// but by linearity the merged state is identical regardless of which
-// worker ingests which batch.
-func fanoutIngest[S any](
-	p *Policy,
-	src stream.Source,
-	newState func() (S, error),
-	update func(S, []stream.Update) error,
-	merge func(dst, src S) error,
-) (S, error) {
-	var zero S
-	states := make([]S, p.workers)
-	errs := make([]error, p.workers)
-	ch := make(chan []stream.Update, 2*p.workers)
-	var failed int32
-	var wg sync.WaitGroup
-	for i := 0; i < p.workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sp := p.shardSpan(i)
-			s, err := newState()
-			if err != nil {
-				errs[i] = err
-				atomic.StoreInt32(&failed, 1)
-			}
-			// Keep draining even after a failure so the dispatcher's
-			// sends never block; batches are simply discarded.
-			var n int64
-			for b := range ch {
-				if errs[i] != nil {
-					continue
-				}
-				n += int64(len(b))
-				if err := update(s, b); err != nil {
-					errs[i] = err
-					atomic.StoreInt32(&failed, 1)
-				}
-			}
-			if errs[i] == nil {
-				states[i] = s
-				sp.End(obs.A("updates", n))
-			}
-		}(i)
-	}
-	derr := stream.ReplayBatches(src, p.batch, func(b []stream.Update) error {
-		if err := p.tick(len(b)); err != nil {
-			return err
-		}
-		if atomic.LoadInt32(&failed) != 0 {
-			return errAbort
-		}
-		cp := make([]stream.Update, len(b))
-		copy(cp, b)
-		ch <- cp
-		return nil
-	})
-	close(ch)
-	wg.Wait()
-	for i, e := range errs {
-		if e != nil {
-			return zero, fmt.Errorf("parallel: worker %d: %w", i, e)
-		}
-	}
-	if derr != nil {
-		return zero, derr
 	}
 	msp := p.tracer.Span("ingest/merge")
 	for i := 1; i < p.workers; i++ {

@@ -41,7 +41,7 @@ type Spec struct {
 	DecodeWorkers int
 	Batch         int
 	// Tracer, when non-nil, observes every pipeline phase of the opened
-	// handle (ingest shards, decode, query, checkpoint) — the daemon
+	// handle (ingest, decode, query, checkpoint) — the daemon
 	// bridges it into the /metrics phase histograms.
 	Tracer *dynstream.Tracer
 }

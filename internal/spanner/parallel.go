@@ -11,17 +11,15 @@ import (
 )
 
 // This file lifts the mergeability of the underlying linear sketches to
-// the spanner constructions, and builds the concurrent sharded-ingest
-// pipeline on top of it: a stream is split into P round-robin shards,
-// each shard is ingested into an independent state created from the
-// same configuration (same seed, hence the paper's "agree upon a
-// sketching matrix S"), and the states are merged. Every per-update
-// operation is a commutative group operation (int64 addition and
-// GF(2^61−1) addition), so the merged state is identical — not merely
-// equivalent — to single-threaded ingestion, and everything decoded
-// from it (clusters, tables, the final spanner) matches exactly. Pass 1
-// and remote builds run that way; a local pass 2 needs no merge, its
-// table kernel (pass2.go) fanning out inside the one state.
+// the spanner constructions. States created from the same configuration
+// (same seed, hence the paper's "agree upon a sketching matrix S") over
+// disjoint parts of a stream merge into the state of one serial pass:
+// every per-update operation is a commutative group operation (int64
+// addition and GF(2^61−1) addition), so the merged state is identical —
+// not merely equivalent — to single-threaded ingestion, and everything
+// decoded from it (clusters, tables, the final spanner) matches exactly.
+// Only states that cross a process boundary merge (remote builds, dynnet
+// workers); a local build ingests both passes into its one state.
 
 // MergePass1 adds the first-pass sketch state of another TwoPass built
 // with the same configuration. Both states must still be in pass 1; the
@@ -110,12 +108,11 @@ func (tp *TwoPass) MergePass2(o *TwoPass) error {
 }
 
 // BuildTwoPassOpts is the policy-driven two-pass build:
-// parallel.RunTwoPass over in-process ingest — pass 1 sharded and
-// merged, pass 2 into the one EndPass1 state through the fanned-out
-// table kernel — both passes under p's context (cancellation observed
-// at batch granularity), worker count, batch size, and progress sink.
-// At one worker the ingest degenerates to a serial replay — one code
-// path (and one set of trace spans) for all widths. The source must be
+// parallel.RunTwoPass over in-process ingest into one state — pass 1
+// through Pass1AddBatchOpts, pass 2 through the fanned-out table kernel
+// — both passes under p's context (cancellation observed at batch
+// granularity), worker count, batch size, and progress sink. One code
+// path (and one set of trace spans) serves all widths. The source must be
 // replayable; output is identical to BuildTwoPass for the same
 // configuration under any policy.
 func BuildTwoPassOpts(src stream.Source, cfg Config, p *parallel.Policy) (*Result, error) {
@@ -136,8 +133,8 @@ func BuildTwoPassWeightedWith(src stream.Source, cfg Config, classBase float64, 
 	if classBase == 0 {
 		return build(src, cfg)
 	}
-	if classBase <= 1 {
-		return nil, fmt.Errorf("spanner: classBase must be > 1, got %v", classBase)
+	if !(classBase > 1) || math.IsInf(classBase, 1) {
+		return nil, fmt.Errorf("spanner: classBase must be in (1, +Inf), got %v", classBase)
 	}
 	if !stream.CanReplay(src) {
 		return nil, fmt.Errorf("spanner: weighted two-pass build: %w", stream.ErrNotReplayable)

@@ -12,7 +12,8 @@ import (
 // — not just equivalent — because every sketch operation is a
 // commutative group operation. These tests pin that guarantee on
 // seeded random graphs and churn streams, across worker counts, and
-// are meant to run under -race (the shards replay concurrently).
+// are meant to run under -race (workers sweep table ranges of one
+// state concurrently, and the additive shards replay concurrently).
 
 func sameGraph(t *testing.T, name string, a, b *graph.Graph) {
 	t.Helper()
@@ -75,8 +76,9 @@ func TestTwoPassParallelAugmented(t *testing.T) {
 	sameGraph(t, "augmented", par.Augmented, serial.Augmented)
 }
 
-// buildAdditiveOpts is the sharded additive build as the Build front
-// door composes it: same-seeded states per shard, merged, then decoded.
+// buildAdditiveOpts is a sharded additive build, the way states from
+// separate servers combine: same-seeded states per shard, merged, then
+// decoded.
 func buildAdditiveOpts(src stream.Source, cfg AdditiveConfig, p *parallel.Policy) (*AdditiveResult, error) {
 	a, err := parallel.IngestOpts(p, src,
 		func() (*Additive, error) { return NewAdditive(src.N(), cfg), nil },

@@ -327,6 +327,15 @@ func (tp *TwoPass) Pass1AddBatch(batch []stream.Update) error {
 	return nil
 }
 
+// Pass1AddBatchOpts is the local engine's pass-1 ingest: Pass1AddBatch
+// on the calling goroutine at any worker count. Pass 1 is ≈ 5 % of a
+// spanner build, and its per-update loop has no range-cut kernel yet
+// for the policy's workers to share (ROADMAP 5(a)); the grid's cells
+// and pass 2 are where a local build fans out.
+func (tp *TwoPass) Pass1AddBatchOpts(batch []stream.Update, _ *parallel.Policy) error {
+	return tp.Pass1AddBatch(batch)
+}
+
 // EndPass1 runs the offline cluster construction (Algorithm 1, lines
 // 8–20): for each level i and each u ∈ C_i, the summed sketch over the
 // current cluster is decoded from the sparsest subsampling level down,

@@ -21,15 +21,14 @@ import (
 //     sparsifier's grid, the Z×H augmented sample spanners of
 //     Algorithms 5–6. Both are families of nested subsampled edge sets,
 //     so each family is a column of cells under one level hash, and the
-//     whole grid is a linear function of the update stream — per-shard
-//     grids merge into exactly the single-threaded grid.
+//     whole grid is a linear function of the update stream — grids of
+//     disjoint stream parts merge into exactly the single-threaded grid.
 //   - SparsifyOpts / NewEstimatorOpts run one grid's two passes through
-//     parallel.RunTwoPass: pass 1 over round-robin stream shards with a
-//     worker per shard, pass 2 into the one merged grid with its cells
-//     swept in ranges. The remote sparsifier runs the same grid on
-//     dynnet workers (SparsifyOn), and a live sparsifier holds it live.
-//     Every decode happens on the merged state, so the output is
-//     identical to the serial pipeline.
+//     parallel.RunTwoPass: both passes ingest into that one grid, its
+//     cells swept in ranges by the policy's workers. The remote
+//     sparsifier runs the same grid on dynnet workers (SparsifyOn), and
+//     a live sparsifier holds it live. Every decode happens on the one
+//     state, so the output is identical to the serial pipeline.
 
 // Grid is the linear sketch state underlying an Estimator and a
 // sparsifier: one two-pass spanner state per cell, in columns of nested
@@ -130,6 +129,13 @@ func (g *Grid) Pass1Update(u stream.Update) error { return g.Pass1AddBatch([]str
 // every cell whose substream contains the edge: the grid's sweep on the
 // calling goroutine (see Pass2AddBatchOpts).
 func (g *Grid) Pass1AddBatch(batch []stream.Update) error { return g.ingest(batch, 0, 1) }
+
+// Pass1AddBatchOpts ingests a batch of first-pass updates with the
+// cell-range sweep of Pass2AddBatchOpts, each cell's share going to its
+// pass-1 kernel.
+func (g *Grid) Pass1AddBatchOpts(batch []stream.Update, p *parallel.Policy) error {
+	return g.ingest(batch, 0, parallel.BatchWorkers(p.Workers(), len(batch)))
+}
 
 // MergePass1 adds another grid's first-pass state, cell-wise.
 func (g *Grid) MergePass1(o *Grid) error {
@@ -478,8 +484,8 @@ func SparsifyWeightedWith(src stream.Source, cfg Config, classBase float64, buil
 	if classBase == 0 {
 		return build(src, cfg)
 	}
-	if classBase <= 1 {
-		return nil, fmt.Errorf("sparsify: classBase must be > 1, got %v", classBase)
+	if !(classBase > 1) || math.IsInf(classBase, 1) {
+		return nil, fmt.Errorf("sparsify: classBase must be in (1, +Inf), got %v", classBase)
 	}
 	if !stream.CanReplay(src) {
 		return nil, fmt.Errorf("sparsify: %w", stream.ErrNotReplayable)

@@ -41,8 +41,8 @@ func TestEstimatorParallelMatchesSerial(t *testing.T) {
 
 // TestSparsifyParallelMatchesSerial: the one-grid build equals the
 // serial reference at every worker count, over a memory stream and over
-// a single-cursor file source (whose pass 1 fans batches out from one
-// reader instead of replaying shards).
+// a single-cursor file source; either way both passes sweep cell ranges
+// of the one grid.
 func TestSparsifyParallelMatchesSerial(t *testing.T) {
 	g := graph.Complete(12)
 	st := stream.FromGraph(g, 105)

@@ -13,6 +13,7 @@ import (
 	"dynstream/internal/graph"
 	"dynstream/internal/hashing"
 	"dynstream/internal/spanner"
+	"dynstream/internal/sparsify"
 	"dynstream/internal/stream"
 )
 
@@ -89,7 +90,7 @@ func decoded[S wireState](t *testing.T, proto S, empty func() S) func() S {
 func TestSketchViewsWirePipeline(t *testing.T) {
 	g := graph.ConnectedGNP(30, 0.2, 1001)
 	st := StreamWithChurn(g, 120, 1002)
-	shards, err := SplitStream(st, 2)
+	shards, err := stream.Split(st, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,11 +126,11 @@ func TestSketchViewsWirePipeline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		empty := func() *TwoPassSpanner { return new(TwoPassSpanner) }
+		empty := func() *spanner.TwoPass { return new(spanner.TwoPass) }
 		for name, fork := range protos {
-			tp := NewTwoPassSpanner(n, cfg)
-			shipMerge(t, shards, tp, func() *TwoPassSpanner { return NewTwoPassSpanner(n, cfg) }, empty,
-				(*TwoPassSpanner).Pass1AddBatch, (*TwoPassSpanner).MergePass1)
+			tp := spanner.NewTwoPass(n, cfg)
+			shipMerge(t, shards, tp, func() *spanner.TwoPass { return spanner.NewTwoPass(n, cfg) }, empty,
+				(*spanner.TwoPass).Pass1AddBatch, (*spanner.TwoPass).MergePass1)
 			if err := tp.EndPass1(); err != nil {
 				t.Fatal(err)
 			}
@@ -140,7 +141,7 @@ func TestSketchViewsWirePipeline(t *testing.T) {
 				}
 			}
 			shipMerge(t, shards, tp, decoded(t, proto, empty), empty,
-				(*TwoPassSpanner).Pass2AddBatch, (*TwoPassSpanner).MergePass2)
+				(*spanner.TwoPass).Pass2AddBatch, (*spanner.TwoPass).MergePass2)
 			got, err := tp.Finish()
 			if err != nil {
 				t.Fatal(err)
@@ -151,19 +152,19 @@ func TestSketchViewsWirePipeline(t *testing.T) {
 
 	t.Run("grid", func(t *testing.T) {
 		cfg := EstimateConfig{K: 1, J: 2, T: 4, Delta: 0.34, Seed: 1009}
-		mk := func() *OracleGrid {
-			g, err := NewOracleGrid(n, cfg)
+		mk := func() *sparsify.Grid {
+			g, err := sparsify.NewGrid(n, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return g
 		}
 		serial := mk()
-		ingestInto(t, st, serial, (*OracleGrid).Pass1AddBatch)
+		ingestInto(t, st, serial, (*sparsify.Grid).Pass1AddBatch)
 		if err := serial.EndPass1(); err != nil {
 			t.Fatal(err)
 		}
-		ingestInto(t, st, serial, (*OracleGrid).Pass2AddBatch)
+		ingestInto(t, st, serial, (*sparsify.Grid).Pass2AddBatch)
 		serialEnc, err := serial.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
@@ -173,10 +174,10 @@ func TestSketchViewsWirePipeline(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		empty := func() *OracleGrid { return new(OracleGrid) }
+		empty := func() *sparsify.Grid { return new(sparsify.Grid) }
 		for name, fork := range protos {
 			grid := mk()
-			shipMerge(t, shards, grid, mk, empty, (*OracleGrid).Pass1AddBatch, (*OracleGrid).MergePass1)
+			shipMerge(t, shards, grid, mk, empty, (*sparsify.Grid).Pass1AddBatch, (*sparsify.Grid).MergePass1)
 			if err := grid.EndPass1(); err != nil {
 				t.Fatal(err)
 			}
@@ -187,7 +188,7 @@ func TestSketchViewsWirePipeline(t *testing.T) {
 				}
 			}
 			shipMerge(t, shards, grid, decoded(t, proto, empty), empty,
-				(*OracleGrid).Pass2AddBatch, (*OracleGrid).MergePass2)
+				(*sparsify.Grid).Pass2AddBatch, (*sparsify.Grid).MergePass2)
 			if enc, err := grid.MarshalBinary(); err != nil || !bytes.Equal(enc, serialEnc) {
 				t.Fatalf("%s: shipped-and-merged grid encodes differently from the serial one (err %v)", name, err)
 			}

@@ -66,12 +66,12 @@ func (o *buildOptions) policy(ctx context.Context, src Source, tr *obs.Tracer) *
 // remote reports whether this build runs on remote worker processes.
 func (o *buildOptions) remote() bool { return o.remoteSet || o.cluster != nil }
 
-// WithWorkers fixes the number of concurrent ingest workers. A
-// single-pass target keeps one state and splits each batch across the
-// workers by vertex range of that state; a two-pass target shards the
-// stream into one state per worker and merges them. Without it, Build
-// picks one worker or several automatically; by linearity the result
-// is identical either way.
+// WithWorkers fixes the number of concurrent ingest workers. A local
+// build keeps one state at any worker count and the workers split each
+// batch inside it: a single-pass target by vertex range, the
+// sparsifier by grid-cell range in both passes, the spanner by table
+// range in pass 2. Without it, Build picks one worker or several
+// automatically; the result is identical either way.
 func WithWorkers(n int) Option {
 	return func(o *buildOptions) { o.workers = n; o.workersSet = true }
 }
@@ -106,7 +106,7 @@ func WithBatchSize(b int) Option {
 
 // WithWeightClasses switches weight-aware targets (spanner,
 // sparsifier) to the geometric weight-class construction of Remark 14
-// with the given class base (> 1).
+// with the given class base, in (1, +Inf).
 func WithWeightClasses(base float64) Option {
 	return func(o *buildOptions) { o.classBase = base }
 }
@@ -131,7 +131,7 @@ func WithProgress(fn func(updates int64)) Option {
 }
 
 // WithTracer attaches a Tracer to the build: every phase of the
-// pipeline — sharded ingest, each Borůvka round, cluster construction
+// pipeline — each ingest pass, each Borůvka round, cluster construction
 // and recovery peeling, grid extraction, dynnet frame traffic,
 // checkpoint I/O — emits spans and counters into it. Tracing is
 // observational only: a traced build's output is bit-identical to an
@@ -214,8 +214,8 @@ func (o *buildOptions) validate() error {
 	if o.batch < 0 {
 		return fmt.Errorf("%w: batch size must be >= 0, got %d", ErrBadConfig, o.batch)
 	}
-	if o.classBase != 0 && o.classBase <= 1 {
-		return fmt.Errorf("%w: weight class base must be > 1, got %v", ErrBadConfig, o.classBase)
+	if o.classBase != 0 && !(o.classBase > 1 && finite(o.classBase)) {
+		return fmt.Errorf("%w: weight class base must be in (1, +Inf), got %v", ErrBadConfig, o.classBase)
 	}
 	if o.remoteSet && len(o.remoteAddrs) == 0 {
 		return fmt.Errorf("%w: WithRemoteWorkers needs at least one address", ErrBadConfig)
@@ -254,10 +254,8 @@ func (o *buildOptions) validateLive() error {
 // multi-worker execution when no explicit worker count is given.
 const autoParallelThreshold = 1 << 15
 
-// resolveWorkers picks the execution mode: an explicit WithWorkers
-// wins; otherwise long in-memory streams get several workers and
-// everything else (short streams, pipes, channels) runs serially —
-// the memory-optimal choice for single-cursor sources.
+// resolveWorkers picks the ingest worker count: an explicit
+// WithWorkers wins; otherwise autoWorkers decides.
 func (o *buildOptions) resolveWorkers(src Source) int {
 	if o.workersSet {
 		return o.workers
@@ -279,7 +277,11 @@ func (o *buildOptions) resolveDecodeWorkers(src Source) int {
 }
 
 // autoWorkers is the automatic one-or-several choice of
-// resolveWorkers for builds without an explicit WithWorkers.
+// resolveWorkers for builds without an explicit WithWorkers: a long
+// in-memory stream gets up to min(GOMAXPROCS, 8) workers, and
+// everything else (short streams, pipes, channels) runs on one. Extra
+// workers split batches inside the build's one state, so they cost no
+// memory; on a short stream they would not pay for their goroutines.
 func (o *buildOptions) autoWorkers(src Source) int {
 	type lengther interface{ Len() int }
 	if l, ok := src.(lengther); ok &&

@@ -5,11 +5,12 @@ import (
 	"testing"
 
 	"dynstream/internal/graph"
+	"dynstream/internal/stream"
 )
 
 // Front-door equivalence: Build with WithWorkers(p) must produce
 // output identical to WithWorkers(1) for the same configuration (run
-// under -race; the shards ingest concurrently).
+// under -race; the workers sweep disjoint ranges of one state).
 
 func edgesEqual(t *testing.T, name string, a, b *Graph) {
 	t.Helper()
@@ -107,7 +108,7 @@ func TestForestSketchMergeFacade(t *testing.T) {
 	// The Merge surface the distributed example uses, through the alias.
 	g := graph.ConnectedGNP(40, 0.15, 313)
 	st := StreamFromGraph(g, 314)
-	shards, err := SplitStream(st, 2)
+	shards, err := stream.Split(st, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,9 +162,6 @@ func TestKConnectivityParallelFacade(t *testing.T) {
 
 func TestParallelFacadeRejectsBadWorkers(t *testing.T) {
 	st := NewMemoryStream(4)
-	if _, err := SplitStream(st, 0); err == nil {
-		t.Error("SplitStream accepted p=0")
-	}
 	if _, err := Build(context.Background(), st, SpannerTarget{Config: SpannerConfig{K: 1}}, WithWorkers(0)); err == nil {
 		t.Error("Build accepted workers=0")
 	}

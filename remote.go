@@ -296,8 +296,8 @@ func ingestRemote[S wireState](ctx context.Context, r *remoteRun, kind dynnet.St
 }
 
 // remoteTwoPass is what a two-pass state needs to run on remote
-// workers: the wire, and the pass-2 fork and fold a local build never
-// uses.
+// workers: the wire, both passes' folds and the pass-2 fork, none of
+// which a local build uses.
 type remoteTwoPass[S any] interface {
 	wireState
 	MergePass1(S) error
@@ -308,17 +308,14 @@ type remoteTwoPass[S any] interface {
 // remoteEngine is the remote engine of parallel.RunTwoPass. In each pass
 // a prototype state is what every worker decodes, ingests its shard
 // into — by the prototype's phase — and ships back, and the workers'
-// states fold into it. Pass 1's prototype is newState's state. Pass 2's
-// is ForkPass2's tables-only state, so the pass-1 sketches never cross
-// the wire a second time; its fold then merges into the EndPass1 state.
+// states fold into it. Pass 1's prototype is the build's state itself.
+// Pass 2's is ForkPass2's tables-only state, so the pass-1 sketches
+// never cross the wire a second time; its fold then merges into the
+// EndPass1 state.
 func remoteEngine[S remoteTwoPass[S]](ctx context.Context, r *remoteRun, kind dynnet.StateKind, src Source, empty func() S) parallel.Engine[S] {
 	return parallel.Engine[S]{
-		Pass1: func(newState func() (S, error)) (S, error) {
-			main, err := newState()
-			if err == nil {
-				err = ingestRemote(ctx, r, kind, src, main, empty, S.MergePass1)
-			}
-			return main, err
+		Pass1: func(main S) error {
+			return ingestRemote(ctx, r, kind, src, main, empty, S.MergePass1)
 		},
 		Pass2: func(main S) error {
 			tables, err := main.ForkPass2()

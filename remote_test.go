@@ -271,7 +271,7 @@ func TestRemoteWorkerShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	shards, err := dynstream.SplitStream(st, 2)
+	shards, err := stream.Split(st, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
