@@ -81,7 +81,7 @@ func resolve[R any](src Source, target Target[R], opts []Option, live bool) (*bu
 		return nil, nil, fmt.Errorf("dynstream: %T needs %d passes over the stream: %w",
 			target, target.Passes(), ErrNotReplayable)
 	}
-	pl, err := target.plan(o)
+	pl, err := target.plan(o, src.N())
 	return o, pl, err
 }
 
@@ -138,8 +138,11 @@ type Target[R any] interface {
 	// replayability validation; multi-phase targets report > 1).
 	Passes() int
 	// plan resolves the target against the call's options (seed
-	// override, weight classes) into the four ways it can run.
-	plan(o *buildOptions) (plan[R], error)
+	// override, weight classes) and the source's vertex count n into the
+	// four ways it can run. It refuses (ErrBadConfig) a configuration
+	// whose state would panic, exhaust memory, or checkpoint into bytes
+	// the state's own decoder rejects.
+	plan(o *buildOptions, n int) (plan[R], error)
 }
 
 // plan is a target with its options resolved. The five single-pass
@@ -187,8 +190,12 @@ type SpannerTarget struct {
 
 func (t SpannerTarget) Passes() int { return 2 }
 
-func (t SpannerTarget) plan(o *buildOptions) (plan[*SpannerResult], error) {
+func (t SpannerTarget) plan(o *buildOptions, n int) (plan[*SpannerResult], error) {
 	cfg, classBase := t.Config, o.classBase
+	if cfg.K < 0 || !finite(cfg.TableFactor) || !cfg.Fits(n) {
+		return nil, fmt.Errorf("%w: a spanner on %d vertices needs 0 <= K <= 64, a finite TableFactor and Budget, Levels in the wire bounds, got %+v",
+			ErrBadConfig, n, cfg)
+	}
 	cfg.Seed = o.seedOr(cfg.Seed)
 	return twoPass[*spanner.TwoPass, *SpannerResult]{
 		kind: dynnet.KindTwoPass, what: "a two-pass spanner",
@@ -224,8 +231,12 @@ type AdditiveTarget struct {
 
 func (t AdditiveTarget) Passes() int { return 1 }
 
-func (t AdditiveTarget) plan(o *buildOptions) (plan[*AdditiveResult], error) {
+func (t AdditiveTarget) plan(o *buildOptions, n int) (plan[*AdditiveResult], error) {
 	cfg := t.Config
+	if cfg.D < 0 || !finite(cfg.DegreeFactor) || !finite(cfg.CenterFactor) || !cfg.Fits(n) {
+		return nil, fmt.Errorf("%w: an additive spanner on %d vertices needs 0 <= D <= n, finite factors, DegreeFactor > 0 and a low-degree cutoff within the wire bound, got %+v",
+			ErrBadConfig, n, cfg)
+	}
 	cfg.Seed = o.seedOr(cfg.Seed)
 	return singlePass(o, onePass[*spanner.Additive, *AdditiveResult]{
 		kind: dynnet.KindAdditive, what: "the additive spanner",
@@ -245,7 +256,7 @@ type SparsifierTarget struct {
 
 func (t SparsifierTarget) Passes() int { return 2 }
 
-func (t SparsifierTarget) plan(o *buildOptions) (plan[*SparsifierResult], error) {
+func (t SparsifierTarget) plan(o *buildOptions, n int) (plan[*SparsifierResult], error) {
 	cfg, classBase := t.Config, o.classBase
 	if cfg.Z < 0 || cfg.H < 0 || cfg.Estimate.J < 0 || cfg.Estimate.T < 0 || !(cfg.Estimate.Delta >= 0 && cfg.Estimate.Delta < 1) {
 		return nil, fmt.Errorf("%w: a sparsifier needs Z, H, J, T >= 0 and 0 <= Delta < 1, got Z=%d H=%d J=%d T=%d Delta=%v",
@@ -282,7 +293,10 @@ type ForestTarget struct {
 
 func (t ForestTarget) Passes() int { return 1 }
 
-func (t ForestTarget) plan(o *buildOptions) (plan[*ForestSketch], error) {
+func (t ForestTarget) plan(o *buildOptions, n int) (plan[*ForestSketch], error) {
+	if !t.Config.Fits(n) {
+		return nil, fmt.Errorf("%w: a forest sketch needs Rounds in 0..256 and PerLevel in 0..5, got %+v", ErrBadConfig, t.Config)
+	}
 	seed := o.seedOr(t.Seed)
 	return singlePass(o, onePass[*agm.Sketch, *ForestSketch]{
 		kind: dynnet.KindForest, what: "the forest sketch",
@@ -303,7 +317,10 @@ type KConnectivityTarget struct {
 
 func (t KConnectivityTarget) Passes() int { return 1 }
 
-func (t KConnectivityTarget) plan(o *buildOptions) (plan[*KConnectivity], error) {
+func (t KConnectivityTarget) plan(o *buildOptions, n int) (plan[*KConnectivity], error) {
+	if t.K < 0 || !agm.CertificateFits(t.K) {
+		return nil, fmt.Errorf("%w: a connectivity certificate needs 0 <= K <= 65536, got %d", ErrBadConfig, t.K)
+	}
 	seed := o.seedOr(t.Seed)
 	return singlePass(o, onePass[*agm.KConnectivity, *KConnectivity]{
 		kind: dynnet.KindKConn, what: "the connectivity certificate",
@@ -323,7 +340,7 @@ type BipartitenessTarget struct {
 
 func (t BipartitenessTarget) Passes() int { return 1 }
 
-func (t BipartitenessTarget) plan(o *buildOptions) (plan[*Bipartiteness], error) {
+func (t BipartitenessTarget) plan(o *buildOptions, n int) (plan[*Bipartiteness], error) {
 	seed := o.seedOr(t.Seed)
 	return singlePass(o, onePass[*agm.Bipartiteness, *Bipartiteness]{
 		kind: dynnet.KindBip, what: "the bipartiteness tester",
@@ -357,7 +374,7 @@ func (t MSFTarget) Passes() int {
 // for it, a live handle requires it explicit, and a restore reads it
 // from the checkpointed state — so the target is its own plan, handing
 // each call to the recipe once the bound is known.
-func (t MSFTarget) plan(o *buildOptions) (plan[*MSF], error) {
+func (t MSFTarget) plan(o *buildOptions, n int) (plan[*MSF], error) {
 	if err := noWeightClasses(o, "the MSF sketch (weights are native)"); err != nil {
 		return nil, err
 	}

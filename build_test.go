@@ -275,6 +275,80 @@ func TestWeightParamsBadConfig(t *testing.T) {
 	}
 }
 
+// TestConfigsTheDecoderRefuses: a negative count, a non-finite factor,
+// or a configuration whose state the target's own decoder would refuse
+// is a typed refusal from Build and Open — not a panic, an allocation
+// sized from the bad field, or a handle whose checkpoint Restore
+// rejects. The accepted rows sit on the bounds and must round-trip
+// through Checkpoint and Restore.
+func TestConfigsTheDecoderRefuses(t *testing.T) {
+	_, st := buildTestStream(12, 0.4, 0, 940)
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, check := range map[string]func(*testing.T, *MemoryStream){
+		"forest/Rounds=-1":                refuses(ForestTarget{Config: ForestConfig{Rounds: -1}}),
+		"forest/Rounds=300":               refuses(ForestTarget{Config: ForestConfig{Rounds: 300}}),
+		"forest/PerLevel=-1":              refuses(ForestTarget{Config: ForestConfig{PerLevel: -1}}),
+		"forest/PerLevel=6":               refuses(ForestTarget{Config: ForestConfig{PerLevel: 6}}),
+		"additive/D=100":                  refuses(AdditiveTarget{Config: AdditiveConfig{D: 100}}),
+		"additive/D=-1":                   refuses(AdditiveTarget{Config: AdditiveConfig{D: -1}}),
+		"additive/DegreeFactor=-1":        refuses(AdditiveTarget{Config: AdditiveConfig{DegreeFactor: -1}}),
+		"additive/DegreeFactor=NaN":       refuses(AdditiveTarget{Config: AdditiveConfig{DegreeFactor: nan}}),
+		"additive/DegreeFactor=+Inf":      refuses(AdditiveTarget{Config: AdditiveConfig{DegreeFactor: inf}}),
+		"additive/DegreeFactor=1e9":       refuses(AdditiveTarget{Config: AdditiveConfig{DegreeFactor: 1e9}}),
+		"additive/CenterFactor=NaN":       refuses(AdditiveTarget{Config: AdditiveConfig{CenterFactor: nan}}),
+		"additive/CenterFactor=+Inf":      refuses(AdditiveTarget{Config: AdditiveConfig{CenterFactor: inf}}),
+		"spanner/K=100":                   refuses(SpannerTarget{Config: SpannerConfig{K: 100}}),
+		"spanner/K=-3":                    refuses(SpannerTarget{Config: SpannerConfig{K: -3}}),
+		"spanner/TableFactor=NaN":         refuses(SpannerTarget{Config: SpannerConfig{K: 2, TableFactor: nan}}),
+		"spanner/TableFactor=+Inf":        refuses(SpannerTarget{Config: SpannerConfig{K: 2, TableFactor: inf}}),
+		"kcert/K=-3":                      refuses(KConnectivityTarget{K: -3}),
+		"kcert/K=70000":                   refuses(KConnectivityTarget{K: 70000}),
+		"accept/forest/Rounds=256":        roundTrips(ForestTarget{Config: ForestConfig{Rounds: 256}}),
+		"accept/forest/PerLevel=5":        roundTrips(ForestTarget{Config: ForestConfig{PerLevel: 5}}),
+		"accept/additive/D=n":             roundTrips(AdditiveTarget{Config: AdditiveConfig{D: 12}}),
+		"accept/additive/CenterFactor=-1": roundTrips(AdditiveTarget{Config: AdditiveConfig{CenterFactor: -1}}),
+		"accept/spanner/K=64":             roundTrips(SpannerTarget{Config: SpannerConfig{K: 64}}),
+		"accept/kcert/K=0":                roundTrips(KConnectivityTarget{}),
+	} {
+		t.Run(name, func(t *testing.T) { check(t, st) })
+	}
+}
+
+// refuses checks that Build and Open refuse target with ErrBadConfig.
+func refuses[R any](target Target[R]) func(*testing.T, *MemoryStream) {
+	return func(t *testing.T, st *MemoryStream) {
+		ctx := context.Background()
+		if _, err := Build(ctx, st, target); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("Build: err = %v, want ErrBadConfig", err)
+		}
+		if _, err := Open(ctx, st, target); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("Open: err = %v, want ErrBadConfig", err)
+		}
+	}
+}
+
+// roundTrips checks that Build accepts target and that an Open handle's
+// checkpoint restores.
+func roundTrips[R any](target Target[R]) func(*testing.T, *MemoryStream) {
+	return func(t *testing.T, st *MemoryStream) {
+		ctx := context.Background()
+		if _, err := Build(ctx, st, target); err != nil {
+			t.Fatalf("Build: %v", err)
+		}
+		h, err := Open(ctx, st, target)
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		var snap bytes.Buffer
+		if err := h.Checkpoint(&snap); err != nil {
+			t.Fatalf("Checkpoint: %v", err)
+		}
+		if _, err := Restore(ctx, &snap, st, target); err != nil {
+			t.Errorf("Restore: %v", err)
+		}
+	}
+}
+
 func TestBuildOptionValidation(t *testing.T) {
 	_, st := buildTestStream(10, 0.4, 0, 918)
 	if _, err := Build(context.Background(), st, SpannerTarget{}, WithWorkers(0)); !errors.Is(err, ErrBadWorkers) {

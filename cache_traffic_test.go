@@ -9,12 +9,15 @@ import (
 )
 
 // TestLiveCacheTraffic pins the decode-cache hits and misses of a fixed
-// Apply/Query script over a live spanner and a live sparsifier. The
-// counts are a function of which regions each query re-decodes, so a
-// change to the cache keys that decodes more (or serves a stale entry)
-// moves them even when every answer stays bit-identical. The counts
-// were recorded with string-digest cache keys, before the keys became
-// member lists and generation sums indexed by copy.
+// Apply/Query script over a live handle of every target that caches.
+// The counts are a function of which regions each query re-decodes, so
+// a change to the cache keys that decodes more (or serves a stale
+// entry) moves them even when every answer stays bit-identical; for
+// k-connectivity and the additive spanner they also pin that each
+// query's edge subtraction touches exactly the samplers its difference
+// names. The spanner and sparsifier counts were recorded with
+// string-digest cache keys, before the keys became member lists and
+// generation sums indexed by copy.
 func TestLiveCacheTraffic(t *testing.T) {
 	full := dynstream.StreamWithChurn(graph.ConnectedGNP(40, 0.15, 9100), 120, 9101)
 	var ups []dynstream.Update
@@ -29,12 +32,30 @@ func TestLiveCacheTraffic(t *testing.T) {
 		name      string
 		got, want dynstream.CacheStats
 	}{
-		{"spanner", cacheTraffic(t, base, rest, dynstream.SpannerTarget{Config: dynstream.SpannerConfig{K: 3, Seed: 9102}}),
+		{"spanner", cacheTraffic(t, base, rest, dynstream.SpannerTarget{Config: dynstream.SpannerConfig{K: 3, Seed: 9102}}, nil),
 			dynstream.CacheStats{Hits: 234, Misses: 153}},
 		{"sparsifier", cacheTraffic(t, base, rest, dynstream.SparsifierTarget{Config: dynstream.SparsifierConfig{
 			K: 2, Z: 2, Seed: 9103,
 			Estimate: dynstream.EstimateConfig{K: 2, J: 2, T: 3, Seed: 9104},
-		}}), dynstream.CacheStats{Hits: 10775, Misses: 3628}},
+		}}, nil), dynstream.CacheStats{Hits: 10775, Misses: 3628}},
+		{"forest", cacheTraffic(t, base, rest, dynstream.ForestTarget{Seed: 9107}, func(s *dynstream.ForestSketch) error {
+			_, err := s.SpanningForest(nil)
+			return err
+		}), dynstream.CacheStats{Hits: 157, Misses: 152}},
+		{"kcert", cacheTraffic(t, base, rest, dynstream.KConnectivityTarget{Seed: 9105, K: 3}, func(kc *dynstream.KConnectivity) error {
+			_, err := kc.Certificate()
+			return err
+		}), dynstream.CacheStats{Hits: 508, Misses: 550}},
+		{"bipartite", cacheTraffic(t, base, rest, dynstream.BipartitenessTarget{Seed: 9108}, func(b *dynstream.Bipartiteness) error {
+			_, err := b.IsBipartite()
+			return err
+		}), dynstream.CacheStats{Hits: 474, Misses: 480}},
+		{"msf", cacheTraffic(t, base, rest, dynstream.MSFTarget{Seed: 9109, WMax: 8, Gamma: 0.5}, func(m *dynstream.MSF) error {
+			_, err := m.Forest()
+			return err
+		}), dynstream.CacheStats{Hits: 164, Misses: 165}},
+		{"additive", cacheTraffic(t, base, rest, dynstream.AdditiveTarget{Config: dynstream.AdditiveConfig{D: 2, Seed: 9106}}, nil),
+			dynstream.CacheStats{Hits: 258, Misses: 222}},
 	} {
 		if tc.got != tc.want {
 			t.Errorf("%s: %+v, want %+v", tc.name, tc.got, tc.want)
@@ -44,8 +65,10 @@ func TestLiveCacheTraffic(t *testing.T) {
 
 // cacheTraffic opens a handle over base and runs the script: query,
 // re-query unchanged, then four batches of rest of shrinking size, each
-// followed by one query. It returns the handle's cache counters.
-func cacheTraffic[R any](t *testing.T, base *dynstream.MemoryStream, rest []dynstream.Update, target dynstream.Target[R]) dynstream.CacheStats {
+// followed by one query. A query runs decode (when not nil) on the
+// result inside QueryView, where the sketch targets decode. It returns
+// the handle's cache counters.
+func cacheTraffic[R any](t *testing.T, base *dynstream.MemoryStream, rest []dynstream.Update, target dynstream.Target[R], decode func(R) error) dynstream.CacheStats {
 	t.Helper()
 	ctx := context.Background()
 	h, err := dynstream.Open(ctx, base, target)
@@ -54,7 +77,13 @@ func cacheTraffic[R any](t *testing.T, base *dynstream.MemoryStream, rest []dyns
 	}
 	query := func() {
 		t.Helper()
-		if _, err := h.Query(ctx); err != nil {
+		err := h.QueryView(ctx, func(r R, _ int64) error {
+			if decode == nil {
+				return nil
+			}
+			return decode(r)
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -77,21 +77,19 @@ func TestKConnectivityDecodeEquivalence(t *testing.T) {
 	target := dynstream.KConnectivityTarget{Seed: 7200, K: 3}
 	for name, st := range decodeStreams() {
 		t.Run(name, func(t *testing.T) {
-			// Certificate consumes the sketches (forest subtraction), so
-			// each decode runs on a freshly ingested same-seeded state.
-			build := func() *dynstream.KConnectivity {
-				kc, err := dynstream.Build(ctx, st, target)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return kc
+			// Certificate subtracts only the difference from the
+			// forests already folded out, so one state decodes at every
+			// worker count.
+			kc, err := dynstream.Build(ctx, st, target)
+			if err != nil {
+				t.Fatal(err)
 			}
-			serial, err := build().Certificate()
+			serial, err := kc.Certificate()
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, w := range decodeWorkerCounts {
-				got, err := build().CertificateOpts(parallel.Default().WithWorkers(w))
+				got, err := kc.CertificateOpts(parallel.Default().WithWorkers(w))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -9,13 +9,15 @@
 // internal edges exactly, leaving the edge boundary ∂S — so Borůvka
 // rounds can repeatedly sample outgoing edges of current components and
 // merge. The two linearity properties the paper exploits are explicit
-// here: SubtractEdges (used by Algorithm 3 to remove E_low before
-// computing the forest) and the ability to run the forest on supernode
+// here: SubtractTo (used by Algorithm 3 to remove E_low before
+// computing the forest, and by the k-connectivity certificate to remove
+// the earlier forests) and the ability to run the forest on supernode
 // groups (collapsing clusters T_u).
 package agm
 
 import (
-	"dynstream/internal/graph"
+	"maps"
+
 	"dynstream/internal/hashing"
 	"dynstream/internal/parallel"
 	"dynstream/internal/sketch"
@@ -36,6 +38,12 @@ type Sketch struct {
 	fam    []*sketch.L0Family // fam[r]: shared randomness of round r
 	samp   []sketch.L0Sampler // vertex v, round r at v·rounds+r: see at
 	perLvl int
+
+	// subtracted is the canonical-edge multiset ({a, b} with a < b ->
+	// multiplicity) currently folded OUT of the samplers (SubtractTo).
+	// MarshalBinary and Merge fold it back in first: the wire format and
+	// Merge are defined over the stream state.
+	subtracted map[[2]int]int64
 
 	// Decode cache (EnableDecodeCache): per-(round, component) Borůvka
 	// picks from the previous extraction, reused when the component's
@@ -206,29 +214,48 @@ type Config struct {
 	PerLevel int
 }
 
-// New creates an AGM sketch for a graph on n vertices.
-func New(seed uint64, n int, cfg Config) *Sketch {
-	rounds := cfg.Rounds
-	if rounds == 0 {
-		rounds = 2
+// resolve fills in the defaults for a graph on n vertices.
+func (c Config) resolve(n int) Config {
+	if c.Rounds == 0 {
+		c.Rounds = 2
 		for x := 1; x < n; x *= 2 {
-			rounds++
+			c.Rounds++
 		}
 	}
-	perLvl := cfg.PerLevel
-	if perLvl == 0 {
-		perLvl = 4
+	if c.PerLevel == 0 {
+		c.PerLevel = 4
 	}
-	s := &Sketch{seed: seed, n: n, rounds: rounds, perLvl: perLvl}
+	return c
+}
+
+// Fits reports whether c is a configuration whose sketches, on n
+// vertices, UnmarshalBinary accepts whatever stream they hold: Rounds
+// and PerLevel are not negative (0 means the default), and the resolved
+// geometry passes the decoder's header bounds with the sparsest body,
+// one suppressed zero byte per sampler. The arena bound is per sampler,
+// so a one-vertex header stands for any n.
+func (c Config) Fits(n int) bool {
+	if c.Rounds < 0 || c.PerLevel < 0 {
+		return false
+	}
+	c = c.resolve(n)
+	rounds := uint64(c.Rounds)
+	return headerFits(1, rounds, uint64(c.PerLevel), rounds)
+}
+
+// New creates an AGM sketch for a graph on n vertices.
+func New(seed uint64, n int, cfg Config) *Sketch {
+	cfg = cfg.resolve(n)
+	s := &Sketch{seed: seed, n: n, rounds: cfg.Rounds, perLvl: cfg.PerLevel}
 	universe := uint64(n) * uint64(n)
-	s.fam = make([]*sketch.L0Family, rounds)
-	for r := 0; r < rounds; r++ {
+	s.fam = make([]*sketch.L0Family, s.rounds)
+	for r := range s.fam {
 		// All vertices share one projection per round: summing vertex
 		// sketches must equal sketching the summed incidence vectors,
 		// so the hash functions are a function of the round only — one
 		// family per round.
 		roundSeed := hashing.Mix(seed, uint64(r))
-		s.fam[r] = sketch.NewL0Family(roundSeed, universe, perLvl)
+		s.fam[r] = sketch.NewL0Family(roundSeed, universe, s.perLvl)
 	}
 	s.samp = sketch.NewL0Grid(s.fam, n)
 	return s
@@ -263,15 +290,31 @@ func (s *Sketch) AddUpdate(u stream.Update) {
 	s.AddBatch([]stream.Update{u})
 }
 
-// SubtractEdges removes an explicit edge set from the sketch — the
-// linear operation Algorithm 3 uses to form G' = G − E_low after the
-// stream has ended.
-func (s *Sketch) SubtractEdges(edges []graph.Edge) {
-	batch := make([]stream.Update, len(edges))
-	for i, e := range edges {
-		batch[i] = stream.Update{U: e.U, V: e.V, Delta: -1}
+// SubtractTo folds exactly the canonical-edge multiset want ({a, b}
+// with a < b -> multiplicity) out of the sketch — the linear operation
+// Algorithm 3 uses to form G' = G − E_low, and the k-connectivity
+// certificate to remove F_1..F_{i-1} — by applying, in one batch, only
+// the difference from what is folded out now. An unchanged want touches
+// no sampler, so repeated extractions never double-subtract and keep
+// the decode caches hot; SubtractTo(nil) returns the stream state. The
+// sketch keeps its own copy of want.
+func (s *Sketch) SubtractTo(want map[[2]int]int64) {
+	var diff []stream.Update
+	for key, m := range want {
+		if d := m - s.subtracted[key]; d != 0 {
+			diff = append(diff, stream.Update{U: key[0], V: key[1], Delta: int(-d)})
+		}
 	}
-	s.AddBatch(batch)
+	for key, m := range s.subtracted {
+		if _, ok := want[key]; !ok && m != 0 {
+			diff = append(diff, stream.Update{U: key[0], V: key[1], Delta: int(m)})
+		}
+	}
+	if len(diff) == 0 {
+		return
+	}
+	s.AddBatch(diff)
+	s.subtracted = maps.Clone(want)
 }
 
 // SpaceWords returns the memory footprint in 64-bit words.

@@ -124,7 +124,7 @@ func TestSubtractEdges(t *testing.T) {
 		s.AddUpdate(u)
 		return nil
 	})
-	s.SubtractEdges([]graph.Edge{{U: 0, V: 1, W: 1}})
+	s.SubtractTo(map[[2]int]int64{{0, 1}: 1})
 	remaining := g.Clone()
 	remaining.RemoveEdge(0, 1)
 	forest, err := s.SpanningForest(nil)

@@ -22,50 +22,25 @@ import (
 //     iff its double cover has exactly twice as many connected
 //     components as G.
 
-// KConnectivity maintains k independent AGM sketches of the same
-// stream and extracts k edge-disjoint spanning forests F_1..F_k; their
-// union is a k-edge-connectivity certificate: every cut of value < k
-// in G has exactly its G-value in the certificate.
-type KConnectivity struct {
-	k        int
-	n        int
-	sketches []*Sketch
-
-	// subtracted[i] is the edge multiset currently folded OUT of
-	// sketch i (the prior forests of the last Certificate call).
-	// Extraction reconciles it against the forests it actually needs
-	// subtracted, applying only the difference — so a re-query whose
-	// upstream forests are unchanged leaves every sampler generation
-	// untouched and the decode caches hot, and repeated Certificate
-	// calls are idempotent instead of double-subtracting.
-	subtracted [][]graph.Edge
-}
-
-// NewKConnectivity creates the certificate sketch for a graph on n
-// vertices with connectivity parameter k >= 1.
-func NewKConnectivity(seed uint64, n, k int) *KConnectivity {
-	if k < 1 {
-		k = 1
-	}
-	kc := &KConnectivity{k: k, n: n, sketches: make([]*Sketch, k), subtracted: make([][]graph.Edge, k)}
-	for i := 0; i < k; i++ {
-		kc.sketches[i] = New(hashing.Mix(seed, 0x6c, uint64(i)), n, Config{})
-	}
-	return kc
-}
+// stack is the list of AGM sketches an application keeps: the k
+// certificate copies, the base and double-cover pair, the MSF class
+// prefixes. It answers what the applications ask of their sketches
+// alike; each application adds only its routing (AddBatchOpts), its
+// compatibility check (Merge), its wire tag and header, and its decode.
+type stack []*Sketch
 
 // EnableDecodeCache turns the per-component pick cache on or off for
-// every constituent sketch (see Sketch.EnableDecodeCache).
-func (kc *KConnectivity) EnableDecodeCache(on bool) {
-	for _, s := range kc.sketches {
+// every sketch of the stack (see Sketch.EnableDecodeCache).
+func (st stack) EnableDecodeCache(on bool) {
+	for _, s := range st {
 		s.EnableDecodeCache(on)
 	}
 }
 
-// DecodeCacheStats sums the decode-cache hit/miss counters of the k
-// constituent forest sketches.
-func (kc *KConnectivity) DecodeCacheStats() (hits, misses uint64) {
-	for _, s := range kc.sketches {
+// DecodeCacheStats sums the decode-cache hit/miss counters of the
+// stack's sketches.
+func (st stack) DecodeCacheStats() (hits, misses uint64) {
+	for _, s := range st {
 		h, m := s.DecodeCacheStats()
 		hits += h
 		misses += m
@@ -73,64 +48,66 @@ func (kc *KConnectivity) DecodeCacheStats() (hits, misses uint64) {
 	return hits, misses
 }
 
-// reconcile adjusts sketch i so that exactly `want` is folded out of
-// it, applying only the multiset difference against what is currently
-// subtracted. An unchanged `want` is a no-op that touches no sampler.
-func (kc *KConnectivity) reconcile(i int, want []graph.Edge) {
-	have := kc.subtracted[i]
-	if len(have) == len(want) {
-		same := true
-		for j := range have {
-			if have[j] != want[j] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return
-		}
+// SpaceWords returns the memory footprint in 64-bit words.
+func (st stack) SpaceWords() int {
+	w := 0
+	for _, s := range st {
+		w += s.SpaceWords()
 	}
-	counts := map[[2]int]int64{}
-	for _, e := range want {
-		e = e.Canon()
-		counts[[2]int{e.U, e.V}]++
-	}
-	for _, e := range have {
-		e = e.Canon()
-		counts[[2]int{e.U, e.V}]--
-	}
-	diff := make([]stream.Update, 0, len(counts))
-	for key, d := range counts {
-		diff = append(diff, stream.Update{U: key[0], V: key[1], Delta: int(-d)})
-	}
-	kc.sketches[i].AddBatch(diff)
-	kc.subtracted[i] = append([]graph.Edge(nil), want...)
+	return w
 }
 
-// restoreStream folds every subtracted forest back in, returning all
-// sketches to pure functions of the update stream — the state the
-// wire format and Merge are defined over.
-func (kc *KConnectivity) restoreStream() {
-	for i := range kc.sketches {
-		kc.reconcile(i, nil)
+// merge adds each of o's sketches to its twin in st; the caller has
+// checked that the two stacks are compatible. what names the
+// application in an error.
+func (st stack) merge(o stack, what string) error {
+	for i := range st {
+		if err := st[i].Merge(o[i]); err != nil {
+			return fmt.Errorf("agm: %s merge sketch %d: %w", what, i, err)
+		}
 	}
+	return nil
+}
+
+// KConnectivity maintains k independent AGM sketches of the same
+// stream and extracts k edge-disjoint spanning forests F_1..F_k; their
+// union is a k-edge-connectivity certificate: every cut of value < k
+// in G has exactly its G-value in the certificate.
+type KConnectivity struct {
+	stack // one sketch per forest, k in all
+	n     int
+}
+
+// maxCertK is the largest k a certificate sketch may have, one sketch
+// per forest; UnmarshalBinary rejects more.
+const maxCertK = 1 << 16
+
+// CertificateFits reports whether NewKConnectivity's sketch at k (k < 1
+// meaning 1) keeps within what UnmarshalBinary accepts.
+func CertificateFits(k int) bool { return k <= maxCertK }
+
+// NewKConnectivity creates the certificate sketch for a graph on n
+// vertices with connectivity parameter k >= 1.
+func NewKConnectivity(seed uint64, n, k int) *KConnectivity {
+	if k < 1 {
+		k = 1
+	}
+	kc := &KConnectivity{stack: make(stack, k), n: n}
+	for i := range kc.stack {
+		kc.stack[i] = New(hashing.Mix(seed, 0x6c, uint64(i)), n, Config{})
+	}
+	return kc
 }
 
 // N returns the vertex count.
 func (kc *KConnectivity) N() int { return kc.n }
 
 // AddUpdate folds a stream update into all k sketches.
-func (kc *KConnectivity) AddUpdate(u stream.Update) {
-	for _, s := range kc.sketches {
-		s.AddUpdate(u)
-	}
-}
+func (kc *KConnectivity) AddUpdate(u stream.Update) { kc.AddBatch([]stream.Update{u}) }
 
 // AddEdge folds an explicit edge with multiplicity delta.
 func (kc *KConnectivity) AddEdge(u, v int, delta int64) {
-	for _, s := range kc.sketches {
-		s.AddEdge(u, v, delta)
-	}
+	kc.AddUpdate(stream.Update{U: u, V: v, Delta: int(delta)})
 }
 
 // AddBatch folds a batch of stream updates into all k sketches;
@@ -140,7 +117,7 @@ func (kc *KConnectivity) AddBatch(batch []stream.Update) { kc.AddBatchOpts(batch
 // AddBatchOpts is AddBatch with each sketch's ingest fanned out across
 // the policy's workers (Sketch.AddBatchOpts).
 func (kc *KConnectivity) AddBatchOpts(batch []stream.Update, p *parallel.Policy) {
-	for _, s := range kc.sketches {
+	for _, s := range kc.stack {
 		s.AddBatchOpts(batch, p)
 	}
 }
@@ -148,20 +125,11 @@ func (kc *KConnectivity) AddBatchOpts(batch []stream.Update, p *parallel.Policy)
 // Merge adds another certificate sketch built with the same seed and
 // parameters; the result sketches the union of the two streams.
 func (kc *KConnectivity) Merge(o *KConnectivity) error {
-	if kc.k != o.k || kc.n != o.n {
+	if len(kc.stack) != len(o.stack) || kc.n != o.n {
 		return fmt.Errorf("agm: merging incompatible k-connectivity sketches (k %d/%d, n %d/%d)",
-			kc.k, o.k, kc.n, o.n)
+			len(kc.stack), len(o.stack), kc.n, o.n)
 	}
-	// Merge is defined over pure stream states: fold any extraction-era
-	// subtractions back in on both sides first.
-	kc.restoreStream()
-	o.restoreStream()
-	for i := range kc.sketches {
-		if err := kc.sketches[i].Merge(o.sketches[i]); err != nil {
-			return fmt.Errorf("agm: k-connectivity merge sketch %d: %w", i, err)
-		}
-	}
-	return nil
+	return kc.merge(o.stack, "k-connectivity")
 }
 
 // Certificate extracts k edge-disjoint spanning forests. Forest F_i is
@@ -176,18 +144,23 @@ func (kc *KConnectivity) Certificate() ([][]graph.Edge, error) {
 // Certificate: each forest's Borůvka rounds decode on the policy's
 // workers, while the k forests themselves stay sequential — forest i is
 // defined over the sketch minus forests 1..i-1 — so the output is
-// bit-identical at every worker count.
+// bit-identical at every worker count. The subtraction is
+// Sketch.SubtractTo: a re-query whose earlier forests are unchanged
+// touches no sampler of the later sketches.
 func (kc *KConnectivity) CertificateOpts(p *parallel.Policy) ([][]graph.Edge, error) {
-	var prior []graph.Edge
-	out := make([][]graph.Edge, 0, kc.k)
-	for i, s := range kc.sketches {
-		kc.reconcile(i, prior)
+	prior := map[[2]int]int64{}
+	out := make([][]graph.Edge, 0, len(kc.stack))
+	for i, s := range kc.stack {
+		s.SubtractTo(prior)
 		f, err := s.SpanningForestOpts(nil, p)
 		if err != nil {
 			return nil, fmt.Errorf("agm: certificate forest %d: %w", i, err)
 		}
 		out = append(out, f)
-		prior = append(prior, f...)
+		for _, e := range f {
+			e = e.Canon()
+			prior[[2]int{e.U, e.V}]++
+		}
 	}
 	return out, nil
 }
@@ -213,15 +186,6 @@ func (kc *KConnectivity) CertificateGraphOpts(p *parallel.Policy) (*graph.Graph,
 	return g, nil
 }
 
-// SpaceWords returns the memory footprint in 64-bit words.
-func (kc *KConnectivity) SpaceWords() int {
-	w := 0
-	for _, s := range kc.sketches {
-		w += s.SpaceWords()
-	}
-	return w
-}
-
 // Bipartiteness tests whether the streamed graph is bipartite using
 // the double-cover reduction: the cover has vertices (v, 0), (v, 1)
 // and, for every edge {u, v}, edges {(u,0),(v,1)} and {(u,1),(v,0)}.
@@ -229,9 +193,8 @@ func (kc *KConnectivity) SpaceWords() int {
 // component), a bipartite one's cover splits in two — so G is
 // bipartite iff components(cover) = 2·components(G).
 type Bipartiteness struct {
+	stack // the sketch of G on n vertices, then its double cover's on 2n
 	n     int
-	base  *Sketch // sketch of G on n vertices
-	cover *Sketch // sketch of the double cover on 2n vertices
 
 	coverBuf []stream.Update // AddBatch's double-cover batch, reused
 }
@@ -239,29 +202,13 @@ type Bipartiteness struct {
 // NewBipartiteness creates the tester for a graph on n vertices.
 func NewBipartiteness(seed uint64, n int) *Bipartiteness {
 	return &Bipartiteness{
+		stack: stack{New(hashing.Mix(seed, 0xb1), n, Config{}), New(hashing.Mix(seed, 0xb2), 2*n, Config{})},
 		n:     n,
-		base:  New(hashing.Mix(seed, 0xb1), n, Config{}),
-		cover: New(hashing.Mix(seed, 0xb2), 2*n, Config{}),
 	}
 }
 
 // N returns the vertex count.
 func (b *Bipartiteness) N() int { return b.n }
-
-// EnableDecodeCache turns the per-component pick cache on or off for
-// both the base and double-cover sketches.
-func (b *Bipartiteness) EnableDecodeCache(on bool) {
-	b.base.EnableDecodeCache(on)
-	b.cover.EnableDecodeCache(on)
-}
-
-// DecodeCacheStats sums the decode-cache hit/miss counters of the base
-// and double-cover sketches.
-func (b *Bipartiteness) DecodeCacheStats() (hits, misses uint64) {
-	h1, m1 := b.base.DecodeCacheStats()
-	h2, m2 := b.cover.DecodeCacheStats()
-	return h1 + h2, m1 + m2
-}
 
 // AddUpdate folds a stream update into both sketches.
 func (b *Bipartiteness) AddUpdate(u stream.Update) {
@@ -276,14 +223,14 @@ func (b *Bipartiteness) AddBatch(batch []stream.Update) { b.AddBatchOpts(batch, 
 // AddBatchOpts is AddBatch with both sketches' ingest fanned out across
 // the policy's workers (Sketch.AddBatchOpts).
 func (b *Bipartiteness) AddBatchOpts(batch []stream.Update, p *parallel.Policy) {
-	b.base.AddBatchOpts(batch, p)
+	b.stack[0].AddBatchOpts(batch, p)
 	cover := b.coverBuf[:0]
 	for _, u := range batch {
 		cover = append(cover,
 			stream.Update{U: u.U, V: u.V + b.n, Delta: u.Delta},
 			stream.Update{U: u.U + b.n, V: u.V, Delta: u.Delta})
 	}
-	b.cover.AddBatchOpts(cover, p)
+	b.stack[1].AddBatchOpts(cover, p)
 	b.coverBuf = cover
 }
 
@@ -293,13 +240,7 @@ func (b *Bipartiteness) Merge(o *Bipartiteness) error {
 	if b.n != o.n {
 		return fmt.Errorf("agm: merging incompatible bipartiteness testers (n %d/%d)", b.n, o.n)
 	}
-	if err := b.base.Merge(o.base); err != nil {
-		return fmt.Errorf("agm: bipartiteness merge base: %w", err)
-	}
-	if err := b.cover.Merge(o.cover); err != nil {
-		return fmt.Errorf("agm: bipartiteness merge cover: %w", err)
-	}
-	return nil
+	return b.merge(o.stack, "bipartiteness")
 }
 
 // IsBipartite decides bipartiteness whp from the sketches alone.
@@ -309,20 +250,15 @@ func (b *Bipartiteness) IsBipartite() (bool, error) {
 
 // IsBipartiteOpts is the policy-driven form of IsBipartite.
 func (b *Bipartiteness) IsBipartiteOpts(p *parallel.Policy) (bool, error) {
-	fBase, err := b.base.SpanningForestOpts(nil, p)
+	fBase, err := b.stack[0].SpanningForestOpts(nil, p)
 	if err != nil {
 		return false, err
 	}
-	fCover, err := b.cover.SpanningForestOpts(nil, p)
+	fCover, err := b.stack[1].SpanningForestOpts(nil, p)
 	if err != nil {
 		return false, err
 	}
 	compG := b.n - len(fBase)
 	compCover := 2*b.n - len(fCover)
 	return compCover == 2*compG, nil
-}
-
-// SpaceWords returns the memory footprint in 64-bit words.
-func (b *Bipartiteness) SpaceWords() int {
-	return b.base.SpaceWords() + b.cover.SpaceWords()
 }

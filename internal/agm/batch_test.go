@@ -77,12 +77,12 @@ func TestKConnectivityAddBatchEquivalence(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-			for i := range one.sketches {
-				b1, err := one.sketches[i].MarshalBinary()
+			for i := range one.stack {
+				b1, err := one.stack[i].MarshalBinary()
 				if err != nil {
 					t.Fatal(err)
 				}
-				b2, err := batched.sketches[i].MarshalBinary()
+				b2, err := batched.stack[i].MarshalBinary()
 				if err != nil {
 					t.Fatal(err)
 				}

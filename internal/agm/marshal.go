@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"dynstream/internal/graph"
 	"dynstream/internal/sketch"
 	"dynstream/internal/wire"
 )
@@ -19,8 +18,10 @@ var errCorrupt = errors.New("agm: corrupt serialized data")
 // byte. Together with the samplers' own zero-level suppression, a
 // sparse-stream state is orders of magnitude smaller than its grid. The
 // encoding is content-canonical: states with equal linear content encode
-// identically, however their lazily materialized levels differ.
+// identically, however their lazily materialized levels differ. A
+// subtraction (SubtractTo) is folded back in first.
 func (s *Sketch) MarshalBinary() ([]byte, error) {
+	s.SubtractTo(nil)
 	w := &wire.Writer{}
 	w.U64(wire.TagAGM)
 	w.U64(s.seed)
@@ -43,6 +44,17 @@ func (s *Sketch) MarshalBinary() ([]byte, error) {
 // perLevel of 4.
 const maxArenaPerByte = 512
 
+// headerFits is UnmarshalBinary's bound on a header of n vertices,
+// rounds and perLvl followed by left bytes: every sampler takes at
+// least its length byte, and the grid's level-0 arena is bounded by the
+// input left, both before the grid is allocated for them.
+func headerFits(n, rounds, perLvl, left uint64) bool {
+	if n == 0 || n > 1<<24 || rounds == 0 || rounds > 256 || perLvl == 0 || perLvl > sketch.MaxL0PerLevel {
+		return false
+	}
+	return left >= n*rounds && n*rounds*uint64(8*sketch.L0SlotWords(int(perLvl))) <= maxArenaPerByte*left
+}
+
 // UnmarshalBinary reconstructs a sketch encoded with MarshalBinary.
 // Header bounds, checked before anything is allocated: n in 1..2^24,
 // rounds in 1..256, perLevel in 1..sketch.MaxL0PerLevel (2^13), at
@@ -59,14 +71,7 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("agm: not an AGM sketch encoding: %w", errCorrupt)
 	}
 	seed, n, rounds, perLvl := r.U64(), r.Uvarint(), r.Uvarint(), r.Uvarint()
-	if r.Err() != nil || n == 0 || n > 1<<24 || rounds == 0 || rounds > 256 || perLvl == 0 || perLvl > sketch.MaxL0PerLevel {
-		return errCorrupt
-	}
-	// Every sampler takes at least its length byte, and the grid's
-	// level-0 arena is bounded by the input left, both before the grid is
-	// allocated for them.
-	left, arena := uint64(r.Len()), n*rounds*uint64(8*sketch.L0SlotWords(int(perLvl)))
-	if left < n*rounds || arena > maxArenaPerByte*left {
+	if r.Err() != nil || !headerFits(n, rounds, perLvl, uint64(r.Len())) {
 		return errCorrupt
 	}
 	rebuilt := New(seed, int(n), Config{Rounds: int(rounds), PerLevel: int(perLvl)})
@@ -94,12 +99,15 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 
 // Merge adds another sketch built with the same seed and geometry; the
 // result sketches the union (sum) of both update streams — the
-// coordinator-side operation of the distributed protocol.
+// coordinator-side operation of the distributed protocol. Both sides
+// fold any subtraction (SubtractTo) back in first.
 func (s *Sketch) Merge(o *Sketch) error {
 	if s.seed != o.seed || s.n != o.n || s.rounds != o.rounds || s.perLvl != o.perLvl {
 		return fmt.Errorf("agm: merging incompatible sketches (seed %d/%d n %d/%d rounds %d/%d perLevel %d/%d)",
 			s.seed, o.seed, s.n, o.n, s.rounds, o.rounds, s.perLvl, o.perLvl)
 	}
+	s.SubtractTo(nil)
+	o.SubtractTo(nil)
 	// A merge mutates samplers without passing through the update log:
 	// advance the epoch so cached merged samplers stop folding and fall
 	// back to full re-merges (the pick cache itself stays valid for
@@ -149,14 +157,11 @@ func readSketches(r *wire.Reader, count uint64) ([]*Sketch, error) {
 // MarshalBinary encodes the k-connectivity certificate sketch as its k
 // constituent AGM sketches (each carries its own seed and geometry).
 func (kc *KConnectivity) MarshalBinary() ([]byte, error) {
-	// The wire format carries pure stream states: fold any
-	// extraction-era subtractions back in first.
-	kc.restoreStream()
 	w := &wire.Writer{}
-	for _, v := range []uint64{wire.TagKConn, uint64(kc.k), uint64(kc.n)} {
+	for _, v := range []uint64{wire.TagKConn, uint64(len(kc.stack)), uint64(kc.n)} {
 		w.U64(v)
 	}
-	if err := writeSketches(w, kc.sketches...); err != nil {
+	if err := writeSketches(w, kc.stack...); err != nil {
 		return nil, err
 	}
 	return w.Bytes(), nil
@@ -170,14 +175,14 @@ func (kc *KConnectivity) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("agm: not a KConnectivity encoding: %w", errCorrupt)
 	}
 	k, n := r.U64(), r.U64()
-	if k == 0 || k > 1<<16 || n == 0 || n > 1<<24 {
+	if k == 0 || k > maxCertK || n == 0 || n > 1<<24 {
 		return errCorrupt
 	}
 	sketches, err := readSketches(r, k)
 	if err != nil {
 		return err
 	}
-	*kc = KConnectivity{k: int(k), n: int(n), sketches: sketches, subtracted: make([][]graph.Edge, k)}
+	*kc = KConnectivity{stack: sketches, n: int(n)}
 	return nil
 }
 
@@ -187,7 +192,7 @@ func (b *Bipartiteness) MarshalBinary() ([]byte, error) {
 	w := &wire.Writer{}
 	w.U64(wire.TagBip)
 	w.U64(uint64(b.n))
-	if err := writeSketches(w, b.base, b.cover); err != nil {
+	if err := writeSketches(w, b.stack...); err != nil {
 		return nil, err
 	}
 	return w.Bytes(), nil
@@ -210,7 +215,7 @@ func (b *Bipartiteness) UnmarshalBinary(data []byte) error {
 	if ss[0].n != int(n) || ss[1].n != 2*int(n) {
 		return errCorrupt
 	}
-	*b = Bipartiteness{n: int(n), base: ss[0], cover: ss[1]}
+	*b = Bipartiteness{stack: ss, n: int(n)}
 	return nil
 }
 
@@ -222,7 +227,7 @@ func (m *MSF) MarshalBinary() ([]byte, error) {
 	w.U64(uint64(m.n))
 	w.F64(m.gamma)
 	w.U64(uint64(m.maxClass))
-	if err := writeSketches(w, m.prefixes...); err != nil {
+	if err := writeSketches(w, m.stack...); err != nil {
 		return nil, err
 	}
 	return w.Bytes(), nil
@@ -243,6 +248,6 @@ func (m *MSF) UnmarshalBinary(data []byte) error {
 	if err != nil {
 		return err
 	}
-	*m = MSF{n: int(n), gamma: gamma, maxClass: int(maxClass), prefixes: prefixes}
+	*m = MSF{stack: prefixes, n: int(n), gamma: gamma, maxClass: int(maxClass)}
 	return nil
 }

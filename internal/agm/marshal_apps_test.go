@@ -63,6 +63,62 @@ func TestKConnectivityMarshalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestKConnectivityMarshalRestoresForests pins the purity of the wire
+// format and Merge: a state that has served a Certificate (and so has
+// F_1..F_{i-1} folded out of sketch i) marshals to the same bytes as a
+// never-queried twin, and merging it into a pure state equals merging
+// the twin.
+func TestKConnectivityMarshalRestoresForests(t *testing.T) {
+	st := appsStream(t, 30, 511)
+	other := appsStream(t, 30, 513)
+	fill := func(kc *KConnectivity, src *stream.MemoryStream) *KConnectivity {
+		if err := src.Replay(func(u stream.Update) error { kc.AddUpdate(u); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		return kc
+	}
+	queried := fill(NewKConnectivity(512, st.N(), 3), st)
+	twin := fill(NewKConnectivity(512, st.N(), 3), st)
+	query := func() {
+		t.Helper()
+		if _, err := queried.Certificate(); err != nil {
+			t.Fatal(err)
+		}
+		if len(queried.stack[1].subtracted) == 0 {
+			t.Fatal("the certificate subtracted nothing from sketch 1")
+		}
+	}
+	encode := func(kc *KConnectivity) string {
+		t.Helper()
+		enc, err := kc.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(enc)
+	}
+
+	query()
+	if encode(queried) != encode(twin) {
+		t.Fatal("queried state marshals differently from its pure twin")
+	}
+
+	query()
+	viaQueried := fill(NewKConnectivity(512, st.N(), 3), other)
+	viaTwin := fill(NewKConnectivity(512, st.N(), 3), other)
+	if err := viaQueried.Merge(queried); err != nil {
+		t.Fatal(err)
+	}
+	if err := viaTwin.Merge(twin); err != nil {
+		t.Fatal(err)
+	}
+	if encode(viaQueried) != encode(viaTwin) {
+		t.Fatal("merging a queried state differs from merging its pure twin")
+	}
+	if encode(queried) != encode(twin) {
+		t.Fatal("Merge left its argument with a subtraction the wire format carries")
+	}
+}
+
 func TestBipartitenessMarshalRoundTrip(t *testing.T) {
 	// Odd cycle: not bipartite; shipped state must preserve the verdict.
 	n := 7

@@ -21,10 +21,10 @@ import (
 // already connected. Within a class, weights differ by at most a
 // (1+gamma) factor, so the result is a (1+gamma)-approximate MSF.
 type MSF struct {
+	stack    // stack[c] sketches the edges of class <= c
 	n        int
 	gamma    float64
 	maxClass int
-	prefixes []*Sketch // prefixes[c] sketches edges with class <= c
 
 	// AddBatch's working memory, reused: the class-partitioned batch and
 	// the per-class slot cursors.
@@ -58,38 +58,19 @@ func NewMSF(seed uint64, n int, wmax, gamma float64) *MSF {
 	base := 1 + gamma
 	maxClass := stream.WeightClassOf(wmax, base) + 1
 	m := &MSF{
+		stack:    make(stack, maxClass+1),
 		n:        n,
 		gamma:    gamma,
 		maxClass: maxClass,
-		prefixes: make([]*Sketch, maxClass+1),
 	}
-	for c := 0; c <= maxClass; c++ {
-		m.prefixes[c] = New(hashing.Mix(seed, 0x3f, uint64(c)), n, Config{})
+	for c := range m.stack {
+		m.stack[c] = New(hashing.Mix(seed, 0x3f, uint64(c)), n, Config{})
 	}
 	return m
 }
 
 // N returns the vertex count.
 func (m *MSF) N() int { return m.n }
-
-// EnableDecodeCache turns the per-component pick cache on or off for
-// every class-prefix sketch (see Sketch.EnableDecodeCache).
-func (m *MSF) EnableDecodeCache(on bool) {
-	for _, s := range m.prefixes {
-		s.EnableDecodeCache(on)
-	}
-}
-
-// DecodeCacheStats sums the decode-cache hit/miss counters of every
-// prefix sketch.
-func (m *MSF) DecodeCacheStats() (hits, misses uint64) {
-	for _, s := range m.prefixes {
-		h, ms := s.DecodeCacheStats()
-		hits += h
-		misses += ms
-	}
-	return hits, misses
-}
 
 // AddUpdate folds a weighted update into every prefix sketch whose
 // class bound covers the edge's weight class.
@@ -131,7 +112,7 @@ func (m *MSF) AddBatchOpts(batch []stream.Update, pol *parallel.Policy) {
 		sorted[end[c]] = u
 		end[c]++
 	}
-	for p, s := range m.prefixes {
+	for p, s := range m.stack {
 		s.AddBatchOpts(sorted[:end[p]], pol)
 	}
 }
@@ -143,12 +124,7 @@ func (m *MSF) Merge(o *MSF) error {
 		return fmt.Errorf("agm: merging incompatible MSF sketches (n %d/%d, gamma %g/%g, classes %d/%d)",
 			m.n, o.n, m.gamma, o.gamma, m.maxClass, o.maxClass)
 	}
-	for c := range m.prefixes {
-		if err := m.prefixes[c].Merge(o.prefixes[c]); err != nil {
-			return fmt.Errorf("agm: msf merge class %d: %w", c, err)
-		}
-	}
-	return nil
+	return m.merge(o.stack, "msf")
 }
 
 // Forest extracts the approximate MSF: edges tagged with the upper
@@ -186,7 +162,7 @@ func (m *MSF) ForestOpts(p *parallel.Policy) ([]graph.Edge, error) {
 		for _, r := range roots {
 			groupList = append(groupList, groups[r])
 		}
-		f, err := m.prefixes[c].SpanningForestOpts(groupList, p)
+		f, err := m.stack[c].SpanningForestOpts(groupList, p)
 		if err != nil {
 			return nil, fmt.Errorf("agm: msf class %d: %w", c, err)
 		}
@@ -198,13 +174,4 @@ func (m *MSF) ForestOpts(p *parallel.Policy) ([]graph.Edge, error) {
 		}
 	}
 	return out, nil
-}
-
-// SpaceWords returns the memory footprint in 64-bit words.
-func (m *MSF) SpaceWords() int {
-	w := 0
-	for _, s := range m.prefixes {
-		w += s.SpaceWords()
-	}
-	return w
 }

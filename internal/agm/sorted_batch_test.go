@@ -3,6 +3,7 @@ package agm
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"runtime"
 	"slices"
 	"sync"
@@ -14,6 +15,7 @@ import (
 	"dynstream/internal/parallel"
 	"dynstream/internal/sketch"
 	"dynstream/internal/stream"
+	"dynstream/internal/wire"
 )
 
 // addPerUpdate is the ingest AddBatch replaced, kept as the reference
@@ -336,32 +338,33 @@ func TestApplicationsBatchMatchPerUpdate(t *testing.T) {
 		feed(ups, size, bip.AddBatch)
 		feed(ups, size, msf.AddBatch)
 		for _, u := range ups {
-			for _, s := range kcRef.sketches {
+			for _, s := range kcRef.stack {
 				s.addPerUpdate(u)
 			}
-			bipRef.base.addPerUpdate(u)
-			bipRef.cover.addPerUpdate(stream.Update{U: u.U, V: u.V + n, Delta: u.Delta})
-			bipRef.cover.addPerUpdate(stream.Update{U: u.U + n, V: u.V, Delta: u.Delta})
+			bipRef.stack[0].addPerUpdate(u)
+			bipRef.stack[1].addPerUpdate(stream.Update{U: u.U, V: u.V + n, Delta: u.Delta})
+			bipRef.stack[1].addPerUpdate(stream.Update{U: u.U + n, V: u.V, Delta: u.Delta})
 			c := min(stream.WeightClassOf(u.W, 1.5), msfRef.maxClass)
-			for _, s := range msfRef.prefixes[c:] {
+			for _, s := range msfRef.stack[c:] {
 				s.addPerUpdate(u)
 			}
 		}
-		for i := range kc.sketches {
-			same(fmt.Sprintf("batch=%d kconn sketch %d", size, i), kc.sketches[i], kcRef.sketches[i])
+		for i := range kc.stack {
+			same(fmt.Sprintf("batch=%d kconn sketch %d", size, i), kc.stack[i], kcRef.stack[i])
 		}
-		same(fmt.Sprintf("batch=%d bipartite base", size), bip.base, bipRef.base)
-		same(fmt.Sprintf("batch=%d bipartite cover", size), bip.cover, bipRef.cover)
-		for c := range msf.prefixes {
-			same(fmt.Sprintf("batch=%d msf prefix %d", size, c), msf.prefixes[c], msfRef.prefixes[c])
+		same(fmt.Sprintf("batch=%d bipartite base", size), bip.stack[0], bipRef.stack[0])
+		same(fmt.Sprintf("batch=%d bipartite cover", size), bip.stack[1], bipRef.stack[1])
+		for c := range msf.stack {
+			same(fmt.Sprintf("batch=%d msf prefix %d", size, c), msf.stack[c], msfRef.stack[c])
 		}
 	}
 }
 
-// TestReconcileIsOneExactBatch: the certificate's forest subtraction and
-// SubtractEdges now issue one batch each; after a certificate, folding
-// the subtracted forests back must return every sketch to the pure
-// stream state.
+// TestReconcileIsOneExactBatch: the certificate's forest subtraction
+// and SubtractTo issue one batch each; after a certificate, folding the
+// subtracted forests back must return every sketch to the pure stream
+// state, and a subtraction must leave the grid exactly as subtracting
+// update by update does.
 func TestReconcileIsOneExactBatch(t *testing.T) {
 	const n = 60
 	g := graph.ConnectedGNP(n, 0.2, 51)
@@ -376,9 +379,9 @@ func TestReconcileIsOneExactBatch(t *testing.T) {
 	if _, err := kc.Certificate(); err != nil {
 		t.Fatal(err)
 	}
-	kc.restoreStream()
-	for i := range kc.sketches {
-		if !bytes.Equal(marshalOf(t, kc.sketches[i]), marshalOf(t, ref.sketches[i])) {
+	for i, s := range kc.stack {
+		s.SubtractTo(nil)
+		if !bytes.Equal(gridOf(t, s), gridOf(t, ref.stack[i])) {
 			t.Errorf("sketch %d: state after subtract + restore differs from the stream state", i)
 		}
 	}
@@ -386,16 +389,100 @@ func TestReconcileIsOneExactBatch(t *testing.T) {
 	sub, want := New(54, n, Config{}), New(54, n, Config{})
 	sub.AddBatch(ups)
 	edges := g.Edges()[:g.M()/2]
-	sub.SubtractEdges(edges)
+	sub.SubtractTo(edgeCounts(edges))
 	for _, u := range ups {
 		want.addPerUpdate(u)
 	}
 	for _, e := range edges {
 		want.addPerUpdate(stream.Update{U: e.U, V: e.V, Delta: -1})
 	}
-	if !bytes.Equal(marshalOf(t, sub), marshalOf(t, want)) {
-		t.Error("SubtractEdges differs from per-update subtraction")
+	if !bytes.Equal(gridOf(t, sub), gridOf(t, want)) {
+		t.Error("SubtractTo differs from per-update subtraction")
 	}
+}
+
+// TestSubtractToStreamState: SubtractTo applies only the difference
+// from what is folded out now, and the wire format and Merge see the
+// stream state. A repeated want touches no sampler; SubtractTo(nil)
+// restores the grid; MarshalBinary of a subtracted sketch equals the
+// pure sketch's; and merging two subtracted sketches equals merging
+// their pure twins.
+func TestSubtractToStreamState(t *testing.T) {
+	const n = 50
+	ups := nastyStream(n, 800, 61)
+	g := graph.ConnectedGNP(n, 0.2, 62)
+	pure, sub := New(63, n, Config{}), New(63, n, Config{})
+	pure.AddBatch(ups)
+	sub.AddBatch(ups)
+	want := edgeCounts(g.Edges()[:g.M()/2])
+	want[[2]int{0, 1}] += 2 // a multiplicity above one
+
+	sub.SubtractTo(want)
+	if bytes.Equal(gridOf(t, sub), gridOf(t, pure)) {
+		t.Fatal("SubtractTo left the grid unchanged")
+	}
+	all := allVertices(n)
+	gen := sub.GenSum(all...)
+	sub.SubtractTo(maps.Clone(want))
+	if got := sub.GenSum(all...); got != gen {
+		t.Errorf("an unchanged want moved GenSum %d -> %d", gen, got)
+	}
+	sub.SubtractTo(nil)
+	if !bytes.Equal(gridOf(t, sub), gridOf(t, pure)) {
+		t.Error("SubtractTo(nil) did not return the stream state")
+	}
+
+	sub.SubtractTo(want)
+	if !bytes.Equal(marshalOf(t, sub), marshalOf(t, pure)) {
+		t.Error("MarshalBinary of a subtracted sketch differs from the pure sketch's")
+	}
+	if !bytes.Equal(gridOf(t, sub), gridOf(t, pure)) {
+		t.Error("MarshalBinary did not leave the stream state behind")
+	}
+
+	more := nastyStream(n, 300, 64)
+	a, b := New(63, n, Config{}), New(63, n, Config{})
+	a.AddBatch(more)
+	b.AddBatch(more)
+	sub.SubtractTo(want)
+	b.SubtractTo(want)
+	pureCopy := New(63, n, Config{})
+	pureCopy.AddBatch(ups)
+	if err := sub.Merge(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := pureCopy.Merge(a); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gridOf(t, sub), gridOf(t, pureCopy)) {
+		t.Error("merging subtracted sketches differs from merging their pure twins")
+	}
+	if !bytes.Equal(gridOf(t, b), gridOf(t, a)) {
+		t.Error("Merge left its argument subtracted")
+	}
+}
+
+// edgeCounts is SubtractTo's multiset of an edge list.
+func edgeCounts(edges []graph.Edge) map[[2]int]int64 {
+	m := map[[2]int]int64{}
+	for _, e := range edges {
+		e = e.Canon()
+		m[[2]int{e.U, e.V}]++
+	}
+	return m
+}
+
+// gridOf encodes every sampler of the grid as it stands, without
+// MarshalBinary's fold-back of a subtraction.
+func gridOf(t *testing.T, s *Sketch) []byte {
+	t.Helper()
+	w := &wire.Writer{}
+	for i := range s.samp {
+		if err := w.SketchBlock(&s.samp[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return w.Bytes()
 }
 
 // TestScratchSharedByConcurrentSketches: more sketches than processors

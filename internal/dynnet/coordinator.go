@@ -532,22 +532,19 @@ type Pass struct {
 	// reported to the dead worker is emitted first, so the cumulative
 	// sum stays exactly the number of updates in the pass.
 	Progress func(updates int)
-	// Merge folds one worker's returned state blob into the
-	// coordinator's state; called once per shard, in shard order.
-	Merge func(shard int, blob []byte) error
-	// Collect, when non-nil, replaces Merge: once every shard's SKETCH
-	// blob has been collected it is called exactly once with the blobs
-	// in shard order, letting the caller decode and fold them with a
-	// parallel tree merge instead of the linear per-shard fold. Because
-	// every state merge is an exact commutative group operation, any
-	// fold shape produces the same state bit for bit.
+	// Collect folds the workers' returned state blobs into the
+	// coordinator's state: once every shard's SKETCH blob has been
+	// collected it is called exactly once with the blobs in shard order.
+	// Every state merge is an exact commutative group operation, so any
+	// fold shape (a linear fold, a parallel tree merge) produces the same
+	// state bit for bit.
 	Collect func(blobs [][]byte) error
 }
 
 // RunPass executes one pass: ASSIGN the prototype to every live
 // worker, stream the shard updates (round-robin, matching
 // stream.Shard's assignment), FLUSH, collect the SKETCH blobs, and
-// merge them in shard order.
+// hand them to Collect in shard order.
 //
 // Failure handling: a worker whose connection drops — or, with a frame
 // timeout set, goes silent — mid-pass is marked dead and its shard is
@@ -696,16 +693,8 @@ func (c *Coordinator) RunPass(ctx context.Context, p Pass) error {
 			return fmt.Errorf("dynnet: shard %d/%d produced no state", s, W)
 		}
 	}
-	if p.Collect != nil {
-		if err := p.Collect(blobs); err != nil {
-			return wrapCtx(fmt.Errorf("dynnet: merge %d shards: %w", W, err))
-		}
-		return wrapCtx(ctx.Err())
-	}
-	for s, blob := range blobs {
-		if err := p.Merge(s, blob); err != nil {
-			return fmt.Errorf("dynnet: merge shard %d/%d: %w", s, W, err)
-		}
+	if err := p.Collect(blobs); err != nil {
+		return wrapCtx(fmt.Errorf("dynnet: merge %d shards: %w", W, err))
 	}
 	return wrapCtx(ctx.Err())
 }

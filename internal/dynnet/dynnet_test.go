@@ -45,12 +45,17 @@ func forestPass(t *testing.T, st stream.Source, seed uint64) (Pass, *agm.Sketch)
 		Blob: blob,
 		Src:  st,
 		N:    st.N(),
-		Merge: func(_ int, b []byte) error {
-			s := &agm.Sketch{}
-			if err := s.UnmarshalBinary(b); err != nil {
-				return err
+		Collect: func(blobs [][]byte) error {
+			for _, b := range blobs {
+				s := &agm.Sketch{}
+				if err := s.UnmarshalBinary(b); err != nil {
+					return err
+				}
+				if err := proto.Merge(s); err != nil {
+					return err
+				}
 			}
-			return proto.Merge(s)
+			return nil
 		},
 	}, proto
 }

@@ -79,14 +79,6 @@ type Additive struct {
 	done    bool
 	crew    parallel.Crew[*Additive, struct{}] // AddBatchOpts's vertex ranges
 
-	// subtracted is the E_low multiset currently folded OUT of the
-	// forest sketch (canonical edge -> multiplicity). Extraction
-	// reconciles it against the E_low it actually needs subtracted,
-	// applying only the difference — so a re-query whose low-degree
-	// edge set is unchanged leaves every forest sampler generation
-	// untouched, and repeated extractions never double-subtract.
-	subtracted map[[2]int]int64
-
 	// Decode caches (EnableDecodeCache), keyed by monotonic generation
 	// counters: a hit provably reproduces the cold decode.
 	caching  bool
@@ -219,36 +211,6 @@ func (a *Additive) EnableDecodeCache(on bool) {
 	}
 }
 
-// reconcileElow adjusts the forest sketch so that exactly `want` is
-// folded out of it, applying only the multiset difference against what
-// is currently subtracted. An unchanged E_low is a no-op that touches
-// no sampler.
-func (a *Additive) reconcileElow(want map[[2]int]int64) {
-	var diff []stream.Update
-	for key, m := range want {
-		if d := m - a.subtracted[key]; d != 0 {
-			diff = append(diff, stream.Update{U: key[0], V: key[1], Delta: int(-d)})
-		}
-	}
-	for key, m := range a.subtracted {
-		if _, ok := want[key]; !ok && m != 0 {
-			diff = append(diff, stream.Update{U: key[0], V: key[1], Delta: int(m)})
-		}
-	}
-	a.forest.AddBatch(diff)
-	a.subtracted = make(map[[2]int]int64, len(want))
-	for key, m := range want {
-		a.subtracted[key] = m
-	}
-}
-
-// restoreStream folds the subtracted E_low back in, returning the
-// forest sketch to a pure function of the update stream — the state
-// the wire format and Merge are defined over.
-func (a *Additive) restoreStream() {
-	a.reconcileElow(nil)
-}
-
 // Update ingests one stream update.
 func (a *Additive) Update(u stream.Update) error {
 	return a.AddBatch([]stream.Update{u})
@@ -351,10 +313,10 @@ func (a *Additive) FinishOpts(p *parallel.Policy) (*AdditiveResult, error) {
 // ExtractOpts is the repeatable form of FinishOpts: it leaves the
 // state open for further updates (live handles interleave Update and
 // ExtractOpts), keeping the forest sketch consistent across queries by
-// delta-subtracting E_low (see reconcileElow) instead of destructively
-// folding it out. With the decode cache enabled, a vertex whose
-// sketches are unchanged since the previous query reuses its cached
-// neighborhood peel and center attachment.
+// delta-subtracting E_low (agm.Sketch.SubtractTo) instead of
+// destructively folding it out. With the decode cache enabled, a vertex
+// whose sketches are unchanged since the previous query reuses its
+// cached neighborhood peel and center attachment.
 func (a *Additive) ExtractOpts(p *parallel.Policy) (*AdditiveResult, error) {
 	if a.done {
 		return nil, fmt.Errorf("spanner: additive extract after Finish")
@@ -487,7 +449,7 @@ func (a *Additive) ExtractOpts(p *parallel.Policy) (*AdditiveResult, error) {
 	// Delta-subtraction: only the E_low difference against the previous
 	// query touches the forest samplers, so unchanged components keep
 	// their pick caches hot.
-	a.reconcileElow(elowSeen)
+	a.forest.SubtractTo(elowSeen)
 	groups := map[int][]int{}
 	for u := 0; u < n; u++ {
 		if a.inC[u] {

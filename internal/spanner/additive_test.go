@@ -222,7 +222,7 @@ func TestAdditiveDiagnostics(t *testing.T) {
 // sketches update by update and hands the forest sketch the whole
 // batch, which the AGM kernel sorts and sweeps in chunks of 4n updates
 // at this n. A batch spanning several chunks, a mid-stream extraction
-// (which reconciles E_low into the forest as one batch) and the rest of
+// (which subtracts E_low from the forest as one batch) and the rest of
 // the stream must leave the same state and the same spanner as Update
 // per element.
 func TestAdditiveAddBatchAcrossChunks(t *testing.T) {

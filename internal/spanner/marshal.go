@@ -63,6 +63,10 @@ func (c Config) onWire(n int) bool {
 		c.Levels >= 0 && c.Levels <= maxWireLevels
 }
 
+// Fits reports whether the state NewTwoPass builds on n vertices from c
+// has a configuration UnmarshalBinary accepts.
+func (c Config) Fits(n int) bool { return c.withDefaults(n).onWire(n) }
+
 // MarshalBinary encodes the full streaming state of the two-pass
 // spanner: the configuration, the pass-1 vertex sketches, and — after
 // EndPass1 — the cluster structure and pass-2 tables. A finished state
@@ -276,6 +280,17 @@ func readAdditiveConfig(r *wire.Reader) AdditiveConfig {
 		UseF0Degree: r.Bool()}
 }
 
+// onWire reports whether a decoded additive configuration is one
+// NewAdditive resolves to, with D at most n and the neighborhood sketch
+// a first touch creates within maxWireBudget.
+func (c AdditiveConfig) onWire(n int) bool {
+	return c == c.withDefaults() && c.D <= n && c.DegreeFactor > 0 && 2*c.cutoff(n)+4 <= maxWireBudget
+}
+
+// Fits reports whether the state NewAdditive builds on n vertices from
+// c has a configuration UnmarshalBinary accepts.
+func (c AdditiveConfig) Fits(n int) bool { return c.withDefaults().onWire(n) }
+
 // MarshalBinary encodes the full streaming state of the single-pass
 // additive spanner: configuration, per-vertex neighborhood and center
 // sketches, degree counters, the optional F0 degree sketches, and the
@@ -284,9 +299,6 @@ func (a *Additive) MarshalBinary() ([]byte, error) {
 	if a.done {
 		return nil, fmt.Errorf("spanner: cannot marshal a finished additive state")
 	}
-	// The wire format carries pure stream states: fold any
-	// extraction-era E_low subtractions back in first.
-	a.restoreStream()
 	w := &wire.Writer{}
 	w.U64(wire.TagAdditive)
 	w.U64(uint64(a.n))
@@ -330,8 +342,7 @@ func (a *Additive) UnmarshalBinary(data []byte) error {
 	n64, cfg := r.U64(), readAdditiveConfig(r)
 	n := int(n64)
 	perVertex := uint64(10 + log2(n)) // degree counter, nbr and center sketch blocks
-	if r.Err() != nil || n64 == 0 || n64 > maxWireN || cfg != cfg.withDefaults() || cfg.D > n ||
-		!(cfg.DegreeFactor > 0 && 2*cfg.cutoff(n)+4 <= maxWireBudget) || uint64(r.Len()) < n64*perVertex {
+	if r.Err() != nil || n64 == 0 || n64 > maxWireN || !cfg.onWire(n) || uint64(r.Len()) < n64*perVertex {
 		return errCorrupt
 	}
 	rebuilt := newAdditive(n, cfg)

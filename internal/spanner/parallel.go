@@ -176,10 +176,6 @@ func (a *Additive) Merge(o *Additive) error {
 	if a.n != o.n || a.cfg != o.cfg {
 		return fmt.Errorf("spanner: merging incompatible additive states (n %d/%d)", a.n, o.n)
 	}
-	// Merge is defined over pure stream states: fold any extraction-era
-	// E_low subtractions back in on both sides first.
-	a.restoreStream()
-	o.restoreStream()
 	// A sketch o never touched adds zero: skipped, and not created here.
 	for u, s := range o.nbr {
 		if s != nil {

@@ -97,9 +97,8 @@ func WithDecodeWorkers(n int) Option {
 // batch is comparable to the vertex count (0.69× the per-update cost at
 // n = 10 000); what a large batch gives up is granularity — the build
 // checks for cancellation and reports progress once per batch (about
-// 0.2 s of forest ingest at the default), and a single-cursor source
-// is fanned out to workers in units of one batch. A smaller batch buys
-// those back at the old ingest cost.
+// 0.2 s of forest ingest at the default). A smaller batch buys that
+// back at the old ingest cost.
 func WithBatchSize(b int) Option {
 	return func(o *buildOptions) { o.batch = b }
 }
