@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
@@ -52,7 +53,13 @@ import (
 // from a touched table, or on deserialization. An untouched table is
 // the zero table in every observable respect: it IsZero, decodes
 // nothing, marshals as zero buckets, and reports the same provisioned
-// SpaceWords.
+// SpaceWords. So is a nil *KeyedEdgeSketch, as far as it can be read
+// (Gen, Touched, IsZero, Peel, Keys, DecodeKey), so callers that create
+// tables on first write need not test for the ones not yet created;
+// KeyedEdgeWords gives their provisioned size.
+//
+// A table keeps no decode state: Peel runs through caller-owned
+// scratch, so a table costs only what the stream wrote to it.
 type KeyedEdgeSketch struct {
 	seed     uint64
 	n        int
@@ -67,19 +74,22 @@ type KeyedEdgeSketch struct {
 	keyTab  *field.PowTable
 	edgeTab *field.PowTable
 
-	recovered map[uint64]keyedAgg
-	dirty     bool
-	gen       uint64
+	gen uint64
 }
 
 // Gen returns the table's generation counter: a monotonic count of
 // state mutations, the key decode-side caches use to detect that a
-// table is unchanged since the cached extraction.
-func (t *KeyedEdgeSketch) Gen() uint64 { return t.gen }
+// table is unchanged since the cached extraction. A nil table's is 0.
+func (t *KeyedEdgeSketch) Gen() uint64 {
+	if t == nil {
+		return 0
+	}
+	return t.gen
+}
 
 // BumpGen forces a generation bump (used by whole-state replacement
 // such as deserialization).
-func (t *KeyedEdgeSketch) BumpGen() { t.gen++; t.dirty = true }
+func (t *KeyedEdgeSketch) BumpGen() { t.gen++ }
 
 // keyedAgg is one bucket's (or one recovered key's) accumulator tuple.
 type keyedAgg struct {
@@ -113,12 +123,15 @@ type keyedBucket struct {
 // Touched reports whether the table has its hash state: false means no
 // non-zero update, no merge from a touched table and no deserialization
 // has ever reached it.
-func (t *KeyedEdgeSketch) Touched() bool { return t.bank != nil }
+func (t *KeyedEdgeSketch) Touched() bool { return t != nil && t.bank != nil }
 
 // IsZero reports whether the table holds the zero vector's state —
 // indistinguishable from a fresh table, which is what lets compressed
 // encodings suppress it. Only listed buckets can be non-zero.
 func (t *KeyedEdgeSketch) IsZero() bool {
+	if t == nil {
+		return true
+	}
 	for i := range t.buckets {
 		if !t.buckets[i].agg.isZero() {
 			return false
@@ -145,13 +158,22 @@ func (t *KeyedEdgeSketch) pureKey(cnt int64, keySum, keyFing uint64) (key uint64
 // NewKeyedEdgeSketch creates a table able to serve about `capacity`
 // distinct outside keys, over a graph with n vertices.
 func NewKeyedEdgeSketch(seed uint64, n, capacity int) *KeyedEdgeSketch {
-	const rows = 3
-	cells := 2 * capacity
-	if cells < 8 {
-		cells = 8
-	}
+	rows, cells := keyedGeometry(capacity)
 	return newKeyedEdgeSketchGeom(seed, n, rows, cells)
 }
+
+// keyedGeometry is the bucket layout a capacity gets: three rows of
+// 2·capacity cells, at least 8.
+func keyedGeometry(capacity int) (rows, cells int) { return 3, max(2*capacity, 8) }
+
+// KeyedEdgeWords is SpaceWords of a table of the given capacity, known
+// without creating it — so callers that create tables on first write
+// can account for the ones not yet created.
+func KeyedEdgeWords(capacity int) int { return keyedWords(keyedGeometry(capacity)) }
+
+// keyedWords is the provisioned footprint of rows × cells buckets: five
+// words per bucket plus seed and geometry.
+func keyedWords(rows, cells int) int { return 5*rows*cells + 6 }
 
 // newKeyedEdgeSketchGeom builds the untouched table from its raw
 // geometry — the deserialization entry point (rows and cells are
@@ -165,7 +187,6 @@ func newKeyedEdgeSketchGeom(seed uint64, n, rows, cells int) *KeyedEdgeSketch {
 		cells:    cells,
 		keyBase:  field.Reduce(hashing.Mix(seed, 0xaa)),
 		edgeBase: field.Reduce(hashing.Mix(seed, 0xbb)),
-		dirty:    true,
 	}
 	if t.keyBase < 2 {
 		t.keyBase = 2
@@ -246,7 +267,6 @@ func (t *KeyedEdgeSketch) Add(w, v int, delta int64) {
 	if t.bank == nil {
 		t.materialize()
 	}
-	t.dirty = true
 	t.gen++
 	key := uint64(v)
 	e := t.encode(w, v)
@@ -356,7 +376,6 @@ func (t *KeyedEdgeSketch) AddBatchWith(batch []KeyedEdgeUpdate, sc *KeyedScratch
 			packed = append(packed, uint64(r*t.cells+int(h%cells))<<s|uint64(i))
 		}
 	}
-	t.dirty = true
 	t.gen += uint64(live)
 	packed = sortByBucket(packed, sc.tmp[:len(packed)], s, bits.Len(uint(t.rows*t.cells-1)), &sc.count)
 	runs, entry := sc.runs[:0], uint64(1)<<s-1
@@ -425,7 +444,6 @@ func (t *KeyedEdgeSketch) Merge(o *KeyedEdgeSketch) error {
 	default:
 		t.absorb(o.buckets)
 	}
-	t.dirty = true
 	t.gen++
 	return nil
 }
@@ -452,38 +470,59 @@ func (w *peelWork) at(idx int, cursor *int) *keyedAgg {
 	return &(*w)[q].agg
 }
 
-// peel decodes the whole table: it repeatedly finds a key-pure bucket,
-// records that key's aggregate, and subtracts it from the key's buckets
-// in every row, until no further progress. Results are cached until the
-// next Add. Peeling the table of any actual stream extracts from each
+// PeelScratch is the working memory of Peel: the work set and the
+// recovered keys. The zero value is ready to use; it grows to the
+// largest table it has peeled and is reused from then on, so a worker
+// that peels many tables keeps one and allocates nothing per table. It
+// may serve one call at a time, and a call's result lives in it until
+// the next.
+type PeelScratch struct {
+	work peelWork
+	keys []PeeledKey
+}
+
+// PeeledKey is one outside key a peel recovered, with the edge its net
+// aggregate decodes to.
+type PeeledKey struct {
+	V  int  // the outside key
+	W  int  // the inside endpoint of V's one net edge, when OK
+	OK bool // V's aggregate is one net edge (W, V) with W < n
+
+	agg keyedAgg
+}
+
+// Peel decodes the whole table into sc and returns the recovered keys
+// in ascending order, each with its decoded edge — the keys(H^u_j)
+// iteration of Algorithm 2 and its per-key probe in one sweep. It
+// repeatedly finds a key-pure bucket, records that key's aggregate, and
+// subtracts it from the key's buckets in every row, until no further
+// progress. Peeling the table of any actual stream extracts from each
 // bucket at most once; a corrupt or hostile state can instead refill
 // emptied buckets forever, so past one extraction per provisioned
 // bucket the table is given up as undecodable: nothing recovered.
 //
-// The work set is a copy of the list's non-zero buckets, swept in
-// ascending index order pass after pass — exactly the order a scan of
-// every provisioned bucket would visit them in.
-func (t *KeyedEdgeSketch) peel() {
-	if !t.dirty {
-		return
+// The work set is the list's non-zero buckets, swept in ascending index
+// order pass after pass — exactly the order a scan of every provisioned
+// bucket would visit them in. Extractions are appended as they happen,
+// then sorted by key and folded: a key extracted twice sums, and a key
+// whose sum is zero is dropped. Peel does not change the table, and a
+// nil table peels to nothing.
+func (t *KeyedEdgeSketch) Peel(sc *PeelScratch) []PeeledKey {
+	sc.keys = sc.keys[:0]
+	if t == nil {
+		return sc.keys
 	}
-	t.dirty = false
-	t.recovered = nil
-	work := make(peelWork, 0, len(t.buckets))
+	work := sc.work[:0]
 	for _, b := range t.buckets {
 		if !b.agg.isZero() {
 			work = append(work, b)
 		}
 	}
-	if len(work) == 0 {
-		return
-	}
-	t.recovered = make(map[uint64]keyedAgg)
 	var hbuf [maxBankRows]uint64
 	hs := hbuf[:t.rows]
 	cells := uint64(t.cells)
 	budget := t.rows * t.cells
-	for progress := true; progress; {
+	for progress := len(work) > 0; progress; {
 		progress = false
 		for p := 0; p < len(work); p++ {
 			agg := work[p].agg
@@ -495,8 +534,8 @@ func (t *KeyedEdgeSketch) peel() {
 				continue
 			}
 			if budget--; budget < 0 {
-				t.recovered = nil
-				return
+				sc.work, sc.keys = work, sc.keys[:0]
+				return sc.keys
 			}
 			t.bank.HashPrefix(key, hs)
 			for r := 0; r < t.rows; r++ {
@@ -507,25 +546,31 @@ func (t *KeyedEdgeSketch) peel() {
 				b.edgeSum = field.Sub(b.edgeSum, agg.edgeSum)
 				b.edgeFing = field.Sub(b.edgeFing, agg.edgeFing)
 			}
-			prev := t.recovered[key]
-			prev.merge(agg)
-			if prev.isZero() {
-				delete(t.recovered, key)
-			} else {
-				t.recovered[key] = prev
-			}
+			sc.keys = append(sc.keys, PeeledKey{V: int(key), agg: agg})
 			progress = true
 		}
 	}
+	sc.work = work
+	slices.SortFunc(sc.keys, func(a, b PeeledKey) int { return cmp.Compare(a.V, b.V) })
+	keys := sc.keys[:0] // written behind the read position
+	for i := 0; i < len(sc.keys); {
+		k := sc.keys[i]
+		for i++; i < len(sc.keys) && sc.keys[i].V == k.V; i++ {
+			k.agg.merge(sc.keys[i].agg)
+		}
+		if !k.agg.isZero() {
+			k.W, k.OK = t.edge(k.V, k.agg)
+			keys = append(keys, k)
+		}
+	}
+	sc.keys = keys
+	return keys
 }
 
-// DecodeKey attempts to recover one edge (w, v) for the outside key v.
-// It succeeds when the table peels and v's aggregate contains a single
-// net edge — which happens whp at the correct subsampling level Y_j.
-func (t *KeyedEdgeSketch) DecodeKey(v int) (w int, ok bool) {
-	t.peel()
-	b, found := t.recovered[uint64(v)]
-	if !found || b.edgeCount == 0 {
+// edge decodes key v's recovered aggregate: the inside endpoint w of
+// its one net edge (w, v), if the aggregate is one.
+func (t *KeyedEdgeSketch) edge(v int, b keyedAgg) (w int, ok bool) {
+	if b.edgeCount == 0 {
 		return 0, false
 	}
 	cf := field.FromInt64(b.edgeCount)
@@ -541,13 +586,25 @@ func (t *KeyedEdgeSketch) DecodeKey(v int) (w int, ok bool) {
 	return wID, true
 }
 
-// Keys returns the outside keys recovered by peeling — the keys(H^u_j)
-// iteration of Algorithm 2.
+// DecodeKey attempts to recover one edge (w, v) for the outside key v.
+// It succeeds when the table peels and v's aggregate contains a single
+// net edge — which happens whp at the correct subsampling level Y_j.
+// It peels the whole table; a caller probing many keys peels once.
+func (t *KeyedEdgeSketch) DecodeKey(v int) (w int, ok bool) {
+	keys := t.Peel(new(PeelScratch))
+	i, found := slices.BinarySearchFunc(keys, v, func(k PeeledKey, v int) int { return cmp.Compare(k.V, v) })
+	if !found {
+		return 0, false
+	}
+	return keys[i].W, keys[i].OK
+}
+
+// Keys returns the outside keys recovered by peeling, ascending.
 func (t *KeyedEdgeSketch) Keys() []int {
-	t.peel()
-	out := make([]int, 0, len(t.recovered))
-	for k := range t.recovered {
-		out = append(out, int(k))
+	keys := t.Peel(new(PeelScratch))
+	out := make([]int, len(keys))
+	for i, k := range keys {
+		out[i] = k.V
 	}
 	return out
 }
@@ -555,6 +612,4 @@ func (t *KeyedEdgeSketch) Keys() []int {
 // SpaceWords returns the provisioned footprint in 64-bit words — the
 // paper's space measure, independent of whether the table has
 // materialized.
-func (t *KeyedEdgeSketch) SpaceWords() int {
-	return 5*t.rows*t.cells + 6
-}
+func (t *KeyedEdgeSketch) SpaceWords() int { return keyedWords(t.rows, t.cells) }

@@ -123,16 +123,7 @@ func sameKeyed(t *testing.T, name string, got, want *KeyedEdgeSketch, n int) {
 	}
 	// The compact peel against the full-lane oracle, aggregate for
 	// aggregate (want is materialized, so the oracle can run on it).
-	ref := referencePeel(want)
-	got.peel()
-	if len(got.recovered) != len(ref) {
-		t.Fatalf("%s: peel recovered %d keys, full-lane peel %d", name, len(got.recovered), len(ref))
-	}
-	for k, agg := range ref {
-		if got.recovered[k] != agg {
-			t.Fatalf("%s: peel aggregate of key %d differs from the full-lane peel", name, k)
-		}
-	}
+	samePeel(t, name, got, new(PeelScratch), peeled(want, referencePeel(want)))
 }
 
 func TestKeyedLazyMatchesEager(t *testing.T) {

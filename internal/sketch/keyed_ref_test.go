@@ -192,16 +192,88 @@ func (d *denseKeyed) peel() map[uint64]keyedAgg {
 	return recovered
 }
 
-// decoded is geom with the full-lane peel's result installed as its
-// recovery, so Keys and DecodeKey answer for the dense table.
-func (d *denseKeyed) decoded() *KeyedEdgeSketch {
-	d.geom.recovered, d.geom.dirty = d.peel(), false
-	return d.geom
+// decoded is the full-lane peel's result in Peel's form.
+func (d *denseKeyed) decoded() []PeeledKey { return peeled(d.geom, d.peel()) }
+
+// peeled orders a map-based peel's recovery as Peel returns it: keys
+// ascending, each with the edge t decodes its aggregate to.
+func peeled(t *KeyedEdgeSketch, rec map[uint64]keyedAgg) []PeeledKey {
+	out := make([]PeeledKey, 0, len(rec))
+	for key, agg := range rec {
+		k := PeeledKey{V: int(key), agg: agg}
+		k.W, k.OK = t.edge(k.V, agg)
+		out = append(out, k)
+	}
+	slices.SortFunc(out, func(a, b PeeledKey) int { return a.V - b.V })
+	return out
+}
+
+// mapPeel is the peel Peel replaced, kept as its reference: a fresh work
+// copy of the list's non-zero buckets swept in index order, and a map
+// of recovered aggregates that a repeated key merges into and a key
+// whose sum cancels leaves.
+func mapPeel(t *KeyedEdgeSketch) map[uint64]keyedAgg {
+	work := make(peelWork, 0, len(t.buckets))
+	for _, b := range t.buckets {
+		if !b.agg.isZero() {
+			work = append(work, b)
+		}
+	}
+	if len(work) == 0 {
+		return nil
+	}
+	recovered := make(map[uint64]keyedAgg)
+	hs := make([]uint64, t.rows)
+	cells := uint64(t.cells)
+	budget := t.rows * t.cells
+	for progress := true; progress; {
+		progress = false
+		for p := 0; p < len(work); p++ {
+			agg := work[p].agg
+			if agg.isZero() {
+				continue
+			}
+			key, ok := t.pureKey(agg.edgeCount, agg.keySum, agg.keyFing)
+			if !ok {
+				continue
+			}
+			if budget--; budget < 0 {
+				return nil
+			}
+			t.bank.HashPrefix(key, hs)
+			for r := 0; r < t.rows; r++ {
+				b := work.at(r*t.cells+int(hs[r]%cells), &p)
+				b.edgeCount -= agg.edgeCount
+				b.keySum = field.Sub(b.keySum, agg.keySum)
+				b.keyFing = field.Sub(b.keyFing, agg.keyFing)
+				b.edgeSum = field.Sub(b.edgeSum, agg.edgeSum)
+				b.edgeFing = field.Sub(b.edgeFing, agg.edgeFing)
+			}
+			prev := recovered[key]
+			prev.merge(agg)
+			if prev.isZero() {
+				delete(recovered, key)
+			} else {
+				recovered[key] = prev
+			}
+			progress = true
+		}
+	}
+	return recovered
+}
+
+// samePeel asserts that got's peel through sc equals want, key for key:
+// decoded edge and aggregate.
+func samePeel(t *testing.T, name string, got *KeyedEdgeSketch, sc *PeelScratch, want []PeeledKey) {
+	t.Helper()
+	if keys := got.Peel(sc); !slices.Equal(keys, want) {
+		t.Fatalf("%s: peel recovered %d keys %v, reference %d %v", name, len(keys), keys, len(want), want)
+	}
 }
 
 // sameAsDense asserts every observable of got equals the reference's:
-// bytes, generation, IsZero, Touched, sorted keys and DecodeKey(v) for
-// every vertex v.
+// bytes, generation, IsZero, Touched, the peel key for key, the keys
+// and DecodeKey(v) for every vertex v.
 func sameAsDense(t *testing.T, name string, got *KeyedEdgeSketch, want *denseKeyed) {
 	t.Helper()
 	gb, err := got.MarshalBinary()
@@ -216,15 +288,21 @@ func sameAsDense(t *testing.T, name string, got *KeyedEdgeSketch, want *denseKey
 			got.Gen(), got.IsZero(), got.Touched(), want.Gen(), want.IsZero(), want.Touched())
 	}
 	ref := want.decoded()
-	gk, wk := got.Keys(), ref.Keys()
-	slices.Sort(gk)
-	slices.Sort(wk)
-	if !slices.Equal(gk, wk) {
+	samePeel(t, name, got, new(PeelScratch), ref)
+	wk := make([]int, len(ref))
+	for i, k := range ref {
+		wk[i] = k.V
+	}
+	if gk := got.Keys(); !slices.Equal(gk, wk) {
 		t.Fatalf("%s: keys %v, dense reference %v", name, gk, wk)
 	}
 	for v := 0; v < got.n; v++ {
 		gw, gok := got.DecodeKey(v)
-		ww, wok := ref.DecodeKey(v)
+		var ww int
+		var wok bool
+		if i, found := slices.BinarySearchFunc(ref, v, func(k PeeledKey, v int) int { return k.V - v }); found {
+			ww, wok = ref[i].W, ref[i].OK
+		}
 		if gw != ww || gok != wok {
 			t.Fatalf("%s: DecodeKey(%d) = (%d,%v), dense reference (%d,%v)", name, v, gw, gok, ww, wok)
 		}

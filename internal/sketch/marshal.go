@@ -237,6 +237,11 @@ func (t *KeyedEdgeSketch) MarshalBinary() ([]byte, error) {
 // the remaining length before anything is allocated: a short blob
 // cannot request more memory than it carries. Only non-zero buckets
 // join the list, which is counted before it is allocated.
+//
+// A receiver laid out by NewKeyedEdgeSketch — the slot a state decodes
+// a table block into — accepts only an encoding of its own seed, n and
+// geometry: a table with foreign hashes would decode and later refuse
+// to merge. The zero value accepts any.
 func (t *KeyedEdgeSketch) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data, errCorrupt)
 	if r.U64() != wire.TagKeyed {
@@ -246,6 +251,10 @@ func (t *KeyedEdgeSketch) UnmarshalBinary(data []byte) error {
 	if r.Err() != nil || n == 0 || n > 1<<32 || rows == 0 || rows > 16 || cells == 0 || cells > 1<<30 ||
 		uint64(r.Len()) != rows*cells*keyedBucketBytes {
 		return errCorrupt
+	}
+	if t.rows != 0 && (seed != t.seed || n != uint64(t.n) || rows != uint64(t.rows) || cells != uint64(t.cells)) {
+		return fmt.Errorf("sketch: keyed table block of seed %d, n %d, %dx%d decoded into a slot of seed %d, n %d, %dx%d: %w",
+			seed, n, rows, cells, t.seed, t.n, t.rows, t.cells, errCorrupt)
 	}
 	body := r.Bytes(uint64(r.Len()))
 	read := func(visit func(idx int, agg keyedAgg)) {

@@ -373,6 +373,16 @@ func (s *SketchB) Decode() (map[uint64]int64, bool) {
 	return s.Clone().peel()
 }
 
+// DecodeInPlace is Decode on the receiver's own cells, which it
+// consumes: a scratch sketch that is refilled (SetTo) before its next
+// use decodes without a second copy, allocating only the result map.
+func (s *SketchB) DecodeInPlace() (map[uint64]int64, bool) {
+	if s == nil {
+		return nil, true
+	}
+	return s.peel()
+}
+
 // peel is Decode in place: it consumes the receiver's cells. It
 // repeatedly finds a pure cell, extracts its item and removes the item
 // from all rows, until no progress. Peeling a sketch of any actual

@@ -24,8 +24,8 @@ import (
 // its input but not tightly: a suppressed vertex-sketch block is one
 // byte standing for a slot pointer and its share of two slice headers
 // (54× measured with one edge level), and an untouched pass-2 table is
-// one byte standing for a ~240 B header (28× measured for a fork at
-// n = 1000; rows grow with log n, to ~65× at n = 2^24).
+// one byte standing for a nil slot (2.3× measured for a fork at
+// n = 1000, where a ~240 B table header per slot read 28×).
 func wireBudget(n int) uint64 { return 64<<10 + 128*uint64(n) }
 
 // decodeAlloc runs decode and reports its error and what it allocated:
@@ -309,4 +309,44 @@ func FuzzRestoreLive(f *testing.F) {
 			t.Fatalf("accepted encoding does not round-trip (err %v)", err)
 		}
 	})
+}
+
+// TestForeignTableSeedRefused: a phase-1 encoding whose touched pass-2
+// table block carries another seed or vertex count than its slot was
+// decoded with the foreign hashes, and a later MergePass2 failed with
+// "merging incompatible keyed tables". The decoder now refuses it.
+func TestForeignTableSeedRefused(t *testing.T) {
+	for _, k := range []int{2, 3} {
+		tp := afterPass2(t, emptiedStream(t, 90, uint64(40+k)), Config{K: k, Seed: 77})
+		enc, err := tp.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var table []byte
+		for _, row := range tp.tables {
+			for _, tab := range row {
+				if table == nil && !tab.IsZero() {
+					if table, err = tab.MarshalBinary(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		at := bytes.Index(enc, table)
+		if table == nil || at < 0 {
+			t.Fatalf("K=%d: no touched table block in the encoding", k)
+		}
+		// The block's header words: tag, seed, n, rows, cells.
+		for _, c := range []struct {
+			field string
+			word  int
+			bit   uint
+		}{{"seed", 1, 0}, {"seed", 1, 40}, {"n", 2, 0}} {
+			bad := bytes.Clone(enc)
+			bad[at+8*c.word+int(c.bit/8)] ^= 1 << (c.bit % 8)
+			if err := new(TwoPass).UnmarshalBinary(bad); !errors.Is(err, errCorrupt) {
+				t.Errorf("K=%d, table %s bit %d flipped: %v, want errCorrupt", k, c.field, c.bit, err)
+			}
+		}
+	}
 }

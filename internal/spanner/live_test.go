@@ -130,12 +130,13 @@ func TestTwoPassLiveCacheReuse(t *testing.T) {
 		total = append(total, batch...)
 	}
 	// query re-queries the live state, checks it against a cold build and
-	// reports whether the pass-2 tables survived (by pointer identity).
+	// reports whether the pass-2 tables survived (by the identity of the
+	// first row's first slot).
 	query := func(what string) (kept bool) {
 		t.Helper()
-		var before *sketch.KeyedEdgeSketch
+		var before **sketch.KeyedEdgeSketch
 		if tp.tables != nil {
-			before = tp.tables[slices.IndexFunc(tp.tables, func(r []*sketch.KeyedEdgeSketch) bool { return r != nil })][0]
+			before = &tp.tables[slices.IndexFunc(tp.tables, func(r []*sketch.KeyedEdgeSketch) bool { return r != nil })][0]
 		}
 		got, err := tp.QueryLive(parallel.Default())
 		if err != nil {
@@ -151,7 +152,7 @@ func TestTwoPassLiveCacheReuse(t *testing.T) {
 		if tp.liveSynced != len(tp.liveLog) {
 			t.Fatalf("%s: %d of %d logged updates folded", what, tp.liveSynced, len(tp.liveLog))
 		}
-		return slices.ContainsFunc(tp.tables, func(r []*sketch.KeyedEdgeSketch) bool { return r != nil && r[0] == before })
+		return slices.ContainsFunc(tp.tables, func(r []*sketch.KeyedEdgeSketch) bool { return r != nil && &r[0] == before })
 	}
 
 	query("first")

@@ -29,8 +29,8 @@ import (
 // copy in minCopyBytes, an additive vertex carries its degree counter
 // and one byte per sketch. What a decoded state then allocates is
 // linear in its input: mostly slot pointers (both states create their
-// per-vertex sketches on first touch), and a TwoPass's pass-2 table
-// headers (~240 B, encoded as one byte while untouched).
+// per-vertex sketches and a TwoPass its pass-2 tables on first touch;
+// an untouched table is one byte on the wire and a nil slot here).
 const (
 	maxWireN      = 1 << 24
 	maxWireK      = 64 // the stretch exponent
@@ -248,8 +248,10 @@ func (tp *TwoPass) readStructure(r *wire.Reader) {
 			return
 		}
 		prev = ci
-		for _, t := range tp.tables[ci] {
-			r.SketchInto(func() wire.Decoder { return t })
+		for j := range tp.tables[ci] {
+			// A present block creates its slot; the slot's table accepts
+			// only its own seed and geometry.
+			r.SketchInto(func() wire.Decoder { return tp.table(ci, j) })
 		}
 	}
 	nAug := r.U64()

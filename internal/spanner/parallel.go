@@ -95,8 +95,11 @@ func (tp *TwoPass) MergePass2(o *TwoPass) error {
 		if (row == nil) != (orow == nil) {
 			return fmt.Errorf("spanner: pass-2 merge: copy %d is terminal in only one of the states", ci)
 		}
-		for j := range row {
-			if err := row[j].Merge(orow[j]); err != nil {
+		for j, ot := range orow {
+			if ot == nil {
+				continue // a slot the worker never wrote: the zero table adds nothing
+			}
+			if err := tp.table(ci, j).Merge(ot); err != nil {
 				return fmt.Errorf("spanner: pass-2 merge (copy=%d, j=%d): %w", ci, j, err)
 			}
 		}

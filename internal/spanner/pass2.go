@@ -147,7 +147,6 @@ func sweepPass2Range(tp *TwoPass, k int) {
 			me.buf = append(me.buf, sketch.KeyedEdgeUpdate{W: a, V: b, Delta: int64(u.Delta)})
 			me.lvl = append(me.lvl, incLevel(e))
 		}
-		row := tp.tables[t]
 		for lv, end := 0, len(me.buf); ; lv++ {
 			for end > 0 && me.lvl[end-1] < lv {
 				end--
@@ -155,7 +154,7 @@ func sweepPass2Range(tp *TwoPass, k int) {
 			if end == 0 {
 				break
 			}
-			row[lv].AddBatchWith(me.buf[:end], &me.keyed)
+			tp.table(t, lv).AddBatchWith(me.buf[:end], &me.keyed)
 		}
 	}
 }

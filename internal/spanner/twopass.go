@@ -11,6 +11,7 @@
 package spanner
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -137,7 +138,9 @@ type TwoPass struct {
 	terminalsOf [][]int // per vertex: sorted terminal copy indices containing it
 
 	// tables[t][j] is H^t_j for terminal copy index t; the row of a
-	// non-terminal copy is nil.
+	// non-terminal copy is nil. The rows are cut from one slab of slots
+	// (allocTables), and a slot stays nil — the zero table — until a
+	// pass-2 sweep, a merge or a decode first writes it through table.
 	tables [][]*sketch.KeyedEdgeSketch
 	crew   parallel.Crew[*TwoPass, pass2Part] // pass-2 ingest bookkeeping (pass2.go)
 
@@ -405,14 +408,27 @@ func (tp *TwoPass) clusterize(p *parallel.Policy) (*clusterResult, error) {
 	cr := &clusterResult{}
 	live := tp.liveSrc != nil
 
-	// Copy index layout: level i copies are contiguous. The layout is a
-	// pure function of the center hierarchy, so copy indices — and with
-	// them cached parent pointers and table seeds — are stable across
-	// re-runs.
-	copyIdx := make([]map[int]int, k) // level -> vertex -> copy index
+	// Copy index layout: level i copies are contiguous, in ascending
+	// vertex order, from bounds[i] to bounds[i+1]. The layout is a pure
+	// function of the center hierarchy, so copy indices — and with them
+	// cached parent pointers and table seeds — are stable across re-runs.
+	size := n
+	for r := 1; r < k; r++ {
+		for _, in := range tp.inC[r] {
+			if in {
+				size++
+			}
+		}
+	}
+	cr.copies = make([]copyNode, 0, size)
+	copyIdx := make([][]int, k) // level -> vertex -> copy index, -1 if none
+	bounds := make([]int, k+1)
+	idx := make([]int, k*n)
 	for i := 0; i < k; i++ {
-		copyIdx[i] = map[int]int{}
+		copyIdx[i], idx = idx[:n:n], idx[n:]
+		bounds[i] = len(cr.copies)
 		for u := 0; u < n; u++ {
+			copyIdx[i][u] = -1
 			if i == 0 || tp.inC[i][u] {
 				copyIdx[i][u] = len(cr.copies)
 				cr.copies = append(cr.copies, copyNode{
@@ -421,6 +437,7 @@ func (tp *TwoPass) clusterize(p *parallel.Policy) (*clusterResult, error) {
 			}
 		}
 	}
+	bounds[k] = len(cr.copies)
 
 	// Materialize the lazy fingerprint tables of the shared per-(r, j)
 	// sketch shapes before fanning out: every decode of a level touches
@@ -442,14 +459,11 @@ func (tp *TwoPass) clusterize(p *parallel.Policy) (*clusterResult, error) {
 			sp = tr.Span(fmt.Sprintf("spanner/cluster/level%02d", i))
 		}
 		hits0, misses0 := tp.cacheHits, tp.cacheMisses
-		// Centers of level i in ascending vertex order — the serial
-		// iteration order the result application below replays.
-		centers := make([]int, 0, len(copyIdx[i]))
-		for u := 0; u < n; u++ {
-			if _, ok := copyIdx[i][u]; ok {
-				centers = append(centers, u)
-			}
-		}
+		// Centers of level i are its copies, in ascending vertex order —
+		// the serial iteration order the result application below
+		// replays. Center idx is copy lo+idx.
+		lo := bounds[i]
+		centers := cr.copies[lo:bounds[i+1]]
 		results := make([]attachResult, len(centers))
 		// Split centers into cache hits and dirty (to-decode) ones.
 		// Cluster members of level i were frozen when level i-1 was
@@ -461,8 +475,8 @@ func (tp *TwoPass) clusterize(p *parallel.Policy) (*clusterResult, error) {
 				tp.attach = make([]attachEntry, len(cr.copies))
 			}
 			gens = make([]uint64, len(centers))
-			for idx, u := range centers {
-				ci := copyIdx[i][u]
+			for idx := range centers {
+				ci := lo + idx
 				members := cr.copies[ci].members
 				gens[idx] = tp.attachGens(i, members)
 				if ent := &tp.attach[ci]; ent.gens == gens[idx] && slices.Equal(ent.members, members) {
@@ -479,24 +493,22 @@ func (tp *TwoPass) clusterize(p *parallel.Policy) (*clusterResult, error) {
 			}
 		}
 		err := parallel.ForEachWorkerSubset(p, dirty, func(w, idx int) error {
-			u := centers[idx]
-			c := &cr.copies[copyIdx[i][u]]
-			return tp.decodeAttachment(scratch, w, i, c.members, copyIdx, &results[idx])
+			return tp.decodeAttachment(scratch, w, i, centers[idx].members, copyIdx, &results[idx])
 		})
 		if err != nil {
 			return nil, err
 		}
 		if live {
 			for _, idx := range dirty {
-				ci := copyIdx[i][centers[idx]]
+				ci := lo + idx
 				tp.attach[ci] = attachEntry{members: cr.copies[ci].members, gens: gens[idx], res: results[idx]}
 			}
 		}
 		// Apply in center order: parent assignment, member folds into
 		// the next level's clusters, augmented recording.
 		var attached int64
-		for idx, u := range centers {
-			c := &cr.copies[copyIdx[i][u]]
+		for idx := range centers {
+			c := &centers[idx]
 			res := &results[idx]
 			cr.augmented = append(cr.augmented, res.augmented...)
 			if !res.attached {
@@ -517,28 +529,33 @@ func (tp *TwoPass) clusterize(p *parallel.Policy) (*clusterResult, error) {
 			obs.A("cache_miss", int64(tp.cacheMisses-misses0)))
 	}
 	// Level k-1 copies are always terminal.
-	for u := range copyIdx[k-1] {
-		cr.copies[copyIdx[k-1][u]].terminal = true
+	for ci := bounds[k-1]; ci < bounds[k]; ci++ {
+		cr.copies[ci].terminal = true
 	}
 
-	// terminalsOf[a]: terminal copies whose cluster contains a. Copy
-	// (a, i)'s chain ends at the root of its tree, which is terminal.
+	// terminalsOf[a]: terminal copies whose cluster contains a, cut from
+	// one slab. Copy (a, i)'s chain ends at the root of its tree, which
+	// is terminal.
 	cr.terminalsOf = make([][]int, n)
-	for i := 0; i < k; i++ {
-		for u, ci := range copyIdx[i] {
-			root := ci
+	slab := make([]int, 0, len(cr.copies))
+	for u := 0; u < n; u++ {
+		start := len(slab)
+		for i := 0; i < k; i++ {
+			root := copyIdx[i][u]
+			if root < 0 {
+				continue
+			}
 			for cr.copies[root].parent != -1 {
 				root = cr.copies[root].parent
 			}
 			if !cr.copies[root].terminal {
 				return nil, fmt.Errorf("spanner: internal: non-terminal root copy %d", root)
 			}
-			cr.terminalsOf[u] = append(cr.terminalsOf[u], root)
+			slab = append(slab, root)
 		}
-	}
-	for u := range cr.terminalsOf {
-		sort.Ints(cr.terminalsOf[u])
-		cr.terminalsOf[u] = compactInts(cr.terminalsOf[u])
+		ts := slab[start:len(slab):len(slab)]
+		slices.Sort(ts)
+		cr.terminalsOf[u] = compactInts(ts)
 	}
 	return cr, nil
 }
@@ -549,7 +566,7 @@ func (tp *TwoPass) clusterize(p *parallel.Policy) (*clusterResult, error) {
 // Members whose sketch was never touched contribute zero and are
 // skipped; a level no member touched sums to the zero vector, which
 // decodes to nothing.
-func (tp *TwoPass) decodeAttachment(scratch []*sketch.SketchB, w, i int, members []int, copyIdx []map[int]int, res *attachResult) error {
+func (tp *TwoPass) decodeAttachment(scratch []*sketch.SketchB, w, i int, members []int, copyIdx [][]int, res *attachResult) error {
 	n := tp.n
 	r := i + 1
 	for j := tp.jMax; j >= 0 && !res.attached; j-- {
@@ -573,7 +590,7 @@ func (tp *TwoPass) decodeAttachment(scratch []*sketch.SketchB, w, i int, members
 		if q == nil {
 			continue
 		}
-		items, decoded := q.Decode()
+		items, decoded := q.DecodeInPlace() // q is the worker's scratch, refilled before its next use
 		if !decoded || len(items) == 0 {
 			continue
 		}
@@ -612,46 +629,71 @@ func canonPair(a, b int) [2]int {
 	return [2]int{a, b}
 }
 
-// allocTables lays out the second-pass hash tables for terminal
-// copies, sized per Claim 11: |N(T_u)| = O(n^{(i+1)/k} log n) for
-// terminal u ∈ C_i. Tables are header-only until an update reaches
-// them, so this is one small object per (terminal, level) and pass-2
-// workers each lay out their own. The table seeds are a deterministic
-// function of the configuration and the copy index, so tables of
-// different pass-2 workers over the same cluster structure are
-// mergeable.
+// allocTables lays out the second-pass hash tables H^t_j of the
+// terminal copies: one slab of yMax+1 slots per terminal, cut into rows.
+// Every slot starts nil, the zero table, so laying out the tables costs
+// one pointer per (terminal, level), and a slot is created by the first
+// write to it (table). Claim 11 provisions every slot, and SpaceWords
+// counts them all.
 func (tp *TwoPass) allocTables() [][]*sketch.KeyedEdgeSketch {
-	n, k := tp.n, tp.k
 	tables := make([][]*sketch.KeyedEdgeSketch, len(tp.copies))
+	width := tp.yMax + 1
+	slab := make([]*sketch.KeyedEdgeSketch, tp.terminals()*width)
 	for ci := range tp.copies {
-		c := &tp.copies[ci]
-		if !c.terminal {
-			continue
+		if tp.copies[ci].terminal {
+			tables[ci], slab = slab[:width:width], slab[width:]
 		}
-		capf := tp.cfg.TableFactor * float64(tp.log2n) *
-			math.Pow(float64(n), float64(c.level+1)/float64(k))
-		capacity := int(capf)
-		if capacity < 8 {
-			capacity = 8
-		}
-		if capacity > n {
-			capacity = n // never more keys than vertices
-		}
-		row := make([]*sketch.KeyedEdgeSketch, tp.yMax+1)
-		for j := 0; j <= tp.yMax; j++ {
-			row[j] = sketch.NewKeyedEdgeSketch(
-				hashing.Mix(tp.cfg.Seed, 0x7a, uint64(ci), uint64(j)), n, capacity)
-		}
-		tables[ci] = row
 	}
 	return tables
 }
 
-// terminals counts the table rows: one per terminal copy.
+// table returns H^ci_j, creating it on first write. Its seed is a
+// deterministic function of the configuration and the copy index, so
+// tables of different pass-2 workers over the same cluster structure
+// are mergeable. A pass-2 sweep creates only slots in its own table
+// range, so creating them takes no lock.
+func (tp *TwoPass) table(ci, j int) *sketch.KeyedEdgeSketch {
+	t := &tp.tables[ci][j]
+	if *t == nil {
+		*t = sketch.NewKeyedEdgeSketch(hashing.Mix(tp.cfg.Seed, 0x7a, uint64(ci), uint64(j)),
+			tp.n, tp.tableCapacity(tp.copies[ci].level))
+	}
+	return *t
+}
+
+// tableCapacity sizes the tables of a terminal copy at level i per Claim
+// 11, |N(T_u)| = O(n^{(i+1)/k} log n), at least 8 and never more keys
+// than vertices.
+func (tp *TwoPass) tableCapacity(i int) int {
+	capf := tp.cfg.TableFactor * float64(tp.log2n) * math.Pow(float64(tp.n), float64(i+1)/float64(tp.k))
+	return min(max(int(capf), 8), tp.n)
+}
+
+// TableSlots counts the pass-2 hash-table slots: provisioned is every
+// (terminal copy, level) slot, the tables Claim 11 provisions and
+// SpaceWords counts; created is the slots a write has created; touched
+// is the created tables that hold hash state. A slot no write reached
+// is nil, so a build pays for created tables only.
+func (tp *TwoPass) TableSlots() (provisioned, created, touched int) {
+	for _, row := range tp.tables {
+		provisioned += len(row)
+		for _, t := range row {
+			if t != nil {
+				created++
+			}
+			if t.Touched() {
+				touched++
+			}
+		}
+	}
+	return provisioned, created, touched
+}
+
+// terminals counts the terminal copies, each of which has a table row.
 func (tp *TwoPass) terminals() int {
 	count := 0
-	for _, row := range tp.tables {
-		if row != nil {
+	for ci := range tp.copies {
+		if tp.copies[ci].terminal {
 			count++
 		}
 	}
@@ -790,14 +832,9 @@ func (tp *TwoPass) extractOpts(p *parallel.Policy) (*Result, error) {
 	dirty := make([]int, 0, len(terms))
 	gens := make([]uint64, len(terms))
 	keys := make([]int, len(terms)) // keys peeled per dirty terminal
-	tables, touched := 0, 0
 	for i, ci := range terms {
 		for _, t := range tp.tables[ci] {
 			gens[i] += t.Gen()
-			tables++
-			if t.Touched() {
-				touched++
-			}
 		}
 		if live {
 			if ent, ok := tp.recCache[ci]; ok && ent.gens == gens[i] {
@@ -809,12 +846,15 @@ func (tp *TwoPass) extractOpts(p *parallel.Policy) (*Result, error) {
 		}
 		dirty = append(dirty, i)
 	}
-	resolved := make([][]int32, p.Workers()) // per-worker recoverTerminal scratch
+	// Per-worker recoverTerminal scratch: the resolved marks and the
+	// peel's work set, reused across the worker's terminals.
+	resolved := make([][]int32, p.Workers())
+	peels := make([]sketch.PeelScratch, p.Workers())
 	err := parallel.ForEachWorkerSubset(p, dirty, func(w, i int) error {
 		if resolved[w] == nil {
 			resolved[w] = make([]int32, tp.n)
 		}
-		recs[i], keys[i] = tp.recoverTerminal(terms[i], resolved[w], int32(i+1))
+		recs[i], keys[i] = tp.recoverTerminal(terms[i], resolved[w], int32(i+1), &peels[w])
 		return nil
 	})
 	if err != nil {
@@ -838,6 +878,7 @@ func (tp *TwoPass) extractOpts(p *parallel.Policy) (*Result, error) {
 			recovered++
 		}
 	}
+	tables, _, touched := tp.TableSlots()
 	sp.End(
 		obs.A("terminals", int64(len(terms))),
 		obs.A("dirty", int64(len(dirty))),
@@ -886,27 +927,29 @@ func (tp *TwoPass) extractOpts(p *parallel.Policy) (*Result, error) {
 // skipping vertices already resolved — and ordering the edges by
 // outside vertex makes exactly the (v ascending, j descending) probes
 // that can succeed, at a cost proportional to the keys rather than to
-// n × levels. resolved is caller scratch of n entries: resolved[v] ==
-// mark records that v already has its edge, so one array serves every
-// terminal a worker handles, each under its own non-zero mark.
-func (tp *TwoPass) recoverTerminal(ci int, resolved []int32, mark int32) (rec [][2]int, keys int) {
+// n × levels. resolved and sc are the worker's scratch: resolved has n
+// entries, and resolved[v] == mark records that v already has its
+// edge, so one array serves every terminal a worker handles, each under
+// its own non-zero mark; sc holds each table's peel until the next.
+func (tp *TwoPass) recoverTerminal(ci int, resolved []int32, mark int32, sc *sketch.PeelScratch) (rec [][2]int, keys int) {
 	row := tp.tables[ci]
 	for j := tp.yMax; j >= 0; j-- {
-		ks := row[j].Keys()
+		ks := row[j].Peel(sc)
 		keys += len(ks)
-		for _, v := range ks {
+		for _, k := range ks {
+			v := k.V
 			if v >= tp.n || resolved[v] == mark || containsInt(tp.terminalsOf[v], ci) {
 				continue // not a vertex, resolved at a sparser level, or inside the cluster
 			}
 			// The inside endpoint must actually belong to the cluster; a
 			// fingerprint-level miss is discarded.
-			if w, ok := row[j].DecodeKey(v); ok && containsInt(tp.terminalsOf[w], ci) {
-				rec = append(rec, [2]int{w, v})
+			if k.OK && containsInt(tp.terminalsOf[k.W], ci) {
+				rec = append(rec, [2]int{k.W, v})
 				resolved[v] = mark
 			}
 		}
 	}
-	sort.Slice(rec, func(a, b int) bool { return rec[a][1] < rec[b][1] })
+	slices.SortFunc(rec, func(a, b [2]int) int { return cmp.Compare(a[1], b[1]) })
 	return rec, keys
 }
 
@@ -916,9 +959,9 @@ func (tp *TwoPass) SpaceWords() int {
 	// out n·(k−1)·(jMax+1) of them, none for a fork): all families share
 	// one geometry.
 	w := len(tp.vertexSk) * (tp.k - 1) * (tp.jMax + 1) * sketch.SketchBWords(tp.cfg.Budget, sketch.SketchConfig{})
-	for _, row := range tp.tables {
-		for _, t := range row {
-			w += t.SpaceWords()
+	for ci, row := range tp.tables {
+		if row != nil { // every slot counts, created or not
+			w += len(row) * sketch.KeyedEdgeWords(tp.tableCapacity(tp.copies[ci].level))
 		}
 	}
 	return w

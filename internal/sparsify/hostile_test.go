@@ -219,3 +219,28 @@ func FuzzRestoreLive(f *testing.F) {
 		}
 	})
 }
+
+// TestGridForeignTableSeedRefused: a grid's cells refuse a pass-2 table
+// block whose seed is not its slot's, as a lone spanner state does.
+func TestGridForeignTableSeedRefused(t *testing.T) {
+	ups := slotGridUpdates()
+	g := closedGrid(t, ups)
+	if err := g.Pass2AddBatch(ups); err != nil {
+		t.Fatal(err)
+	}
+	enc, err := g.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := new(Grid).UnmarshalBinary(enc); err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(enc, words(wire.TagKeyed)) // a table block's header: tag, seed, n, rows, cells
+	if at < 0 {
+		t.Fatal("no pass-2 table block in the encoding")
+	}
+	enc[at+8] ^= 1
+	if err := new(Grid).UnmarshalBinary(enc); !errors.Is(err, errCorrupt) {
+		t.Fatalf("a table block with a flipped seed bit: %v, want errCorrupt", err)
+	}
+}

@@ -139,3 +139,99 @@ func TestGridPass2KernelMatchesReference(t *testing.T) {
 		t.Error("pass-1 ingest accepted after EndPass1")
 	}
 }
+
+// slotGridConfig is a sparsifier's grid of 3 oracle columns of 5 rows
+// and 2 sample columns of 4 rows, on slotGridN vertices.
+const slotGridN = 48
+
+var slotGridConfig = Config{K: 2, Z: 2, H: 4, Seed: 64, Estimate: EstimateConfig{K: 2, J: 3, T: 5, Delta: 0.34, Seed: 63}}.withDefaults(slotGridN)
+
+// slotGridUpdates is a churn stream over a random graph on slotGridN
+// vertices.
+func slotGridUpdates() []stream.Update {
+	var ups []stream.Update // a memory stream's replay cannot fail
+	_ = stream.WithChurn(graph.ConnectedGNP(slotGridN, 0.15, 61), 300, 62).Replay(func(u stream.Update) error {
+		ups = append(ups, u)
+		return nil
+	})
+	return ups
+}
+
+// closedGrid is a slotGridConfig grid with pass 1 of ups ingested and
+// closed.
+func closedGrid(t *testing.T, ups []stream.Update) *Grid {
+	t.Helper()
+	g := newGrid(slotGridN, slotGridConfig, true)
+	if err := g.Pass1AddBatch(ups); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.EndPass1(); err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// gridSlots sums the cells' table slot counts.
+func gridSlots(g *Grid) (created, touched int) {
+	for _, c := range g.cells {
+		_, cr, to := c.TableSlots()
+		created, touched = created+cr, touched+to
+	}
+	return created, touched
+}
+
+// TestGridNilSlots: the cells of a grid, oracle and sample cells alike,
+// create a pass-2 table slot only when the grid's sweep first writes
+// it: after pass 2 every cell's created slots are its touched tables, a
+// wire round trip keeps the bytes and creates no slot, and grid workers
+// forked and merged back create the slots the serial pass 2 creates.
+func TestGridNilSlots(t *testing.T) {
+	ups := slotGridUpdates()
+	g := closedGrid(t, ups)
+	if err := g.Pass2AddBatch(ups); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range g.cells {
+		if provisioned, created, touched := c.TableSlots(); created != touched || created == provisioned {
+			t.Fatalf("cell %d: %d of %d slots created, %d touched", i, created, provisioned, touched)
+		}
+	}
+	created, _ := gridSlots(g)
+	if created == 0 {
+		t.Fatal("pass 2 created no slot; the case is not covered")
+	}
+	enc, err := g.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back := new(Grid)
+	if err := back.UnmarshalBinary(enc); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := back.MarshalBinary(); err != nil || !bytes.Equal(again, enc) {
+		t.Fatalf("round trip changed the bytes (err %v)", err)
+	}
+	if c, _ := gridSlots(back); c > created {
+		t.Fatalf("decoding created %d slots, the encoded grid %d", c, created)
+	}
+
+	merged := closedGrid(t, ups)
+	for i := 0; i < 2; i++ {
+		w, err := merged.ForkPass2()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Pass2AddBatch(ups[i*len(ups)/2 : (i+1)*len(ups)/2]); err != nil {
+			t.Fatal(err)
+		}
+		if err := merged.MergePass2(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c, to := gridSlots(merged); c != created || to != created {
+		t.Fatalf("merged workers created %d slots (%d touched), the serial pass 2 %d", c, to, created)
+	}
+	if got, err := merged.MarshalBinary(); err != nil || !bytes.Equal(got, enc) {
+		t.Fatalf("merged workers encode differently from the serial pass 2 (err %v)", err)
+	}
+}

@@ -238,12 +238,15 @@ func TestSpielmanSrivastavaEmpty(t *testing.T) {
 // provisioned oracle grid and the Z·H inner spanners. Keyed tables that
 // allocated every provisioned bucket on first touch read 0.138× here;
 // tables that hold only the buckets updates reach, 0.068×, later
-// 0.063×; and power tables sized to n and n² instead of 2^64, 0.045×.
+// 0.063×; power tables sized to n and n² instead of 2^64, 0.045×; and
+// table slots left nil until first write, with peels through per-worker
+// scratch and cluster decodes in place, 0.028× (Sparsify) and 0.024×
+// (SparsifyOpts).
 // Both passes sweep one grid at any worker count, so workers 2
 // allocates within 3 % of workers 1; a pass-1 grid per worker, merged,
 // read 1.10–1.15×.
 func TestSparsifyAllocBudget(t *testing.T) {
-	const budget, workersSlack = 0.055, 1.03
+	const budget, workersSlack = 0.035, 1.03
 	g := graph.ConnectedGNP(64, 0.32, 5) // ≈ 640 edges, the sparsifier-twopass shape
 	st := stream.WithChurn(g, 200, 6)
 	cfg := Config{K: 2, Seed: 7, Estimate: EstimateConfig{J: 4}}
