@@ -631,3 +631,48 @@ func TestPipeIngestConstantMemory(t *testing.T) {
 		t.Fatal("sketch is empty")
 	}
 }
+
+// TestWeightClassBaseNearOne: a class base just above 1 passes
+// WithWeightClasses and an MSF Gamma just above 0 passes MSFClassesFit,
+// but a weight of 2 is then ≈ 7·10¹¹ classes up, a count the class loop
+// once spent dividing. The weighted spanner and sparsifier refuse the
+// stream with ErrTooManyClasses, and the MSF files the weight under its
+// top class, all within a second.
+func TestWeightClassBaseNearOne(t *testing.T) {
+	st := NewMemoryStream(4)
+	for _, u := range []Update{{U: 0, V: 1, Delta: 1, W: 1}, {U: 1, V: 2, Delta: 1, W: 2}, {U: 2, V: 3, Delta: 1, W: 1.5}} {
+		if err := st.Append(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		const base = 1 + 1e-12
+		if _, err := Build(ctx, st, SpannerTarget{Config: SpannerConfig{K: 2}}, WithWeightClasses(base)); !errors.Is(err, ErrTooManyClasses) {
+			t.Errorf("spanner: err = %v, want ErrTooManyClasses", err)
+		}
+		if _, err := Build(ctx, st, SparsifierTarget{}, WithWeightClasses(base)); !errors.Is(err, ErrTooManyClasses) {
+			t.Errorf("sparsifier: err = %v, want ErrTooManyClasses", err)
+		}
+		m, err := Build(ctx, st, MSFTarget{WMax: 1, Gamma: 1e-12})
+		if err != nil {
+			t.Errorf("MSF: %v", err)
+			return
+		}
+		forest, err := m.Forest()
+		if err != nil {
+			t.Errorf("MSF forest: %v", err)
+			return
+		}
+		if got := len(forest); got != 3 {
+			t.Errorf("MSF of a path on 4 vertices: %d edges, want 3", got)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Fatal("weights at a class base of 1 + 1e-12: no answer within a second")
+	}
+}

@@ -317,6 +317,28 @@ func (s *Sketch) SubtractTo(want map[[2]int]int64) {
 	s.subtracted = maps.Clone(want)
 }
 
+// ZeroSum reports whether every round's samplers sum to the zero
+// sketch. Each update adds +δ to one endpoint's samplers and −δ to the
+// other's, so every state built from updates — ingested, merged,
+// subtracted (SubtractTo) or restored from its own encoding — is
+// zero-sum, and the forest decode relies on it (SpanningForestOpts).
+// A forged encoding need not be.
+func (s *Sketch) ZeroSum() bool {
+	var sum sketch.L0Sampler
+	for r := 0; r < s.rounds && s.n > 0; r++ {
+		sum.SetTo(s.at(r, 0))
+		for v := 1; v < s.n; v++ {
+			if err := sum.Merge(s.at(r, v)); err != nil {
+				return false
+			}
+		}
+		if !sum.IsZero() {
+			return false
+		}
+	}
+	return true
+}
+
 // SpaceWords returns the memory footprint in 64-bit words.
 func (s *Sketch) SpaceWords() int {
 	w := 2

@@ -33,6 +33,15 @@ func (s *Sketch) SpanningForest(groups [][]int) ([]graph.Edge, error) {
 // policy's workers with one reusable scratch sampler per worker;
 // everything order-sensitive — the round barrier, the union
 // application, the component rebuild — stays serial.
+//
+// Every update adds +δ to one endpoint's samplers and −δ to the
+// other's, so Σ_v samp[v][r] is the zero sketch, and the round's
+// largest component L sums to minus the sum of all the others. When
+// summing the others costs fewer folds than bringing L's own sum up to
+// date (refreshCost), the workers fold each other component's sum into
+// a per-worker accumulator as they go and L is decoded after the
+// barrier from the accumulators' negated total — the same cells, so
+// the same Sample.
 func (s *Sketch) SpanningForestOpts(groups [][]int, p *parallel.Policy) ([]graph.Edge, error) {
 	uf := graph.NewUnionFind(s.n)
 	for gi, grp := range groups {
@@ -70,6 +79,12 @@ func (s *Sketch) SpanningForestOpts(groups [][]int, p *parallel.Policy) ([]graph
 	// scheduling.
 	picks := make([]pick, k0)
 	dirty := make([]int, 0, k0)
+	// Per round: the clean components (hits), each one's sum where
+	// one is at hand without folding, and the components the workers
+	// visit.
+	hits := make([]int, 0, k0)
+	sums := make([]*sketch.L0Sampler, k0)
+	var order []int
 	var touched []bool
 	var marks int64
 	if s.caching {
@@ -93,8 +108,14 @@ func (s *Sketch) SpanningForestOpts(groups [][]int, p *parallel.Policy) ([]graph
 		d.r = r
 		d.cs.rebuild(uf)
 		k := len(d.cs.roots)
+		li, lsize := d.cs.largest()
 		hits0, misses0 := s.cacheHits, s.cacheMisses
-		picks, dirty = picks[:k], dirty[:0]
+		picks, dirty, hits, sums = picks[:k], dirty[:0], hits[:0], sums[:k]
+		// The identity's cost, one fold per component but L: a dirty
+		// component's sum is at hand once it is decoded, a clean one's is
+		// its vertex sampler or current merged-sampler entry, and a clean
+		// one with neither is summed from its members.
+		idCost, lDirty := k-1, !s.caching
 		// The workers only read samplers and the frozen component
 		// arrays; lazy power tables are materialized up front (Warm)
 		// because decoding shares them across the whole round.
@@ -131,16 +152,24 @@ func (s *Sketch) SpanningForestOpts(groups [][]int, p *parallel.Policy) ([]graph
 				if !clean {
 					s.cacheMisses++
 					dirty = append(dirty, i)
+					lDirty = lDirty || i == li
 					continue
 				}
 				s.cacheHits++
 				e.win = s.logGen + 1
 				picks[i] = e.pick
-				// The member samplers — and so their cached sum — are
-				// untouched since the last sync: the merged sampler
-				// stays foldable through the next window too.
-				if me := s.merges[r][m[0]]; me != nil && me.genSum == e.genSum && slices.Equal(me.members, m) {
+				hits = append(hits, i)
+				sums[i] = nil
+				if len(m) == 1 {
+					sums[i] = s.at(r, int(m[0]))
+				} else if me := s.merges[r][m[0]]; me != nil && me.genSum == e.genSum && slices.Equal(me.members, m) {
+					// The member samplers — and so their cached sum —
+					// are untouched since the last sync: the merged
+					// sampler stays foldable through the next window too.
 					me.win = s.logGen + 1
+					sums[i] = me.samp
+				} else {
+					idCost += len(m) - 1
 				}
 			}
 		} else {
@@ -148,13 +177,36 @@ func (s *Sketch) SpanningForestOpts(groups [][]int, p *parallel.Policy) ([]graph
 				dirty = append(dirty, i)
 			}
 		}
+		// The workers decode work[:decodes]. Under the identity L is
+		// decoded after the barrier instead, and the clean components
+		// are visited after the dirty ones only to fold their sums.
+		zeroSum := lDirty && idCost < d.refreshCost(li)
+		work, decodes := dirty, len(dirty)
+		if zeroSum {
+			at := slices.Index(dirty, li)
+			order = append(append(append(order[:0], dirty[:at]...), dirty[at+1:]...), hits...)
+			work, decodes = order, decodes-1
+		}
 		// A worker writes only what its component owns: the pick slot,
 		// the pick-cache entry at its root and the merged-sampler entries
-		// keyed by its members.
-		err := parallel.ForEachWorkerSubset(p, dirty, func(w, i int) (err error) {
-			picks[i], err = d.decode(i, &d.workers[w])
-			return err
+		// keyed by its members; and its own accumulator.
+		err := parallel.ForEachWorkerOpts(p, len(work), func(w, j int) error {
+			i, dw := work[j], &d.workers[w]
+			sum := sums[i]
+			if j < decodes {
+				var err error
+				if picks[i], sum, err = d.decode(i, dw); err != nil {
+					return err
+				}
+			}
+			if zeroSum {
+				return d.accumulate(i, sum, dw)
+			}
+			return nil
 		})
+		if err == nil && zeroSum {
+			picks[li], err = d.zeroSum(li)
+		}
 		if err != nil {
 			if s.caching {
 				// Entries synced so far are stamped for a window that
@@ -184,7 +236,7 @@ func (s *Sketch) SpanningForestOpts(groups [][]int, p *parallel.Policy) ([]graph
 		}
 		sp.End(
 			obs.A("components", int64(k)),
-			obs.A("largest", int64(d.cs.largest())),
+			obs.A("largest", int64(lsize)),
 			obs.A("dirty", int64(len(dirty))),
 			obs.A("sampled", int64(sampled)),
 			obs.A("sample_empty", int64(k-sampled)),
@@ -195,6 +247,8 @@ func (s *Sketch) SpanningForestOpts(groups [][]int, p *parallel.Policy) ([]graph
 			obs.A("fold_log_applied", st.logApplied),
 			obs.A("refreshed", st.refreshed),
 			obs.A("remerged", st.remerged),
+			obs.A("zero_sum", b2i(zeroSum)),
+			obs.A("zero_sum_folds", st.zeroSumFolds),
 			obs.A("marks_used", marks))
 		if unions == 0 {
 			break
@@ -218,13 +272,16 @@ type components struct {
 
 func (c *components) members(i int) []int32 { return c.mem[c.off[i]:c.off[i+1]] }
 
-// largest is the size of the biggest component.
-func (c *components) largest() int32 {
-	size := int32(0)
+// largest returns the biggest component, the first of equal ones, and
+// its size.
+func (c *components) largest() (int, int32) {
+	li, size := 0, int32(0)
 	for i := range c.roots {
-		size = max(size, c.off[i+1]-c.off[i])
+		if n := c.off[i+1] - c.off[i]; n > size {
+			li, size = i, n
+		}
 	}
-	return size
+	return li, size
 }
 
 func (c *components) rebuild(uf *graph.UnionFind) {
@@ -270,6 +327,9 @@ type forestDecode struct {
 // decodeWorker is one decode goroutine's reusable state.
 type decodeWorker struct {
 	sum          sketch.L0Sampler // scratch for a component's summed sampler
+	acc          sketch.L0Sampler // the round's other components' sums, when zeroSum
+	accUsed      bool
+	sample       sketch.SampleScratch
 	hint         sketch.L0Hint
 	gained, lost []int32
 	claimed      []bool
@@ -278,9 +338,10 @@ type decodeWorker struct {
 }
 
 // decodeStats counts a round's sampler work: folds are sampler
-// Merge/Sub calls, logApplied logged updates replayed into cached sums.
+// Merge/Sub calls, logApplied logged updates replayed into cached sums,
+// zeroSumFolds the folds into and across the identity's accumulators.
 type decodeStats struct {
-	folds, logApplied, refreshed, remerged int64
+	folds, logApplied, refreshed, remerged, zeroSumFolds int64
 }
 
 // add folds o into st and resets o for the next round.
@@ -289,12 +350,20 @@ func (st *decodeStats) add(o *decodeStats) {
 	st.logApplied += o.logApplied
 	st.refreshed += o.refreshed
 	st.remerged += o.remerged
+	st.zeroSumFolds += o.zeroSumFolds
 	*o = decodeStats{}
 }
 
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // samplePick draws a component's boundary edge from its summed sampler.
-func (s *Sketch) samplePick(sum *sketch.L0Sampler) pick {
-	key, _, ok := sum.Sample()
+func (s *Sketch) samplePick(sum *sketch.L0Sampler, sc *sketch.SampleScratch) pick {
+	key, _, ok := sum.SampleWith(sc)
 	if !ok {
 		return pick{}
 	}
@@ -302,25 +371,22 @@ func (s *Sketch) samplePick(sum *sketch.L0Sampler) pick {
 	return pick{a: int32(a), b: int32(b), ok: true}
 }
 
-// decode draws dirty component i's pick and, when caching, records it:
-// the pick-cache entry owns its member list, copied only when the list
-// differs from the one the entry already holds.
-func (d *forestDecode) decode(i int, dw *decodeWorker) (pick, error) {
-	s, r, m := d.s, d.r, d.cs.members(i)
+// decode draws dirty component i's pick and, when caching, records it.
+// It also returns the sum the pick was drawn from, valid until dw's
+// next decode.
+func (d *forestDecode) decode(i int, dw *decodeWorker) (pick, *sketch.L0Sampler, error) {
+	s, m := d.s, d.cs.members(i)
 	if !s.caching {
 		return d.draw(m, dw)
 	}
-	e := &s.picks[r][d.cs.roots[i]]
-	fresh := pickEntry{members: e.members, genSum: s.genSumOf(r, m), win: s.logGen + 1}
-	if !slices.Equal(fresh.members, m) {
-		fresh.members = slices.Clone(m)
-	}
+	fresh := d.entry(i)
+	var sum *sketch.L0Sampler
 	if len(m) < mergeCacheMinMembers {
-		pk, err := d.draw(m, dw)
+		pk, smp, err := d.draw(m, dw)
 		if err != nil {
-			return pick{}, err
+			return pick{}, nil, err
 		}
-		fresh.pick = pk
+		fresh.pick, sum = pk, smp
 	} else {
 		// Fold path: refresh the cached merged sampler from the update
 		// log and the membership delta instead of re-merging every
@@ -330,28 +396,125 @@ func (d *forestDecode) decode(i int, dw *decodeWorker) (pick, error) {
 			me, err = d.rebuild(i, &fresh, dw)
 		}
 		if err != nil {
-			return pick{}, err
+			return pick{}, nil, err
 		}
 		if !me.pickKnown {
-			me.pick, me.pickKnown = s.samplePick(me.samp), true
+			me.pick, me.pickKnown = s.samplePick(me.samp, &dw.sample), true
 		}
-		fresh.pick = me.pick
+		fresh.pick, sum = me.pick, me.samp
 	}
-	*e = fresh
-	return fresh.pick, nil
+	s.picks[d.r][d.cs.roots[i]] = fresh
+	return fresh.pick, sum, nil
+}
+
+// entry is the pick-cache entry a decode of component i stores: the
+// entry owns its member list, copied only when the list differs from
+// the one the entry already holds.
+func (d *forestDecode) entry(i int) pickEntry {
+	s, m := d.s, d.cs.members(i)
+	e := pickEntry{members: s.picks[d.r][d.cs.roots[i]].members, genSum: s.genSumOf(d.r, m), win: s.logGen + 1}
+	if !slices.Equal(e.members, m) {
+		e.members = slices.Clone(m)
+	}
+	return e
 }
 
 // draw decodes a component from its members' samplers alone. A
 // singleton's merged sampler IS its vertex sampler: it is decoded in
 // place (Sample is read-only).
-func (d *forestDecode) draw(m []int32, dw *decodeWorker) (pick, error) {
-	if len(m) == 1 {
-		return d.s.samplePick(d.s.at(d.r, int(m[0]))), nil
+func (d *forestDecode) draw(m []int32, dw *decodeWorker) (pick, *sketch.L0Sampler, error) {
+	sum := d.s.at(d.r, int(m[0]))
+	if len(m) > 1 {
+		if err := d.remerge(m, dw); err != nil {
+			return pick{}, nil, err
+		}
+		sum = &dw.sum
 	}
-	if err := d.remerge(m, dw); err != nil {
-		return pick{}, err
+	return d.s.samplePick(sum, &dw.sample), sum, nil
+}
+
+// refreshCost is what largest component i costs to sum without the
+// identity, in folds: its refresh's membership delta and logged
+// incidences when its cached sum would be refreshed, else a re-merge.
+func (d *forestDecode) refreshCost(i int) int {
+	s, m := d.s, d.cs.members(i)
+	if s.caching && len(m) >= mergeCacheMinMembers {
+		if me := s.merges[d.r][m[0]]; d.foldable(me) {
+			dw := &d.workers[0]
+			dw.gained, dw.lost = sortedDiff(m, me.members, dw.gained[:0], dw.lost[:0])
+			if delta := len(dw.gained) + len(dw.lost); refreshPays(delta, len(m)) {
+				for _, v := range me.members {
+					delta += int(d.incOff[v+1] - d.incOff[v])
+				}
+				return delta
+			}
+		}
 	}
-	return d.s.samplePick(&dw.sum), nil
+	return len(m) - 1
+}
+
+// accumulate folds component i's sum into the worker's accumulator:
+// sum, or the members' samplers when no sum is at hand.
+func (d *forestDecode) accumulate(i int, sum *sketch.L0Sampler, dw *decodeWorker) error {
+	if sum != nil {
+		return dw.accumulate(sum)
+	}
+	for _, v := range d.cs.members(i) {
+		if err := dw.accumulate(d.s.at(d.r, int(v))); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (dw *decodeWorker) accumulate(x *sketch.L0Sampler) error {
+	dw.stats.folds++
+	dw.stats.zeroSumFolds++
+	if !dw.accUsed {
+		dw.acc.SetTo(x)
+		dw.accUsed = true
+		return nil
+	}
+	if err := dw.acc.Merge(x); err != nil {
+		return fmt.Errorf("agm: zero-sum: %w", err)
+	}
+	return nil
+}
+
+// zeroSum draws largest component li's pick after the round's barrier:
+// its sum is minus the total of the workers' accumulators, which hold
+// every other component's sum. When caching, the sum and pick are
+// stored as a decode stores them.
+func (d *forestDecode) zeroSum(li int) (pick, error) {
+	var sum *sketch.L0Sampler
+	var st *decodeStats
+	for w := range d.workers {
+		dw := &d.workers[w]
+		if !dw.accUsed {
+			continue
+		}
+		dw.accUsed = false
+		if sum == nil {
+			sum, st = &dw.acc, &dw.stats
+			continue
+		}
+		if err := sum.Merge(&dw.acc); err != nil {
+			return pick{}, fmt.Errorf("agm: zero-sum: %w", err)
+		}
+		st.folds++
+		st.zeroSumFolds++
+	}
+	sum.Negate()
+	s, sc := d.s, &d.workers[0].sample
+	if !s.caching {
+		return s.samplePick(sum, sc), nil
+	}
+	e := d.entry(li)
+	me := d.keep(&e, sum)
+	me.pick, me.pickKnown = s.samplePick(me.samp, sc), true
+	e.pick = me.pick
+	s.picks[d.r][d.cs.roots[li]] = e
+	return e.pick, nil
 }
 
 // remerge sums the members' samplers into the worker's scratch.
@@ -378,14 +541,20 @@ func (d *forestDecode) rebuild(i int, e *pickEntry, dw *decodeWorker) (*mergeEnt
 	if err != nil {
 		return nil, err
 	}
+	return d.keep(e, &dw.sum), nil
+}
+
+// keep stores sum as the merged-sampler entry of the component e was
+// drawn over, its pick not yet drawn.
+func (d *forestDecode) keep(e *pickEntry, sum *sketch.L0Sampler) *mergeEntry {
 	slot := &d.s.merges[d.r][e.members[0]]
 	if *slot == nil {
 		*slot = &mergeEntry{samp: &sketch.L0Sampler{}}
 	}
 	me := *slot
-	me.samp.SetTo(&dw.sum)
+	me.samp.SetTo(sum)
 	me.members, me.genSum, me.win, me.pickKnown = e.members, e.genSum, e.win, false
-	return me, nil
+	return me
 }
 
 // foldable reports whether the entry's merged sampler can be brought up
@@ -412,7 +581,7 @@ func (d *forestDecode) refresh(i int, e *pickEntry, dw *decodeWorker) (*mergeEnt
 	}
 	dw.gained, dw.lost = sortedDiff(m, me.members, dw.gained[:0], dw.lost[:0])
 	gained, lost := dw.gained, dw.lost
-	if len(gained)+len(lost)+4 >= len(m) {
+	if !refreshPays(len(gained)+len(lost), len(m)) {
 		return nil, nil
 	}
 	// The entry was synced over the old member list: the component's
@@ -444,6 +613,11 @@ func (d *forestDecode) refresh(i int, e *pickEntry, dw *decodeWorker) (*mergeEnt
 	dw.stats.refreshed++
 	return me, nil
 }
+
+// refreshPays reports whether reconciling a cached sum with a
+// membership delta of delta vertices beats re-merging the component's
+// member samplers.
+func refreshPays(delta, members int) bool { return delta+4 < members }
 
 // compose assembles dirty component i's merged sampler in the worker's
 // scratch from cached sub-component entries when no single entry is

@@ -203,10 +203,14 @@ func TestRequeryModelEquivalence(t *testing.T) {
 	}
 }
 
-func requeryModelRun(t *testing.T, n int, grouped bool, workers, steps int, seed int64) {
+// requeryModelRun returns the number of the live sketch's rounds that
+// the largest-component identity decoded.
+func requeryModelRun(t *testing.T, n int, grouped bool, workers, steps int, seed int64) int {
 	const sketchSeed = 77
 	rng := rand.New(rand.NewSource(seed))
 	p := parallel.Default().WithWorkers(workers)
+	rs := &roundSpans{}
+	lp := rs.policy(p)
 	live := New(sketchSeed, n, Config{})
 	live.EnableDecodeCache(true)
 	twin := New(sketchSeed, n, Config{})
@@ -371,7 +375,7 @@ func requeryModelRun(t *testing.T, n int, grouped bool, workers, steps int, seed
 		ctx := fmt.Sprintf("step %d (%s)", step, what)
 
 		h0, m0 := live.DecodeCacheStats()
-		got, err := live.SpanningForestOpts(groups, p)
+		got, err := live.SpanningForestOpts(groups, lp)
 		if err != nil {
 			t.Fatalf("%s: %v", ctx, err)
 		}
@@ -410,6 +414,7 @@ func requeryModelRun(t *testing.T, n int, grouped bool, workers, steps int, seed
 			}
 		}
 	}
+	return rs.count("zero_sum")
 }
 
 // TestRequeryAfterAbandonedExtraction cancels a cached extraction after

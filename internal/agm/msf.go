@@ -34,14 +34,13 @@ type MSF struct {
 
 // maxMSFClass is the largest top class index an MSF may have, one
 // sketch per class prefix; UnmarshalBinary rejects more.
-const maxMSFClass = 1 << 16
+const maxMSFClass = stream.MaxWeightClass
 
 // MSFClassesFit reports whether NewMSF's sketch for weights in
 // [1, wmax] at class ratio 1+gamma (gamma <= 0 meaning the default)
 // keeps its top class within what UnmarshalBinary accepts. wmax and
 // gamma must be finite. The class count comes from logarithms, with a
-// class of slack for rounding, not from WeightClassOf's loop, which
-// takes ≈ ln(wmax)/gamma steps.
+// class of slack for rounding, not from WeightClassOf's loop.
 func MSFClassesFit(wmax, gamma float64) bool {
 	if gamma <= 0 {
 		gamma = 1
@@ -88,7 +87,7 @@ func (m *MSF) AddBatch(batch []stream.Update) { m.AddBatchOpts(batch, serial) }
 // across the policy's workers (Sketch.AddBatchOpts).
 func (m *MSF) AddBatchOpts(batch []stream.Update, pol *parallel.Policy) {
 	class := func(u stream.Update) int {
-		return min(stream.WeightClassOf(u.W, 1+m.gamma), m.maxClass)
+		return stream.WeightClassAtMost(u.W, 1+m.gamma, m.maxClass)
 	}
 	if len(m.end) != m.maxClass+1 {
 		m.end = make([]int, m.maxClass+1)

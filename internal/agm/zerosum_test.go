@@ -1,0 +1,263 @@
+package agm
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+
+	"dynstream/internal/graph"
+	"dynstream/internal/obs"
+	"dynstream/internal/parallel"
+	"dynstream/internal/stream"
+)
+
+// roundSpans records the attributes of every agm/roundNN span the
+// extractions under its policy end, in order.
+type roundSpans struct {
+	mu     sync.Mutex
+	rounds []map[string]int64
+}
+
+func (rs *roundSpans) policy(p *parallel.Policy) *parallel.Policy {
+	tr := obs.New()
+	tr.OnSpanEnd(func(e obs.Event) {
+		if !strings.HasPrefix(e.Phase, "agm/round") {
+			return
+		}
+		attrs := map[string]int64{}
+		for _, a := range e.Attrs {
+			attrs[a.Key] = a.Val
+		}
+		rs.mu.Lock()
+		rs.rounds = append(rs.rounds, attrs)
+		rs.mu.Unlock()
+	})
+	return p.WithTracer(tr)
+}
+
+// count is the number of recorded rounds whose attribute key is set.
+func (rs *roundSpans) count(key string) int {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	n := 0
+	for _, r := range rs.rounds {
+		if r[key] != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// churnUpdates is a random insert/delete stream on n vertices: every
+// deletion removes an edge still present.
+func churnUpdates(n, count int, seed int64) []stream.Update {
+	rng := rand.New(rand.NewSource(seed))
+	var present [][2]int
+	var ups []stream.Update
+	for len(ups) < count {
+		if len(present) > 0 && rng.Intn(3) == 0 {
+			k := rng.Intn(len(present))
+			e := present[k]
+			present[k] = present[len(present)-1]
+			present = present[:len(present)-1]
+			ups = append(ups, stream.Update{U: e[0], V: e[1], Delta: -1, W: 1})
+			continue
+		}
+		u, v := rng.Intn(n), rng.Intn(n)
+		if u == v {
+			continue
+		}
+		present = append(present, [2]int{u, v})
+		ups = append(ups, stream.Update{U: u, V: v, Delta: 1, W: 1 + float64(rng.Intn(40))})
+	}
+	return ups
+}
+
+// TestZeroSumInvariant: Σ_v samp[v][r] is the zero sampler for every
+// round r of every state the forest decode can meet — the precondition
+// of its largest-component identity. A churn stream ingested at one and
+// three workers, a shard merge, a marshal round trip, the k-connectivity
+// sketches with their forests subtracted, the bipartiteness double
+// cover and every MSF class prefix.
+func TestZeroSumInvariant(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(3, runtime.GOMAXPROCS(0))))
+	const n = 300
+	ups := churnUpdates(n, 6000, 5)
+	check := func(what string, s *Sketch) {
+		t.Helper()
+		if !s.ZeroSum() {
+			t.Errorf("%s: the samplers of some round do not sum to zero", what)
+		}
+	}
+
+	for _, workers := range []int{1, 3} {
+		s := New(11, n, Config{})
+		s.AddBatchOpts(ups, parallel.Default().WithWorkers(workers))
+		check(fmt.Sprintf("churn at %d workers", workers), s)
+	}
+
+	a, b := New(11, n, Config{}), New(11, n, Config{})
+	a.AddBatch(ups[:len(ups)/3])
+	b.AddBatch(ups[len(ups)/3:])
+	if err := a.Merge(b); err != nil {
+		t.Fatal(err)
+	}
+	check("shard merge", a)
+
+	blob, err := a.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := New(11, n, Config{})
+	if err := restored.UnmarshalBinary(blob); err != nil {
+		t.Fatal(err)
+	}
+	check("marshal round trip", restored)
+
+	kc := NewKConnectivity(13, n, 3)
+	kc.AddBatch(ups)
+	cert, err := kc.CertificateOpts(parallel.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cert[0]) == 0 || len(kc.stack[2].subtracted) == 0 {
+		t.Fatalf("the certificate subtracted nothing: first forest %d edges", len(cert[0]))
+	}
+	for i, s := range kc.stack {
+		check(fmt.Sprintf("k-connectivity sketch %d, forests subtracted", i), s)
+	}
+
+	bip := NewBipartiteness(17, n)
+	bip.AddBatch(ups)
+	if _, err := bip.IsBipartite(); err != nil {
+		t.Fatal(err)
+	}
+	check("bipartiteness base", bip.stack[0])
+	check("bipartiteness double cover", bip.stack[1])
+
+	msf := NewMSF(19, n, 40, 0.5)
+	msf.AddBatch(ups)
+	if _, err := msf.Forest(); err != nil {
+		t.Fatal(err)
+	}
+	for c, s := range msf.stack {
+		check(fmt.Sprintf("MSF prefix %d", c), s)
+	}
+}
+
+// TestZeroSumIdentity makes the largest-component identity observable:
+// cold and cached decodes, with and without groups, at one to three
+// workers, equal the map-based reference decode while the identity
+// decodes the largest component of some round — and a one-update step,
+// whose largest component refreshes from one logged update, takes the
+// refresh even where the identity would beat a re-merge.
+func TestZeroSumIdentity(t *testing.T) {
+	const n = 1000
+	preload, churn := serveShape(n, 2*n, 2*n, 64, 3)
+	for _, grouped := range []bool{false, true} {
+		var groups [][]int
+		if grouped {
+			for v := 0; v+3 < n; v += 7 {
+				groups = append(groups, []int{v, v + 1, v + 3})
+			}
+		}
+		for _, workers := range []int{1, 2, 3} {
+			name := fmt.Sprintf("cold/groups=%v/workers=%d", grouped, workers)
+			s := New(23, n, Config{})
+			s.AddBatch(preload)
+			rs := &roundSpans{}
+			got, err := s.SpanningForestOpts(groups, rs.policy(parallel.Default().WithWorkers(workers)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _, _, err := (&refDecoder{}).forest(s, groups)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !forestsEqual(got, want) {
+				t.Fatalf("%s: forest diverged from the reference decode:\n got %v\nwant %v", name, got, want)
+			}
+			if rs.count("zero_sum") == 0 {
+				t.Errorf("%s: the identity decoded no round", name)
+			}
+
+			name = fmt.Sprintf("model/groups=%v/workers=%d", grouped, workers)
+			t.Run(name, func(t *testing.T) {
+				steps := 24
+				if testing.Short() {
+					steps = 8
+				}
+				if fired := requeryModelRun(t, 400, grouped, workers, steps, int64(40+workers)); fired == 0 {
+					t.Errorf("the identity decoded no round of %d cached queries", steps+1)
+				}
+			})
+		}
+	}
+
+	// One update after a warm query: the components holding its
+	// endpoints are dirty in every round.
+	s := New(29, n, Config{})
+	s.EnableDecodeCache(true)
+	s.AddBatch(preload)
+	s.AddBatch(churn)
+	p := parallel.Default()
+	if _, err := s.SpanningForestOpts(nil, p); err != nil {
+		t.Fatal(err)
+	}
+	up := stream.Update{U: 17, V: 640, Delta: 1, W: 1}
+	s.AddBatch([]stream.Update{up})
+	rs := &roundSpans{}
+	got, err := s.SpanningForestOpts(nil, rs.policy(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, _, err := (&refDecoder{}).forest(s, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !forestsEqual(got, want) {
+		t.Fatalf("one-update step: forest diverged from the reference decode:\n got %v\nwant %v", got, want)
+	}
+	// Replay the forest round by round (each round's unions are its
+	// "merges") to find which rounds' largest component holds an
+	// endpoint of the update.
+	uf := graph.NewUnionFind(n)
+	refreshedL := 0
+	for r, attrs := range rs.rounds {
+		size := map[int]int{}
+		for v := 0; v < n; v++ {
+			size[uf.Find(v)]++
+		}
+		largest, count := 0, 0
+		for _, c := range size {
+			if c > largest {
+				largest, count = c, 1
+			} else if c == largest {
+				count++
+			}
+		}
+		lDirty := count == 1 && (size[uf.Find(up.U)] == largest || size[uf.Find(up.V)] == largest)
+		if lDirty && largest > len(size) {
+			// Summing the other components beats re-merging L, but L's
+			// refresh replays one update: the refresh is cheaper.
+			if attrs["zero_sum"] != 0 || attrs["refreshed"] == 0 {
+				t.Errorf("round %d: largest component (%d of %d components) dirty from one update: zero_sum %d, refreshed %d; want the refresh",
+					r, largest, len(size), attrs["zero_sum"], attrs["refreshed"])
+			}
+			refreshedL++
+		}
+		if attrs["largest"] != int64(largest) {
+			t.Fatalf("round %d: span says largest %d, the replay %d", r, attrs["largest"], largest)
+		}
+		for _, e := range got[:attrs["merges"]] {
+			uf.Union(e.U, e.V)
+		}
+		got = got[attrs["merges"]:]
+	}
+	if refreshedL == 0 {
+		t.Error("the update's endpoints were in no round's largest component: the step tests nothing")
+	}
+}

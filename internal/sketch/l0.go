@@ -1,6 +1,9 @@
 package sketch
 
 import (
+	"cmp"
+	"slices"
+
 	"dynstream/internal/field"
 	"dynstream/internal/hashing"
 )
@@ -432,15 +435,54 @@ func (s *L0Sampler) IsZero() bool {
 	return field.AllZero(s.l0) && field.AllZero(s.tail)
 }
 
+// Negate replaces the sampler's state by that of the negated vector:
+// counts negate in two's complement and the field lanes modulo P, so
+// Merge(o) followed by Negate equals Sub(o) from zero cell for cell.
+func (s *L0Sampler) Negate() {
+	s.gen++
+	for j := 0; j <= s.top(); j++ {
+		counts, keySums, fings := s.lanes(j)
+		for i, c := range counts {
+			counts[i] = -c
+		}
+		field.NegVec(keySums, keySums)
+		field.NegVec(fings, fings)
+	}
+}
+
+// SampleScratch is the working memory of SampleWith: one level's
+// decode instance and the peel's recovered items. The zero value is
+// ready to use; it is sized by the first family it decodes and reused
+// from then on, so a decode worker that keeps one allocates nothing per
+// Sample. It serves one call at a time.
+type SampleScratch struct {
+	level *SketchB
+	items []sampleItem
+}
+
+type sampleItem struct {
+	key    uint64
+	weight int64
+}
+
 // Sample returns one support element (key and net weight). ok=false
 // means the vector is (whp) zero or every level failed to decode — a
 // 1/poly(n) probability event for nonzero vectors.
 func (s *L0Sampler) Sample() (key uint64, weight int64, ok bool) {
+	return s.SampleWith(new(SampleScratch))
+}
+
+// SampleWith is Sample through caller-owned scratch.
+func (s *L0Sampler) SampleWith(sc *SampleScratch) (key uint64, weight int64, ok bool) {
 	j := s.topNonZero()
 	if j < 0 {
 		return 0, 0, false
 	}
-	work := s.fam.levels[j].instance()
+	work := sc.level
+	if work == nil || len(work.counts) != s.fam.cells {
+		work = s.fam.levels[j].instance()
+		sc.level = work
+	}
 	for ; j >= 0; j-- {
 		counts, keySums, fings := s.lanes(j)
 		work.shape = s.fam.levels[j]
@@ -449,7 +491,12 @@ func (s *L0Sampler) Sample() (key uint64, weight int64, ok bool) {
 		}
 		copy(work.keySums, keySums)
 		copy(work.fings, fings)
-		items, decoded := work.peel()
+		items := sc.items[:0]
+		decoded := work.peelEach(func(key uint64, w int64) {
+			items = append(items, sampleItem{key, w})
+		})
+		items = foldItems(items)
+		sc.items = items
 		// An overloaded level fails to decode and a zero one decodes to
 		// nothing: keep scanning downward, give up after level 0.
 		if !decoded || len(items) == 0 {
@@ -457,17 +504,39 @@ func (s *L0Sampler) Sample() (key uint64, weight int64, ok bool) {
 		}
 		// Choose the item with the minimum choice-hash so that the
 		// sample is a near-uniform function of the support, not of the
-		// decode order.
+		// decode order; the items ascend by key, so a tie goes to the
+		// smaller key.
 		var bestH uint64
-		first := true
-		for k, w := range items {
-			if h := s.fam.choiceFn.Hash(k); first || h < bestH {
-				key, weight, bestH, first = k, w, h, false
+		for i, it := range items {
+			if h := s.fam.choiceFn.Hash(it.key); i == 0 || h < bestH {
+				key, weight, bestH = it.key, it.weight, h
 			}
 		}
 		return key, weight, true
 	}
 	return 0, 0, false
+}
+
+// foldItems sorts a peel's extractions by key and sums each key's,
+// dropping the keys whose sum is zero: the net vector the map-based
+// peel holds.
+func foldItems(items []sampleItem) []sampleItem {
+	slices.SortFunc(items, func(a, b sampleItem) int { return cmp.Compare(a.key, b.key) })
+	out := items[:0]
+	for _, it := range items {
+		if n := len(out); n > 0 && out[n-1].key == it.key {
+			out[n-1].weight += it.weight
+			continue
+		}
+		if n := len(out); n > 0 && out[n-1].weight == 0 {
+			out = out[:n-1]
+		}
+		out = append(out, it)
+	}
+	if n := len(out); n > 0 && out[n-1].weight == 0 {
+		out = out[:n-1]
+	}
+	return out
 }
 
 // SpaceWords returns the memory footprint in 64-bit words. Every level

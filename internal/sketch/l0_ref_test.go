@@ -125,7 +125,7 @@ func (s *refSampler) Sample() (key uint64, weight int64, ok bool) {
 		var bestH uint64
 		first := true
 		for k, w := range items {
-			if h := s.fam.choiceFn.Hash(k); first || h < bestH {
+			if h := s.fam.choiceFn.Hash(k); first || h < bestH || h == bestH && k < key {
 				key, weight, bestH, first = k, w, h, false
 			}
 		}

@@ -152,3 +152,68 @@ func TestNilKeyedIsZeroTable(t *testing.T) {
 		t.Fatal("KeyedEdgeWords differs from a created table's SpaceWords")
 	}
 }
+
+// TestSampleWithScratch: one scratch serves samplers of different
+// families and sizes — from the zero vector to an overloaded sampler —
+// each SampleWith equal to a fresh Sample and to the per-level
+// reference, and a warm scratch samples without allocating. Negate is
+// the subtraction from zero, cell for cell.
+func TestSampleWithScratch(t *testing.T) {
+	const universe = 1 << 24
+	var sc SampleScratch
+	for _, perLevel := range []int{2, 4, 8} {
+		fam := NewL0Family(uint64(perLevel), universe, perLevel)
+		for _, size := range []int{0, 1, 3, 40, 600} {
+			keys, deltas := batchWorkload(uint64(size+perLevel), size, universe)
+			s, ref := fam.NewSampler(), newRefSampler(fam)
+			s.AddBatch(keys, deltas)
+			ref.AddBatch(keys, deltas)
+			k1, w1, ok1 := s.SampleWith(&sc)
+			k2, w2, ok2 := s.Sample()
+			k3, w3, ok3 := ref.Sample()
+			if k1 != k2 || w1 != w2 || ok1 != ok2 || k1 != k3 || w1 != w3 || ok1 != ok3 {
+				t.Fatalf("perLevel %d, %d updates: SampleWith (%d,%d,%v), Sample (%d,%d,%v), reference (%d,%d,%v)",
+					perLevel, size, k1, w1, ok1, k2, w2, ok2, k3, w3, ok3)
+			}
+			if size > 0 && !ok1 {
+				t.Errorf("perLevel %d, %d updates: nothing sampled", perLevel, size)
+			}
+
+			neg, sub := s.Clone(), fam.NewSampler()
+			neg.Negate()
+			if err := sub.Sub(s); err != nil {
+				t.Fatal(err)
+			}
+			a, _ := neg.MarshalBinary()
+			b, _ := sub.MarshalBinary()
+			if !slices.Equal(a, b) {
+				t.Fatalf("perLevel %d, %d updates: Negate differs from the subtraction from zero", perLevel, size)
+			}
+		}
+	}
+	fam := NewL0Family(9, universe, 4)
+	s := fam.NewSampler()
+	s.AddBatch(batchWorkload(3, 40, universe))
+	s.SampleWith(&sc)
+	if allocs := testing.AllocsPerRun(20, func() { s.SampleWith(&sc) }); allocs != 0 {
+		t.Errorf("SampleWith through a warm scratch: %v allocs per run, want 0", allocs)
+	}
+}
+
+// TestFoldItems: a peel's extractions fold to the net vector in key
+// order — a key extracted twice sums, a key whose sum is zero is
+// dropped — so the sample's minimum choice hash is found in key order
+// and a tie goes to the smaller key.
+func TestFoldItems(t *testing.T) {
+	for _, c := range []struct{ in, want []sampleItem }{
+		{nil, []sampleItem{}},
+		{[]sampleItem{{7, 1}}, []sampleItem{{7, 1}}},
+		{[]sampleItem{{9, 2}, {3, 1}, {9, -2}}, []sampleItem{{3, 1}}},
+		{[]sampleItem{{5, 1}, {3, 2}, {5, 1}, {3, -2}, {1, -4}}, []sampleItem{{1, -4}, {5, 2}}},
+		{[]sampleItem{{4, 1}, {4, -1}, {2, 3}, {2, -3}}, []sampleItem{}},
+	} {
+		if got := foldItems(slices.Clone(c.in)); !slices.Equal(got, c.want) && len(got)+len(c.want) > 0 {
+			t.Errorf("foldItems(%v) = %v, want %v", c.in, got, c.want)
+		}
+	}
+}

@@ -383,16 +383,29 @@ func (s *SketchB) DecodeInPlace() (map[uint64]int64, bool) {
 	return s.peel()
 }
 
-// peel is Decode in place: it consumes the receiver's cells. It
-// repeatedly finds a pure cell, extracts its item and removes the item
-// from all rows, until no progress. Peeling a sketch of any actual
-// vector empties a cell with each extraction and never refills one, so
-// it makes at most one extraction per cell; in a state no stream
-// produces (a corrupt or hostile blob) an extraction can refill the
-// cell another one emptied and the two alternate forever, so past that
-// budget the sketch is reported undecodable.
+// peel is Decode in place: it consumes the receiver's cells and
+// collects peelEach's extractions into the net vector.
 func (s *SketchB) peel() (map[uint64]int64, bool) {
 	out := make(map[uint64]int64)
+	ok := s.peelEach(func(key uint64, w int64) {
+		out[key] += w
+		if out[key] == 0 {
+			delete(out, key)
+		}
+	})
+	return out, ok
+}
+
+// peelEach consumes the receiver's cells, passing each extraction to
+// emit. It repeatedly finds a pure cell, extracts its item and removes
+// the item from all rows, until no progress. Peeling a sketch of any
+// actual vector empties a cell with each extraction and never refills
+// one, so it makes at most one extraction per cell; in a state no
+// stream produces (a corrupt or hostile blob) an extraction can refill
+// the cell another one emptied and the two alternate forever, so past
+// that budget the sketch is reported undecodable. It reports whether
+// every cell was consumed.
+func (s *SketchB) peelEach(emit func(key uint64, w int64)) bool {
 	budget := len(s.counts)
 	for progress := true; progress; {
 		progress = false
@@ -408,17 +421,14 @@ func (s *SketchB) peel() (map[uint64]int64, bool) {
 				continue
 			}
 			if budget--; budget < 0 {
-				return out, false
+				return false
 			}
 			s.AddFkey(key, -w, s.Fkey(key))
-			out[key] += w
-			if out[key] == 0 {
-				delete(out, key)
-			}
+			emit(key, w)
 			progress = true
 		}
 	}
-	return out, s.IsZero()
+	return s.IsZero()
 }
 
 // SpaceWords returns the memory footprint in 64-bit words, used by the

@@ -328,3 +328,53 @@ func TestAdditiveMarshalRestoresElow(t *testing.T) {
 		t.Fatal("queried state marshals differently from pure twin")
 	}
 }
+
+// TestAdditiveZeroSum: after an extraction that collapses cluster
+// groups, the forest sketch — E_low subtracted — still sums to the zero
+// sampler in every round, the precondition of the forest decode's
+// largest-component identity; so does it after churn moves E_low.
+func TestAdditiveZeroSum(t *testing.T) {
+	const n = 90
+	rng := rand.New(rand.NewSource(43))
+	a := NewAdditive(n, AdditiveConfig{D: 3, Seed: 41})
+	var edges []stream.Update
+	add := func(u, v int) {
+		up := stream.Update{U: u, V: v, Delta: 1}
+		edges = append(edges, up)
+		if err := a.Update(up); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for hub := 0; hub < 6; hub++ { // high-degree vertices: centers and their followers
+		for i := 0; i < 20; i++ {
+			if v := 6 + rng.Intn(n-6); v != hub {
+				add(hub, v)
+			}
+		}
+	}
+	for i := 0; i < 40; i++ { // sparse edges among the rest: E_low
+		u, v := 40+rng.Intn(n-40), 40+rng.Intn(n-40)
+		if u != v {
+			add(u, v)
+		}
+	}
+	for step := 0; step < 2; step++ {
+		res, err := a.ExtractOpts(parallel.Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Centers == 0 || res.LowDegree == 0 {
+			t.Fatalf("step %d: %d centers, %d low-degree vertices: no groups or no E_low to test", step, res.Centers, res.LowDegree)
+		}
+		if !a.forest.ZeroSum() {
+			t.Errorf("step %d: the forest sketch with E_low subtracted does not sum to zero", step)
+		}
+		for _, up := range edges[len(edges)-10:] { // delete some of E_low
+			up.Delta = -1
+			if err := a.Update(up); err != nil {
+				t.Fatal(err)
+			}
+		}
+		edges = edges[:len(edges)-10]
+	}
+}

@@ -142,7 +142,10 @@ func BuildTwoPassWeightedWith(src stream.Source, cfg Config, classBase float64, 
 	if !stream.CanReplay(src) {
 		return nil, fmt.Errorf("spanner: weighted two-pass build: %w", stream.ErrNotReplayable)
 	}
-	classes, sub := stream.WeightClasses(src, classBase)
+	classes, sub, err := stream.WeightClasses(src, classBase)
+	if err != nil {
+		return nil, fmt.Errorf("spanner: %w", err)
+	}
 	out := &Result{Spanner: graph.New(src.N())}
 	if cfg.CollectAugmented {
 		out.Augmented = graph.New(src.N())

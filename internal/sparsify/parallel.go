@@ -490,7 +490,10 @@ func SparsifyWeightedWith(src stream.Source, cfg Config, classBase float64, buil
 	if !stream.CanReplay(src) {
 		return nil, fmt.Errorf("sparsify: %w", stream.ErrNotReplayable)
 	}
-	classes, sub := stream.WeightClasses(src, classBase)
+	classes, sub, err := stream.WeightClasses(src, classBase)
+	if err != nil {
+		return nil, fmt.Errorf("sparsify: %w", err)
+	}
 	out := graph.New(src.N())
 	total := &Result{Sparsifier: out}
 	for _, c := range classes {

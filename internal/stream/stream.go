@@ -8,7 +8,9 @@
 package stream
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"dynstream/internal/graph"
@@ -223,15 +225,40 @@ func SampledSubstream(base Stream, seed uint64, j int) Stream {
 	}
 }
 
+// MaxWeightClass is the largest weight class index a class partition
+// may use: the MSF decoder's bound on its class count. WeightClasses
+// refuses a stream with a weight above it (ErrTooManyClasses).
+const MaxWeightClass = 1 << 16
+
+// ErrTooManyClasses reports a weight whose class index, at the given
+// class base, exceeds MaxWeightClass.
+var ErrTooManyClasses = errors.New("stream: weight class index exceeds MaxWeightClass")
+
 // WeightClassOf returns the weight class index of w for class base
 // (1+gamma): class c contains weights in [base^c, base^(c+1)).
 // Weights below 1 are clamped into class 0 together with [1, base).
-func WeightClassOf(w, base float64) int {
+// Indices above MaxWeightClass read as MaxWeightClass+1 (see
+// WeightClassAtMost).
+func WeightClassOf(w, base float64) int { return WeightClassAtMost(w, base, MaxWeightClass+1) }
+
+// WeightClassAtMost is min(WeightClassOf(w, base), limit) at a cost of
+// at most limit divisions: logarithms settle before the loop runs
+// whether the index is well above limit, and the loop stops at limit.
+// A base just above 1 would otherwise take ≈ ln(w)/ln(base) divisions
+// per weight. Below limit the index is the loop's: the logarithms
+// decide only past the loop's own rounding.
+func WeightClassAtMost(w, base float64, limit int) int {
 	if w < base {
 		return 0
 	}
+	// c divisions are exact to a factor within (1 ± 2^-52)^c, which is
+	// at most limit·2^-52/ln(base) classes: the logarithms decide only
+	// past that margin plus two classes.
+	if lb := math.Log(base); lb > 0 && math.Log(w)/lb > float64(limit)+2+float64(limit)*0x1p-52/lb {
+		return limit
+	}
 	c := 0
-	for x := w; x >= base; x /= base {
+	for x := w; x >= base && c < limit; x /= base {
 		c++
 	}
 	return c
@@ -240,14 +267,22 @@ func WeightClassOf(w, base float64) int {
 // WeightClasses partitions a weighted stream into per-class unweighted
 // substreams (Remark 14: round weights to powers of 1+gamma and run the
 // unweighted construction per class). It returns the class indices
-// present and a substream for each.
-func WeightClasses(base Stream, classBase float64) (classes []int, sub map[int]Stream) {
+// present and a substream for each, or ErrTooManyClasses when a weight's
+// class index exceeds MaxWeightClass.
+func WeightClasses(base Stream, classBase float64) (classes []int, sub map[int]Stream, err error) {
 	present := map[int]bool{}
 	// One scan to find the classes actually present.
-	_ = base.Replay(func(u Update) error {
-		present[WeightClassOf(u.W, classBase)] = true
+	err = base.Replay(func(u Update) error {
+		c := WeightClassOf(u.W, classBase)
+		if c > MaxWeightClass {
+			return fmt.Errorf("%w: weight %v at class base %v", ErrTooManyClasses, u.W, classBase)
+		}
+		present[c] = true
 		return nil
 	})
+	if err != nil {
+		return nil, nil, err
+	}
 	sub = make(map[int]Stream, len(present))
 	for c := range present {
 		c := c
@@ -263,5 +298,5 @@ func WeightClasses(base Stream, classBase float64) (classes []int, sub map[int]S
 			classes[j], classes[j-1] = classes[j-1], classes[j]
 		}
 	}
-	return classes, sub
+	return classes, sub, nil
 }

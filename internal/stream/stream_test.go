@@ -4,8 +4,10 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"time"
 
 	"dynstream/internal/graph"
+	"dynstream/internal/hashing"
 )
 
 func TestAppendValidation(t *testing.T) {
@@ -225,7 +227,10 @@ func TestWeightClassOf(t *testing.T) {
 func TestWeightClassesPartition(t *testing.T) {
 	g := graph.RandomWeighted(graph.Complete(12), 1, 1000, 3)
 	s := FromGraph(g, 4)
-	classes, sub := WeightClasses(s, 2)
+	classes, sub, err := WeightClasses(s, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(classes) == 0 {
 		t.Fatal("no classes found")
 	}
@@ -253,5 +258,60 @@ func TestWeightClassesPartition(t *testing.T) {
 	// Max class consistent with wmax=1000, base 2: class ~ log2(1000) ≈ 9.
 	if classes[len(classes)-1] > int(math.Log2(1000))+1 {
 		t.Errorf("unexpected max class %d", classes[len(classes)-1])
+	}
+}
+
+// loopClass is WeightClassOf as a plain division loop, unbounded.
+func loopClass(w, base float64) int {
+	c := 0
+	for x := w; x >= base; x /= base {
+		c++
+	}
+	return c
+}
+
+// TestWeightClassBound: below MaxWeightClass every class is the plain
+// loop's — near the bound and at bases near 1 too — WeightClassAtMost
+// is min(class, limit), and a class far above the bound is settled from
+// logarithms: a base of 1 + 1e-12 at weight 2 (≈ 7·10¹¹ divisions for
+// the loop) returns at once, and WeightClasses refuses it.
+func TestWeightClassBound(t *testing.T) {
+	rng := hashing.NewSplitMix64(5)
+	for _, base := range []float64{1.5, 2, 10, 1 + 1e-3, 1 + 1e-6, 1 + 1e-9} {
+		top := min(math.Log(base)*(MaxWeightClass+4), 700) // a few classes past the bound, or the largest finite weights
+		for i := 0; i < 200; i++ {
+			w := math.Exp(top * float64(rng.Next()%1e6) / 1e6)
+			want := loopClass(w, base)
+			if got := WeightClassOf(w, base); got != min(want, MaxWeightClass+1) {
+				t.Fatalf("WeightClassOf(%v, %v) = %d, loop %d", w, base, got, want)
+			}
+			for _, limit := range []int{0, 1, 3, want, want + 1} {
+				if got := WeightClassAtMost(w, base, limit); got != min(want, limit) {
+					t.Fatalf("WeightClassAtMost(%v, %v, %d) = %d, loop %d", w, base, limit, got, want)
+				}
+			}
+		}
+	}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if c := WeightClassOf(2, 1+1e-12); c != MaxWeightClass+1 {
+			t.Errorf("WeightClassOf(2, 1+1e-12) = %d, want %d", c, MaxWeightClass+1)
+		}
+		if c := WeightClassAtMost(2, 1+1e-12, 4); c != 4 {
+			t.Errorf("WeightClassAtMost(2, 1+1e-12, 4) = %d, want 4", c)
+		}
+		s := NewMemoryStream(3)
+		_ = s.Append(Update{U: 0, V: 1, Delta: 1, W: 1})
+		_ = s.Append(Update{U: 1, V: 2, Delta: 1, W: 2})
+		if _, _, err := WeightClasses(s, 1+1e-12); !errors.Is(err, ErrTooManyClasses) {
+			t.Errorf("WeightClasses at base 1+1e-12: err = %v, want ErrTooManyClasses", err)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Fatal("class index of weight 2 at base 1+1e-12: no answer within a second")
 	}
 }

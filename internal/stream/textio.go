@@ -84,8 +84,8 @@ func parseTextUpdate(line string, lineNo int) (Update, error) {
 	w := 1.0
 	if len(fields) == 4 {
 		w, err = strconv.ParseFloat(fields[3], 64)
-		// NaN must be rejected explicitly (NaN <= 0 is false), and
-		// infinite weights would loop forever in WeightClassOf.
+		// NaN must be rejected explicitly (NaN <= 0 is false), and an
+		// infinite weight has no weight class.
 		if err != nil || w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
 			return Update{}, fmt.Errorf("stream: line %d: bad weight %q", lineNo, fields[3])
 		}

@@ -21,6 +21,10 @@ var (
 	// ErrNotReplayable reports that a multi-pass build was asked to run
 	// over a source that can only be consumed once (a pipe, a channel).
 	ErrNotReplayable = stream.ErrNotReplayable
+	// ErrTooManyClasses reports a weighted build whose weights, at its
+	// WithWeightClasses base, fall in a class above the largest a
+	// sketch holds (a base too close to 1 for the weights' range).
+	ErrTooManyClasses = stream.ErrTooManyClasses
 )
 
 // Option configures a Build call.

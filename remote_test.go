@@ -197,7 +197,9 @@ func TestRemoteBuildMatchesSerial(t *testing.T) {
 		for _, classBase := range []float64{0, 2} {
 			var classes []int
 			if classBase != 0 {
-				classes, _ = stream.WeightClasses(st, classBase)
+				if classes, _, err = stream.WeightClasses(st, classBase); err != nil {
+					t.Fatal(err)
+				}
 			}
 			serial, err := dynstream.Build(ctx, st, target, dynstream.WithWeightClasses(classBase))
 			if err != nil {
