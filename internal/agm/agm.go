@@ -125,11 +125,6 @@ type mergeEntry struct {
 	genSum  uint64
 	win     uint64
 	samp    *sketch.L0Sampler
-
-	// Cached Sample() result drawn from samp in its current state, valid
-	// while pickKnown.
-	pick      pick
-	pickKnown bool
 }
 
 // pickEntry is a cached component decode. members is the exact member
@@ -322,7 +317,7 @@ func (s *Sketch) SubtractTo(want map[[2]int]int64) {
 // other's, so every state built from updates — ingested, merged,
 // subtracted (SubtractTo) or restored from its own encoding — is
 // zero-sum, and the forest decode relies on it (SpanningForestOpts).
-// A forged encoding need not be.
+// A forged encoding need not be: UnmarshalBinary refuses one that is not.
 func (s *Sketch) ZeroSum() bool {
 	var sum sketch.L0Sampler
 	for r := 0; r < s.rounds && s.n > 0; r++ {

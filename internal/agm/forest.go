@@ -332,8 +332,6 @@ type decodeWorker struct {
 	sample       sketch.SampleScratch
 	hint         sketch.L0Hint
 	gained, lost []int32
-	claimed      []bool
-	covers       []*mergeEntry
 	stats        decodeStats
 }
 
@@ -390,18 +388,17 @@ func (d *forestDecode) decode(i int, dw *decodeWorker) (pick, *sketch.L0Sampler,
 	} else {
 		// Fold path: refresh the cached merged sampler from the update
 		// log and the membership delta instead of re-merging every
-		// member; failing that, stitch or re-merge it and cache the sum.
+		// member; failing that, re-merge it and cache the sum.
 		me, err := d.refresh(i, &fresh, dw)
 		if err == nil && me == nil {
-			me, err = d.rebuild(i, &fresh, dw)
+			if err = d.remerge(fresh.members, dw); err == nil {
+				me = d.keep(&fresh, &dw.sum)
+			}
 		}
 		if err != nil {
 			return pick{}, nil, err
 		}
-		if !me.pickKnown {
-			me.pick, me.pickKnown = s.samplePick(me.samp, &dw.sample), true
-		}
-		fresh.pick, sum = me.pick, me.samp
+		fresh.pick, sum = s.samplePick(me.samp, &dw.sample), me.samp
 	}
 	s.picks[d.r][d.cs.roots[i]] = fresh
 	return fresh.pick, sum, nil
@@ -437,20 +434,17 @@ func (d *forestDecode) draw(m []int32, dw *decodeWorker) (pick, *sketch.L0Sample
 // identity, in folds: its refresh's membership delta and logged
 // incidences when its cached sum would be refreshed, else a re-merge.
 func (d *forestDecode) refreshCost(i int) int {
-	s, m := d.s, d.cs.members(i)
-	if s.caching && len(m) >= mergeCacheMinMembers {
-		if me := s.merges[d.r][m[0]]; d.foldable(me) {
-			dw := &d.workers[0]
-			dw.gained, dw.lost = sortedDiff(m, me.members, dw.gained[:0], dw.lost[:0])
-			if delta := len(dw.gained) + len(dw.lost); refreshPays(delta, len(m)) {
-				for _, v := range me.members {
-					delta += int(d.incOff[v+1] - d.incOff[v])
-				}
-				return delta
+	dw := &d.workers[0]
+	if d.s.caching {
+		if me := d.refreshable(i, dw); me != nil {
+			delta := len(dw.gained) + len(dw.lost)
+			for _, v := range me.members {
+				delta += int(d.incOff[v+1] - d.incOff[v])
 			}
+			return delta
 		}
 	}
-	return len(m) - 1
+	return len(d.cs.members(i)) - 1
 }
 
 // accumulate folds component i's sum into the worker's accumulator:
@@ -510,9 +504,7 @@ func (d *forestDecode) zeroSum(li int) (pick, error) {
 		return s.samplePick(sum, sc), nil
 	}
 	e := d.entry(li)
-	me := d.keep(&e, sum)
-	me.pick, me.pickKnown = s.samplePick(me.samp, sc), true
-	e.pick = me.pick
+	e.pick = s.samplePick(d.keep(&e, sum).samp, sc)
 	s.picks[d.r][d.cs.roots[li]] = e
 	return e.pick, nil
 }
@@ -530,22 +522,8 @@ func (d *forestDecode) remerge(m []int32, dw *decodeWorker) error {
 	return nil
 }
 
-// rebuild sums component i in the worker's scratch — composed from
-// cached chunks where that pays, re-merged otherwise — and stores the
-// sum as the component's merged-sampler entry.
-func (d *forestDecode) rebuild(i int, e *pickEntry, dw *decodeWorker) (*mergeEntry, error) {
-	composed, err := d.compose(i, dw)
-	if err == nil && !composed {
-		err = d.remerge(e.members, dw)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return d.keep(e, &dw.sum), nil
-}
-
 // keep stores sum as the merged-sampler entry of the component e was
-// drawn over, its pick not yet drawn.
+// drawn over.
 func (d *forestDecode) keep(e *pickEntry, sum *sketch.L0Sampler) *mergeEntry {
 	slot := &d.s.merges[d.r][e.members[0]]
 	if *slot == nil {
@@ -553,7 +531,7 @@ func (d *forestDecode) keep(e *pickEntry, sum *sketch.L0Sampler) *mergeEntry {
 	}
 	me := *slot
 	me.samp.SetTo(sum)
-	me.members, me.genSum, me.win, me.pickKnown = e.members, e.genSum, e.win, false
+	me.members, me.genSum, me.win = e.members, e.genSum, e.win
 	return me
 }
 
@@ -574,20 +552,16 @@ func (d *forestDecode) foldable(me *mergeEntry) bool {
 // scratch. Returns nil when no entry is usable or the delta is big
 // enough that the full re-merge is cheaper.
 func (d *forestDecode) refresh(i int, e *pickEntry, dw *decodeWorker) (*mergeEntry, error) {
-	s, r, m := d.s, d.r, e.members
-	me := s.merges[r][m[0]]
-	if !d.foldable(me) {
+	s, r := d.s, d.r
+	me := d.refreshable(i, dw)
+	if me == nil {
 		return nil, nil
 	}
-	dw.gained, dw.lost = sortedDiff(m, me.members, dw.gained[:0], dw.lost[:0])
 	gained, lost := dw.gained, dw.lost
-	if !refreshPays(len(gained)+len(lost), len(m)) {
-		return nil, nil
-	}
 	// The entry was synced over the old member list: the component's
 	// current members less the gained ones, plus the lost ones.
 	comp := d.cs.comp
-	applied := d.fold(me, dw, func(v int32) bool {
+	d.fold(me, dw, func(v int32) bool {
 		if comp[v] == int32(i) {
 			return !inSorted(gained, v)
 		}
@@ -603,101 +577,27 @@ func (d *forestDecode) refresh(i int, e *pickEntry, dw *decodeWorker) (*mergeEnt
 			return nil, fmt.Errorf("agm: refresh: %w", err)
 		}
 	}
-	// A refresh that applied nothing leaves the sum — and so the
-	// deterministic Sample — bit-identical: the cached pick stands.
-	if applied+len(gained)+len(lost) > 0 {
-		me.pickKnown = false
-	}
-	me.members, me.genSum, me.win = m, e.genSum, e.win
+	me.members, me.genSum, me.win = e.members, e.genSum, e.win
 	dw.stats.folds += int64(len(gained) + len(lost))
 	dw.stats.refreshed++
 	return me, nil
 }
 
-// refreshPays reports whether reconciling a cached sum with a
-// membership delta of delta vertices beats re-merging the component's
-// member samplers.
-func refreshPays(delta, members int) bool { return delta+4 < members }
-
-// compose assembles dirty component i's merged sampler in the worker's
-// scratch from cached sub-component entries when no single entry is
-// close enough for a delta refresh. After churn, Borůvka's merge cascade
-// often reshuffles which components join in a round; the new component
-// is then a union of previously cached components plus a few
-// stragglers. Foldable entries whose member lists lie wholly inside the
-// component (and don't overlap an already claimed chunk) cover disjoint
-// chunks: refresh each chunk by folding the update log, merge the chunk
-// sums, and top up the uncovered members from their vertex samplers —
-// exact linear steps, bit-identical to the full re-merge. Returns false
-// (scratch safely overwritable) when too little of the component is
-// covered to beat the plain re-merge.
-func (d *forestDecode) compose(i int, dw *decodeWorker) (bool, error) {
-	s, r, m := d.s, d.r, d.cs.members(i)
-	if !d.intact || len(m) < 2*mergeCacheMinMembers {
-		return false, nil
+// refreshable returns component i's merged-sampler entry when a refresh
+// would serve it — the entry is foldable and reconciling its membership
+// delta, left in dw.gained and dw.lost, beats re-merging the members —
+// else nil. refreshCost prices and refresh takes the same decision.
+func (d *forestDecode) refreshable(i int, dw *decodeWorker) *mergeEntry {
+	m := d.cs.members(i)
+	me := d.s.merges[d.r][m[0]]
+	if !d.foldable(me) {
+		return nil
 	}
-	dw.claimed = append(dw.claimed[:0], make([]bool, len(m))...)
-	claimed, covers, covered := dw.claimed, dw.covers[:0], 0
-	for idx, v := range m {
-		me := s.merges[r][v]
-		if claimed[idx] || !d.foldable(me) {
-			continue
-		}
-		// me.members[0] == v; verify the rest lie in m unclaimed.
-		t := idx
-		usable := true
-		for _, x := range me.members {
-			for t < len(m) && m[t] < x {
-				t++
-			}
-			if t >= len(m) || m[t] != x || claimed[t] {
-				usable = false
-				break
-			}
-			t++
-		}
-		if !usable {
-			continue
-		}
-		t = idx
-		for _, x := range me.members {
-			for m[t] < x {
-				t++
-			}
-			claimed[t] = true
-			t++
-		}
-		covers = append(covers, me)
-		covered += len(me.members)
+	dw.gained, dw.lost = sortedDiff(m, me.members, dw.gained[:0], dw.lost[:0])
+	if len(dw.gained)+len(dw.lost)+4 >= len(m) {
+		return nil
 	}
-	dw.covers = covers
-	if covered-len(covers) < len(m)/4 {
-		return false, nil // the chunks save fewer merges than they cost to stitch
-	}
-	comp := d.cs.comp
-	for _, me := range covers {
-		chunk := me.members
-		if d.fold(me, dw, func(v int32) bool { return comp[v] == int32(i) && inSorted(chunk, v) }) > 0 {
-			me.pickKnown = false
-		}
-		me.genSum, me.win = s.genSumOf(r, chunk), s.logGen+1
-	}
-	dw.sum.SetTo(covers[0].samp)
-	for _, me := range covers[1:] {
-		if err := dw.sum.Merge(me.samp); err != nil {
-			return false, fmt.Errorf("agm: compose: %w", err)
-		}
-	}
-	for idx, v := range m {
-		if !claimed[idx] {
-			if err := dw.sum.Merge(s.at(r, int(v))); err != nil {
-				return false, fmt.Errorf("agm: compose: %w", err)
-			}
-		}
-	}
-	dw.stats.folds += int64(len(covers) - 1 + len(m) - covered)
-	dw.stats.remerged++
-	return true, nil
+	return me
 }
 
 // sortedDiff appends the elements of cur absent from old to gained and
@@ -755,10 +655,8 @@ func (d *forestDecode) indexLog() {
 // sum is +delta if a is a member, -delta if b is. Both members means
 // exact cancellation: skip. Cell updates are commutative, associative,
 // exact field additions, so the folded sampler is bit-identical to a
-// full re-merge of the current member samplers. Returns the updates
-// applied.
-func (d *forestDecode) fold(me *mergeEntry, dw *decodeWorker, in func(v int32) bool) int {
-	applied := 0
+// full re-merge of the current member samplers.
+func (d *forestDecode) fold(me *mergeEntry, dw *decodeWorker, in func(v int32) bool) {
 	for _, v := range me.members {
 		for _, li := range d.inc[d.incOff[v]:d.incOff[v+1]] {
 			lu := &d.s.log[li]
@@ -771,11 +669,9 @@ func (d *forestDecode) fold(me *mergeEntry, dw *decodeWorker, in func(v int32) b
 			}
 			d.s.fam[d.r].Hint(lu.key, &dw.hint)
 			me.samp.AddHint(lu.key, delta, &dw.hint)
-			applied++
+			dw.stats.logApplied++
 		}
 	}
-	dw.stats.logApplied += int64(applied)
-	return applied
 }
 
 // completeQueryWindow runs after each cached extraction: the log is

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dynstream/internal/graph"
@@ -278,7 +279,7 @@ func requeryModelRun(t *testing.T, n int, grouped bool, workers, steps int, seed
 	for step := 0; step <= steps; step++ {
 		what := "seed"
 		if step > 0 {
-			switch op := rng.Intn(14); op {
+			switch op := rng.Intn(15); op {
 			case 0:
 				what = "empty batch"
 				apply(nil)
@@ -370,6 +371,40 @@ func requeryModelRun(t *testing.T, n int, grouped bool, workers, steps int, seed
 				}
 				apply(batch)
 				regroup()
+			case 14:
+				// Both endpoints of every update lie in the largest
+				// connected component (of the contraction), so its
+				// membership is unchanged and the fold into its cached
+				// sum applies nothing.
+				what = "batch inside the largest component"
+				uf := graph.NewUnionFind(n)
+				for _, e := range present {
+					uf.Union(e.u, e.v)
+				}
+				for _, g := range groups {
+					for _, v := range g {
+						uf.Union(g[0], v)
+					}
+				}
+				size := make([]int, n)
+				for v := range size {
+					size[uf.Find(v)]++
+				}
+				big := slices.Index(size, slices.Max(size))
+				var in []int
+				for v := range size {
+					if uf.Find(v) == big {
+						in = append(in, v)
+					}
+				}
+				var batch []stream.Update
+				for len(batch) < 8 && len(in) > 1 {
+					if u, v := in[rng.Intn(len(in))], in[rng.Intn(len(in))]; u != v {
+						present = append(present, edge{u, v})
+						batch = append(batch, stream.Update{U: u, V: v, Delta: 1, W: 1})
+					}
+				}
+				apply(batch)
 			}
 		}
 		ctx := fmt.Sprintf("step %d (%s)", step, what)

@@ -64,7 +64,8 @@ func headerFits(n, rounds, perLvl, left uint64) bool {
 // last bound narrows the wire the way MaxL0PerLevel does: every
 // encoding at perLevel ≤ 5 passes it, while at a larger perLevel a grid
 // whose samplers are mostly suppressed zeros is rejected as corrupt (no
-// caller sets Config.PerLevel).
+// caller sets Config.PerLevel). A state whose samplers do not sum to
+// zero (ZeroSum) is refused as corrupt.
 func (s *Sketch) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data, errCorrupt)
 	if r.U64() != wire.TagAGM {
@@ -88,6 +89,11 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	}
 	if err := r.Done(); err != nil {
 		return err
+	}
+	// The forest decode relies on every round's samplers summing to zero
+	// (SpanningForestOpts), as they do in every state built from updates.
+	if !rebuilt.ZeroSum() {
+		return fmt.Errorf("%w: the samplers of some round do not sum to zero", errCorrupt)
 	}
 	// Whole-state replacement: keep the caching preference but drop the
 	// cached picks — the rebuilt samplers carry fresh generations, so

@@ -1,6 +1,7 @@
 package agm
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -259,5 +260,49 @@ func TestZeroSumIdentity(t *testing.T) {
 	}
 	if refreshedL == 0 {
 		t.Error("the update's endpoints were in no round's largest component: the step tests nothing")
+	}
+}
+
+// TestNonZeroSumRefused: a state holding one endpoint of one update in
+// every round — its samplers do not sum to zero, which no stream
+// produces — encodes, and the AGM decoder and every application decoder
+// built on it refuse the encoding with errCorrupt, while the honest
+// encoding of the same state decodes.
+func TestNonZeroSumRefused(t *testing.T) {
+	const n = 12
+	ups := churnUpdates(n, 40, 9)
+	type state interface {
+		AddBatch([]stream.Update)
+		MarshalBinary() ([]byte, error)
+		UnmarshalBinary([]byte) error
+	}
+	for _, c := range []struct {
+		name  string
+		build func() (state, *Sketch) // the state and the sketch to forge
+	}{
+		{"AGM", func() (state, *Sketch) { s := New(3, n, Config{}); return s, s }},
+		{"KConnectivity", func() (state, *Sketch) { kc := NewKConnectivity(6, n, 2); return kc, kc.stack[1] }},
+		{"Bipartiteness", func() (state, *Sketch) { b := NewBipartiteness(7, n); return b, b.stack[1] }},
+		{"MSF", func() (state, *Sketch) { m := NewMSF(8, n, 4, 1); return m, m.stack[len(m.stack)-1] }},
+	} {
+		st, sk := c.build()
+		st.AddBatch(ups)
+		good, err := st.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < sk.rounds; r++ {
+			sk.at(r, 0).Add(stream.PairKey(0, 1, sk.n), 1)
+		}
+		bad, err := st.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.UnmarshalBinary(bad); !errors.Is(err, errCorrupt) {
+			t.Errorf("%s: one-endpoint update decoded: %v, want errCorrupt", c.name, err)
+		}
+		if err := st.UnmarshalBinary(good); err != nil {
+			t.Errorf("%s: honest encoding refused: %v", c.name, err)
+		}
 	}
 }

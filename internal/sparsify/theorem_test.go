@@ -1,6 +1,7 @@
 package sparsify
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -26,6 +27,10 @@ import (
 // The sketch-against-exact row: on K16 at Z = 24 and 72, the
 // sketch-oracle sparsifier's ε is within 0.1 of the one whose estimator
 // has exact oracles (exactEstimator) and the same sample spanners.
+//
+// The defaults row: SparsifyOpts at Config{K: 1} and Config{K: 2} reads
+// ε ≥ 1 on 22 of 24 runs (the three graphs and G(64, 0.31), three seeds
+// each); which two read less is pinned.
 func TestCorollary2Guarantees(t *testing.T) {
 	seeds, zs, exactZs := 2, []int{16, 48, 144}, []int{24, 72}
 	if testing.Short() {
@@ -82,6 +87,33 @@ func TestCorollary2Guarantees(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Logf("%s: Spielman–Srivastava at target ε %.1f keeps %d of %d edges, ε %.3f", in.name, target, h.M(), in.g.M(), eps)
+		}
+	}
+
+	// The defaults row: Config{K: 1} and Config{K: 2} with only the seed
+	// set, so Z = 8, H = T = 2⌈log₂(n+1)⌉, J = 4 and δ = 0.25 — far below
+	// the Z the corollary needs — on three seeds (two in short mode). It
+	// pins the runs that read ε < 1: two of 24. The barbell's ε of
+	// exactly 1 is a dropped bridge.
+	under := map[string]bool{"K16 K=1 seed 0": true, "K16 K=2 seed 1": true}
+	defaults := append(instances, struct {
+		name string
+		g    *graph.Graph
+	}{"gnp(64,0.31)", graph.ConnectedGNP(64, 0.31, 12345)})
+	for _, in := range defaults {
+		for _, k := range []int{1, 2} {
+			for s := 0; s < seeds+1; s++ {
+				seed := uint64(1 + s)
+				st := stream.FromGraph(in.g, hashing.Mix(seed, 13))
+				res, err := SparsifyOpts(st, Config{K: k, Seed: hashing.Mix(seed, 16, uint64(k))}, parallel.Default())
+				eps := epsilon(in.g, res, err)
+				run := fmt.Sprintf("%s K=%d seed %d", in.name, k, s)
+				kept := res.Sparsifier.M()
+				t.Logf("%s at the defaults: ε %.3f, keeps %d of %d edges (%.2f)", run, eps, kept, in.g.M(), float64(kept)/float64(in.g.M()))
+				if got := eps < 1-1e-6; got != under[run] {
+					t.Errorf("%s at the defaults: ε %.3f, pinned ε < 1: %v", run, eps, under[run])
+				}
+			}
 		}
 	}
 

@@ -1,6 +1,7 @@
 package dynstream
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -15,6 +16,7 @@ import (
 	"dynstream/internal/spanner"
 	"dynstream/internal/sparsify"
 	"dynstream/internal/stream"
+	"dynstream/internal/wire"
 )
 
 // The five single-pass states satisfy the one constraint onePass needs.
@@ -446,4 +448,82 @@ func checkOnePassTarget[R any](t *testing.T, c onePassCase, target Target[R], re
 			t.Errorf("Restore of another target's checkpoint = %v, want ErrBadCheckpoint", err)
 		}
 	})
+}
+
+// TestRestoreRefusesNonZeroSum: a CRC-valid checkpoint whose forest
+// state holds one endpoint of one update — its samplers do not sum to
+// zero, which no stream produces, and its largest component would
+// decode to a different forest than a re-merge — is refused with
+// ErrBadCheckpoint; the same container around the honest state restores.
+func TestRestoreRefusesNonZeroSum(t *testing.T) {
+	const n = 16
+	ctx := context.Background()
+	target := ForestTarget{Seed: 41}
+	h, err := Open(ctx, NewMemoryStream(n), target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Apply([]Update{{U: 0, V: 1, Delta: 1, W: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := h.Checkpoint(&snap); err != nil {
+		t.Fatal(err)
+	}
+	meta, state, err := readCheckpoint(&snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The forged state is the honest one with vertex 1's samplers
+	// suppressed: only vertex 0 keeps the update.
+	r, w := wire.NewReader(state, ErrBadCheckpoint), &wire.Writer{}
+	w.U64(r.U64())
+	w.U64(r.U64())
+	n64, rounds, perLvl := r.Uvarint(), r.Uvarint(), r.Uvarint()
+	for _, v := range []uint64{n64, rounds, perLvl} {
+		w.Uvarint(v)
+	}
+	for i := uint64(0); i < rounds*n64; i++ {
+		enc := r.SketchBlock()
+		if i%n64 == 1 {
+			enc = nil
+		}
+		w.Uvarint(uint64(len(enc)))
+		w.Raw(enc)
+	}
+	if err := r.Done(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		state  []byte
+		forged bool
+	}{{state, false}, {w.Bytes(), true}} {
+		var ckpt bytes.Buffer
+		bw := bufio.NewWriter(&ckpt)
+		mw := &wire.Writer{}
+		mw.Byte(byte(meta.kind))
+		mw.Uvarint(uint64(meta.n))
+		mw.Uvarint(uint64(meta.applied))
+		if _, err := bw.WriteString(checkpointMagic); err != nil {
+			t.Fatal(err)
+		}
+		for _, sec := range []struct {
+			kind    byte
+			payload []byte
+		}{{sectionMeta, mw.Bytes()}, {sectionState, c.state}, {sectionEnd, nil}} {
+			if err := writeSection(bw, sec.kind, sec.payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Restore(ctx, &ckpt, NewMemoryStream(n), target)
+		if c.forged && !errors.Is(err, ErrBadCheckpoint) {
+			t.Errorf("one-endpoint state restored: %v, want ErrBadCheckpoint", err)
+		}
+		if !c.forged && err != nil {
+			t.Errorf("honest state refused: %v", err)
+		}
+	}
 }
