@@ -45,12 +45,6 @@ func MulVec(dst, a, b []uint64) { mulVec(dst, a, b) }
 // [0, len(dst)) — the field form of dst += c·a.
 func AxpyVec(dst []uint64, c uint64, a []uint64) { axpyVec(dst, c, a) }
 
-// HornerStepVec advances a bank of interleaved Horner evaluations one
-// coefficient: acc[i] = Add(Mul(acc[i], x), c[i]) for i in
-// [0, len(acc)). hashing.PolyBank uses it to evaluate many same-degree
-// polynomial hashes of one key in a single sweep.
-func HornerStepVec(acc []uint64, x uint64, c []uint64) { hornerStepVec(acc, x, c) }
-
 // Count is the element type of a count lane: plain wrapping integers,
 // held as int64 by sketches with typed lanes (SketchB) and as their
 // two's complement by sketches that keep all three lanes in one uint64

@@ -129,22 +129,6 @@ func axpyVec(dst []uint64, c uint64, a []uint64) {
 	}
 }
 
-func hornerStepVec(acc []uint64, x uint64, c []uint64) {
-	n := len(acc)
-	c = c[:n]
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		v0 := addP(mulP(acc[i], x), c[i])
-		v1 := addP(mulP(acc[i+1], x), c[i+1])
-		v2 := addP(mulP(acc[i+2], x), c[i+2])
-		v3 := addP(mulP(acc[i+3], x), c[i+3])
-		acc[i], acc[i+1], acc[i+2], acc[i+3] = v0, v1, v2, v3
-	}
-	for ; i < n; i++ {
-		acc[i] = addP(mulP(acc[i], x), c[i])
-	}
-}
-
 func mergeCells[C Count](dc []C, dk, df []uint64, sc []C, sk, sf []uint64) {
 	n := len(dc)
 	dk = dk[:n]

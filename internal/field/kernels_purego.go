@@ -39,12 +39,6 @@ func axpyVec(dst []uint64, c uint64, a []uint64) {
 	}
 }
 
-func hornerStepVec(acc []uint64, x uint64, c []uint64) {
-	for i := range acc {
-		acc[i] = Add(Mul(acc[i], x), c[i])
-	}
-}
-
 func mergeCells[C Count](dc []C, dk, df []uint64, sc []C, sk, sf []uint64) {
 	for i := range dc {
 		dc[i] += sc[i]

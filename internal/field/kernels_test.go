@@ -91,15 +91,6 @@ func TestKernelsMatchScalar(t *testing.T) {
 				t.Fatalf("n=%d AxpyVec[%d] = %d, scalar %d", n, i, axpy[i], want)
 			}
 		}
-
-		horner := cloneU64(b)
-		HornerStepVec(horner, c, a)
-		for i := range horner {
-			want := Add(Mul(b[i], c), a[i])
-			if horner[i] != want {
-				t.Fatalf("n=%d HornerStepVec[%d] = %d, scalar %d", n, i, horner[i], want)
-			}
-		}
 	}
 }
 

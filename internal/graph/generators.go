@@ -198,3 +198,92 @@ func ConnectedGNP(n int, p float64, seed uint64) *Graph {
 	}
 	return g
 }
+
+// Additional workload families used by the extended experiments: a
+// locally-dense family where spanner compression is visible per weight
+// class, a small-world family, and random regular graphs.
+
+// RingOfCliques returns `count` cliques of size `size` arranged in a
+// ring, consecutive cliques joined by a single edge. Locally dense,
+// globally sparse: spanners compress the cliques but must keep every
+// ring edge.
+func RingOfCliques(count, size int) *Graph {
+	n := count * size
+	g := New(n)
+	for c := 0; c < count; c++ {
+		base := c * size
+		for u := 0; u < size; u++ {
+			for v := u + 1; v < size; v++ {
+				g.AddUnitEdge(base+u, base+v)
+			}
+		}
+	}
+	for c := 0; c < count; c++ {
+		from := c*size + size - 1
+		to := ((c + 1) % count) * size
+		if from != to && !g.HasEdge(from, to) {
+			g.AddUnitEdge(from, to)
+		}
+	}
+	return g
+}
+
+// WattsStrogatz returns a small-world graph: a ring lattice where each
+// vertex connects to its k nearest neighbors, with each edge rewired
+// to a random endpoint with probability beta.
+func WattsStrogatz(n, k int, beta float64, seed uint64) *Graph {
+	if k < 2 {
+		k = 2
+	}
+	if k >= n {
+		k = n - 1
+	}
+	g := New(n)
+	rng := hashing.NewSplitMix64(seed)
+	for u := 0; u < n; u++ {
+		for j := 1; j <= k/2; j++ {
+			v := (u + j) % n
+			if rng.Float64() < beta {
+				// Rewire to a random non-neighbor.
+				for tries := 0; tries < 20; tries++ {
+					w := rng.Intn(n)
+					if w != u && !g.HasEdge(u, w) {
+						v = w
+						break
+					}
+				}
+			}
+			if u != v && !g.HasEdge(u, v) {
+				g.AddUnitEdge(u, v)
+			}
+		}
+	}
+	return g
+}
+
+// RandomRegular returns an approximately d-regular graph via the
+// pairing model (retrying collisions; the result may be slightly
+// irregular if d·n is odd or retries exhaust).
+func RandomRegular(n, d int, seed uint64) *Graph {
+	g := New(n)
+	rng := hashing.NewSplitMix64(seed)
+	// Stub list: d copies of every vertex, randomly paired.
+	stubs := make([]int, 0, n*d)
+	for v := 0; v < n; v++ {
+		for i := 0; i < d; i++ {
+			stubs = append(stubs, v)
+		}
+	}
+	// Shuffle and pair; skip self-loops and duplicates.
+	for i := len(stubs) - 1; i > 0; i-- {
+		j := rng.Intn(i + 1)
+		stubs[i], stubs[j] = stubs[j], stubs[i]
+	}
+	for i := 0; i+1 < len(stubs); i += 2 {
+		u, v := stubs[i], stubs[i+1]
+		if u != v && !g.HasEdge(u, v) {
+			g.AddUnitEdge(u, v)
+		}
+	}
+	return g
+}

@@ -50,3 +50,16 @@ func BenchmarkPolyBankHash9(b *testing.B) {
 		bank.HashPrefix(uint64(i)*0x9e3779b97f4a7c15, dst)
 	}
 }
+
+func BenchmarkPolyLevelPow(b *testing.B) {
+	// The level draw of a call site that shares the key's powers with
+	// other hashes; compare against BenchmarkPolyLevel.
+	h := NewPoly(3, 8)
+	var pw Powers
+	PowersOf(0x9e3779b97f4a7c15, &pw)
+	var sink int
+	for i := 0; i < b.N; i++ {
+		sink += h.LevelPow(&pw)
+	}
+	_ = sink
+}

@@ -119,57 +119,120 @@ func (p *Poly) Bucket(x uint64, m int) int {
 	return int(p.Hash(x) % uint64(m))
 }
 
+// MaxDegree is the most coefficients a polynomial may have to be
+// evaluated over shared Powers; every NewPoly outside tests uses at
+// most 8. A bank of wider polynomials is nil.
+const MaxDegree = 8
+
+// Powers holds one key's powers x^0 … x^(MaxDegree-1) in GF(2^61-1),
+// x reduced. A call site that hashes one key under several polynomials
+// computes them once (PowersOf) and evaluates each polynomial as a dot
+// product over them (HashPow, LevelPow, PolyBank.HashPrefixPow).
+// Powers[1] is field.Reduce(x).
+type Powers [MaxDegree]uint64
+
+// PowersOf fills p with the powers of x mod P, three multiplications
+// deep rather than seven. The literal spells out all MaxDegree powers.
+func PowersOf(x uint64, p *Powers) {
+	x = field.Reduce(x)
+	x2 := field.Mul(x, x)
+	x3, x4 := field.Mul(x2, x), field.Mul(x2, x2)
+	*p = Powers{1, x, x2, x3, x4, field.Mul(x4, x), field.Mul(x3, x3), field.Mul(x4, x3)}
+}
+
+// powDot returns Σ c[i]·pw[i] mod P for coefficients in [0, P), zero
+// past the polynomial's degree. Each product is below 2^122, so the
+// MaxDegree products accumulate unreduced in 128 bits (below 2^125),
+// summed as a tree, and the sum is reduced once, to the canonical
+// representative Horner's rule returns.
+func powDot(c *[MaxDegree]uint64, pw *Powers) uint64 {
+	h0, l0 := bits.Mul64(c[0], pw[0])
+	h1, l1 := bits.Mul64(c[1], pw[1])
+	h2, l2 := bits.Mul64(c[2], pw[2])
+	h3, l3 := bits.Mul64(c[3], pw[3])
+	h4, l4 := bits.Mul64(c[4], pw[4])
+	h5, l5 := bits.Mul64(c[5], pw[5])
+	h6, l6 := bits.Mul64(c[6], pw[6])
+	h7, l7 := bits.Mul64(c[7], pw[7])
+	var k0, k1, k2, k3 uint64
+	l0, k0 = bits.Add64(l0, l1, 0)
+	l2, k1 = bits.Add64(l2, l3, 0)
+	l4, k2 = bits.Add64(l4, l5, 0)
+	l6, k3 = bits.Add64(l6, l7, 0)
+	h0, h2, h4, h6 = h0+h1+k0, h2+h3+k1, h4+h5+k2, h6+h7+k3
+	l0, k0 = bits.Add64(l0, l2, 0)
+	l4, k1 = bits.Add64(l4, l6, 0)
+	h0, h4 = h0+h2+k0, h4+h6+k1
+	l0, k0 = bits.Add64(l0, l4, 0)
+	h0 += h4 + k0
+	// v = h0·2^64 + l0 < 2^125 and 2^61 ≡ 1: fold v>>61 (< 2^64) twice.
+	q := h0<<3 | l0>>61
+	r := l0&field.P + q&field.P + q>>61
+	r = r>>61 + r&field.P
+	if r >= field.P {
+		r -= field.P
+	}
+	return r
+}
+
+// HashPow returns p.Hash(x) for pw = PowersOf(x). It panics if the
+// polynomial has more than MaxDegree coefficients.
+func (p *Poly) HashPow(pw *Powers) uint64 {
+	var c [MaxDegree]uint64
+	if copy(c[:], p.coeffs) < len(p.coeffs) {
+		panic("hashing: HashPow past MaxDegree")
+	}
+	return powDot(&c, pw)
+}
+
 // PolyBank evaluates a fixed ordered set of equal-degree Polys at one
-// point in a single interleaved Horner sweep: coefficients are stored
-// coefficient-major (one contiguous row per coefficient index across
-// all lanes), and each Horner step advances every lane through
-// field.HornerStepVec. Sketches that hash one key with several row
-// functions per update — every structure in internal/sketch — evaluate
-// the whole bank at once instead of re-walking Horner per row. Lane i
-// returns exactly polys[i].Hash(x), bit for bit.
+// point as dot products over the point's shared Powers: each lane's
+// coefficients are one zero-padded block, and each lane is one lazily
+// reduced dot product, so the key's powers are computed once for the
+// whole bank instead of once per lane inside a Horner walk. Sketches
+// that hash one key with several row functions per update — every
+// structure in internal/sketch — evaluate the whole bank at once. Lane
+// i returns exactly polys[i].Hash(x), bit for bit.
 type PolyBank struct {
-	lanes int
-	deg   int
-	coef  []uint64 // deg rows × lanes: coef[c*lanes+i] = polys[i].coeffs[c]
+	coef [][MaxDegree]uint64 // coef[i] = polys[i].coeffs, zero-padded
 }
 
 // NewPolyBank builds a bank over the given polynomials. It returns nil
-// if the set is empty or the degrees differ (callers fall back to
-// per-Poly Hash).
+// if the set is empty, the degrees differ or exceed MaxDegree (callers
+// fall back to per-Poly Hash).
 func NewPolyBank(polys ...*Poly) *PolyBank {
-	if len(polys) == 0 {
+	if len(polys) == 0 || len(polys[0].coeffs) > MaxDegree {
 		return nil
 	}
-	deg := len(polys[0].coeffs)
-	for _, p := range polys {
-		if len(p.coeffs) != deg {
+	b := &PolyBank{coef: make([][MaxDegree]uint64, len(polys))}
+	for i, p := range polys {
+		if len(p.coeffs) != len(polys[0].coeffs) {
 			return nil
 		}
-	}
-	b := &PolyBank{lanes: len(polys), deg: deg, coef: make([]uint64, deg*len(polys))}
-	for i, p := range polys {
-		for c, v := range p.coeffs {
-			b.coef[c*b.lanes+i] = v
-		}
+		copy(b.coef[i][:], p.coeffs)
 	}
 	return b
 }
 
 // Lanes returns the number of polynomials in the bank.
-func (b *PolyBank) Lanes() int { return b.lanes }
+func (b *PolyBank) Lanes() int { return len(b.coef) }
 
 // HashPrefix fills dst[i] with the hash of x under lane i, for the
 // first len(dst) lanes (len(dst) must be at most Lanes). Evaluating a
 // prefix is what level-sampled sketches need: an update surviving to
 // level j only consumes the first (j+1)×rows lane hashes.
 func (b *PolyBank) HashPrefix(x uint64, dst []uint64) {
-	x = field.Reduce(x)
+	var pw Powers
+	PowersOf(x, &pw)
+	b.HashPrefixPow(&pw, dst)
+}
+
+// HashPrefixPow is HashPrefix for pw = PowersOf(x), for call sites that
+// share one key's powers across several banks and level hashes.
+func (b *PolyBank) HashPrefixPow(pw *Powers, dst []uint64) {
+	coef := b.coef[:len(dst)]
 	for i := range dst {
-		dst[i] = 0
-	}
-	for c := b.deg - 1; c >= 0; c-- {
-		row := b.coef[c*b.lanes : c*b.lanes+len(dst)]
-		field.HornerStepVec(dst, x, row)
+		dst[i] = powDot(&coef[i], pw)
 	}
 }
 
@@ -193,10 +256,17 @@ func (p *Poly) Bernoulli(x uint64, rate float64) bool {
 // samples each E_j independently; nested geometric sampling is the
 // standard space-saving variant (as in [AGM12a]) and preserves the only
 // property the analysis uses — that E[|S ∩ E_j|] = |S| 2^-j at each j.
-func (p *Poly) Level(x uint64) int {
-	// Use the low 60 bits of the field element as the uniform string and
-	// count its leading zeros in O(1); an all-zero string is level 60.
-	h := p.Hash(x) & (1<<60 - 1)
+func (p *Poly) Level(x uint64) int { return levelOf(p.Hash(x)) }
+
+// LevelPow returns p.Level(x) for pw = PowersOf(x). It panics if the
+// polynomial has more than MaxDegree coefficients.
+func (p *Poly) LevelPow(pw *Powers) int { return levelOf(p.HashPow(pw)) }
+
+// levelOf counts the leading zeros of the low 60 bits of a field
+// element in O(1): the uniform string of Level. An all-zero string is
+// level 60.
+func levelOf(h uint64) int {
+	h &= 1<<60 - 1
 	if h == 0 {
 		return 60
 	}

@@ -32,9 +32,9 @@ type CountSketch struct {
 	data []int64 // rows*cols signed counters
 	hash []*hashing.Poly
 	sign []*hashing.Poly
-	// bank interleaves the bucket and sign hashes (hash rows first,
-	// then sign rows) so Add evaluates all 2×rows hashes of one update
-	// in a single Horner sweep.
+	// bank holds the bucket and sign hashes (hash rows first, then
+	// sign rows) so Add evaluates all 2×rows hashes of one update over
+	// the key's shared powers.
 	bank *hashing.PolyBank
 	// aux enumerates candidate keys for Decode; every candidate is
 	// then point-queried against the counter array.
@@ -81,7 +81,7 @@ func (cs *CountSketch) signOf(r int, key uint64) int64 {
 }
 
 // Add folds x[key] += delta. The bucket and sign hashes of every row
-// come from one banked Horner sweep, bit-identical to per-row Hash.
+// come from the bank, bit-identical to per-row Hash.
 func (cs *CountSketch) Add(key uint64, delta int64) {
 	if delta == 0 {
 		return

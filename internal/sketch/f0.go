@@ -26,11 +26,9 @@ type F0 struct {
 	buckets   int
 	acc       [][]uint64 // acc[j][b]: field accumulator
 	levelHash *hashing.Poly
-	bucketFns []*hashing.Poly
-	coeffFns  []*hashing.Poly
-	// bank interleaves (bucketFns[j], coeffFns[j]) pairs, level-major,
-	// so Add evaluates the 2×(level+1) hashes of one update in a single
-	// Horner sweep.
+	// bank holds each level's (bucket, coefficient) hash pair,
+	// level-major, so Add evaluates the 2×(level+1) hashes of one update
+	// over the key's shared powers.
 	bank    *hashing.PolyBank
 	scratch []uint64
 }
@@ -56,48 +54,35 @@ func newF0Geom(seed uint64, levels int) *F0 {
 		buckets:   buckets,
 		acc:       make([][]uint64, levels),
 		levelHash: hashing.NewPoly(hashing.Mix(seed, 0xf0), 8),
-		bucketFns: make([]*hashing.Poly, levels),
-		coeffFns:  make([]*hashing.Poly, levels),
-	}
-	for j := 0; j < levels; j++ {
-		f.acc[j] = make([]uint64, buckets)
-		f.bucketFns[j] = hashing.NewPoly(hashing.Mix(seed, 0xb0, uint64(j)), 6)
-		f.coeffFns[j] = hashing.NewPoly(hashing.Mix(seed, 0xc0, uint64(j)), 6)
 	}
 	lanes := make([]*hashing.Poly, 0, 2*levels)
 	for j := 0; j < levels; j++ {
-		lanes = append(lanes, f.bucketFns[j], f.coeffFns[j])
+		f.acc[j] = make([]uint64, buckets)
+		lanes = append(lanes, hashing.NewPoly(hashing.Mix(seed, 0xb0, uint64(j)), 6),
+			hashing.NewPoly(hashing.Mix(seed, 0xc0, uint64(j)), 6))
 	}
 	f.bank = hashing.NewPolyBank(lanes...)
 	f.scratch = make([]uint64, 2*levels)
 	return f
 }
 
-// Add folds x[key] += delta into the estimator. The bucket and
-// coefficient hashes of every surviving level come from one banked
-// Horner sweep, bit-identical to the per-Poly evaluation.
+// Add folds x[key] += delta into the estimator. The level hash and the
+// bucket and coefficient hashes of every surviving level are dot
+// products over the key's powers, computed once, bit-identical to the
+// per-Poly evaluation.
 func (f *F0) Add(key uint64, delta int64) {
 	if delta == 0 {
 		return
 	}
-	lv := f.levelHash.Level(key)
-	if lv >= f.levels {
-		lv = f.levels - 1
-	}
+	var pw hashing.Powers
+	hashing.PowersOf(key, &pw)
+	lv := min(f.levelHash.LevelPow(&pw), f.levels-1)
 	d := field.FromInt64(delta)
-	if f.bank != nil {
-		hs := f.scratch[:2*(lv+1)]
-		f.bank.HashPrefix(key, hs)
-		for j := 0; j <= lv; j++ {
-			b := int(hs[2*j] % uint64(f.buckets))
-			f.acc[j][b] = field.Add(f.acc[j][b], field.Mul(d, hs[2*j+1]))
-		}
-		return
-	}
+	hs := f.scratch[:2*(lv+1)]
+	f.bank.HashPrefixPow(&pw, hs)
 	for j := 0; j <= lv; j++ {
-		b := f.bucketFns[j].Bucket(key, f.buckets)
-		coeff := f.coeffFns[j].Hash(key)
-		f.acc[j][b] = field.Add(f.acc[j][b], field.Mul(d, coeff))
+		b := int(hs[2*j] % uint64(f.buckets))
+		f.acc[j][b] = field.Add(f.acc[j][b], field.Mul(d, hs[2*j+1]))
 	}
 }
 

@@ -70,7 +70,7 @@ type KeyedEdgeSketch struct {
 
 	// Touched state: nil until first touch (see materialize).
 	buckets []keyedBucket     // the buckets updates reached, ascending idx
-	bank    *hashing.PolyBank // all row hashes, one interleaved Horner sweep
+	bank    *hashing.PolyBank // all row hashes, dot products over one key's powers
 	keyTab  *field.PowTable
 	edgeTab *field.PowTable
 

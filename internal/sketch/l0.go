@@ -52,10 +52,9 @@ type L0Family struct {
 	levelHash *hashing.Poly
 	choiceFn  *hashing.Poly
 	levels    []*sketchBShape
-	// bank interleaves every level's row hashes (level-major, row-minor)
-	// so Hint evaluates the (level+1)×rows bucket hashes of one update
-	// in a single Horner sweep instead of one Horner walk per row per
-	// level.
+	// bank holds every level's row hashes (level-major, row-minor), so
+	// route evaluates the (level+1)×rows bucket hashes of one update as
+	// dot products over the key's shared powers.
 	bank *hashing.PolyBank
 }
 
@@ -197,29 +196,32 @@ func (f *L0Family) Hint(key uint64, h *L0Hint) {
 		h.cells = make([]uint16, n*f.rows)
 		h.hash = make([]uint64, n*f.rows)
 	}
-	lvls := f.route(key, h.fkeys[:cap(h.fkeys)], h.cells[:cap(h.cells)], h.hash)
+	var pw hashing.Powers
+	hashing.PowersOf(key, &pw)
+	lvls := f.route(&pw, h.fkeys[:cap(h.fkeys)], h.cells[:cap(h.cells)], h.hash)
 	h.level = lvls - 1
 	h.fkeys = h.fkeys[:lvls]
 	h.cells = h.cells[:lvls*f.rows]
 }
 
-// route writes the routing of key in place and returns the number of
-// levels lv+1 the update reaches: one fingerprint power per level into
-// fkeys, rows cell indices per level into cells. fkeys, cells and the
-// hash scratch must have room for the family's deepest level. The
-// bucket hashes of every surviving level come from one interleaved
-// Horner sweep over the family bank, and the per-level fingerprint
-// powers are evaluated two levels at a time with a shared window
-// traversal (field.PowPair) — both bit-identical to the per-row,
-// per-level scalar evaluation.
-func (f *L0Family) route(key uint64, fkeys []uint64, cells []uint16, hash []uint64) int {
-	lv := f.levelHash.Level(key)
+// route writes the routing of the key with powers pw in place and
+// returns the number of levels lv+1 the update reaches: one fingerprint
+// power per level into fkeys, rows cell indices per level into cells.
+// fkeys, cells and the hash scratch must have room for the family's
+// deepest level. The level hash and the bucket hashes of every
+// surviving level are dot products over pw, which the caller computes
+// once for all families, and the per-level fingerprint powers are
+// evaluated two levels at a time with a shared window traversal
+// (field.PowPair) — all bit-identical to the per-row, per-level scalar
+// evaluation.
+func (f *L0Family) route(pw *hashing.Powers, fkeys []uint64, cells []uint16, hash []uint64) int {
+	lv := f.levelHash.LevelPow(pw)
 	if lv >= len(f.levels) {
 		lv = len(f.levels) - 1
 	}
 	rows := f.rows
 	hs := hash[:(lv+1)*rows]
-	f.bank.HashPrefix(key, hs)
+	f.bank.HashPrefixPow(pw, hs)
 	cells = cells[:len(hs)]
 	for j := 0; j <= lv; j++ {
 		cols := f.levels[j].cols
@@ -227,7 +229,7 @@ func (f *L0Family) route(key uint64, fkeys []uint64, cells []uint16, hash []uint
 			cells[j*rows+r] = uint16(r*cols + int(hs[j*rows+r]%uint64(cols)))
 		}
 	}
-	red := field.Reduce(key)
+	red := pw[1] // the reduced key
 	fkeys = fkeys[:lv+1]
 	j := 0
 	for ; j+1 <= lv; j += 2 {

@@ -1,6 +1,9 @@
 package sketch
 
-import "dynstream/internal/field"
+import (
+	"dynstream/internal/field"
+	"dynstream/internal/hashing"
+)
 
 // L0Routes is the packed routing of a chunk of updates through the R
 // families of a sampler grid (NewL0Grid): each update is routed once
@@ -74,7 +77,8 @@ func (r *L0Routes) Len() int { return r.n }
 
 // Route appends the routing of x[key] += delta through every family
 // and reports whether it fit; on false nothing was written and the
-// caller applies what it has, clears, and routes again.
+// caller applies what it has, clears, and routes again. The key's
+// powers are computed once and shared by every family's hashes.
 func (r *L0Routes) Route(key uint64, delta int64) bool {
 	i, p := r.n, r.used
 	if i == len(r.keys) || p+r.room > len(r.fkeys) {
@@ -82,8 +86,10 @@ func (r *L0Routes) Route(key uint64, delta int64) bool {
 	}
 	r.keys[i], r.deltas[i], r.start[i] = key, delta, uint32(p)
 	c := p*r.rows + i*len(r.fams)
+	var pw hashing.Powers
+	hashing.PowersOf(key, &pw)
 	for _, f := range r.fams {
-		lvls := f.route(key, r.fkeys[p:], r.cells[c+1:], r.hash)
+		lvls := f.route(&pw, r.fkeys[p:], r.cells[c+1:], r.hash)
 		r.cells[c] = uint16(lvls)
 		p += lvls
 		c += 1 + lvls*r.rows

@@ -19,7 +19,7 @@ type sketchBShape struct {
 	rows     int
 	cols     int
 	hashes   []*hashing.Poly
-	bank     *hashing.PolyBank // all row hashes, one interleaved Horner sweep
+	bank     *hashing.PolyBank // all row hashes, dot products over one key's powers
 	fingBase uint64
 	fingTab  *field.PowTable // lazy; access via tab()
 }
@@ -257,8 +257,8 @@ func (s *SketchB) Fkey2(ka, kb uint64) (uint64, uint64) {
 }
 
 // AddFkey is Add with the fingerprint power precomputed (fkey must
-// equal r^key for this sketch's base). All row hashes are evaluated in
-// one interleaved Horner sweep over the shape's bank.
+// equal r^key for this sketch's base). All row hashes are evaluated
+// over the key's shared powers by the shape's bank.
 func (s *SketchB) AddFkey(key uint64, delta int64, fkey uint64) {
 	if delta == 0 {
 		return

@@ -3,6 +3,7 @@ package sparsify
 import (
 	"fmt"
 
+	"dynstream/internal/hashing"
 	"dynstream/internal/parallel"
 	"dynstream/internal/spanner"
 	"dynstream/internal/stream"
@@ -62,17 +63,17 @@ func (ls *Live) ApplyLive(batch []stream.Update) error {
 		return nil
 	}
 	g := ls.grid
-	// Pair keys are loop-invariant across the columns below; hoist them
-	// out of the per-column level sweeps.
-	keys := make([]uint64, len(batch))
+	// Each pair key's powers are computed once, as Grid.bucket does, and
+	// every column's level hash is a dot product over them.
+	pows := make([]hashing.Powers, len(batch))
 	for i, u := range batch {
-		keys[i] = stream.PairKey(u.U, u.V, g.n)
+		hashing.PowersOf(stream.PairKey(u.U, u.V, g.n), &pows[i])
 	}
 	levels := make([]int, len(batch))
 	var sub []stream.Update // a cell's ApplyLive copies its batch into the log
 	for _, col := range g.cols {
-		for i, key := range keys {
-			levels[i] = col.hash.Level(key)
+		for i := range pows {
+			levels[i] = col.hash.LevelPow(&pows[i])
 		}
 		for r := 0; r < col.rows; r++ {
 			sub = sub[:0]

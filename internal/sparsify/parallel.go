@@ -213,10 +213,10 @@ func (g *Grid) Pass2AddBatchOpts(batch []stream.Update, p *parallel.Policy) erro
 // is below[i+1]−below[i] long, and is the weight the crew's cut
 // balances.
 type gridSweep struct {
-	keys  []uint64 // per update: its pair key
-	tops  []int    // per update: the last row (from 1) of the column it reaches, 0 for none
-	reach []int    // per row: the column's updates reaching it
-	at    []int    // placement cursors per row
+	pows  []hashing.Powers // per update: its pair key's powers, shared by the columns
+	tops  []int            // per update: the last row (from 1) of the column it reaches, 0 for none
+	reach []int            // per row: the column's updates reaching it
+	at    []int            // placement cursors per row
 	cols  [][]stream.Update
 	below []int
 	add   func(cell *spanner.TwoPass, sub []stream.Update) error // the open pass's batch ingest
@@ -260,19 +260,20 @@ func (g *Grid) ingest(batch []stream.Update, phase, w int) error {
 }
 
 // bucket sorts the chunk into every column's list, deepest level first,
-// and counts each cell's prefix.
+// and counts each cell's prefix. Each key's powers are computed once
+// and every column's level hash is a dot product over them.
 func (g *Grid) bucket(chunk []stream.Update) {
 	sw := g.sweep
-	sw.keys = slices.Grow(sw.keys[:0], len(chunk))[:len(chunk)]
+	sw.pows = slices.Grow(sw.pows[:0], len(chunk))[:len(chunk)]
 	for i, u := range chunk {
-		sw.keys[i] = stream.PairKey(u.U, u.V, g.n)
+		hashing.PowersOf(stream.PairKey(u.U, u.V, g.n), &sw.pows[i])
 	}
 	sw.tops = slices.Grow(sw.tops[:0], len(chunk))[:len(chunk)]
 	for c, col := range g.cols {
 		reach := sw.reach[:col.rows+2]
 		clear(reach)
-		for i, key := range sw.keys {
-			sw.tops[i] = min(col.hash.Level(key)+1-col.first, col.rows)
+		for i := range sw.pows {
+			sw.tops[i] = min(col.hash.LevelPow(&sw.pows[i])+1-col.first, col.rows)
 			reach[sw.tops[i]]++
 		}
 		// reach[r] becomes the count of updates reaching row r, and at[r]
