@@ -54,23 +54,15 @@ type Sketch struct {
 	caching bool
 	picks   [][]pickEntry // picks[r][root]
 
-	// Merged-sampler cache: each decoded component's summed sampler,
-	// indexed by round and minimum member (stable across queries, unlike
-	// the union-find root). A dirty component refreshes its cached sum
-	// instead of re-merging every member sampler: fold the logged
-	// updates since its last sync, then reconcile the membership delta
-	// by merging gained members and subtracting lost ones — every step
-	// an exact linear cell operation.
-	merges [][]*mergeEntry // merges[r][minMember]
-
-	// Fold window: log records every update while caching is on, and is
-	// cleared by each cached extraction. logGen numbers the windows — it
-	// advances when an extraction completes and whenever the log loses
-	// updates — and an entry synced by an extraction is stamped with the
-	// window that extraction opens, so "stamp == logGen" says the log
-	// holds every logged mutation since the sync. winEpoch is epoch as
-	// the window opened: a Merge, which mutates samplers past the log,
-	// moves epoch and so voids the whole window.
+	// Window: log records the endpoints of every update while caching
+	// is on, and is cleared by each cached extraction. logGen numbers
+	// the windows — it advances when an extraction completes and
+	// whenever the log loses updates — and an entry validated or stored
+	// by an extraction is stamped with the window that extraction opens,
+	// so "stamp == logGen" says the log holds every logged mutation
+	// since. winEpoch is epoch as the window opened: a Merge, which
+	// mutates samplers past the log, moves epoch and so voids the whole
+	// window.
 	log      []logUpd
 	logGen   uint64
 	epoch    uint64
@@ -94,37 +86,14 @@ func (s *Sketch) DecodeCacheStats() (hits, misses uint64) {
 	return s.cacheHits, s.cacheMisses
 }
 
-// mergeCacheMinMembers is the component size from which extraction
-// keeps the component's merged sampler between queries. Singletons
-// never need an entry — their "sum" is the vertex sampler itself,
-// sampled in place.
-const mergeCacheMinMembers = 2
-
-// logUpd is one logged stream update in canonical (a < b) form.
-type logUpd struct {
-	key   uint64
-	a, b  int32
-	delta int64
-}
+// logUpd is the endpoints of one logged stream update, a < b.
+type logUpd struct{ a, b int32 }
 
 // pick is one component's Borůvka draw: a boundary edge, or !ok when
 // its summed sampler is (whp) zero or failed to decode.
 type pick struct {
 	a, b int32
 	ok   bool
-}
-
-// mergeEntry caches one component's merged sampler. samp equals the
-// sum of members' samplers as window win opened: while that window is
-// current and intact, folding the log restricted to members reproduces
-// the current sum bit for bit, because cell updates are commutative and
-// associative field additions. genSum lets a clean re-query carry the
-// entry into the next window without any folding.
-type mergeEntry struct {
-	members []int32
-	genSum  uint64
-	win     uint64
-	samp    *sketch.L0Sampler
 }
 
 // pickEntry is a cached component decode. members is the exact member
@@ -135,7 +104,7 @@ type mergeEntry struct {
 // member list with an equal generation sum implies every member
 // sampler is bit-identical to the cached decode's input — and Sample
 // is a deterministic function of that state, so the cached pick IS the
-// pick a fresh decode would draw. win is the fold window opened by the
+// pick a fresh decode would draw. win is the window opened by the
 // last extraction that validated or stored the entry: in that window,
 // while it is intact, a generation moved iff the log names its vertex.
 type pickEntry struct {
@@ -155,7 +124,6 @@ func (s *Sketch) EnableDecodeCache(on bool) {
 	s.caching = on
 	if !on {
 		s.picks = nil
-		s.merges = nil
 		s.log = nil
 		s.logGen++
 	}
@@ -268,16 +236,16 @@ func (s *Sketch) AddEdge(u, v int, delta int64) {
 	s.AddBatch([]stream.Update{{U: u, V: v, Delta: int(delta)}})
 }
 
-// logUpdate appends one update to the fold window. If the window
-// outgrows its budget the log resets and logGen advances: cached
-// merged samplers fall back to a full re-merge at their next dirty
-// query instead of folding an unbounded backlog.
-func (s *Sketch) logUpdate(key uint64, a, b int, delta int64) {
+// logUpdate appends one update's endpoints to the window. If the
+// window outgrows its budget the log resets and logGen advances: the
+// next query checks every cached pick by its generation sum instead of
+// the log's marks.
+func (s *Sketch) logUpdate(a, b int) {
 	if len(s.log) >= 4*s.n+1024 {
 		s.log = s.log[:0]
 		s.logGen++
 	}
-	s.log = append(s.log, logUpd{key: key, a: int32(a), b: int32(b), delta: delta})
+	s.log = append(s.log, logUpd{a: int32(a), b: int32(b)})
 }
 
 // AddUpdate folds a stream update.
@@ -316,8 +284,8 @@ func (s *Sketch) SubtractTo(want map[[2]int]int64) {
 // sketch. Each update adds +δ to one endpoint's samplers and −δ to the
 // other's, so every state built from updates — ingested, merged,
 // subtracted (SubtractTo) or restored from its own encoding — is
-// zero-sum, and the forest decode relies on it (SpanningForestOpts).
-// A forged encoding need not be: UnmarshalBinary refuses one that is not.
+// zero-sum. A forged encoding need not be: UnmarshalBinary refuses one
+// that is not.
 func (s *Sketch) ZeroSum() bool {
 	var sum sketch.L0Sampler
 	for r := 0; r < s.rounds && s.n > 0; r++ {

@@ -111,8 +111,9 @@ func TestMSFAddUpdateAllocs(t *testing.T) {
 // figures include AddBatch's tail growths): fresh 22 180 and 5.5 MB
 // with map-based component bookkeeping, then 1 884 and 1 486 with a
 // fresh level instance and peel map per Sample, 286 and 1 411 with the
-// worker's scratch (319 under -race); churn 24 624 and 8 862, then
-// 3 801 and 5 865 (4 462 under -race).
+// worker's scratch (319 under -race), 216 and 1 252 summing only the
+// levels a sample reads (the same under -race); churn 24 624 and 8 862,
+// then 3 801 and 5 865 (4 462 under -race), then 3 028 and 4 709.
 func TestRequeryAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds an n = 10 000 sketch")
@@ -122,8 +123,8 @@ func TestRequeryAllocs(t *testing.T) {
 		perQuery        int
 		allocs, kbudget uint64
 	}{
-		{"serve-fresh", 56, 400, 1600},
-		{"serve-churn", 1638, 5000, 7000},
+		{"serve-fresh", 56, 300, 1500},
+		{"serve-churn", 1638, 4000, 6000},
 	} {
 		const n, queries = 10000, 10
 		preload, churn := serveShape(n, 20000, 20000, (queries+4)*row.perQuery/2, 11)

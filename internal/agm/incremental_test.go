@@ -204,14 +204,11 @@ func TestRequeryModelEquivalence(t *testing.T) {
 	}
 }
 
-// requeryModelRun returns the number of the live sketch's rounds that
-// the largest-component identity decoded.
-func requeryModelRun(t *testing.T, n int, grouped bool, workers, steps int, seed int64) int {
+// requeryModelRun is one seeded run of TestRequeryModelEquivalence.
+func requeryModelRun(t *testing.T, n int, grouped bool, workers, steps int, seed int64) {
 	const sketchSeed = 77
 	rng := rand.New(rand.NewSource(seed))
 	p := parallel.Default().WithWorkers(workers)
-	rs := &roundSpans{}
-	lp := rs.policy(p)
 	live := New(sketchSeed, n, Config{})
 	live.EnableDecodeCache(true)
 	twin := New(sketchSeed, n, Config{})
@@ -373,9 +370,9 @@ func requeryModelRun(t *testing.T, n int, grouped bool, workers, steps int, seed
 				regroup()
 			case 14:
 				// Both endpoints of every update lie in the largest
-				// connected component (of the contraction), so its
-				// membership is unchanged and the fold into its cached
-				// sum applies nothing.
+				// connected component (of the contraction): its
+				// membership is unchanged, its sum cancels every update
+				// and its pick must still be re-drawn.
 				what = "batch inside the largest component"
 				uf := graph.NewUnionFind(n)
 				for _, e := range present {
@@ -410,7 +407,7 @@ func requeryModelRun(t *testing.T, n int, grouped bool, workers, steps int, seed
 		ctx := fmt.Sprintf("step %d (%s)", step, what)
 
 		h0, m0 := live.DecodeCacheStats()
-		got, err := live.SpanningForestOpts(groups, lp)
+		got, err := live.SpanningForestOpts(groups, p)
 		if err != nil {
 			t.Fatalf("%s: %v", ctx, err)
 		}
@@ -449,7 +446,6 @@ func requeryModelRun(t *testing.T, n int, grouped bool, workers, steps int, seed
 			}
 		}
 	}
-	return rs.count("zero_sum")
 }
 
 // TestRequeryAfterAbandonedExtraction cancels a cached extraction after

@@ -72,8 +72,7 @@ func (s *Sketch) addBatch(batch []stream.Update, w int) {
 	if s.caching {
 		for _, u := range batch {
 			if u.U != u.V && u.Delta != 0 {
-				a, b := min(u.U, u.V), max(u.U, u.V)
-				s.logUpdate(stream.PairKey(a, b, s.n), a, b, int64(u.Delta))
+				s.logUpdate(min(u.U, u.V), max(u.U, u.V))
 			}
 		}
 	}

@@ -90,8 +90,7 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	if err := r.Done(); err != nil {
 		return err
 	}
-	// The forest decode relies on every round's samplers summing to zero
-	// (SpanningForestOpts), as they do in every state built from updates.
+	// Every state built from updates sums to zero in every round.
 	if !rebuilt.ZeroSum() {
 		return fmt.Errorf("%w: the samplers of some round do not sum to zero", errCorrupt)
 	}
@@ -115,10 +114,10 @@ func (s *Sketch) Merge(o *Sketch) error {
 	s.SubtractTo(nil)
 	o.SubtractTo(nil)
 	// A merge mutates samplers without passing through the update log:
-	// advance the epoch so cached merged samplers stop folding and fall
-	// back to full re-merges (the pick cache itself stays valid for
-	// components the merge didn't touch — their generations are
-	// unchanged).
+	// advance the epoch so the next query checks cached picks by their
+	// generation sums instead of the log's marks (the pick cache itself
+	// stays valid for components the merge didn't touch — their
+	// generations are unchanged).
 	s.epoch++
 	// Both grids in address order: samplers, level-0 slots and tails are
 	// all reached by index, and a sampler o never touched is skipped

@@ -32,7 +32,7 @@ func (s *Sketch) addPerUpdate(u stream.Update) {
 	}
 	key := stream.PairKey(a, b, s.n)
 	if s.caching {
-		s.logUpdate(key, a, b, int64(u.Delta))
+		s.logUpdate(a, b)
 	}
 	var h sketch.L0Hint
 	for r, fam := range s.fam {

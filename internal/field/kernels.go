@@ -14,7 +14,7 @@ package field
 //
 //   - Canonical representatives. Field-element inputs must be in
 //     [0, P); outputs are the exact canonical representatives the
-//     scalar field.Add/Sub/Neg/Mul functions return — bit-identical,
+//     scalar field.Add/Sub/Mul functions return — bit-identical,
 //     not merely congruent. The branch-free reductions used by the
 //     fast path are an implementation detail that never leaks.
 //   - Lengths. dst fixes the element count n; every other slice
@@ -34,9 +34,6 @@ func AddVec(dst, a, b []uint64) { addVec(dst, a, b) }
 
 // SubVec sets dst[i] = Sub(a[i], b[i]) for i in [0, len(dst)).
 func SubVec(dst, a, b []uint64) { subVec(dst, a, b) }
-
-// NegVec sets dst[i] = Neg(a[i]) for i in [0, len(dst)).
-func NegVec(dst, a []uint64) { negVec(dst, a) }
 
 // MulVec sets dst[i] = Mul(a[i], b[i]) for i in [0, len(dst)).
 func MulVec(dst, a, b []uint64) { mulVec(dst, a, b) }

@@ -31,11 +31,6 @@ func subP(a, b uint64) uint64 {
 	return t
 }
 
-// negP returns Neg(a) branch-free: P-a masked to zero when a == 0.
-func negP(a uint64) uint64 {
-	return (P - a) & uint64(int64(-int64(a))>>63)
-}
-
 // mulP returns Mul(a, b) with the final Mersenne reduction branch-free.
 func mulP(a, b uint64) uint64 {
 	hi, lo := bits.Mul64(a, b)
@@ -77,22 +72,6 @@ func subVec(dst, a, b []uint64) {
 	}
 	for ; i < n; i++ {
 		dst[i] = subP(a[i], b[i])
-	}
-}
-
-func negVec(dst, a []uint64) {
-	n := len(dst)
-	a = a[:n]
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		v0 := negP(a[i])
-		v1 := negP(a[i+1])
-		v2 := negP(a[i+2])
-		v3 := negP(a[i+3])
-		dst[i], dst[i+1], dst[i+2], dst[i+3] = v0, v1, v2, v3
-	}
-	for ; i < n; i++ {
-		dst[i] = negP(a[i])
 	}
 }
 

@@ -21,12 +21,6 @@ func subVec(dst, a, b []uint64) {
 	}
 }
 
-func negVec(dst, a []uint64) {
-	for i := range dst {
-		dst[i] = Neg(a[i])
-	}
-}
-
 func mulVec(dst, a, b []uint64) {
 	for i := range dst {
 		dst[i] = Mul(a[i], b[i])

@@ -48,12 +48,10 @@ func TestKernelsMatchScalar(t *testing.T) {
 
 		wantAdd := make([]uint64, n)
 		wantSub := make([]uint64, n)
-		wantNeg := make([]uint64, n)
 		wantMul := make([]uint64, n)
 		for i := 0; i < n; i++ {
 			wantAdd[i] = Add(a[i], b[i])
 			wantSub[i] = Sub(a[i], b[i])
-			wantNeg[i] = Neg(a[i])
 			wantMul[i] = Mul(a[i], b[i])
 		}
 
@@ -68,12 +66,6 @@ func TestKernelsMatchScalar(t *testing.T) {
 		for i := range dst {
 			if dst[i] != wantSub[i] {
 				t.Fatalf("n=%d SubVec[%d] = %d, scalar %d", n, i, dst[i], wantSub[i])
-			}
-		}
-		NegVec(dst, a)
-		for i := range dst {
-			if dst[i] != wantNeg[i] {
-				t.Fatalf("n=%d NegVec[%d] = %d, scalar %d", n, i, dst[i], wantNeg[i])
 			}
 		}
 		MulVec(dst, a, b)
@@ -141,10 +133,6 @@ func TestKernelsBoundaryPairsExhaustive(t *testing.T) {
 			MulVec(dst[:], []uint64{x}, []uint64{y})
 			if dst[0] != Mul(x, y) {
 				t.Fatalf("MulVec(%d,%d) = %d, scalar %d", x, y, dst[0], Mul(x, y))
-			}
-			NegVec(dst[:], []uint64{x})
-			if dst[0] != Neg(x) {
-				t.Fatalf("NegVec(%d) = %d, scalar %d", x, dst[0], Neg(x))
 			}
 		}
 	}

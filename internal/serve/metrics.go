@@ -23,7 +23,7 @@ type Metrics struct {
 	feedErrors  atomic.Uint64 // malformed/rejected feed lines
 	checkpoints atomic.Uint64 // snapshots written (auto + forced + final)
 	lastCkpt    atomic.Int64  // unix nanos of the last snapshot (0 = none)
-	folds       atomic.Uint64 // sampler merge/subtract calls of forest decodes
+	folds       atomic.Uint64 // member sampler level blocks summed by forest decodes
 
 	mu      sync.Mutex
 	queries map[string]*queryStats // per target
@@ -93,9 +93,10 @@ func (m *Metrics) ObserveQuery(target string, d time.Duration, err error) {
 // ObserveSpan records one completed pipeline phase (a tracer span end)
 // with its wall-clock duration. Phases share the query-latency bucket
 // bounds: ingest shards and Borůvka rounds land in the same sub-second
-// range as queries. A Borůvka round's span also carries the sampler
-// folds it spent — the part of a re-query that cache hits do not remove
-// — which accumulate into the decode-folds counter.
+// range as queries. A Borůvka round's span also carries the member
+// sampler level blocks its dirty components' draws summed — the part of
+// a re-query that cache hits do not remove — which accumulate into the
+// decode-folds counter.
 func (m *Metrics) ObserveSpan(e dynstream.TraceEvent) {
 	for _, a := range e.Attrs {
 		if a.Key == "folds" {
@@ -234,7 +235,7 @@ func (m *Metrics) WritePrometheus(w io.Writer, ready, draining bool, targets []t
 	for _, t := range targets {
 		fmt.Fprintf(w, "dynstream_decode_cache_misses_total{target=%q} %d\n", t.target, t.misses)
 	}
-	fmt.Fprintf(w, "# HELP dynstream_decode_folds_total Sampler merges and subtractions spent re-deriving dirty components' sums in spanning-forest decodes, all targets.\n# TYPE dynstream_decode_folds_total counter\ndynstream_decode_folds_total %d\n", m.folds.Load())
+	fmt.Fprintf(w, "# HELP dynstream_decode_folds_total Member sampler level blocks summed to draw dirty components' boundary edges in spanning-forest decodes, all targets.\n# TYPE dynstream_decode_folds_total counter\ndynstream_decode_folds_total %d\n", m.folds.Load())
 
 	fmt.Fprintf(w, "# HELP dynstream_checkpoints_total Snapshots written (auto, forced, and final).\n# TYPE dynstream_checkpoints_total counter\ndynstream_checkpoints_total %d\n", m.checkpoints.Load())
 	if last := m.LastCheckpoint(); !last.IsZero() {

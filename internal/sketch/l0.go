@@ -30,9 +30,17 @@ import (
 // cost nothing; an update that reaches a new top reallocates the tail
 // once and copies it, about log2(updates) times in a sampler's life.
 // A sampler outside a grid has no level 0 either until something is
-// added to it. Zero is by content everywhere (IsZero, the encodings,
-// the merge skip): a materialized all-zero level and an absent one are
-// indistinguishable.
+// added to it.
+//
+// Top invariant: the highest tail level is never all-zero. An update or
+// a fold that leaves the top level canceled to zero trims the tail
+// (keeping its capacity, so regrowing it does not allocate), SetTo
+// copies a trimmed state and UnmarshalBinary refuses a present all-zero
+// level. So the top is the highest non-zero level whenever there is a
+// tail, and only level 0 can be materialized and all-zero at the top.
+// Lower levels may still cancel to zero: zero is by content there (the
+// encodings, Sample), a materialized all-zero level and an absent one
+// being indistinguishable.
 
 // L0Family is the immutable randomness and geometry shared by every
 // L0Sampler built from one (seed, universe, perLevel) triple: the level
@@ -305,14 +313,29 @@ func (s *L0Sampler) lanes(j int) (counts, keySums, fings []uint64) {
 }
 
 // topNonZero returns the highest level with a non-zero cell, -1 when
-// the sampler sketches the zero vector.
+// the sampler sketches the zero vector: by the top invariant, the top
+// itself unless only level 0 is materialized.
 func (s *L0Sampler) topNonZero() int {
-	for j := s.top(); j >= 0; j-- {
-		if !field.AllZero(s.level(j)) {
-			return j
-		}
+	if len(s.tail) > 0 {
+		return s.top()
 	}
-	return -1
+	if field.AllZero(s.l0) {
+		return -1
+	}
+	return 0
+}
+
+// trimIfTop restores the top invariant after a write that reached
+// level top: all-zero levels come off the top of the tail, which keeps
+// its capacity. A write below the top leaves the top as it was.
+func (s *L0Sampler) trimIfTop(top int) {
+	w := s.fam.levelWords()
+	if len(s.tail) != top*w {
+		return
+	}
+	for n := len(s.tail); n > 0 && field.AllZero(s.tail[n-w:n]); n -= w {
+		s.tail = s.tail[:n-w]
+	}
 }
 
 // grow returns b extended to n words, the extension zeroed; spare
@@ -373,19 +396,22 @@ func (s *L0Sampler) AddHint(key uint64, delta int64, h *L0Hint) {
 // lands in.
 func (s *L0Sampler) apply(delta int64, d, ks uint64, fkeys []uint64, cells []uint16) {
 	s.gen++
-	s.reach(len(fkeys) - 1)
+	top := len(fkeys) - 1
+	s.reach(top)
 	rows := s.fam.rows
 	for j, fk := range fkeys {
 		c, k, f := s.lanes(j)
 		field.ScatterAdd3(c, k, f, uint64(delta), ks, field.Mul(d, fk), cells[j*rows:(j+1)*rows])
 	}
+	s.trimIfTop(top)
 }
 
 // fold applies a cell kernel (merge or subtract) level by level up to
-// o's highest non-zero level. A source that sketches the zero vector —
-// nothing materialized, or churn canceled back to zero — folds to a
-// no-op and leaves the generation, and with it every cached decode
-// keyed on it, untouched.
+// o's highest non-zero level, and trims when that level was the
+// receiver's top too. A source that sketches the zero vector — nothing
+// materialized, or churn canceled back to zero — folds to a no-op and
+// leaves the generation, and with it every cached decode keyed on it,
+// untouched.
 func (s *L0Sampler) fold(o *L0Sampler, kernel func(dc, dk, df, sc, sk, sf []uint64)) error {
 	if !s.fam.same(o.fam) {
 		return errIncompatible
@@ -401,6 +427,7 @@ func (s *L0Sampler) fold(o *L0Sampler, kernel func(dc, dk, df, sc, sk, sf []uint
 		sc, sk, sf := o.lanes(j)
 		kernel(dc, dk, df, sc, sk, sf)
 	}
+	s.trimIfTop(top)
 	return nil
 }
 
@@ -430,36 +457,25 @@ func (s *L0Sampler) Clone() *L0Sampler {
 }
 
 // IsZero reports whether the sampler holds the zero vector's state:
-// every level absent or canceled back to all-zero cells. A zero sampler
-// is indistinguishable from a fresh one, which is what lets the
+// by the top invariant, no tail and level 0 absent or all-zero. A zero
+// sampler is indistinguishable from a fresh one, which is what lets the
 // compressed encodings suppress it entirely.
 func (s *L0Sampler) IsZero() bool {
-	return field.AllZero(s.l0) && field.AllZero(s.tail)
+	return len(s.tail) == 0 && field.AllZero(s.l0)
 }
 
-// Negate replaces the sampler's state by that of the negated vector:
-// counts negate in two's complement and the field lanes modulo P, so
-// Merge(o) followed by Negate equals Sub(o) from zero cell for cell.
-func (s *L0Sampler) Negate() {
-	s.gen++
-	for j := 0; j <= s.top(); j++ {
-		counts, keySums, fings := s.lanes(j)
-		for i, c := range counts {
-			counts[i] = -c
-		}
-		field.NegVec(keySums, keySums)
-		field.NegVec(fings, fings)
-	}
-}
-
-// SampleScratch is the working memory of SampleWith: one level's
-// decode instance and the peel's recovered items. The zero value is
-// ready to use; it is sized by the first family it decodes and reused
-// from then on, so a decode worker that keeps one allocates nothing per
-// Sample. It serves one call at a time.
+// SampleScratch is the working memory of SampleSum and SampleWith: one
+// level's sum and decode instance and the peel's recovered items. The
+// zero value is ready to use; it is sized by the first family it
+// decodes and reused from then on, so a decode worker that keeps one
+// allocates nothing per Sample. It serves one call at a time.
 type SampleScratch struct {
+	sum   []uint64
 	level *SketchB
 	items []sampleItem
+	// Blocks counts the member level blocks the scratch's samples have
+	// read, one per (member, level) pair walked; the caller may reset it.
+	Blocks int64
 }
 
 type sampleItem struct {
@@ -474,25 +490,74 @@ func (s *L0Sampler) Sample() (key uint64, weight int64, ok bool) {
 	return s.SampleWith(new(SampleScratch))
 }
 
-// SampleWith is Sample through caller-owned scratch.
+// SampleWith is Sample through caller-owned scratch: SampleSum of s
+// alone.
 func (s *L0Sampler) SampleWith(sc *SampleScratch) (key uint64, weight int64, ok bool) {
-	j := s.topNonZero()
-	if j < 0 {
-		return 0, 0, false
+	one := [1]*L0Sampler{s}
+	key, weight, ok, _ = SampleSum(one[:], sc) // one family: no error
+	return key, weight, ok
+}
+
+// SampleSum returns Sample of the sum of ss, samplers of one family,
+// without building the sum. Sample walks from the sum's top non-zero
+// level down to the first level that decodes to a non-empty vector, so
+// SampleSum sums each level only when the walk reaches it: from the
+// members' highest top down, level j is the sum of the level-j blocks
+// of the members whose top is at least j, and the walk stops where
+// Sample would. Levels above the sum's own top cancel to zero and
+// decode to nothing, as Sample skips them. Every member level is read
+// at most once, so the cost is at most that of merging the members,
+// and usually a level or two of it. A family mismatch is
+// errIncompatible, as in Merge.
+func SampleSum(ss []*L0Sampler, sc *SampleScratch) (key uint64, weight int64, ok bool, err error) {
+	if len(ss) == 0 {
+		return 0, 0, false, nil
 	}
+	fam, hi := ss[0].fam, -1
+	for _, m := range ss {
+		if !fam.same(m.fam) {
+			return 0, 0, false, errIncompatible
+		}
+		hi = max(hi, m.top())
+	}
+	if hi < 0 {
+		return 0, 0, false, nil
+	}
+	cells, w := fam.cells, fam.levelWords()
 	work := sc.level
-	if work == nil || len(work.counts) != s.fam.cells {
-		work = s.fam.levels[j].instance()
+	if work == nil || len(work.counts) != cells {
+		work = fam.levels[hi].instance()
 		sc.level = work
 	}
-	for ; j >= 0; j-- {
-		counts, keySums, fings := s.lanes(j)
-		work.shape = s.fam.levels[j]
-		for i, c := range counts {
+	for j := hi; j >= 0; j-- {
+		// The level's sum: the one member block in place, or the blocks
+		// merged into the scratch.
+		var sum []uint64
+		n := 0
+		for _, m := range ss {
+			if len(m.l0) == 0 || len(m.tail) < j*w {
+				continue // level j is past m's top
+			}
+			b := m.level(j)
+			switch n {
+			case 0:
+				sum = b
+			case 1:
+				sc.sum = append(sc.sum[:0], sum...)
+				sum = sc.sum
+				fallthrough
+			default:
+				field.MergeCells(sum[:cells], sum[cells:2*cells], sum[2*cells:w], b[:cells], b[cells:2*cells], b[2*cells:w])
+			}
+			n++
+		}
+		sc.Blocks += int64(n)
+		work.shape = fam.levels[j]
+		for i, c := range sum[:cells] {
 			work.counts[i] = int64(c)
 		}
-		copy(work.keySums, keySums)
-		copy(work.fings, fings)
+		copy(work.keySums, sum[cells:2*cells])
+		copy(work.fings, sum[2*cells:w])
 		items := sc.items[:0]
 		decoded := work.peelEach(func(key uint64, w int64) {
 			items = append(items, sampleItem{key, w})
@@ -510,13 +575,13 @@ func (s *L0Sampler) SampleWith(sc *SampleScratch) (key uint64, weight int64, ok 
 		// smaller key.
 		var bestH uint64
 		for i, it := range items {
-			if h := s.fam.choiceFn.Hash(it.key); i == 0 || h < bestH {
+			if h := fam.choiceFn.Hash(it.key); i == 0 || h < bestH {
 				key, weight, bestH = it.key, it.weight, h
 			}
 		}
-		return key, weight, true
+		return key, weight, true, nil
 	}
-	return 0, 0, false
+	return 0, 0, false, nil
 }
 
 // foldItems sorts a peel's extractions by key and sums each key's,

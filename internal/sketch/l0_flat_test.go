@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+
+	"dynstream/internal/field"
 )
 
 // l0Pair drives the flat sampler and the per-level reference through
@@ -18,12 +20,36 @@ func newL0Pair(flat *L0Sampler) l0Pair {
 	return l0Pair{flat: flat, ref: newRefSampler(flat.fam)}
 }
 
-func (p l0Pair) add(mode string, keys []uint64, deltas []int64) {
+// topInvariant reports a sampler that breaks the top invariant: a
+// tail whose highest level is all-zero, or a tail without a level 0.
+func topInvariant(s *L0Sampler) error {
+	if len(s.tail) == 0 {
+		return nil
+	}
+	if len(s.l0) == 0 {
+		return errors.New("a tail without a level 0")
+	}
+	if field.AllZero(s.level(s.top())) {
+		return fmt.Errorf("top level %d is all-zero", s.top())
+	}
+	return nil
+}
+
+func (p l0Pair) checkTop(t testing.TB, what string) {
+	t.Helper()
+	if err := topInvariant(p.flat); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+}
+
+func (p l0Pair) add(t testing.TB, mode string, keys []uint64, deltas []int64) {
+	t.Helper()
 	switch mode {
 	case "Add":
 		for i, k := range keys {
 			p.flat.Add(k, deltas[i])
 			p.ref.Add(k, deltas[i])
+			p.checkTop(t, "Add")
 		}
 	case "AddHint":
 		var h L0Hint
@@ -31,10 +57,12 @@ func (p l0Pair) add(mode string, keys []uint64, deltas []int64) {
 			p.flat.fam.Hint(k, &h)
 			p.flat.AddHint(k, deltas[i], &h)
 			p.ref.AddHint(k, deltas[i], &h)
+			p.checkTop(t, "AddHint")
 		}
 	case "AddBatch":
 		p.flat.AddBatch(keys, deltas)
 		p.ref.AddBatch(keys, deltas)
+		p.checkTop(t, "AddBatch")
 	}
 }
 
@@ -53,6 +81,7 @@ func (p l0Pair) combine(t *testing.T, op string, o l0Pair) {
 	if ef != nil || er != nil {
 		t.Fatalf("%s: flat err %v, reference err %v", op, ef, er)
 	}
+	p.checkTop(t, op)
 }
 
 func (p l0Pair) check(t *testing.T, what string) {
@@ -63,6 +92,19 @@ func (p l0Pair) check(t *testing.T, what string) {
 	}
 	if !bytes.Equal(enc, p.ref.marshal(false)) {
 		t.Fatalf("%s: MarshalBinary differs from reference", what)
+	}
+	// Decoded standalone and into a grid slot: the top invariant holds
+	// and the state re-encodes to the same bytes.
+	for _, back := range []*L0Sampler{p.flat.fam.NewSampler(), &NewL0Grid([]*L0Family{p.flat.fam}, 1)[0]} {
+		if err := back.UnmarshalBinary(enc); err != nil {
+			t.Fatalf("%s: UnmarshalBinary: %v", what, err)
+		}
+		if err := topInvariant(back); err != nil {
+			t.Fatalf("%s: UnmarshalBinary: %v", what, err)
+		}
+		if again, _ := back.MarshalBinary(); !bytes.Equal(again, enc) {
+			t.Fatalf("%s: decoded state re-encodes differently", what)
+		}
 	}
 	if g, w := p.flat.Gen(), p.ref.gen; g != w {
 		t.Fatalf("%s: Gen %d, reference %d", what, g, w)
@@ -108,15 +150,15 @@ func TestL0FlatMatchesReference(t *testing.T) {
 						return newL0Pair(fam.NewSampler())
 					}
 					short, long, zero, canceled := fresh(), fresh(), fresh(), fresh()
-					short.add(mode, few, fewD)
+					short.add(t, mode, few, fewD)
 					short.check(t, "short ingest")
-					long.add(mode, many, manyD)
+					long.add(t, mode, many, manyD)
 					long.check(t, "long ingest")
 					if long.flat.top() < 4 {
 						t.Fatalf("long tail only reaches level %d", long.flat.top())
 					}
-					canceled.add(mode, many, manyD)
-					canceled.add(mode, many, inverse)
+					canceled.add(t, mode, many, manyD)
+					canceled.add(t, mode, many, inverse)
 					canceled.check(t, "canceled ingest")
 
 					short.combine(t, op, long)
@@ -127,7 +169,7 @@ func TestL0FlatMatchesReference(t *testing.T) {
 					short.check(t, "canceled source")
 					long.combine(t, op, short)
 					long.check(t, "into long receiver")
-					long.add(mode, many, manyD)
+					long.add(t, mode, many, manyD)
 					long.check(t, "ingest after combine")
 					long.combine(t, "Sub", long)
 					long.check(t, "self-subtract")
@@ -147,7 +189,7 @@ func TestL0UnmarshalIntoGridInPlace(t *testing.T) {
 	fam := NewL0Family(0x77, universe, 4)
 	src := newL0Pair(fam.NewSampler())
 	keys, deltas := batchWorkload(5, 200, universe)
-	src.add("AddBatch", keys, deltas)
+	src.add(t, "AddBatch", keys, deltas)
 	blob := src.ref.marshal(false)
 	grid := NewL0Grid([]*L0Family{fam}, 3)
 	dst := &grid[1]

@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -138,12 +139,14 @@ func (s *L0Sampler) MarshalBinary() ([]byte, error) {
 // sampler.
 //
 // Every level must be empty or exactly the SketchB encoding of the
-// family's shape for it, and a blob may not carry a level above a
-// suppressed one: that would be a non-zero vector whose subsample one
-// level denser sketches to all-zero cells, which no stream produces.
-// Together the two rules are checked over the whole blob before the
-// receiver is touched, and bound what decoding allocates to the lanes
-// the blob actually carries. The perLevel field is bounded by
+// family's shape for it with a non-zero cell (MarshalBinary suppresses
+// an all-zero level, so a present one would not re-encode to the same
+// bytes), and a blob may not carry a level above a suppressed one: that
+// would be a non-zero vector whose subsample one level denser sketches
+// to all-zero cells, which no stream produces. The rules are checked
+// over the whole blob before the receiver is touched, keep the top
+// invariant, and bound what decoding allocates to the lanes the blob
+// actually carries. The perLevel field is bounded by
 // MaxL0PerLevel (2^13, so that a cell index fits 16 bits): a larger
 // value is rejected as corrupt.
 func (s *L0Sampler) UnmarshalBinary(data []byte) error {
@@ -179,6 +182,9 @@ func (s *L0Sampler) UnmarshalBinary(data []byte) error {
 			if h.U64() != want {
 				return errCorrupt
 			}
+		}
+		if cells := enc[sketchBHeaderBytes:]; bytes.Count(cells, []byte{0}) == len(cells) {
+			return errCorrupt // an all-zero level
 		}
 		top = j
 	}

@@ -156,8 +156,7 @@ func TestNilKeyedIsZeroTable(t *testing.T) {
 // TestSampleWithScratch: one scratch serves samplers of different
 // families and sizes — from the zero vector to an overloaded sampler —
 // each SampleWith equal to a fresh Sample and to the per-level
-// reference, and a warm scratch samples without allocating. Negate is
-// the subtraction from zero, cell for cell.
+// reference, and a warm scratch samples without allocating.
 func TestSampleWithScratch(t *testing.T) {
 	const universe = 1 << 24
 	var sc SampleScratch
@@ -177,17 +176,6 @@ func TestSampleWithScratch(t *testing.T) {
 			}
 			if size > 0 && !ok1 {
 				t.Errorf("perLevel %d, %d updates: nothing sampled", perLevel, size)
-			}
-
-			neg, sub := s.Clone(), fam.NewSampler()
-			neg.Negate()
-			if err := sub.Sub(s); err != nil {
-				t.Fatal(err)
-			}
-			a, _ := neg.MarshalBinary()
-			b, _ := sub.MarshalBinary()
-			if !slices.Equal(a, b) {
-				t.Fatalf("perLevel %d, %d updates: Negate differs from the subtraction from zero", perLevel, size)
 			}
 		}
 	}

@@ -8,11 +8,13 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"testing"
 
 	"dynstream/internal/agm"
 	"dynstream/internal/graph"
 	"dynstream/internal/hashing"
+	"dynstream/internal/sketch"
 	"dynstream/internal/spanner"
 	"dynstream/internal/sparsify"
 	"dynstream/internal/stream"
@@ -450,13 +452,13 @@ func checkOnePassTarget[R any](t *testing.T, c onePassCase, target Target[R], re
 	})
 }
 
-// TestRestoreRefusesNonZeroSum: a CRC-valid checkpoint whose forest
-// state holds one endpoint of one update — its samplers do not sum to
-// zero, which no stream produces, and its largest component would
-// decode to a different forest than a re-merge — is refused with
-// ErrBadCheckpoint; the same container around the honest state restores.
-func TestRestoreRefusesNonZeroSum(t *testing.T) {
-	const n = 16
+// restoreForgedForest restores two CRC-valid checkpoints of a forest
+// handle on n vertices holding the one update {0, 1}: the honest one, and
+// one whose state has every sampler block passed through forge (block i
+// is vertex i%n of round i/n; nil suppresses it). It returns both
+// Restore errors.
+func restoreForgedForest(t *testing.T, n int, forge func(i uint64, enc []byte) []byte) (honest, forged error) {
+	t.Helper()
 	ctx := context.Background()
 	target := ForestTarget{Seed: 41}
 	h, err := Open(ctx, NewMemoryStream(n), target)
@@ -474,8 +476,6 @@ func TestRestoreRefusesNonZeroSum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The forged state is the honest one with vertex 1's samplers
-	// suppressed: only vertex 0 keeps the update.
 	r, w := wire.NewReader(state, ErrBadCheckpoint), &wire.Writer{}
 	w.U64(r.U64())
 	w.U64(r.U64())
@@ -484,20 +484,15 @@ func TestRestoreRefusesNonZeroSum(t *testing.T) {
 		w.Uvarint(v)
 	}
 	for i := uint64(0); i < rounds*n64; i++ {
-		enc := r.SketchBlock()
-		if i%n64 == 1 {
-			enc = nil
-		}
+		enc := forge(i, r.SketchBlock())
 		w.Uvarint(uint64(len(enc)))
 		w.Raw(enc)
 	}
 	if err := r.Done(); err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []struct {
-		state  []byte
-		forged bool
-	}{{state, false}, {w.Bytes(), true}} {
+	var errs [2]error
+	for k, st := range [][]byte{state, w.Bytes()} {
 		var ckpt bytes.Buffer
 		bw := bufio.NewWriter(&ckpt)
 		mw := &wire.Writer{}
@@ -510,7 +505,7 @@ func TestRestoreRefusesNonZeroSum(t *testing.T) {
 		for _, sec := range []struct {
 			kind    byte
 			payload []byte
-		}{{sectionMeta, mw.Bytes()}, {sectionState, c.state}, {sectionEnd, nil}} {
+		}{{sectionMeta, mw.Bytes()}, {sectionState, st}, {sectionEnd, nil}} {
 			if err := writeSection(bw, sec.kind, sec.payload); err != nil {
 				t.Fatal(err)
 			}
@@ -518,12 +513,114 @@ func TestRestoreRefusesNonZeroSum(t *testing.T) {
 		if err := bw.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		_, err := Restore(ctx, &ckpt, NewMemoryStream(n), target)
-		if c.forged && !errors.Is(err, ErrBadCheckpoint) {
-			t.Errorf("one-endpoint state restored: %v, want ErrBadCheckpoint", err)
-		}
-		if !c.forged && err != nil {
-			t.Errorf("honest state refused: %v", err)
-		}
+		_, errs[k] = Restore(ctx, &ckpt, NewMemoryStream(n), target)
 	}
+	return errs[0], errs[1]
+}
+
+// TestRestoreRefusesNonZeroSum: a CRC-valid checkpoint whose forest
+// state holds one endpoint of one update — its samplers do not sum to
+// zero, which no stream produces — is refused with ErrBadCheckpoint; the
+// same container around the honest state restores.
+func TestRestoreRefusesNonZeroSum(t *testing.T) {
+	const n = 16
+	// The forged state is the honest one with vertex 1's samplers
+	// suppressed: only vertex 0 keeps the update.
+	honest, forged := restoreForgedForest(t, n, func(i uint64, enc []byte) []byte {
+		if i%n == 1 {
+			return nil
+		}
+		return enc
+	})
+	if !errors.Is(forged, ErrBadCheckpoint) {
+		t.Errorf("one-endpoint state restored: %v, want ErrBadCheckpoint", forged)
+	}
+	if honest != nil {
+		t.Errorf("honest state refused: %v", honest)
+	}
+}
+
+// TestRestoreRefusesZeroLevel: a CRC-valid checkpoint whose forest state
+// carries, in vertex 0's round-0 sampler, the level just above the
+// sampler's top as a present block of all-zero cells is refused with
+// ErrBadCheckpoint. The state's content is unchanged, so it still sums
+// to zero, but no encoder emits such a block (a zero level is
+// suppressed) and it would not re-encode to the same bytes.
+func TestRestoreRefusesZeroLevel(t *testing.T) {
+	honest, forged := restoreForgedForest(t, 16, func(i uint64, enc []byte) []byte {
+		if i != 0 {
+			return enc
+		}
+		head, levels := splitL0(t, enc)
+		top := len(levels) - 1
+		for levels[top] == nil {
+			top--
+		}
+		levels[top+1] = zeroL0Level(t, enc, top+1)
+		return joinL0(head, levels)
+	})
+	if !errors.Is(forged, ErrBadCheckpoint) {
+		t.Errorf("present all-zero level restored: %v, want ErrBadCheckpoint", forged)
+	}
+	if honest != nil {
+		t.Errorf("honest state refused: %v", honest)
+	}
+}
+
+// splitL0 cuts an L0 sampler encoding into its head (tag, seed,
+// universe, perLevel, level count) and its level blocks (nil for a
+// suppressed level).
+func splitL0(t *testing.T, enc []byte) (head []byte, levels [][]byte) {
+	t.Helper()
+	r, w := wire.NewReader(enc, ErrBadCheckpoint), &wire.Writer{}
+	w.U64(r.U64())
+	w.U64(r.U64())
+	w.U64(r.U64())
+	w.Uvarint(r.Uvarint())
+	count := r.Uvarint()
+	w.Uvarint(count)
+	for j := uint64(0); j < count && r.Err() == nil; j++ {
+		levels = append(levels, r.SketchBlock())
+	}
+	if err := r.Done(); err != nil {
+		t.Fatal(err)
+	}
+	return w.Bytes(), levels
+}
+
+func joinL0(head []byte, levels [][]byte) []byte {
+	w := &wire.Writer{}
+	w.Raw(head)
+	for _, b := range levels {
+		w.Uvarint(uint64(len(b)))
+		w.Raw(b)
+	}
+	return w.Bytes()
+}
+
+// zeroL0Level returns level j of enc's family as a present block over
+// all-zero cells: the level's block in the encoding of a sampler of the
+// same family holding one key that reaches level j, its cells cleared
+// after the 40-byte SketchB header (tag, seed, capacity, rows, cols).
+func zeroL0Level(t *testing.T, enc []byte, j int) []byte {
+	t.Helper()
+	r := wire.NewReader(enc, ErrBadCheckpoint)
+	r.U64()
+	seed, universe, perLevel := r.U64(), r.U64(), r.Uvarint()
+	fam := sketch.NewL0Family(seed, universe, int(perLevel))
+	var h sketch.L0Hint
+	key := uint64(0)
+	for fam.Hint(key, &h); h.Level() < j; fam.Hint(key, &h) {
+		key++
+	}
+	s := fam.NewSampler()
+	s.Add(key, 1)
+	one, err := s.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, levels := splitL0(t, one)
+	block := slices.Clone(levels[j])
+	clear(block[40:])
+	return block
 }
