@@ -354,24 +354,29 @@ func TestHandleSparsifierMatrix(t *testing.T) {
 
 // TestHandleMergeDirtiesExactlyTouchedComponents pins the Merge
 // invalidation contract: folding a shipped SKETCH blob into a live
-// handle must bump generation counters on exactly the samplers the
-// blob touched — so cached decodes of untouched components survive —
-// while every query stays bit-identical to a cold build over the union
-// of both streams.
+// handle must log exactly the vertices the blob touched — so cached
+// decodes of untouched components survive and the touched ones are
+// re-decoded — while every query stays bit-identical to a cold build
+// over the union of both streams.
 func TestHandleMergeDirtiesExactlyTouchedComponents(t *testing.T) {
 	ctx := context.Background()
 	const n = 40
 	target := dynstream.ForestTarget{Seed: 8801}
 
-	// Shard A: a path over vertices 0..19. Shard B: a path over 20..39
-	// plus one bridge edge {5, 30} — B touches the low half only at 5.
+	// Shard A: a star centred at 0 over 0..19 without 5. Shard B: a star
+	// centred at 30 over 20..39 and 5 — B touches the low half only at 5.
+	// Every leaf has one edge, so each round's components are known.
 	a := dynstream.NewMemoryStream(n)
 	for v := 1; v < 20; v++ {
-		appendAll(t, a, []dynstream.Update{{U: v - 1, V: v, Delta: 1, W: 1}})
+		if v != 5 {
+			appendAll(t, a, []dynstream.Update{{U: 0, V: v, Delta: 1, W: 1}})
+		}
 	}
 	b := dynstream.NewMemoryStream(n)
-	for v := 21; v < 40; v++ {
-		appendAll(t, b, []dynstream.Update{{U: v - 1, V: v, Delta: 1, W: 1}})
+	for v := 20; v < 40; v++ {
+		if v != 30 {
+			appendAll(t, b, []dynstream.Update{{U: 30, V: v, Delta: 1, W: 1}})
+		}
 	}
 	appendAll(t, b, []dynstream.Update{{U: 5, V: 30, Delta: 1, W: 1}})
 
@@ -386,14 +391,6 @@ func TestHandleMergeDirtiesExactlyTouchedComponents(t *testing.T) {
 	if _, err := sk.SpanningForest(nil); err != nil {
 		t.Fatal(err)
 	}
-	untouched := make([]int, 0, 19)
-	for v := 0; v < 20; v++ {
-		if v != 5 {
-			untouched = append(untouched, v)
-		}
-	}
-	cleanGen := sk.GenSum(untouched...)
-	touchedGen := sk.GenSum(5, 30)
 
 	// Ship shard B the way dynnet does: build, marshal, unmarshal into
 	// a fresh sketch, merge into the handle.
@@ -413,18 +410,21 @@ func TestHandleMergeDirtiesExactlyTouchedComponents(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := sk.GenSum(untouched...); got != cleanGen {
-		t.Fatalf("merge dirtied untouched samplers: GenSum %d, was %d", got, cleanGen)
-	}
-	if got := sk.GenSum(5, 30); got == touchedGen {
-		t.Fatal("merge left touched samplers clean: stale cached decodes would survive")
-	}
-
-	// The post-merge query must match a cold build over A + B.
+	// Round 0 decodes the 40 singletons: the 19 of A's star hit, while
+	// 5 and 20..39 — singletons before the merge too, and touched by it
+	// — miss. Round 1 decodes the two stars: A's, untouched and over the
+	// member list it had, hits; B's (5, 30 and the rest of B) misses.
+	// Neither star has a boundary edge, so the decode stops there.
+	h0, m0 := sk.DecodeCacheStats()
 	got, err := sk.SpanningForest(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if h1, m1 := sk.DecodeCacheStats(); h1-h0 != 20 || m1-m0 != 22 {
+		t.Fatalf("post-merge query: %d hits / %d misses, want 20 / 22", h1-h0, m1-m0)
+	}
+
+	// The post-merge query must match a cold build over A + B.
 	union := cloneStream(t, a)
 	if err := b.Replay(func(u dynstream.Update) error { return union.Append(u) }); err != nil {
 		t.Fatal(err)

@@ -47,26 +47,22 @@ type Sketch struct {
 
 	// Decode cache (EnableDecodeCache): per-(round, component) Borůvka
 	// picks from the previous extraction, reused when the component's
-	// member list and the generations of its samplers are unchanged.
-	// One flat array per round, indexed by the component's union-find
-	// root; an entry persists until a later decode at its root replaces
-	// it.
+	// member list is unchanged and the update log names none of its
+	// members. One flat array per round, indexed by the component's
+	// union-find root; an entry persists until a later decode at its root
+	// replaces it.
 	caching bool
 	picks   [][]pickEntry // picks[r][root]
 
-	// Window: log records the endpoints of every update while caching
-	// is on, and is cleared by each cached extraction. logGen numbers
-	// the windows — it advances when an extraction completes and
-	// whenever the log loses updates — and an entry validated or stored
-	// by an extraction is stamped with the window that extraction opens,
-	// so "stamp == logGen" says the log holds every logged mutation
-	// since. winEpoch is epoch as the window opened: a Merge, which
-	// mutates samplers past the log, moves epoch and so voids the whole
-	// window.
-	log      []logUpd
-	logGen   uint64
-	epoch    uint64
-	winEpoch uint64
+	// Window: log records the endpoints of every update, and each vertex
+	// a Merge changed, while caching is on, and is cleared by each cached
+	// extraction. logGen numbers the windows — it advances when an
+	// extraction completes and whenever the log loses entries — and an
+	// entry validated or stored by an extraction is stamped with the
+	// window that extraction opens, so "stamp == logGen" says the log
+	// holds every mutation of the entry's members since.
+	log    []logUpd
+	logGen uint64
 
 	// Cumulative cache-pass outcomes while caching is on: a hit is a
 	// component whose cached pick was served without re-decoding, a miss
@@ -86,7 +82,8 @@ func (s *Sketch) DecodeCacheStats() (hits, misses uint64) {
 	return s.cacheHits, s.cacheMisses
 }
 
-// logUpd is the endpoints of one logged stream update, a < b.
+// logUpd is the endpoints of one logged stream update, a < b, or a
+// vertex v a Merge changed, as {v, v}.
 type logUpd struct{ a, b int32 }
 
 // pick is one component's Borůvka draw: a boundary edge, or !ok when
@@ -98,18 +95,14 @@ type pick struct {
 
 // pickEntry is a cached component decode. members is the exact member
 // list the pick was drawn over (nil marks an empty slot; the list is
-// never written after it is stored, so entries share it); genSum is
-// the sum of those members' sampler generations at decode time.
-// Generations are monotonic and bump on every mutation, so an equal
-// member list with an equal generation sum implies every member
-// sampler is bit-identical to the cached decode's input — and Sample
-// is a deterministic function of that state, so the cached pick IS the
-// pick a fresh decode would draw. win is the window opened by the
-// last extraction that validated or stored the entry: in that window,
-// while it is intact, a generation moved iff the log names its vertex.
+// never written after it is stored, so entries share it). win is the
+// window opened by the last extraction that validated or stored the
+// entry: while win is the current window and the log names no member,
+// every member sampler is bit-identical to the cached decode's input —
+// and Sample is a deterministic function of that state, so the cached
+// pick IS the pick a fresh decode would draw.
 type pickEntry struct {
 	members []int32
-	genSum  uint64
 	win     uint64
 	pick    pick
 }
@@ -141,32 +134,6 @@ func (s *Sketch) cachedPickCount() int {
 		}
 	}
 	return count
-}
-
-// GenSum reports the total sampler generation over the given vertices
-// across all rounds — the monotonic dirtiness signal the decode cache
-// keys on. An unchanged GenSum over a vertex set means no mutation
-// (AddUpdate, Merge, Unmarshal) touched any of those samplers, so a
-// cached component decode over them is still exact. Tests use it to
-// pin down which components a Merge actually dirtied.
-func (s *Sketch) GenSum(vertices ...int) uint64 {
-	var sum uint64
-	for _, v := range vertices {
-		for r := 0; r < s.rounds; r++ {
-			sum += s.at(r, v).Gen()
-		}
-	}
-	return sum
-}
-
-// genSumOf sums the generation counters of the given members' samplers
-// in round r.
-func (s *Sketch) genSumOf(r int, members []int32) uint64 {
-	var sum uint64
-	for _, v := range members {
-		sum += s.at(r, int(v)).Gen()
-	}
-	return sum
 }
 
 // Config tunes the sketch.
@@ -238,8 +205,7 @@ func (s *Sketch) AddEdge(u, v int, delta int64) {
 
 // logUpdate appends one update's endpoints to the window. If the
 // window outgrows its budget the log resets and logGen advances: the
-// next query checks every cached pick by its generation sum instead of
-// the log's marks.
+// next query re-decodes every component.
 func (s *Sketch) logUpdate(a, b int) {
 	if len(s.log) >= 4*s.n+1024 {
 		s.log = s.log[:0]

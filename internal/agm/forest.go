@@ -63,21 +63,14 @@ func (s *Sketch) SpanningForestOpts(groups [][]int, p *parallel.Policy) ([]graph
 		},
 		workers: make([]decodeWorker, p.Workers()),
 	}
-	// The update log names every endpoint touched since the previous
-	// cached extraction unless a mutation has bypassed it (Merge).
-	intact := s.caching && s.epoch == s.winEpoch
 	// Per-component pick of the current round, indexed by sorted-root
 	// position so the serial union order below is independent of
 	// scheduling.
 	picks := make([]pick, k0)
 	dirty := make([]int, 0, k0)
 	var touched []bool
-	var marks int64
 	if s.caching {
 		touched = make([]bool, k0)
-		if intact {
-			marks = 1
-		}
 		if s.picks == nil {
 			s.picks = make([][]pickEntry, s.rounds)
 		}
@@ -99,42 +92,29 @@ func (s *Sketch) SpanningForestOpts(groups [][]int, p *parallel.Policy) ([]graph
 		// arrays; lazy power tables are materialized up front (Warm)
 		// because decoding shares them across the whole round.
 		s.fam[r].Warm()
-		// Cache pass (serial, cheap): a component whose member list and
-		// sampler generations match the previous extraction decodes to
-		// the same pick; only the dirty subset fans out to workers.
+		// Cache pass (serial, cheap): a component whose member list
+		// matches the previous extraction's and which no logged mutation
+		// touched decodes to the same pick; only the dirty subset fans out
+		// to workers.
 		if s.caching {
 			if s.picks[r] == nil {
 				s.picks[r] = make([]pickEntry, s.n)
 			}
-			if intact {
-				clear(touched[:k])
-				for _, lu := range s.log {
-					touched[d.cs.comp[lu.a]] = true
-					touched[d.cs.comp[lu.b]] = true
-				}
+			clear(touched[:k])
+			for _, lu := range s.log {
+				touched[d.cs.comp[lu.a]] = true
+				touched[d.cs.comp[lu.b]] = true
 			}
 			for i, root := range d.cs.roots {
-				m := d.cs.members(i)
 				e := &s.picks[r][root]
-				clean := false
-				if slices.Equal(e.members, m) {
-					if intact && e.win == s.logGen {
-						// The previous query validated or stored e and
-						// every mutation since is in the log, so the
-						// generation sum moved iff a member was logged.
-						clean = !touched[i]
-					} else {
-						clean = e.genSum == s.genSumOf(r, m)
-					}
-				}
-				if !clean {
-					s.cacheMisses++
-					dirty = append(dirty, i)
+				if e.win == s.logGen && !touched[i] && slices.Equal(e.members, d.cs.members(i)) {
+					s.cacheHits++
+					e.win = s.logGen + 1
+					picks[i] = e.pick
 					continue
 				}
-				s.cacheHits++
-				e.win = s.logGen + 1
-				picks[i] = e.pick
+				s.cacheMisses++
+				dirty = append(dirty, i)
 			}
 		} else {
 			for i := range d.cs.roots {
@@ -151,7 +131,7 @@ func (s *Sketch) SpanningForestOpts(groups [][]int, p *parallel.Policy) ([]graph
 		if err != nil {
 			if s.caching {
 				// Entries synced so far are stamped for a window that
-				// will not open: skip its generation so they match none.
+				// will not open: skip its number so they match none.
 				s.log = s.log[:0]
 				s.logGen += 2
 			}
@@ -185,8 +165,7 @@ func (s *Sketch) SpanningForestOpts(groups [][]int, p *parallel.Policy) ([]graph
 			obs.A("merges", int64(unions)),
 			obs.A("cache_hit", int64(s.cacheHits-hits0)),
 			obs.A("cache_miss", int64(s.cacheMisses-misses0)),
-			obs.A("folds", folds),
-			obs.A("marks_used", marks))
+			obs.A("folds", folds))
 		if unions == 0 {
 			break
 		}
@@ -287,7 +266,7 @@ func (d *forestDecode) decode(i int, dw *decodeWorker) (pick, error) {
 		if !slices.Equal(e.members, m) {
 			e.members = slices.Clone(m)
 		}
-		e.genSum, e.win, e.pick = s.genSumOf(d.r, m), s.logGen+1, pk
+		e.win, e.pick = s.logGen+1, pk
 	}
 	return pk, nil
 }
@@ -298,5 +277,4 @@ func (d *forestDecode) decode(i int, dw *decodeWorker) (pick, error) {
 func (s *Sketch) completeQueryWindow() {
 	s.logGen++
 	s.log = s.log[:0]
-	s.winEpoch = s.epoch
 }

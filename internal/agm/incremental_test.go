@@ -183,21 +183,28 @@ func TestCertificateRepeatable(t *testing.T) {
 // reference decode of the same samplers and against a twin sketch that
 // never cached anything; every few steps also against a fresh sketch fed
 // the whole prefix. The cache pass must classify every (round,
-// component) as the reference's generation rule does.
+// component) as the reference's rule does, and every hit must be served
+// over unchanged samplers.
 func TestRequeryModelEquivalence(t *testing.T) {
-	for _, n := range []int{64, 1000} {
+	for _, c := range []struct {
+		n, steps int
+		workers  []int
+		seed     int64
+	}{
+		{64, 60, []int{1, 2}, 64},
+		{1000, 24, []int{1, 2}, 1000},
+		// Up to three decode workers.
+		{400, 24, []int{1, 2, 3}, 40},
+	} {
 		for _, grouped := range []bool{false, true} {
-			for _, workers := range []int{1, 2} {
-				name := fmt.Sprintf("n=%d/groups=%v/workers=%d", n, grouped, workers)
+			for _, workers := range c.workers {
+				name := fmt.Sprintf("n=%d/groups=%v/workers=%d", c.n, grouped, workers)
 				t.Run(name, func(t *testing.T) {
-					steps := 60
-					if n > 64 {
-						steps = 24
-					}
+					steps := c.steps
 					if testing.Short() {
 						steps /= 3
 					}
-					requeryModelRun(t, n, grouped, workers, steps, int64(n+workers))
+					requeryModelRun(t, c.n, grouped, workers, steps, c.seed+int64(workers))
 				})
 			}
 		}
@@ -250,6 +257,7 @@ func requeryModelRun(t *testing.T, n int, grouped bool, workers, steps int, seed
 	apply := func(batch []stream.Update) {
 		live.AddBatch(batch)
 		twin.AddBatch(batch)
+		ref.applied(batch)
 		prefix = append(prefix, batch...)
 	}
 	var groups [][]int
@@ -318,6 +326,7 @@ func requeryModelRun(t *testing.T, n int, grouped bool, workers, steps int, seed
 						t.Fatal(err)
 					}
 				}
+				ref.merged(batch)
 				prefix = append(prefix, batch...)
 			case 8:
 				what = "release"
@@ -424,7 +433,7 @@ func requeryModelRun(t *testing.T, n int, grouped bool, workers, steps int, seed
 			hits, misses = 0, 0
 		}
 		if h1-h0 != hits || m1-m0 != misses {
-			t.Fatalf("%s: cache pass classified %d hits / %d misses, the generation rule gives %d / %d",
+			t.Fatalf("%s: cache pass classified %d hits / %d misses, the reference's rule gives %d / %d",
 				ctx, h1-h0, m1-m0, hits, misses)
 		}
 		cold, err := twin.SpanningForestOpts(groups, p)
@@ -473,6 +482,7 @@ func TestRequeryAfterAbandonedExtraction(t *testing.T) {
 				}
 			}
 			s.AddBatch(batch)
+			ref.applied(batch)
 		}
 		check := func(ctx string) {
 			t.Helper()

@@ -55,9 +55,8 @@ func (s *Sketch) AddBatch(batch []stream.Update) { s.addBatch(batch, 1) }
 // taken; a small chunk runs the same code with one part.
 //
 // The state is bit-identical to the per-update fold at every worker
-// count: cells are commutative field additions, a sampler's generation
-// counts the updates that reached it, and a tail's length is the
-// highest level seen. The decode cache's update log, the one
+// count: cells are commutative field additions and a tail's length is
+// the highest level seen. The decode cache's update log, the one
 // order-sensitive record, is written first, serially, in stream order.
 // Batches longer than ingestChunk are processed in chunks.
 func (s *Sketch) AddBatchOpts(batch []stream.Update, p *parallel.Policy) {

@@ -95,8 +95,7 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("%w: the samplers of some round do not sum to zero", errCorrupt)
 	}
 	// Whole-state replacement: keep the caching preference but drop the
-	// cached picks — the rebuilt samplers carry fresh generations, so
-	// old entries must not be consulted against them.
+	// cached picks and the update log — they describe the old samplers.
 	rebuilt.caching = s.caching
 	*s = *rebuilt
 	return nil
@@ -113,18 +112,21 @@ func (s *Sketch) Merge(o *Sketch) error {
 	}
 	s.SubtractTo(nil)
 	o.SubtractTo(nil)
-	// A merge mutates samplers without passing through the update log:
-	// advance the epoch so the next query checks cached picks by their
-	// generation sums instead of the log's marks (the pick cache itself
-	// stays valid for components the merge didn't touch — their
-	// generations are unchanged).
-	s.epoch++
 	// Both grids in address order: samplers, level-0 slots and tails are
 	// all reached by index, and a sampler o never touched is skipped
-	// after one scan of its slot.
-	for i := range s.samp {
-		if err := s.samp[i].Merge(&o.samp[i]); err != nil {
-			return fmt.Errorf("agm: merge vertex %d round %d: %w", i/s.rounds, i%s.rounds, err)
+	// after one scan of its slot. While caching, each vertex whose
+	// incoming samplers are not all zero is logged, so the next query
+	// re-decodes exactly the components the merge changed.
+	for v := 0; v < s.n; v++ {
+		logged := !s.caching
+		for i := v * s.rounds; i < (v+1)*s.rounds; i++ {
+			if !logged && !o.samp[i].IsZero() {
+				s.logUpdate(v, v)
+				logged = true
+			}
+			if err := s.samp[i].Merge(&o.samp[i]); err != nil {
+				return fmt.Errorf("agm: merge vertex %d round %d: %w", v, i%s.rounds, err)
+			}
 		}
 	}
 	return nil

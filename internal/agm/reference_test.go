@@ -1,6 +1,7 @@
 package agm
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"sort"
@@ -15,26 +16,94 @@ import (
 // decode is compared with: membership is a map from union-find root to
 // an ascending member list that is list-merged on every union, roots are
 // sorted once and filtered per round, and every component is re-merged
-// from its members' samplers on every query — no cached pick or merged
-// sampler is ever served. It reads the sketch's samplers and never
-// mutates the sketch. Alongside the forest it models the pick cache's
-// classification rule: a (round, union-find root) is a hit when the
-// previous decode stored there drew over the same member list at the
-// same generation sum.
+// from its members' samplers on every query — no cached pick is ever
+// served. It reads the sketch's samplers and never mutates the sketch.
+//
+// Alongside the forest it models the pick cache's classification rule
+// from its own record of what the test applied and merged (applied,
+// merged), not from the sketch's update log: a (round, union-find root)
+// is a hit when the previous decode reached the round and stored or
+// served a pick there over the same member list, no endpoint recorded
+// since is a member, and the recorded writes did not overflow the
+// sketch's log. A hit's members must still encode to the bytes they
+// had when its pick was stored.
 type refDecoder struct {
-	picks []map[int]refPick // per round, by union-find root
+	picks   []map[int]refPick // per round, by union-find root
+	query   int               // decodes so far
+	touched map[int]bool      // endpoints applied or merged since the last decode
+	logged  int               // log entries those writes took
 }
 
 type refPick struct {
 	members []int
-	genSum  uint64
+	query   int    // the decode that last stored or served the pick
+	enc     []byte // the members' samplers of the round when it was stored
 }
 
 // reset forgets every stored decode, as EnableDecodeCache(false) and
 // UnmarshalBinary do.
 func (d *refDecoder) reset() { d.picks = nil }
 
+// applied records a batch applied to the sketch: each update that is
+// not a self-loop or a zero delta takes one log entry.
+func (d *refDecoder) applied(batch []stream.Update) {
+	for _, u := range batch {
+		if u.U != u.V && u.Delta != 0 {
+			d.touch(u.U, u.V)
+			d.logged++
+		}
+	}
+}
+
+// merged records a Merge of a sketch fed batch: each vertex whose
+// incidence vector in batch is not zero takes one log entry.
+func (d *refDecoder) merged(batch []stream.Update) {
+	net := map[[2]int]int{}
+	for _, u := range batch {
+		if u.U != u.V {
+			net[[2]int{min(u.U, u.V), max(u.U, u.V)}] += u.Delta
+		}
+	}
+	seen := map[int]bool{}
+	for e, m := range net {
+		if m != 0 {
+			seen[e[0]], seen[e[1]] = true, true
+		}
+	}
+	for v := range seen {
+		d.touch(v)
+		d.logged++
+	}
+}
+
+func (d *refDecoder) touch(vs ...int) {
+	if d.touched == nil {
+		d.touched = map[int]bool{}
+	}
+	for _, v := range vs {
+		d.touched[v] = true
+	}
+}
+
+// encode concatenates the encodings of the members' round-r samplers.
+func encode(s *Sketch, r int, members []int) ([]byte, error) {
+	var out []byte
+	for _, v := range members {
+		enc, err := s.at(r, v).MarshalBinary()
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, enc...)
+	}
+	return out, nil
+}
+
 func (d *refDecoder) forest(s *Sketch, groups [][]int) (forest []graph.Edge, hits, misses uint64, err error) {
+	// A log that outgrew its budget (Sketch.logUpdate) voids every pick.
+	overflow := d.logged > 4*s.n+1024
+	touched, prev := d.touched, d.query
+	d.touched, d.logged = nil, 0
+	d.query++
 	uf := graph.NewUnionFind(s.n)
 	for _, grp := range groups {
 		for _, v := range grp {
@@ -76,16 +145,23 @@ func (d *refDecoder) forest(s *Sketch, groups [][]int) (forest []graph.Edge, hit
 		picks := make([]found, len(roots))
 		for i, root := range roots {
 			m := members[root]
-			var genSum uint64
-			for _, v := range m {
-				genSum += s.at(r, v).Gen()
+			enc, err := encode(s, r, m)
+			if err != nil {
+				return nil, 0, 0, err
 			}
-			if e, ok := d.picks[r][root]; ok && e.genSum == genSum && slices.Equal(e.members, m) {
+			e, ok := d.picks[r][root]
+			if ok && e.query == prev && !overflow && slices.Equal(e.members, m) &&
+				!slices.ContainsFunc(m, func(v int) bool { return touched[v] }) {
 				hits++
+				if !bytes.Equal(e.enc, enc) {
+					return nil, 0, 0, fmt.Errorf("round %d: a hit over component %v, whose samplers changed since its pick was stored", r, m)
+				}
+				e.query = d.query
 			} else {
 				misses++
-				d.picks[r][root] = refPick{members: m, genSum: genSum}
+				e = refPick{members: m, query: d.query, enc: enc}
 			}
+			d.picks[r][root] = e
 			sc := &sketch.L0Sampler{}
 			sc.SetTo(s.at(r, m[0]))
 			for _, v := range m[1:] {

@@ -13,7 +13,7 @@ import (
 // complement), the key-sum lane, the fingerprint lane, cells words each
 // — and the field kernels run on the three sub-slices directly:
 //
-//	sampler  {fam, gen, l0, tail}              64 bytes, no other headers
+//	sampler  {fam, l0, tail}                   56 bytes, no other headers
 //	l0       [counts | keySums | fings]        level 0
 //	tail     [level 1][level 2] ... [level top]  one block, same shape each
 //
@@ -24,7 +24,7 @@ import (
 // private tail.
 //
 // Prefix invariant: an update at geometric level lv writes levels
-// 0..lv, and Merge/Sub/SetTo/UnmarshalBinary extend the receiver to the
+// 0..lv, and Merge/SetTo/UnmarshalBinary extend the receiver to the
 // source's highest non-zero level, so the materialized levels are
 // always a prefix 0..top. Levels past the tail are the zero sketch and
 // cost nothing; an update that reaches a new top reallocates the tail
@@ -33,7 +33,7 @@ import (
 // added to it.
 //
 // Top invariant: the highest tail level is never all-zero. An update or
-// a fold that leaves the top level canceled to zero trims the tail
+// a merge that leaves the top level canceled to zero trims the tail
 // (keeping its capacity, so regrowing it does not allocate), SetTo
 // copies a trimmed state and UnmarshalBinary refuses a present all-zero
 // level. So the top is the highest non-zero level whenever there is a
@@ -181,10 +181,10 @@ func (f *L0Family) Warm() {
 // L0Hint is the key-dependent routing of one update, valid for every
 // sampler of the family that produced it: the geometric level, and per
 // surviving level the fingerprint power and the target cell index per
-// hash row. Computing it once and applying it to several samplers (a
-// logged update folded into cached component sums) saves the hash work;
-// reusing the hint buffer across updates keeps the fold allocation-free.
-// Batch ingest routes through the packed L0Routes instead.
+// hash row. Computing it once and applying it to several samplers
+// saves the hash work; reusing the hint buffer across updates keeps the
+// fold allocation-free. Batch ingest routes through the packed L0Routes
+// instead.
 type L0Hint struct {
 	level int
 	fkeys []uint64
@@ -263,21 +263,9 @@ func (f *L0Family) route(pw *hashing.Powers, fkeys []uint64, cells []uint16, has
 // first level that decodes to a nonempty vector.
 type L0Sampler struct {
 	fam  *L0Family
-	gen  uint64
 	l0   []uint64 // level 0; empty = not materialized (never in a grid)
 	tail []uint64 // levels 1..top, contiguous
 }
-
-// Gen returns the sampler's generation counter: a monotonic count of
-// state mutations. Zero-valued merges (the other side sketches the zero
-// vector) do not count, so merging a zero-suppressed wire blob bumps
-// exactly the samplers the blob actually touches.
-func (s *L0Sampler) Gen() uint64 { return s.gen }
-
-// BumpGen forces a generation bump, invalidating any decode-cache
-// entry that covers this sampler. Deserialization and other
-// whole-state replacements call it.
-func (s *L0Sampler) BumpGen() { s.gen++ }
 
 // NewL0Sampler creates a sampler for keys from a universe of the given
 // size. perLevel is the sparse-recovery budget at each level; 4–8 is
@@ -285,9 +273,6 @@ func (s *L0Sampler) BumpGen() { s.gen++ }
 func NewL0Sampler(seed uint64, universe uint64, perLevel int) *L0Sampler {
 	return NewL0Family(seed, universe, perLevel).NewSampler()
 }
-
-// Family returns the shared randomness/geometry of the sampler.
-func (s *L0Sampler) Family() *L0Family { return s.fam }
 
 // top returns the highest materialized level, -1 when there is none.
 func (s *L0Sampler) top() int {
@@ -395,7 +380,6 @@ func (s *L0Sampler) AddHint(key uint64, delta int64, h *L0Hint) {
 // d·key, both level-independent and shared by every sampler the update
 // lands in.
 func (s *L0Sampler) apply(delta int64, d, ks uint64, fkeys []uint64, cells []uint16) {
-	s.gen++
 	top := len(fkeys) - 1
 	s.reach(top)
 	rows := s.fam.rows
@@ -406,13 +390,13 @@ func (s *L0Sampler) apply(delta int64, d, ks uint64, fkeys []uint64, cells []uin
 	s.trimIfTop(top)
 }
 
-// fold applies a cell kernel (merge or subtract) level by level up to
-// o's highest non-zero level, and trims when that level was the
-// receiver's top too. A source that sketches the zero vector — nothing
-// materialized, or churn canceled back to zero — folds to a no-op and
-// leaves the generation, and with it every cached decode keyed on it,
-// untouched.
-func (s *L0Sampler) fold(o *L0Sampler, kernel func(dc, dk, df, sc, sk, sf []uint64)) error {
+// Merge adds another sampler built with the same seed; the result
+// samples from the support of the summed vectors. It merges level by
+// level up to o's highest non-zero level, and trims when that level was
+// the receiver's top too. A source that sketches the zero vector —
+// nothing materialized, or churn canceled back to zero — merges to a
+// no-op.
+func (s *L0Sampler) Merge(o *L0Sampler) error {
 	if !s.fam.same(o.fam) {
 		return errIncompatible
 	}
@@ -420,40 +404,22 @@ func (s *L0Sampler) fold(o *L0Sampler, kernel func(dc, dk, df, sc, sk, sf []uint
 	if top < 0 {
 		return nil
 	}
-	s.gen++
 	s.reach(top)
 	for j := 0; j <= top; j++ {
 		dc, dk, df := s.lanes(j)
 		sc, sk, sf := o.lanes(j)
-		kernel(dc, dk, df, sc, sk, sf)
+		field.MergeCells(dc, dk, df, sc, sk, sf)
 	}
 	s.trimIfTop(top)
 	return nil
 }
 
-// Merge adds another sampler built with the same seed; the result
-// samples from the support of the summed vectors.
-func (s *L0Sampler) Merge(o *L0Sampler) error { return s.fold(o, field.MergeCells[uint64]) }
-
-// Sub subtracts another sampler built with the same seed.
-func (s *L0Sampler) Sub(o *L0Sampler) error { return s.fold(o, field.SubCells[uint64]) }
-
 // SetTo makes s a copy of o, adopting o's family and reusing s's lane
-// storage — the scratch-reuse path of the parallel Borůvka decode,
-// which would otherwise Clone a sampler per component per round.
+// storage.
 func (s *L0Sampler) SetTo(o *L0Sampler) {
-	s.gen++
 	s.fam = o.fam
 	s.l0 = append(s.l0[:0], o.l0...)
 	s.tail = append(s.tail[:0], o.tail...)
-}
-
-// Clone returns a deep copy (the immutable family is shared).
-func (s *L0Sampler) Clone() *L0Sampler {
-	c := &L0Sampler{}
-	c.SetTo(s)
-	c.gen = 0
-	return c
 }
 
 // IsZero reports whether the sampler holds the zero vector's state:

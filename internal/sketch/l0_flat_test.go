@@ -72,8 +72,6 @@ func (p l0Pair) combine(t *testing.T, op string, o l0Pair) {
 	switch op {
 	case "Merge":
 		ef, er = p.flat.Merge(o.flat), p.ref.Merge(o.ref)
-	case "Sub":
-		ef, er = p.flat.Sub(o.flat), p.ref.Sub(o.ref)
 	case "SetTo":
 		p.flat.SetTo(o.flat)
 		p.ref.SetTo(o.ref)
@@ -106,9 +104,6 @@ func (p l0Pair) check(t *testing.T, what string) {
 			t.Fatalf("%s: decoded state re-encodes differently", what)
 		}
 	}
-	if g, w := p.flat.Gen(), p.ref.gen; g != w {
-		t.Fatalf("%s: Gen %d, reference %d", what, g, w)
-	}
 	if g, w := p.flat.IsZero(), p.ref.IsZero(); g != w {
 		t.Fatalf("%s: IsZero %v, reference %v", what, g, w)
 	}
@@ -126,22 +121,20 @@ func (p l0Pair) check(t *testing.T, what string) {
 // per-level composition over every ingest form × combining operation,
 // with standalone and grid-backed receivers: a long source into a
 // short tail (the receiver's tail grows inside Merge), a short source
-// into a long tail, zero and canceled-to-zero sources (no generation
-// bump), and batches whose geometric levels rise as they go (the tail
-// grows mid-batch).
+// into a long tail, zero and canceled-to-zero sources, a source holding
+// the receiver's negation (every level cancels, so the merge trims the
+// whole tail), and batches whose geometric levels rise as they go (the
+// tail grows mid-batch).
 func TestL0FlatMatchesReference(t *testing.T) {
 	const universe = 1 << 24
 	fam := NewL0Family(0x51, universe, 4)
 	few, fewD := batchWorkload(1, 3, universe)
 	many, manyD := batchWorkload(2, 600, universe)
 	manyD[7] = 0 // zero deltas are skipped, not counted
-	inverse := make([]int64, len(manyD))
-	for i, d := range manyD {
-		inverse[i] = -d
-	}
+	inverse := negate(manyD)
 	for _, grid := range []bool{false, true} {
 		for _, mode := range []string{"Add", "AddHint", "AddBatch"} {
-			for _, op := range []string{"Merge", "Sub", "SetTo"} {
+			for _, op := range []string{"Merge", "SetTo"} {
 				t.Run(fmt.Sprintf("grid=%v/%s/%s", grid, mode, op), func(t *testing.T) {
 					fresh := func() l0Pair {
 						if grid {
@@ -149,7 +142,7 @@ func TestL0FlatMatchesReference(t *testing.T) {
 						}
 						return newL0Pair(fam.NewSampler())
 					}
-					short, long, zero, canceled := fresh(), fresh(), fresh(), fresh()
+					short, long, zero, canceled, negated := fresh(), fresh(), fresh(), fresh(), fresh()
 					short.add(t, mode, few, fewD)
 					short.check(t, "short ingest")
 					long.add(t, mode, many, manyD)
@@ -160,6 +153,12 @@ func TestL0FlatMatchesReference(t *testing.T) {
 					canceled.add(t, mode, many, manyD)
 					canceled.add(t, mode, many, inverse)
 					canceled.check(t, "canceled ingest")
+					negated.add(t, mode, many, inverse)
+					negated.combine(t, "Merge", long)
+					negated.check(t, "negated source")
+					if !negated.flat.IsZero() {
+						t.Fatal("a sampler merged with its negation is not zero")
+					}
 
 					short.combine(t, op, long)
 					short.check(t, "long source into short receiver")
@@ -171,8 +170,6 @@ func TestL0FlatMatchesReference(t *testing.T) {
 					long.check(t, "into long receiver")
 					long.add(t, mode, many, manyD)
 					long.check(t, "ingest after combine")
-					long.combine(t, "Sub", long)
-					long.check(t, "self-subtract")
 				})
 			}
 		}
@@ -194,15 +191,12 @@ func TestL0UnmarshalIntoGridInPlace(t *testing.T) {
 	grid := NewL0Grid([]*L0Family{fam}, 3)
 	dst := &grid[1]
 	dst.Add(9, 1) // stale content the decode must replace
-	slot, gen := &dst.l0[0], dst.Gen()
+	slot := &dst.l0[0]
 	if err := dst.UnmarshalBinary(blob); err != nil {
 		t.Fatal(err)
 	}
 	if &dst.l0[0] != slot || dst.fam != fam {
 		t.Error("decode moved the sampler out of its arena slot or family")
-	}
-	if dst.Gen() != gen+1 {
-		t.Errorf("Gen %d after decode, want %d", dst.Gen(), gen+1)
 	}
 	enc, _ := dst.MarshalBinary()
 	if !bytes.Equal(enc, blob) {
@@ -215,7 +209,7 @@ func TestL0UnmarshalIntoGridInPlace(t *testing.T) {
 		if err := dst.UnmarshalBinary(bad); !errors.Is(err, errCorrupt) {
 			t.Errorf("%s blob: %v, want errCorrupt", name, err)
 		}
-		if again, _ := dst.MarshalBinary(); !bytes.Equal(again, enc) || dst.Gen() != gen+1 {
+		if again, _ := dst.MarshalBinary(); !bytes.Equal(again, enc) {
 			t.Errorf("%s blob changed the receiver", name)
 		}
 	}

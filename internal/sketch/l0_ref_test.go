@@ -12,7 +12,6 @@ import (
 type refSampler struct {
 	fam    *L0Family
 	levels []*SketchB
-	gen    uint64
 }
 
 func newRefSampler(f *L0Family) *refSampler {
@@ -30,7 +29,6 @@ func (s *refSampler) Add(key uint64, delta int64) {
 	if delta == 0 {
 		return
 	}
-	s.gen++
 	lv := s.fam.levelHash.Level(key)
 	if lv >= len(s.levels) {
 		lv = len(s.levels) - 1
@@ -45,7 +43,6 @@ func (s *refSampler) AddHint(key uint64, delta int64, h *L0Hint) {
 	if delta == 0 {
 		return
 	}
-	s.gen++
 	d := field.FromInt64(delta)
 	ks := field.Mul(d, field.Reduce(key))
 	rows := s.fam.rows
@@ -63,31 +60,22 @@ func (s *refSampler) AddBatch(keys []uint64, deltas []int64) {
 	}
 }
 
-func (s *refSampler) fold(o *refSampler, op func(dst, src *SketchB) error) error {
+func (s *refSampler) Merge(o *refSampler) error {
 	if len(s.levels) != len(o.levels) {
 		return errIncompatible
 	}
-	touched := false
 	for j := range s.levels {
 		if o.levels[j] == nil || o.levels[j].IsZero() {
 			continue
 		}
-		touched = true
-		if err := op(s.level(j), o.levels[j]); err != nil {
+		if err := s.level(j).Merge(o.levels[j]); err != nil {
 			return err
 		}
-	}
-	if touched {
-		s.gen++
 	}
 	return nil
 }
 
-func (s *refSampler) Merge(o *refSampler) error { return s.fold(o, (*SketchB).Merge) }
-func (s *refSampler) Sub(o *refSampler) error   { return s.fold(o, (*SketchB).Sub) }
-
 func (s *refSampler) SetTo(o *refSampler) {
-	s.gen++
 	s.fam = o.fam
 	if len(s.levels) != len(o.levels) {
 		s.levels = make([]*SketchB, len(o.levels))

@@ -192,7 +192,6 @@ func (s *L0Sampler) UnmarshalBinary(data []byte) error {
 		return err
 	}
 	s.fam = fam
-	s.gen++ // whole-state replacement keeps gen monotonic
 	s.l0, s.tail = s.l0[:0], s.tail[:0]
 	if top >= 0 || cap(s.l0) > 0 { // a grid slot stays materialized
 		s.reach(max(top, 0))
