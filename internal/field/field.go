@@ -152,23 +152,29 @@ func (t *PowTable) Pow(e uint64) uint64 {
 	return result
 }
 
+// smallInvs is the inverse of every a below 64, by Fermat once: a
+// decoder inverts a sketch cell's count on every peel test, and counts
+// are small integers (±1 the commonest) or their negatives.
+var smallInvs = func() (t [64]uint64) {
+	for a := uint64(1); a < 64; a++ {
+		t[a] = Pow(a, P-2)
+	}
+	return t
+}()
+
 // Inv returns the multiplicative inverse of a mod P. It panics on a == 0
 // after reduction, which indicates a programming error in the caller:
 // inverses are only requested for provably nonzero counts.
 func Inv(a uint64) uint64 {
 	a = Reduce(a)
-	switch a {
-	case 0:
+	switch {
+	case a == 0:
 		panic("field: inverse of zero")
-	case 1:
-		// Fast paths for the self-inverse elements ±1, which dominate
-		// decode: a pure sketch cell of a ±1-count item inverts its
-		// count on every peel test, and Fermat below costs ~120 Muls.
-		// Bit-identical: Pow(1, P-2) = 1 and, P-2 being odd,
-		// Pow(P-1, P-2) = P-1.
-		return 1
-	case P - 1:
-		return P - 1
+	case a < 64:
+		return smallInvs[a]
+	case a > P-64:
+		// (−a)⁻¹ = −(a⁻¹), the value Fermat gives: P−2 is odd.
+		return P - smallInvs[P-a]
 	}
 	// Fermat: a^(P-2) = a^{-1}.
 	return Pow(a, P-2)

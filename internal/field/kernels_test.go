@@ -317,18 +317,19 @@ func TestPowPairMatchesPow(t *testing.T) {
 }
 
 func TestInvFastPathsMatchFermat(t *testing.T) {
-	// The ±1 fast paths in Inv must equal the Fermat computation they
-	// short-circuit.
-	if got, want := Inv(1), Pow(1, P-2); got != want {
-		t.Fatalf("Inv(1) = %d, Fermat %d", got, want)
+	// The table paths in Inv (a and P−a for a below 64) must equal the
+	// Fermat computation they short-circuit, on both sides of each
+	// boundary, and unreduced inputs must reduce first.
+	for a := uint64(1); a <= 65; a++ {
+		for _, x := range []uint64{a, P - a} {
+			if got, want := Inv(x), Pow(x, P-2); got != want || Mul(x, got) != 1 {
+				t.Fatalf("Inv(%d) = %d, Fermat %d", x, got, want)
+			}
+		}
 	}
-	if got, want := Inv(P-1), Pow(P-1, P-2); got != want {
-		t.Fatalf("Inv(P-1) = %d, Fermat %d", got, want)
-	}
-	// And still round-trip: a * Inv(a) == 1.
-	for _, a := range []uint64{1, P - 1, 2, 7, P - 2} {
-		if Mul(a, Inv(a)) != 1 {
-			t.Fatalf("Inv(%d) is not an inverse", a)
+	for _, x := range []uint64{P + 3, 2*P - 1, ^uint64(0)} {
+		if got, want := Inv(x), Pow(Reduce(x), P-2); got != want {
+			t.Fatalf("Inv(%d) = %d, Fermat %d", x, got, want)
 		}
 	}
 }

@@ -4,12 +4,7 @@
 // union-find structure used by the Borůvka-style spanning forest.
 package graph
 
-import (
-	"cmp"
-	"fmt"
-	"slices"
-	"sort"
-)
+import "fmt"
 
 // Edge is an undirected weighted edge with endpoints U < V.
 type Edge struct {
@@ -23,14 +18,6 @@ func (e Edge) Canon() Edge {
 		e.U, e.V = e.V, e.U
 	}
 	return e
-}
-
-// CompareEdges orders edges by (U, V), the order Edges returns them in.
-func CompareEdges(a, b Edge) int {
-	if c := cmp.Compare(a.U, b.U); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.V, b.V)
 }
 
 // Graph is a simple undirected weighted graph on vertices 0..N-1,
@@ -107,7 +94,7 @@ func (g *Graph) Edges() []Edge {
 	for k, w := range g.edges {
 		out = append(out, Edge{U: k[0], V: k[1], W: w})
 	}
-	slices.SortFunc(out, CompareEdges)
+	SortEdges(out, g.n)
 	return out
 }
 
@@ -124,13 +111,23 @@ func (g *Graph) rebuild() {
 	if !g.stale && g.adj != nil {
 		return
 	}
-	g.adj = make([][]halfEdge, g.n)
-	for k, w := range g.edges {
-		g.adj[k[0]] = append(g.adj[k[0]], halfEdge{to: k[1], w: w})
-		g.adj[k[1]] = append(g.adj[k[1]], halfEdge{to: k[0], w: w})
+	// Appending the (U, V)-sorted edges leaves every list ascending: a
+	// vertex x meets its neighbors below it (edges (U, x), by U) before
+	// those above it (edges (x, V), by V).
+	edges := g.Edges()
+	deg := make([]int, g.n)
+	for _, e := range edges {
+		deg[e.U]++
+		deg[e.V]++
 	}
-	for _, a := range g.adj {
-		sort.Slice(a, func(i, j int) bool { return a[i].to < a[j].to })
+	slab := make([]halfEdge, 2*len(edges))
+	g.adj = make([][]halfEdge, g.n)
+	for v, d := range deg {
+		g.adj[v], slab = slab[:0:d], slab[d:]
+	}
+	for _, e := range edges {
+		g.adj[e.U] = append(g.adj[e.U], halfEdge{to: e.V, w: e.W})
+		g.adj[e.V] = append(g.adj[e.V], halfEdge{to: e.U, w: e.W})
 	}
 	g.stale = false
 }

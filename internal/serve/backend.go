@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"slices"
 	"strings"
 
 	"dynstream"
@@ -213,7 +212,7 @@ var table = []Named{
 			}
 			// Forest edges are canonical, distinct and of unit weight:
 			// sorted, they are what a Graph of them would list.
-			slices.SortFunc(forest, graph.CompareEdges)
+			graph.SortEdges(forest, sk.N())
 			comps := sk.N() - len(forest)
 			conn := comps == 1
 			return &QueryResponse{

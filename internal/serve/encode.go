@@ -53,10 +53,16 @@ func appendJSONString(b []byte, s string) []byte {
 
 // appendJSONFloat formats a finite f as encoding/json does: shortest
 // round-trip digits, exponent form below 1e-6 and from 1e21, and a
-// two-digit exponent trimmed of its leading zero.
+// two-digit exponent trimmed of its leading zero. An integral f with
+// 0 < |f| < 2^53 — every unit weight — is its own shortest digits, so
+// it is written as the integer it is.
 func appendJSONFloat(b []byte, f float64) []byte {
+	abs := math.Abs(f)
+	if abs >= 1 && abs < 1<<53 && f == math.Trunc(f) {
+		return strconv.AppendInt(b, int64(f), 10)
+	}
 	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
 	}
 	b = strconv.AppendFloat(b, f, format, -1, 64)

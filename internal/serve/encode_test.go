@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -136,4 +137,35 @@ func TestQueryHandlerBody(t *testing.T) {
 				name, got.StatusCode, got.Header.Get("Content-Type"), body, want.Bytes())
 		}
 	}
+}
+
+// integralCorners are the weights on both sides of the integer fast
+// path's bounds, and the formats around it.
+var integralCorners = []float64{
+	0, math.Copysign(0, -1), 1, -1, 2, -7, 1 << 53, -(1 << 53), 1<<53 - 1, -(1<<53 - 1), 1<<53 + 2, 1 << 60,
+	0.5, -0.5, 1.5, 1e-7, 1e15, 1e20, -1e20, 1e21, -1e21, 123456789012345, 4503599627370495.5,
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1040, math.MaxFloat64,
+}
+
+// TestAppendJSONFloatCorners: each corner weight encodes as
+// encoding/json writes it.
+func TestAppendJSONFloatCorners(t *testing.T) {
+	for _, w := range integralCorners {
+		checkEncoding(t, fmt.Sprintf("weight %v", w), &QueryResponse{Edges: []EdgeJSON{{U: 1, V: 2, W: w}}})
+	}
+}
+
+// FuzzAppendJSONFloat: any finite float64 bit pattern encodes as
+// encoding/json writes it.
+func FuzzAppendJSONFloat(f *testing.F) {
+	for _, w := range integralCorners {
+		f.Add(math.Float64bits(w))
+	}
+	f.Fuzz(func(t *testing.T, bits uint64) {
+		w := math.Float64frombits(bits)
+		if math.IsNaN(w) || math.IsInf(w, 0) {
+			return
+		}
+		checkEncoding(t, fmt.Sprintf("bits %#x", bits), &QueryResponse{Edges: []EdgeJSON{{W: w}, {U: 3, V: 4, W: -w}}})
+	})
 }

@@ -286,7 +286,10 @@ func TestCellDecodeTableMatchesDecode(t *testing.T) {
 			c.Update(key, int64(1+rng.Next()%3), tab.Pow(field.Reduce(key)))
 		}
 		k1, w1, ok1 := c.Decode(tab.Base())
-		k2, w2, ok2 := c.DecodeTable(tab)
+		k2, w2, f2, ok2 := c.DecodeTable(tab)
+		if ok2 && f2 != field.Pow(tab.Base(), k2) {
+			t.Fatalf("trial %d: DecodeTable's power %d is not r^%d", trial, f2, k2)
+		}
 		if k1 != k2 || w1 != w2 || ok1 != ok2 {
 			t.Fatalf("trial %d: Decode (%d,%d,%v) != DecodeTable (%d,%d,%v)",
 				trial, k1, w1, ok1, k2, w2, ok2)

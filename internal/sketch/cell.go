@@ -88,15 +88,19 @@ func (c *Cell) Decode(r uint64) (key uint64, weight int64, ok bool) {
 // DecodeTable is Decode with the fingerprint power computed through a
 // precomputed table for the base — the fast path used by peeling
 // decoders, which evaluate one power per cell per sweep. The result is
-// bit-identical to Decode(tab.Base()).
-func (c *Cell) DecodeTable(tab *field.PowTable) (key uint64, weight int64, ok bool) {
+// bit-identical to Decode(tab.Base()). On success it also returns the
+// verified power fkey = r^key (key is below P, so it is the power
+// Update takes), which removes the item from the other rows without
+// a second evaluation.
+func (c *Cell) DecodeTable(tab *field.PowTable) (key uint64, weight int64, fkey uint64, ok bool) {
 	if c.count == 0 {
-		return 0, 0, false
+		return 0, 0, 0, false
 	}
 	cf := field.FromInt64(c.count)
 	key = field.Mul(c.keySum, field.Inv(cf))
-	if field.Mul(cf, tab.Pow(key)) != c.fing {
-		return 0, 0, false
+	fkey = tab.Pow(key)
+	if field.Mul(cf, fkey) != c.fing {
+		return 0, 0, 0, false
 	}
-	return key, c.count, true
+	return key, c.count, fkey, true
 }

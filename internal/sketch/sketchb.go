@@ -357,7 +357,7 @@ func (s *SketchB) IsZero() bool {
 
 // decodeCell attempts one-sparse recovery of cell i: Cell.DecodeTable
 // over the flat layout, powered by the shape's table.
-func (s *SketchB) decodeCell(i int) (key uint64, weight int64, ok bool) {
+func (s *SketchB) decodeCell(i int) (key uint64, weight int64, fkey uint64, ok bool) {
 	c := Cell{count: s.counts[i], keySum: s.keySums[i], fing: s.fings[i]}
 	return c.DecodeTable(s.shape.tab())
 }
@@ -416,14 +416,14 @@ func (s *SketchB) peelEach(emit func(key uint64, w int64)) bool {
 				// peeled-down sketch are zero.
 				continue
 			}
-			key, w, ok := s.decodeCell(i)
+			key, w, fkey, ok := s.decodeCell(i)
 			if !ok {
 				continue
 			}
 			if budget--; budget < 0 {
 				return false
 			}
-			s.AddFkey(key, -w, s.Fkey(key))
+			s.AddFkey(key, -w, fkey)
 			emit(key, w)
 			progress = true
 		}
