@@ -97,41 +97,68 @@ const (
 // PowTable holds the precomputed window powers of a fixed base. Each
 // window costs 16 multiplications and 128 bytes to build: a full table
 // (16 windows, any uint64 exponent) ~256 Muls and 2 KB, a table for
-// exponents up to maxExp ⌈bits(maxExp)/4⌉ windows. Afterwards Pow is ~8×
-// faster than the generic square-and-multiply and returns bit-identical
-// values (both compute the canonical representative of base^e mod P).
-// An exponent past the windows takes square-and-multiply, so the bound
-// a table is built for decides cost, never the result.
+// exponents up to maxExp PowWindows(maxExp) windows. Afterwards Pow is
+// ~8× faster than the generic square-and-multiply and returns
+// bit-identical values (both compute the canonical representative of
+// base^e mod P). An exponent past the windows takes square-and-multiply,
+// so the bound a table is built for decides cost, never the result.
 type PowTable struct {
 	base uint64
 	max  uint64 // largest exponent the windows cover: 16^len(tab) − 1
 	tab  [][powWindowSize]uint64
 }
 
+// PowWindow is one window of a PowTable: base^(d·16^w) for d < 16.
+type PowWindow = [powWindowSize]uint64
+
+// PowWindows is the number of windows exponents up to maxExp use,
+// ⌈bits(maxExp)/4⌉: the storage Init needs for a table bounded by
+// maxExp.
+func PowWindows(maxExp uint64) int {
+	return (bits.Len64(maxExp) + powWindowBits - 1) / powWindowBits
+}
+
 // NewPowTable precomputes the window powers of base (reduced mod P)
 // for every uint64 exponent.
 func NewPowTable(base uint64) *PowTable { return NewPowTableBelow(base, math.MaxUint64) }
 
-// NewPowTableBelow precomputes only the ⌈bits(maxExp)/4⌉ windows that
-// exponents up to maxExp use. Any larger exponent still gets the exact
-// power, through field.Pow.
+// NewPowTableBelow precomputes only the windows that exponents up to
+// maxExp use. Any larger exponent still gets the exact power, through
+// field.Pow.
 func NewPowTableBelow(base, maxExp uint64) *PowTable {
-	windows := (bits.Len64(maxExp) + powWindowBits - 1) / powWindowBits
-	t := &PowTable{
+	t := new(PowTable)
+	t.Init(base, make([]PowWindow, PowWindows(maxExp)))
+	return t
+}
+
+// Init makes t the table of base (reduced mod P) over the caller's
+// windows, which it fills and keeps: exponents below 16^len(windows)
+// take the window walk. Each window is a product tree over its step
+// s = base^(16^w) — s², then s³…s⁴, s⁵…s⁸, s⁹…s¹⁵ as s⁸ times s¹…s⁷,
+// and the next step s¹⁶ = (s⁸)² — so its longest chain of dependent
+// multiplications is four, not fifteen. Mul returns canonical
+// elements, so every entry equals the one a multiplication chain
+// gives.
+func (t *PowTable) Init(base uint64, windows []PowWindow) {
+	*t = PowTable{
 		base: Reduce(base),
-		max:  math.MaxUint64 >> (64 - powWindowBits*windows),
-		tab:  make([][powWindowSize]uint64, windows),
+		max:  math.MaxUint64 >> (64 - powWindowBits*len(windows)),
+		tab:  windows,
 	}
 	step := t.base // base^(16^w), advanced per window
-	for w := range t.tab {
-		row := &t.tab[w]
-		row[0] = 1
-		for d := 1; d < powWindowSize; d++ {
-			row[d] = Mul(row[d-1], step)
+	for w := range windows {
+		row := &windows[w]
+		row[0], row[1] = 1, step
+		row[2] = Mul(step, step)
+		row[3], row[4] = Mul(row[2], step), Mul(row[2], row[2])
+		for d := 1; d <= 4; d++ {
+			row[4+d] = Mul(row[4], row[d])
 		}
-		step = Mul(row[powWindowSize-1], step)
+		for d := 1; d < 8; d++ {
+			row[8+d] = Mul(row[8], row[d])
+		}
+		step = Mul(row[8], row[8])
 	}
-	return t
 }
 
 // Base returns the (reduced) base the table was built for.

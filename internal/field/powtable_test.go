@@ -100,3 +100,35 @@ func TestPowTableBelowMatchesPow(t *testing.T) {
 		}
 	}
 }
+
+// TestPowTableWindowsMatchPow: a table initialised over caller storage,
+// each window a product tree, holds base^(d·16^w) for every digit d of
+// every window w, and its Pow agrees with field.Pow inside and past the
+// windows.
+func TestPowTableWindowsMatchPow(t *testing.T) {
+	rng := tRng{s: 0x7ee}
+	bases := []uint64{0, 1, 2, 3, P - 1, P, rng.next(), rng.next()}
+	bounds := []uint64{0, 1, 15, 16, 63, 4095, 999999, 1<<48 - 1, ^uint64(0)}
+	for _, b := range bases {
+		for _, bound := range bounds {
+			windows := make([]PowWindow, PowWindows(bound))
+			var tab PowTable
+			tab.Init(b, windows)
+			if tab.max < bound || (len(windows) > 0 && tab.max>>4 >= bound) {
+				t.Fatalf("base %d, bound %d: %d windows cover up to %d", b, bound, len(windows), tab.max)
+			}
+			for w := range windows {
+				for d := uint64(0); d < powWindowSize; d++ {
+					if got, want := windows[w][d], Pow(b, d<<(powWindowBits*w)); got != want {
+						t.Fatalf("base %d, bound %d: window %d digit %d = %d, want %d", b, bound, w, d, got, want)
+					}
+				}
+			}
+			for _, e := range []uint64{0, 1, bound, bound + 1, tab.max, rng.next(), ^uint64(0)} {
+				if got, want := tab.Pow(e), Pow(b, e); got != want {
+					t.Fatalf("base %d, bound %d: Pow(%d) = %d, want %d", b, bound, e, got, want)
+				}
+			}
+		}
+	}
+}

@@ -156,10 +156,10 @@ func (g *Graph) BFS(src int) []int {
 		dist[i] = -1
 	}
 	dist[src] = 0
-	queue := []int{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
+	queue := make([]int, 1, g.n) // each vertex enters once
+	queue[0] = src
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
 		for _, he := range g.adj[u] {
 			if dist[he.to] == -1 {
 				dist[he.to] = dist[u] + 1

@@ -88,19 +88,23 @@ type Poly struct {
 // NewPoly returns a hash function with the given independence degree
 // (>= 2) derived deterministically from seed.
 func NewPoly(seed uint64, independence int) *Poly {
-	if independence < 2 {
-		independence = 2
-	}
-	rng := NewSplitMix64(seed)
-	coeffs := make([]uint64, independence)
-	for i := range coeffs {
-		coeffs[i] = field.Reduce(rng.Next())
-	}
-	// The leading coefficient must be nonzero for full independence.
-	if coeffs[len(coeffs)-1] == 0 {
-		coeffs[len(coeffs)-1] = 1
-	}
+	coeffs := make([]uint64, max(independence, 2))
+	seedCoeffs(seed, coeffs)
 	return &Poly{coeffs: coeffs}
+}
+
+// seedCoeffs fills c with the coefficients every polynomial of seed and
+// independence len(c) has, in a Poly or in a bank lane: the SplitMix64
+// sequence of seed reduced mod P, with a zero leading coefficient
+// replaced by 1, which full independence needs.
+func seedCoeffs(seed uint64, c []uint64) {
+	rng := SplitMix64{state: seed}
+	for i := range c {
+		c[i] = field.Reduce(rng.Next())
+	}
+	if c[len(c)-1] == 0 {
+		c[len(c)-1] = 1
+	}
 }
 
 // Hash evaluates the polynomial at x via Horner's rule, returning a
@@ -213,6 +217,25 @@ func NewPolyBank(polys ...*Poly) *PolyBank {
 	}
 	return b
 }
+
+// SeededBank returns the bank whose lane i is NewPoly(seeds[i],
+// independence), bit for bit, with no Poly built: each lane's
+// coefficients are seeded straight into its block. It panics if
+// independence exceeds MaxDegree.
+func SeededBank(independence int, seeds ...uint64) PolyBank {
+	d := max(independence, 2)
+	if d > MaxDegree {
+		panic("hashing: SeededBank past MaxDegree")
+	}
+	b := PolyBank{coef: make([][MaxDegree]uint64, len(seeds))}
+	for i, seed := range seeds {
+		seedCoeffs(seed, b.coef[i][:d])
+	}
+	return b
+}
+
+// Append adds o's lanes after b's, in order.
+func (b *PolyBank) Append(o *PolyBank) { b.coef = append(b.coef, o.coef...) }
 
 // Lanes returns the number of polynomials in the bank.
 func (b *PolyBank) Lanes() int { return len(b.coef) }

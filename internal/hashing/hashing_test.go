@@ -3,6 +3,7 @@ package hashing
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -235,5 +236,74 @@ func TestPolyBankRejectsMixedDegrees(t *testing.T) {
 	}
 	if NewPolyBank(NewPoly(1, 6), NewPoly(2, 8)) != nil {
 		t.Fatal("mixed-degree bank should be nil")
+	}
+}
+
+// TestSeededBankMatchesPolys: a bank seeded straight into its lanes
+// holds, lane for lane, the coefficients of the Polys NewPoly derives
+// from the same seeds, and hashes every key as they do, for every
+// independence a bank takes; appending banks concatenates their lanes.
+func TestSeededBankMatchesPolys(t *testing.T) {
+	rng := NewSplitMix64(0x5eed)
+	for d := 2; d <= MaxDegree; d++ {
+		seeds := make([]uint64, 7)
+		polys := make([]*Poly, len(seeds))
+		for i := range seeds {
+			seeds[i] = rng.Next()
+			polys[i] = NewPoly(seeds[i], d)
+		}
+		bank := SeededBank(d, seeds...)
+		ref := NewPolyBank(polys...)
+		if bank.Lanes() != len(seeds) || !slices.Equal(bank.coef, ref.coef) {
+			t.Fatalf("independence %d: seeded lanes differ from NewPoly's coefficients", d)
+		}
+		var joined PolyBank
+		joined.Append(&PolyBank{coef: bank.coef[:3]})
+		joined.Append(&PolyBank{coef: bank.coef[3:]})
+		if !slices.Equal(joined.coef, bank.coef) {
+			t.Fatalf("independence %d: appended banks differ from one bank", d)
+		}
+		got := make([]uint64, len(seeds))
+		for trial := 0; trial < 200; trial++ {
+			x := rng.Next()
+			k := 1 + trial%len(seeds)
+			bank.HashPrefix(x, got[:k])
+			for i := 0; i < k; i++ {
+				if want := polys[i].Hash(x); got[i] != want {
+					t.Fatalf("independence %d, key %d, lane %d: seeded bank %d, NewPoly %d", d, x, i, got[i], want)
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("SeededBank past MaxDegree did not panic")
+		}
+	}()
+	SeededBank(MaxDegree+1, 1)
+}
+
+// TestSeededCoeffsLeadingZero: a seed whose last SplitMix64 draw is 0
+// gets leading coefficient 1, through NewPoly and SeededBank alike. The
+// state after the d-th draw is seed + d·γ, and state 0 draws 0, so seed
+// −d·γ makes the leading coefficient's draw zero.
+func TestSeededCoeffsLeadingZero(t *testing.T) {
+	const gamma = 0x9e3779b97f4a7c15
+	for d := 2; d <= MaxDegree; d++ {
+		seed := -uint64(d) * gamma
+		raw := SplitMix64{state: seed}
+		for i := 1; i < d; i++ {
+			raw.Next()
+		}
+		if x := raw.Next(); x != 0 {
+			t.Fatalf("independence %d: leading draw %d, want 0", d, x)
+		}
+		c := make([]uint64, d)
+		seedCoeffs(seed, c)
+		p, bank := NewPoly(seed, d), SeededBank(d, seed)
+		if c[d-1] != 1 || !slices.Equal(p.coeffs, c) || !slices.Equal(bank.coef[0][:d], c) {
+			t.Fatalf("independence %d: leading coefficients %d (helper), %d (NewPoly), %d (bank), want 1",
+				d, c[d-1], p.coeffs[d-1], bank.coef[0][d-1])
+		}
 	}
 }

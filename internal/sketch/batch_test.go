@@ -223,6 +223,37 @@ func TestKeyedEdgeSketchAddBatchEquivalence(t *testing.T) {
 	}
 }
 
+// TestKeyedFirstTouchAllocs: creating a table and giving it its first
+// batch through a warm scratch allocates the table, its bank's lanes,
+// one slab for both power tables' windows and the bucket list: four
+// objects. A bank, power tables and row Polys of their own read 15.
+func TestKeyedFirstTouchAllocs(t *testing.T) {
+	const n = 64
+	rng := hashing.NewSplitMix64(0x7f1)
+	batch := make([]KeyedEdgeUpdate, 8)
+	for i := range batch {
+		batch[i] = KeyedEdgeUpdate{W: int(rng.Next() % n), V: int(rng.Next() % n), Delta: 1}
+	}
+	var sc KeyedScratch
+	var tbl *KeyedEdgeSketch
+	allocs := testing.AllocsPerRun(20, func() {
+		tbl = NewKeyedEdgeSketch(0x31, n, 64)
+		tbl.AddBatchWith(batch, &sc)
+	})
+	if allocs > 4 {
+		t.Errorf("first-touch AddBatchWith: %v allocs per run, want at most 4", allocs)
+	}
+	ref := NewKeyedEdgeSketch(0x31, n, 64)
+	for _, u := range batch {
+		ref.Add(u.W, u.V, u.Delta)
+	}
+	b1, _ := tbl.MarshalBinary()
+	b2, _ := ref.MarshalBinary()
+	if !bytes.Equal(b1, b2) {
+		t.Error("a first-touch batch left the table differently from per-update Adds")
+	}
+}
+
 // TestKeyedAddBatchWithAllocs: on a materialized table, a batch add
 // through a scratch that has served a batch as long allocates nothing,
 // and leaves the table as AddBatch does.

@@ -2,7 +2,7 @@ package sketch
 
 import (
 	"errors"
-	"sort"
+	"slices"
 
 	"dynstream/internal/field"
 	"dynstream/internal/hashing"
@@ -30,17 +30,18 @@ type CountSketch struct {
 	rows int
 	cols int
 	data []int64 // rows*cols signed counters
-	hash []*hashing.Poly
-	sign []*hashing.Poly
 	// bank holds the bucket and sign hashes (hash rows first, then
-	// sign rows) so Add evaluates all 2×rows hashes of one update over
-	// the key's shared powers.
-	bank *hashing.PolyBank
+	// sign rows) so one key's 2×rows hashes are dot products over its
+	// shared powers.
+	bank hashing.PolyBank
 	// aux enumerates candidate keys for Decode; every candidate is
 	// then point-queried against the counter array.
 	aux  *SketchB
 	seed uint64
 }
+
+// countRows is the number of rows of every CountSketch.
+const countRows = 5
 
 // NewCountSketch creates a CountSketch able to point-query and decode
 // signals of sparsity about `capacity`.
@@ -48,63 +49,52 @@ func NewCountSketch(seed uint64, capacity int) *CountSketch {
 	if capacity < 1 {
 		capacity = 1
 	}
-	const rows = 5
 	cols := 3 * capacity
 	if cols < 8 {
 		cols = 8
 	}
-	cs := &CountSketch{
-		rows: rows,
+	var seeds [2 * countRows]uint64
+	for r := 0; r < countRows; r++ {
+		seeds[r], seeds[countRows+r] = hashing.Mix(seed, 0x40, uint64(r)), hashing.Mix(seed, 0x50, uint64(r))
+	}
+	return &CountSketch{
+		rows: countRows,
 		cols: cols,
-		data: make([]int64, rows*cols),
-		hash: make([]*hashing.Poly, rows),
-		sign: make([]*hashing.Poly, rows),
+		data: make([]int64, countRows*cols),
+		bank: hashing.SeededBank(6, seeds[:]...),
 		aux:  NewSketchB(hashing.Mix(seed, 0xa1), capacity),
 		seed: seed,
 	}
-	for r := 0; r < rows; r++ {
-		cs.hash[r] = hashing.NewPoly(hashing.Mix(seed, 0x40, uint64(r)), 6)
-		cs.sign[r] = hashing.NewPoly(hashing.Mix(seed, 0x50, uint64(r)), 6)
-	}
-	lanes := make([]*hashing.Poly, 0, 2*rows)
-	lanes = append(lanes, cs.hash...)
-	lanes = append(lanes, cs.sign...)
-	cs.bank = hashing.NewPolyBank(lanes...)
-	return cs
 }
 
-func (cs *CountSketch) signOf(r int, key uint64) int64 {
-	if cs.sign[r].Hash(key)&1 == 0 {
-		return -1
+// cells fills idx and sgn with key's counter and sign in every row.
+func (cs *CountSketch) cells(key uint64, idx *[countRows]int, sgn *[countRows]int64) {
+	var hs [2 * countRows]uint64
+	cs.bank.HashPrefix(key, hs[:])
+	for r := range idx {
+		idx[r], sgn[r] = r*cs.cols+int(hs[r]%uint64(cs.cols)), 1
+		if hs[countRows+r]&1 == 0 {
+			sgn[r] = -1
+		}
 	}
-	return 1
 }
 
-// Add folds x[key] += delta. The bucket and sign hashes of every row
-// come from the bank, bit-identical to per-row Hash.
+// add folds x[key] += delta into the counters.
+func (cs *CountSketch) add(key uint64, delta int64) {
+	var idx [countRows]int
+	var sgn [countRows]int64
+	cs.cells(key, &idx, &sgn)
+	for r, i := range idx {
+		cs.data[i] += sgn[r] * delta
+	}
+}
+
+// Add folds x[key] += delta.
 func (cs *CountSketch) Add(key uint64, delta int64) {
 	if delta == 0 {
 		return
 	}
-	if cs.bank != nil && 2*cs.rows <= 2*maxBankRows {
-		var hbuf [2 * maxBankRows]uint64
-		hs := hbuf[:2*cs.rows]
-		cs.bank.HashPrefix(key, hs)
-		cols := uint64(cs.cols)
-		for r := 0; r < cs.rows; r++ {
-			idx := r*cs.cols + int(hs[r]%cols)
-			sgn := int64(1)
-			if hs[cs.rows+r]&1 == 0 {
-				sgn = -1
-			}
-			cs.data[idx] += sgn * delta
-		}
-	} else {
-		for r := 0; r < cs.rows; r++ {
-			idx := r*cs.cols + cs.hash[r].Bucket(key, cs.cols)
-			cs.data[idx] += cs.signOf(r, key) * delta
-		}
-	}
+	cs.add(key, delta)
 	cs.aux.Add(key, delta)
 }
 
@@ -112,27 +102,8 @@ func (cs *CountSketch) Add(key uint64, delta int64) {
 // element. keys and deltas must have equal length.
 func (cs *CountSketch) AddBatch(keys []uint64, deltas []int64) {
 	for i, key := range keys {
-		if deltas[i] == 0 {
-			continue
-		}
-		if cs.bank != nil && 2*cs.rows <= 2*maxBankRows {
-			var hbuf [2 * maxBankRows]uint64
-			hs := hbuf[:2*cs.rows]
-			cs.bank.HashPrefix(key, hs)
-			cols := uint64(cs.cols)
-			for r := 0; r < cs.rows; r++ {
-				idx := r*cs.cols + int(hs[r]%cols)
-				sgn := int64(1)
-				if hs[cs.rows+r]&1 == 0 {
-					sgn = -1
-				}
-				cs.data[idx] += sgn * deltas[i]
-			}
-		} else {
-			for r := 0; r < cs.rows; r++ {
-				idx := r*cs.cols + cs.hash[r].Bucket(key, cs.cols)
-				cs.data[idx] += cs.signOf(r, key) * deltas[i]
-			}
+		if deltas[i] != 0 {
+			cs.add(key, deltas[i])
 		}
 	}
 	// The fingerprinted enumerator batches its own fingerprint powers.
@@ -164,13 +135,14 @@ func (cs *CountSketch) Sub(o *CountSketch) error {
 // of the few keys sharing buckets (~5%% of queries at the 3B-column
 // geometry see any error at all).
 func (cs *CountSketch) Query(key uint64) int64 {
-	ests := make([]int64, cs.rows)
-	for r := 0; r < cs.rows; r++ {
-		idx := r*cs.cols + cs.hash[r].Bucket(key, cs.cols)
-		ests[r] = cs.signOf(r, key) * cs.data[idx]
+	var idx [countRows]int
+	var ests [countRows]int64
+	cs.cells(key, &idx, &ests)
+	for r, i := range idx {
+		ests[r] *= cs.data[i]
 	}
-	sort.Slice(ests, func(i, j int) bool { return ests[i] < ests[j] })
-	return ests[cs.rows/2]
+	slices.Sort(ests[:])
+	return ests[countRows/2]
 }
 
 // Decode recovers the sketched vector: candidate keys are enumerated

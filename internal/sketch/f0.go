@@ -29,7 +29,7 @@ type F0 struct {
 	// bank holds each level's (bucket, coefficient) hash pair,
 	// level-major, so Add evaluates the 2×(level+1) hashes of one update
 	// over the key's shared powers.
-	bank    *hashing.PolyBank
+	bank    hashing.PolyBank
 	scratch []uint64
 }
 
@@ -54,15 +54,14 @@ func newF0Geom(seed uint64, levels int) *F0 {
 		buckets:   buckets,
 		acc:       make([][]uint64, levels),
 		levelHash: hashing.NewPoly(hashing.Mix(seed, 0xf0), 8),
+		scratch:   make([]uint64, 2*levels),
 	}
-	lanes := make([]*hashing.Poly, 0, 2*levels)
+	seeds := f.scratch // the lane seeds, until Add reuses it for hashes
 	for j := 0; j < levels; j++ {
 		f.acc[j] = make([]uint64, buckets)
-		lanes = append(lanes, hashing.NewPoly(hashing.Mix(seed, 0xb0, uint64(j)), 6),
-			hashing.NewPoly(hashing.Mix(seed, 0xc0, uint64(j)), 6))
+		seeds[2*j], seeds[2*j+1] = hashing.Mix(seed, 0xb0, uint64(j)), hashing.Mix(seed, 0xc0, uint64(j))
 	}
-	f.bank = hashing.NewPolyBank(lanes...)
-	f.scratch = make([]uint64, 2*levels)
+	f.bank = hashing.SeededBank(6, seeds...)
 	return f
 }
 

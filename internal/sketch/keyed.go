@@ -49,8 +49,9 @@ import (
 //
 // The hash state appears on first touch: the constructor keeps only
 // seed, geometry and fingerprint bases; the row-hash bank and both
-// power tables appear on the first non-zero Add/AddBatch, on Merge
-// from a touched table, or on deserialization. An untouched table is
+// power tables, held in the table itself over one slab of windows,
+// appear on the first non-zero Add/AddBatch, on Merge from a touched
+// table, or on deserialization. An untouched table is
 // the zero table in every observable respect: it IsZero, decodes
 // nothing, marshals as zero buckets, and reports the same provisioned
 // SpaceWords. So is a nil *KeyedEdgeSketch, as far as it can be read
@@ -68,13 +69,20 @@ type KeyedEdgeSketch struct {
 	keyBase  uint64
 	edgeBase uint64
 
-	// Touched state: nil until first touch (see materialize).
-	buckets []keyedBucket     // the buckets updates reached, ascending idx
-	bank    *hashing.PolyBank // all row hashes, dot products over one key's powers
-	keyTab  *field.PowTable
-	edgeTab *field.PowTable
+	// Touched state: empty until first touch (see materialize).
+	buckets []keyedBucket // the buckets updates reached, ascending idx
+	keyedHash
 
 	gen uint64
+}
+
+// keyedHash is a touched table's hash state, derived from the seed: the
+// row hashes as one bank (dot products over one key's powers) and the
+// key and edge power tables, whose windows share one slab. It is
+// immutable once derived, so a Merge into an untouched table shares it.
+type keyedHash struct {
+	bank            hashing.PolyBank
+	keyTab, edgeTab field.PowTable
 }
 
 // Gen returns the table's generation counter: a monotonic count of
@@ -123,7 +131,7 @@ type keyedBucket struct {
 // Touched reports whether the table has its hash state: false means no
 // non-zero update, no merge from a touched table and no deserialization
 // has ever reached it.
-func (t *KeyedEdgeSketch) Touched() bool { return t != nil && t.bank != nil }
+func (t *KeyedEdgeSketch) Touched() bool { return t != nil && t.bank.Lanes() > 0 }
 
 // IsZero reports whether the table holds the zero vector's state —
 // indistinguishable from a fresh table, which is what lets compressed
@@ -197,26 +205,30 @@ func newKeyedEdgeSketchGeom(seed uint64, n, rows, cells int) *KeyedEdgeSketch {
 	return t
 }
 
-// materialize derives the row hashes and power tables from the seed.
+// materialize derives the row hashes and power tables from the seed:
+// row r hashes with the degree-5 polynomial of seed Mix(seed, 0xcc, r).
 // The power tables cover the exponents an update within the graph
 // produces — keys below n, edge codes w·n+v below n² — and nothing
 // more; an exponent past them (an update with w or v ≥ n, the key or
 // edge code of a non-pure bucket) still gets its exact power, by
-// square-and-multiply. Like bucket mutation it is confined to the
+// square-and-multiply. It allocates the bank's lanes and one slab for
+// both tables' windows. Like bucket mutation it is confined to the
 // table's owning goroutine.
 func (t *KeyedEdgeSketch) materialize() {
-	rowHash := make([]*hashing.Poly, t.rows)
-	for r := range rowHash {
-		rowHash[r] = hashing.NewPoly(hashing.Mix(t.seed, 0xcc, uint64(r)), 6)
+	var seeds [maxBankRows]uint64
+	for r := range seeds[:t.rows] {
+		seeds[r] = hashing.Mix(t.seed, 0xcc, uint64(r))
 	}
-	t.bank = hashing.NewPolyBank(rowHash...)
+	t.bank = hashing.SeededBank(6, seeds[:t.rows]...)
 	n := uint64(max(t.n, 1))
 	edges := uint64(math.MaxUint64) // n² − 1, saturating
 	if hi, lo := bits.Mul64(n, n); hi == 0 {
 		edges = lo - 1
 	}
-	t.keyTab = field.NewPowTableBelow(t.keyBase, n-1)
-	t.edgeTab = field.NewPowTableBelow(t.edgeBase, edges)
+	kw := field.PowWindows(n - 1)
+	slab := make([]field.PowWindow, kw+field.PowWindows(edges))
+	t.keyTab.Init(t.keyBase, slab[:kw:kw])
+	t.edgeTab.Init(t.edgeBase, slab[kw:])
 }
 
 func (t *KeyedEdgeSketch) encode(w, v int) uint64 {
@@ -226,7 +238,9 @@ func (t *KeyedEdgeSketch) encode(w, v int) uint64 {
 // absorb adds runs — buckets in ascending index order, each index at
 // most once — into the list: one forward walk counts the indices the
 // list lacks, the list grows once by that many, and a walk from the
-// back merges in place.
+// back merges in place, writing every slot the growth added. The
+// growth appends runs as placeholders: slices.Grow's append of a made
+// slice allocates that slice too under -race.
 func (t *KeyedEdgeSketch) absorb(runs []keyedBucket) {
 	fresh, i := 0, 0
 	for _, r := range runs {
@@ -238,7 +252,7 @@ func (t *KeyedEdgeSketch) absorb(runs []keyedBucket) {
 		}
 	}
 	old := len(t.buckets)
-	t.buckets = slices.Grow(t.buckets, fresh)[:old+fresh]
+	t.buckets = append(t.buckets, runs[:fresh]...)
 	i, k := old-1, old+fresh-1
 	for r := len(runs) - 1; r >= 0; r-- {
 		for i >= 0 && t.buckets[i].idx > runs[r].idx {
@@ -264,14 +278,14 @@ func (t *KeyedEdgeSketch) Add(w, v int, delta int64) {
 	if delta == 0 {
 		return
 	}
-	if t.bank == nil {
+	if !t.Touched() {
 		t.materialize()
 	}
 	t.gen++
 	key := uint64(v)
 	e := t.encode(w, v)
 	d := field.FromInt64(delta)
-	kp, ep := field.PowPair(t.keyTab, t.edgeTab, key, field.Reduce(e))
+	kp, ep := field.PowPair(&t.keyTab, &t.edgeTab, key, field.Reduce(e))
 	agg := keyedAgg{
 		edgeCount: delta,
 		keySum:    field.Mul(d, field.Reduce(key)),
@@ -337,7 +351,7 @@ func (t *KeyedEdgeSketch) AddBatchWith(batch []KeyedEdgeUpdate, sc *KeyedScratch
 	if live == 0 {
 		return
 	}
-	if t.bank == nil {
+	if !t.Touched() {
 		t.materialize()
 	}
 	m := len(batch)
@@ -428,7 +442,7 @@ func sortByBucket(a, tmp []uint64, s uint, idxBits int, count *[1 << radixBits]u
 // update of o had been Added to t. The linearity is what lets Algorithm
 // 2's second pass be ingested in parallel shards. An untouched source
 // adds nothing; an untouched receiver takes one copy of the source's
-// list and shares its (immutable) hash bank and power tables; otherwise
+// list and shares its (immutable) hash state; otherwise
 // the two lists merge-join. The generation bump is the same in all
 // three cases.
 func (t *KeyedEdgeSketch) Merge(o *KeyedEdgeSketch) error {
@@ -437,10 +451,10 @@ func (t *KeyedEdgeSketch) Merge(o *KeyedEdgeSketch) error {
 			t.seed, o.seed, t.n, o.n, t.rows, t.cells, o.rows, o.cells)
 	}
 	switch {
-	case o.bank == nil: // adds zero
-	case t.bank == nil:
+	case !o.Touched(): // adds zero
+	case !t.Touched():
 		t.buckets = slices.Clone(o.buckets)
-		t.bank, t.keyTab, t.edgeTab = o.bank, o.keyTab, o.edgeTab
+		t.keyedHash = o.keyedHash
 	default:
 		t.absorb(o.buckets)
 	}

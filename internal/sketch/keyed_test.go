@@ -114,7 +114,7 @@ func TestKeyedSpaceWords(t *testing.T) {
 // fullWidth gives a touched table power tables over every uint64
 // exponent in place of the ones materialize sizes to n and n².
 func fullWidth(t *KeyedEdgeSketch) *KeyedEdgeSketch {
-	t.keyTab, t.edgeTab = field.NewPowTable(t.keyBase), field.NewPowTable(t.edgeBase)
+	t.keyTab, t.edgeTab = *field.NewPowTable(t.keyBase), *field.NewPowTable(t.edgeBase)
 	return t
 }
 

@@ -63,7 +63,7 @@ type L0Family struct {
 	// bank holds every level's row hashes (level-major, row-minor), so
 	// route evaluates the (level+1)×rows bucket hashes of one update as
 	// dot products over the key's shared powers.
-	bank *hashing.PolyBank
+	bank hashing.PolyBank
 }
 
 // MaxL0PerLevel is the largest per-level recovery budget an L0 family
@@ -102,11 +102,9 @@ func NewL0Family(seed uint64, universe uint64, perLevel int) *L0Family {
 	}
 	f.rows = f.levels[0].rows
 	f.cells = f.levels[0].cells()
-	var rowPolys []*hashing.Poly
 	for _, sh := range f.levels {
-		rowPolys = append(rowPolys, sh.hashes...)
+		f.bank.Append(&sh.bank)
 	}
-	f.bank = hashing.NewPolyBank(rowPolys...)
 	return f
 }
 

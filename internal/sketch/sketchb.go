@@ -8,8 +8,8 @@ import (
 )
 
 // sketchBShape is the immutable-after-derivation, shareable part of a
-// SketchB: seed, geometry, row hash functions, and the fingerprint
-// base with its power table. Sketches built from the same randomness
+// SketchB: seed, geometry, the row-hash bank, and the fingerprint base
+// with its power table. Sketches built from the same randomness
 // (e.g. the per-vertex sketches of one AGM round) share one shape, so
 // constructing n sketches costs n slice allocations instead of
 // n×(hashes + power table) objects.
@@ -18,8 +18,7 @@ type sketchBShape struct {
 	capacity int
 	rows     int
 	cols     int
-	hashes   []*hashing.Poly
-	bank     *hashing.PolyBank // all row hashes, dot products over one key's powers
+	bank     hashing.PolyBank // all row hashes, dot products over one key's powers
 	fingBase uint64
 	fingTab  *field.PowTable // lazy; access via tab()
 }
@@ -40,24 +39,30 @@ func (sh *sketchBShape) tab() *field.PowTable {
 
 // newSketchBShape derives the shape exactly as NewSketchBConfig always
 // did, so sketches over a shared shape are bit-identical to sketches
-// built standalone from the same seed.
+// built standalone from the same seed. Row r hashes with the degree-5
+// polynomial of seed Mix(seed, r+1). More than maxBankRows rows — which
+// the wire decoder refuses as corrupt — is a programming error and
+// panics.
 func newSketchBShape(seed uint64, capacity int, cfg SketchConfig) *sketchBShape {
 	capacity, rows, cols := sketchBGeometry(capacity, cfg)
+	if rows > maxBankRows {
+		panic("sketch: SketchB rows exceed maxBankRows")
+	}
+	var seeds [maxBankRows]uint64
+	for r := 0; r < rows; r++ {
+		seeds[r] = hashing.Mix(seed, uint64(r)+1)
+	}
 	sh := &sketchBShape{
 		seed:     seed,
 		capacity: capacity,
 		rows:     rows,
 		cols:     cols,
-		hashes:   make([]*hashing.Poly, rows),
+		bank:     hashing.SeededBank(6, seeds[:rows]...),
 		fingBase: field.Reduce(hashing.Mix(seed, 0xf1f1)),
 	}
 	if sh.fingBase < 2 {
 		sh.fingBase = 2
 	}
-	for r := 0; r < rows; r++ {
-		sh.hashes[r] = hashing.NewPoly(hashing.Mix(seed, uint64(r)+1), 6)
-	}
-	sh.bank = hashing.NewPolyBank(sh.hashes...)
 	return sh
 }
 
@@ -78,8 +83,9 @@ func SketchBWords(capacity int, cfg SketchConfig) int {
 	return (&sketchBShape{rows: rows, cols: cols}).spaceWords()
 }
 
-// maxBankRows bounds the stack scratch used for banked row hashes; the
-// wire format already rejects rows > 16.
+// maxBankRows bounds the rows of a SketchB or keyed table, and so the
+// stack scratch used for banked row hashes; the wire format rejects
+// rows > 16.
 const maxBankRows = 16
 
 func (sh *sketchBShape) cells() int { return sh.rows * sh.cols }
@@ -268,25 +274,16 @@ func (s *SketchB) AddFkey(key uint64, delta int64, fkey uint64) {
 	ks := field.Mul(d, field.Reduce(key))
 	fg := field.Mul(d, fkey)
 	sh := s.shape
-	if sh.bank != nil && sh.rows <= maxBankRows {
-		var hbuf [maxBankRows]uint64
-		var ibuf [maxBankRows]int32
-		hs := hbuf[:sh.rows]
-		sh.bank.HashPrefix(key, hs)
-		cols := uint64(sh.cols)
-		idx := ibuf[:sh.rows]
-		for r := 0; r < sh.rows; r++ {
-			idx[r] = int32(r*sh.cols + int(hs[r]%cols))
-		}
-		field.ScatterAdd3(s.counts, s.keySums, s.fings, delta, ks, fg, idx)
-		return
+	var hbuf [maxBankRows]uint64
+	var ibuf [maxBankRows]int32
+	hs := hbuf[:sh.rows]
+	sh.bank.HashPrefix(key, hs)
+	cols := uint64(sh.cols)
+	idx := ibuf[:sh.rows]
+	for r := range hs {
+		idx[r] = int32(r*sh.cols + int(hs[r]%cols))
 	}
-	for r := 0; r < sh.rows; r++ {
-		idx := r*sh.cols + sh.hashes[r].Bucket(key, sh.cols)
-		s.counts[idx] += delta
-		s.keySums[idx] = field.Add(s.keySums[idx], ks)
-		s.fings[idx] = field.Add(s.fings[idx], fg)
-	}
+	field.ScatterAdd3(s.counts, s.keySums, s.fings, delta, ks, fg, idx)
 }
 
 func (s *SketchB) compatible(o *SketchB) error {

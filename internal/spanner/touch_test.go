@@ -239,8 +239,14 @@ func TestNilSlotIsZeroTable(t *testing.T) {
 // sketch decoded in place, 0.012× at both. Both passes ingest into one
 // state at any worker count, so workers 2 allocates within 3 % of
 // workers 1; a pass-1 state per worker, merged, read 1.10–1.15×.
+//
+// Objects are counted too: keyed tables with row Polys, a bank and two
+// power tables of their own made 35 217 (workers 1) and 35 262
+// (workers 2) per build; with the bank and both tables held in the
+// table over one window slab, 15 379 and 15 429. The budget is 0.6× of
+// the former.
 func TestTwoPassAllocBudget(t *testing.T) {
-	const n, budget, workersSlack = 1000, 0.016, 1.03
+	const n, budget, workersSlack, mallocBudget = 1000, 0.016, 1.03, 21_130
 	g := graph.ConnectedGNP(n, 0.008, 5) // ≈ 4 000 edges
 	st := stream.WithChurn(g, g.M(), 6)
 	var allocs [3]uint64
@@ -252,13 +258,16 @@ func TestTwoPassAllocBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		alloc := after.TotalAlloc - before.TotalAlloc
+		alloc, mallocs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
 		provisioned := uint64(res.SpaceWords) * 8
 		ratio := float64(alloc) / float64(provisioned)
-		t.Logf("workers %d, edges %d, updates %d: allocated %d B, provisioned %d B (%.3f×)",
-			workers, g.M(), st.Len(), alloc, provisioned, ratio)
+		t.Logf("workers %d, edges %d, updates %d: allocated %d B in %d objects, provisioned %d B (%.3f×)",
+			workers, g.M(), st.Len(), alloc, mallocs, provisioned, ratio)
 		if ratio >= budget {
 			t.Errorf("workers %d: build allocated %.3f× its provisioned %d B, budget %.2f×", workers, ratio, provisioned, budget)
+		}
+		if mallocs > mallocBudget {
+			t.Errorf("workers %d: build allocated %d objects, budget %d", workers, mallocs, mallocBudget)
 		}
 		allocs[workers] = alloc
 	}

@@ -229,9 +229,10 @@ func newTwoPass(n int, cfg Config, sketches bool) *TwoPass {
 			tp.fams[r] = make([]*sketch.SketchBFamily, tp.jMax+1)
 		}
 		slots := make([]*sketch.SketchB, n*(k-1)*(tp.jMax+1))
+		heads := make([][]*sketch.SketchB, n*(k-1))
 		tp.vertexSk = make([][][]*sketch.SketchB, n)
 		for u := 0; u < n; u++ {
-			tp.vertexSk[u] = make([][]*sketch.SketchB, k-1)
+			tp.vertexSk[u], heads = heads[:k-1:k-1], heads[k-1:]
 			for r := 1; r < k; r++ {
 				tp.vertexSk[u][r-1], slots = slots[:tp.jMax+1:tp.jMax+1], slots[tp.jMax+1:]
 			}

@@ -47,7 +47,7 @@ type spannerOracle struct {
 	h     *graph.Graph
 	alpha float64
 	space int
-	memo  map[int][]int
+	memo  [][]int // memo[u]: BFS distances from u, nil until asked
 }
 
 // NewSpannerOracle builds a stretch-2^k distance oracle over a dynamic
@@ -62,12 +62,12 @@ func NewSpannerOracle(st stream.Stream, k int, seed uint64) (Oracle, error) {
 
 // newSpannerOracle is the stretch-2^k oracle over a built spanner.
 func newSpannerOracle(res *spanner.Result, k int) Oracle {
-	return &spannerOracle{h: res.Spanner, alpha: math.Pow(2, float64(k)), space: res.SpaceWords, memo: map[int][]int{}}
+	return &spannerOracle{h: res.Spanner, alpha: math.Pow(2, float64(k)), space: res.SpaceWords, memo: make([][]int, res.Spanner.N())}
 }
 
 func (o *spannerOracle) Dist(u, v int) float64 {
-	d, ok := o.memo[u]
-	if !ok {
+	d := o.memo[u]
+	if d == nil {
 		d = o.h.BFS(u)
 		o.memo[u] = d
 	}

@@ -245,8 +245,14 @@ func TestSpielmanSrivastavaEmpty(t *testing.T) {
 // Both passes sweep one grid at any worker count, so workers 2
 // allocates within 3 % of workers 1; a pass-1 grid per worker, merged,
 // read 1.10–1.15×.
+//
+// Objects are counted too: keyed tables and SketchB shapes with row
+// Polys, a bank and power tables of their own made 184 309 (Sparsify)
+// and 181 860 (SparsifyOpts, workers 1) per build; with seeded banks and
+// each keyed table's hash state held in the table over one window slab,
+// 88 204 and 85 758. The budget is 0.6× of the SparsifyOpts reading.
 func TestSparsifyAllocBudget(t *testing.T) {
-	const budget, workersSlack = 0.035, 1.03
+	const budget, workersSlack, mallocBudget = 0.035, 1.03, 109_116
 	g := graph.ConnectedGNP(64, 0.32, 5) // ≈ 640 edges, the sparsifier-twopass shape
 	st := stream.WithChurn(g, 200, 6)
 	cfg := Config{K: 2, Seed: 7, Estimate: EstimateConfig{J: 4}}
@@ -266,12 +272,16 @@ func TestSparsifyAllocBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		alloc := after.TotalAlloc - before.TotalAlloc
+		alloc, mallocs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
 		provisioned := uint64(res.SpaceWords) * 8
 		ratio := float64(alloc) / float64(provisioned)
-		t.Logf("%s: edges %d, updates %d: allocated %d B, provisioned %d B (%.3f×)", b.name, g.M(), st.Len(), alloc, provisioned, ratio)
+		t.Logf("%s: edges %d, updates %d: allocated %d B in %d objects, provisioned %d B (%.3f×)",
+			b.name, g.M(), st.Len(), alloc, mallocs, provisioned, ratio)
 		if ratio >= budget {
 			t.Errorf("%s allocated %.3f× its provisioned %d B, budget %.3f×", b.name, ratio, provisioned, budget)
+		}
+		if mallocs > mallocBudget {
+			t.Errorf("%s allocated %d objects, budget %d", b.name, mallocs, mallocBudget)
 		}
 		allocs[b.name] = alloc
 	}
