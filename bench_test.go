@@ -147,22 +147,19 @@ func BenchmarkIngestThroughput(b *testing.B) {
 }
 
 // BenchmarkDecodeThroughput is the decode trajectory benchmark tracked
-// in BENCH_ingest.json: the extraction phase isolated from ingest, at
-// 1 vs NumCPU decode workers. Forest and k-connectivity run the
-// Borůvka-round decode at n ∈ {1k, 10k} (the certificate consumes its
-// sketches, so each iteration restores them from a marshaled snapshot
-// with the timer stopped); the two-pass spanner times EndPass1 cluster
-// construction plus Finish table peeling at n=1k; the sparsifier
-// oracle grid times its per-cell extraction at n=256. Output is
-// asserted identical across worker counts by the decode equivalence
-// tests — here only the wall clock varies.
+// in BENCH_ingest.json: the extraction phase isolated from ingest.
+// Forest and k-connectivity run the Borůvka-round decode at
+// n ∈ {1k, 10k} (the certificate consumes its sketches, so each
+// iteration restores them from a marshaled snapshot with the timer
+// stopped); the two-pass spanner times EndPass1 cluster construction
+// plus Finish table peeling at n=1k. Those decode on the calling
+// goroutine, so they run at one worker. The sparsifier oracle grid
+// times its per-cell extraction at n=256 at 1 vs NumCPU decode workers,
+// the one local decode that fans out. Output is asserted identical
+// across worker counts by the decode equivalence tests — here only the
+// wall clock varies.
 func BenchmarkDecodeThroughput(b *testing.B) {
 	reportHost(b)
-	multi := runtime.NumCPU()
-	if multi < 2 {
-		multi = 4 // single-core host: the point still tracks fan-out overhead
-	}
-	workerCounts := []int{1, multi}
 
 	for _, n := range []int{1000, 10000} {
 		g := graph.ConnectedGNP(n, 4.0/float64(n), benchSeed+60)
@@ -171,16 +168,14 @@ func BenchmarkDecodeThroughput(b *testing.B) {
 		if err := st.Replay(func(u stream.Update) error { sk.AddUpdate(u); return nil }); err != nil {
 			b.Fatal(err)
 		}
-		for _, w := range workerCounts {
-			b.Run(fmt.Sprintf("forest/n%d/decode%d", n, w), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := sk.SpanningForestOpts(nil, parallel.Default().WithWorkers(w)); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("forest/n%d/decode1", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := sk.SpanningForestOpts(nil, parallel.Default()); err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "decodes/s")
-			})
-		}
+			}
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "decodes/s")
+		})
 
 		kc := NewKConnectivity(benchSeed+63, n, 2)
 		if err := st.Replay(func(u stream.Update) error { kc.AddUpdate(u); return nil }); err != nil {
@@ -190,22 +185,20 @@ func BenchmarkDecodeThroughput(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, w := range workerCounts {
-			b.Run(fmt.Sprintf("kconn/n%d/decode%d", n, w), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					fresh := &KConnectivity{}
-					if err := fresh.UnmarshalBinary(blob); err != nil {
-						b.Fatal(err)
-					}
-					b.StartTimer()
-					if _, err := fresh.CertificateOpts(parallel.Default().WithWorkers(w)); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("kconn/n%d/decode1", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				fresh := &KConnectivity{}
+				if err := fresh.UnmarshalBinary(blob); err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "decodes/s")
-			})
-		}
+				b.StartTimer()
+				if _, err := fresh.CertificateOpts(parallel.Default()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "decodes/s")
+		})
 	}
 
 	{
@@ -220,31 +213,29 @@ func BenchmarkDecodeThroughput(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, w := range workerCounts {
-			b.Run(fmt.Sprintf("spanner/n%d/decode%d", n, w), func(b *testing.B) {
-				p := parallel.Default().WithWorkers(w)
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					fresh := &spanner.TwoPass{}
-					if err := fresh.UnmarshalBinary(blob); err != nil {
-						b.Fatal(err)
-					}
-					b.StartTimer()
-					if err := fresh.EndPass1Opts(p); err != nil {
-						b.Fatal(err)
-					}
-					b.StopTimer()
-					if err := stream.ReplayBatches(st, 0, fresh.Pass2AddBatch); err != nil {
-						b.Fatal(err)
-					}
-					b.StartTimer()
-					if _, err := fresh.FinishOpts(p); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("spanner/n%d/decode1", n), func(b *testing.B) {
+			p := parallel.Default()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				fresh := &spanner.TwoPass{}
+				if err := fresh.UnmarshalBinary(blob); err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "decodes/s")
-			})
-		}
+				b.StartTimer()
+				if err := fresh.EndPass1Opts(p); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if err := stream.ReplayBatches(st, 0, fresh.Pass2AddBatch); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if _, err := fresh.FinishOpts(p); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "decodes/s")
+		})
 	}
 
 	{
@@ -263,7 +254,11 @@ func BenchmarkDecodeThroughput(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, w := range workerCounts {
+		multi := runtime.NumCPU()
+		if multi < 2 {
+			multi = 4 // single-core host: the point still tracks fan-out overhead
+		}
+		for _, w := range []int{1, multi} {
 			b.Run(fmt.Sprintf("sparsify/n%d/decode%d", n, w), func(b *testing.B) {
 				p := parallel.Default().WithWorkers(w)
 				for i := 0; i < b.N; i++ {

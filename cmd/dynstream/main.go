@@ -29,9 +29,9 @@
 //
 // All subcommands accept -workers P (concurrent same-seeded sketch
 // ingest, merged by linearity — output identical to -workers 1),
-// -decodeworkers Q (concurrent extraction — Borůvka rounds, cluster
-// construction, table peeling; defaults to -workers, output identical
-// at any count) and -batch B (ingest batch size; purely an execution
+// -decodeworkers Q (concurrent extraction — the sparsifier's per-cell
+// decode and a remote build's state decode; defaults to -workers,
+// output identical at any count) and -batch B (ingest batch size; purely an execution
 // knob).
 //
 // With -repl a build subcommand becomes a live serving loop (Open
@@ -313,7 +313,7 @@ func runBuild(ctx context.Context, args []string, extraOpts []dynstream.Option, 
 		z       = fs.Int("z", 32, "sparsifier repetitions (>= 1)")
 		seed    = fs.Uint64("seed", 1, "random seed")
 		workers = fs.Int("workers", 1, "concurrent ingest workers (>= 1)")
-		decodeW = fs.Int("decodeworkers", 0, "concurrent decode workers (0 = follow -workers)")
+		decodeW = fs.Int("decodeworkers", 0, "concurrent decode workers of the sparsifier's per-cell decode and a remote build's state decode (0 = follow -workers)")
 		batch   = fs.Int("batch", 0, "ingest batch size (0 = default)")
 		wmax    = fs.Float64("wmax", 0, "msf: weight upper bound (0 = scan the stream)")
 		input   = fs.String("in", "", "input file (default stdin)")

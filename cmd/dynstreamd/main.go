@@ -79,7 +79,7 @@ func run(args []string, stdin io.Reader, stderr io.Writer, lookupEnv func(string
 		seed      = fs.Uint64("seed", 1, "random seed")
 		wmax      = fs.Float64("wmax", 0, "msf: weight upper bound (required for msf)")
 		workers   = fs.Int("workers", 1, "concurrent ingest workers (>= 1)")
-		decodeW   = fs.Int("decodeworkers", 0, "concurrent decode workers (0 = follow -workers)")
+		decodeW   = fs.Int("decodeworkers", 0, "concurrent decode workers of the sparsifier's per-cell decode and a remote build's state decode (0 = follow -workers)")
 		batch     = fs.Int("batch", 0, "handle ingest batch size (0 = default)")
 		feed      = fs.String("feed", "stdin", "update feed: stdin|none|tcp:ADDR|unix:PATH|tail:FILE")
 		feedBatch = fs.Int("feed-batch", 256, "feed lines per applied batch (>= 1)")

@@ -44,11 +44,12 @@ func Example_build() {
 
 // ExampleWithDecodeWorkers separates the two worker knobs: WithWorkers
 // governs ingest (and, by default, decode), while WithDecodeWorkers
-// overrides the extraction phase — Borůvka rounds, cluster
-// construction, table peeling — on its own. Decode parallelism never
-// changes the output: results are placed by index and applied in the
-// serial order, so the spanner below is bit-identical at any worker
-// combination.
+// overrides the decodes that fan out — the sparsifier grid's per-cell
+// extraction and a remote build's state decode — on its own; the
+// spanner below decodes on the calling goroutine at any setting.
+// Decode parallelism never changes the output: results are placed by
+// index and applied in the serial order, so the spanner below is
+// bit-identical at any worker combination.
 func ExampleWithDecodeWorkers() {
 	g := dynstream.NewGraph(64)
 	for i := 0; i < 64; i++ {
@@ -66,7 +67,7 @@ func ExampleWithDecodeWorkers() {
 	parallel, err := dynstream.Build(context.Background(), st,
 		dynstream.SpannerTarget{Config: dynstream.SpannerConfig{K: 2, Seed: 7}},
 		dynstream.WithWorkers(2),       // sharded ingest
-		dynstream.WithDecodeWorkers(4), // concurrent extraction
+		dynstream.WithDecodeWorkers(4), // read only by fanned-out decodes
 	)
 	if err != nil {
 		panic(err)

@@ -141,10 +141,9 @@ func (kc *KConnectivity) Certificate() ([][]graph.Edge, error) {
 }
 
 // CertificateOpts is the policy-driven certificate extraction behind
-// Certificate: each forest's Borůvka rounds decode on the policy's
-// workers, while the k forests themselves stay sequential — forest i is
-// defined over the sketch minus forests 1..i-1 — so the output is
-// bit-identical at every worker count. The subtraction is
+// Certificate: the policy supplies cancellation and the tracer to each
+// forest's Borůvka rounds, and the k forests run in order — forest i is
+// defined over the sketch minus forests 1..i-1. The subtraction is
 // Sketch.SubtractTo: a re-query whose earlier forests are unchanged
 // touches no sampler of the later sketches.
 func (kc *KConnectivity) CertificateOpts(p *parallel.Policy) ([][]graph.Edge, error) {

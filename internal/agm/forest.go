@@ -27,13 +27,12 @@ func (s *Sketch) SpanningForest(groups [][]int) ([]graph.Edge, error) {
 }
 
 // SpanningForestOpts is the policy-driven forest extraction behind
-// SpanningForest, bit-identical at every worker count. Within each round the
-// per-component work (draw one boundary edge from the sum of the
-// component's samplers, summing only the levels the draw reads) touches
-// disjoint state, so it fans across the policy's workers with one
-// reusable scratch per worker; everything order-sensitive — the round
-// barrier, the union application, the component rebuild — stays
-// serial.
+// SpanningForest: the policy supplies cancellation and the tracer, and
+// its worker count is not read. Within each round every dirty component
+// draws one boundary edge from the sum of its samplers, summing only
+// the levels the draw reads, on the calling goroutine with one reusable
+// scratch — a draw costs microseconds, less than a goroutine hand-off —
+// and the context is checked before each draw.
 func (s *Sketch) SpanningForestOpts(groups [][]int, p *parallel.Policy) ([]graph.Edge, error) {
 	uf := graph.NewUnionFind(s.n)
 	for gi, grp := range groups {
@@ -48,7 +47,6 @@ func (s *Sketch) SpanningForestOpts(groups [][]int, p *parallel.Policy) ([]graph
 		}
 	}
 
-	p = p.DecodePolicy()
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("agm: %w", err)
 	}
@@ -61,11 +59,9 @@ func (s *Sketch) SpanningForestOpts(groups [][]int, p *parallel.Policy) ([]graph
 			comp: make([]int32, s.n), slot: make([]int32, s.n), mem: make([]int32, s.n),
 			roots: make([]int32, 0, k0), off: make([]int32, 0, k0+1),
 		},
-		workers: make([]decodeWorker, p.Workers()),
 	}
 	// Per-component pick of the current round, indexed by sorted-root
-	// position so the serial union order below is independent of
-	// scheduling.
+	// position.
 	picks := make([]pick, k0)
 	dirty := make([]int, 0, k0)
 	var touched []bool
@@ -88,14 +84,9 @@ func (s *Sketch) SpanningForestOpts(groups [][]int, p *parallel.Policy) ([]graph
 		lsize := d.cs.largest()
 		hits0, misses0 := s.cacheHits, s.cacheMisses
 		picks, dirty = picks[:k], dirty[:0]
-		// The workers only read samplers and the frozen component
-		// arrays; lazy power tables are materialized up front (Warm)
-		// because decoding shares them across the whole round.
-		s.fam[r].Warm()
-		// Cache pass (serial, cheap): a component whose member list
-		// matches the previous extraction's and which no logged mutation
-		// touched decodes to the same pick; only the dirty subset fans out
-		// to workers.
+		// Cache pass: a component whose member list matches the previous
+		// extraction's and which no logged mutation touched decodes to
+		// the same pick; only the dirty subset is drawn.
 		if s.caching {
 			if s.picks[r] == nil {
 				s.picks[r] = make([]pickEntry, s.n)
@@ -121,13 +112,15 @@ func (s *Sketch) SpanningForestOpts(groups [][]int, p *parallel.Policy) ([]graph
 				dirty = append(dirty, i)
 			}
 		}
-		// A worker writes only what its component owns: the pick slot
-		// and the pick-cache entry at its root.
-		err := parallel.ForEachWorkerOpts(p, len(dirty), func(w, j int) error {
-			var err error
-			picks[dirty[j]], err = d.decode(dirty[j], &d.workers[w])
-			return err
-		})
+		var err error
+		for _, i := range dirty {
+			if err = p.Context().Err(); err != nil {
+				break
+			}
+			if picks[i], err = d.decode(i); err != nil {
+				break
+			}
+		}
 		if err != nil {
 			if s.caching {
 				// Entries synced so far are stamped for a window that
@@ -151,11 +144,8 @@ func (s *Sketch) SpanningForestOpts(groups [][]int, p *parallel.Policy) ([]graph
 				unions++
 			}
 		}
-		var folds int64
-		for w := range d.workers {
-			folds += d.workers[w].sample.Blocks
-			d.workers[w].sample.Blocks = 0
-		}
+		folds := d.sample.Blocks
+		d.sample.Blocks = 0
 		sp.End(
 			obs.A("components", int64(k)),
 			obs.A("largest", int64(lsize)),
@@ -226,31 +216,26 @@ func (c *components) rebuild(uf *graph.UnionFind) {
 	}
 }
 
-// forestDecode is what the rounds of one extraction share.
+// forestDecode is what the rounds of one extraction share: the
+// component state, the member samplers of the component being drawn,
+// and SampleSum's scratch, whose Blocks count the round's folds.
 type forestDecode struct {
 	s       *Sketch
 	r       int // current round
 	cs      components
-	workers []decodeWorker
-}
-
-// decodeWorker is one decode goroutine's reusable state: the member
-// samplers of the component it decodes, and SampleSum's scratch, whose
-// Blocks count the round's folds.
-type decodeWorker struct {
 	members []*sketch.L0Sampler
 	sample  sketch.SampleScratch
 }
 
 // decode draws dirty component i's pick from the sum of its members'
 // samplers and, when caching, records it.
-func (d *forestDecode) decode(i int, dw *decodeWorker) (pick, error) {
+func (d *forestDecode) decode(i int) (pick, error) {
 	s, m := d.s, d.cs.members(i)
-	dw.members = dw.members[:0]
+	d.members = d.members[:0]
 	for _, v := range m {
-		dw.members = append(dw.members, s.at(d.r, int(v)))
+		d.members = append(d.members, s.at(d.r, int(v)))
 	}
-	key, _, ok, err := sketch.SampleSum(dw.members, &dw.sample)
+	key, _, ok, err := sketch.SampleSum(d.members, &d.sample)
 	if err != nil {
 		return pick{}, fmt.Errorf("agm: merge: %w", err)
 	}

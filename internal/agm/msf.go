@@ -133,10 +133,10 @@ func (m *MSF) Forest() ([]graph.Edge, error) {
 	return m.ForestOpts(parallel.Default())
 }
 
-// ForestOpts is the policy-driven form of Forest: each class prefix's
-// Borůvka rounds decode on the policy's workers; the classes themselves
-// stay sequential (each contracts the previous) and the forest is
-// bit-identical to Forest.
+// ForestOpts is the policy-driven form of Forest: the policy supplies
+// cancellation and the tracer to each class prefix's Borůvka rounds;
+// the classes run in order (each contracts the previous) and the forest
+// is bit-identical to Forest.
 func (m *MSF) ForestOpts(p *parallel.Policy) ([]graph.Edge, error) {
 	uf := graph.NewUnionFind(m.n)
 	var out []graph.Edge

@@ -38,10 +38,6 @@ func SubVec(dst, a, b []uint64) { subVec(dst, a, b) }
 // MulVec sets dst[i] = Mul(a[i], b[i]) for i in [0, len(dst)).
 func MulVec(dst, a, b []uint64) { mulVec(dst, a, b) }
 
-// AxpyVec sets dst[i] = Add(dst[i], Mul(c, a[i])) for i in
-// [0, len(dst)) — the field form of dst += c·a.
-func AxpyVec(dst []uint64, c uint64, a []uint64) { axpyVec(dst, c, a) }
-
 // Count is the element type of a count lane: plain wrapping integers,
 // held as int64 by sketches with typed lanes (SketchB) and as their
 // two's complement by sketches that keep all three lanes in one uint64
@@ -79,13 +75,6 @@ func SubCells[C Count](dcounts []C, dkeys, dfings []uint64, scounts []C, skeys, 
 func ScatterAdd3[C Count, I Index](counts []C, keys, fings []uint64, delta C, ks, fg uint64, idx []I) {
 	scatterAdd3(counts, keys, fings, delta, ks, fg, idx)
 }
-
-// AddI64Vec sets dst[i] += a[i] for i in [0, len(dst)) — the plain
-// integer count lane (CountSketch counters, cell counts).
-func AddI64Vec(dst, a []int64) { addI64Vec(dst, a) }
-
-// SubI64Vec sets dst[i] -= a[i] for i in [0, len(dst)).
-func SubI64Vec(dst, a []int64) { subI64Vec(dst, a) }
 
 // AllZero reports whether every element of a is zero, scanning with an
 // early-exit word loop (4-way OR per step).

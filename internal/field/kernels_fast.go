@@ -92,22 +92,6 @@ func mulVec(dst, a, b []uint64) {
 	}
 }
 
-func axpyVec(dst []uint64, c uint64, a []uint64) {
-	n := len(dst)
-	a = a[:n]
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		v0 := addP(dst[i], mulP(c, a[i]))
-		v1 := addP(dst[i+1], mulP(c, a[i+1]))
-		v2 := addP(dst[i+2], mulP(c, a[i+2]))
-		v3 := addP(dst[i+3], mulP(c, a[i+3]))
-		dst[i], dst[i+1], dst[i+2], dst[i+3] = v0, v1, v2, v3
-	}
-	for ; i < n; i++ {
-		dst[i] = addP(dst[i], mulP(c, a[i]))
-	}
-}
-
 func mergeCells[C Count](dc []C, dk, df []uint64, sc []C, sk, sf []uint64) {
 	n := len(dc)
 	dk = dk[:n]
@@ -175,36 +159,6 @@ func scatterAdd3[C Count, I Index](counts []C, keys, fings []uint64, delta C, ks
 		counts[i] += delta
 		keys[i] = addP(keys[i], ks)
 		fings[i] = addP(fings[i], fg)
-	}
-}
-
-func addI64Vec(dst, a []int64) {
-	n := len(dst)
-	a = a[:n]
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		dst[i] += a[i]
-		dst[i+1] += a[i+1]
-		dst[i+2] += a[i+2]
-		dst[i+3] += a[i+3]
-	}
-	for ; i < n; i++ {
-		dst[i] += a[i]
-	}
-}
-
-func subI64Vec(dst, a []int64) {
-	n := len(dst)
-	a = a[:n]
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		dst[i] -= a[i]
-		dst[i+1] -= a[i+1]
-		dst[i+2] -= a[i+2]
-		dst[i+3] -= a[i+3]
-	}
-	for ; i < n; i++ {
-		dst[i] -= a[i]
 	}
 }
 

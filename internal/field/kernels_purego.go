@@ -27,12 +27,6 @@ func mulVec(dst, a, b []uint64) {
 	}
 }
 
-func axpyVec(dst []uint64, c uint64, a []uint64) {
-	for i := range dst {
-		dst[i] = Add(dst[i], Mul(c, a[i]))
-	}
-}
-
 func mergeCells[C Count](dc []C, dk, df []uint64, sc []C, sk, sf []uint64) {
 	for i := range dc {
 		dc[i] += sc[i]
@@ -54,18 +48,6 @@ func scatterAdd3[C Count, I Index](counts []C, keys, fings []uint64, delta C, ks
 		counts[i] += delta
 		keys[i] = Add(keys[i], ks)
 		fings[i] = Add(fings[i], fg)
-	}
-}
-
-func addI64Vec(dst, a []int64) {
-	for i := range dst {
-		dst[i] += a[i]
-	}
-}
-
-func subI64Vec(dst, a []int64) {
-	for i := range dst {
-		dst[i] -= a[i]
 	}
 }
 

@@ -3,19 +3,15 @@ package parallel
 import "sync"
 
 // The decode engine: deterministic fan-out/fold primitives for the
-// extraction phase of every sketch in this repository. Ingest made the
-// states linear functions of the stream; decode (Borůvka rounds,
-// cluster construction, table peeling, coordinator state merges) is a
-// pure function of those states, built from many independent
-// per-component / per-cell / per-copy sub-decodes. The primitives here
-// fan that work across a Policy's workers while keeping the output
-// bit-identical to the serial pass:
+// decodes whose units are large enough to pay for a goroutine each —
+// the sparsifier grid's per-cell extraction and the remote
+// coordinator's worker-state decode and fold. (A Borůvka component or
+// a spanner terminal costs microseconds, so those decodes run on the
+// calling goroutine.) The primitives keep the output bit-identical to
+// the serial pass:
 //
 //   - results are placed by index (MapOpts), never by completion
 //     order, so callers can apply them in the serial iteration order;
-//   - per-worker scratch state is addressed by a stable worker slot
-//     (ForEachWorkerOpts), so decode loops can reuse sketch buffers
-//     instead of cloning per sub-decode;
 //   - state folds pair adjacent items (TreeMerge); every Merge in this
 //     repository is an exact commutative group operation (int64 and
 //     GF(2^61−1) addition), so the tree fold equals the linear fold
@@ -27,7 +23,7 @@ import "sync"
 // is returned, matching a serial loop's failure.
 func MapOpts[T any](p *Policy, n int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
-	err := ForEachWorkerOpts(p, n, func(_, i int) error {
+	err := ForEachOpts(p, n, func(i int) error {
 		v, err := fn(i)
 		if err != nil {
 			return err
@@ -41,32 +37,27 @@ func MapOpts[T any](p *Policy, n int, fn func(i int) (T, error)) ([]T, error) {
 	return out, nil
 }
 
-// ForEachWorkerOpts is ForEachOpts with the worker slot exposed: fn is
-// invoked as fn(worker, i) where worker ∈ [0, Workers()) identifies
-// the goroutine running the call. Callers use the slot to address
-// per-worker scratch state (a reusable sketch buffer) without locking.
-// With one worker the indices run inline, in order, with no goroutine
-// machinery — but with the same contract as the concurrent path: every
-// index runs even after a failure (only cancellation skips fn), and
-// the first error by index is returned, so side-effecting callbacks
-// leave identical state behind at any worker count.
-func ForEachWorkerOpts(p *Policy, n int, fn func(worker, i int) error) error {
+// ForEachOpts runs fn(0..n-1) on up to the policy's workers and waits
+// for all of them. With one worker the indices run inline, in order,
+// with no goroutine machinery — but with the same contract as the
+// concurrent path: every index runs even after a failure (only
+// cancellation skips fn, recording the context's error), and the first
+// error by index is returned, so side-effecting callbacks leave
+// identical state behind at any worker count.
+func ForEachOpts(p *Policy, n int, fn func(i int) error) error {
 	if err := p.validate(); err != nil {
 		return err
 	}
 	if n <= 0 {
 		return nil
 	}
-	workers := p.workers
-	if workers > n {
-		workers = n
-	}
+	workers := min(p.workers, n)
 	if workers == 1 {
 		var first error
 		for i := 0; i < n; i++ {
 			err := p.ctx.Err()
 			if err == nil {
-				err = fn(0, i)
+				err = fn(i)
 			}
 			if err != nil && first == nil {
 				first = err
@@ -79,16 +70,16 @@ func ForEachWorkerOpts(p *Policy, n int, fn func(worker, i int) error) error {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := range idx {
 				if err := p.ctx.Err(); err != nil {
 					errs[i] = err
 					continue
 				}
-				errs[i] = fn(w, i)
+				errs[i] = fn(i)
 			}
-		}(w)
+		}()
 	}
 	for i := 0; i < n; i++ {
 		idx <- i
@@ -101,21 +92,6 @@ func ForEachWorkerOpts(p *Policy, n int, fn func(worker, i int) error) error {
 		}
 	}
 	return nil
-}
-
-// ForEachWorkerSubset is ForEachWorkerOpts restricted to an explicit
-// index subset: fn(worker, idxs[j]) runs for every j, fanned across
-// the policy's workers. It is the dirty-subset primitive of
-// incremental decode — a cache-aware extraction first partitions its
-// index space into hits and misses serially (cheap generation-counter
-// comparisons), then fans only the misses out here, so a re-query
-// after a small churn touches a handful of components instead of all
-// of them. The contract matches ForEachWorkerOpts: every listed index
-// runs even after a failure, and the first error in idxs order wins.
-func ForEachWorkerSubset(p *Policy, idxs []int, fn func(worker, i int) error) error {
-	return ForEachWorkerOpts(p, len(idxs), func(w, j int) error {
-		return fn(w, idxs[j])
-	})
 }
 
 // TreeMerge folds items into items[0] with a parallel binary tree:
@@ -140,7 +116,7 @@ func TreeMerge[S any](p *Policy, items []S, merge func(dst, src S) error) (S, er
 		for i := 0; i+stride < len(items); i += 2 * stride {
 			pairs = append(pairs, i)
 		}
-		err := ForEachWorkerOpts(p, len(pairs), func(_, k int) error {
+		err := ForEachOpts(p, len(pairs), func(k int) error {
 			i := pairs[k]
 			return merge(items[i], items[i+stride])
 		})

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sync"
 	"testing"
 )
 
@@ -37,33 +36,11 @@ func TestMapOptsFirstErrorByIndex(t *testing.T) {
 	}
 }
 
-func TestForEachWorkerOptsSlots(t *testing.T) {
-	const workers = 4
-	p := Default().WithWorkers(workers)
-	var mu sync.Mutex
-	seen := map[int]bool{}
-	err := ForEachWorkerOpts(p, 64, func(w, i int) error {
-		if w < 0 || w >= workers {
-			return fmt.Errorf("worker slot %d out of range", w)
-		}
-		mu.Lock()
-		seen[i] = true
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 64 {
-		t.Fatalf("ran %d indices, want 64", len(seen))
-	}
-}
-
-func TestForEachWorkerOptsCancel(t *testing.T) {
+func TestForEachOptsCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	p := NewPolicy(ctx, 1, 0, nil)
-	err := ForEachWorkerOpts(p, 10, func(_, _ int) error { return nil })
+	err := ForEachOpts(p, 10, func(int) error { return nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}

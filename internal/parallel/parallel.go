@@ -150,7 +150,7 @@ func (p *Policy) validate() error {
 }
 
 // Validate reports whether the policy is executable (workers >= 1).
-// Decode entry points call it before sizing per-worker scratch state.
+// Decode entry points call it before they start.
 func (p *Policy) Validate() error { return p.validate() }
 
 // Replay drives one serial batched pass over src under the policy:
@@ -392,13 +392,4 @@ func shardIngest[S any](
 	}
 	msp.End(obs.A("states", int64(p.workers)))
 	return states[0], nil
-}
-
-// ForEachOpts runs fn(0..n-1) on up to the policy's workers and waits
-// for all of them. Every index is dispatched even after a failure; once
-// the context is done, the remaining indices skip fn and record the
-// context's error. The first error (by index) is returned, which keeps
-// the failure deterministic.
-func ForEachOpts(p *Policy, n int, fn func(i int) error) error {
-	return ForEachWorkerOpts(p, n, func(_, i int) error { return fn(i) })
 }

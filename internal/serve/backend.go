@@ -90,16 +90,12 @@ func (s Spec) options() []dynstream.Option {
 	return opts
 }
 
-// decodePolicy is the policy every render decodes under: the decode
-// worker count (0 follows Workers, floor 1 — the CLI's -decodeworkers
-// semantics) and the spec's tracer, so the Borůvka rounds of every
-// sketch-family target land in the same timeline and fold counter.
+// decodePolicy is the policy every render decodes under: the spec's
+// tracer, so the Borůvka rounds of every sketch-family target land in
+// the same timeline and fold counter. The forest decodes run on the
+// calling goroutine, so no worker count is read.
 func (s Spec) decodePolicy() *parallel.Policy {
-	dw := s.DecodeWorkers
-	if dw == 0 {
-		dw = s.Workers
-	}
-	return parallel.Default().WithWorkers(max(dw, 1)).WithTracer(s.Tracer)
+	return parallel.Default().WithTracer(s.Tracer)
 }
 
 // Named is one row of the target table: a target name bound to its

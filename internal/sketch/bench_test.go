@@ -77,29 +77,6 @@ func BenchmarkF0Add(b *testing.B) {
 	}
 }
 
-func BenchmarkCountSketchAdd(b *testing.B) {
-	cs := NewCountSketch(13, 32)
-	rng := hashing.NewSplitMix64(14)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cs.Add(rng.Next()%(1<<40), 1)
-	}
-}
-
-func BenchmarkCountSketchQuery(b *testing.B) {
-	cs := NewCountSketch(15, 32)
-	rng := hashing.NewSplitMix64(16)
-	keys := make([]uint64, 32)
-	for j := range keys {
-		keys[j] = rng.Next() % (1 << 40)
-		cs.Add(keys[j], int64(j+1))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cs.Query(keys[i%len(keys)])
-	}
-}
-
 func BenchmarkKeyedEdgeSketchAdd(b *testing.B) {
 	t := NewKeyedEdgeSketch(17, 1024, 64)
 	rng := hashing.NewSplitMix64(18)

@@ -2,11 +2,16 @@ package sketch
 
 import (
 	"cmp"
+	"errors"
 	"slices"
 
 	"dynstream/internal/field"
 	"dynstream/internal/hashing"
 )
+
+// errIncompatible is returned when merging sketches built with
+// different seeds or geometries.
+var errIncompatible = errors.New("sketch: merging incompatible sketches")
 
 // Lane layout. An L0Sampler's state is flat uint64 lanes, no per-level
 // objects. One level is a block of 3·cells words — the count lane (two's
@@ -166,10 +171,9 @@ func NewSamplerGrid(fams []*L0Family, n int) [][]*L0Sampler {
 }
 
 // Warm materializes every level shape's lazy fingerprint power table.
-// Parallel decode calls it once per round before fanning component
-// merges and Sample decodes across workers: materialization is
-// confined to one goroutine, so concurrent decoders must find the
-// tables already built.
+// A batch ingest that routes its parts concurrently calls it first:
+// materialization is confined to one goroutine, so concurrent routers
+// must find the tables already built.
 func (f *L0Family) Warm() {
 	for _, sh := range f.levels {
 		sh.tab()
@@ -431,7 +435,7 @@ func (s *L0Sampler) IsZero() bool {
 // SampleScratch is the working memory of SampleSum and SampleWith: one
 // level's sum and decode instance and the peel's recovered items. The
 // zero value is ready to use; it is sized by the first family it
-// decodes and reused from then on, so a decode worker that keeps one
+// decodes and reused from then on, so a decode that keeps one
 // allocates nothing per Sample. It serves one call at a time.
 type SampleScratch struct {
 	sum   []uint64

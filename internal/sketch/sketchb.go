@@ -186,12 +186,6 @@ func NewSketchBFamily(seed uint64, capacity int, cfg SketchConfig) *SketchBFamil
 // New returns a zeroed sketch of the family.
 func (f *SketchBFamily) New() *SketchB { return f.sh.instance() }
 
-// Warm materializes the family's lazy fingerprint power table. Table
-// materialization follows the same one-goroutine confinement rule as
-// cell mutation, so parallel decoders over sketches of one family call
-// Warm once before fanning out.
-func (f *SketchBFamily) Warm() { f.sh.tab() }
-
 // instance returns a zeroed sketch over the shared shape.
 func (sh *sketchBShape) instance() *SketchB {
 	n := sh.cells()
@@ -327,10 +321,9 @@ func (s *SketchB) Clone() *SketchB {
 
 // SetTo makes s an exact copy of o — o's shape, o's cell state —
 // reusing s's cell slices when the geometry matches. It is the
-// scratch-reuse primitive of the parallel decode engine: a per-worker
-// scratch sketch is SetTo a component's base sketch, merged, and
-// decoded, round after round, without allocating a fresh Clone each
-// time.
+// scratch-reuse primitive of the spanner's cluster decode: one scratch
+// sketch is SetTo a center's first member sketch, merged, and decoded,
+// center after center, without allocating a fresh Clone each time.
 func (s *SketchB) SetTo(o *SketchB) {
 	s.gen++
 	s.shape = o.shape

@@ -294,10 +294,10 @@ func (a *Additive) Finish() (*AdditiveResult, error) {
 	return a.FinishOpts(parallel.Default())
 }
 
-// FinishOpts is the policy-driven decode: the closing spanning-forest
-// extraction over G' = G − E_low runs its Borůvka rounds on the
-// policy's decode workers (see agm.SpanningForestOpts); the per-vertex
-// neighborhood peels stay serial. Output identical to Finish.
+// FinishOpts is the policy-driven decode: the policy supplies
+// cancellation and the tracer to the closing spanning-forest extraction
+// over G' = G − E_low (see agm.SpanningForestOpts). Output identical to
+// Finish.
 func (a *Additive) FinishOpts(p *parallel.Policy) (*AdditiveResult, error) {
 	if a.done {
 		return nil, fmt.Errorf("spanner: additive Finish called twice")

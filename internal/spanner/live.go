@@ -130,7 +130,6 @@ func (tp *TwoPass) QueryLive(p *parallel.Policy) (*Result, error) {
 	if tp.liveSrc == nil {
 		return nil, fmt.Errorf("spanner: QueryLive before StartLive")
 	}
-	p = p.DecodePolicy()
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("spanner: %w", err)
 	}

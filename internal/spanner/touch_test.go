@@ -118,24 +118,20 @@ func TestRecoverTerminalMatchesProbeLoop(t *testing.T) {
 					t.Fatal("the stream's deletions emptied no touched table; the case is not covered")
 				}
 
-				// Whole extraction, at every decode width.
-				for _, workers := range []int{1, 2, 4} {
-					res, err := tp.extractOpts(parallel.Default().WithDecode(workers).DecodePolicy())
-					if err != nil {
-						t.Fatal(err)
-					}
-					sameGraph(t, fmt.Sprintf("decode workers %d", workers), res.Spanner, want)
-					if res.Stats.RecoveredEdges != recovered {
-						t.Errorf("decode workers %d: %d recovered edges, probe loop %d",
-							workers, res.Stats.RecoveredEdges, recovered)
-					}
-					if (res.Augmented != nil) != aug {
-						t.Errorf("decode workers %d: augmented graph present = %v, want %v",
-							workers, res.Augmented != nil, aug)
-					}
-					if aug && !res.Spanner.IsSubgraphOf(res.Augmented) {
-						t.Errorf("decode workers %d: augmented graph lost spanner edges", workers)
-					}
+				// Whole extraction.
+				res, err := tp.extractOpts(parallel.Default())
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameGraph(t, "extraction", res.Spanner, want)
+				if res.Stats.RecoveredEdges != recovered {
+					t.Errorf("%d recovered edges, probe loop %d", res.Stats.RecoveredEdges, recovered)
+				}
+				if (res.Augmented != nil) != aug {
+					t.Errorf("augmented graph present = %v, want %v", res.Augmented != nil, aug)
+				}
+				if aug && !res.Spanner.IsSubgraphOf(res.Augmented) {
+					t.Error("augmented graph lost spanner edges")
 				}
 			})
 		}

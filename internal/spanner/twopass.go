@@ -348,19 +348,12 @@ func (tp *TwoPass) EndPass1() error {
 	return tp.EndPass1Opts(parallel.Default())
 }
 
-// EndPass1Opts is the policy-driven cluster construction: within each
-// level the per-center work — summing the cluster's sketches, decoding
-// from the sparsest subsampling level down, choosing the parent — is
-// independent, so it fans across the policy's decode workers with one
-// reusable scratch sketch per worker. Everything a later center could
-// observe (parent membership folds, the augmented edge set, terminal
-// marks) is applied serially in ascending center order afterwards, so
-// the cluster structure is bit-identical to the serial construction.
+// EndPass1Opts is the policy-driven cluster construction: the policy
+// supplies cancellation and the tracer (see clusterize).
 func (tp *TwoPass) EndPass1Opts(p *parallel.Policy) error {
 	if tp.phase != 0 {
 		return fmt.Errorf("spanner: EndPass1 called in phase %d", tp.phase)
 	}
-	p = p.DecodePolicy()
 	if err := p.Validate(); err != nil {
 		return fmt.Errorf("spanner: %w", err)
 	}
@@ -392,11 +385,10 @@ type clusterResult struct {
 // and each u ∈ C_i, the summed sketch over the current cluster is
 // decoded from the sparsest subsampling level down, yielding a parent
 // in C_{i+1} and a witness edge, or terminal status. Within each level
-// the per-center work is independent, so it fans across the policy's
-// decode workers with one reusable scratch sketch per worker; all
+// the dirty centers decode on the calling goroutine into one reusable
+// scratch sketch, checking the policy's context before each; all
 // structure mutations (parent assignment, member folds, terminal
-// marks) are applied serially in ascending center order, so the result
-// is bit-identical to the serial construction.
+// marks) are applied afterwards in ascending center order.
 //
 // A live state caches each center's attachment under its copy index,
 // with the member list and the summed generation counter of every
@@ -440,19 +432,7 @@ func (tp *TwoPass) clusterize(p *parallel.Policy) (*clusterResult, error) {
 	}
 	bounds[k] = len(cr.copies)
 
-	// Materialize the lazy fingerprint tables of the shared per-(r, j)
-	// sketch shapes before fanning out: every decode of a level touches
-	// them, and materialization is confined to one goroutine. A family
-	// never derived has no sketch to decode.
-	for _, row := range tp.fams {
-		for _, fam := range row {
-			if fam != nil {
-				fam.Warm()
-			}
-		}
-	}
-
-	scratch := make([]*sketch.SketchB, p.Workers())
+	var scratch *sketch.SketchB
 
 	for i := 0; i < k-1; i++ {
 		var sp obs.Span
@@ -468,7 +448,7 @@ func (tp *TwoPass) clusterize(p *parallel.Policy) (*clusterResult, error) {
 		results := make([]attachResult, len(centers))
 		// Split centers into cache hits and dirty (to-decode) ones.
 		// Cluster members of level i were frozen when level i-1 was
-		// applied, so generation sums and decodes here are race-free.
+		// applied.
 		dirty := make([]int, 0, len(centers))
 		var gens []uint64
 		if live {
@@ -493,11 +473,13 @@ func (tp *TwoPass) clusterize(p *parallel.Policy) (*clusterResult, error) {
 				dirty = append(dirty, idx)
 			}
 		}
-		err := parallel.ForEachWorkerSubset(p, dirty, func(w, idx int) error {
-			return tp.decodeAttachment(scratch, w, i, centers[idx].members, copyIdx, &results[idx])
-		})
-		if err != nil {
-			return nil, err
+		for _, idx := range dirty {
+			if err := p.Context().Err(); err != nil {
+				return nil, err
+			}
+			if err := tp.decodeAttachment(&scratch, i, centers[idx].members, copyIdx, &results[idx]); err != nil {
+				return nil, err
+			}
 		}
 		if live {
 			for _, idx := range dirty {
@@ -566,8 +548,9 @@ func (tp *TwoPass) clusterize(p *parallel.Policy) (*clusterResult, error) {
 // subsampling level down; the smallest valid key wins (deterministic).
 // Members whose sketch was never touched contribute zero and are
 // skipped; a level no member touched sums to the zero vector, which
-// decodes to nothing.
-func (tp *TwoPass) decodeAttachment(scratch []*sketch.SketchB, w, i int, members []int, copyIdx [][]int, res *attachResult) error {
+// decodes to nothing. *scratch is the caller's reusable sum, created on
+// first use.
+func (tp *TwoPass) decodeAttachment(scratch **sketch.SketchB, i int, members []int, copyIdx [][]int, res *attachResult) error {
 	n := tp.n
 	r := i + 1
 	for j := tp.jMax; j >= 0 && !res.attached; j-- {
@@ -580,18 +563,18 @@ func (tp *TwoPass) decodeAttachment(scratch []*sketch.SketchB, w, i int, members
 				if err := q.Merge(s); err != nil {
 					return fmt.Errorf("spanner: pass1 merge: %w", err)
 				}
-			case scratch[w] == nil:
+			case *scratch == nil:
 				q = s.Clone()
-				scratch[w] = q
+				*scratch = q
 			default:
-				q = scratch[w]
+				q = *scratch
 				q.SetTo(s)
 			}
 		}
 		if q == nil {
 			continue
 		}
-		items, decoded := q.DecodeInPlace() // q is the worker's scratch, refilled before its next use
+		items, decoded := q.DecodeInPlace() // q is the scratch, refilled before its next use
 		if !decoded || len(items) == 0 {
 			continue
 		}
@@ -600,7 +583,7 @@ func (tp *TwoPass) decodeAttachment(scratch []*sketch.SketchB, w, i int, members
 		for key := range items {
 			keys = append(keys, key)
 		}
-		sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
+		slices.Sort(keys)
 		for _, key := range keys {
 			a := int(key / uint64(n))
 			b := int(key % uint64(n))
@@ -779,17 +762,12 @@ func (tp *TwoPass) Finish() (*Result, error) {
 	return tp.FinishOpts(parallel.Default())
 }
 
-// FinishOpts is the policy-driven decode half of Algorithm 2: each
-// terminal copy's hash-table peeling and neighborhood recovery touches
-// only that copy's tables, so the per-terminal recoveries fan across
-// the policy's decode workers; recovered edges land indexed by
-// terminal and are applied in the serial order, so the spanner is
-// bit-identical to Finish's.
+// FinishOpts is the policy-driven decode half of Algorithm 2: the
+// policy supplies cancellation and the tracer (see extractOpts).
 func (tp *TwoPass) FinishOpts(p *parallel.Policy) (*Result, error) {
 	if tp.phase != 1 {
 		return nil, fmt.Errorf("spanner: Finish called in phase %d", tp.phase)
 	}
-	p = p.DecodePolicy()
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("spanner: %w", err)
 	}
@@ -803,7 +781,9 @@ func (tp *TwoPass) FinishOpts(p *parallel.Policy) (*Result, error) {
 // state, so a live handle can call it after every churn round; in a
 // live state, a terminal whose table row generations are unchanged
 // since its cached recovery is served from the cache instead of
-// re-peeling its row.
+// re-peeling its row. Dirty terminals are recovered on the calling
+// goroutine with one scratch, checking the policy's context before
+// each.
 func (tp *TwoPass) extractOpts(p *parallel.Policy) (*Result, error) {
 	live := tp.liveSrc != nil
 	sp := p.Tracer().Span("spanner/recover")
@@ -832,7 +812,6 @@ func (tp *TwoPass) extractOpts(p *parallel.Policy) (*Result, error) {
 	recs := make([][][2]int, len(terms))
 	dirty := make([]int, 0, len(terms))
 	gens := make([]uint64, len(terms))
-	keys := make([]int, len(terms)) // keys peeled per dirty terminal
 	for i, ci := range terms {
 		for _, t := range tp.tables[ci] {
 			gens[i] += t.Gen()
@@ -847,23 +826,21 @@ func (tp *TwoPass) extractOpts(p *parallel.Policy) (*Result, error) {
 		}
 		dirty = append(dirty, i)
 	}
-	// Per-worker recoverTerminal scratch: the resolved marks and the
-	// peel's work set, reused across the worker's terminals.
-	resolved := make([][]int32, p.Workers())
-	peels := make([]sketch.PeelScratch, p.Workers())
-	err := parallel.ForEachWorkerSubset(p, dirty, func(w, i int) error {
-		if resolved[w] == nil {
-			resolved[w] = make([]int32, tp.n)
-		}
-		recs[i], keys[i] = tp.recoverTerminal(terms[i], resolved[w], int32(i+1), &peels[w])
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
+	// recoverTerminal's scratch: the resolved marks and the peel's work
+	// set, reused across terminals.
+	var resolved []int32
+	var peel sketch.PeelScratch
 	peeled := 0
-	for _, c := range keys {
-		peeled += c
+	for _, i := range dirty {
+		if err := p.Context().Err(); err != nil {
+			return nil, err
+		}
+		if resolved == nil {
+			resolved = make([]int32, tp.n)
+		}
+		var keys int
+		recs[i], keys = tp.recoverTerminal(terms[i], resolved, int32(i+1), &peel)
+		peeled += keys
 	}
 	if live {
 		if tp.recCache == nil {
@@ -928,10 +905,10 @@ func (tp *TwoPass) extractOpts(p *parallel.Policy) (*Result, error) {
 // skipping vertices already resolved — and ordering the edges by
 // outside vertex makes exactly the (v ascending, j descending) probes
 // that can succeed, at a cost proportional to the keys rather than to
-// n × levels. resolved and sc are the worker's scratch: resolved has n
+// n × levels. resolved and sc are the caller's scratch: resolved has n
 // entries, and resolved[v] == mark records that v already has its
-// edge, so one array serves every terminal a worker handles, each under
-// its own non-zero mark; sc holds each table's peel until the next.
+// edge, so one array serves every terminal of a decode, each under its
+// own non-zero mark; sc holds each table's peel until the next.
 func (tp *TwoPass) recoverTerminal(ci int, resolved []int32, mark int32, sc *sketch.PeelScratch) (rec [][2]int, keys int) {
 	row := tp.tables[ci]
 	for j := tp.yMax; j >= 0; j-- {

@@ -102,7 +102,6 @@ func (ls *Live) ApplyLive(batch []stream.Update) error {
 // (folding just the unsynced log suffix), and recovers neighborhoods
 // through its per-terminal cache.
 func (ls *Live) QueryLive(p *parallel.Policy) (*Result, error) {
-	p = p.DecodePolicy()
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("sparsify: %w", err)
 	}

@@ -80,11 +80,11 @@ func WithWorkers(n int) Option {
 	return func(o *buildOptions) { o.workers = n; o.workersSet = true }
 }
 
-// WithDecodeWorkers overrides the worker count of the decode /
-// extraction phase — the Borůvka rounds of the spanning forest,
-// EndPass1's cluster construction, table peeling in Finish, the
-// sparsifier grid's per-cell extraction, and (for remote builds) the
-// coordinator's worker-state decode and tree merge. Without it decode
+// WithDecodeWorkers overrides the worker count of the decode phases
+// that fan out: the sparsifier grid's per-cell extraction, and (for
+// remote builds) the coordinator's worker-state decode and tree merge.
+// The other decodes (Borůvka rounds, the spanner's cluster construction
+// and table peeling) run on the calling goroutine. Without it decode
 // runs at the ingest worker count (WithWorkers, or the automatic
 // choice). Decode parallelism never changes the output: results are
 // placed by index and applied in the serial order, so every decoded
