@@ -45,29 +45,35 @@ type Sketch struct {
 	// Merge are defined over the stream state.
 	subtracted map[[2]int]int64
 
-	// Decode cache (EnableDecodeCache): per-(round, component) Borůvka
-	// picks from the previous extraction, reused when the component's
-	// member list is unchanged and the update log names none of its
-	// members. One flat array per round, indexed by the component's
-	// union-find root; an entry persists until a later decode at its root
-	// replaces it.
+	// Decode cache (EnableDecodeCache): the trace of the previous
+	// extraction, which the next one repairs (forest.go). For each
+	// Borůvka round it reached, 0 to depth, it keeps partition r — per
+	// root its rank, its kids (the partition-(r-1) roots it was formed
+	// from) and a bit in the root set — and round r's outcome: per root
+	// its pick and its partition-(r+1) root, and the ascending roots
+	// whose pick merged (the round's forest edges). A component's members
+	// are found by walking its kids, never stored. Resident cost per
+	// level reached, n·21 bytes (n·4 of which are the root labels up,
+	// (rounds+1)·n·4 bytes over all levels) plus its kid slab and merge
+	// records, and n·33 bytes of per-vertex scratch plus the round
+	// lists: 2.4 MB at n = 10 000 on the serve-fresh shape.
 	caching bool
-	picks   [][]pickEntry // picks[r][root]
+	trace   *forestDecode
 
 	// Window: log records the endpoints of every update, and each vertex
 	// a Merge changed, while caching is on, and is cleared by each cached
 	// extraction. logGen numbers the windows — it advances when an
-	// extraction completes and whenever the log loses entries — and an
-	// entry validated or stored by an extraction is stamped with the
-	// window that extraction opens, so "stamp == logGen" says the log
-	// holds every mutation of the entry's members since.
+	// extraction completes and whenever the log loses entries — and the
+	// trace records the window its extraction opened, so "trace window ==
+	// logGen" says the log holds every mutation since the trace was
+	// built; otherwise the next query decodes in full.
 	log    []logUpd
 	logGen uint64
 
-	// Cumulative cache-pass outcomes while caching is on: a hit is a
-	// component whose cached pick was served without re-decoding, a miss
-	// is a dirty component that fanned out to the workers. Read by
-	// DecodeCacheStats for operational visibility (daemon /metrics).
+	// Cumulative cache outcomes while caching is on: a hit is a
+	// component whose trace pick was served without re-decoding, a miss
+	// is a component drawn afresh. Read by DecodeCacheStats for
+	// operational visibility (daemon /metrics).
 	cacheHits   uint64
 	cacheMisses uint64
 
@@ -86,52 +92,34 @@ func (s *Sketch) DecodeCacheStats() (hits, misses uint64) {
 // vertex v a Merge changed, as {v, v}.
 type logUpd struct{ a, b int32 }
 
-// pick is one component's Borůvka draw: a boundary edge, or !ok when
-// its summed sampler is (whp) zero or failed to decode.
-type pick struct {
-	a, b int32
-	ok   bool
-}
-
-// pickEntry is a cached component decode. members is the exact member
-// list the pick was drawn over (nil marks an empty slot; the list is
-// never written after it is stored, so entries share it). win is the
-// window opened by the last extraction that validated or stored the
-// entry: while win is the current window and the log names no member,
-// every member sampler is bit-identical to the cached decode's input —
-// and Sample is a deterministic function of that state, so the cached
-// pick IS the pick a fresh decode would draw.
-type pickEntry struct {
-	members []int32
-	win     uint64
-	pick    pick
-}
-
-// EnableDecodeCache turns on (or off) the per-component pick cache
-// used by SpanningForestOpts. Off (the default) keeps one-shot builds
-// allocation-lean; live handles turn it on so that re-queries after
-// small update batches re-decode only components whose samplers
-// changed (the Liu–Tarjan-style restart from the previous labeling).
-// Turning it off releases the cache.
+// EnableDecodeCache turns on (or off) the decode trace used by
+// SpanningForestOpts. Off (the default) keeps one-shot builds
+// allocation-lean: an extraction keeps two root lists and its picks
+// for one round. Live handles turn it on so that a re-query after a
+// small update batch repairs the previous extraction's partitions,
+// re-decoding only components whose samplers or members changed and
+// relabelling only the components a change reaches (the Liu–Tarjan
+// restart from the previous labeling). Turning it off releases the
+// trace.
 func (s *Sketch) EnableDecodeCache(on bool) {
 	s.caching = on
 	if !on {
-		s.picks = nil
+		s.trace = nil
 		s.log = nil
 		s.logGen++
 	}
 }
 
-// cachedPickCount reports how many component decodes the pick cache
-// currently holds (test hook).
+// cachedPickCount reports how many component picks the trace currently
+// holds (test hook).
 func (s *Sketch) cachedPickCount() int {
+	d := s.trace
+	if d == nil || d.depth < 0 {
+		return 0
+	}
 	count := 0
-	for _, row := range s.picks {
-		for i := range row {
-			if row[i].members != nil {
-				count++
-			}
-		}
+	for l := 0; l < d.depth; l++ {
+		count += d.lv[l].count
 	}
 	return count
 }

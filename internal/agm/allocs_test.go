@@ -104,16 +104,18 @@ func TestMSFAddUpdateAllocs(t *testing.T) {
 
 // TestRequeryAllocs budgets a warmed cached re-query on the serving
 // benchmarks' shapes (n = 10 000; 56 updates since the previous query
-// for serve-fresh, 1 638 for serve-churn): the per-query scratch is a
-// fixed set of flat arrays, a member list is copied only for a
-// component whose membership changed, and every Sample decodes in its
-// worker's scratch. Readings (allocations, KB per query; the churn
-// figures include AddBatch's tail growths): fresh 22 180 and 5.5 MB
-// with map-based component bookkeeping, then 1 884 and 1 486 with a
-// fresh level instance and peel map per Sample, 286 and 1 411 with the
-// worker's scratch (319 under -race), 216 and 1 252 summing only the
-// levels a sample reads (the same under -race); churn 24 624 and 8 862,
-// then 3 801 and 5 865 (4 462 under -race), then 3 028 and 4 709.
+// for serve-fresh, 1 638 for serve-churn), the AddBatch between queries
+// included: the re-query repairs the trace in place and allocates only
+// the forest it returns, so what is left is AddBatch's tail growths.
+// Readings (allocations, KB per query): fresh 22 180 and 5.5 MB with
+// map-based component bookkeeping, then 1 884 and 1 486 with a fresh
+// level instance and peel map per Sample, 286 and 1 411 with the
+// worker's scratch, 216 and 1 252 summing only the levels a sample
+// reads, 202 and 1 241 with a per-component pick cache, 86 and 436
+// repairing the trace (87 under -race); churn 24 624 and 8 862, then
+// 3 801 and 5 865, then 3 028 and 4 709, 3 017 and 4 708 with the pick
+// cache, 1 965 and 3 845 repairing the trace (the same under -race).
+// The budgets are the last readings plus 25 %.
 func TestRequeryAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds an n = 10 000 sketch")
@@ -123,8 +125,8 @@ func TestRequeryAllocs(t *testing.T) {
 		perQuery        int
 		allocs, kbudget uint64
 	}{
-		{"serve-fresh", 56, 300, 1500},
-		{"serve-churn", 1638, 4000, 6000},
+		{"serve-fresh", 56, 108, 545},
+		{"serve-churn", 1638, 2456, 4806},
 	} {
 		const n, queries = 10000, 10
 		preload, churn := serveShape(n, 20000, 20000, (queries+4)*row.perQuery/2, 11)

@@ -1,6 +1,7 @@
 package agm
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -96,12 +97,11 @@ func serveShape(n, baseEdges, window, steps int, seed int64) (preload, churn []s
 }
 
 // benchRequery times a cached re-query after perQuery churn updates on
-// the serving benchmark's graph (n = 10 000, 20 000 base + 20 000 window
+// the serving benchmark's graph (n vertices, 2n base + 2n window
 // edges); the AddBatch between queries is off the clock.
-func benchRequery(b *testing.B, perQuery int) {
-	const n = 10000
+func benchRequery(b *testing.B, n, perQuery int) {
 	warm := 8
-	preload, churn := serveShape(n, 20000, 20000, (b.N+warm)*perQuery/2, 11)
+	preload, churn := serveShape(n, 2*n, 2*n, (b.N+warm)*perQuery/2, 11)
 	s := New(5, n, Config{})
 	s.EnableDecodeCache(true)
 	s.AddBatch(preload)
@@ -128,12 +128,22 @@ func benchRequery(b *testing.B, perQuery int) {
 	}
 }
 
-// BenchmarkRequeryFresh is the serve-fresh shape: 56 updates per query.
-func BenchmarkRequeryFresh(b *testing.B) { benchRequery(b, 56) }
+// BenchmarkRequeryFresh is the serve-fresh shape: 56 updates per query,
+// at the serving benchmark's n = 10 000 and at 4n, where a re-query
+// that pays for churn and not for n costs about the same.
+func BenchmarkRequeryFresh(b *testing.B) {
+	for _, n := range []int{10000, 40000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { benchRequery(b, n, 56) })
+	}
+}
 
-// BenchmarkRequeryChurn is the serve-churn shape: 4 % of the graph's
-// edges (1 638 updates) per query.
-func BenchmarkRequeryChurn(b *testing.B) { benchRequery(b, 1638) }
+// BenchmarkRequeryChurn is the serve-churn shape: 1 638 updates per
+// query (4 % of the edges at n = 10 000), at n = 10 000 and 40 000.
+func BenchmarkRequeryChurn(b *testing.B) {
+	for _, n := range []int{10000, 40000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { benchRequery(b, n, 1638) })
+	}
+}
 
 // BenchmarkForestCold is the uncached extraction on the same graph: what
 // a one-shot Build pays, and the ceiling a re-query is measured against.

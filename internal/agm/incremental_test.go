@@ -209,6 +209,23 @@ func TestRequeryModelEquivalence(t *testing.T) {
 			}
 		}
 	}
+	// Small graphs, many seeds: components split and merge on almost
+	// every step, so a repair meets a component that kept its members
+	// but not its rank, one that vanished, and picks that changed on
+	// both sides of a round.
+	for _, n := range []int{5, 12, 30} {
+		for _, grouped := range []bool{false, true} {
+			for seed := int64(1); seed <= 20; seed++ {
+				t.Run(fmt.Sprintf("n=%d/groups=%v/seed=%d", n, grouped, seed), func(t *testing.T) {
+					steps := 45
+					if testing.Short() {
+						steps /= 3
+					}
+					requeryModelRun(t, n, grouped, 1, steps, 1000*int64(n)+seed)
+				})
+			}
+		}
+	}
 }
 
 // requeryModelRun is one seeded run of TestRequeryModelEquivalence.

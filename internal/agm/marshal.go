@@ -95,7 +95,7 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("%w: the samplers of some round do not sum to zero", errCorrupt)
 	}
 	// Whole-state replacement: keep the caching preference but drop the
-	// cached picks and the update log — they describe the old samplers.
+	// decode trace and the update log — they describe the old samplers.
 	rebuilt.caching = s.caching
 	*s = *rebuilt
 	return nil

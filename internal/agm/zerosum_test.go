@@ -151,11 +151,12 @@ func TestZeroSumInvariant(t *testing.T) {
 }
 
 // TestDominantComponentDecodes: the cold decodes of a graph whose
-// largest component dominates each round — with and without groups, at
-// one to three workers — equal the map-based reference decode, and so
-// does a one-update step after a warm query, whose update dirties the
-// largest component of some round. TestRequeryModelEquivalence's n=400
-// rows run the cached decodes of such graphs.
+// largest component dominates each round — one with and one without
+// groups; the decode reads no worker count — equal the map-based
+// reference decode, and so does a one-update step after a warm query,
+// whose update dirties the largest component of some round.
+// TestRequeryModelEquivalence's n=400 rows run the cached decodes of
+// such graphs.
 func TestDominantComponentDecodes(t *testing.T) {
 	const n = 1000
 	preload, churn := serveShape(n, 2*n, 2*n, 64, 3)
@@ -166,24 +167,22 @@ func TestDominantComponentDecodes(t *testing.T) {
 				groups = append(groups, []int{v, v + 1, v + 3})
 			}
 		}
-		for _, workers := range []int{1, 2, 3} {
-			name := fmt.Sprintf("cold/groups=%v/workers=%d", grouped, workers)
-			s := New(23, n, Config{})
-			s.AddBatch(preload)
-			rs := &roundSpans{}
-			got, err := s.SpanningForestOpts(groups, rs.policy(parallel.Default().WithWorkers(workers)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, _, _, err := (&refDecoder{}).forest(s, groups)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !forestsEqual(got, want) {
-				t.Fatalf("%s: forest diverged from the reference decode:\n got %v\nwant %v", name, got, want)
-			}
-			rs.check(t, name)
+		name := fmt.Sprintf("cold/groups=%v", grouped)
+		s := New(23, n, Config{})
+		s.AddBatch(preload)
+		rs := &roundSpans{}
+		got, err := s.SpanningForestOpts(groups, rs.policy(parallel.Default()))
+		if err != nil {
+			t.Fatal(err)
 		}
+		want, _, _, err := (&refDecoder{}).forest(s, groups)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !forestsEqual(got, want) {
+			t.Fatalf("%s: forest diverged from the reference decode:\n got %v\nwant %v", name, got, want)
+		}
+		rs.check(t, name)
 	}
 
 	// One update after a warm query: the components holding its
