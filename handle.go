@@ -48,10 +48,14 @@ type Handle[R any] struct {
 
 // CacheStats reports the live state's decode-cache traffic: Hits counts
 // cached region decodes (component picks, cluster attachments, terminal
-// recoveries, per-vertex peels) reused because their member lists and
-// generation sums proved the inputs unchanged; Misses counts regions
-// that had to re-decode. Both are cumulative over the handle's lifetime
-// (a restored handle starts from zero). The serving layer exports them
+// recoveries, per-vertex peels) reused because their inputs provably
+// decode as before — for the spanner's and sparsifier's tables, member
+// lists and generation sums unchanged; for a forest component's pick,
+// members unchanged and no logged update crossing its boundary at or
+// above the L0 level its last draw decoded at, since the draw reads no
+// lower level; Misses counts regions that had to re-decode. Both are
+// cumulative over the handle's lifetime (a restored handle starts from
+// zero). The serving layer exports them
 // as Prometheus counters.
 type CacheStats struct {
 	Hits   uint64

@@ -50,13 +50,16 @@ type Sketch struct {
 	// Borůvka round it reached, 0 to depth, it keeps partition r — per
 	// root its rank, its kids (the partition-(r-1) roots it was formed
 	// from) and a bit in the root set — and round r's outcome: per root
-	// its pick and its partition-(r+1) root, and the ascending roots
-	// whose pick merged (the round's forest edges). A component's members
-	// are found by walking its kids, never stored. Resident cost per
-	// level reached, n·21 bytes (n·4 of which are the root labels up,
-	// (rounds+1)·n·4 bytes over all levels) plus its kid slab and merge
-	// records, and n·33 bytes of per-vertex scratch plus the round
-	// lists: 2.4 MB at n = 10 000 on the serve-fresh shape.
+	// its pick, the L0 level the pick was decoded at and its
+	// partition-(r+1) root, and the ascending roots whose pick merged
+	// (the round's forest edges). A component's members are found by
+	// walking its kids, never stored. Resident cost per level reached,
+	// n·22 bytes (n·4 of which are the root labels up, (rounds+1)·n·4
+	// bytes over all levels) plus its kid slab and merge records, n·33
+	// bytes of per-vertex scratch plus the round lists, and 72 bytes per
+	// entry of the largest log a query has read (its endpoints' roots
+	// and its pair keys' hash powers): 2.5 MB at n = 10 000 on the
+	// serve-fresh shape.
 	caching bool
 	trace   *forestDecode
 
@@ -71,9 +74,11 @@ type Sketch struct {
 	logGen uint64
 
 	// Cumulative cache outcomes while caching is on: a hit is a
-	// component whose trace pick was served without re-decoding, a miss
-	// is a component drawn afresh. Read by DecodeCacheStats for
-	// operational visibility (daemon /metrics).
+	// component whose trace pick was served without re-decoding — its
+	// members are the trace's, and no logged update crossed its boundary
+	// at or above the level its pick was decoded at — and a miss is a
+	// component drawn afresh. Read by DecodeCacheStats for operational
+	// visibility (daemon /metrics).
 	cacheHits   uint64
 	cacheMisses uint64
 
@@ -81,9 +86,11 @@ type Sketch struct {
 }
 
 // DecodeCacheStats reports the cumulative decode-cache hit and miss
-// counts of this sketch's extraction cache pass. Both are zero until a
-// cached extraction runs (EnableDecodeCache). Counters are cumulative
-// across queries and survive EnableDecodeCache(false).
+// counts of this sketch's extraction cache pass: per round, a hit is a
+// component whose stored pick a fresh draw would return (see
+// EnableDecodeCache for the rule), a miss one drawn afresh. Both are
+// zero until a cached extraction runs (EnableDecodeCache). Counters are
+// cumulative across queries and survive EnableDecodeCache(false).
 func (s *Sketch) DecodeCacheStats() (hits, misses uint64) {
 	return s.cacheHits, s.cacheMisses
 }
@@ -97,10 +104,12 @@ type logUpd struct{ a, b int32 }
 // allocation-lean: an extraction keeps two root lists and its picks
 // for one round. Live handles turn it on so that a re-query after a
 // small update batch repairs the previous extraction's partitions,
-// re-decoding only components whose samplers or members changed and
-// relabelling only the components a change reaches (the Liu–Tarjan
-// restart from the previous labeling). Turning it off releases the
-// trace.
+// re-decoding only components whose members changed, that hold a
+// vertex a Merge changed, or whose boundary a logged update crossed at
+// or above the L0 level their last draw decoded at — the only updates
+// that draw can see — and relabelling only the components a change
+// reaches (the Liu–Tarjan restart from the previous labeling). Turning
+// it off releases the trace.
 func (s *Sketch) EnableDecodeCache(on bool) {
 	s.caching = on
 	if !on {

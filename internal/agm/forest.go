@@ -6,10 +6,10 @@ package agm
 // and unions the picks in ascending root order into partition r+1. A
 // live sketch keeps the trace of the partitions its last extraction
 // built, and a re-query repairs that trace instead of rebuilding it:
-// it redraws only the components the update log touched or whose
-// members changed, and recomputes partition r+1 only inside the region
-// those changes can reach. The trace's validity rule is on Sketch
-// (agm.go).
+// it redraws only the components whose members changed or whose draw a
+// logged update can reach (findDirty), and recomputes partition r+1
+// only inside the region those changes can reach. The trace's validity
+// rule is on Sketch (agm.go).
 
 import (
 	"errors"
@@ -18,6 +18,7 @@ import (
 	"slices"
 
 	"dynstream/internal/graph"
+	"dynstream/internal/hashing"
 	"dynstream/internal/obs"
 	"dynstream/internal/parallel"
 	"dynstream/internal/sketch"
@@ -101,9 +102,10 @@ func unpack(pk uint64) (a, b int32) { return int32(pk >> 32), int32(uint32(pk)) 
 // formed from (itself included) — the segment of the kids slab at
 // koff, a count followed by the roots; a repair appends the segments it
 // rebuilds and compacts the slab when half of it is stale. Round l
-// stores each root's pick and its partition-(l+1) root (up), and rec,
-// the ascending roots whose pick merged two components — the round's
-// forest edges, in order.
+// stores each root's pick, the L0 level the pick's draw decoded at (at;
+// 0 for no pick), its partition-(l+1) root (up), and rec, the ascending
+// roots whose pick merged two components — the round's forest edges, in
+// order.
 type level struct {
 	bits     []uint64
 	count    int
@@ -111,6 +113,7 @@ type level struct {
 	koff, up []int32
 	kids     []int32
 	pick     []uint64
+	at       []uint8
 	rec      []int32
 }
 
@@ -177,9 +180,10 @@ type forestDecode struct {
 	gone    []int32
 	moved   []span
 	spanBuf []span
-	cur     []int32  // the log's endpoints' roots, this round
-	order   []uint64 // sortRegion's bitset, zero between calls
-	kidBuf  []int32  // the spare kids slab a compaction fills
+	cur     []int32          // the log's endpoints' roots, this round
+	pows    []hashing.Powers // each logged pair key's powers, this query
+	order   []uint64         // sortRegion's bitset, zero between calls
+	kidBuf  []int32          // the spare kids slab a compaction fills
 	kept    []int32
 	newRec  []int32
 	recBuf  []int32
@@ -228,7 +232,7 @@ func newForestDecode(s *Sketch) *forestDecode {
 	} else {
 		// One query's lists, sized once: every list holds at most one
 		// entry per vertex.
-		d.lv = []level{{pick: make([]uint64, n)}}
+		d.lv = []level{{pick: make([]uint64, n), at: make([]uint8, n)}}
 		d.head, d.tail, d.next = make([]int32, n), make([]int32, n), make([]int32, n)
 		lists := make([]int32, 4*n)
 		d.roots, d.region, d.dirty, d.newRec = lists[:0:n], lists[n:n:2*n], lists[2*n:2*n:3*n], lists[3*n:3*n]
@@ -250,6 +254,7 @@ func (d *forestDecode) level(l int) *level {
 		lv.rank = make([]uint8, n)
 		lv.koff, lv.up = make([]int32, n), make([]int32, n)
 		lv.pick = make([]uint64, n)
+		lv.at = make([]uint8, n)
 	}
 	return lv
 }
@@ -295,8 +300,16 @@ func (d *forestDecode) rootOf(v int32, l int) int32 {
 }
 
 // run is one extraction: partition 0 from the groups, then the rounds.
+// Traced, an agm/forest span reports the rounds it ran and whether they
+// ran out: the last provisioned round still merged and more than one
+// component remains, so a missing forest edge may be a round shortage,
+// not a cut.
 func (d *forestDecode) run(groups [][]int, p *parallel.Policy) ([]graph.Edge, error) {
 	s := d.s
+	var fsp obs.Span
+	if tr := p.Tracer(); tr != nil {
+		fsp = tr.Span("agm/forest")
+	}
 	depth := 0 // rounds the trace holds picks for
 	if d.keep && d.depth >= 0 && d.gen == s.logGen {
 		depth = d.depth
@@ -304,7 +317,7 @@ func (d *forestDecode) run(groups [][]int, p *parallel.Policy) ([]graph.Edge, er
 	d.level0(groups, depth > 0)
 	d.depth = -1
 	var forest []graph.Edge
-	rounds := 0
+	rounds, merges := 0, 0
 	for l := 0; l < s.rounds && d.k > 1; l++ {
 		var sp obs.Span
 		tr := p.Tracer()
@@ -320,6 +333,7 @@ func (d *forestDecode) run(groups [][]int, p *parallel.Policy) ([]graph.Edge, er
 		}
 		hits0, misses0 := s.cacheHits, s.cacheMisses
 		lv := d.level(l)
+		kept := 0
 		if full {
 			if d.roots == nil {
 				d.listRoots(l)
@@ -327,6 +341,9 @@ func (d *forestDecode) run(groups [][]int, p *parallel.Policy) ([]graph.Edge, er
 			d.region, d.dirty = append(d.region[:0], d.roots...), append(d.dirty[:0], d.roots...)
 		} else {
 			d.findDirty(l)
+			if tr != nil {
+				kept = d.levelKept()
+			}
 		}
 		d.changed = d.changed[:0]
 		for _, x := range d.dirty {
@@ -340,7 +357,7 @@ func (d *forestDecode) run(groups [][]int, p *parallel.Policy) ([]graph.Edge, er
 			if !full && !d.isChg.has(x) && pk != lv.pick[x] {
 				d.changed = append(d.changed, x)
 			}
-			lv.pick[x] = pk
+			lv.pick[x], lv.at[x] = pk, uint8(d.sample.Level)
 		}
 		if d.keep {
 			s.cacheHits += uint64(k - len(d.dirty))
@@ -384,12 +401,18 @@ func (d *forestDecode) run(groups [][]int, p *parallel.Policy) ([]graph.Edge, er
 			obs.A("merges", int64(len(rec))),
 			obs.A("cache_hit", int64(s.cacheHits-hits0)),
 			obs.A("cache_miss", int64(s.cacheMisses-misses0)),
+			obs.A("level_kept", int64(kept)),
 			obs.A("folds", folds))
-		if len(rec) == 0 {
+		if merges = len(rec); merges == 0 {
 			break
 		}
 	}
 	d.depth = rounds
+	exhausted := int64(0)
+	if rounds == s.rounds && merges > 0 && d.k > 1 {
+		exhausted = 1
+	}
+	fsp.End(obs.A("rounds_used", int64(rounds)), obs.A("rounds_exhausted", exhausted))
 	return forest, nil
 }
 
@@ -561,17 +584,31 @@ func (d *forestDecode) listRoots(l int) {
 }
 
 // findDirty lists the components of a repaired round that must be
-// drawn: those holding an endpoint the log names, and the changed ones
-// whose members are not the trace's. Every other component is the
-// trace's, over samplers no update reached, and keeps its pick.
+// drawn: the changed ones whose members are not the trace's, those
+// holding a vertex a Merge changed, and those whose draw a logged update
+// can reach. The trace's draw of component C read only the sum of C's
+// members' samplers from their highest top down to the level it decoded
+// at (at). An update {a, b} at geometric level lv writes a's and b's
+// levels 0..lv with opposite signs. With both endpoints in C it cancels
+// in the sum at every level; if it raises a member's top, the sum is
+// zero up there and a draw walks past it. With lv below C's level it
+// writes none of the levels the draw read and, lying below the members'
+// highest top, cannot move that top. Either way the same walk returns
+// the same pick at the same level, so C keeps its draw unless an update
+// crosses C's boundary at or above C's level.
 func (d *forestDecode) findDirty(l int) {
-	log := d.s.log
+	s := d.s
+	log := s.log
 	if l == 0 {
 		d.cur = slices.Grow(d.cur[:0], 2*len(log))[:2*len(log)]
+		d.pows = slices.Grow(d.pows[:0], len(log))[:len(log)]
 		for i, u := range log {
 			d.cur[2*i], d.cur[2*i+1] = u.a, u.b
 			if d.lab0 != nil {
 				d.cur[2*i], d.cur[2*i+1] = d.lab0[u.a], d.lab0[u.b]
+			}
+			if u.a != u.b {
+				hashing.PowersOf(stream.PairKey(int(u.a), int(u.b), s.n), &d.pows[i])
 			}
 		}
 	} else {
@@ -580,11 +617,25 @@ func (d *forestDecode) findDirty(l int) {
 			d.cur[i] = up[x]
 		}
 	}
-	d.touch.reset(d.s.n)
+	d.touch.reset(s.n)
 	d.dirty = d.dirty[:0]
-	for _, x := range d.cur {
-		if d.touch.add(x) {
-			d.dirty = append(d.dirty, x)
+	at, fam := d.lv[l].at, s.fam[l]
+	for i, u := range log {
+		x, y := d.cur[2*i], d.cur[2*i+1]
+		if u.a == u.b {
+			if d.touch.add(x) {
+				d.dirty = append(d.dirty, x)
+			}
+			continue
+		}
+		if x == y || d.touch.has(x) && d.touch.has(y) {
+			continue
+		}
+		lvl := fam.Level(&d.pows[i])
+		for _, z := range [2]int32{x, y} {
+			if lvl >= int(at[z]) && d.touch.add(z) {
+				d.dirty = append(d.dirty, z)
+			}
 		}
 	}
 	for _, x := range d.chg {
@@ -592,6 +643,19 @@ func (d *forestDecode) findDirty(l int) {
 			d.dirty = append(d.dirty, x)
 		}
 	}
+}
+
+// levelKept counts the components the log names whose draw findDirty
+// kept (traced rounds only: it visits the log again).
+func (d *forestDecode) levelKept() int {
+	d.mark.reset(d.s.n)
+	kept := 0
+	for _, x := range d.cur {
+		if !d.touch.has(x) && d.mark.add(x) {
+			kept++
+		}
+	}
+	return kept
 }
 
 // findRegion marks the trace's partition-(l+1) components a repaired

@@ -397,8 +397,10 @@ func requeryModelRun(t *testing.T, n int, grouped bool, workers, steps int, seed
 			case 14:
 				// Both endpoints of every update lie in the largest
 				// connected component (of the contraction): its
-				// membership is unchanged, its sum cancels every update
-				// and its pick must still be re-drawn.
+				// membership is unchanged and its sum cancels every
+				// update, so in the rounds where it is one component its
+				// draw is kept, while the rounds before redraw the parts
+				// an update crosses.
 				what = "batch inside the largest component"
 				uf := graph.NewUnionFind(n)
 				for _, e := range present {

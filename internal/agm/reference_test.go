@@ -2,6 +2,7 @@ package agm
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -9,6 +10,7 @@ import (
 	"dynstream/internal/graph"
 	"dynstream/internal/sketch"
 	"dynstream/internal/stream"
+	"dynstream/internal/wire"
 )
 
 // refDecoder is the map-based Borůvka decode SpanningForestOpts ran
@@ -19,25 +21,32 @@ import (
 // from its members' samplers on every query — no cached pick is ever
 // served. It reads the sketch's samplers and never mutates the sketch.
 //
-// Alongside the forest it models the pick cache's classification rule
-// from its own record of what the test applied and merged (applied,
-// merged), not from the sketch's update log: a (round, union-find root)
-// is a hit when the previous decode reached the round and stored or
-// served a pick there over the same member list, no endpoint recorded
-// since is a member, and the recorded writes did not overflow the
-// sketch's log. A hit's members must still encode to the bytes they
-// had when its pick was stored.
+// Alongside the forest it models the pick cache's classification rule,
+// the level rule, from its own record of what the test applied and
+// merged (applied, merged), not from the sketch's update log: a (round,
+// union-find root) is a hit when the previous decode reached the round
+// and stored or served a pick there over the same member list, the
+// recorded writes did not overflow the sketch's log, no vertex merged
+// since is a member, and every update applied since with exactly one
+// endpoint among the members has a geometric level in the round's
+// family (L0Family.Hint) below the level the stored pick's draw decoded
+// at. A hit's member sum must still hold, at that level and above, the
+// bytes it held when the pick was stored, and its draw must return the
+// stored pick at the stored level.
 type refDecoder struct {
-	picks   []map[int]refPick // per round, by union-find root
-	query   int               // decodes so far
-	touched map[int]bool      // endpoints applied or merged since the last decode
-	logged  int               // log entries those writes took
+	picks  []map[int]refPick // per round, by union-find root
+	query  int               // decodes so far
+	ups    [][2]int          // updates applied since the last decode, a < b
+	joined map[int]bool      // vertices merged since the last decode
+	logged int               // log entries those writes took
 }
 
 type refPick struct {
 	members []int
 	query   int    // the decode that last stored or served the pick
-	enc     []byte // the members' samplers of the round when it was stored
+	pick    [2]int // the draw's edge, {-1, -1} for none
+	level   int    // the level the draw decoded at
+	enc     []byte // the member sum's levels >= level when it was stored
 }
 
 // reset forgets every stored decode, as EnableDecodeCache(false) and
@@ -49,7 +58,7 @@ func (d *refDecoder) reset() { d.picks = nil }
 func (d *refDecoder) applied(batch []stream.Update) {
 	for _, u := range batch {
 		if u.U != u.V && u.Delta != 0 {
-			d.touch(u.U, u.V)
+			d.ups = append(d.ups, [2]int{min(u.U, u.V), max(u.U, u.V)})
 			d.logged++
 		}
 	}
@@ -70,39 +79,60 @@ func (d *refDecoder) merged(batch []stream.Update) {
 			seen[e[0]], seen[e[1]] = true, true
 		}
 	}
+	if d.joined == nil {
+		d.joined = map[int]bool{}
+	}
 	for v := range seen {
-		d.touch(v)
+		d.joined[v] = true
 		d.logged++
 	}
 }
 
-func (d *refDecoder) touch(vs ...int) {
-	if d.touched == nil {
-		d.touched = map[int]bool{}
+// reaches reports whether an update recorded since the last decode
+// crosses the boundary of members (in, its indicator) at or above level
+// in round r's family.
+func (d *refDecoder) reaches(s *Sketch, r int, in map[int]bool, level int) bool {
+	var h sketch.L0Hint
+	for _, e := range d.ups {
+		if in[e[0]] != in[e[1]] {
+			if s.fam[r].Hint(stream.PairKey(e[0], e[1], s.n), &h); h.Level() >= level {
+				return true
+			}
+		}
 	}
-	for _, v := range vs {
-		d.touched[v] = true
-	}
+	return false
 }
 
-// encode concatenates the encodings of the members' round-r samplers.
-func encode(s *Sketch, r int, members []int) ([]byte, error) {
-	var out []byte
-	for _, v := range members {
-		enc, err := s.at(r, v).MarshalBinary()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, enc...)
+// levelsFrom returns the encoded blocks of sampler levels level and up,
+// read off its wire form: the header (tag, seed, universe, perLevel,
+// level count) and then one length-prefixed block per level, zero-length
+// for an all-zero one.
+func levelsFrom(sm *sketch.L0Sampler, level int) ([]byte, error) {
+	enc, err := sm.MarshalBinary()
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	corrupt := errors.New("reference: unreadable sampler encoding")
+	r := wire.NewReader(enc, corrupt)
+	r.U64()
+	r.U64()
+	r.U64()
+	r.Uvarint()
+	levels := r.Uvarint()
+	w := &wire.Writer{}
+	for j := uint64(0); j < levels; j++ {
+		if b := r.SketchBlock(); j >= uint64(level) {
+			w.Block(b)
+		}
+	}
+	return w.Bytes(), r.Done()
 }
 
 func (d *refDecoder) forest(s *Sketch, groups [][]int) (forest []graph.Edge, hits, misses uint64, err error) {
 	// A log that outgrew its budget (Sketch.logUpdate) voids every pick.
 	overflow := d.logged > 4*s.n+1024
-	touched, prev := d.touched, d.query
-	d.touched, d.logged = nil, 0
+	prev := d.query
+	defer func() { d.ups, d.joined, d.logged = d.ups[:0], nil, 0 }()
 	d.query++
 	uf := graph.NewUnionFind(s.n)
 	for _, grp := range groups {
@@ -145,23 +175,6 @@ func (d *refDecoder) forest(s *Sketch, groups [][]int) (forest []graph.Edge, hit
 		picks := make([]found, len(roots))
 		for i, root := range roots {
 			m := members[root]
-			enc, err := encode(s, r, m)
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			e, ok := d.picks[r][root]
-			if ok && e.query == prev && !overflow && slices.Equal(e.members, m) &&
-				!slices.ContainsFunc(m, func(v int) bool { return touched[v] }) {
-				hits++
-				if !bytes.Equal(e.enc, enc) {
-					return nil, 0, 0, fmt.Errorf("round %d: a hit over component %v, whose samplers changed since its pick was stored", r, m)
-				}
-				e.query = d.query
-			} else {
-				misses++
-				e = refPick{members: m, query: d.query, enc: enc}
-			}
-			d.picks[r][root] = e
 			sc := &sketch.L0Sampler{}
 			sc.SetTo(s.at(r, m[0]))
 			for _, v := range m[1:] {
@@ -169,10 +182,42 @@ func (d *refDecoder) forest(s *Sketch, groups [][]int) (forest []graph.Edge, hit
 					return nil, 0, 0, fmt.Errorf("reference merge: %w", err)
 				}
 			}
-			if key, _, ok := sc.Sample(); ok {
+			var scratch sketch.SampleScratch
+			pick := [2]int{-1, -1}
+			if key, _, ok := sc.SampleWith(&scratch); ok {
 				a, b := stream.DecodePairKey(key, s.n)
 				picks[i] = found{a: a, b: b, ok: true}
+				pick = [2]int{a, b}
 			}
+			in := map[int]bool{}
+			for _, v := range m {
+				in[v] = true
+			}
+			e, ok := d.picks[r][root]
+			if ok && e.query == prev && !overflow && slices.Equal(e.members, m) &&
+				!slices.ContainsFunc(m, func(v int) bool { return d.joined[v] }) &&
+				!d.reaches(s, r, in, e.level) {
+				hits++
+				enc, err := levelsFrom(sc, e.level)
+				if err != nil {
+					return nil, 0, 0, err
+				}
+				if !bytes.Equal(e.enc, enc) {
+					return nil, 0, 0, fmt.Errorf("round %d: a hit over component %v, whose sum changed at level %d or above since its pick was stored", r, m, e.level)
+				}
+				if pick != e.pick || scratch.Level != e.level {
+					return nil, 0, 0, fmt.Errorf("round %d: a hit over component %v draws %v at level %d, stored %v at level %d", r, m, pick, scratch.Level, e.pick, e.level)
+				}
+				e.query = d.query
+			} else {
+				misses++
+				enc, err := levelsFrom(sc, scratch.Level)
+				if err != nil {
+					return nil, 0, 0, err
+				}
+				e = refPick{members: m, query: d.query, pick: pick, level: scratch.Level, enc: enc}
+			}
+			d.picks[r][root] = e
 		}
 		progress := false
 		for _, pk := range picks {

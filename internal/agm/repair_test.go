@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"dynstream/internal/parallel"
+	"dynstream/internal/sketch"
 	"dynstream/internal/stream"
 )
 
@@ -159,5 +160,168 @@ func TestRequeryWorkScalesWithChurn(t *testing.T) {
 	if r4 > 2*r1 || d4 > 2*d1 {
 		t.Errorf("at 4n the re-query recomputes %d region roots and redraws %d components, at n %d and %d: more than double",
 			r4, d4, r1, d1)
+	}
+}
+
+// TestRequeryLevelSkipKeepsPick checks the level rule by which a
+// repaired round keeps a draw the update log names. Before each
+// re-query of churned, merged and regrouped sketches it snapshots the
+// trace; after it, for every repaired round, it lists the components
+// the rule must keep, computed from the test's own record of the
+// batches (refDecoder: the updates' levels by L0Family.Hint, the
+// vertices merged): the trace's roots with the trace's members that a
+// recorded endpoint lies in, holding no merged vertex, and crossed by
+// no recorded update at or above the level their stored draw decoded
+// at. The round's level_kept attribute must count exactly those, and
+// each must keep its stored pick and level, which a fresh SampleSum
+// over its members must return. Redrawing a component whose
+// boundary no update crossed (an update inside it only) counts too few;
+// keeping one crossed at exactly its level counts too many.
+func TestRequeryLevelSkipKeepsPick(t *testing.T) {
+	seeds := int64(6)
+	if testing.Short() {
+		seeds = 3
+	}
+	type round struct {
+		members map[int32][]int // by root
+		pick    []uint64
+		at      []uint8
+	}
+	// partition returns round l's components of s's trace, by root.
+	partition := func(s *Sketch, l int) map[int32][]int {
+		comps := map[int32][]int{}
+		for v := 0; v < s.n; v++ {
+			x := s.trace.rootOf(int32(v), l)
+			comps[x] = append(comps[x], v)
+		}
+		return comps
+	}
+	var kept, checked int
+	for _, n := range []int{5, 12, 30, 200} {
+		for _, grouped := range []bool{false, true} {
+			for seed := int64(1); seed <= seeds; seed++ {
+				rng := rand.New(rand.NewSource(7*seed + int64(n)))
+				s := New(uint64(seed), n, Config{})
+				s.EnableDecodeCache(true)
+				ref := &refDecoder{}
+				var present [][2]int
+				var groups [][]int
+				churn := func(size int) []stream.Update {
+					var batch []stream.Update
+					for ; size > 0; size-- {
+						if len(present) > 0 && rng.Intn(2) == 0 {
+							k := rng.Intn(len(present))
+							e := present[k]
+							present[k] = present[len(present)-1]
+							present = present[:len(present)-1]
+							batch = append(batch, stream.Update{U: e[0], V: e[1], Delta: -1, W: 1})
+						} else if u, v := rng.Intn(n), rng.Intn(n); u != v {
+							present = append(present, [2]int{u, v})
+							batch = append(batch, stream.Update{U: u, V: v, Delta: 1, W: 1})
+						}
+					}
+					return batch
+				}
+				batch := churn(2 * n)
+				s.AddBatch(batch)
+				for step := 0; step < 30; step++ {
+					ctx := fmt.Sprintf("n=%d grouped=%v seed=%d step %d", n, grouped, seed, step)
+					var old []round
+					if d := s.trace; d != nil && d.depth >= 0 && d.gen == s.logGen {
+						for l := 0; l < d.depth; l++ {
+							lv := &d.lv[l]
+							old = append(old, round{partition(s, l), slices.Clone(lv.pick), slices.Clone(lv.at)})
+						}
+					}
+					rs := &roundSpans{}
+					if _, err := s.SpanningForestOpts(groups, rs.policy(parallel.Default())); err != nil {
+						t.Fatalf("%s: %v", ctx, err)
+					}
+					d := s.trace
+					for l := 0; l < min(len(old), d.depth); l++ {
+						o, lv := &old[l], &d.lv[l]
+						named := map[int]bool{}
+						for _, e := range ref.ups {
+							named[e[0]], named[e[1]] = true, true
+						}
+						want := 0
+						for x, m := range partition(s, l) {
+							if !slices.Equal(o.members[x], m) ||
+								!slices.ContainsFunc(m, func(v int) bool { return named[v] }) ||
+								slices.ContainsFunc(m, func(v int) bool { return ref.joined[v] }) {
+								continue
+							}
+							in := map[int]bool{}
+							for _, v := range m {
+								in[v] = true
+							}
+							if ref.reaches(s, l, in, int(o.at[x])) {
+								continue
+							}
+							want++
+							if lv.pick[x] != o.pick[x] || lv.at[x] != o.at[x] {
+								t.Fatalf("%s: round %d component %v: kept pick %x at level %d became %x at %d",
+									ctx, l, m, o.pick[x], o.at[x], lv.pick[x], lv.at[x])
+							}
+							members := make([]*sketch.L0Sampler, len(m))
+							for i, v := range m {
+								members[i] = s.at(l, v)
+							}
+							var sc sketch.SampleScratch
+							key, _, ok, err := sketch.SampleSum(members, &sc)
+							if err != nil {
+								t.Fatal(err)
+							}
+							pk := noPick
+							if ok {
+								a, b := stream.DecodePairKey(key, n)
+								pk = uint64(a)<<32 | uint64(b)
+							}
+							if pk != lv.pick[x] || sc.Level != int(lv.at[x]) {
+								t.Fatalf("%s: round %d component %v kept pick %x at level %d; a fresh draw returns %x at level %d",
+									ctx, l, m, lv.pick[x], lv.at[x], pk, sc.Level)
+							}
+						}
+						if got := rs.rounds[l]["level_kept"]; got != int64(want) {
+							t.Fatalf("%s: round %d kept %d components' draws, the level rule keeps %d", ctx, l, got, want)
+						}
+						kept += want
+						checked++
+					}
+					ref.ups, ref.joined, ref.logged = ref.ups[:0], nil, 0
+
+					switch rng.Intn(6) {
+					case 0:
+						// A merge: every vertex it changes is dirty whatever
+						// the levels.
+						batch = churn(1 + rng.Intn(4))
+						other := New(uint64(seed), n, Config{})
+						other.AddBatch(batch)
+						if err := s.Merge(other); err != nil {
+							t.Fatal(err)
+						}
+						ref.merged(batch)
+					case 1:
+						if grouped {
+							groups = nil
+							perm := rng.Perm(n)[:n/2]
+							for len(perm) > 0 {
+								k := min(1+rng.Intn(4), len(perm))
+								groups, perm = append(groups, perm[:k]), perm[k:]
+							}
+						}
+						fallthrough
+					default:
+						batch = churn(1 + rng.Intn(max(2, n/4)))
+						s.AddBatch(batch)
+						ref.applied(batch)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d repaired rounds checked, %d draws kept by the level rule", checked, kept)
+	if kept == 0 {
+		t.Fatal("the level rule kept no draw: the test exercised nothing")
 	}
 }

@@ -287,3 +287,54 @@ func TestNonZeroSumRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestForestSpanRounds checks the agm/forest span's round report: a path
+// sketched with too few rounds for Borůvka to join it runs every round,
+// the last one still merging, and reports them exhausted; a star joins
+// in its first round, and a random connected graph well inside its
+// default budget. Cached and uncached decodes report the same.
+func TestForestSpanRounds(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		g         *graph.Graph
+		rounds    int
+		used      int64 // 0: any count below the budget
+		exhausted int64
+	}{
+		{"path, 4 rounds", graph.Path(512), 4, 4, 1},
+		{"star, default rounds", graph.Star(512), 0, 1, 0},
+		{"gnp, default rounds", graph.ConnectedGNP(512, 0.02, 3), 0, 0, 0},
+	} {
+		for _, caching := range []bool{false, true} {
+			s := New(9, tc.g.N(), Config{Rounds: tc.rounds})
+			s.EnableDecodeCache(caching)
+			var batch []stream.Update
+			for _, e := range tc.g.Edges() {
+				batch = append(batch, stream.Update{U: e.U, V: e.V, Delta: 1, W: 1})
+			}
+			s.AddBatch(batch)
+			var got []map[string]int64
+			tr := obs.New()
+			tr.OnSpanEnd(func(e obs.Event) {
+				if e.Phase == "agm/forest" {
+					attrs := map[string]int64{}
+					for _, a := range e.Attrs {
+						attrs[a.Key] = a.Val
+					}
+					got = append(got, attrs)
+				}
+			})
+			if _, err := s.SpanningForestOpts(nil, parallel.Default().WithTracer(tr)); err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != 1 {
+				t.Fatalf("%s: %d agm/forest spans, want 1", tc.name, len(got))
+			}
+			used, exhausted := got[0]["rounds_used"], got[0]["rounds_exhausted"]
+			if tc.used == 0 && (used < 1 || used >= int64(s.rounds)) || tc.used != 0 && used != tc.used || exhausted != tc.exhausted {
+				t.Errorf("%s (cache %v): rounds_used %d of %d, rounds_exhausted %d; want %d used (0: any below the budget), exhausted %d",
+					tc.name, caching, used, s.rounds, exhausted, tc.used, tc.exhausted)
+			}
+		}
+	}
+}

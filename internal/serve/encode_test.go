@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 
 	"dynstream"
@@ -135,6 +136,48 @@ func TestQueryHandlerBody(t *testing.T) {
 		if got.StatusCode != http.StatusOK || got.Header.Get("Content-Type") != "application/json" || !bytes.Equal(body, want.Bytes()) {
 			t.Errorf("%s: status %d, type %q, body %q; want 200, application/json, %q",
 				name, got.StatusCode, got.Header.Get("Content-Type"), body, want.Bytes())
+		}
+	}
+}
+
+// TestQueryContentLength: a query answer carries its length, for a
+// small body and for one far past net/http's response buffer (which a
+// body without a length would reach chunked), and its bytes are still
+// encoding/json's.
+func TestQueryContentLength(t *testing.T) {
+	big := &QueryResponse{Target: "forest", Applied: 9, Summary: "big"}
+	for i := 0; i < 12000; i++ {
+		big.Edges = append(big.Edges, EdgeJSON{U: i, V: i + 1, W: 1})
+	}
+	for name, resp := range map[string]*QueryResponse{
+		"small": {Target: "forest", Applied: 3, Summary: "ok", Edges: []EdgeJSON{{U: 0, V: 1, W: 1}}},
+		"big":   big,
+	} {
+		s, err := NewServer([]Backend{fixedBackend{resp: resp}}, ServerConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		got, err := http.Get(ts.URL + "/v1/query")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(got.Body)
+		got.Body.Close()
+		ts.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		json.NewEncoder(&want).Encode(resp)
+		if !bytes.Equal(body, want.Bytes()) {
+			t.Errorf("%s: body of %d bytes differs from encoding/json's %d", name, len(body), want.Len())
+		}
+		if cl := got.Header.Get("Content-Length"); cl != strconv.Itoa(len(body)) || got.ContentLength != int64(len(body)) {
+			t.Errorf("%s: Content-Length %q (%d), body %d bytes", name, cl, got.ContentLength, len(body))
+		}
+		if len(got.TransferEncoding) != 0 {
+			t.Errorf("%s: transfer encoding %v, want none", name, got.TransferEncoding)
 		}
 	}
 }

@@ -214,6 +214,14 @@ func (f *L0Family) Hint(key uint64, h *L0Hint) {
 	h.cells = h.cells[:lvls*f.rows]
 }
 
+// Level returns the geometric level of the key with powers pw: an
+// update of the key writes levels 0..Level() of a sampler of the family.
+// It is L0Hint.Level without the routing, clamped to the family's
+// deepest level as route clamps it.
+func (f *L0Family) Level(pw *hashing.Powers) int {
+	return min(f.levelHash.LevelPow(pw), len(f.levels)-1)
+}
+
 // route writes the routing of the key with powers pw in place and
 // returns the number of levels lv+1 the update reaches: one fingerprint
 // power per level into fkeys, rows cell indices per level into cells.
@@ -225,10 +233,7 @@ func (f *L0Family) Hint(key uint64, h *L0Hint) {
 // (field.PowPair) — all bit-identical to the per-row, per-level scalar
 // evaluation.
 func (f *L0Family) route(pw *hashing.Powers, fkeys []uint64, cells []uint16, hash []uint64) int {
-	lv := f.levelHash.LevelPow(pw)
-	if lv >= len(f.levels) {
-		lv = len(f.levels) - 1
-	}
+	lv := f.Level(pw)
 	rows := f.rows
 	hs := hash[:(lv+1)*rows]
 	f.bank.HashPrefixPow(pw, hs)
@@ -444,6 +449,10 @@ type SampleScratch struct {
 	// Blocks counts the member level blocks the scratch's samples have
 	// read, one per (member, level) pair walked; the caller may reset it.
 	Blocks int64
+	// Level is the level the last sample decoded its pick at, 0 when it
+	// returned none. Only the sum's levels Level and above decide that
+	// sample: levels above it decoded to nothing or failed.
+	Level int
 }
 
 type sampleItem struct {
@@ -475,9 +484,10 @@ func (s *L0Sampler) SampleWith(sc *SampleScratch) (key uint64, weight int64, ok 
 // Sample would. Levels above the sum's own top cancel to zero and
 // decode to nothing, as Sample skips them. Every member level is read
 // at most once, so the cost is at most that of merging the members,
-// and usually a level or two of it. A family mismatch is
-// errIncompatible, as in Merge.
+// and usually a level or two of it. The level the pick came from is
+// left in sc.Level. A family mismatch is errIncompatible, as in Merge.
 func SampleSum(ss []*L0Sampler, sc *SampleScratch) (key uint64, weight int64, ok bool, err error) {
+	sc.Level = 0
 	if len(ss) == 0 {
 		return 0, 0, false, nil
 	}
@@ -547,6 +557,7 @@ func SampleSum(ss []*L0Sampler, sc *SampleScratch) (key uint64, weight int64, ok
 				key, weight, bestH = it.key, it.weight, h
 			}
 		}
+		sc.Level = j
 		return key, weight, true, nil
 	}
 	return 0, 0, false, nil

@@ -26,6 +26,34 @@ func routeAll(r *L0Routes, fams []*L0Family, updates int, keys []uint64, deltas 
 	return fills
 }
 
+// TestFamilyLevelMatchesHint: L0Family.Level over a key's powers is the
+// level its hint routes to, the clamp to the deepest level included (a
+// family over a universe of 4 keeps four levels, so keys drawn from a
+// far wider range clamp often).
+func TestFamilyLevelMatchesHint(t *testing.T) {
+	rng := hashing.NewSplitMix64(11)
+	for _, universe := range []uint64{4, 1 << 20, 1 << 40} {
+		fam := NewL0Family(0x77, universe, 4)
+		var h L0Hint
+		var pw hashing.Powers
+		clamped := 0
+		for i := 0; i < 4000; i++ {
+			key := rng.Next()
+			fam.Hint(key, &h)
+			hashing.PowersOf(key, &pw)
+			if got := fam.Level(&pw); got != h.Level() {
+				t.Fatalf("universe %d key %d: Level %d, hint level %d", universe, key, got, h.Level())
+			}
+			if h.Level() == len(fam.levels)-1 {
+				clamped++
+			}
+		}
+		if universe == 4 && clamped == 0 {
+			t.Fatal("no key reached the deepest level of a 4-key universe")
+		}
+	}
+}
+
 // TestL0RoutesMatchesReference: routing a chunk once and applying it to
 // grid strips in an order of the caller's choosing — here each update
 // to one strip as is and to another negated, strips visited out of

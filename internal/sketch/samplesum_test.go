@@ -10,17 +10,19 @@ import (
 )
 
 // sampleSumRef is what SampleSum stands for: the members merged into one
-// sampler, then sampled.
-func sampleSumRef(ss []*L0Sampler) (key uint64, weight int64, ok bool, err error) {
+// sampler, then sampled. It also returns the level that sample decoded
+// at.
+func sampleSumRef(ss []*L0Sampler) (key uint64, weight int64, ok bool, level int, err error) {
 	var sum L0Sampler
 	sum.SetTo(ss[0])
 	for _, m := range ss[1:] {
 		if err := sum.Merge(m); err != nil {
-			return 0, 0, false, err
+			return 0, 0, false, 0, err
 		}
 	}
-	key, weight, ok = sum.SampleWith(new(SampleScratch))
-	return key, weight, ok, nil
+	var sc SampleScratch
+	key, weight, ok = sum.SampleWith(&sc)
+	return key, weight, ok, sc.Level, nil
 }
 
 // TestSampleSumMatchesMerge: SampleSum over random member sets equals
@@ -71,12 +73,17 @@ func TestSampleSumMatchesMerge(t *testing.T) {
 		}
 		name := fmt.Sprintf("trial %d (%d members)", trial, size)
 		k1, w1, ok1, err1 := SampleSum(ss, &sc)
-		k2, w2, ok2, err2 := sampleSumRef(ss)
+		k2, w2, ok2, lv2, err2 := sampleSumRef(ss)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("%s: SampleSum err %v, merge err %v", name, err1, err2)
 		}
-		if k1 != k2 || w1 != w2 || ok1 != ok2 {
-			t.Fatalf("%s: SampleSum (%d,%d,%v), merged (%d,%d,%v)", name, k1, w1, ok1, k2, w2, ok2)
+		if k1 != k2 || w1 != w2 || ok1 != ok2 || sc.Level != lv2 {
+			t.Fatalf("%s: SampleSum (%d,%d,%v) at level %d, merged (%d,%d,%v) at %d", name, k1, w1, ok1, sc.Level, k2, w2, ok2, lv2)
+		}
+		// The pick survives the level it was read at; no pick reads 0.
+		var h L0Hint
+		if fam.Hint(k1, &h); ok1 && h.Level() < sc.Level || !ok1 && sc.Level != 0 {
+			t.Fatalf("%s: ok %v at level %d, key level %d", name, ok1, sc.Level, h.Level())
 		}
 		reach := int64(0)
 		for _, m := range ss {
@@ -92,7 +99,7 @@ func TestSampleSumMatchesMerge(t *testing.T) {
 	other.Add(7, 1)
 	for _, ss := range [][]*L0Sampler{{fam.NewSampler(), other}, {other, fam.NewSampler()}} {
 		_, _, _, err := SampleSum(ss, &sc)
-		if _, _, _, want := sampleSumRef(ss); !errors.Is(err, errIncompatible) || !errors.Is(want, errIncompatible) {
+		if _, _, _, _, want := sampleSumRef(ss); !errors.Is(err, errIncompatible) || !errors.Is(want, errIncompatible) {
 			t.Errorf("mixed families: SampleSum %v, merge %v; want errIncompatible", err, want)
 		}
 	}
