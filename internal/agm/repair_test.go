@@ -34,27 +34,9 @@ func TestRequeryRepairedTraceMatchesFull(t *testing.T) {
 				var present [][2]int
 				var groups [][]int
 				for step := 0; step < 40; step++ {
-					var batch []stream.Update
-					for i := 1 + rng.Intn(n); i > 0; i-- {
-						if len(present) > 0 && rng.Intn(2) == 0 {
-							k := rng.Intn(len(present))
-							e := present[k]
-							present[k] = present[len(present)-1]
-							present = present[:len(present)-1]
-							batch = append(batch, stream.Update{U: e[0], V: e[1], Delta: -1, W: 1})
-						} else if u, v := rng.Intn(n), rng.Intn(n); u != v {
-							present = append(present, [2]int{u, v})
-							batch = append(batch, stream.Update{U: u, V: v, Delta: 1, W: 1})
-						}
-					}
-					s.AddBatch(batch)
+					s.AddBatch(churnBatch(rng, n, 1+rng.Intn(n), &present))
 					if grouped && rng.Intn(4) == 0 {
-						groups = nil
-						perm := rng.Perm(n)[:n/2]
-						for len(perm) > 0 {
-							k := min(1+rng.Intn(4), len(perm))
-							groups, perm = append(groups, perm[:k]), perm[k:]
-						}
+						groups = randomGroups(rng, n)
 					}
 					ctx := fmt.Sprintf("n=%d grouped=%v seed=%d step %d", n, grouped, seed, step)
 					if _, err := s.SpanningForestOpts(groups, parallel.Default()); err != nil {
@@ -79,6 +61,39 @@ func TestRequeryRepairedTraceMatchesFull(t *testing.T) {
 			}
 		}
 	}
+}
+
+// churnBatch draws size updates over n vertices, keeping present, the
+// edges inserted and not yet deleted: each deletes a random present edge
+// half the time (when there is one) and otherwise inserts a random edge,
+// skipping a self-loop draw.
+func churnBatch(rng *rand.Rand, n, size int, present *[][2]int) []stream.Update {
+	var batch []stream.Update
+	for ; size > 0; size-- {
+		if p := *present; len(p) > 0 && rng.Intn(2) == 0 {
+			k := rng.Intn(len(p))
+			e := p[k]
+			p[k] = p[len(p)-1]
+			*present = p[:len(p)-1]
+			batch = append(batch, stream.Update{U: e[0], V: e[1], Delta: -1, W: 1})
+		} else if u, v := rng.Intn(n), rng.Intn(n); u != v {
+			*present = append(p, [2]int{u, v})
+			batch = append(batch, stream.Update{U: u, V: v, Delta: 1, W: 1})
+		}
+	}
+	return batch
+}
+
+// randomGroups collapses a random half of n vertices into groups of one
+// to four.
+func randomGroups(rng *rand.Rand, n int) [][]int {
+	var groups [][]int
+	perm := rng.Perm(n)[:n/2]
+	for len(perm) > 0 {
+		k := min(1+rng.Intn(4), len(perm))
+		groups, perm = append(groups, perm[:k]), perm[k:]
+	}
+	return groups
 }
 
 // traceDiff says where two traces of the same samplers differ, or
@@ -206,22 +221,7 @@ func TestRequeryLevelSkipKeepsPick(t *testing.T) {
 				ref := &refDecoder{}
 				var present [][2]int
 				var groups [][]int
-				churn := func(size int) []stream.Update {
-					var batch []stream.Update
-					for ; size > 0; size-- {
-						if len(present) > 0 && rng.Intn(2) == 0 {
-							k := rng.Intn(len(present))
-							e := present[k]
-							present[k] = present[len(present)-1]
-							present = present[:len(present)-1]
-							batch = append(batch, stream.Update{U: e[0], V: e[1], Delta: -1, W: 1})
-						} else if u, v := rng.Intn(n), rng.Intn(n); u != v {
-							present = append(present, [2]int{u, v})
-							batch = append(batch, stream.Update{U: u, V: v, Delta: 1, W: 1})
-						}
-					}
-					return batch
-				}
+				churn := func(size int) []stream.Update { return churnBatch(rng, n, size, &present) }
 				batch := churn(2 * n)
 				s.AddBatch(batch)
 				for step := 0; step < 30; step++ {
@@ -303,12 +303,7 @@ func TestRequeryLevelSkipKeepsPick(t *testing.T) {
 						ref.merged(batch)
 					case 1:
 						if grouped {
-							groups = nil
-							perm := rng.Perm(n)[:n/2]
-							for len(perm) > 0 {
-								k := min(1+rng.Intn(4), len(perm))
-								groups, perm = append(groups, perm[:k]), perm[k:]
-							}
+							groups = randomGroups(rng, n)
 						}
 						fallthrough
 					default:
